@@ -23,8 +23,7 @@ from qshutter import (
     METHOD_TWO_LEVEL_M,
     build_profile,
     evolve_trace,
-    find_poles,
-    make_problem,
+    make_spectrum,
 )
 from qshutter.output import gnuplot_script, write_trace_csv
 
@@ -38,10 +37,11 @@ triple = build_profile(
 
 # Incidence energy: the center of the doublet, where both members are
 # excited with comparable weight and the beat is strongest.
-poles = find_poles(triple, 4)
+spectrum = make_spectrum(triple, 4)
+poles = spectrum.poles
 ebar = 0.5 * (poles[0].E_position + poles[1].E_position)
 tau1 = poles[0].tau
-problem = make_problem(triple, ebar, n_poles=4)
+problem = spectrum.at(ebar)
 T = abs(problem.field.t) ** 2
 print(f"E = Ebar = {ebar * 1e3:.4f} meV, tau1 = {tau1:.4f} ps, T(Ebar) = {T:.6f}")
 

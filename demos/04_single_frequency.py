@@ -20,17 +20,18 @@ from qshutter import (
     build_profile,
     dominant_frequency_series,
     evolve_trace,
-    find_poles,
     frequencies,
-    make_problem,
+    make_spectrum,
 )
 
 triple = build_profile(
     [(3.0, 0.12), (16.0, 0.0), (3.0, 0.12), (16.0, 0.0), (3.0, 0.12)],
     mass_ratio=0.067,
 )
-poles = find_poles(triple, 4)
-p1, p2 = poles[0], poles[1]
+# poles and modes belong to the structure: find them once, reuse them at
+# every incidence energy
+spectrum = make_spectrum(triple, 4)
+p1, p2 = spectrum.poles[:2]
 ebar = 0.5 * (p1.E_position + p2.E_position)
 tau1 = p1.tau
 
@@ -41,7 +42,7 @@ cases = (
 )
 for label, E in cases:
     fr = frequencies(E, p1, p2)
-    problem = make_problem(triple, E, n_poles=4)
+    problem = spectrum.at(E)
     times = np.linspace(0.0, 10.0 * tau1, 2000)
     trace = evolve_trace(problem, problem.L, times, (METHOD_EXACT, METHOD_EXPONENTIAL))
     d = trace.densities[METHOD_EXACT]

@@ -63,11 +63,13 @@ from .transient import (
     METHOD_TWO_LEVEL_M,
     METHODS,
     ShutterProblem,
+    Spectrum,
     TransientTrace,
     delta_term,
     evolve_trace,
     free_shutter_psi,
     make_problem,
+    make_spectrum,
     psi_doublet_M,
     psi_exact,
 )
@@ -135,7 +137,9 @@ __all__ = [
     "rho",
     "rho_mirror",
     "ShutterProblem",
+    "Spectrum",
     "TransientTrace",
+    "make_spectrum",
     "make_problem",
     "psi_exact",
     "psi_doublet_M",

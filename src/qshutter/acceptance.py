@@ -27,25 +27,31 @@ from .mfunc import faddeeva, m_function, m_function_scaled
 from .model import PhysicalConstants, build_profile, energy_of, wavenumber
 from .modes import rho, solve_mode
 from .poles import find_poles
-from .presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
-from .scattering import solve_stationary, stationary_wave, transfer_matrix, transmission
+from .presets import (
+    DOUBLE_LAYERS,
+    MASS_RATIO,
+    TRIPLE_LAYERS,
+    check_closed_two_level,
+    check_enhancement,
+    check_envelope,
+    check_frequency,
+    envelope_residual,
+    fig3b_layers,
+)
+from .scattering import stationary_wave, transfer_matrix, transmission
 from .transient import (
     METHOD_EXACT,
     METHOD_EXPONENTIAL,
     METHOD_TWO_LEVEL_CLOSED,
     METHOD_TWO_LEVEL_M,
+    Spectrum,
     evolve_trace,
     free_shutter_psi,
     make_problem,
+    make_spectrum,
     psi_exact,
 )
-from .twolevel import (
-    chi,
-    density_resonant_exponential,
-    dominant_frequency_series,
-    frequencies,
-    xi,
-)
+from .twolevel import chi, density_resonant_exponential, frequencies, xi
 
 __all__ = ["CheckResult", "SubCheck", "AcceptanceContext", "run_acceptance", "CRITERIA"]
 
@@ -100,52 +106,41 @@ def _bound_check(name: str, expected: str, measured: float, ok: bool) -> SubChec
 
 
 class AcceptanceContext:
-    """Shared profiles, poles, and problems, built lazily and cached."""
+    """Shared profiles and their spectra, each built once on first use."""
 
     def __init__(self):
         self.triple = build_profile(list(TRIPLE_LAYERS), MASS_RATIO)
         self.double = build_profile(list(DOUBLE_LAYERS), MASS_RATIO)
-        self._poles: dict[str, list] = {}
-        self._problems: dict[tuple, object] = {}
+        self._profiles = {
+            "triple": (self.triple, 4),
+            "double": (self.double, 2),
+            "b2_4": (build_profile(list(fig3b_layers(4.0)), MASS_RATIO), 4),
+            "b2_5": (build_profile(list(fig3b_layers(5.0)), MASS_RATIO), 4),
+        }
+        self._spectra: dict[str, Spectrum] = {}
+
+    def spectrum(self, name: str) -> Spectrum:
+        if name not in self._spectra:
+            self._spectra[name] = make_spectrum(*self._profiles[name])
+        return self._spectra[name]
 
     def poles_of(self, name: str):
-        if name not in self._poles:
-            profile, n = {
-                "triple": (self.triple, 4),
-                "double": (self.double, 2),
-                "b2_4": (self.fig3b_profile(4.0), 2),
-                "b2_5": (self.fig3b_profile(5.0), 2),
-            }[name]
-            self._poles[name] = find_poles(profile, n)
-        return self._poles[name]
+        return self.spectrum(name).poles
 
-    @staticmethod
-    def fig3b_profile(b2: float):
-        return build_profile(
-            [(3.0, 0.12), (16.0, 0.0), (b2, 0.12), (16.0, 0.0), (3.0, 0.12)],
-            MASS_RATIO,
-        )
+    def doublet_center(self, name: str) -> float:
+        p = self.poles_of(name)
+        return 0.5 * (p[0].E_position + p[1].E_position)
 
     @property
     def Ebar(self) -> float:
-        p = self.poles_of("triple")
-        return 0.5 * (p[0].E_position + p[1].E_position)
+        return self.doublet_center("triple")
 
     @property
     def tau1(self) -> float:
         return self.poles_of("triple")[0].tau
 
-    def problem(self, name: str, E: float, n_poles: int):
-        key = (name, round(E / MEV, 9), n_poles)
-        if key not in self._problems:
-            profile = {
-                "triple": self.triple,
-                "double": self.double,
-                "b2_4": self.fig3b_profile(4.0),
-                "b2_5": self.fig3b_profile(5.0),
-            }[name]
-            self._problems[key] = make_problem(profile, E, n_poles=n_poles)
-        return self._problems[key]
+    def problem(self, name: str, E: float):
+        return self.spectrum(name).at(E)
 
 
 # --- criteria 1-4: stated resonance parameters and transmissions ---------
@@ -156,7 +151,9 @@ def criterion_1(ctx: AcceptanceContext) -> CheckResult:
     t0 = time.perf_counter()
     poles = find_poles(ctx.triple, 4)
     runtime = time.perf_counter() - t0
-    ctx._poles["triple"] = poles
+    ctx._spectra["triple"] = Spectrum(
+        ctx.triple, tuple(solve_mode(ctx.triple, p) for p in poles)
+    )
     p1, p2 = poles[0], poles[1]
     cr.subchecks = [
         _abs_check("curlyE1 (meV)", 11.512, p1.E_position / MEV, 0.001),
@@ -241,29 +238,20 @@ def criterion_5(ctx: AcceptanceContext) -> CheckResult:
     cr = CheckResult(5, "long-time asymptote |Psi(L)|^2 -> T(E) at t = 25 tau1")
     p_t = ctx.poles_of("triple")
     e1, g1 = p_t[0].E_position, p_t[0].Gamma
-    cases = [
-        ("triple, E1 + 2 Gamma1", "triple", e1 + 2.0 * g1, 4, ctx.tau1),
-        ("triple, E1", "triple", e1, 4, ctx.tau1),
-        ("triple, doublet center", "triple", ctx.Ebar, 4, ctx.tau1),
-    ]
     p_d = ctx.poles_of("double")
-    cases.append(
-        (
-            "double, E1 + 3.515 Gamma1",
-            "double",
-            p_d[0].E_position + 3.515 * p_d[0].Gamma,
-            2,
-            p_d[0].tau,
-        )
-    )
+    cases = [
+        ("triple, E1 + 2 Gamma1", "triple", e1 + 2.0 * g1),
+        ("triple, E1", "triple", e1),
+        ("triple, doublet center", "triple", ctx.Ebar),
+        ("double, E1 + 3.515 Gamma1", "double", p_d[0].E_position + 3.515 * p_d[0].Gamma),
+    ]
     for b2, name in ((4.0, "b2_4"), (5.0, "b2_5")):
-        poles = ctx.poles_of(name)
-        ebar = 0.5 * (poles[0].E_position + poles[1].E_position)
-        cases.append((f"wider central barrier b2 = {b2:g} nm, doublet center", name, ebar, 4, poles[0].tau))
-    for label, name, E, n, tau1 in cases:
-        prob = ctx.problem(name, E, n)
+        label = f"wider central barrier b2 = {b2:g} nm, doublet center"
+        cases.append((label, name, ctx.doublet_center(name)))
+    for label, name, E in cases:
+        prob = ctx.problem(name, E)
         T = abs(prob.field.t) ** 2
-        d = abs(psi_exact(prob, prob.L, 25.0 * tau1)) ** 2
+        d = abs(psi_exact(prob, prob.L, 25.0 * prob.modes[0].pole.tau)) ** 2
         rel = abs(d - T) / T
         cr.subchecks.append(
             _bound_check(f"{label}: |density/T - 1| at 25 tau1", "< 0.03", rel, rel < 0.03)
@@ -275,7 +263,7 @@ def criterion_6(ctx: AcceptanceContext) -> CheckResult:
     cr = CheckResult(6, "two-level fidelity against the exact N=4 density")
     p1 = ctx.poles_of("triple")[0]
     E = p1.E_position + 2.0 * p1.Gamma
-    prob = ctx.problem("triple", E, 4)
+    prob = ctx.problem("triple", E)
     tau1 = ctx.tau1
     times = np.linspace(0.1 * tau1, 10.0 * tau1, 1500)
     trace = evolve_trace(
@@ -285,17 +273,13 @@ def criterion_6(ctx: AcceptanceContext) -> CheckResult:
         (METHOD_EXACT, METHOD_TWO_LEVEL_CLOSED, METHOD_TWO_LEVEL_M),
     )
     d4 = trace.densities[METHOD_EXACT]
-    d12 = trace.densities[METHOD_TWO_LEVEL_CLOSED]
     d7 = trace.densities[METHOD_TWO_LEVEL_M]
-    late = times >= 0.5 * tau1
-    dev12 = float(np.max(np.abs(d12[late] - d4[late]) / d4[late]))
     dev7 = float(np.max(np.abs(d7 - d4) / d4))
     cr.subchecks = [
         _bound_check(
             "closed two-level vs exact, max rel dev on [0.5, 10] tau1",
             "< 0.05",
-            dev12,
-            dev12 < 0.05,
+            *check_closed_two_level(trace, tau1, 0.05),
         ),
         _bound_check(
             "doublet M-form vs exact, max rel dev on [0.1, 10] tau1",
@@ -320,25 +304,21 @@ def criterion_7(ctx: AcceptanceContext) -> CheckResult:
     cr = CheckResult(7, "on-resonance envelope of the doublet M-form density")
     p = ctx.poles_of("triple")
     p1 = p[0]
-    prob = ctx.problem("triple", p1.E_position, 2)
+    prob = ctx.problem("triple", p1.E_position)
     tau1 = p1.tau
     times = np.linspace(0.0, 10.0 * tau1, 2000)
     trace = evolve_trace(prob, prob.L, times, (METHOD_TWO_LEVEL_M, METHOD_EXPONENTIAL))
     d7 = trace.densities[METHOD_TWO_LEVEL_M]
-    denv = trace.densities[METHOD_EXPONENTIAL]
     T = abs(prob.field.t) ** 2
-    dev = float(np.max(np.abs(d7 - denv)))
     cr.subchecks.append(
         _bound_check(
             "max |M-form density - envelope| over [0, 10] tau1",
             f"< 0.05 T = {0.05 * T:.6g}",
-            dev,
-            dev < 0.05 * T,
+            *check_envelope(trace, T, 0.05),
         )
     )
     freqs = frequencies(prob.E, p[0], p[1])
-    f_res = dominant_frequency_series(times, d7 - denv)
-    ok = f_res is not None and abs(f_res - freqs.omega_21) <= 0.05 * freqs.omega_21
+    f_res, ok = check_frequency(times, envelope_residual(trace), freqs.omega_21, 0.05)
     cr.subchecks.append(
         _bound_check(
             "residual oscillation frequency (rad/ps)",
@@ -360,13 +340,12 @@ def criterion_7(ctx: AcceptanceContext) -> CheckResult:
 
 def criterion_8(ctx: AcceptanceContext) -> CheckResult:
     cr = CheckResult(8, "single-frequency regime at the doublet center")
-    prob = ctx.problem("triple", ctx.Ebar, 4)
+    prob = ctx.problem("triple", ctx.Ebar)
     tau1 = ctx.tau1
     times = np.linspace(0.0, 10.0 * tau1, 2000)
     trace = evolve_trace(prob, prob.L, times, (METHOD_EXACT,))
-    f_dom = dominant_frequency_series(times, trace.densities[METHOD_EXACT])
     target = 4.368 / 2.0
-    ok = f_dom is not None and abs(f_dom - target) <= 0.03 * target
+    f_dom, ok = check_frequency(times, trace.densities[METHOD_EXACT], target, 0.03)
     cr.subchecks.append(
         _bound_check(
             "dominant frequency of the density trace (rad/ps)",
@@ -387,21 +366,18 @@ def criterion_8(ctx: AcceptanceContext) -> CheckResult:
 
 def criterion_9(ctx: AcceptanceContext) -> CheckResult:
     cr = CheckResult(9, "transmission enhancement with central barrier width")
-    T_of = {}
-    for b2 in (3.0, 4.0, 5.0):
-        profile = ctx.triple if b2 == 3.0 else ctx.fig3b_profile(b2)
-        poles = ctx.poles_of("triple") if b2 == 3.0 else ctx.poles_of(f"b2_{b2:g}")
-        ebar = 0.5 * (poles[0].E_position + poles[1].E_position)
-        T_of[b2] = transmission(profile, ebar)[1]
-    increasing = T_of[3.0] < T_of[4.0] < T_of[5.0]
+    T_of = {
+        b2: transmission(ctx.spectrum(name).profile, ctx.doublet_center(name))[1]
+        for b2, name in ((3.0, "triple"), (4.0, "b2_4"), (5.0, "b2_5"))
+    }
+    ordering, last = check_enhancement(list(T_of.values()), 0.5)
     cr.subchecks = [
         _bound_check(
             "T(Ebar(b2)) ordering over b2 = 3, 4, 5 nm",
             "strictly increasing",
-            T_of[5.0] - T_of[3.0],
-            increasing,
+            *ordering,
         ),
-        _bound_check("T(Ebar(5 nm))", "> 0.5", T_of[5.0], T_of[5.0] > 0.5),
+        _bound_check("T(Ebar(5 nm))", "> 0.5", *last),
     ]
     cr.notes.append(
         "measured: " + ", ".join(f"T({b2:g} nm) = {T_of[b2]:.4f}" for b2 in (3.0, 4.0, 5.0))
@@ -535,31 +511,31 @@ def _check_factorizations(ctx: AcceptanceContext) -> list[SubCheck]:
 
 def _check_doublet_truncation(ctx: AcceptanceContext) -> list[SubCheck]:
     p = ctx.poles_of("triple")
-    modes = [solve_mode(ctx.triple, p[0]), solve_mode(ctx.triple, p[1])]
+    modes = ctx.spectrum("triple").modes[:2]
     L = ctx.triple.total_length
+    xs = np.array([L / 4.0, L / 2.0, L])
+
+    def miss(E):
+        """|Phi - (rho1 + rho2)|/|Phi| at xs."""
+        prob = ctx.problem("triple", E)
+        phi = stationary_wave(prob.field, xs)
+        pair = rho(modes[0], prob.k, xs) + rho(modes[1], prob.k, xs)
+        return np.abs(phi - pair) / np.abs(phi)
+
     energies = np.linspace(
         p[0].E_position - p[0].Gamma, p[1].E_position + p[1].Gamma, 20
     )
-    subs = []
-    for x in (L / 4.0, L / 2.0, L):
-        worst = 0.0
-        for E in energies:
-            k = wavenumber(E, ctx.triple).real
-            phi = stationary_wave(solve_stationary(ctx.triple, k), x)
-            pair = rho(modes[0], k, x) + rho(modes[1], k, x)
-            worst = max(worst, abs(phi - pair) / abs(phi))
-        subs.append(
-            _bound_check(
-                f"|Phi - (rho1 + rho2)|/|Phi| over the doublet window, x = {x:g} nm",
-                "< 0.15",
-                worst,
-                worst < 0.15,
-            )
+    worst = np.max([miss(E) for E in energies], axis=0)
+    subs = [
+        _bound_check(
+            f"|Phi - (rho1 + rho2)|/|Phi| over the doublet window, x = {x:g} nm",
+            "< 0.15",
+            w,
+            w < 0.15,
         )
-    k_bar = wavenumber(ctx.Ebar, ctx.triple).real
-    phi = stationary_wave(solve_stationary(ctx.triple, k_bar), L)
-    pair = rho(modes[0], k_bar, L) + rho(modes[1], k_bar, L)
-    rel = abs(phi - pair) / abs(phi)
+        for x, w in zip(xs, worst)
+    ]
+    rel = miss(ctx.Ebar)[-1]
     subs.append(
         _bound_check(
             "same at x = L, E = doublet center", "< 0.10", rel, rel < 0.10
@@ -667,7 +643,7 @@ def _check_crank_nicolson() -> list[SubCheck]:
 
 
 def _check_short_time(ctx: AcceptanceContext) -> list[SubCheck]:
-    prob = ctx.problem("triple", ctx.Ebar, 4)
+    prob = ctx.problem("triple", ctx.Ebar)
     T = abs(prob.field.t) ** 2
     d = abs(psi_exact(prob, prob.L, 1e-6)) ** 2
     return [

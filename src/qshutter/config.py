@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import PotentialProfile, build_profile, wavenumber
-from .scattering import solve_stationary
-from .transient import METHODS, ShutterProblem, make_problem
+from .model import PotentialProfile, build_profile
+from .transient import METHODS, ShutterProblem, make_spectrum
 
 __all__ = ["Incidence", "ScenarioConfig", "parse_config", "resolve_scenario"]
 
@@ -278,26 +277,16 @@ def resolve_scenario(cfg: ScenarioConfig) -> ResolvedScenario:
             f"incidence '{inc.describe()}' needs resonances; profile is free",
             field="energy",
         )
-    # build at a probe energy first; symbolic incidence needs the poles
-    probe_E = inc.value if inc.kind == "absolute" else 1e-3
-    problem = make_problem(profile, probe_E, n_poles=0 if profile.is_free else n_poles)
+    spectrum = make_spectrum(profile, n_poles)
     if inc.kind == "absolute":
         E = inc.value
     elif inc.kind == "offset":
-        p1 = problem.modes[0].pole
+        p1 = spectrum.poles[0]
         E = p1.E_position + inc.value * p1.Gamma
     else:
-        p1, p2 = problem.modes[0].pole, problem.modes[1].pole
+        p1, p2 = spectrum.poles[:2]
         E = 0.5 * (p1.E_position + p2.E_position)
-    if E != probe_E:
-        k = wavenumber(E, profile).real
-        problem = ShutterProblem(
-            profile=profile,
-            E=float(E),
-            k=k,
-            modes=problem.modes,
-            field=solve_stationary(profile, k),
-        )
+    problem = spectrum.at(E)
     if not problem.modes:
         raise ConfigError(
             "time grid in tau1 units needs a resonant structure", field="t_max"

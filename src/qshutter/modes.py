@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleQualityError
+from .errors import PoleQualityError
 from .model import PotentialProfile
 from .poles import ResonancePole
-from .scattering import _cos_sinc, _propagate
+from .scattering import _march, _propagate, layered_wave
 
 __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 
@@ -39,7 +39,8 @@ __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 class ResonantMode:
     """Normalized u_n represented by per-layer (value, derivative) pairs.
 
-    coefficients[j] = (u, u') at the left edge of layer j, so inside layer j
+    Row j of the complex (n_layers, 2) coefficients array is (u, u') at the
+    left edge of layer j, so inside layer j
 
         u(edges[j] + xi) = A_j cos(q_j xi) + B_j sin(q_j xi)/q_j .
     """
@@ -47,7 +48,7 @@ class ResonantMode:
     pole: ResonancePole
     edges: np.ndarray
     q: np.ndarray
-    coefficients: tuple[tuple[complex, complex], ...]
+    coefficients: np.ndarray
     u0: complex
     uL: complex
     outgoing_residual: float
@@ -55,24 +56,7 @@ class ResonantMode:
 
     def u(self, x):
         """u_n(x) for x in [0, L]; scalar or array."""
-        x_arr = np.asarray(x, dtype=float)
-        L = float(self.edges[-1])
-        if np.any(x_arr < 0.0) or np.any(x_arr > L):
-            raise DomainError(f"x must lie in [0, {L}] nm")
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        idx = np.clip(
-            np.searchsorted(self.edges, x_arr, side="right") - 1,
-            0,
-            len(self.coefficients) - 1,
-        )
-        out = np.empty(x_arr.shape, dtype=complex)
-        for i, (xi, j) in enumerate(zip(x_arr, idx)):
-            a, b = self.coefficients[j]
-            d = xi - self.edges[j]
-            c, s = _cos_sinc(self.q[j] * d)
-            out[i] = a * c + b * d * s
-        return complex(out[0]) if scalar else out
+        return layered_wave(self.edges, self.q, self.coefficients, x)
 
 
 def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
@@ -98,7 +82,7 @@ def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
 
 
 def _norm_square(
-    coeffs: list[tuple[complex, complex]],
+    coeffs: np.ndarray,
     q: np.ndarray,
     profile: PotentialProfile,
     u0: complex,
@@ -123,12 +107,7 @@ def solve_mode(
     """
     k_n = pole.k
     q, mats = _propagate(profile, k_n)
-    vec = np.array([1.0, -1j * k_n], dtype=complex) * complex(initial_scale)
-    coeffs = []
-    for m in mats:
-        coeffs.append((complex(vec[0]), complex(vec[1])))
-        vec = m @ vec
-    uL, duL = complex(vec[0]), complex(vec[1])
+    coeffs, (uL, duL) = _march(mats, np.array([1.0, -1j * k_n]) * complex(initial_scale))
     # outgoing exit condition u'(L) = +i k_n u(L); relative residual
     residual = abs(duL - 1j * k_n * uL) / (abs(duL) + abs(k_n * uL))
     if residual > 1e-6:
@@ -143,14 +122,14 @@ def solve_mode(
     u0_scaled = u0 * scale
     if u0_scaled.real < 0 or (u0_scaled.real == 0 and u0_scaled.imag < 0):
         scale = -scale
-    coeffs = [(a * scale, b * scale) for a, b in coeffs]
+    coeffs = coeffs * scale
     u0, uL = u0 * scale, uL * scale
     norm_residual = abs(_norm_square(coeffs, q, profile, u0, uL, k_n) - 1.0)
     return ResonantMode(
         pole=pole,
         edges=profile.edges,
         q=q,
-        coefficients=tuple(coeffs),
+        coefficients=coeffs,
         u0=u0,
         uL=uL,
         outgoing_residual=float(residual),

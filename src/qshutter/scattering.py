@@ -30,6 +30,7 @@ __all__ = [
     "solve_stationary",
     "transmission",
     "stationary_wave",
+    "layered_wave",
 ]
 
 # |Im(q) * width| above this would push layer exponentials toward the
@@ -62,8 +63,9 @@ class TransferMatrix:
 class StationaryField:
     """Phi(x, k) inside [0, L]: exterior amplitudes plus per-layer data.
 
-    Layer j covers [edges[j], edges[j+1]] with local wave number q[j]; the
-    coefficient pair (A_j, B_j) is (Phi, Phi') at the layer's left edge, so
+    Layer j covers [edges[j], edges[j+1]] with local wave number q[j]; row j
+    of the complex (n_layers, 2) coefficients array is (A_j, B_j) = (Phi,
+    Phi') at the layer's left edge, so
 
         Phi(edges[j] + xi) = A_j cos(q_j xi) + B_j sin(q_j xi)/q_j .
     """
@@ -73,11 +75,7 @@ class StationaryField:
     t: complex
     edges: np.ndarray
     q: np.ndarray
-    coefficients: tuple[tuple[complex, complex], ...]
-
-    @property
-    def total_length(self) -> float:
-        return float(self.edges[-1])
+    coefficients: np.ndarray
 
 
 def _layer_q(profile: PotentialProfile, k: complex) -> np.ndarray:
@@ -113,6 +111,16 @@ def _propagate(profile: PotentialProfile, k: complex):
     return q, mats
 
 
+def _march(mats, start) -> tuple[np.ndarray, np.ndarray]:
+    """(value, derivative) at each layer's left edge, and at x = L."""
+    pairs = np.empty((len(mats), 2), dtype=complex)
+    vec = np.asarray(start, dtype=complex)
+    for j, m in enumerate(mats):
+        pairs[j] = vec
+        vec = m @ vec
+    return pairs, vec
+
+
 def transfer_matrix(profile: PotentialProfile, k: complex) -> TransferMatrix:
     """Exterior plane-wave transfer matrix at (possibly complex) k != 0."""
     k = complex(k)
@@ -142,14 +150,8 @@ def solve_stationary(profile: PotentialProfile, k: complex) -> StationaryField:
     r, t = tm.r, tm.t
     q, mats = _propagate(profile, k)
     # (Phi, Phi') at x = 0 from the exterior convention
-    vec = np.array([1.0 + r, 1j * k * (1.0 - r)], dtype=complex)
-    coeffs = []
-    for m in mats:
-        coeffs.append((complex(vec[0]), complex(vec[1])))
-        vec = m @ vec
-    return StationaryField(
-        k=k, r=r, t=t, edges=profile.edges, q=q, coefficients=tuple(coeffs)
-    )
+    pairs, _ = _march(mats, (1.0 + r, 1j * k * (1.0 - r)))
+    return StationaryField(k=k, r=r, t=t, edges=profile.edges, q=q, coefficients=pairs)
 
 
 def transmission(profile: PotentialProfile, E: float) -> tuple[complex, float]:
@@ -165,23 +167,26 @@ def transmission(profile: PotentialProfile, E: float) -> tuple[complex, float]:
     return t, float(T)
 
 
+def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):
+    """A_j cos(q_j xi) + B_j xi sin(q_j xi)/(q_j xi) in the layer j holding x.
+
+    xi = x - edges[j]; x must lie in [0, L] and may be a scalar (gives a
+    complex) or an array (gives an array of its shape).  A point on an
+    interface belongs to the layer on its right, x = L to the last layer.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= edges[-1])):
+        raise DomainError(f"x must lie in [0, {float(edges[-1])}] nm")
+    j = np.minimum(edges.searchsorted(x, side="right") - 1, len(q) - 1)
+    xi = x - edges[j]
+    z = q[j] * xi
+    # sin(z)/z is accurate as it stands down to z = 0, where it takes its limit 1
+    at_zero = z == 0
+    sinc = np.sin(z) / (z + at_zero) + at_zero
+    wave = coefficients[j, 0] * np.cos(z) + coefficients[j, 1] * xi * sinc
+    return complex(wave) if wave.ndim == 0 else wave
+
+
 def stationary_wave(field: StationaryField, x):
     """Phi(x, k) for x in [0, L]; accepts scalars or arrays."""
-    x_arr = np.asarray(x, dtype=float)
-    L = field.total_length
-    if np.any(x_arr < 0.0) or np.any(x_arr > L):
-        raise DomainError(f"x must lie in [0, {L}] nm")
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    idx = np.clip(
-        np.searchsorted(field.edges, x_arr, side="right") - 1,
-        0,
-        len(field.coefficients) - 1,
-    )
-    out = np.empty(x_arr.shape, dtype=complex)
-    for i, (xi, j) in enumerate(zip(x_arr, idx)):
-        a, b = field.coefficients[j]
-        z = field.q[j] * (xi - field.edges[j])
-        c, s = _cos_sinc(z)
-        out[i] = a * c + b * (xi - field.edges[j]) * s
-    return complex(out[0]) if scalar else out
+    return layered_wave(field.edges, field.q, field.coefficients, x)

@@ -32,7 +32,7 @@ from .errors import DomainError
 from .mfunc import m_function, y_values
 from .model import PhysicalConstants, PotentialProfile, wavenumber
 from .modes import ResonantMode, rho, rho_mirror, solve_mode
-from .poles import find_poles
+from .poles import ResonancePole, find_poles
 from .scattering import StationaryField, solve_stationary, stationary_wave
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
     "METHOD_EXPONENTIAL",
     "METHODS",
     "ShutterProblem",
+    "Spectrum",
+    "make_spectrum",
     "make_problem",
     "TransientTrace",
     "psi_exact",
@@ -82,33 +84,66 @@ class ShutterProblem:
         return self.profile.total_length
 
 
-def make_problem(
-    profile: PotentialProfile, E: float, n_poles: int = 4
-) -> ShutterProblem:
-    """Assemble a ShutterProblem at real incidence energy E (eV).
+@dataclass(frozen=True)
+class Spectrum:
+    """The retained resonant modes of one profile, for every incidence energy.
+
+    Poles and modes belong to the potential alone; the incidence energy
+    enters only through the stationary field, so `at` costs one stationary
+    solve and every problem it returns shares these mode objects.
+    """
+
+    profile: PotentialProfile
+    modes: tuple[ResonantMode, ...]
+
+    @property
+    def poles(self) -> tuple[ResonancePole, ...]:
+        return tuple(m.pole for m in self.modes)
+
+    def at(self, E: float) -> ShutterProblem:
+        """The ShutterProblem at real incidence energy E (eV)."""
+        if not (E > 0):
+            raise DomainError(f"incidence energy must be > 0 eV, got {E}")
+        k = wavenumber(E, self.profile).real
+        return ShutterProblem(
+            profile=self.profile,
+            E=float(E),
+            k=k,
+            modes=self.modes,
+            field=solve_stationary(self.profile, k),
+        )
+
+
+def make_spectrum(profile: PotentialProfile, n_poles: int = 4) -> Spectrum:
+    """Find the first n_poles poles of profile and solve their modes.
 
     n_poles = 0 is allowed only for a free profile (no resonances exist to
     retain); otherwise at least one mode is required.
     """
-    if not (E > 0):
-        raise DomainError(f"incidence energy must be > 0 eV, got {E}")
     if n_poles == 0 or profile.is_free:
         if not profile.is_free:
             raise DomainError("n_poles = 0 is only valid for a free profile")
-        modes: tuple[ResonantMode, ...] = ()
-    else:
-        poles = find_poles(profile, n_poles)
-        modes = tuple(solve_mode(profile, p) for p in poles)
-    k = wavenumber(E, profile).real
-    field = solve_stationary(profile, k)
-    return ShutterProblem(profile=profile, E=float(E), k=k, modes=modes, field=field)
+        return Spectrum(profile, ())
+    poles = find_poles(profile, n_poles)
+    return Spectrum(profile, tuple(solve_mode(profile, p) for p in poles))
+
+
+def make_problem(
+    profile: PotentialProfile, E: float, n_poles: int = 4
+) -> ShutterProblem:
+    """ShutterProblem at real incidence energy E (eV); see make_spectrum.
+
+    Builds a fresh spectrum: for several energies on one profile, call
+    make_spectrum once and then its `at`.
+    """
+    return make_spectrum(profile, n_poles).at(E)
 
 
 def _check_xt(problem: ShutterProblem, x: float, t) -> np.ndarray:
-    if x < 0 or x > problem.L:
+    if not np.all((x >= 0) & (x <= problem.L)):
         raise DomainError(f"x must lie in [0, {problem.L}] nm")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):
         raise DomainError("t must be > 0 ps (t = 0 is the initial condition)")
     return t_arr
 
@@ -184,7 +219,7 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
     beta = hbar/2m in nm^2/ps.  Exponent-safe for all real x, t > 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):
         raise DomainError("t must be > 0 ps")
     beta = constants.hbar_over_2m
     root = np.sqrt(4.0 * beta * t_arr)
@@ -231,7 +266,7 @@ def evolve_trace(
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or len(times) < 1:
         raise DomainError("time grid must be a 1-D array")
-    if np.any(times < 0) or np.any(np.diff(times) <= 0):
+    if not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
         raise DomainError("time grid must be strictly increasing and >= 0")
     for m in methods:
         if m not in METHODS:

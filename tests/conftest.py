@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qshutter import build_profile, find_poles, make_problem, solve_mode
+from qshutter import build_profile, find_poles, make_spectrum, solve_mode
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
 
 # triple barrier: 3/16/3/16/3 nm at 0.12 eV barriers, m* = 0.067 m_e
@@ -65,8 +65,14 @@ def free_profile():
 
 
 @pytest.fixture(scope="session")
-def triple_poles(triple_profile):
-    return find_poles(triple_profile, 4)
+def triple_spectrum(triple_profile):
+    """Triple barrier poles and modes, N = 4, shared by every energy."""
+    return make_spectrum(triple_profile, 4)
+
+
+@pytest.fixture(scope="session")
+def triple_poles(triple_spectrum):
+    return list(triple_spectrum.poles)
 
 
 @pytest.fixture(scope="session")
@@ -75,8 +81,8 @@ def double_poles(double_profile):
 
 
 @pytest.fixture(scope="session")
-def triple_modes(triple_profile, triple_poles):
-    return [solve_mode(triple_profile, p) for p in triple_poles]
+def triple_modes(triple_spectrum):
+    return list(triple_spectrum.modes)
 
 
 @pytest.fixture(scope="session")
@@ -90,15 +96,15 @@ def ebar(triple_poles):
 
 
 @pytest.fixture(scope="session")
-def problem_ebar(triple_profile, ebar):
+def problem_ebar(triple_spectrum, ebar):
     """Triple barrier at the doublet center, N = 4."""
-    return make_problem(triple_profile, ebar, n_poles=4)
+    return triple_spectrum.at(ebar)
 
 
 @pytest.fixture(scope="session")
-def problem_res1(triple_profile, triple_poles):
+def problem_res1(triple_spectrum, triple_poles):
     """Triple barrier on the first resonance, N = 4."""
-    return make_problem(triple_profile, triple_poles[0].E_position, n_poles=4)
+    return triple_spectrum.at(triple_poles[0].E_position)
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,18 @@
 
 import csv
 import io
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import TRIPLE_E1_MEV
 
+import qshutter
+from qshutter import acceptance, find_poles, transient
 from qshutter.cli import main
 
 
@@ -158,8 +162,18 @@ class TestFigure:
 
 
 class TestSelftest:
-    def test_reports_every_criterion_and_fails(self, capsys):
+    def test_reports_every_criterion_and_fails(self, capsys, monkeypatch):
+        # one pole search per distinct profile: triple, double, b2 = 4 and 5 nm
+        searches = []
+
+        def counted(profile, N):
+            searches.append(N)
+            return find_poles(profile, N)
+
+        monkeypatch.setattr(acceptance, "find_poles", counted)
+        monkeypatch.setattr(transient, "find_poles", counted)
         code, out, err = run_cli(["selftest"], capsys)
+        assert len(searches) == 4
         lines = re.findall(r"^criterion\s+\d+: (?:PASS|FAIL)", out, re.MULTILINE)
         assert len(lines) == 10
         m = re.search(r"passed (\d+) of 10 criteria", out)
@@ -183,10 +197,15 @@ def test_no_arguments_usage_error():
 
 
 def test_console_entry_point():
+    # the child imports the same qshutter as this process, installed or not
+    package_root = str(Path(qshutter.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, path)))}
     proc = subprocess.run(
         [sys.executable, "-m", "qshutter.cli", "poles", "--config", "double_barrier", "--n", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("n,E_meV")

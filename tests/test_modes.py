@@ -80,6 +80,8 @@ class TestSolveMode:
     def test_x_outside_rejected(self, triple_modes, triple_profile):
         with pytest.raises(DomainError):
             triple_modes[0].u(triple_profile.total_length + 1.0)
+        with pytest.raises(DomainError):
+            triple_modes[0].u(np.nan)
 
 
 class TestRho:

@@ -1,5 +1,7 @@
 """Transfer matrix, transmission, and the stationary wave."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qshutter import (
     transmission,
     wavenumber,
 )
+from qshutter.scattering import layered_wave
 
 
 class TestTransferMatrix:
@@ -104,7 +107,44 @@ class TestTransmission:
             assert 0.0 <= T <= 1.0 + 1e-9
 
 
+def _layer_sum_per_point(edges, q, coefficients, x):
+    """Reference for layered_wave: one point at a time, series below |z| = 1e-6."""
+    j = min(int(np.searchsorted(edges, x, side="right")) - 1, len(q) - 1)
+    a, b = coefficients[j]
+    xi = x - edges[j]
+    z = complex(q[j] * xi)
+    if abs(z) < 1e-6:
+        c, s = 1.0 - z * z / 2.0, 1.0 - z * z / 6.0
+    else:
+        c, s = cmath.cos(z), cmath.sin(z) / z
+    return a * c + b * xi * s
+
+
 class TestStationaryWave:
+    def test_matches_per_point_reference(self, triple_profile, triple_modes, ebar):
+        # interfaces, both ends, and interior points; arrays and scalars
+        f = solve_stationary(triple_profile, wavenumber(ebar, triple_profile).real)
+        mode = triple_modes[1]
+        xs = np.concatenate(
+            [triple_profile.edges, np.linspace(0.0, triple_profile.total_length, 97)]
+        )
+        for data, evaluate in ((f, lambda x: stationary_wave(f, x)), (mode, mode.u)):
+            ref = np.array(
+                [_layer_sum_per_point(data.edges, data.q, data.coefficients, x) for x in xs]
+            )
+            tol = 1e-14 * np.max(np.abs(ref))
+            assert np.max(np.abs(evaluate(xs) - ref)) < tol
+            assert max(abs(evaluate(float(x)) - r) for x, r in zip(xs, ref)) < tol
+            grid = xs[:12].reshape(3, 4)
+            assert evaluate(grid).shape == (3, 4)
+
+    def test_zero_wave_number_layer_is_linear(self):
+        # q = 0 (incidence exactly at a layer's height): A + B xi
+        a, b = 0.3 - 0.1j, 2.0 + 0.5j
+        x = np.linspace(0.0, 2.0, 5)
+        got = layered_wave(np.array([0.0, 2.0]), np.array([0j]), np.array([[a, b]]), x)
+        assert np.max(np.abs(got - (a + b * x))) < 1e-15
+
     def test_free_profile_plane_wave(self, free_profile):
         k = 0.25
         f = solve_stationary(free_profile, k)
@@ -153,3 +193,5 @@ class TestStationaryWave:
             stationary_wave(f, -0.1)
         with pytest.raises(DomainError):
             stationary_wave(f, triple_profile.total_length + 0.1)
+        with pytest.raises(DomainError):
+            stationary_wave(f, np.nan)

@@ -42,6 +42,23 @@ class TestMakeProblem:
         p = make_problem(free_profile, 0.01, n_poles=0)
         assert p.modes == ()
 
+    def test_spectrum_at_matches_make_problem(
+        self, triple_spectrum, triple_profile, ebar
+    ):
+        # triple_spectrum is make_spectrum(triple_profile, 4)
+        spectrum = triple_spectrum
+        a = spectrum.at(ebar)
+        b = make_problem(triple_profile, ebar, 4)
+        assert a.k == b.k
+        assert a.field.t == b.field.t
+        assert len(a.modes) == len(b.modes) == 4
+        for ma, mb in zip(a.modes, b.modes):
+            assert np.array_equal(ma.coefficients, mb.coefficients)
+        # poles and modes are shared by every incidence energy
+        other = spectrum.at(2.0 * ebar)
+        assert all(m is n for m, n in zip(other.modes, a.modes))
+        assert spectrum.poles == tuple(m.pole for m in a.modes)
+
 
 class TestPsiExact:
     def test_nonpositive_time_rejected(self, problem_ebar):
@@ -49,10 +66,14 @@ class TestPsiExact:
             psi_exact(problem_ebar, problem_ebar.L, 0.0)
         with pytest.raises(DomainError):
             psi_exact(problem_ebar, problem_ebar.L, -0.5)
+        with pytest.raises(DomainError):
+            psi_exact(problem_ebar, problem_ebar.L, np.nan)
 
     def test_x_outside_rejected(self, problem_ebar):
         with pytest.raises(DomainError):
             psi_exact(problem_ebar, problem_ebar.L + 1.0, 1.0)
+        with pytest.raises(DomainError):
+            psi_exact(problem_ebar, np.nan, 1.0)
 
     def test_short_time_cancellation(self, problem_ebar):
         # just after opening, nothing has reached x = L yet
@@ -158,6 +179,8 @@ class TestFreeShutterPsi:
         c = PhysicalConstants(mass_ratio=0.067)
         with pytest.raises(DomainError):
             free_shutter_psi(0.1, 0.5, 0.0, c)
+        with pytest.raises(DomainError):
+            free_shutter_psi(0.1, 0.5, np.nan, c)
 
 
 class TestEvolveTrace:
@@ -189,6 +212,8 @@ class TestEvolveTrace:
     def test_decreasing_grid_rejected(self, problem_ebar):
         with pytest.raises(DomainError):
             evolve_trace(problem_ebar, problem_ebar.L, [1.0, 0.5])
+        with pytest.raises(DomainError):
+            evolve_trace(problem_ebar, problem_ebar.L, [0.0, 1.0, np.nan, 3.0])
 
     def test_trace_performance(self, problem_ebar):
         # 2000-point exact trace in under a second
