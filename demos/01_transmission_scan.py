@@ -34,13 +34,14 @@ triple = build_profile(
 )
 
 # Scan each structure around its lowest resonances.  transmission()
-# takes the energy in eV and returns (t amplitude, T probability).
+# takes energies in eV, one or a whole array at once, and returns
+# (t amplitude, T probability) of the same shape.
 for name, profile, window in (
     ("double", double, (60.0, 100.0)),
     ("triple", triple, (8.0, 18.0)),
 ):
     energies = np.linspace(window[0], window[1], 1200)
-    T = np.array([transmission(profile, e * 1e-3)[1] for e in energies])
+    T = transmission(profile, energies * 1e-3)[1]
     path = write_transmission_csv(out / f"transmission_{name}.csv", energies, T)
     print(f"wrote {path}")
 

@@ -95,7 +95,7 @@ def _cmd_transmission(args) -> int:
         raise ConfigError(f"--points must be >= 2, got {points}", field="points")
     profile = cfg.profile()
     energies = np.linspace(args.e_from, args.e_to, points)
-    T = [transmission(profile, e * 1e-3)[1] for e in energies]
+    T = transmission(profile, energies * 1e-3)[1]
     sys.stdout.write(transmission_csv_text(energies, T))
     if args.out is not None:
         path = write_transmission_csv(_out_dir(args.out) / "transmission.csv", energies, T)

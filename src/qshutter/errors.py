@@ -37,11 +37,16 @@ class DomainError(QShutterError, ValueError):
 
 
 class OverflowGuardError(QShutterError, ArithmeticError):
-    """A layer exponential would overflow; carries the offending layer data."""
+    """A layer exponential would overflow; carries the offending layer data.
 
-    def __init__(self, layer_index: int, exponent_magnitude: float):
+    point is the flat (C-order) index of the offending wave number when an
+    array of them was evaluated, 0 for a scalar.
+    """
+
+    def __init__(self, layer_index: int, exponent_magnitude: float, point: int = 0):
         self.layer_index = layer_index
         self.exponent_magnitude = exponent_magnitude
+        self.point = point
         super().__init__(
             f"layer {layer_index}: |Im(q)*width| = {exponent_magnitude:.3g} "
             f"exceeds the overflow guard (300); evanescent decay underflows "

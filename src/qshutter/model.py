@@ -151,16 +151,18 @@ def build_profile(
     return PotentialProfile(layers=tuple(layers), mass_ratio=float(mass_ratio))
 
 
-def wavenumber(E, profile_or_constants) -> complex:
+def wavenumber(E, profile_or_constants):
     """k = sqrt(2mE)/hbar in nm^-1 for real or complex energy E in eV.
 
-    Branch rule: principal sqrt.  For E in the fourth quadrant (resonance
-    energies curlyE - i Gamma/2) the principal branch lands k in the fourth
-    quadrant (Re k > 0, Im k < 0), which is the outgoing-pole convention
-    used everywhere downstream; real E >= 0 maps to real k >= 0.
+    Elementwise: a scalar E gives a complex, an array a complex array of its
+    shape.  Branch rule: principal sqrt.  For E in the fourth quadrant
+    (resonance energies curlyE - i Gamma/2) the principal branch lands k in
+    the fourth quadrant (Re k > 0, Im k < 0), which is the outgoing-pole
+    convention used everywhere downstream; real E >= 0 maps to real k >= 0.
     """
     c = _constants_of(profile_or_constants)
-    return complex(np.sqrt(complex(E) / c.hbar2_over_2m))
+    k = np.sqrt(np.asarray(E, dtype=complex) / c.hbar2_over_2m)
+    return complex(k) if k.ndim == 0 else k
 
 
 def energy_of(k, profile_or_constants) -> complex:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import PoleQualityError
 from .model import PotentialProfile
 from .poles import ResonancePole
-from .scattering import _march, _propagate, layered_wave
+from .scattering import _layers, _march, layered_wave
 
 __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 
@@ -106,8 +106,10 @@ def solve_mode(
     fixed by arg u_n(0) in (-pi/2, pi/2].
     """
     k_n = pole.k
-    q, mats = _propagate(profile, k_n)
-    coeffs, (uL, duL) = _march(mats, np.array([1.0, -1j * k_n]) * complex(initial_scale))
+    start = complex(initial_scale)
+    layers = _layers(profile, k_n)
+    q = layers[0]
+    coeffs, (uL, duL) = _march(layers, start, -1j * k_n * start)
     # outgoing exit condition u'(L) = +i k_n u(L); relative residual
     residual = abs(duL - 1j * k_n * uL) / (abs(duL) + abs(k_n * uL))
     if residual > 1e-6:

@@ -5,9 +5,10 @@ k plane, k_n = a_n - i b_n (a_n, b_n > 0); its complex energy is
 E_n = (hbar^2/2m) k_n^2 = curlyE_n - i Gamma_n/2.  Third-quadrant partners
 k_{-n} = -k_n* are derived by symmetry, never searched.
 
-Seeding walks T(E) for local maxima; each peak contributes the seed
-k(E_peak - i * HWHM), which for sharp resonances sits within a few percent
-of the pole.  Newton refinement uses a central-difference derivative
+Seeding evaluates T(E) over the whole window grid in one array call of
+transmission, then walks it for local maxima; each peak contributes the
+seed k(E_peak - i * HWHM), which for sharp resonances sits within a few
+percent of the pole.  Newton refinement uses a central-difference derivative
 (relative step 1e-7): the analytic derivative of a multi-layer matrix
 product is error-prone, and ~7 lost digits still leave ample headroom
 against the 1e-10 residual target.
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    OverflowGuardError,
     PoleConvergenceError,
     PoleCountError,
     QuadrantEscapeError,
@@ -79,7 +81,10 @@ class ResonancePole:
 
 
 def pole_condition(profile: PotentialProfile, k: complex) -> complex:
-    """f(k) = 1/t(k) = m22(k); analytic away from k = 0, zero at poles."""
+    """f(k) = 1/t(k) = m22(k); analytic away from k = 0, zero at poles.
+
+    Elementwise over an array k, like transfer_matrix.
+    """
     return transfer_matrix(profile, k).m22
 
 
@@ -88,16 +93,16 @@ def seed_poles(
 ) -> list[complex]:
     """Seeds from T(E) maxima on (0, E_max]; HWHM sets the imaginary part.
 
-    grid_density is in points per meV.  Overlapping doublet peaks each get
-    their own seed; when a half-height crossing is cut off by the adjacent
-    valley, the valley stands in for the crossing.  An empty list is a
-    valid result (free or sub-resonant window).
+    grid_density is in points per meV; the grid is evaluated as one array.
+    Overlapping doublet peaks each get their own seed; when a half-height
+    crossing is cut off by the adjacent valley, the valley stands in for the
+    crossing.  An empty list is a valid result (free or sub-resonant window).
     """
     if not (E_max > 0):
         raise DomainError(f"E_max must be > 0 eV, got {E_max}")
     n = max(50, int(round(grid_density * E_max * 1e3)))
     energies = np.linspace(1e-6, E_max, n)
-    T = np.array([transmission(profile, float(E))[1] for E in energies])
+    T = transmission(profile, energies)[1]
     seeds = []
     for i in range(1, n - 1):
         if not (T[i] > T[i - 1] and T[i] >= T[i + 1]):
@@ -146,14 +151,17 @@ def refine_pole(
     trace = [k]
     step = np.inf
     for _ in range(100):
-        f = pole_condition(profile, k)
+        h = abs(k) * 1e-7
+        try:
+            # f and its central-difference neighbours in one array evaluation
+            f, f_plus, f_minus = pole_condition(profile, np.array([k, k + h, k - h]))
+        except OverflowGuardError as err:
+            # a diverging iterate has run deep into the lower half plane
+            raise PoleConvergenceError(f"iterate {k} tripped the guard: {err}", trace) from err
         if abs(f) < tol and abs(step) < 1e-12:
             c = profile.constants
             return ResonancePole(index=0, k=k, E=energy_of(k, c), hbar=c.hbar_ev_ps)
-        h = abs(k) * 1e-7
-        df = (pole_condition(profile, k + h) - pole_condition(profile, k - h)) / (
-            2.0 * h
-        )
+        df = (f_plus - f_minus) / (2.0 * h)
         step = -f / df
         k = k + step
         trace.append(k)

@@ -12,6 +12,12 @@ The transfer matrix M relates exterior plane-wave coefficient pairs,
 (A_right, B_right) = M (A_left, B_left), with det M = 1 for equal exterior
 potentials; then t = 1/m22 and r = -m21/m22.  m22 is analytic in k away
 from k = 0, and its zeros are exactly the transmission-amplitude poles.
+
+One kernel, _layers, builds every layer's matrix entries elementwise over
+a scalar or an array of k, and transfer_matrix, solve_stationary and the
+resonant-mode solver all consume it.  transfer_matrix and transmission
+therefore take whole arrays: a T(E) scan over a window (the pole seeding,
+the CLI sweep) is a few array passes with no Python loop over points.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OverflowGuardError, QShutterError
-from .model import PotentialProfile
+from .model import PotentialProfile, wavenumber
 
 __all__ = [
     "TransferMatrix",
@@ -37,9 +43,16 @@ __all__ = [
 # double-precision ceiling; raise a diagnosable error instead
 OVERFLOW_GUARD = 300.0
 
+# points per array evaluation in transmission: scan windows reach ~10^6
+# points, and one unblocked pass holds several complex arrays of that size
+# per layer
+_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class TransferMatrix:
+    """Entries of M: complex for a scalar k, arrays of k's shape for an array."""
+
     m11: complex
     m12: complex
     m21: complex
@@ -78,93 +91,135 @@ class StationaryField:
     coefficients: np.ndarray
 
 
-def _layer_q(profile: PotentialProfile, k: complex) -> np.ndarray:
-    """Local wave numbers q_j = sqrt(k^2 - V_j/(hbar^2/2m)), principal branch.
+def _layers(profile: PotentialProfile, k):
+    """Per-layer (q, c, ws), elementwise over a scalar or array k.
 
-    The propagation formulas are even in q, so the branch is irrelevant;
-    principal is used for determinism.
+    Each output has shape (n_layers, *k.shape).  Layer j's fundamental
+    matrix, mapping (psi, psi') across the layer, is [[c, ws], [-q^2 ws, c]]
+    with z = q w, c = cos z and ws = w sin(z)/z (series below |z| = 1e-6).
+    q = sqrt(k^2 - V_j/(hbar^2/2m)) on the principal branch; the matrix is
+    even in q, so the branch only fixes q for determinism.  Raises
+    OverflowGuardError for the first point of k (in C order) that trips the
+    guard, naming its lowest offending layer.
     """
+    k = np.asarray(k, dtype=complex)
     h22m = profile.constants.hbar2_over_2m
-    v = np.array([l.height for l in profile.layers], dtype=complex)
-    return np.sqrt(complex(k) ** 2 - v / h22m)
+    column = (-1,) + (1,) * k.ndim
+    v = np.array([l.height for l in profile.layers]).reshape(column) / h22m
+    w = np.array([l.width for l in profile.layers]).reshape(column)
+    q = np.sqrt(k * k - v)
+    z = q * w
+    exponent = np.abs(z.imag).reshape(len(w), -1)
+    over = exponent > OVERFLOW_GUARD
+    if over.any():
+        point = int(over.any(axis=0).argmax())
+        layer = int(over[:, point].argmax())
+        raise OverflowGuardError(layer, float(exponent[layer, point]), point)
+    small = np.abs(z) < 1e-6
+    z2 = z * z
+    zs = np.where(small, 1.0, z)
+    c = np.where(small, 1.0 - z2 / 2.0, np.cos(z))
+    ws = w * np.where(small, 1.0 - z2 / 6.0, np.sin(zs) / zs)
+    return q, c, ws
 
 
-def _cos_sinc(z: complex) -> tuple[complex, complex]:
-    """cos z and sin(z)/z, series fallback below |z| = 1e-6."""
-    if abs(z) < 1e-6:
-        z2 = z * z
-        return 1.0 - z2 / 2.0, 1.0 - z2 / 6.0
-    return np.cos(z), np.sin(z) / z
+def _march(layers, value, slope) -> tuple[np.ndarray, np.ndarray]:
+    """Carry (psi, psi') from x = 0 across the layers, elementwise.
+
+    value and slope broadcast against the layers' point shape s; returns the
+    pairs at each layer's left edge, shape (n_layers, 2, *s), and the pair
+    at x = L, shape (2, *s).
+    """
+    q, c, ws = layers
+    shape = np.broadcast_shapes(np.shape(value), np.shape(slope), q.shape[1:])
+    pairs = np.empty((len(q), 2, *shape), dtype=complex)
+    for j, (qj, cj, wsj) in enumerate(zip(q, c, ws)):
+        pairs[j, 0], pairs[j, 1] = value, slope
+        value, slope = cj * value + wsj * slope, -qj * qj * wsj * value + cj * slope
+    return pairs, np.array((value, slope), dtype=complex)
 
 
-def _propagate(profile: PotentialProfile, k: complex):
-    """Per-layer fundamental matrices; raises on guarded overflow."""
-    q = _layer_q(profile, k)
-    mats = []
-    for j, layer in enumerate(profile.layers):
-        z = q[j] * layer.width
-        if abs(z.imag) > OVERFLOW_GUARD:
-            raise OverflowGuardError(j, abs(z.imag))
-        c, s = _cos_sinc(z)
-        w_sinc = layer.width * s
-        mats.append(np.array([[c, w_sinc], [-q[j] ** 2 * w_sinc, c]], dtype=complex))
-    return q, mats
-
-
-def _march(mats, start) -> tuple[np.ndarray, np.ndarray]:
-    """(value, derivative) at each layer's left edge, and at x = L."""
-    pairs = np.empty((len(mats), 2), dtype=complex)
-    vec = np.asarray(start, dtype=complex)
-    for j, m in enumerate(mats):
-        pairs[j] = vec
-        vec = m @ vec
-    return pairs, vec
-
-
-def transfer_matrix(profile: PotentialProfile, k: complex) -> TransferMatrix:
-    """Exterior plane-wave transfer matrix at (possibly complex) k != 0."""
-    k = complex(k)
-    if k == 0:
+def _nonzero_k(k):
+    k = np.asarray(k, dtype=complex)
+    if (k == 0).any():
         raise DomainError("k = 0: exterior plane waves undefined")
-    _, mats = _propagate(profile, k)
-    # P maps (psi, psi') at x=0 to x=L
-    p = np.eye(2, dtype=complex)
-    for m in mats:
-        p = m @ p
-    L = profile.total_length
-    ekl = np.exp(1j * k * L)
-    # basis change (A, B) -> (psi, psi') at x = 0 and its inverse at x = L
-    c0 = np.array([[1.0, 1.0], [1j * k, -1j * k]], dtype=complex)
-    cl_inv = np.array(
-        [[0.5 / ekl, 1.0 / (2j * k * ekl)], [0.5 * ekl, -ekl / (2j * k)]],
-        dtype=complex,
-    )
-    m = cl_inv @ p @ c0
-    return TransferMatrix(m11=m[0, 0], m12=m[0, 1], m21=m[1, 0], m22=m[1, 1])
+    return k
+
+
+def _exterior(profile: PotentialProfile, k, layers):
+    """Transfer matrix from the kernel output, plus the per-layer pairs.
+
+    The basis waves e^{+ikx} and e^{-ikx}, (psi, psi') = (1, +-ik) at x = 0,
+    are marched to x = L together (the product P c0 of the layer matrices
+    and the basis change), then read off as plane-wave amplitudes there.
+    """
+    ik = 1j * k
+    slope = np.array([ik, -ik])
+    pairs, (value, slope) = _march(layers, np.ones_like(slope), slope)
+    ekl = np.exp(ik * profile.total_length)
+    # column j holds the exterior amplitudes at x = L of basis wave j
+    right = 0.5 * (value + slope / ik) / ekl
+    left = 0.5 * (value - slope / ik) * ekl
+    return TransferMatrix(m11=right[0], m12=right[1], m21=left[0], m22=left[1]), pairs
+
+
+def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
+    """Exterior plane-wave transfer matrix at (possibly complex) k != 0.
+
+    Elementwise over k: a scalar gives complex fields, an array gives
+    arrays of its shape.
+    """
+    k = _nonzero_k(k)
+    return _exterior(profile, k, _layers(profile, k))[0]
 
 
 def solve_stationary(profile: PotentialProfile, k: complex) -> StationaryField:
     """Full interior solution Phi(x, k) for exterior incidence from the left."""
-    tm = transfer_matrix(profile, k)
-    k = complex(k)
+    k = _nonzero_k(complex(k))
+    layers = _layers(profile, k)
+    tm, pairs = _exterior(profile, k, layers)
     r, t = tm.r, tm.t
-    q, mats = _propagate(profile, k)
-    # (Phi, Phi') at x = 0 from the exterior convention
-    pairs, _ = _march(mats, (1.0 + r, 1j * k * (1.0 - r)))
-    return StationaryField(k=k, r=r, t=t, edges=profile.edges, q=q, coefficients=pairs)
+    # Phi = e^{ikx} + r e^{-ikx} at x = 0, so its pairs combine the two basis waves
+    coefficients = pairs[..., 0] + r * pairs[..., 1]
+    return StationaryField(
+        k=complex(k), r=r, t=t, edges=profile.edges, q=layers[0], coefficients=coefficients
+    )
 
 
-def transmission(profile: PotentialProfile, E: float) -> tuple[complex, float]:
-    """(t, T = |t|^2) at real incidence energy E > 0 (eV)."""
-    if not (np.isreal(E) and E > 0):
-        raise DomainError(f"transmission needs real E > 0 eV, got {E}")
-    from .model import wavenumber
+def transmission(profile: PotentialProfile, E):
+    """(t, T = |t|^2) at real incidence energies E > 0 (eV).
 
-    t = transfer_matrix(profile, wavenumber(float(E), profile)).t
-    T = abs(t) ** 2
-    if T > 1.0 + 1e-9:
-        raise QShutterError(f"unitarity violated: T = {T}")
-    return t, float(T)
+    A scalar E gives (complex, float); an array gives arrays of its shape,
+    evaluated in blocks of _BLOCK points to bound the working memory.  The
+    unitarity and overflow errors are raised for the point a loop over E
+    in C order would meet first.
+    """
+    E = np.asarray(E)
+    valid = np.isreal(E) & (E.real > 0)
+    if not valid.all():
+        raise DomainError(f"transmission needs real E > 0 eV, got {E[~valid][0]}")
+    k = np.atleast_1d(wavenumber(E.real, profile)).ravel()
+    t = np.empty(k.shape, dtype=complex)
+    for start in range(0, k.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        try:
+            t[block] = transfer_matrix(profile, k[block]).t
+        except OverflowGuardError as err:
+            # a loop over E meets the points before the guarded one first
+            _check_unitarity(transfer_matrix(profile, k[block][: err.point]).t)
+            raise
+        _check_unitarity(t[block])
+    T = np.abs(t) ** 2
+    if E.ndim == 0:
+        return complex(t[0]), float(T[0])
+    return t.reshape(E.shape), T.reshape(E.shape)
+
+
+def _check_unitarity(t: np.ndarray) -> None:
+    T = np.abs(t) ** 2
+    over = T > 1.0 + 1e-9
+    if over.any():
+        raise QShutterError(f"unitarity violated: T = {float(T[over.argmax()])}")
 
 
 def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):

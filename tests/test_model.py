@@ -97,6 +97,7 @@ class TestWavenumber:
         E0 = 11.5e-3
         ims = np.linspace(0.0, -1e-3, 200)
         ks = np.array([wavenumber(complex(E0, im), triple_profile) for im in ims])
+        assert np.array_equal(wavenumber(E0 + 1j * ims, triple_profile), ks)
         steps = np.abs(np.diff(ks))
         assert steps.max() < 1e-4
         assert np.all(ks.real > 0)

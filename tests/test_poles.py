@@ -18,12 +18,14 @@ from qshutter import (
     DomainError,
     PoleConvergenceError,
     PoleCountError,
+    build_profile,
     find_poles,
     pole_condition,
     refine_pole,
     seed_poles,
     transmission,
 )
+from qshutter import poles as poles_module
 
 
 class TestPoleCondition:
@@ -73,6 +75,22 @@ class TestSeedPoles:
         with pytest.raises(DomainError):
             seed_poles(triple_profile, 0.0)
 
+    def test_matches_per_point_reference_scan(
+        self, triple_profile, double_profile, monkeypatch
+    ):
+        cases = ((triple_profile, 20e-3), (triple_profile, 60e-3), (double_profile, 100e-3))
+        seeds = [seed_poles(profile, E_max) for profile, E_max in cases]
+
+        def per_point(profile, E):
+            t = np.array([transmission(profile, float(e))[0] for e in E])
+            return t, np.abs(t) ** 2
+
+        monkeypatch.setattr(poles_module, "transmission", per_point)
+        for (profile, E_max), got in zip(cases, seeds):
+            ref = seed_poles(profile, E_max)
+            assert len(got) == len(ref) >= 1
+            assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
+
     def test_seeds_sit_in_fourth_quadrant(self, triple_profile):
         for s in seed_poles(triple_profile, 60e-3):
             assert s.real > 0 and s.imag < 0
@@ -97,9 +115,18 @@ class TestRefinePole:
             refine_pole(triple_profile, 0.1 + 0.01j)
 
     def test_free_profile_does_not_converge(self, free_profile):
-        # f(k) = e^{-ikL}-like, zero-free: Newton must fail loudly
+        # f(k) = m22 = 1 for every k, zero-free; the central difference
+        # divides rounding noise, so Newton must fail loudly
         with pytest.raises(PoleConvergenceError) as err:
             refine_pole(free_profile, 0.3 - 0.01j)
+        assert len(err.value.trace) >= 1
+
+    def test_guard_tripped_by_iterate_is_convergence_error(self):
+        # a diverging iterate runs past the overflow guard; the failure must
+        # still be a PoleConvergenceError carrying the trace
+        two_layer_free = build_profile([(5.0, 0.0), (3.0, 0.0)], 0.067)
+        with pytest.raises(PoleConvergenceError) as err:
+            refine_pole(two_layer_free, 0.3 - 0.01j)
         assert len(err.value.trace) >= 1
 
 

@@ -16,7 +16,39 @@ from qshutter import (
     transmission,
     wavenumber,
 )
+from qshutter import scattering
 from qshutter.scattering import layered_wave
+
+
+def _transfer_matrix_per_point(profile, k):
+    """Reference for transfer_matrix: one k at a time, a 2x2 product per layer."""
+    k = complex(k)
+    p = np.eye(2, dtype=complex)
+    for layer in profile.layers:
+        q = cmath.sqrt(k * k - layer.height / profile.constants.hbar2_over_2m)
+        z = q * layer.width
+        if abs(z) < 1e-6:
+            c, s = 1.0 - z * z / 2.0, 1.0 - z * z / 6.0
+        else:
+            c, s = cmath.cos(z), cmath.sin(z) / z
+        ws = layer.width * s
+        p = np.array([[c, ws], [-q * q * ws, c]]) @ p
+    ekl = cmath.exp(1j * k * profile.total_length)
+    c0 = np.array([[1.0, 1.0], [1j * k, -1j * k]])
+    cl_inv = np.array([[0.5 / ekl, 1.0 / (2j * k * ekl)], [0.5 * ekl, -ekl / (2j * k)]])
+    return cl_inv @ p @ c0
+
+
+def _reference_energies(profile):
+    # a grid plus each barrier height, where z = 0 takes the series branch
+    heights = [l.height for l in profile.layers if l.height > 0]
+    return np.concatenate([np.linspace(1e-4, 0.4, 301), heights])
+
+
+def _transmission_per_point(profile, E):
+    m22 = [_transfer_matrix_per_point(profile, wavenumber(e, profile))[1, 1] for e in E]
+    t = 1.0 / np.array(m22)
+    return t, np.abs(t) ** 2
 
 
 class TestTransferMatrix:
@@ -49,8 +81,68 @@ class TestTransferMatrix:
             transmission(thick, 1e-3)
         assert err.value.layer_index == 0
 
+    def test_array_matches_per_point_reference(self, triple_profile, double_profile, triple_poles):
+        for profile in (triple_profile, double_profile):
+            E = _reference_energies(profile)
+            k = np.concatenate([wavenumber(E, profile), [p.k for p in triple_poles]])
+            m = transfer_matrix(profile, k)
+            got = np.array([[m.m11, m.m12], [m.m21, m.m22]])
+            for i, kk in enumerate(k):
+                # relative to the matrix scale: m22 vanishes at the poles
+                ref = _transfer_matrix_per_point(profile, kk)
+                assert np.max(np.abs(got[..., i] - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_shape_contract(self, triple_profile):
+        m = transfer_matrix(triple_profile, 0.15)
+        assert all(type(v) is np.complex128 for v in (m.m11, m.m12, m.m21, m.m22))
+        m = transfer_matrix(triple_profile, np.array([0.15, 0.2 - 0.01j, 0.3]))
+        assert all(v.shape == (3,) for v in (m.m11, m.m12, m.m21, m.m22))
+
+    def test_any_k_zero_rejected(self, triple_profile):
+        with pytest.raises(DomainError):
+            transfer_matrix(triple_profile, np.array([0.1, 0.0, 0.2]))
+
+    def test_array_guard_names_the_scalar_layer(self):
+        # energies above both barriers pass; below 1 eV layer 1 trips first,
+        # between 1 and 2 eV only layer 2 does
+        profile = build_profile([(1.0, 0.0), (5000.0, 1.0), (5000.0, 2.0)], 0.067)
+        for E, first in (([2.5, 1e-3, 1.5], 1e-3), ([2.5, 1.5, 1e-3], 1.5)):
+            with pytest.raises(OverflowGuardError) as scalar:
+                transmission(profile, first)
+            with pytest.raises(OverflowGuardError) as array:
+                transmission(profile, np.array(E))
+            assert array.value.layer_index == scalar.value.layer_index
+            assert array.value.exponent_magnitude == scalar.value.exponent_magnitude
+            assert array.value.point == E.index(first)
+
 
 class TestTransmission:
+    def test_array_matches_per_point_reference(self, triple_profile, double_profile):
+        for profile in (triple_profile, double_profile):
+            E = _reference_energies(profile)
+            t, T = transmission(profile, E)
+            t_ref, T_ref = _transmission_per_point(profile, E)
+            assert np.max(np.abs(t - t_ref) / np.abs(t_ref)) < 1e-12
+            assert np.max(np.abs(T - T_ref) / T_ref) < 1e-12
+
+    def test_shape_contract(self, triple_profile):
+        t, T = transmission(triple_profile, 0.0125)
+        assert type(t) is complex and type(T) is float
+        t, T = transmission(triple_profile, np.linspace(0.01, 0.02, 5))
+        assert t.shape == T.shape == (5,) and t.dtype == complex and T.dtype == float
+
+    def test_one_bad_energy_rejected(self, triple_profile):
+        for bad in (0.0, -0.01, np.nan):
+            with pytest.raises(DomainError):
+                transmission(triple_profile, np.array([0.01, bad, 0.02]))
+
+    def test_blocks_match_one_unblocked_evaluation(self, double_profile):
+        E = np.linspace(1e-3, 0.2, scattering._BLOCK + 1)
+        t, _ = transmission(double_profile, E)
+        t_whole = transfer_matrix(double_profile, wavenumber(E, double_profile)).t
+        # the same elementwise operations; only vector-lane rounding may differ
+        assert np.max(np.abs(t - t_whole) / np.abs(t_whole)) < 1e-14
+
     def test_free_profile_is_unity(self, free_profile):
         _, T = transmission(free_profile, 0.05)
         assert T == pytest.approx(1.0, abs=1e-12)
