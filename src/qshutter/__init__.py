@@ -26,67 +26,33 @@ from .errors import (
     QShutterError,
     QuadrantEscapeError,
 )
-from .mfunc import (
-    MArgument,
-    Y_PHASE,
-    faddeeva,
-    m_function,
-    m_function_scaled,
-    y_argument,
-    y_values,
-)
-from .model import (
-    HBAR_EV_PS,
-    HBAR_MEV_PS,
-    HBAR2_OVER_2ME,
-    Layer,
-    PhysicalConstants,
-    PotentialProfile,
-    build_profile,
-    energy_of,
-    wavenumber,
-)
-from .modes import ResonantMode, rho, rho_mirror, solve_mode
-from .poles import ResonancePole, find_poles, pole_condition, refine_pole, seed_poles
-from .scattering import (
-    StationaryField,
-    TransferMatrix,
-    solve_stationary,
-    stationary_wave,
-    transfer_matrix,
-    transmission,
-)
+from .model import PhysicalConstants, PotentialProfile, build_profile
+from .scattering import transmission
+from .poles import ResonancePole, find_poles, pole_condition
+from .modes import ResonantMode, solve_mode
 from .transient import (
     METHOD_EXACT,
     METHOD_EXPONENTIAL,
     METHOD_TWO_LEVEL_CLOSED,
     METHOD_TWO_LEVEL_M,
-    METHODS,
     ShutterProblem,
     Spectrum,
     TransientTrace,
-    delta_term,
     evolve_trace,
-    free_shutter_psi,
     make_problem,
     make_spectrum,
-    psi_doublet_M,
     psi_exact,
 )
 from .twolevel import (
     DoubletFrequencies,
     chi,
-    density_resonant_exponential,
-    density_stationary_two_level,
     density_two_level,
-    dominant_frequency,
     dominant_frequency_series,
     frequencies,
     xi,
 )
-from .config import Incidence, ScenarioConfig, parse_config, resolve_scenario
-from .presets import PRESETS, FigurePreset, FigureResult, run_figure
-from .acceptance import run_acceptance
+from .config import ScenarioConfig, parse_config, resolve_scenario
+from .presets import FigureResult, run_figure
 
 __version__ = "0.1.0"
 
@@ -106,47 +72,21 @@ __all__ = [
     "PoleQualityError",
     "ConfigError",
     "PhysicalConstants",
-    "Layer",
     "PotentialProfile",
     "build_profile",
-    "wavenumber",
-    "energy_of",
-    "HBAR_MEV_PS",
-    "HBAR_EV_PS",
-    "HBAR2_OVER_2ME",
-    "faddeeva",
-    "m_function",
-    "m_function_scaled",
-    "MArgument",
-    "y_argument",
-    "y_values",
-    "Y_PHASE",
-    "TransferMatrix",
-    "StationaryField",
-    "transfer_matrix",
-    "solve_stationary",
     "transmission",
-    "stationary_wave",
     "ResonancePole",
     "pole_condition",
-    "seed_poles",
-    "refine_pole",
     "find_poles",
     "ResonantMode",
     "solve_mode",
-    "rho",
-    "rho_mirror",
     "ShutterProblem",
     "Spectrum",
     "TransientTrace",
     "make_spectrum",
     "make_problem",
     "psi_exact",
-    "psi_doublet_M",
-    "delta_term",
-    "free_shutter_psi",
     "evolve_trace",
-    "METHODS",
     "METHOD_EXACT",
     "METHOD_TWO_LEVEL_M",
     "METHOD_TWO_LEVEL_CLOSED",
@@ -156,17 +96,10 @@ __all__ = [
     "chi",
     "xi",
     "density_two_level",
-    "density_stationary_two_level",
-    "density_resonant_exponential",
-    "dominant_frequency",
     "dominant_frequency_series",
-    "Incidence",
     "ScenarioConfig",
     "parse_config",
     "resolve_scenario",
-    "FigurePreset",
     "FigureResult",
-    "PRESETS",
     "run_figure",
-    "run_acceptance",
 ]

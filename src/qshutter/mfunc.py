@@ -27,8 +27,6 @@ internally, and the algebraic 1/(2 sqrt(pi) y) sector otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import wofz
 
@@ -36,11 +34,10 @@ from .errors import DomainError
 from .model import PhysicalConstants
 
 __all__ = [
-    "MArgument",
     "faddeeva",
     "m_function",
     "m_function_scaled",
-    "y_argument",
+    "y_values",
     "Y_PHASE",
 ]
 
@@ -79,34 +76,12 @@ def m_function_scaled(y):
     return out[0] if scalar else out
 
 
-@dataclass(frozen=True)
-class MArgument:
-    """y_s = e^{i 3pi/4} sqrt(hbar/2m) s sqrt(t) with its provenance."""
-
-    y: complex
-    s: complex
-    t: float
-
-    @property
-    def evolution_factor(self) -> complex:
-        """e^{y^2} = e^{-i E_s t / hbar}."""
-        return complex(np.exp(self.y**2))
-
-
-def y_argument(s, t: float, constants: PhysicalConstants) -> MArgument:
-    """Build the transient argument for wave number s (nm^-1) at time t (ps).
+def y_values(s, t, constants: PhysicalConstants):
+    """y_s for wave number s (nm^-1) at times t (ps); scalar or array t.
 
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
-    if t < 0:
-        raise DomainError(f"t must be >= 0 ps, got {t}")
-    y = Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * np.sqrt(t)
-    return MArgument(y=complex(y), s=complex(s), t=float(t))
-
-
-def y_values(s, t, constants: PhysicalConstants):
-    """Vectorized y_s over an array of times (helper for trace evaluation)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise DomainError("t must be >= 0 ps")
     return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * np.sqrt(t)

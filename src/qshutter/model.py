@@ -35,14 +35,11 @@ __all__ = [
     "wavenumber",
     "energy_of",
     "HBAR_MEV_PS",
-    "HBAR_EV_PS",
     "HBAR2_OVER_2ME",
 ]
 
 # the published value, meV ps; this is what PhysicalConstants.hbar holds
 HBAR_MEV_PS = 0.6582119569
-# eV ps; the bridge used by every internal formula (energies are in eV)
-HBAR_EV_PS = 6.582119569e-4
 # eV nm^2
 HBAR2_OVER_2ME = 0.0380998
 

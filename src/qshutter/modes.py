@@ -147,9 +147,8 @@ def rho(mode: ResonantMode, k: float, x):
 
 
 def rho_mirror(mode: ResonantMode, k: float, x):
-    """rho_{-n}(x, k): partner at k_{-n} = -k_n* with u_{-n} = u_n*."""
-    k = float(k)
-    k_mirror = -np.conj(mode.pole.k)
-    u0 = np.conj(mode.u0)
-    ux = np.conj(mode.u(x))
-    return 2j * k * u0 * ux / (k * k - k_mirror * k_mirror)
+    """rho_{-n}(x, k): partner at k_{-n} = -k_n* with u_{-n} = u_n*.
+
+    Substituting the partner into rho's formula gives rho_n(x, -k)*.
+    """
+    return np.conj(rho(mode, -k, x))

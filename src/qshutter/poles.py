@@ -38,6 +38,9 @@ __all__ = [
     "find_poles",
 ]
 
+# seed-scan grid, points per meV of the window
+_GRID_DENSITY = 40.0
+
 
 @dataclass(frozen=True)
 class ResonancePole:
@@ -88,19 +91,17 @@ def pole_condition(profile: PotentialProfile, k: complex) -> complex:
     return transfer_matrix(profile, k).m22
 
 
-def seed_poles(
-    profile: PotentialProfile, E_max: float, grid_density: float = 40.0
-) -> list[complex]:
+def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
     """Seeds from T(E) maxima on (0, E_max]; HWHM sets the imaginary part.
 
-    grid_density is in points per meV; the grid is evaluated as one array.
+    The grid holds _GRID_DENSITY points per meV and is evaluated as one array.
     Overlapping doublet peaks each get their own seed; when a half-height
     crossing is cut off by the adjacent valley, the valley stands in for the
     crossing.  An empty list is a valid result (free or sub-resonant window).
     """
     if not (E_max > 0):
         raise DomainError(f"E_max must be > 0 eV, got {E_max}")
-    n = max(50, int(round(grid_density * E_max * 1e3)))
+    n = max(50, int(round(_GRID_DENSITY * E_max * 1e3)))
     energies = np.linspace(1e-6, E_max, n)
     T = transmission(profile, energies)[1]
     seeds = []

@@ -34,6 +34,7 @@ from .model import PhysicalConstants, PotentialProfile, wavenumber
 from .modes import ResonantMode, rho, rho_mirror, solve_mode
 from .poles import ResonancePole, find_poles
 from .scattering import StationaryField, solve_stationary, stationary_wave
+from .twolevel import density_resonant_exponential, density_two_level, frequencies
 
 __all__ = [
     "METHOD_EXACT",
@@ -139,16 +140,22 @@ def make_problem(
     return make_spectrum(profile, n_poles).at(E)
 
 
-def _check_xt(problem: ShutterProblem, x: float, t) -> np.ndarray:
+def _check_xt(problem: ShutterProblem, x, t) -> np.ndarray:
     if not np.all((x >= 0) & (x <= problem.L)):
         raise DomainError(f"x must lie in [0, {problem.L}] nm")
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > 0):
-        raise DomainError("t must be > 0 ps (t = 0 is the initial condition)")
+    try:
+        np.broadcast_shapes(np.shape(x), t_arr.shape)
+    except ValueError:
+        raise DomainError(
+            f"x of shape {np.shape(x)} and t of shape {t_arr.shape} do not broadcast"
+        ) from None
+    if not np.all((t_arr > 0) & (t_arr < np.inf)):
+        raise DomainError("t must be finite and > 0 ps (t = 0 is the initial condition)")
     return t_arr
 
 
-def _psi_terms(problem: ShutterProblem, x: float, t, n_modes: int):
+def _psi_terms(problem: ShutterProblem, x, t, n_modes: int):
     """Shared evaluator: stationary terms plus the first n_modes pole pairs."""
     t_arr = _check_xt(problem, x, t)
     c = problem.constants
@@ -163,13 +170,14 @@ def _psi_terms(problem: ShutterProblem, x: float, t, n_modes: int):
         psi = psi - rho_mirror(mode, k, x) * m_function(
             y_values(-np.conj(k_n), t_arr, c)
         )
-    if np.asarray(t).ndim == 0:
-        return complex(psi)
-    return psi
+    return complex(psi) if np.ndim(psi) == 0 else psi
 
 
-def psi_exact(problem: ShutterProblem, x: float, t):
-    """Psi(x, t) from the full retained pole set; vectorized over t.
+def psi_exact(problem: ShutterProblem, x, t):
+    """Psi(x, t) from the full retained pole set.
+
+    x and t broadcast against each other: psi_exact(p, xs[:, None], t)
+    gives the (len(xs), len(t)) map in one call.
 
     Free profiles dispatch to the closed-form free-shutter solution (the
     pole expansion is empty there and does not represent free propagation).
@@ -228,9 +236,7 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
     zeta_p = phase * (x - 2.0 * beta * k * t_arr) / root
     zeta_m = phase * (x + 2.0 * beta * k * t_arr) / root
     psi = front * (m_function(zeta_p) - m_function(zeta_m))
-    if np.asarray(t).ndim == 0:
-        return complex(psi)
-    return psi
+    return complex(psi) if np.ndim(psi) == 0 else psi
 
 
 @dataclass(frozen=True)
@@ -287,8 +293,6 @@ def evolve_trace(
         elif method == METHOD_TWO_LEVEL_M:
             d = np.abs(psi_doublet_M(problem, x, t_pos)) ** 2
         elif method == METHOD_TWO_LEVEL_CLOSED:
-            from .twolevel import density_two_level, frequencies
-
             if len(problem.modes) < 2:
                 raise DomainError("two-level-closed needs at least two modes")
             freqs = frequencies(
@@ -298,8 +302,6 @@ def evolve_trace(
                 problem.modes[0], problem.modes[1], freqs, x, problem.k, t_pos
             )
         elif method == METHOD_EXPONENTIAL:
-            from .twolevel import density_resonant_exponential
-
             if len(problem.modes) < 1:
                 raise DomainError("exponential envelope needs a mode")
             T = abs(problem.field.t) ** 2

@@ -44,7 +44,6 @@ __all__ = [
     "density_two_level",
     "density_stationary_two_level",
     "density_resonant_exponential",
-    "dominant_frequency",
     "dominant_frequency_series",
     "clamp_count",
     "reset_clamp_count",
@@ -60,6 +59,14 @@ def clamp_count() -> int:
 
 def reset_clamp_count() -> None:
     _CLAMP_STATS["count"] = 0
+
+
+def _times(t) -> np.ndarray:
+    """t (ps) as a float array; NaN, infinite and negative times raise."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+        raise DomainError("t must be finite and >= 0 ps")
+    return t_arr
 
 
 @dataclass(frozen=True)
@@ -125,9 +132,7 @@ def frequencies(E: float, pole_1: ResonancePole, pole_2: ResonancePole
 def chi(freqs: DoubletFrequencies, n: int, t):
     """chi_n(E, t) in [0, 4]; vectorized over t >= 0."""
     omega, gamma = freqs._pick(n)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("t must be >= 0 ps")
+    t_arr = _times(t)
     g = gamma * t_arr / (2.0 * freqs.hbar)
     out = 1.0 - 2.0 * np.cos(omega * t_arr) * np.exp(-g) + np.exp(-2.0 * g)
     return float(out) if np.asarray(t).ndim == 0 else out
@@ -139,9 +144,7 @@ def xi(freqs: DoubletFrequencies, m: int, n: int, t):
         raise DomainError(f"xi needs m != n, got m = n = {m}")
     om, gm = freqs._pick(m)
     on, gn = freqs._pick(n)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("t must be >= 0 ps")
+    t_arr = _times(t)
     h2 = 2.0 * freqs.hbar
     out = (
         1.0
@@ -205,9 +208,7 @@ def density_resonant_exponential(T_peak: float, tau_1: float, t):
         raise DomainError(f"T_peak must be in [0, 1], got {T_peak}")
     if not (tau_1 > 0):
         raise DomainError(f"tau_1 must be > 0 ps, got {tau_1}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("t must be >= 0 ps")
+    t_arr = _times(t)
     out = T_peak * (1.0 - np.exp(-t_arr / tau_1)) ** 2
     return float(out) if np.asarray(t).ndim == 0 else out
 
@@ -225,6 +226,8 @@ def dominant_frequency_series(times, values) -> float | None:
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape or len(times) < 8:
         raise DomainError("need matching 1-D arrays with >= 8 samples")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise DomainError("times and values must be finite")
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise DomainError("time grid must be uniform")
@@ -248,18 +251,3 @@ def dominant_frequency_series(times, values) -> float | None:
         delta = 0.0
     return float(2.0 * np.pi * (p + delta) / (n_pad * dt))
 
-
-def dominant_frequency(trace, method: str | None = None) -> float | None:
-    """dominant_frequency_series on one method column of a trace.
-
-    method may be omitted when the trace holds exactly one method.
-    """
-    if method is None:
-        if len(trace.densities) != 1:
-            raise DomainError(
-                f"trace holds methods {tuple(trace.densities)}; pick one"
-            )
-        method = next(iter(trace.densities))
-    if method not in trace.densities:
-        raise DomainError(f"trace has no method '{method}'")
-    return dominant_frequency_series(trace.times, trace.densities[method])

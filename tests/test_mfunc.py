@@ -6,16 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qshutter import (
-    DomainError,
-    PhysicalConstants,
-    Y_PHASE,
-    faddeeva,
-    m_function,
-    m_function_scaled,
-    y_argument,
-    y_values,
-)
+from qshutter import DomainError, PhysicalConstants
+from qshutter.mfunc import Y_PHASE, faddeeva, m_function, m_function_scaled, y_values
 
 C = PhysicalConstants(mass_ratio=0.067)
 
@@ -111,30 +103,30 @@ class TestMFunction:
 
 class TestYArgument:
     def test_zero_time(self):
-        arg = y_argument(0.3, 0.0, C)
-        assert arg.y == 0.0
+        assert y_values(0.3, 0.0, C) == 0.0
 
     def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            y_argument(0.3, -1e-9, C)
+        for t in (-1e-9, np.nan):
+            with pytest.raises(DomainError):
+                y_values(0.3, t, C)
+            with pytest.raises(DomainError):
+                y_values(0.3, np.array([0.1, t, 0.3]), C)
 
     def test_phase_factor(self):
         assert Y_PHASE == pytest.approx(np.exp(3j * np.pi / 4.0), abs=1e-15)
 
     def test_construction(self):
         s, t = 0.21, 1.7
-        arg = y_argument(s, t, C)
-        assert arg.y == pytest.approx(
+        assert y_values(s, t, C) == pytest.approx(
             Y_PHASE * np.sqrt(C.hbar_over_2m) * s * np.sqrt(t), rel=1e-14
         )
-        assert arg.s == s and arg.t == t
 
     def test_y_squared_identity(self, rng):
         # y^2 = -i (hbar s^2 / 2m) t, so e^{y^2} is the evolution phase
         for _ in range(20):
             s = rng.uniform(0.05, 0.5)
             t = rng.uniform(0.01, 10.0)
-            y = y_argument(s, t, C).y
+            y = y_values(s, t, C)
             expect = -1j * C.hbar_over_2m * s * s * t
             assert y * y == pytest.approx(expect, rel=1e-12)
             assert abs(np.exp(y * y)) == pytest.approx(1.0, rel=1e-12)
@@ -143,29 +135,25 @@ class TestYArgument:
         # for a fourth-quadrant pole, |e^{y^2}| = e^{-Gamma t / 2 hbar} < 1
         p = triple_poles[0]
         t = 2.0
-        y = y_argument(p.k, t, C).y
+        y = y_values(p.k, t, C)
         expect = np.exp(-p.Gamma * t / (2.0 * C.hbar_ev_ps))
         assert abs(np.exp(y * y)) == pytest.approx(expect, rel=1e-10)
         assert abs(np.exp(y * y)) < 1.0
-
-    def test_evolution_factor(self):
-        arg = y_argument(0.3, 2.5, C)
-        assert arg.evolution_factor == pytest.approx(np.exp(arg.y**2), rel=1e-12)
 
     def test_continuity_at_zero_time(self):
         # M(y(k, t)) -> 1/2 as t -> 0, approaching like |y|/sqrt(pi)
         last = np.inf
         for t in (1e-6, 1e-9, 1e-12, 1e-15):
-            y = y_argument(0.3, t, C).y
+            y = y_values(0.3, t, C)
             gap = abs(m_function(y) - 0.5)
             assert gap <= 1.2 * abs(y) + 1e-15
             assert gap < last
             last = gap
-        assert m_function(y_argument(0.3, 0.0, C).y) == pytest.approx(0.5, abs=1e-15)
+        assert m_function(y_values(0.3, 0.0, C)) == pytest.approx(0.5, abs=1e-15)
 
     def test_y_values_vectorized(self):
         t = np.array([0.1, 0.2, 0.5])
         ys = y_values(0.3, t, C)
         assert ys.shape == t.shape
         for yi, ti in zip(ys, t):
-            assert yi == pytest.approx(y_argument(0.3, float(ti), C).y, rel=1e-14)
+            assert yi == pytest.approx(y_values(0.3, float(ti), C), rel=1e-14)

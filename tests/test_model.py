@@ -10,9 +10,8 @@ from qshutter import (
     MassRatioError,
     PhysicalConstants,
     build_profile,
-    energy_of,
-    wavenumber,
 )
+from qshutter.model import energy_of, wavenumber
 
 
 class TestPhysicalConstants:

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qshutter import (
-    DomainError,
-    rho,
-    rho_mirror,
-    solve_mode,
-    solve_stationary,
-    stationary_wave,
-    wavenumber,
-)
+from qshutter import DomainError, solve_mode
+from qshutter.model import wavenumber
+from qshutter.modes import rho, rho_mirror
+from qshutter.scattering import solve_stationary, stationary_wave
 
 
 class TestSolveMode:

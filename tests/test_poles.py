@@ -21,11 +21,10 @@ from qshutter import (
     build_profile,
     find_poles,
     pole_condition,
-    refine_pole,
-    seed_poles,
     transmission,
 )
 from qshutter import poles as poles_module
+from qshutter.poles import refine_pole, seed_poles
 
 
 class TestPoleCondition:
@@ -39,7 +38,7 @@ class TestPoleCondition:
             bounds=(p.E_position - p.Gamma, p.E_position + p.Gamma),
             method="bounded",
         )
-        from qshutter import wavenumber
+        from qshutter.model import wavenumber
 
         k_peak = wavenumber(res.x, triple_profile).real
         assert abs(pole_condition(triple_profile, k_peak)) == pytest.approx(
@@ -62,7 +61,7 @@ class TestSeedPoles:
     def test_double_barrier_single_seed(self, double_profile):
         seeds = seed_poles(double_profile, 100e-3)
         assert len(seeds) == 1
-        from qshutter import energy_of
+        from qshutter.model import energy_of
 
         assert energy_of(seeds[0], double_profile).real == pytest.approx(
             80.11e-3, abs=2e-3

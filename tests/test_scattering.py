@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import T_DOUBLE_83740, T_TRIPLE_12949, T_TRIPLE_EBAR
-from qshutter import (
-    DomainError,
-    OverflowGuardError,
-    build_profile,
+from qshutter import DomainError, OverflowGuardError, build_profile, transmission
+from qshutter import scattering
+from qshutter.model import wavenumber
+from qshutter.scattering import (
+    layered_wave,
     solve_stationary,
     stationary_wave,
     transfer_matrix,
-    transmission,
-    wavenumber,
 )
-from qshutter import scattering
-from qshutter.scattering import layered_wave
 
 
 def _transfer_matrix_per_point(profile, k):

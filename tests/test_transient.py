@@ -11,17 +11,14 @@ from qshutter import (
     METHOD_EXPONENTIAL,
     METHOD_TWO_LEVEL_CLOSED,
     METHOD_TWO_LEVEL_M,
-    METHODS,
     DomainError,
     PhysicalConstants,
-    delta_term,
     evolve_trace,
-    free_shutter_psi,
     make_problem,
-    psi_doublet_M,
     psi_exact,
     transmission,
 )
+from qshutter.transient import METHODS, delta_term, free_shutter_psi, psi_doublet_M
 
 
 class TestMakeProblem:
@@ -68,12 +65,30 @@ class TestPsiExact:
             psi_exact(problem_ebar, problem_ebar.L, -0.5)
         with pytest.raises(DomainError):
             psi_exact(problem_ebar, problem_ebar.L, np.nan)
+        with pytest.raises(DomainError):
+            psi_exact(problem_ebar, problem_ebar.L, np.inf)
 
     def test_x_outside_rejected(self, problem_ebar):
         with pytest.raises(DomainError):
             psi_exact(problem_ebar, problem_ebar.L + 1.0, 1.0)
         with pytest.raises(DomainError):
             psi_exact(problem_ebar, np.nan, 1.0)
+
+    def test_density_map_matches_per_x_loop(self, problem_ebar):
+        # x and t broadcast: an (n_x, 1) column against n_t times is the map
+        xs = np.linspace(0.0, problem_ebar.L, 40)
+        t = np.linspace(0.01, 10.0 * problem_ebar.modes[0].pole.tau, 300)
+        grid = psi_exact(problem_ebar, xs[:, None], t)
+        loop = np.array([psi_exact(problem_ebar, x, t) for x in xs])
+        assert grid.shape == (len(xs), len(t))
+        assert np.max(np.abs(grid - loop)) <= 1e-13 * np.max(np.abs(loop))
+        # one time against a column of positions
+        assert np.array_equal(psi_exact(problem_ebar, xs, t[7]), grid[:, 7])
+
+    def test_shape_mismatch_rejected(self, problem_ebar):
+        xs = np.linspace(0.0, problem_ebar.L, 3)
+        with pytest.raises(DomainError, match=r"\(3,\).*\(5,\)"):
+            psi_exact(problem_ebar, xs, np.linspace(0.1, 1.0, 5))
 
     def test_short_time_cancellation(self, problem_ebar):
         # just after opening, nothing has reached x = L yet

@@ -8,18 +8,20 @@ from qshutter import (
     METHOD_TWO_LEVEL_CLOSED,
     DomainError,
     chi,
-    density_resonant_exponential,
-    density_stationary_two_level,
     density_two_level,
-    dominant_frequency,
     dominant_frequency_series,
     evolve_trace,
     frequencies,
-    rho,
     transmission,
     xi,
 )
-from qshutter.twolevel import clamp_count, reset_clamp_count
+from qshutter.modes import rho
+from qshutter.twolevel import (
+    clamp_count,
+    density_resonant_exponential,
+    density_stationary_two_level,
+    reset_clamp_count,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +91,17 @@ class TestChi:
         with pytest.raises(DomainError):
             chi(freqs_ebar, 3, 1.0)
 
-    def test_negative_time_rejected(self, freqs_ebar):
-        with pytest.raises(DomainError):
-            chi(freqs_ebar, 1, -0.1)
+    def test_negative_time_rejected(self, freqs_ebar, triple_modes, problem_ebar):
+        for t in (-0.1, np.nan, np.inf, np.array([0.1, np.nan])):
+            with pytest.raises(DomainError):
+                chi(freqs_ebar, 1, t)
+            with pytest.raises(DomainError):
+                xi(freqs_ebar, 1, 2, t)
+            with pytest.raises(DomainError):
+                density_two_level(
+                    triple_modes[0], triple_modes[1], freqs_ebar, problem_ebar.L,
+                    problem_ebar.k, t,
+                )
 
 
 class TestXi:
@@ -221,6 +231,8 @@ class TestResonantExponential:
             density_resonant_exponential(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             density_resonant_exponential(0.5, 1.0, -1.0)
+        with pytest.raises(DomainError):
+            density_resonant_exponential(0.5, 1.0, np.nan)
 
 
 class TestDominantFrequency:
@@ -243,7 +255,9 @@ class TestDominantFrequency:
         trace = evolve_trace(
             problem_ebar, problem_ebar.L, times, methods=(METHOD_TWO_LEVEL_CLOSED,)
         )
-        got = dominant_frequency(trace)
+        got = dominant_frequency_series(
+            trace.times, trace.densities[METHOD_TWO_LEVEL_CLOSED]
+        )
         assert got == pytest.approx(freqs_ebar.omega_21 / 2.0, rel=0.03)
 
     def test_on_resonance_residual_oscillation(self, problem_res1, freqs_ebar):
@@ -272,13 +286,25 @@ class TestDominantFrequency:
             problem_ebar, problem_ebar.L, times,
             methods=("exact-N", "two-level-M"),
         )
-        with pytest.raises(DomainError):
-            dominant_frequency(trace)  # ambiguous without a method tag
-        with pytest.raises(DomainError):
-            dominant_frequency(trace, "exponential")
-        assert dominant_frequency(trace, "exact-N") is not None
+        assert "exponential" not in trace.densities
+        got = dominant_frequency_series(trace.times, trace.densities["exact-N"])
+        assert got is not None
 
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 0.1, 0.3, 0.35, 0.6, 0.61, 0.9, 1.4])
         with pytest.raises(DomainError):
             dominant_frequency_series(t, np.sin(t))
+
+    def test_nonfinite_sample_rejected(self):
+        t = np.linspace(0.0, 40.0, 4000)
+        v = np.sin(1.5 * t) ** 2
+        assert dominant_frequency_series(t, v) is not None
+        for bad in (np.nan, np.inf):
+            v_bad = v.copy()
+            v_bad[100] = bad
+            with pytest.raises(DomainError):
+                dominant_frequency_series(t, v_bad)
+            t_bad = t.copy()
+            t_bad[-1] = bad
+            with pytest.raises(DomainError):
+                dominant_frequency_series(t_bad, v)
