@@ -12,9 +12,11 @@ For 0 <= x <= L the solution is the resonance expansion
 with x-independent arguments y_s = e^{i 3pi/4} sqrt(hbar/2m) s sqrt(t) and
 the sum over the retained fourth-quadrant poles and their third-quadrant
 partners.  The partner terms are not optional: they carry the cancellation
-that makes Psi vanish as t -> 0+ (the truncated sum leaves a residual at
-the level of the dropped poles, ~1e-6 of T(E) for N = 4 on the structures
-treated here).
+that makes Psi vanish as t -> 0+.  The truncated sum leaves a residual
+there: at the triple barrier's doublet center |Psi(L, 1e-6 ps)|^2/T reads
+1.2e-1, 6.1e-5, 7.7e-5, 9.3e-6, 6.3e-4, 3.3e-4 for N = 1..6, which is not
+monotone and so no measure of convergence in N (ROADMAP item 5).  Every
+M-function method is a partial sum of this one expansion (see _sums).
 
 On a free profile the expansion degenerates (no poles) and does not reduce
 to the free propagation of the cutoff wave; psi_exact dispatches to the
@@ -64,6 +66,8 @@ METHODS = (
     METHOD_TWO_LEVEL_CLOSED,
     METHOD_EXPONENTIAL,
 )
+# modes each method needs, in METHODS order (exact-N: none on a free profile)
+_MODES_NEEDED = dict(zip(METHODS, (0, 2, 2, 1)))
 
 
 @dataclass(frozen=True)
@@ -140,37 +144,65 @@ def make_problem(
     return make_spectrum(profile, n_poles).at(E)
 
 
+def _times(t) -> np.ndarray:
+    """t (ps) as a float array; every time must be finite and > 0."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((t_arr > 0) & (t_arr < np.inf)):
+        raise DomainError("t must be finite and > 0 ps (t = 0 is the initial condition)")
+    return t_arr
+
+
 def _check_xt(problem: ShutterProblem, x, t) -> np.ndarray:
     if not np.all((x >= 0) & (x <= problem.L)):
         raise DomainError(f"x must lie in [0, {problem.L}] nm")
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _times(t)
     try:
         np.broadcast_shapes(np.shape(x), t_arr.shape)
     except ValueError:
         raise DomainError(
             f"x of shape {np.shape(x)} and t of shape {t_arr.shape} do not broadcast"
         ) from None
-    if not np.all((t_arr > 0) & (t_arr < np.inf)):
-        raise DomainError("t must be finite and > 0 ps (t = 0 is the initial condition)")
     return t_arr
 
 
-def _psi_terms(problem: ShutterProblem, x, t, n_modes: int):
-    """Shared evaluator: stationary terms plus the first n_modes pole pairs."""
+def _result(psi):
+    return complex(psi) if np.ndim(psi) == 0 else psi
+
+
+def _sums(problem: ShutterProblem, x, t, n_modes: int):
+    """(rho_n of the summed modes, doublet sum, full sum) of the expansion.
+
+    The rows [Phi, -Phi*, -rho_1, -rho_-1, ...] times their M(y_s) columns
+    are added in place one term at a time through pole pair n_modes, so
+    memory stays at a few arrays of the broadcast (x, t) shape.  The doublet
+    sum stops after two pairs (with n_modes <= 2 it is the full sum).  A
+    free profile has no poles; both sums are then the free-shutter solution.
+    """
+    if len(problem.modes) < n_modes:
+        raise DomainError(f"needs {n_modes} mode(s), problem has {len(problem.modes)}")
     t_arr = _check_xt(problem, x, t)
+    if not problem.modes:
+        if not problem.profile.is_free:
+            raise DomainError("problem carries no modes for a non-free profile")
+        psi = free_shutter_psi(problem.k, x, t, problem.constants)
+        return (), psi, psi
     c = problem.constants
     k = problem.k
     phi = stationary_wave(problem.field, x)
     psi = phi * m_function(y_values(k, t_arr, c)) - np.conj(phi) * m_function(
         y_values(-k, t_arr, c)
     )
-    for mode in problem.modes[:n_modes]:
-        k_n = mode.pole.k
-        psi = psi - rho(mode, k, x) * m_function(y_values(k_n, t_arr, c))
-        psi = psi - rho_mirror(mode, k, x) * m_function(
-            y_values(-np.conj(k_n), t_arr, c)
+    rhos = []
+    doublet = None
+    for n, mode in enumerate(problem.modes[:n_modes]):
+        if n == 2:
+            doublet = psi.copy()
+        rhos.append(rho(mode, k, x))
+        psi -= rhos[-1] * m_function(y_values(mode.pole.k, t_arr, c))
+        psi -= rho_mirror(mode, k, x) * m_function(
+            y_values(mode.pole.k_mirror, t_arr, c)
         )
-    return complex(psi) if np.ndim(psi) == 0 else psi
+    return rhos, psi if doublet is None else doublet, psi
 
 
 def psi_exact(problem: ShutterProblem, x, t):
@@ -182,22 +214,20 @@ def psi_exact(problem: ShutterProblem, x, t):
     Free profiles dispatch to the closed-form free-shutter solution (the
     pole expansion is empty there and does not represent free propagation).
     """
-    if len(problem.modes) == 0:
-        if not problem.profile.is_free:
-            raise DomainError("problem carries no modes for a non-free profile")
-        _check_xt(problem, x, t)
-        return free_shutter_psi(problem.k, x, t, problem.constants)
-    return _psi_terms(problem, x, t, len(problem.modes))
+    _, _, psi = _sums(problem, x, t, len(problem.modes))
+    return _result(psi)
 
 
-def psi_doublet_M(problem: ShutterProblem, x: float, t):
-    """The doublet-restricted M-function form: modes 1 and 2 only."""
-    if len(problem.modes) < 2:
-        raise DomainError("doublet form needs at least two modes")
-    return _psi_terms(problem, x, t, 2)
+def psi_doublet_M(problem: ShutterProblem, x, t):
+    """The doublet-restricted M-function form: modes 1 and 2 only.
+
+    x and t broadcast against each other, as in psi_exact.
+    """
+    _, psi, _ = _sums(problem, x, t, 2)
+    return _result(psi)
 
 
-def delta_term(problem: ShutterProblem, x: float, t):
+def delta_term(problem: ShutterProblem, x, t):
     """Remainder Delta(x, t) of the two-level reduction.
 
     Delta = psi_doublet_M - sum_{n=1,2} rho_n [e^{y_k^2} - e^{y_{k_n}^2}];
@@ -205,15 +235,17 @@ def delta_term(problem: ShutterProblem, x: float, t):
     e^{-iE_n t/hbar}.  Delta is algebraically the collection of all
     M(y_{-k}) and M(y_{k_{-n}}) pieces, decaying as an inverse power of t;
     at small t it is O(1) and enforces the vanishing initial condition.
+    x and t broadcast against each other, as in psi_exact.
     """
-    t_arr = _check_xt(problem, x, t)
+    (rho_1, rho_2), doublet, _ = _sums(problem, x, t, 2)
+    t_arr = np.asarray(t, dtype=float)
     hbar = problem.constants.hbar_ev_ps
-    phase_k = np.exp(-1j * problem.E * t_arr / hbar)
-    kept = np.zeros_like(t_arr, dtype=complex)
-    for mode in problem.modes[:2]:
-        phase_n = np.exp(-1j * mode.pole.E * t_arr / hbar)
-        kept = kept + rho(mode, problem.k, x) * (phase_k - phase_n)
-    return psi_doublet_M(problem, x, t) - kept
+    phase_k, phase_1, phase_2 = (
+        np.exp(-1j * E * t_arr / hbar)
+        for E in (problem.E, problem.modes[0].pole.E, problem.modes[1].pole.E)
+    )
+    kept = rho_1 * (phase_k - phase_1) + rho_2 * (phase_k - phase_2)
+    return _result(doublet - kept)
 
 
 def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
@@ -226,17 +258,14 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
 
     beta = hbar/2m in nm^2/ps.  Exponent-safe for all real x, t > 0.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > 0):
-        raise DomainError("t must be > 0 ps")
+    t_arr = _times(t)
     beta = constants.hbar_over_2m
     root = np.sqrt(4.0 * beta * t_arr)
     front = np.exp(1j * x * x / (4.0 * beta * t_arr))
     phase = np.exp(-1j * np.pi / 4.0)
     zeta_p = phase * (x - 2.0 * beta * k * t_arr) / root
     zeta_m = phase * (x + 2.0 * beta * k * t_arr) / root
-    psi = front * (m_function(zeta_p) - m_function(zeta_m))
-    return complex(psi) if np.ndim(psi) == 0 else psi
+    return _result(front * (m_function(zeta_p) - m_function(zeta_m)))
 
 
 @dataclass(frozen=True)
@@ -274,41 +303,37 @@ def evolve_trace(
         raise DomainError("time grid must be a 1-D array")
     if not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
         raise DomainError("time grid must be strictly increasing and >= 0")
-    for m in methods:
-        if m not in METHODS:
-            raise DomainError(f"unknown method tag '{m}'; valid: {METHODS}")
+    for method in methods:
+        if method not in METHODS:
+            raise DomainError(f"unknown method tag '{method}'; valid: {METHODS}")
+        if len(problem.modes) < _MODES_NEEDED[method]:
+            raise DomainError(f"{method} needs {_MODES_NEEDED[method]} mode(s)")
     positive = times > 0
     t_pos = times[positive]
-    densities: dict[str, np.ndarray] = {}
     tau_1 = problem.modes[0].pole.tau if problem.modes else np.nan
 
-    def assemble(values_pos: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(times)
-        out[positive] = values_pos
-        return out
+    # exact-N and two-level-M are two partial sums of one expansion
+    amplitudes = {}
+    if METHOD_EXACT in methods or METHOD_TWO_LEVEL_M in methods:
+        n_modes = len(problem.modes) if METHOD_EXACT in methods else 2
+        _, doublet, full = _sums(problem, x, t_pos, n_modes)
+        amplitudes = {METHOD_EXACT: full, METHOD_TWO_LEVEL_M: doublet}
 
+    densities: dict[str, np.ndarray] = {}
     for method in methods:
-        if method == METHOD_EXACT:
-            d = np.abs(psi_exact(problem, x, t_pos)) ** 2
-        elif method == METHOD_TWO_LEVEL_M:
-            d = np.abs(psi_doublet_M(problem, x, t_pos)) ** 2
+        if method in amplitudes:
+            d = np.abs(amplitudes[method]) ** 2
         elif method == METHOD_TWO_LEVEL_CLOSED:
-            if len(problem.modes) < 2:
-                raise DomainError("two-level-closed needs at least two modes")
-            freqs = frequencies(
-                problem.E, problem.modes[0].pole, problem.modes[1].pole
-            )
-            d = density_two_level(
-                problem.modes[0], problem.modes[1], freqs, x, problem.k, t_pos
-            )
-        elif method == METHOD_EXPONENTIAL:
-            if len(problem.modes) < 1:
-                raise DomainError("exponential envelope needs a mode")
+            mode_1, mode_2 = problem.modes[:2]
+            freqs = frequencies(problem.E, mode_1.pole, mode_2.pole)
+            d = density_two_level(mode_1, mode_2, freqs, x, problem.k, t_pos)
+        else:
             T = abs(problem.field.t) ** 2
             gamma_1 = problem.modes[0].pole.Gamma
             tau_amp = 2.0 * problem.constants.hbar_ev_ps / gamma_1
             d = density_resonant_exponential(T, tau_amp, t_pos)
-        densities[method] = assemble(np.asarray(d, dtype=float))
+        densities[method] = np.zeros_like(times)
+        densities[method][positive] = d
     return TransientTrace(
         x=float(x), E=problem.E, tau_1=float(tau_1), times=times, densities=densities
     )

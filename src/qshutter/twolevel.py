@@ -42,7 +42,6 @@ __all__ = [
     "chi",
     "xi",
     "density_two_level",
-    "density_stationary_two_level",
     "density_resonant_exponential",
     "dominant_frequency_series",
     "clamp_count",
@@ -159,11 +158,15 @@ def density_two_level(
     mode_1: ResonantMode,
     mode_2: ResonantMode,
     freqs: DoubletFrequencies,
-    x: float,
+    x,
     k: float,
     t,
 ):
     """|Psi|^2 = |rho_1|^2 chi_1 + |rho_2|^2 chi_2 + 2 Re{rho_1 rho_2* xi_12}.
+
+    x and t broadcast against each other, as in psi_exact; the result is a
+    float only when both are scalars.  As t -> infinity it tends to
+    |rho_1 + rho_2|^2.
 
     Rounding can push the sum to ~-1e-16 near t = 0; such values are
     clamped to zero and counted (clamp_count()).  Anything below -1e-12
@@ -176,7 +179,7 @@ def density_two_level(
         + abs(r2) ** 2 * chi(freqs, 2, t)
         + 2.0 * np.real(r1 * np.conj(r2) * xi(freqs, 1, 2, t))
     )
-    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
+    d_arr = np.asarray(d, dtype=float)
     negative = d_arr < 0.0
     if np.any(d_arr < -1e-12):
         raise QShutterError(
@@ -185,16 +188,7 @@ def density_two_level(
     if np.any(negative):
         _CLAMP_STATS["count"] += int(np.count_nonzero(negative))
         d_arr = np.where(negative, 0.0, d_arr)
-    return float(d_arr[0]) if np.asarray(t).ndim == 0 else d_arr
-
-
-def density_stationary_two_level(
-    mode_1: ResonantMode, mode_2: ResonantMode, x: float, k: float
-) -> float:
-    """t -> infinity limit: |rho_1|^2 + |rho_2|^2 + 2 Re{rho_1 rho_2*}."""
-    r1 = rho(mode_1, k, x)
-    r2 = rho(mode_2, k, x)
-    return float(abs(r1) ** 2 + abs(r2) ** 2 + 2.0 * np.real(r1 * np.conj(r2)))
+    return float(d_arr) if d_arr.ndim == 0 else d_arr
 
 
 def density_resonant_exponential(T_peak: float, tau_1: float, t):

@@ -18,7 +18,46 @@ from qshutter import (
     psi_exact,
     transmission,
 )
-from qshutter.transient import METHODS, delta_term, free_shutter_psi, psi_doublet_M
+from qshutter import transient
+from qshutter.mfunc import m_function, y_values
+from qshutter.modes import rho, rho_mirror
+from qshutter.scattering import stationary_wave
+from qshutter.transient import (
+    METHODS,
+    Spectrum,
+    delta_term,
+    free_shutter_psi,
+    psi_doublet_M,
+)
+
+
+def reference_psi(problem, x, t, n_modes):
+    """The resonance expansion added one term at a time, in order."""
+    c, k = problem.constants, problem.k
+    t = np.asarray(t, dtype=float)
+    phi = stationary_wave(problem.field, x)
+    psi = phi * m_function(y_values(k, t, c)) - np.conj(phi) * m_function(
+        y_values(-k, t, c)
+    )
+    for mode in problem.modes[:n_modes]:
+        k_n = mode.pole.k
+        psi = psi - rho(mode, k, x) * m_function(y_values(k_n, t, c))
+        psi = psi - rho_mirror(mode, k, x) * m_function(
+            y_values(-np.conj(k_n), t, c)
+        )
+    return psi
+
+
+def reference_delta(problem, x, t):
+    """psi_doublet_M minus sum_{n=1,2} rho_n (e^{-iEt/hbar} - e^{-iE_n t/hbar})."""
+    hbar = problem.constants.hbar_ev_ps
+    t = np.asarray(t, dtype=float)
+    kept = 0.0
+    for mode in problem.modes[:2]:
+        kept = kept + rho(mode, problem.k, x) * (
+            np.exp(-1j * problem.E * t / hbar) - np.exp(-1j * mode.pole.E * t / hbar)
+        )
+    return reference_psi(problem, x, t, 2) - kept
 
 
 class TestMakeProblem:
@@ -184,6 +223,57 @@ class TestDeltaTerm:
         assert abs(delta) > 0.5 * abs(kept)
 
 
+class TestEvaluator:
+    """psi_exact, psi_doublet_M and delta_term are partial sums of one expansion."""
+
+    @pytest.fixture(scope="class")
+    def problems(self, triple_spectrum, ebar, double_profile, double_modes):
+        double = Spectrum(double_profile, tuple(double_modes))
+        e_double = double_modes[0].pole.E_position + 3.515 * double_modes[0].pole.Gamma
+        return [
+            triple_spectrum.at(ebar),
+            triple_spectrum.at(triple_spectrum.poles[1].E_position),
+            double.at(e_double),
+        ]
+
+    def test_matches_per_term_reference(self, problems):
+        for p in problems:
+            tau_1 = p.modes[0].pole.tau
+            xs = np.linspace(0.0, p.L, 7)
+            t = np.linspace(0.01 * tau_1, 20.0 * tau_1, 101)
+            shapes = ((p.L, 0.3 * tau_1), (xs[:, None], t), (xs, tau_1), (0.4 * p.L, t))
+            for x, tt in shapes:
+                for got, ref in (
+                    (psi_exact(p, x, tt), reference_psi(p, x, tt, len(p.modes))),
+                    (psi_doublet_M(p, x, tt), reference_psi(p, x, tt, 2)),
+                    (delta_term(p, x, tt), reference_delta(p, x, tt)),
+                ):
+                    assert np.shape(got) == np.shape(ref)
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+                    if np.ndim(ref) == 0:
+                        assert type(got) is complex
+
+    def test_trace_sums_the_expansion_once(self, problem_ebar, monkeypatch):
+        # exact-N and two-level-M share one pass: 2 + 2N M columns, not 2 + 2N + 6
+        calls = []
+
+        def counting(y):
+            calls.append(np.shape(y))
+            return m_function(y)
+
+        p = problem_ebar
+        times = np.linspace(0.0, 10.0 * p.modes[0].pole.tau, 2000)
+        monkeypatch.setattr(transient, "m_function", counting)
+        trace = evolve_trace(p, p.L, times, (METHOD_EXACT, METHOD_TWO_LEVEL_M))
+        assert len(calls) == 2 + 2 * len(p.modes)
+        monkeypatch.undo()
+        exact = np.abs(psi_exact(p, p.L, times[1:])) ** 2
+        doublet = np.abs(psi_doublet_M(p, p.L, times[1:])) ** 2
+        assert np.array_equal(trace.densities[METHOD_EXACT][1:], exact)
+        assert np.array_equal(trace.densities[METHOD_TWO_LEVEL_M][1:], doublet)
+
+
 class TestFreeShutterPsi:
     def test_oracle_pin(self):
         c = PhysicalConstants(mass_ratio=0.067)
@@ -196,6 +286,8 @@ class TestFreeShutterPsi:
             free_shutter_psi(0.1, 0.5, 0.0, c)
         with pytest.raises(DomainError):
             free_shutter_psi(0.1, 0.5, np.nan, c)
+        with pytest.raises(DomainError):
+            free_shutter_psi(0.1, 0.5, np.inf, c)
 
 
 class TestEvolveTrace:

@@ -19,9 +19,13 @@ from qshutter.modes import rho
 from qshutter.twolevel import (
     clamp_count,
     density_resonant_exponential,
-    density_stationary_two_level,
     reset_clamp_count,
 )
+
+
+def stationary_density(modes, x, k):
+    """t -> infinity limit of the two-level density, |rho_1 + rho_2|^2."""
+    return abs(rho(modes[0], k, x) + rho(modes[1], k, x)) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +163,32 @@ class TestDensityTwoLevel:
             )
             assert got == pytest.approx(expect, abs=1e-12)
 
+    def test_array_x_with_scalar_t(self, triple_modes, freqs_ebar, problem_ebar):
+        # regression: an array x with a scalar t returned only the first
+        # position's density (0.0925) instead of one value per position
+        args = (triple_modes[0], triple_modes[1], freqs_ebar)
+        k = problem_ebar.k
+        xs = np.linspace(0.0, problem_ebar.L, 5)
+        got = density_two_level(*args, xs, k, 1.0)
+        loop = [density_two_level(*args, x, k, 1.0) for x in xs]
+        assert np.shape(got) == xs.shape
+        assert got == pytest.approx(loop, rel=1e-13)
+        assert got == pytest.approx([0.0925, 2.66, 0.312, 6.17, 0.194], rel=3e-3)
+
+    def test_density_map_matches_per_x_loop(
+        self, triple_modes, freqs_ebar, problem_ebar
+    ):
+        # x and t broadcast: an (n_x, 1) column against n_t times is the map
+        args = (triple_modes[0], triple_modes[1], freqs_ebar)
+        k = problem_ebar.k
+        xs = np.linspace(0.0, problem_ebar.L, 30)
+        t = np.linspace(0.0, 20.0, 200)
+        grid = density_two_level(*args, xs[:, None], k, t)
+        loop = np.array([density_two_level(*args, x, k, t) for x in xs])
+        assert grid.shape == (len(xs), len(t))
+        assert np.max(np.abs(grid - loop)) <= 1e-13 * np.max(loop)
+        assert isinstance(density_two_level(*args, xs[2], k, t[3]), float)
+
     def test_long_time_is_stationary(self, triple_modes, freqs_ebar, problem_ebar):
         k, L = problem_ebar.k, problem_ebar.L
         tau_max = max(
@@ -167,10 +197,7 @@ class TestDensityTwoLevel:
         d = density_two_level(
             triple_modes[0], triple_modes[1], freqs_ebar, L, k, 50.0 * tau_max
         )
-        assert d == pytest.approx(
-            density_stationary_two_level(triple_modes[0], triple_modes[1], L, k),
-            abs=1e-9,
-        )
+        assert d == pytest.approx(stationary_density(triple_modes, L, k), abs=1e-9)
 
     def test_clamp_counter(self, triple_modes, freqs_ebar, problem_ebar):
         reset_clamp_count()
@@ -190,23 +217,19 @@ class TestDensityStationary:
         d_inf = density_two_level(
             triple_modes[0], triple_modes[1], freqs_ebar, L, k, 1e6 * tau_1
         )
-        assert density_stationary_two_level(
-            triple_modes[0], triple_modes[1], L, k
-        ) == pytest.approx(d_inf, abs=1e-9)
+        assert stationary_density(triple_modes, L, k) == pytest.approx(
+            d_inf, abs=1e-9
+        )
 
     def test_near_transmission_at_doublet_center(
         self, triple_modes, triple_profile, problem_ebar, ebar
     ):
         T = transmission(triple_profile, ebar)[1]
-        d = density_stationary_two_level(
-            triple_modes[0], triple_modes[1], problem_ebar.L, problem_ebar.k
-        )
+        d = stationary_density(triple_modes, problem_ebar.L, problem_ebar.k)
         assert d == pytest.approx(T, rel=0.10)
 
     def test_zero_at_k_zero(self, triple_modes, problem_ebar):
-        assert density_stationary_two_level(
-            triple_modes[0], triple_modes[1], problem_ebar.L, 0.0
-        ) == 0.0
+        assert stationary_density(triple_modes, problem_ebar.L, 0.0) == 0.0
 
 
 class TestResonantExponential:
