@@ -25,19 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_acceptance
-from .config import ScenarioConfig, parse_config, resolve_scenario
+from .config import ScenarioConfig, parse_config, run_scenario
 from .errors import ConfigError, QShutterError
 from .output import (
     poles_csv_text,
     transmission_csv_text,
     write_poles_csv,
-    write_trace_csv,
     write_transmission_csv,
 )
 from .poles import find_poles
 from .presets import PRESETS, run_figure
 from .scattering import transmission
-from .transient import evolve_trace
 
 __all__ = ["main"]
 
@@ -105,22 +103,11 @@ def _cmd_transmission(args) -> int:
 
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
-    overrides = {}
-    if args.n is not None:
-        overrides["n_poles"] = args.n
-    if args.points is not None:
-        overrides["points"] = args.points
-    if args.x is not None:
-        overrides["x_nm"] = args.x
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    rs = resolve_scenario(cfg)
-    trace = evolve_trace(rs.problem, rs.x, rs.times, cfg.methods)
-    out = _out_dir(args.out)
-    stem = Path(cfg.out).stem or "trace"
+    overrides = {"n_poles": args.n, "points": args.points, "x_nm": args.x}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    rs, files, _ = run_scenario(cfg, args.out)
     print(f"E = {rs.E_meV:.6f} meV, tau1 = {rs.tau_1:.6f} ps, x = {rs.x:g} nm")
-    for method in cfg.methods:
-        path = write_trace_csv(out / f"{stem}_{method}.csv", trace, method)
+    for path in files:
         print(f"wrote {path}")
     return 0
 

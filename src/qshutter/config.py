@@ -6,7 +6,7 @@ Chosen over nested formats so fixtures diff line by line.  Grammar:
     layer      = <width> nm, <height> eV      (repeated, ordered)
     mass_ratio = <float>
     energy     = <float> meV | E1 + <float>*Gamma1 | doublet-center
-    n_poles    = <int>                        (default 4)
+    n_poles    = <int>                        (default 4, >= 1)
     t_max      = <float> tau1                 (default 10 tau1)
     points     = <int>                        (default 2000)
     x          = L | <float> nm               (default L)
@@ -15,22 +15,35 @@ Chosen over nested formats so fixtures diff line by line.  Grammar:
 
 Units are mandatory on dimensioned fields; unknown keys, duplicate scalar
 keys, and malformed values are errors carrying the line number and field
-name.  Symbolic incidence specs resolve only after the profile's poles are
-found, deterministically from the profile alone.
+name.  The defaults above live only on ScenarioConfig: parse_config maps
+each scalar key to its field and parser (_FIELDS) and leaves out every key
+the text does not set.  Symbolic incidence specs resolve only after the
+profile's poles are found, deterministically from the profile alone;
+run_scenario resolves, evolves and writes one trace CSV per method.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import PotentialProfile, build_profile
-from .transient import METHODS, ShutterProblem, make_spectrum
+from .output import write_trace_csv
+from .transient import _MODES_NEEDED, METHODS, ShutterProblem, evolve_trace, make_spectrum
 
-__all__ = ["Incidence", "ScenarioConfig", "parse_config", "resolve_scenario"]
+__all__ = [
+    "Incidence",
+    "ScenarioConfig",
+    "parse_config",
+    "resolve_scenario",
+    "run_scenario",
+]
 
 
 @dataclass(frozen=True)
@@ -46,6 +59,10 @@ class Incidence:
         if self.kind == "offset":
             return f"E1 + {self.value:g}*Gamma1"
         return "doublet-center"
+
+
+# poles each incidence kind reads: none, E1 and Gamma1, or the doublet
+_POLES_NEEDED = {"absolute": 0, "offset": 1, "doublet-center": 2}
 
 
 @dataclass(frozen=True)
@@ -67,22 +84,8 @@ class ScenarioConfig:
 _LAYER_RE = re.compile(
     r"^\s*([-+0-9.eE]+)\s*nm\s*,\s*([-+0-9.eE]+)\s*eV\s*$"
 )
-_ABS_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*meV\s*$")
 _OFFSET_RE = re.compile(r"^\s*E1\s*([+-])\s*([0-9.eE+-]+)\s*\*\s*Gamma1\s*$")
-_TMAX_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*tau1\s*$")
-_X_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*nm\s*$")
-
-_KNOWN_KEYS = {
-    "layer",
-    "mass_ratio",
-    "energy",
-    "n_poles",
-    "t_max",
-    "points",
-    "x",
-    "methods",
-    "out",
-}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
 def _float(text: str, line: int, field: str) -> float:
@@ -102,6 +105,90 @@ def _int(text: str, line: int, field: str) -> int:
         raise ConfigError(f"not an integer: '{text}'", line=line, field=field)
 
 
+def _quantity(
+    text: str, line: int, field: str, unit: str, expected: str | None = None
+) -> float:
+    """The number of '<float> <unit>'; other text raises naming `expected`."""
+    m = re.fullmatch(rf"\s*([-+0-9.eE]+)\s*{unit}\s*", text)
+    if not m:
+        expected = expected or f"'<float> {unit}'"
+        raise ConfigError(f"expected {expected}, got '{text}'", line=line, field=field)
+    return _float(m.group(1), line, field)
+
+
+def _bound(v, op: str, bound: int, line: int, field: str, unit: str = ""):
+    """v itself when `v op bound` holds; a ConfigError otherwise."""
+    if not _COMPARE[op](v, bound):
+        raise ConfigError(f"must be {op} {bound}{unit}, got {v}", line=line, field=field)
+    return v
+
+
+def _parse_layer(rhs: str, line: int, field: str) -> tuple[float, float]:
+    m = _LAYER_RE.match(rhs)
+    if not m:
+        raise ConfigError(
+            f"expected '<width> nm, <height> eV', got '{rhs}'", line=line, field=field
+        )
+    w = _float(m.group(1), line, f"{field} width")
+    h = _float(m.group(2), line, f"{field} height")
+    if w <= 0:
+        raise ConfigError(f"width must be > 0 nm, got {w}", line=line, field=field)
+    if h < 0:
+        raise ConfigError(f"height must be >= 0 eV, got {h}", line=line, field=field)
+    return w, h
+
+
+def _parse_incidence(rhs: str, line: int, field: str) -> Incidence:
+    if rhs == "doublet-center":
+        return Incidence(kind="doublet-center")
+    m = _OFFSET_RE.match(rhs)
+    if m:
+        c = _float(m.group(2), line, field)
+        return Incidence(kind="offset", value=-c if m.group(1) == "-" else c)
+    v = _quantity(
+        rhs, line, field, "meV",
+        "'<float> meV', 'E1 + <c>*Gamma1' or 'doublet-center'",
+    )
+    return Incidence(kind="absolute", value=_bound(v, ">", 0, line, field, " meV") * 1e-3)
+
+
+def _parse_x(rhs: str, line: int, field: str) -> float | None:
+    if rhs == "L":
+        return None
+    return _quantity(rhs, line, field, "nm", "'L' or '<float> nm'")
+
+
+def _parse_methods(rhs: str, line: int, field: str) -> tuple[str, ...]:
+    tags = tuple(s.strip() for s in rhs.split(","))
+    for tag in tags:
+        if tag not in METHODS:
+            raise ConfigError(
+                f"unknown method '{tag}'; valid: {', '.join(METHODS)}",
+                line=line,
+                field=field,
+            )
+    return tags
+
+
+def _parse_out(rhs: str, line: int, field: str) -> str:
+    if not rhs:
+        raise ConfigError("empty path", line=line, field=field)
+    return rhs
+
+
+# every scalar key: (ScenarioConfig field, parser(rhs, line, key), bound or None)
+_FIELDS = {
+    "mass_ratio": ("mass_ratio", _float, (">", 0)),
+    "energy": ("incidence", _parse_incidence, None),
+    "n_poles": ("n_poles", _int, (">=", 1)),
+    "t_max": ("t_max_tau1", partial(_quantity, unit="tau1"), (">", 0)),
+    "points": ("points", _int, (">=", 2)),
+    "x": ("x_nm", _parse_x, None),
+    "methods": ("methods", _parse_methods, None),
+    "out": ("out", _parse_out, None),
+}
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Strict parse; see module docstring for the grammar."""
     layers: list[tuple[float, float]] = []
@@ -116,132 +203,27 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key '{key}'", line=lineno, field=key)
-        if key != "layer":
-            if key in seen:
-                raise ConfigError(
-                    f"duplicate key (first on line {seen[key]})",
-                    line=lineno,
-                    field=key,
-                )
-            seen[key] = lineno
         if key == "layer":
-            m = _LAYER_RE.match(rhs)
-            if not m:
-                raise ConfigError(
-                    f"expected '<width> nm, <height> eV', got '{rhs}'",
-                    line=lineno,
-                    field=f"layer {len(layers) + 1}",
-                )
-            w = _float(m.group(1), lineno, f"layer {len(layers) + 1} width")
-            h = _float(m.group(2), lineno, f"layer {len(layers) + 1} height")
-            if w <= 0:
-                raise ConfigError(
-                    f"width must be > 0 nm, got {w}",
-                    line=lineno,
-                    field=f"layer {len(layers) + 1}",
-                )
-            if h < 0:
-                raise ConfigError(
-                    f"height must be >= 0 eV, got {h}",
-                    line=lineno,
-                    field=f"layer {len(layers) + 1}",
-                )
-            layers.append((w, h))
-        elif key == "mass_ratio":
-            v = _float(rhs, lineno, key)
-            if v <= 0:
-                raise ConfigError(f"must be > 0, got {v}", line=lineno, field=key)
-            values[key] = v
-        elif key == "energy":
-            values[key] = _parse_incidence(rhs, lineno)
-        elif key == "n_poles":
-            v = _int(rhs, lineno, key)
-            if v < 0:
-                raise ConfigError(f"must be >= 0, got {v}", line=lineno, field=key)
-            values[key] = v
-        elif key == "t_max":
-            m = _TMAX_RE.match(rhs)
-            if not m:
-                raise ConfigError(
-                    f"expected '<float> tau1', got '{rhs}'", line=lineno, field=key
-                )
-            v = _float(m.group(1), lineno, key)
-            if v <= 0:
-                raise ConfigError(f"must be > 0, got {v}", line=lineno, field=key)
-            values[key] = v
-        elif key == "points":
-            v = _int(rhs, lineno, key)
-            if v < 2:
-                raise ConfigError(f"must be >= 2, got {v}", line=lineno, field=key)
-            values[key] = v
-        elif key == "x":
-            if rhs == "L":
-                values[key] = None
-            else:
-                m = _X_RE.match(rhs)
-                if not m:
-                    raise ConfigError(
-                        f"expected 'L' or '<float> nm', got '{rhs}'",
-                        line=lineno,
-                        field=key,
-                    )
-                values[key] = _float(m.group(1), lineno, key)
-        elif key == "methods":
-            tags = tuple(s.strip() for s in rhs.split(","))
-            for tag in tags:
-                if tag not in METHODS:
-                    raise ConfigError(
-                        f"unknown method '{tag}'; valid: {', '.join(METHODS)}",
-                        line=lineno,
-                        field=key,
-                    )
-            values[key] = tags
-        elif key == "out":
-            if not rhs:
-                raise ConfigError("empty path", line=lineno, field=key)
-            values[key] = rhs
+            layers.append(_parse_layer(rhs, lineno, f"layer {len(layers) + 1}"))
+            continue
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key '{key}'", line=lineno, field=key)
+        if key in seen:
+            raise ConfigError(
+                f"duplicate key (first on line {seen[key]})", line=lineno, field=key
+            )
+        seen[key] = lineno
+        name, parse, bound = _FIELDS[key]
+        values[name] = parse(rhs, lineno, key)
+        if bound is not None:
+            _bound(values[name], *bound, lineno, key)
     if not layers:
         raise ConfigError("no 'layer' lines", field="layer")
-    if "mass_ratio" not in values:
-        raise ConfigError("missing required key", field="mass_ratio")
-    if "energy" not in values:
-        raise ConfigError("missing required key", field="energy")
-    return ScenarioConfig(
-        layers=tuple(layers),
-        mass_ratio=values["mass_ratio"],
-        incidence=values["energy"],
-        n_poles=values.get("n_poles", 4),
-        t_max_tau1=values.get("t_max", 10.0),
-        points=values.get("points", 2000),
-        x_nm=values.get("x", None),
-        methods=values.get("methods", ("exact-N",)),
-        out=values.get("out", "trace.csv"),
-    )
-
-
-def _parse_incidence(rhs: str, lineno: int) -> Incidence:
-    if rhs.strip() == "doublet-center":
-        return Incidence(kind="doublet-center")
-    m = _ABS_RE.match(rhs)
-    if m:
-        v = _float(m.group(1), lineno, "energy")
-        if v <= 0:
-            raise ConfigError(f"must be > 0 meV, got {v}", line=lineno, field="energy")
-        return Incidence(kind="absolute", value=v * 1e-3)
-    m = _OFFSET_RE.match(rhs)
-    if m:
-        c = _float(m.group(2), lineno, "energy")
-        if m.group(1) == "-":
-            c = -c
-        return Incidence(kind="offset", value=c)
-    raise ConfigError(
-        f"expected '<float> meV', 'E1 + <c>*Gamma1' or 'doublet-center', "
-        f"got '{rhs}'",
-        line=lineno,
-        field="energy",
-    )
+    defaults = {f.name for f in fields(ScenarioConfig) if f.default is not MISSING}
+    for key, (name, _, _) in _FIELDS.items():
+        if name not in values and name not in defaults:
+            raise ConfigError("missing required key", field=key)
+    return ScenarioConfig(layers=tuple(layers), **values)
 
 
 @dataclass(frozen=True)
@@ -259,51 +241,49 @@ class ResolvedScenario:
 def resolve_scenario(cfg: ScenarioConfig) -> ResolvedScenario:
     """Build the profile, find poles, resolve incidence, lay the time grid.
 
-    Symbolic incidence ("E1 + c*Gamma1", "doublet-center") resolves against
-    the structure's own computed doublet.
+    The pole count is the largest of cfg.n_poles, what the incidence reads
+    (offset: pole 1, doublet-center: poles 1 and 2) and what each method
+    needs.  Symbolic incidence ("E1 + c*Gamma1", "doublet-center") resolves
+    against the structure's own computed doublet.
     """
     profile = cfg.profile()
     inc = cfg.incidence
-    n_poles = cfg.n_poles
-    needs_doublet = inc.kind == "doublet-center" or any(
-        m in cfg.methods for m in ("two-level-M", "two-level-closed")
-    )
-    if needs_doublet:
-        n_poles = max(n_poles, 2)
-    elif inc.kind == "offset":
-        n_poles = max(n_poles, 1)
-    if inc.kind != "absolute" and profile.is_free:
-        raise ConfigError(
-            f"incidence '{inc.describe()}' needs resonances; profile is free",
-            field="energy",
-        )
-    spectrum = make_spectrum(profile, n_poles)
+    if profile.is_free:
+        raise ConfigError("profile is free: the tau1 time grid needs a resonance", field="layer")
+    L = profile.total_length
+    x = cfg.x_nm if cfg.x_nm is not None else L
+    if not (0 <= x <= L):
+        raise ConfigError(f"x = {x} nm outside [0, {L}]", field="x")
+    needed = [_POLES_NEEDED[inc.kind], *(_MODES_NEEDED[m] for m in cfg.methods)]
+    spectrum = make_spectrum(profile, max(cfg.n_poles, *needed))
+    p1 = spectrum.poles[0]
     if inc.kind == "absolute":
         E = inc.value
     elif inc.kind == "offset":
-        p1 = spectrum.poles[0]
         E = p1.E_position + inc.value * p1.Gamma
     else:
-        p1, p2 = spectrum.poles[:2]
-        E = 0.5 * (p1.E_position + p2.E_position)
-    problem = spectrum.at(E)
-    if not problem.modes:
-        raise ConfigError(
-            "time grid in tau1 units needs a resonant structure", field="t_max"
-        )
-    tau_1 = problem.modes[0].pole.tau
-    t_end = cfg.t_max_tau1 * tau_1
-    x = cfg.x_nm if cfg.x_nm is not None else profile.total_length
-    if x < 0 or x > profile.total_length:
-        raise ConfigError(
-            f"x = {x} nm outside [0, {profile.total_length}]", field="x"
-        )
-    times = np.linspace(0.0, t_end, cfg.points)
+        E = 0.5 * (p1.E_position + spectrum.poles[1].E_position)
+    tau_1 = p1.tau
     return ResolvedScenario(
         config=cfg,
-        problem=problem,
+        problem=spectrum.at(E),
         E_meV=float(E * 1e3),
         tau_1=float(tau_1),
         x=float(x),
-        times=times,
+        times=np.linspace(0.0, cfg.t_max_tau1 * tau_1, cfg.points),
     )
+
+
+def run_scenario(cfg: ScenarioConfig, out_dir):
+    """Resolve cfg, evolve its methods and write one CSV per method.
+
+    Each method's trace goes to out_dir/<stem>_<method>.csv, with <stem>
+    the stem of cfg.out.  Returns (resolved scenario, written paths, trace).
+    """
+    rs = resolve_scenario(cfg)
+    trace = evolve_trace(rs.problem, rs.x, rs.times, cfg.methods)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stem = Path(cfg.out).stem or "trace"
+    files = [write_trace_csv(out / f"{stem}_{m}.csv", trace, m) for m in cfg.methods]
+    return rs, files, trace

@@ -60,8 +60,10 @@ class PhysicalConstants:
     hbar2_over_2me: float = HBAR2_OVER_2ME
 
     def __post_init__(self):
-        if not (self.mass_ratio > 0):
-            raise MassRatioError(f"mass_ratio must be > 0, got {self.mass_ratio}")
+        if not (0 < self.mass_ratio < np.inf):
+            raise MassRatioError(
+                f"mass_ratio must be finite and > 0, got {self.mass_ratio}"
+            )
 
     @property
     def hbar_ev_ps(self) -> float:
@@ -113,14 +115,6 @@ class PotentialProfile:
     def is_free(self) -> bool:
         return all(l.height == 0.0 for l in self.layers)
 
-    def height_at(self, x: float) -> float:
-        """Potential in eV at position x (0 outside [0, L])."""
-        if x < 0.0 or x > self.total_length:
-            return 0.0
-        j = int(np.searchsorted(self.edges, x, side="right")) - 1
-        j = min(max(j, 0), len(self.layers) - 1)
-        return self.layers[j].height
-
 
 def build_profile(
     layer_spec: list[tuple[float, float]], mass_ratio: float
@@ -143,8 +137,7 @@ def build_profile(
                 f"layer {j}: height must be >= 0 eV, got {height}"
             )
         layers.append(Layer(width=width, height=height))
-    if not (mass_ratio > 0):
-        raise MassRatioError(f"mass_ratio must be > 0, got {mass_ratio}")
+    PhysicalConstants(mass_ratio)  # raises MassRatioError
     return PotentialProfile(layers=tuple(layers), mass_ratio=float(mass_ratio))
 
 

@@ -9,9 +9,13 @@ Seeding evaluates T(E) over the whole window grid in one array call of
 transmission, then walks it for local maxima; each peak contributes the
 seed k(E_peak - i * HWHM), which for sharp resonances sits within a few
 percent of the pole.  Newton refinement uses a central-difference derivative
-(relative step 1e-7): the analytic derivative of a multi-layer matrix
-product is error-prone, and ~7 lost digits still leave ample headroom
-against the 1e-10 residual target.
+(relative step 1e-7, so ~7 digits of f' are lost) and stops on an absolute
+test: |f| < 1e-10 with a last step below 1e-12 nm^-1.  For narrow or
+thick-barrier poles that test cannot be met: Newton reaches k to its last
+ulp while |f'| ulp(k) stays far above 1e-10, and refine_pole raises
+PoleConvergenceError on a root it has found.  This stall is 31 of the 35
+failed ops of the perfbench `structures` workload (seed 1); ROADMAP item 1
+holds the measured diagnosis and the planned well-conditioned condition.
 """
 
 from __future__ import annotations
@@ -53,14 +57,6 @@ class ResonancePole:
     k: complex
     E: complex
     hbar: float
-
-    @property
-    def a(self) -> float:
-        return self.k.real
-
-    @property
-    def b(self) -> float:
-        return -self.k.imag
 
     @property
     def E_position(self) -> float:

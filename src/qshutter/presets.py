@@ -18,16 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Incidence, ScenarioConfig, resolve_scenario
+from .config import Incidence, ScenarioConfig, run_scenario
 from .errors import DomainError
-from .output import Manifest, gnuplot_script, write_trace_csv
+from .output import Manifest, gnuplot_script
 from .scattering import transmission
 from .transient import (
     METHOD_EXACT,
     METHOD_EXPONENTIAL,
     METHOD_TWO_LEVEL_CLOSED,
     METHOD_TWO_LEVEL_M,
-    evolve_trace,
 )
 from .twolevel import (
     density_resonant_exponential,
@@ -211,14 +210,6 @@ def run_figure(preset_id: str, out_dir: str = ".") -> FigureResult:
     )
 
 
-def _emit_curves(cfg, out: Path):
-    """Resolve cfg, evolve its methods and write one CSV per method."""
-    rs = resolve_scenario(cfg)
-    trace = evolve_trace(rs.problem, rs.x, rs.times, cfg.methods)
-    files = [write_trace_csv(out / f"{cfg.out}_{m}.csv", trace, m) for m in cfg.methods]
-    return rs, files, trace
-
-
 def _plot_methods(preset: FigurePreset, cfg, files, out: Path) -> str:
     """gnuplot script with one curve per method of a one-config preset."""
     curves = [(Path(f).name, m) for f, m in zip(files, cfg.methods)]
@@ -229,7 +220,7 @@ def _run_fig1(preset: FigurePreset, out: Path):
     cfg = preset.configs[0]
     man = Manifest(title=preset.description)
     man.add_info("window", "t in [0, 10 tau1], 2000 points (reproduction choice)")
-    rs, files, trace = _emit_curves(cfg, out)
+    rs, files, trace = run_scenario(cfg, out)
     T = abs(rs.problem.field.t) ** 2
     man.add_info("incidence", cfg.incidence.describe())
     man.add_info("resolved_E_meV", rs.E_meV)
@@ -248,7 +239,7 @@ def _run_fig1(preset: FigurePreset, out: Path):
 def _run_fig2a(preset: FigurePreset, out: Path):
     cfg = preset.configs[0]
     man = Manifest(title=preset.description)
-    rs, files, trace = _emit_curves(cfg, out)
+    rs, files, trace = run_scenario(cfg, out)
     T = abs(rs.problem.field.t) ** 2
     p1 = rs.problem.modes[0].pole
     man.add_info("incidence", cfg.incidence.describe())
@@ -285,7 +276,7 @@ def _run_fig2a(preset: FigurePreset, out: Path):
 def _run_fig2b(preset: FigurePreset, out: Path):
     cfg = preset.configs[0]
     man = Manifest(title=preset.description)
-    rs, files, trace = _emit_curves(cfg, out)
+    rs, files, trace = run_scenario(cfg, out)
     T = abs(rs.problem.field.t) ** 2
     man.add_info("incidence", cfg.incidence.describe())
     man.add_info("resolved_E_meV", rs.E_meV)
@@ -311,8 +302,8 @@ def _run_fig2b(preset: FigurePreset, out: Path):
 def _run_fig3a(preset: FigurePreset, out: Path):
     cfg_t, cfg_d = preset.configs
     man = Manifest(title=preset.description)
-    rs_t, files_t, trace_t = _emit_curves(cfg_t, out)
-    rs_d, files_d, trace_d = _emit_curves(cfg_d, out)
+    rs_t, files_t, trace_t = run_scenario(cfg_t, out)
+    rs_d, files_d, trace_d = run_scenario(cfg_d, out)
     T_t = abs(rs_t.problem.field.t) ** 2
     T_d = abs(rs_d.problem.field.t) ** 2
     man.add_info("triple incidence", cfg_t.incidence.describe())
@@ -346,7 +337,7 @@ def _run_fig3b(preset: FigurePreset, out: Path):
     curve_specs = []
     T_values = []
     for cfg, b2 in zip(preset.configs, (3, 4, 5)):
-        rs, f, trace = _emit_curves(cfg, out)
+        rs, f, trace = run_scenario(cfg, out)
         files.extend(f)
         T = abs(rs.problem.field.t) ** 2
         T_values.append(float(T))

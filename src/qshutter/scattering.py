@@ -59,10 +59,6 @@ class TransferMatrix:
     m22: complex
 
     @property
-    def determinant(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    @property
     def t(self) -> complex:
         """Transmission amplitude (det M = 1 identities fold into m22)."""
         return 1.0 / self.m22
@@ -187,7 +183,7 @@ def solve_stationary(profile: PotentialProfile, k: complex) -> StationaryField:
 
 
 def transmission(profile: PotentialProfile, E):
-    """(t, T = |t|^2) at real incidence energies E > 0 (eV).
+    """(t, T = |t|^2) at real, finite incidence energies E > 0 (eV).
 
     A scalar E gives (complex, float); an array gives arrays of its shape,
     evaluated in blocks of _BLOCK points to bound the working memory.  The
@@ -195,9 +191,9 @@ def transmission(profile: PotentialProfile, E):
     in C order would meet first.
     """
     E = np.asarray(E)
-    valid = np.isreal(E) & (E.real > 0)
+    valid = np.isreal(E) & (E.real > 0) & (E.real < np.inf)
     if not valid.all():
-        raise DomainError(f"transmission needs real E > 0 eV, got {E[~valid][0]}")
+        raise DomainError(f"transmission needs real finite E > 0 eV, got {E[~valid][0]}")
     k = np.atleast_1d(wavenumber(E.real, profile)).ravel()
     t = np.empty(k.shape, dtype=complex)
     for start in range(0, k.size, _BLOCK):

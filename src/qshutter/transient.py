@@ -36,7 +36,12 @@ from .model import PhysicalConstants, PotentialProfile, wavenumber
 from .modes import ResonantMode, rho, rho_mirror, solve_mode
 from .poles import ResonancePole, find_poles
 from .scattering import StationaryField, solve_stationary, stationary_wave
-from .twolevel import density_resonant_exponential, density_two_level, frequencies
+from .twolevel import (
+    _broadcast_xt,
+    density_resonant_exponential,
+    density_two_level,
+    frequencies,
+)
 
 __all__ = [
     "METHOD_EXACT",
@@ -107,8 +112,8 @@ class Spectrum:
 
     def at(self, E: float) -> ShutterProblem:
         """The ShutterProblem at real incidence energy E (eV)."""
-        if not (E > 0):
-            raise DomainError(f"incidence energy must be > 0 eV, got {E}")
+        if not (0 < E < np.inf):
+            raise DomainError(f"incidence energy must be finite and > 0 eV, got {E}")
         k = wavenumber(E, self.profile).real
         return ShutterProblem(
             profile=self.profile,
@@ -152,17 +157,12 @@ def _times(t) -> np.ndarray:
     return t_arr
 
 
-def _check_xt(problem: ShutterProblem, x, t) -> np.ndarray:
-    if not np.all((x >= 0) & (x <= problem.L)):
+def _positions(problem: ShutterProblem, x) -> np.ndarray:
+    """x (nm) as a float array; every position must lie in [0, L]."""
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all((x_arr >= 0) & (x_arr <= problem.L)):
         raise DomainError(f"x must lie in [0, {problem.L}] nm")
-    t_arr = _times(t)
-    try:
-        np.broadcast_shapes(np.shape(x), t_arr.shape)
-    except ValueError:
-        raise DomainError(
-            f"x of shape {np.shape(x)} and t of shape {t_arr.shape} do not broadcast"
-        ) from None
-    return t_arr
+    return x_arr
 
 
 def _result(psi):
@@ -180,7 +180,9 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
     """
     if len(problem.modes) < n_modes:
         raise DomainError(f"needs {n_modes} mode(s), problem has {len(problem.modes)}")
-    t_arr = _check_xt(problem, x, t)
+    x = _positions(problem, x)
+    t_arr = _times(t)
+    _broadcast_xt(x, t_arr)
     if not problem.modes:
         if not problem.profile.is_free:
             raise DomainError("problem carries no modes for a non-free profile")
@@ -298,6 +300,7 @@ def evolve_trace(
     amplitude decay time 2 hbar/Gamma_1 dictated by the closed two-level
     form at omega_hat_1 = 0.
     """
+    _positions(problem, x)
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or len(times) < 1:
         raise DomainError("time grid must be a 1-D array")

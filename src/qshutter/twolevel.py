@@ -68,13 +68,23 @@ def _times(t) -> np.ndarray:
     return t_arr
 
 
+def _broadcast_xt(x, t) -> None:
+    """Raise DomainError unless x and t broadcast against each other."""
+    try:
+        np.broadcast_shapes(np.shape(x), np.shape(t))
+    except ValueError:
+        raise DomainError(
+            f"x of shape {np.shape(x)} and t of shape {np.shape(t)} do not broadcast"
+        ) from None
+
+
 @dataclass(frozen=True)
 class DoubletFrequencies:
     """Signed detunings and the Bohr frequency of a resonance doublet.
 
     omega_hat_n = (E - curlyE_n)/hbar and omega_hat_21 = (curlyE_2 -
-    curlyE_1)/hbar in rad/ps; omega_1, omega_2, omega_21 are the absolute
-    values.  Gammas in eV, E in eV.
+    curlyE_1)/hbar in rad/ps; omega_21 = |omega_hat_21|.  Gammas in eV,
+    E in eV.
     """
 
     E: float
@@ -84,14 +94,6 @@ class DoubletFrequencies:
     Gamma_1: float
     Gamma_2: float
     hbar: float
-
-    @property
-    def omega_1(self) -> float:
-        return abs(self.omega_hat_1)
-
-    @property
-    def omega_2(self) -> float:
-        return abs(self.omega_hat_2)
 
     @property
     def omega_21(self) -> float:
@@ -109,8 +111,8 @@ def frequencies(E: float, pole_1: ResonancePole, pole_2: ResonancePole
                 ) -> DoubletFrequencies:
     """Doublet frequencies at incidence energy E (eV); requires
     curlyE_2 > curlyE_1 (ordered, non-degenerate doublet)."""
-    if not (E > 0):
-        raise DomainError(f"E must be > 0 eV, got {E}")
+    if not (0 < E < np.inf):
+        raise DomainError(f"E must be finite and > 0 eV, got {E}")
     e1, e2 = pole_1.E_position, pole_2.E_position
     if not (e2 > e1):
         raise DomainError(
@@ -172,6 +174,7 @@ def density_two_level(
     clamped to zero and counted (clamp_count()).  Anything below -1e-12
     would be a real defect and raises.
     """
+    _broadcast_xt(x, t)
     r1 = rho(mode_1, k, x)
     r2 = rho(mode_2, k, x)
     d = (

@@ -98,6 +98,12 @@ class TestParseConfig:
                 "layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = later\n"
             )
 
+    def test_zero_poles_rejected_with_line(self):
+        # every config run reads pole 1 for its tau1 time grid
+        text = "layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = 10 meV\nn_poles = 0\n"
+        with pytest.raises(ConfigError, match=r"line 4, field 'n_poles': must be >= 1"):
+            parse_config(text)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError, match="method"):
             parse_config(

@@ -40,14 +40,6 @@ class TestBuildProfile:
         assert p.total_length == 22.0
         np.testing.assert_allclose(p.edges, [0.0, 3.0, 19.0, 22.0])
 
-    def test_height_at(self):
-        p = build_profile([(3.0, 0.12), (16.0, 0.0), (3.0, 0.12)], 0.067)
-        assert p.height_at(1.0) == 0.12
-        assert p.height_at(10.0) == 0.0
-        assert p.height_at(21.0) == 0.12
-        assert p.height_at(-5.0) == 0.0
-        assert p.height_at(99.0) == 0.0
-
     def test_is_free(self):
         assert build_profile([(5.0, 0.0)], 0.067).is_free
         assert not build_profile([(5.0, 0.1)], 0.067).is_free
@@ -65,8 +57,11 @@ class TestBuildProfile:
             build_profile([(3.0, -0.1)], 0.067)
 
     def test_bad_mass_ratio_rejected(self):
-        with pytest.raises(MassRatioError):
-            build_profile([(3.0, 0.1)], 0.0)
+        for bad in (0.0, np.inf):
+            with pytest.raises(MassRatioError):
+                build_profile([(3.0, 0.1)], bad)
+            with pytest.raises(MassRatioError):
+                PhysicalConstants(bad)
 
 
 class TestWavenumber:

@@ -160,7 +160,6 @@ class TestFindPoles:
         c = triple_profile.constants
         for i, p in enumerate(triple_poles):
             assert p.index == i + 1
-            assert p.a > 0 and p.b > 0
             assert p.k.real > 0 and p.k.imag < 0
             assert abs(p.E - p.k**2 * c.hbar2_over_2m) < 1e-12 * abs(p.E)
             assert p.Gamma > 0

@@ -129,7 +129,7 @@ class TestTransmission:
         assert t.shape == T.shape == (5,) and t.dtype == complex and T.dtype == float
 
     def test_one_bad_energy_rejected(self, triple_profile):
-        for bad in (0.0, -0.01, np.nan):
+        for bad in (0.0, -0.01, np.nan, np.inf):
             with pytest.raises(DomainError):
                 transmission(triple_profile, np.array([0.01, bad, 0.02]))
 

@@ -13,7 +13,9 @@ from qshutter import (
     METHOD_TWO_LEVEL_M,
     DomainError,
     PhysicalConstants,
+    density_two_level,
     evolve_trace,
+    frequencies,
     make_problem,
     psi_exact,
     transmission,
@@ -68,9 +70,12 @@ class TestMakeProblem:
         positions = [m.pole.E_position for m in problem_ebar.modes]
         assert positions == sorted(positions)
 
-    def test_nonpositive_energy_rejected(self, triple_profile):
-        with pytest.raises(DomainError):
-            make_problem(triple_profile, 0.0)
+    def test_nonpositive_energy_rejected(self, triple_profile, triple_poles):
+        for bad in (0.0, np.inf):
+            with pytest.raises(DomainError):
+                make_problem(triple_profile, bad)
+            with pytest.raises(DomainError):
+                frequencies(bad, triple_poles[0], triple_poles[1])
 
     def test_zero_modes_only_for_free(self, triple_profile, free_profile):
         with pytest.raises(DomainError):
@@ -112,6 +117,12 @@ class TestPsiExact:
             psi_exact(problem_ebar, problem_ebar.L + 1.0, 1.0)
         with pytest.raises(DomainError):
             psi_exact(problem_ebar, np.nan, 1.0)
+        with pytest.raises(DomainError):
+            psi_exact(problem_ebar, [1.0, problem_ebar.L + 1.0], 1.0)
+        # the exponential envelope never reads x; the trace still checks it
+        for bad in (99.0, np.nan):
+            with pytest.raises(DomainError):
+                evolve_trace(problem_ebar, bad, [0.0, 1.0], (METHOD_EXPONENTIAL,))
 
     def test_density_map_matches_per_x_loop(self, problem_ebar):
         # x and t broadcast: an (n_x, 1) column against n_t times is the map
@@ -121,13 +132,19 @@ class TestPsiExact:
         loop = np.array([psi_exact(problem_ebar, x, t) for x in xs])
         assert grid.shape == (len(xs), len(t))
         assert np.max(np.abs(grid - loop)) <= 1e-13 * np.max(np.abs(loop))
-        # one time against a column of positions
+        # one time against a column of positions, as an array or a list
         assert np.array_equal(psi_exact(problem_ebar, xs, t[7]), grid[:, 7])
+        assert np.array_equal(psi_exact(problem_ebar, list(xs), t[7]), grid[:, 7])
 
     def test_shape_mismatch_rejected(self, problem_ebar):
         xs = np.linspace(0.0, problem_ebar.L, 3)
+        t = np.linspace(0.1, 1.0, 5)
         with pytest.raises(DomainError, match=r"\(3,\).*\(5,\)"):
-            psi_exact(problem_ebar, xs, np.linspace(0.1, 1.0, 5))
+            psi_exact(problem_ebar, xs, t)
+        m1, m2 = problem_ebar.modes[:2]
+        freqs = frequencies(problem_ebar.E, m1.pole, m2.pole)
+        with pytest.raises(DomainError, match=r"\(3,\).*\(5,\)"):
+            density_two_level(m1, m2, freqs, xs, problem_ebar.k, t)
 
     def test_short_time_cancellation(self, problem_ebar):
         # just after opening, nothing has reached x = L yet
