@@ -17,7 +17,6 @@ criterion.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_acceptance
-from .config import ScenarioConfig, parse_config, run_scenario
+from .config import ScenarioConfig, override, parse_config, run_scenario
 from .errors import ConfigError, QShutterError
 from .output import (
     poles_csv_text,
@@ -102,9 +101,7 @@ def _cmd_transmission(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = _load_config(args.config)
-    overrides = {"n_poles": args.n, "points": args.points, "x_nm": args.x}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    cfg = override(_load_config(args.config), n_poles=args.n, points=args.points, x=args.x)
     rs, files, _ = run_scenario(cfg, args.out)
     print(f"E = {rs.E_meV:.6f} meV, tau1 = {rs.tau_1:.6f} ps, x = {rs.x:g} nm")
     for path in files:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -41,6 +41,7 @@ __all__ = [
     "Incidence",
     "ScenarioConfig",
     "parse_config",
+    "override",
     "resolve_scenario",
     "run_scenario",
 ]
@@ -224,6 +225,23 @@ def parse_config(text: str) -> ScenarioConfig:
         if name not in values and name not in defaults:
             raise ConfigError("missing required key", field=key)
     return ScenarioConfig(layers=tuple(layers), **values)
+
+
+def override(cfg: ScenarioConfig, **values) -> ScenarioConfig:
+    """cfg with the named config keys replaced (None leaves a key as it is).
+
+    Each value is checked against the key's bound in _FIELDS, so an override
+    fails like the same value in the config text, naming its key.
+    """
+    changes = {}
+    for key, value in values.items():
+        if value is None:
+            continue
+        name, _, bound = _FIELDS[key]
+        if bound is not None:
+            _bound(value, *bound, None, key)
+        changes[name] = value
+    return replace(cfg, **changes)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,16 @@ divergent exterior of an outgoing solution).  This convention is what makes
 the two-level truncation of the stationary wave quantitatively correct; the
 truncation test in the suite doubles as its validation.
 
+solve_mode builds u_n from two outgoing pieces: (1, -i k_n) at x = 0
+marched forward and (1, +i k_n) at x = L marched backward, each satisfying
+its own boundary condition exactly.  The right piece is scaled to meet the
+left one at an interior edge, so neither march crosses the whole profile:
+a wave marched through a thick barrier in the direction it decays carries
+the rounding of the growing one, e^{|Im q| w} times larger.  The join is the
+edge, among those where both pieces keep their digits (poles._trusted), at
+which the two pieces mismatch least.  At a converged pole the Wronskian of
+the pieces vanishes, so (u, u') agree there to rounding.
+
 The expansion factor of the transient solution is
 
     rho_n(x, k) = 2 i k u_n(0) u_n(x) / (k^2 - k_n^2),
@@ -29,8 +39,8 @@ import numpy as np
 
 from .errors import PoleQualityError
 from .model import PotentialProfile
-from .poles import ResonancePole
-from .scattering import _layers, _march, layered_wave
+from .poles import ResonancePole, _growth, _joins, _outgoing, _trusted
+from .scattering import _layers, layered_wave
 
 __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 
@@ -43,6 +53,16 @@ class ResonantMode:
     left edge of layer j, so inside layer j
 
         u(edges[j] + xi) = A_j cos(q_j xi) + B_j sin(q_j xi)/q_j .
+
+    outgoing_residual is the relative mismatch of (u, u') at the join edge,
+    once the right piece is scaled to match the left one on its larger
+    component of (u, u'/k_n):
+
+        |u_L u_R' - u_L' u_R| / (max(|u_R|, |u_R'/k_n|) (|u_L'| + |k_n u_L|)).
+
+    With the join at x = L, where u_R = 1 and u_R' = i k_n, this is the
+    exit-condition residual |u'(L) - i k_n u(L)| / (|u'(L)| + |k_n u(L)|).
+    normalization_residual is |integral + surface term - 1| after scaling.
     """
 
     pole: ResonancePole
@@ -99,25 +119,40 @@ def _norm_square(
 def solve_mode(
     profile: PotentialProfile, pole: ResonancePole, initial_scale: complex = 1.0
 ) -> ResonantMode:
-    """Propagate, verify the outgoing exit condition, and normalize u_n.
+    """Join the two outgoing pieces, verify the join, and normalize u_n.
 
-    initial_scale multiplies the seed (u, u') = (1, -i k_n) at x = 0; the
-    normalized mode is invariant under it up to a global sign, which is then
-    fixed by arg u_n(0) in (-pi/2, pi/2].
+    The left piece starts as initial_scale * (1, -i k_n) at x = 0, the right
+    piece as (1, +i k_n) at x = L; the right piece is scaled to meet the
+    left one at the join edge (see ResonantMode).  The normalized mode is
+    invariant under initial_scale up to a global sign, which is then fixed
+    by arg u_n(0) in (-pi/2, pi/2].
     """
     k_n = pole.k
-    start = complex(initial_scale)
     layers = _layers(profile, k_n)
     q = layers[0]
-    coeffs, (uL, duL) = _march(layers, start, -1j * k_n * start)
-    # outgoing exit condition u'(L) = +i k_n u(L); relative residual
-    residual = abs(duL - 1j * k_n * uL) / (abs(duL) + abs(k_n * uL))
+    left, right = _outgoing(layers, k_n)
+    joins = _joins(len(q))
+    joins = joins[_trusted(_growth(profile, q), left, right, k_n)[joins]]
+    if not joins.size:
+        raise PoleQualityError(
+            f"pole n={pole.index}: no join edge where both outgoing pieces keep "
+            f"their digits; pole likely unconverged"
+        )
+    left = left * complex(initial_scale)
+    (u_l, du_l), (u_r, du_r) = left[joins].T, right[joins].T
+    # match the right piece on its larger component of (u, u'/k_n)
+    size_r = np.maximum(np.abs(u_r), np.abs(du_r / k_n))
+    mismatch = np.abs(u_l * du_r - du_l * u_r) / (size_r * (np.abs(du_l) + np.abs(k_n * u_l)))
+    j = int(mismatch.argmin())
+    edge, residual = joins[j], float(mismatch[j])
+    alpha = u_l[j] / u_r[j] if abs(u_r[j]) == size_r[j] else du_l[j] / du_r[j]
     if residual > 1e-6:
         raise PoleQualityError(
-            f"pole n={pole.index}: outgoing residual {residual:.3e} at x = L; "
-            f"pole likely unconverged"
+            f"pole n={pole.index}: outgoing residual {residual:.3e} at the join "
+            f"x = {profile.edges[edge]:g} nm; pole likely unconverged"
         )
-    u0 = coeffs[0][0]
+    coeffs = np.concatenate((left[:edge], alpha * right[edge:-1]))
+    u0, uL = coeffs[0][0], alpha * right[-1][0]
     nsq = _norm_square(coeffs, q, profile, u0, uL, k_n)
     scale = 1.0 / np.sqrt(nsq)
     # sign convention: arg u(0) in (-pi/2, pi/2]
@@ -134,7 +169,7 @@ def solve_mode(
         coefficients=coeffs,
         u0=u0,
         uL=uL,
-        outgoing_residual=float(residual),
+        outgoing_residual=residual,
         normalization_residual=float(norm_residual),
     )
 

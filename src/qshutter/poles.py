@@ -1,21 +1,42 @@
-"""S-matrix pole search: transmission-peak seeding plus complex Newton.
+"""S-matrix pole search: transmission-peak seeding plus matched-interface
+Newton.
 
-A pole is a zero of f(k) = 1/t(k) = m22(k) in the fourth quadrant of the
-k plane, k_n = a_n - i b_n (a_n, b_n > 0); its complex energy is
+A pole is a zero of m22(k) = 1/t(k) (pole_condition) in the fourth quadrant
+of the k plane, k_n = a_n - i b_n (a_n, b_n > 0); its complex energy is
 E_n = (hbar^2/2m) k_n^2 = curlyE_n - i Gamma_n/2.  Third-quadrant partners
 k_{-n} = -k_n* are derived by symmetry, never searched.
 
-Seeding evaluates T(E) over the whole window grid in one array call of
-transmission, then walks it for local maxima; each peak contributes the
-seed k(E_peak - i * HWHM), which for sharp resonances sits within a few
-percent of the pole.  Newton refinement uses a central-difference derivative
-(relative step 1e-7, so ~7 digits of f' are lost) and stops on an absolute
-test: |f| < 1e-10 with a last step below 1e-12 nm^-1.  For narrow or
-thick-barrier poles that test cannot be met: Newton reaches k to its last
-ulp while |f'| ulp(k) stays far above 1e-10, and refine_pole raises
-PoleConvergenceError on a root it has found.  This stall is 31 of the 35
-failed ops of the perfbench `structures` workload (seed 1); ROADMAP item 1
-holds the measured diagnosis and the planned well-conditioned condition.
+Seeding scans T(E) on one nested grid, E_j = 1e-6 eV + j/(40 per meV):
+every window (0, E_max] is a prefix of the next, so find_poles, doubling its
+window from 50 meV, evaluates each energy once, and seed_poles(profile,
+E_max) sees exactly the seeds find_poles sees for that window.  Local
+maxima come from one array mask; each peak contributes the seed
+k(E_peak - i * HWHM), which for sharp resonances sits within a few percent
+of the pole.
+
+Newton does not iterate on m22 itself.  A thick barrier amplifies the
+left-outgoing wave (1, -ik) marched from x = 0 by up to e^{|Im q| w}, so
+m22 at the far end carries rounding of that size and its absolute value
+cannot fall below |m22'| ulp(k) near the root.  Instead the left-outgoing
+wave is marched forward from x = 0 and the right-outgoing wave (1, +ik)
+backward from x = L, each to one interior edge, chosen at the seed as the
+edge where the summed |Im q| w on either side balances and held fixed.
+Their Wronskian there,
+
+    W = u_L u_R' - u_L' u_R = 2 i k e^{-ikL} m22(k),
+
+has the zeros of m22, and neither march crosses more than about half of
+the profile's growth (the matching-point method of GAMOW: Vertse, Pal &
+Balogh, Comput. Phys. Commun. 27, 309 (1982)).  The derivative is a central
+difference (relative step 1e-7).  Newton stops on backward error: the
+step is within _STEP_ULPS ulps of |k|, and at some interior edge where
+both marched pairs keep their digits (_trusted)
+
+    |W| <= _W_TOL (|k| |u_L| + |u_L'|) (|u_R| + |u_R'| / |k|).
+
+W does not depend on x, so every edge certifies the same root; the
+returned k takes that last step.  A step that would leave the fourth
+quadrant is halved until it stays in.
 """
 
 from __future__ import annotations
@@ -32,7 +53,7 @@ from .errors import (
     QuadrantEscapeError,
 )
 from .model import PotentialProfile, energy_of, wavenumber
-from .scattering import transfer_matrix, transmission
+from .scattering import _layers, _march, transfer_matrix, transmission
 
 __all__ = [
     "ResonancePole",
@@ -42,8 +63,16 @@ __all__ = [
     "find_poles",
 ]
 
-# seed-scan grid, points per meV of the window
-_GRID_DENSITY = 40.0
+# seed-scan grid: E_j = _E_FIRST + j / _GRID_DENSITY eV, 40 points per meV
+_E_FIRST = 1e-6
+_GRID_DENSITY = 40e3
+# Newton stop: |step| <= _STEP_ULPS eps |k| and the scaled Wronskian test
+_STEP_ULPS = 16
+_W_TOL = 1e-8
+_MAX_ITERATIONS = 100
+_EPS = float(np.finfo(float).eps)
+# halvings of a step that would leave the fourth quadrant before giving up
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -87,23 +116,88 @@ def pole_condition(profile: PotentialProfile, k: complex) -> complex:
     return transfer_matrix(profile, k).m22
 
 
-def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
-    """Seeds from T(E) maxima on (0, E_max]; HWHM sets the imaginary part.
+def _outgoing(layers, k):
+    """(u, u') of the left- and right-outgoing waves at every edge.
 
-    The grid holds _GRID_DENSITY points per meV and is evaluated as one array.
-    Overlapping doublet peaks each get their own seed; when a half-height
-    crossing is cut off by the adjacent valley, the valley stands in for the
-    crossing.  An empty list is a valid result (free or sub-resonant window).
+    The left wave starts as (1, -ik) at x = 0 and is marched forward.  The
+    right wave starts as (1, +ik) at x = L; it is marched backward as the
+    forward march of (1, -ik) through the mirrored layers, with u' negated.
+    Both have shape (n_layers + 1, 2, *k.shape): row e is the pair at
+    edges[e].
     """
-    if not (E_max > 0):
-        raise DomainError(f"E_max must be > 0 eV, got {E_max}")
-    n = max(50, int(round(_GRID_DENSITY * E_max * 1e3)))
-    energies = np.linspace(1e-6, E_max, n)
-    T = transmission(profile, energies)[1]
+    q, c, ws = layers
+    slope = -1j * np.asarray(k)
+    pairs, end = _march(layers, 1.0, slope)
+    left = np.concatenate((pairs, end[None]))
+    pairs, end = _march((q[::-1], c[::-1], ws[::-1]), 1.0, slope)
+    right = np.concatenate((pairs, end[None]))[::-1]
+    right[:, 1] *= -1.0
+    return left, right
+
+
+def _joins(n_layers: int) -> np.ndarray:
+    """Edges where the two outgoing waves may be joined: the interior ones,
+    or x = L for a single layer, which has none."""
+    return np.arange(1, n_layers) if n_layers > 1 else np.array([1])
+
+
+def _growth(profile: PotentialProfile, q: np.ndarray) -> np.ndarray:
+    """Summed |Im q| w from x = 0 to each edge, shape (n_layers + 1,).
+
+    A march from x = 0 to edge e can amplify rounding by about
+    e^{growth[e]}, one from x = L by about e^{growth[-1] - growth[e]}.
+    """
+    widths = np.array([l.width for l in profile.layers])
+    return np.concatenate(([0.0], np.cumsum(np.abs(q.imag) * widths)))
+
+
+def _join_edge(growth: np.ndarray) -> int:
+    """The join edge where the growth on either side balances."""
+    joins = _joins(len(growth) - 1)
+    return int(joins[np.abs(2.0 * growth[joins] - growth[-1]).argmin()])
+
+
+def _trusted(growth: np.ndarray, left, right, k: complex) -> np.ndarray:
+    """Edges where both outgoing pairs keep the digits the Wronskian test
+    reads: each pair's size |u| + |u'|/|k|, against 2 at its start, exceeds
+    the rounding eps e^growth of its march by at least 1/_W_TOL."""
+    floor = np.log(2.0 * _EPS / _W_TOL)
+    with np.errstate(divide="ignore"):  # a pair of zeros has log size -inf
+        size_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs(k))
+        size_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs(k))
+    return (size_l >= floor + growth) & (size_r >= floor + growth[-1] - growth)
+
+
+def _wronskian(left, right):
+    """u_L u_R' - u_L' u_R, elementwise over the edges and points."""
+    return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+
+
+def _certified(growth: np.ndarray, left, right, k: complex) -> bool:
+    """Whether the Wronskian test holds at a join edge both pairs are
+    trusted at (left and right hold the pairs at k only)."""
+    ak = abs(k)
+    scale = (ak * np.abs(left[:, 0]) + np.abs(left[:, 1])) * (
+        np.abs(right[:, 0]) + np.abs(right[:, 1]) / ak
+    )
+    passed = _trusted(growth, left, right, k) & (
+        np.abs(_wronskian(left, right)) <= _W_TOL * scale
+    )
+    return bool(passed[_joins(len(growth) - 1)].any())
+
+
+def _grid(E_max: float) -> np.ndarray:
+    """The nested scan grid's points up to E_max (at least three)."""
+    n = max(3, int((E_max - _E_FIRST) * _GRID_DENSITY) + 1)
+    return _E_FIRST + np.arange(n) / _GRID_DENSITY
+
+
+def _seeds(profile: PotentialProfile, energies, T) -> list[complex]:
+    """Seeds from the local maxima of T on the grid `energies`."""
+    inner = T[1:-1]
+    peaks = np.flatnonzero((inner > T[:-2]) & (inner >= T[2:])) + 1
     seeds = []
-    for i in range(1, n - 1):
-        if not (T[i] > T[i - 1] and T[i] >= T[i + 1]):
-            continue
+    for i in peaks:
         half = T[i] / 2.0
         e_lo, crossed_lo = _half_crossing(energies, T, i, half, step=-1)
         e_hi, crossed_hi = _half_crossing(energies, T, i, half, step=+1)
@@ -116,6 +210,21 @@ def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
             hwhm = energies[1] - energies[0]
         seeds.append(wavenumber(complex(energies[i], -hwhm), profile))
     return seeds
+
+
+def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
+    """Seeds from T(E) maxima on (0, E_max]; HWHM sets the imaginary part.
+
+    The grid is the nested one of the module docstring, evaluated as one
+    array.  Overlapping doublet peaks each get their own seed; when a
+    half-height crossing is cut off by the adjacent valley, the valley
+    stands in for the crossing.  An empty list is a valid result (free or
+    sub-resonant window).
+    """
+    if not (E_max > 0):
+        raise DomainError(f"E_max must be > 0 eV, got {E_max}")
+    energies = _grid(E_max)
+    return _seeds(profile, energies, transmission(profile, energies)[1])
 
 
 def _half_crossing(energies, T, peak: int, half: float, step: int):
@@ -134,40 +243,57 @@ def _half_crossing(energies, T, peak: int, half: float, step: int):
     return float(energies[i]), False
 
 
-def refine_pole(
-    profile: PotentialProfile, seed: complex, tol: float = 1e-10
-) -> ResonancePole:
-    """Newton on pole_condition from a fourth-quadrant seed.
+def refine_pole(profile: PotentialProfile, seed: complex) -> ResonancePole:
+    """Newton on the matched Wronskian from a fourth-quadrant seed.
 
-    Converged when |f| < tol and the last step is below 1e-12 nm^-1; raises
-    with the iterate trace after 100 iterations or on leaving the quadrant.
+    Stops on the backward-error test of the module docstring; raises
+    PoleConvergenceError with the iterate trace after _MAX_ITERATIONS
+    iterations or when an iterate trips the overflow guard, and
+    QuadrantEscapeError when halving cannot keep a step in the quadrant.
     """
     k = complex(seed)
     if not (k.real > 0 and k.imag < 0):
         raise DomainError(f"seed {k} not in the fourth quadrant")
     trace = [k]
-    step = np.inf
-    for _ in range(100):
+    edge = None
+    for _ in range(_MAX_ITERATIONS):
         h = abs(k) * 1e-7
+        points = np.array([k, k + h, k - h])
         try:
-            # f and its central-difference neighbours in one array evaluation
-            f, f_plus, f_minus = pole_condition(profile, np.array([k, k + h, k - h]))
+            layers = _layers(profile, points)
         except OverflowGuardError as err:
             # a diverging iterate has run deep into the lower half plane
             raise PoleConvergenceError(f"iterate {k} tripped the guard: {err}", trace) from err
-        if abs(f) < tol and abs(step) < 1e-12:
+        growth = _growth(profile, layers[0][:, 0])
+        if edge is None:
+            edge = _join_edge(growth)
+        # W and its central-difference neighbours in one array evaluation
+        left, right = _outgoing(layers, points)
+        w, w_plus, w_minus = (complex(v) for v in _wronskian(left, right)[edge])
+        try:
+            step = -w / ((w_plus - w_minus) / (2.0 * h))
+        except ZeroDivisionError:
+            step = complex(np.nan)
+        if abs(step) <= _STEP_ULPS * _EPS * abs(k) and _certified(
+            growth, left[..., 0], right[..., 0], k
+        ):
+            k = k + step
             c = profile.constants
             return ResonancePole(index=0, k=k, E=energy_of(k, c), hbar=c.hbar_ev_ps)
-        df = (f_plus - f_minus) / (2.0 * h)
-        step = -f / df
+        if step == 0 or not np.isfinite(step):
+            raise PoleConvergenceError(f"no Newton step from uncertified iterate {k}", trace)
+        for _ in range(_MAX_HALVINGS):
+            if (k + step).real > 0 and (k + step).imag < 0:
+                break
+            step /= 2.0
+        else:
+            raise QuadrantEscapeError(f"iterate {k + step} left the fourth quadrant", trace)
         k = k + step
         trace.append(k)
-        if not (k.real > 0 and k.imag < 0):
-            raise QuadrantEscapeError(
-                f"iterate {k} left the fourth quadrant", trace
-            )
     raise PoleConvergenceError(
-        f"no convergence after 100 iterations, last |f| = {abs(f):.3e}", trace
+        f"no convergence after {_MAX_ITERATIONS} iterations, "
+        f"last |W| = {abs(w):.3e}, last step {abs(step):.3e}",
+        trace,
     )
 
 
@@ -176,16 +302,19 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     curlyE_n.
 
     The scan window starts at 50 meV and doubles (at most 8 times) until N
-    seeds appear; duplicates collapse at |dk| < 1e-9 nm^-1.
+    seeds appear; each doubling evaluates T(E) only past the previous
+    window.  Duplicates collapse at |dk| < 1e-9 nm^-1.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     if profile.is_free:
         raise PoleCountError(found=0, requested=N)
     E_max = 0.05
-    seeds: list[complex] = []
+    T = np.empty(0)
     for _ in range(9):
-        seeds = seed_poles(profile, E_max)
+        energies = _grid(E_max)
+        T = np.concatenate((T, transmission(profile, energies[len(T) :])[1]))
+        seeds = _seeds(profile, energies, T)
         if len(seeds) >= N:
             break
         E_max *= 2.0

@@ -15,6 +15,7 @@ from conftest import TRIPLE_E1_MEV
 import qshutter
 from qshutter import acceptance, find_poles, transient
 from qshutter.cli import main
+from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO
 
 
 def run_cli(argv, capsys):
@@ -41,6 +42,17 @@ class TestPoles:
         written = tmp_path / "poles.csv"
         assert written.read_text() == out
         assert "wrote" in err
+
+    def test_double_barrier_third_pole(self, capsys):
+        # Newton from the third T(E) peak's seed used to leave the quadrant
+        code, out, err = run_cli(["poles", "--config", "double_barrier", "--n", "3"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 4
+        k3 = complex(float(rows[3][3]), float(rows[3][4]))
+        assert abs(k3 - (0.954720722 - 0.114178093j)) < 1e-9
+        profile = qshutter.build_profile(list(DOUBLE_LAYERS), MASS_RATIO)
+        assert abs(qshutter.pole_condition(profile, find_poles(profile, 3)[2].k)) < 1e-12
 
     def test_n_zero_rejected(self, capsys):
         code, out, err = run_cli(["poles", "--config", "triple_barrier", "--n", "0"], capsys)
@@ -131,6 +143,21 @@ class TestEvolve:
         )
         assert code == 0
         assert "x = 7.5 nm" in out
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--points", "-3", "points"), ("--points", "0", "points"),
+         ("--points", "1", "points"), ("--n", "0", "n_poles")],
+    )
+    def test_override_out_of_bounds_rejected(self, tmp_path, capsys, flag, value, field):
+        # overrides obey the config text's bounds and name the field
+        code, out, err = run_cli(
+            ["evolve", "--config", "double_barrier", flag, value, "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert f"field '{field}'" in err
+        assert not list(tmp_path.iterdir())
 
     def test_position_outside_structure_rejected(self, tmp_path, capsys):
         code, out, err = run_cli(

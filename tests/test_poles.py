@@ -16,6 +16,7 @@ from conftest import (
 )
 from qshutter import (
     DomainError,
+    OverflowGuardError,
     PoleConvergenceError,
     PoleCountError,
     build_profile,
@@ -24,7 +25,49 @@ from qshutter import (
     transmission,
 )
 from qshutter import poles as poles_module
+from qshutter import solve_mode
 from qshutter.poles import refine_pole, seed_poles
+from qshutter.presets import MASS_RATIO
+
+# Profiles of the perfbench `structures` stream, seed 1, on which Newton on
+# m22 failed: it stalled at a root it had found (op 5, pole in the first
+# well at Im k ~ -7.4e-7; op 77), accepted a pole the mode solve rejected
+# (op 18), or left the quadrant (op 27, Im k ~ -4e-11).
+REGRESSION_PROFILES = {
+    "op5": ([(9.47, .175), (15.95, 0), (11.98, .343), (3.69, 0), (9.84, .24), (10.2, 0), (11.14, .343)], 1),
+    "op18": ([(1.93, .218), (8.71, 0), (2.04, .108), (4.39, 0), (10.18, .164), (8.86, 0), (10.11, .284)], 2),
+    "op27": ([(11.48, .163), (7.26, 0), (10.02, .328), (9.16, 0), (9.05, .235), (5.89, 0), (10.82, .177)], 2),
+    "op77": ([(10.59, .299), (10.92, 0), (9.91, .301)], 1),
+}
+
+
+def oracle_root(profile, k0: complex) -> complex:
+    """The zero of m22 next to k0, by mpmath's secant at 50 digits.
+
+    m22 vanishes where the wave (1, -ik) marched from x = 0 is outgoing at
+    x = L, u' = ik u, so the oracle marches the same layers (with the same
+    binary widths, heights and hbar^2/2m) in 50 digits and solves
+    ik u(L) - u'(L) = 0.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        h22m = mp.mpf(profile.constants.hbar2_over_2m)
+        layers = [(mp.mpf(l.width), mp.mpf(l.height) / h22m) for l in profile.layers]
+
+        def outgoing(k):
+            u, du = mp.mpf(1), -1j * k
+            for w, v in layers:
+                q = mp.sqrt(k * k - v)
+                c, s = mp.cos(q * w), mp.sin(q * w)
+                u, du = c * u + s / q * du, -q * s * u + c * du
+            return 1j * k * u - du
+
+        start = mp.mpc(k0.real, k0.imag)
+        root = mp.findroot(outgoing, (start, start * (1 + mp.mpf(10) ** -10)), verify=False)
+        # a root to ~1e-26: |f| far below f's change over a relative 1e-20
+        assert abs(outgoing(root)) < 1e-6 * abs(outgoing(root * (1 + mp.mpf(10) ** -20)))
+        return complex(root)
 
 
 class TestPoleCondition:
@@ -90,6 +133,26 @@ class TestSeedPoles:
             assert len(got) == len(ref) >= 1
             assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
 
+    def test_incremental_windows_match_seed_poles(
+        self, triple_profile, double_profile, monkeypatch
+    ):
+        # find_poles evaluates T(E) only past the previous window; each
+        # window must still give the seeds of a fresh scan of that window
+        grid, seeds = poles_module._grid, poles_module._seeds
+        for profile, N in ((triple_profile, 4), (double_profile, 3)):
+            windows, scans = [], []
+            monkeypatch.setattr(
+                poles_module, "_grid", lambda E_max: windows.append(E_max) or grid(E_max)
+            )
+            monkeypatch.setattr(
+                poles_module, "_seeds", lambda *args: scans.append(seeds(*args)) or scans[-1]
+            )
+            find_poles(profile, N)
+            monkeypatch.undo()
+            assert len(windows) == len(scans) >= 2
+            for E_max, got in zip(windows, scans):
+                assert seed_poles(profile, E_max) == got
+
     def test_seeds_sit_in_fourth_quadrant(self, triple_profile):
         for s in seed_poles(triple_profile, 60e-3):
             assert s.real > 0 and s.imag < 0
@@ -114,19 +177,28 @@ class TestRefinePole:
             refine_pole(triple_profile, 0.1 + 0.01j)
 
     def test_free_profile_does_not_converge(self, free_profile):
-        # f(k) = m22 = 1 for every k, zero-free; the central difference
-        # divides rounding noise, so Newton must fail loudly
+        # the matched Wronskian is W = 2ik e^{-ikL}, zero-free in the open
+        # quadrant: Newton heads for its zero at k = 0, halving the steps
+        # that would cross the real axis, and must fail loudly
         with pytest.raises(PoleConvergenceError) as err:
             refine_pole(free_profile, 0.3 - 0.01j)
         assert len(err.value.trace) >= 1
 
-    def test_guard_tripped_by_iterate_is_convergence_error(self):
+    def test_guard_tripped_by_iterate_is_convergence_error(self, triple_profile):
         # a diverging iterate runs past the overflow guard; the failure must
-        # still be a PoleConvergenceError carrying the trace
+        # still be a PoleConvergenceError carrying the trace.  On the free
+        # two-layer profile W = 2ik e^{-ikL} walks Newton down by ~i/L per
+        # step, so it runs out of iterations first; the triple-barrier seed
+        # sits 1e-6 from the saddle point of W between the doublet poles,
+        # where W' nearly vanishes, and its first step lands at Im k ~ -30,
+        # past the guard on the 16 nm wells
         two_layer_free = build_profile([(5.0, 0.0), (3.0, 0.0)], 0.067)
-        with pytest.raises(PoleConvergenceError) as err:
-            refine_pole(two_layer_free, 0.3 - 0.01j)
-        assert len(err.value.trace) >= 1
+        cases = ((two_layer_free, 0.3 - 0.01j), (triple_profile, 0.150123534489 - 0.001646011879j))
+        for profile, seed in cases:
+            with pytest.raises(PoleConvergenceError) as err:
+                refine_pole(profile, seed)
+            assert len(err.value.trace) >= 1
+        assert isinstance(err.value.__cause__, OverflowGuardError)
 
 
 class TestFindPoles:
@@ -182,3 +254,15 @@ class TestFindPoles:
     def test_bad_count_rejected(self, triple_profile):
         with pytest.raises(DomainError):
             find_poles(triple_profile, 0)
+
+
+@pytest.mark.parametrize("name", sorted(REGRESSION_PROFILES))
+def test_regression_profile_matches_oracle(name):
+    layers, N = REGRESSION_PROFILES[name]
+    profile = build_profile(layers, MASS_RATIO)
+    poles = find_poles(profile, N)
+    assert len(poles) == N
+    for p in poles:
+        assert solve_mode(profile, p).outgoing_residual < 1e-6
+        root = oracle_root(profile, p.k)
+        assert abs(p.k - root) < 1e-12 * abs(root)
