@@ -1,0 +1,58 @@
+"""Microbenchmarks of the hot kernels on fixed inputs (pytest-benchmark).
+
+Run with
+
+    python -m pytest bench/kernels.py
+
+The file name does not match pytest's test-file pattern, so a bare
+`python -m pytest` does not collect it.  Every input is fixed: the triple
+barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
+4000 points, Newton from that scan's first seed, and one exact-N
+evaluation and one trace CSV at the doublet center on 2000 times.
+"""
+
+import numpy as np
+import pytest
+
+from qshutter import build_profile, evolve_trace, make_spectrum, psi_exact, transmission
+from qshutter.output import write_trace_csv
+from qshutter.poles import refine_pole, seed_poles
+from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
+
+SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
+TIMES = np.linspace(0.005, 10.0, 2000)
+
+
+@pytest.fixture(scope="module")
+def triple():
+    return build_profile(list(TRIPLE_LAYERS), MASS_RATIO)
+
+
+@pytest.fixture(scope="module")
+def problem(triple):
+    spectrum = make_spectrum(triple, 4)
+    poles = spectrum.poles
+    return spectrum.at(0.5 * (poles[0].E_position + poles[1].E_position))
+
+
+def test_transmission_scan(benchmark, triple):
+    _, T = benchmark(transmission, triple, SCAN_ENERGIES)
+    assert T.shape == SCAN_ENERGIES.shape and T.max() <= 1.0 + 1e-9
+
+
+def test_refine_pole(benchmark, triple):
+    seed = seed_poles(triple, 0.05)[0]
+    pole = benchmark(refine_pole, triple, seed)
+    assert abs(pole.k - seed) < 1e-2
+
+
+def test_psi_exact(benchmark, problem):
+    psi = benchmark(psi_exact, problem, problem.L, TIMES)
+    assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
+
+
+def test_write_trace_csv(benchmark, problem, tmp_path):
+    trace = evolve_trace(problem, problem.L, TIMES)
+    path = tmp_path / "trace.csv"
+    benchmark(write_trace_csv, path, trace, "exact-N")
+    assert len(path.read_text().splitlines()) == TIMES.size + 1

@@ -40,18 +40,25 @@ class OverflowGuardError(QShutterError, ArithmeticError):
     """A layer exponential would overflow; carries the offending layer data.
 
     point is the flat (C-order) index of the offending wave number when an
-    array of them was evaluated, 0 for a scalar.
+    array of them was evaluated, 0 for a scalar.  summed marks the march
+    guard: exponent_magnitude is then the |Im(q)*width| summed over layers
+    0..layer_index, not one layer's.
     """
 
-    def __init__(self, layer_index: int, exponent_magnitude: float, point: int = 0):
+    def __init__(
+        self, layer_index: int, exponent_magnitude: float, point: int = 0, summed: bool = False
+    ):
         self.layer_index = layer_index
         self.exponent_magnitude = exponent_magnitude
         self.point = point
-        super().__init__(
-            f"layer {layer_index}: |Im(q)*width| = {exponent_magnitude:.3g} "
-            f"exceeds the overflow guard (300); evanescent decay underflows "
-            f"double precision"
-        )
+        self.summed = summed
+        if summed:
+            what = f"layers 0-{layer_index}: summed |Im(q)*width| = {exponent_magnitude:.3g}"
+            guard = "the march guard (600); the march's growth overflows"
+        else:
+            what = f"layer {layer_index}: |Im(q)*width| = {exponent_magnitude:.3g}"
+            guard = "the overflow guard (300); evanescent decay underflows"
+        super().__init__(f"{what} exceeds {guard} double precision")
 
 
 class PoleError(QShutterError):

@@ -125,11 +125,10 @@ def _outgoing(layers, k):
     Both have shape (n_layers + 1, 2, *k.shape): row e is the pair at
     edges[e].
     """
-    q, c, ws = layers
     slope = -1j * np.asarray(k)
     pairs, end = _march(layers, 1.0, slope)
     left = np.concatenate((pairs, end[None]))
-    pairs, end = _march((q[::-1], c[::-1], ws[::-1]), 1.0, slope)
+    pairs, end = _march(tuple(a[::-1] for a in layers), 1.0, slope)
     right = np.concatenate((pairs, end[None]))[::-1]
     right[:, 1] *= -1.0
     return left, right
@@ -248,8 +247,9 @@ def refine_pole(profile: PotentialProfile, seed: complex) -> ResonancePole:
 
     Stops on the backward-error test of the module docstring; raises
     PoleConvergenceError with the iterate trace after _MAX_ITERATIONS
-    iterations or when an iterate trips the overflow guard, and
-    QuadrantEscapeError when halving cannot keep a step in the quadrant.
+    iterations or when an iterate trips an overflow guard (a layer's or the
+    march's), and QuadrantEscapeError when halving cannot keep a step in
+    the quadrant.
     """
     k = complex(seed)
     if not (k.real > 0 and k.imag < 0):

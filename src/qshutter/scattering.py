@@ -2,8 +2,7 @@
 
 Interior propagation uses the fundamental pair (cos qx, sin qx / q), which
 is entire in q^2, so evanescent layers (q imaginary) and the q -> 0
-degeneracy need no separate code path; one complex formula covers every
-layer.  Exterior phase convention:
+degeneracy need no separate code path.  Exterior phase convention:
 
     x <= 0:  e^{ikx} + r e^{-ikx}
     x >= L:  t e^{ikx}            (so Phi(L) = t e^{ikL}, |Phi(L)|^2 = T)
@@ -14,10 +13,25 @@ potentials; then t = 1/m22 and r = -m21/m22.  m22 is analytic in k away
 from k = 0, and its zeros are exactly the transmission-amplitude poles.
 
 One kernel, _layers, builds every layer's matrix entries elementwise over
-a scalar or an array of k, and transfer_matrix, solve_stationary and the
-resonant-mode solver all consume it.  transfer_matrix and transmission
-therefore take whole arrays: a T(E) scan over a window (the pole seeding,
-the CLI sweep) is a few array passes with no Python loop over points.
+a scalar or an array of k, and one march, _march, carries (psi, psi')
+across them; transfer_matrix, solve_stationary, the pole search and the
+resonant-mode solver all consume the two.  transfer_matrix and
+transmission take whole arrays: a T(E) scan over a window (the pole
+seeding, the CLI sweep) is a few array passes with no Python loop over
+points.
+
+M is read off the fundamental matrix: the solutions starting as (1, 0) and
+(0, 1) at x = 0 are marched to x = L, where their pairs are the columns of
+the layer product P; with s = P11 + P22 and d = k P12 - P21/k,
+m22 = (1/2) e^{ikL} (s - i d).
+
+On the real axis, where every scan and every stationary field lives, q^2
+= k^2 - V/(hbar^2/2m) is real, so each layer matrix is real (cos and sin,
+or cosh and sinh where the layer is evanescent) and so are P, s and d, and
+T = 4 / (s^2 + d^2).  A real-typed k therefore runs the kernel and the
+march in real arithmetic; only the read-off of M is complex.  A
+complex-typed k (Newton iterates, poles, modes) runs the same code in
+complex arithmetic.
 """
 
 from __future__ import annotations
@@ -42,6 +56,10 @@ __all__ = [
 # |Im(q) * width| above this would push layer exponentials toward the
 # double-precision ceiling; raise a diagnosable error instead
 OVERFLOW_GUARD = 300.0
+# a march multiplies its layers' growth, and the pole search multiplies two
+# marches; their summed |Im(q) * width| stays below this, e^100 short of the
+# double-precision ceiling e^709
+MARCH_GUARD = 600.0
 
 # points per array evaluation in transmission: scan windows reach ~10^6
 # points, and one unblocked pass holds several complex arrays of that size
@@ -87,36 +105,81 @@ class StationaryField:
     coefficients: np.ndarray
 
 
+def _wave_numbers(k):
+    """k as an array: float when every entry is real-typed, else complex."""
+    return np.asarray(k, dtype=complex if np.iscomplexobj(k) else float)
+
+
 def _layers(profile: PotentialProfile, k):
-    """Per-layer (q, c, ws), elementwise over a scalar or array k.
+    """Per-layer (q, c, ws, m), elementwise over a scalar or array k.
 
     Each output has shape (n_layers, *k.shape).  Layer j's fundamental
-    matrix, mapping (psi, psi') across the layer, is [[c, ws], [-q^2 ws, c]]
-    with z = q w, c = cos z and ws = w sin(z)/z (series below |z| = 1e-6).
-    q = sqrt(k^2 - V_j/(hbar^2/2m)) on the principal branch; the matrix is
-    even in q, so the branch only fixes q for determinism.  Raises
-    OverflowGuardError for the first point of k (in C order) that trips the
-    guard, naming its lowest offending layer.
+    matrix, mapping (psi, psi') across the layer, is [[c, ws], [m, c]] with
+    z = q w, c = cos z, ws = w sin(z)/z (series below |z| = 1e-6) and
+    m = -q^2 ws.  q = sqrt(k^2 - V_j/(hbar^2/2m)) on the principal branch;
+    the matrix is even in q, so the branch only fixes q for determinism.
+
+    A real-typed k gives real c, ws and m: q^2 is then real, so z is real
+    (cos, sin of |z|) where q^2 >= 0 and purely imaginary (cosh, sinh of
+    |z|) where it is negative.  q itself stays complex, real or imaginary.
+
+    Raises OverflowGuardError for the first point of k (in C order) where a
+    layer's |Im z| passes OVERFLOW_GUARD, naming its lowest such layer, or,
+    failing that, where the summed |Im z| from x = 0 passes MARCH_GUARD,
+    naming the layer where the sum crosses it.
     """
-    k = np.asarray(k, dtype=complex)
+    k = _wave_numbers(k)
     h22m = profile.constants.hbar2_over_2m
     column = (-1,) + (1,) * k.ndim
     v = np.array([l.height for l in profile.layers]).reshape(column) / h22m
     w = np.array([l.width for l in profile.layers]).reshape(column)
-    q = np.sqrt(k * k - v)
-    z = q * w
-    exponent = np.abs(z.imag).reshape(len(w), -1)
+    q2 = k * k - v
+    real = k.dtype != complex
+    if real:
+        # q is real where q^2 >= 0 and imaginary where it is negative: use |z|
+        wave = q2 >= 0.0
+        root = np.sqrt(np.abs(q2))
+        q = root.astype(complex)
+        np.multiply(q, 1j, out=q, where=~wave)
+        z = root * w
+        _guard(np.where(wave, 0.0, z).reshape(len(w), -1))
+    else:
+        q = np.sqrt(q2)
+        z = q * w
+        _guard(np.abs(z.imag).reshape(len(w), -1))
+    small = np.abs(z) < 1e-6
+    series = small.any()
+    zs = np.where(small, 1.0, z) if series else z
+    if real:
+        c, s = np.empty_like(z), np.empty_like(z)
+        np.cos(z, out=c, where=wave)
+        np.cosh(z, out=c, where=~wave)
+        np.sin(zs, out=s, where=wave)
+        np.sinh(zs, out=s, where=~wave)
+        s /= zs
+    else:
+        c, s = np.cos(z), np.sin(zs) / zs
+    if series:
+        z2 = q2 * w * w
+        c = np.where(small, 1.0 - z2 / 2.0, c)
+        s = np.where(small, 1.0 - z2 / 6.0, s)
+    ws = w * s
+    return q, c, ws, -q2 * ws
+
+
+def _guard(exponent: np.ndarray) -> None:
+    """Raise OverflowGuardError for exponent = |Im z|, shape (layers, points)."""
     over = exponent > OVERFLOW_GUARD
-    if over.any():
-        point = int(over.any(axis=0).argmax())
+    tripped = over.any(axis=0) | (exponent.sum(axis=0) > MARCH_GUARD)
+    if not tripped.any():
+        return
+    point = int(tripped.argmax())
+    if over[:, point].any():
         layer = int(over[:, point].argmax())
         raise OverflowGuardError(layer, float(exponent[layer, point]), point)
-    small = np.abs(z) < 1e-6
-    z2 = z * z
-    zs = np.where(small, 1.0, z)
-    c = np.where(small, 1.0 - z2 / 2.0, np.cos(z))
-    ws = w * np.where(small, 1.0 - z2 / 6.0, np.sin(zs) / zs)
-    return q, c, ws
+    summed = np.cumsum(exponent[:, point])
+    layer = int((summed > MARCH_GUARD).argmax())
+    raise OverflowGuardError(layer, float(summed[layer]), point, summed=True)
 
 
 def _march(layers, value, slope) -> tuple[np.ndarray, np.ndarray]:
@@ -124,19 +187,20 @@ def _march(layers, value, slope) -> tuple[np.ndarray, np.ndarray]:
 
     value and slope broadcast against the layers' point shape s; returns the
     pairs at each layer's left edge, shape (n_layers, 2, *s), and the pair
-    at x = L, shape (2, *s).
+    at x = L, shape (2, *s), real when the layers and the start are.
     """
-    q, c, ws = layers
-    shape = np.broadcast_shapes(np.shape(value), np.shape(slope), q.shape[1:])
-    pairs = np.empty((len(q), 2, *shape), dtype=complex)
-    for j, (qj, cj, wsj) in enumerate(zip(q, c, ws)):
+    _, c, ws, m = layers
+    shape = np.broadcast_shapes(np.shape(value), np.shape(slope), c.shape[1:])
+    dtype = np.result_type(value, slope, c)
+    pairs = np.empty((len(c), 2, *shape), dtype=dtype)
+    for j, (cj, wsj, mj) in enumerate(zip(c, ws, m)):
         pairs[j, 0], pairs[j, 1] = value, slope
-        value, slope = cj * value + wsj * slope, -qj * qj * wsj * value + cj * slope
-    return pairs, np.array((value, slope), dtype=complex)
+        value, slope = cj * value + wsj * slope, mj * value + cj * slope
+    return pairs, np.array((value, slope), dtype=dtype)
 
 
 def _nonzero_k(k):
-    k = np.asarray(k, dtype=complex)
+    k = _wave_numbers(k)
     if (k == 0).any():
         raise DomainError("k = 0: exterior plane waves undefined")
     return k
@@ -145,38 +209,51 @@ def _nonzero_k(k):
 def _exterior(profile: PotentialProfile, k, layers):
     """Transfer matrix from the kernel output, plus the per-layer pairs.
 
-    The basis waves e^{+ikx} and e^{-ikx}, (psi, psi') = (1, +-ik) at x = 0,
-    are marched to x = L together (the product P c0 of the layer matrices
-    and the basis change), then read off as plane-wave amplitudes there.
+    The fundamental solutions F1 and F2, (psi, psi') = (1, 0) and (0, 1) at
+    x = 0, are marched to x = L together; their pairs there are the columns
+    of the layer product P, real for real k.  With the exterior basis
+    C(x) = [[e^{ikx}, e^{-ikx}], [ik e^{ikx}, -ik e^{-ikx}]], M is
+    C(L)^{-1} P C(0), whose entries need only the sums and differences
+    below.  pairs has shape (n_layers, 2, 2, *k.shape): [layer, (psi,
+    psi'), (F1, F2)].
     """
-    ik = 1j * k
-    slope = np.array([ik, -ik])
-    pairs, (value, slope) = _march(layers, np.ones_like(slope), slope)
-    ekl = np.exp(ik * profile.total_length)
-    # column j holds the exterior amplitudes at x = L of basis wave j
-    right = 0.5 * (value + slope / ik) / ekl
-    left = 0.5 * (value - slope / ik) * ekl
-    return TransferMatrix(m11=right[0], m12=right[1], m21=left[0], m22=left[1]), pairs
+    start = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
+    pairs, ((p11, p12), (p21, p22)) = _march(layers, start[0], start[1])
+    trace, skew = p11 + p22, k * p12 - p21 / k
+    split, cross = p11 - p22, k * p12 + p21 / k
+    half = 0.5 * np.exp(1j * k * profile.total_length)
+    half_inv = 0.25 / half
+    tm = TransferMatrix(
+        m11=(trace + 1j * skew) * half_inv,
+        m12=(split - 1j * cross) * half_inv,
+        m21=(split + 1j * cross) * half,
+        m22=(trace - 1j * skew) * half,
+    )
+    return tm, pairs
 
 
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
     """Exterior plane-wave transfer matrix at (possibly complex) k != 0.
 
     Elementwise over k: a scalar gives complex fields, an array gives
-    arrays of its shape.
+    arrays of its shape.  A real-typed k takes the real-arithmetic march;
+    k + 0j takes the complex one.
     """
     k = _nonzero_k(k)
     return _exterior(profile, k, _layers(profile, k))[0]
 
 
-def solve_stationary(profile: PotentialProfile, k: complex) -> StationaryField:
-    """Full interior solution Phi(x, k) for exterior incidence from the left."""
-    k = _nonzero_k(complex(k))
+def solve_stationary(profile: PotentialProfile, k: float | complex) -> StationaryField:
+    """Full interior solution Phi(x, k) for exterior incidence from the left.
+
+    A real k marches in real arithmetic, a complex one in complex.
+    """
+    k = _nonzero_k(float(k) if np.isrealobj(k) else complex(k))
     layers = _layers(profile, k)
     tm, pairs = _exterior(profile, k, layers)
     r, t = tm.r, tm.t
-    # Phi = e^{ikx} + r e^{-ikx} at x = 0, so its pairs combine the two basis waves
-    coefficients = pairs[..., 0] + r * pairs[..., 1]
+    # Phi = e^{ikx} + r e^{-ikx} starts as (1 + r, ik (1 - r)) at x = 0
+    coefficients = (1.0 + r) * pairs[..., 0] + 1j * k * (1.0 - r) * pairs[..., 1]
     return StationaryField(
         k=complex(k), r=r, t=t, edges=profile.edges, q=layers[0], coefficients=coefficients
     )
@@ -186,15 +263,15 @@ def transmission(profile: PotentialProfile, E):
     """(t, T = |t|^2) at real, finite incidence energies E > 0 (eV).
 
     A scalar E gives (complex, float); an array gives arrays of its shape,
-    evaluated in blocks of _BLOCK points to bound the working memory.  The
-    unitarity and overflow errors are raised for the point a loop over E
-    in C order would meet first.
+    evaluated at real k, in real arithmetic, in blocks of _BLOCK points to
+    bound the working memory.  The unitarity and overflow errors are raised
+    for the point a loop over E in C order would meet first.
     """
     E = np.asarray(E)
     valid = np.isreal(E) & (E.real > 0) & (E.real < np.inf)
     if not valid.all():
         raise DomainError(f"transmission needs real finite E > 0 eV, got {E[~valid][0]}")
-    k = np.atleast_1d(wavenumber(E.real, profile)).ravel()
+    k = np.atleast_1d(wavenumber(E.real, profile)).real.ravel()
     t = np.empty(k.shape, dtype=complex)
     for start in range(0, k.size, _BLOCK):
         block = slice(start, start + _BLOCK)

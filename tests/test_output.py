@@ -1,11 +1,12 @@
 """CSV schemas, manifest rendering, and plot script emission."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
 
-from qshutter import TransientTrace
+from qshutter import TransientTrace, evolve_trace, make_problem
 from qshutter.output import (
     Manifest,
     fmt,
@@ -16,6 +17,7 @@ from qshutter.output import (
     write_trace_csv,
     write_transmission_csv,
 )
+from qshutter.transient import METHODS
 
 
 def test_fmt_precision():
@@ -69,6 +71,34 @@ class TestTraceCsv:
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["t_ps", "t_over_tau1", "density", "method"]
         assert rows[2] == ["1", "0.5", "0.5", "exact-N"]
+
+
+def _trace_csv_by_rows(trace, method):
+    """Reference trace CSV: one csv.writer row of fmt(float(...)) fields per time."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t_ps", "t_over_tau1", "density", "method"])
+    for t, v in zip(trace.times, trace.densities[method]):
+        w.writerow([fmt(float(t)), fmt(float(t / trace.tau_1)), fmt(float(v)), method])
+    return buf.getvalue()
+
+
+class TestTraceCsvBytes:
+    def test_matches_row_writer(self, problem_ebar, free_profile, tmp_path):
+        # every method on the triple barrier, t = 0 included, and a free
+        # profile, whose tau_1 is nan
+        times = np.concatenate(([0.0], np.geomspace(1e-4, 50.0, 400)))
+        free = make_problem(free_profile, 0.01, n_poles=0)
+        traces = [
+            evolve_trace(problem_ebar, problem_ebar.L, times, methods=METHODS),
+            evolve_trace(free, 0.5, times),
+        ]
+        assert np.isnan(traces[1].tau_1)
+        for trace in traces:
+            for method in trace.densities:
+                path = tmp_path / f"{method}.csv"
+                write_trace_csv(path, trace, method)
+                assert path.read_bytes() == _trace_csv_by_rows(trace, method).encode()
 
 
 class TestManifest:

@@ -200,6 +200,21 @@ class TestRefinePole:
             assert len(err.value.trace) >= 1
         assert isinstance(err.value.__cause__, OverflowGuardError)
 
+    def test_overflowing_march_is_typed(self):
+        # every layer passes the per-layer guard (|Im q| w ~ 250 at 0.5 - 50j,
+        # ~295 at 0.3 - 59j), but a march across all three multiplies their
+        # growth past the double-precision range: the march guard must name
+        # it instead of numpy overflowing in the product
+        profile = build_profile([(5, 0.23), (5, 0), (5, 0.23)], 0.067)
+        with pytest.raises(PoleConvergenceError) as err:
+            refine_pole(profile, 0.5 - 50j)
+        cause = err.value.__cause__
+        assert isinstance(cause, OverflowGuardError) and cause.summed
+        assert cause.layer_index == 2 and cause.exponent_magnitude > 600.0
+        with pytest.raises(OverflowGuardError) as guard:
+            pole_condition(profile, 0.3 - 59j)
+        assert guard.value.summed and guard.value.layer_index == 2
+
 
 class TestFindPoles:
     def test_triple_barrier_regression_pins(self, triple_poles):

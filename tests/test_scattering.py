@@ -4,6 +4,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import T_DOUBLE_83740, T_TRIPLE_12949, T_TRIPLE_EBAR
 from qshutter import DomainError, OverflowGuardError, build_profile, transmission
@@ -112,6 +114,17 @@ class TestTransferMatrix:
             assert array.value.exponent_magnitude == scalar.value.exponent_magnitude
             assert array.value.point == E.index(first)
 
+    def test_march_guard_bounds_the_summed_growth(self):
+        # three barriers at |Im q| w ~ 249 each pass the per-layer guard, but
+        # their product overflows: the march guard names the layer where the
+        # summed exponent passes 600, for the first point a loop would meet
+        profile = build_profile([(188.0, 1.0), (5.0, 0.0)] * 2 + [(188.0, 1.0)], 0.067)
+        with pytest.raises(OverflowGuardError) as err:
+            transmission(profile, np.array([1.5, 1e-3, 2e-3]))
+        assert err.value.summed and err.value.point == 1
+        assert err.value.layer_index == 4
+        assert scattering.MARCH_GUARD < err.value.exponent_magnitude < 3 * scattering.OVERFLOW_GUARD
+
 
 class TestTransmission:
     def test_array_matches_per_point_reference(self, triple_profile, double_profile):
@@ -136,8 +149,9 @@ class TestTransmission:
     def test_blocks_match_one_unblocked_evaluation(self, double_profile):
         E = np.linspace(1e-3, 0.2, scattering._BLOCK + 1)
         t, _ = transmission(double_profile, E)
-        t_whole = transfer_matrix(double_profile, wavenumber(E, double_profile)).t
-        # the same elementwise operations; only vector-lane rounding may differ
+        # real k, as transmission passes: the same elementwise operations;
+        # only vector-lane rounding may differ
+        t_whole = transfer_matrix(double_profile, wavenumber(E, double_profile).real).t
         assert np.max(np.abs(t - t_whole) / np.abs(t_whole)) < 1e-14
 
     def test_free_profile_is_unity(self, free_profile):
@@ -194,6 +208,39 @@ class TestTransmission:
         for E in rng.uniform(1e-3, 0.3, size=100):
             _, T = transmission(triple_profile, E)
             assert 0.0 <= T <= 1.0 + 1e-9
+
+
+@st.composite
+def _barrier_profiles(draw):
+    """2-4 barriers with wells between, in the ranges of perfbench's
+    `structures` workload: barriers 1-12 nm by 0.10-0.35 eV, wells 3-16 nm."""
+    layers = []
+    n_barriers = draw(st.integers(2, 4))
+    for j in range(n_barriers):
+        layers.append((draw(st.floats(1.0, 12.0)), draw(st.floats(0.10, 0.35))))
+        if j < n_barriers - 1:
+            layers.append((draw(st.floats(3.0, 16.0)), 0.0))
+    return build_profile(layers, 0.067)
+
+
+class TestRealAxis:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        profile=_barrier_profiles(),
+        extra=st.lists(st.floats(1e-5, 1.0), min_size=1, max_size=20),
+    )
+    def test_real_path_matches_complex_path(self, profile, extra):
+        # transmission marches real k in real arithmetic; k + 0j takes the
+        # complex path through the same kernel
+        E = np.concatenate([_reference_energies(profile), extra])
+        t, T = transmission(profile, E)
+        k = wavenumber(E, profile).real
+        t_complex = transfer_matrix(profile, k + 0j).t
+        T_complex = np.abs(t_complex) ** 2
+        assert np.max(np.abs(t - t_complex) / np.abs(t_complex)) < 1e-10
+        assert np.max(np.abs(T - T_complex) / T_complex) < 1e-10
+        r = transfer_matrix(profile, k).r
+        assert np.max(np.abs(np.abs(r) ** 2 + T - 1.0)) < 1e-10
 
 
 def _layer_sum_per_point(edges, q, coefficients, x):
