@@ -7,20 +7,33 @@ Run with
 The file name does not match pytest's test-file pattern, so a bare
 `python -m pytest` does not collect it.  Every input is fixed: the triple
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
-4000 points, Newton from that scan's first seed, and one exact-N
-evaluation and one trace CSV at the doublet center on 2000 times.
+4000 points, Newton from that scan's first seed, the whole pole search for
+its four poles and for four poles of one 4-barrier profile of perfbench's
+`structures` stream (seed 1, op 4), and one exact-N evaluation and one
+trace CSV at the doublet center on 2000 times.
 """
 
 import numpy as np
 import pytest
 
-from qshutter import build_profile, evolve_trace, make_spectrum, psi_exact, transmission
+from qshutter import (
+    build_profile,
+    evolve_trace,
+    find_poles,
+    make_spectrum,
+    psi_exact,
+    transmission,
+)
 from qshutter.output import write_trace_csv
 from qshutter.poles import refine_pole, seed_poles
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
 TIMES = np.linspace(0.005, 10.0, 2000)
+FOUR_BARRIERS = (
+    (5.06, 0.194), (13.42, 0.0), (7.14, 0.288), (9.55, 0.0),
+    (5.9, 0.335), (7.31, 0.0), (9.21, 0.323),
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +57,13 @@ def test_refine_pole(benchmark, triple):
     seed = seed_poles(triple, 0.05)[0]
     pole = benchmark(refine_pole, triple, seed)
     assert abs(pole.k - seed) < 1e-2
+
+
+@pytest.mark.parametrize("name", ["triple", "four_barriers"])
+def test_find_poles(benchmark, triple, name):
+    profile = triple if name == "triple" else build_profile(FOUR_BARRIERS, MASS_RATIO)
+    poles = benchmark(find_poles, profile, 4)
+    assert len(poles) == 4
 
 
 def test_psi_exact(benchmark, problem):

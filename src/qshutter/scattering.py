@@ -182,21 +182,29 @@ def _guard(exponent: np.ndarray) -> None:
     raise OverflowGuardError(layer, float(summed[layer]), point, summed=True)
 
 
-def _march(layers, value, slope) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(layers, value, slope):
+    """Yield (psi, psi') at x = 0 and past each layer in turn, elementwise."""
+    _, c, ws, m = layers
+    yield value, slope
+    for cj, wsj, mj in zip(c, ws, m):
+        value, slope = cj * value + wsj * slope, mj * value + cj * slope
+        yield value, slope
+
+
+def _march(layers, value, slope) -> np.ndarray:
     """Carry (psi, psi') from x = 0 across the layers, elementwise.
 
     value and slope broadcast against the layers' point shape s; returns the
-    pairs at each layer's left edge, shape (n_layers, 2, *s), and the pair
-    at x = L, shape (2, *s), real when the layers and the start are.
+    pairs at every edge, x = 0 first and x = L last, shape (n_layers + 1, 2,
+    *s), real when the layers and the start are.
     """
-    _, c, ws, m = layers
+    c = layers[1]
     shape = np.broadcast_shapes(np.shape(value), np.shape(slope), c.shape[1:])
     dtype = np.result_type(value, slope, c)
-    pairs = np.empty((len(c), 2, *shape), dtype=dtype)
-    for j, (cj, wsj, mj) in enumerate(zip(c, ws, m)):
+    pairs = np.empty((len(c) + 1, 2, *shape), dtype=dtype)
+    for j, (value, slope) in enumerate(_sweep(layers, value, slope)):
         pairs[j, 0], pairs[j, 1] = value, slope
-        value, slope = cj * value + wsj * slope, mj * value + cj * slope
-    return pairs, np.array((value, slope), dtype=dtype)
+    return pairs
 
 
 def _nonzero_k(k):
@@ -204,6 +212,18 @@ def _nonzero_k(k):
     if (k == 0).any():
         raise DomainError("k = 0: exterior plane waves undefined")
     return k
+
+
+def _m22(profile: PotentialProfile, k, end):
+    """(m22, s, d, e^{ikL}/2) from P's entries end = ((P11, P12), (P21, P22)).
+
+    s and d are the sum and difference of the module docstring; the other
+    entries of M are read off them and the factor.
+    """
+    (p11, p12), (p21, p22) = end
+    trace, skew = p11 + p22, k * p12 - p21 / k
+    half = 0.5 * np.exp(1j * k * profile.total_length)
+    return (trace - 1j * skew) * half, trace, skew, half
 
 
 def _exterior(profile: PotentialProfile, k, layers):
@@ -218,18 +238,25 @@ def _exterior(profile: PotentialProfile, k, layers):
     psi'), (F1, F2)].
     """
     start = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
-    pairs, ((p11, p12), (p21, p22)) = _march(layers, start[0], start[1])
-    trace, skew = p11 + p22, k * p12 - p21 / k
+    pairs = _march(layers, start[0], start[1])
+    (p11, p12), (p21, p22) = end = pairs[-1]
+    m22, trace, skew, half = _m22(profile, k, end)
     split, cross = p11 - p22, k * p12 + p21 / k
-    half = 0.5 * np.exp(1j * k * profile.total_length)
     half_inv = 0.25 / half
     tm = TransferMatrix(
         m11=(trace + 1j * skew) * half_inv,
         m12=(split - 1j * cross) * half_inv,
         m21=(split + 1j * cross) * half,
-        m22=(trace - 1j * skew) * half,
+        m22=m22,
     )
-    return tm, pairs
+    return tm, pairs[:-1]
+
+
+def _scan_t(profile: PotentialProfile, k: np.ndarray) -> np.ndarray:
+    """t = 1/m22 at a 1-D array of real k: the march keeps only its end pair
+    and only m22 is formed, through the expression transfer_matrix uses."""
+    *_, end = _sweep(_layers(profile, k), *np.eye(2)[:, :, None])
+    return 1.0 / _m22(profile, k, end)[0]
 
 
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
@@ -276,10 +303,10 @@ def transmission(profile: PotentialProfile, E):
     for start in range(0, k.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         try:
-            t[block] = transfer_matrix(profile, k[block]).t
+            t[block] = _scan_t(profile, k[block])
         except OverflowGuardError as err:
             # a loop over E meets the points before the guarded one first
-            _check_unitarity(transfer_matrix(profile, k[block][: err.point]).t)
+            _check_unitarity(_scan_t(profile, k[block][: err.point]))
             raise
         _check_unitarity(t[block])
     T = np.abs(t) ** 2

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .mfunc import m_function, y_values
+from .mfunc import _y_from_root, m_function
 from .model import PhysicalConstants, PotentialProfile, wavenumber
 from .modes import ResonantMode, rho, rho_mirror, solve_mode
 from .poles import ResonancePole, find_poles
@@ -190,20 +190,22 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
         return (), psi, psi
     c = problem.constants
     k = problem.k
+    # _times has checked t; every column shares one sqrt(t)
+    root_t = np.sqrt(t_arr)
+
+    def column(s):
+        return m_function(_y_from_root(s, root_t, c))
+
     phi = stationary_wave(problem.field, x)
-    psi = phi * m_function(y_values(k, t_arr, c)) - np.conj(phi) * m_function(
-        y_values(-k, t_arr, c)
-    )
+    psi = phi * column(k) - np.conj(phi) * column(-k)
     rhos = []
     doublet = None
     for n, mode in enumerate(problem.modes[:n_modes]):
         if n == 2:
             doublet = psi.copy()
         rhos.append(rho(mode, k, x))
-        psi -= rhos[-1] * m_function(y_values(mode.pole.k, t_arr, c))
-        psi -= rho_mirror(mode, k, x) * m_function(
-            y_values(mode.pole.k_mirror, t_arr, c)
-        )
+        psi -= rhos[-1] * column(mode.pole.k)
+        psi -= rho_mirror(mode, k, x) * column(mode.pole.k_mirror)
     return rhos, psi if doublet is None else doublet, psi
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DOUBLE_E1_MEV,
@@ -27,7 +29,8 @@ from qshutter import (
 from qshutter import poles as poles_module
 from qshutter import solve_mode
 from qshutter.poles import refine_pole, seed_poles
-from qshutter.presets import MASS_RATIO
+from qshutter.model import wavenumber
+from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
 
 # Profiles of the perfbench `structures` stream, seed 1, on which Newton on
 # m22 failed: it stalled at a root it had found (op 5, pole in the first
@@ -39,6 +42,18 @@ REGRESSION_PROFILES = {
     "op27": ([(11.48, .163), (7.26, 0), (10.02, .328), (9.16, 0), (9.05, .235), (5.89, 0), (10.82, .177)], 2),
     "op77": ([(10.59, .299), (10.92, 0), (9.91, .301)], 1),
 }
+# the same profiles plus the two reference structures
+LOCKSTEP_PROFILES = {
+    **REGRESSION_PROFILES,
+    "triple": (list(TRIPLE_LAYERS), 4),
+    "double": (list(DOUBLE_LAYERS), 2),
+}
+
+# Seeds on the triple barrier that refine_pole cannot bring home: the first
+# sits 1e-6 from the saddle point of W between the doublet poles and its
+# first step trips the overflow guard; the second runs out of iterations
+GUARD_SEED = 0.150123534489 - 0.001646011879j
+STALL_SEED = 0.08 - 3.5j
 
 
 def oracle_root(profile, k0: complex) -> complex:
@@ -158,6 +173,46 @@ class TestSeedPoles:
             assert s.real > 0 and s.imag < 0
 
 
+def _walked_seeds(profile, energies, T):
+    """Reference for _seeds: the half-height walk one grid point at a time."""
+
+    def walk(peak, half, step):
+        i = peak
+        while 0 < i < len(T) - 1:
+            j = i + step
+            if T[j] < half:
+                frac = (T[i] - half) / (T[i] - T[j])
+                return float(energies[i] + frac * (energies[j] - energies[i])), True
+            if T[j] > T[i]:
+                return float(energies[i]), False
+            i = j
+        return float(energies[i]), False
+
+    seeds = []
+    for i in range(1, len(T) - 1):
+        if not (T[i] > T[i - 1] and T[i] >= T[i + 1]):
+            continue
+        (e_lo, lo), (e_hi, hi) = walk(i, T[i] / 2.0, -1), walk(i, T[i] / 2.0, +1)
+        if lo or hi:
+            hwhm = (e_hi - e_lo) / 2.0
+            if hwhm <= 0:
+                hwhm = energies[1] - energies[0]
+            seeds.append(wavenumber(complex(energies[i], -hwhm), profile))
+    return seeds
+
+
+class TestSeedWalk:
+    # coarse levels make plateaus, ties at half height and walks that run off
+    # either end of the grid
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(levels=st.lists(st.integers(0, 8), min_size=3, max_size=60))
+    def test_matches_point_by_point_walk(self, levels):
+        profile = build_profile([(5.0, 0.2)], MASS_RATIO)
+        T = np.array(levels) / 8.0
+        energies = poles_module._grid(len(T) / poles_module._GRID_DENSITY)[: len(T)]
+        assert poles_module._seeds(profile, energies, T) == _walked_seeds(profile, energies, T)
+
+
 class TestRefinePole:
     def test_residual_below_tolerance(self, triple_profile, triple_poles):
         for p in triple_poles:
@@ -200,6 +255,13 @@ class TestRefinePole:
             assert len(err.value.trace) >= 1
         assert isinstance(err.value.__cause__, OverflowGuardError)
 
+    def test_guard_at_the_seed_names_the_seed(self):
+        # the one-seed call fails on its first round, at its own first point
+        profile = build_profile([(5, 0.23), (5, 0), (5, 0.23)], 0.067)
+        err = _raised(lambda: refine_pole(profile, 0.5 - 50j))
+        assert err.trace == [0.5 - 50j]
+        assert isinstance(err.__cause__, OverflowGuardError) and err.__cause__.point == 0
+
     def test_overflowing_march_is_typed(self):
         # every layer passes the per-layer guard (|Im q| w ~ 250 at 0.5 - 50j,
         # ~295 at 0.3 - 59j), but a march across all three multiplies their
@@ -214,6 +276,62 @@ class TestRefinePole:
         with pytest.raises(OverflowGuardError) as guard:
             pole_condition(profile, 0.3 - 59j)
         assert guard.value.summed and guard.value.layer_index == 2
+
+
+def _per_seed_poles(profile, seeds, N):
+    """find_poles' result from a refine_pole loop over the seeds it scanned."""
+    poles = []
+    for seed in seeds:
+        p = refine_pole(profile, seed)
+        if not any(abs(p.k - other.k) < 1e-9 for other in poles):
+            poles.append(p)
+    poles.sort(key=lambda p: p.E_position)
+    return [(p.k, p.E) for p in poles[:N]]
+
+
+def _raised(call):
+    with pytest.raises(PoleConvergenceError) as err:
+        call()
+    return err.value
+
+
+class TestLockstep:
+    """find_poles refines every seed of a window together; each must end as
+    refine_pole alone ends it, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_PROFILES))
+    def test_find_poles_matches_per_seed_loop(self, name, monkeypatch):
+        layers, N = LOCKSTEP_PROFILES[name]
+        profile = build_profile(layers, MASS_RATIO)
+        scans, seeds = [], poles_module._seeds
+        monkeypatch.setattr(
+            poles_module, "_seeds", lambda *args: scans.append(seeds(*args)) or scans[-1]
+        )
+        got = [(p.k, p.E) for p in find_poles(profile, N)]
+        assert got == _per_seed_poles(profile, scans[-1], N)
+
+    @pytest.mark.parametrize(
+        "window",
+        [("good", GUARD_SEED), (GUARD_SEED, "good"), ("good", STALL_SEED),
+         (STALL_SEED, "good"), (STALL_SEED, GUARD_SEED), (GUARD_SEED, STALL_SEED)],
+    )
+    def test_failing_seed_raises_what_the_loop_raises(
+        self, window, triple_profile, monkeypatch
+    ):
+        # the lowest-index failing seed decides, even when a later seed
+        # fails rounds earlier (the guard trips on the second round, the
+        # stall ends on the hundredth)
+        good = seed_poles(triple_profile, 0.05)[0]
+        seeds = [good if s == "good" else s for s in window]
+        expected = _raised(lambda: [refine_pole(triple_profile, s) for s in seeds])
+        monkeypatch.setattr(poles_module, "_seeds", lambda *args: seeds)
+        got = _raised(lambda: find_poles(triple_profile, 1))
+        assert type(got) is type(expected) and str(got) == str(expected)
+        assert got.trace == expected.trace
+        cause = got.__cause__
+        assert type(cause) is type(expected.__cause__)
+        if cause is not None:
+            assert vars(cause) == vars(expected.__cause__)
 
 
 class TestFindPoles:
