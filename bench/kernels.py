@@ -9,9 +9,14 @@ The file name does not match pytest's test-file pattern, so a bare
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
 4000 points, Newton from that scan's first seed, the whole pole search for
 its four poles and for four poles of one 4-barrier profile of perfbench's
-`structures` stream (seed 1, op 4), and one exact-N evaluation and one
-trace CSV at the doublet center on 2000 times.
+`structures` stream (seed 1, op 4), one exact-N evaluation and one trace
+CSV at the doublet center on 2000 times, and `resolve_scenario` on the
+shipped triple-barrier config with make_spectrum's memo cleared before each
+round (cold: the pole search and mode solves run) and filled (warm: only
+the stationary field is solved).
 """
+
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,7 +26,9 @@ from qshutter import (
     evolve_trace,
     find_poles,
     make_spectrum,
+    parse_config,
     psi_exact,
+    resolve_scenario,
     transmission,
 )
 from qshutter.output import write_trace_csv
@@ -76,3 +83,22 @@ def test_write_trace_csv(benchmark, problem, tmp_path):
     path = tmp_path / "trace.csv"
     benchmark(write_trace_csv, path, trace, "exact-N")
     assert len(path.read_text().splitlines()) == TIMES.size + 1
+
+
+@pytest.fixture(scope="module")
+def triple_config():
+    cfg = resources.files("qshutter") / "configs" / "triple_barrier.cfg"
+    return parse_config(cfg.read_text())
+
+
+def test_resolve_scenario_cold(benchmark, triple_config):
+    rs = benchmark.pedantic(
+        resolve_scenario, args=(triple_config,), setup=make_spectrum.cache_clear, rounds=50
+    )
+    assert len(rs.problem.modes) == 4
+
+
+def test_resolve_scenario_warm(benchmark, triple_config):
+    resolve_scenario(triple_config)
+    rs = benchmark(resolve_scenario, triple_config)
+    assert len(rs.problem.modes) == 4

@@ -63,6 +63,8 @@ class ResonantMode:
     With the join at x = L, where u_R = 1 and u_R' = i k_n, this is the
     exit-condition residual |u'(L) - i k_n u(L)| / (|u'(L)| + |k_n u(L)|).
     normalization_residual is |integral + surface term - 1| after scaling.
+    edges, q and coefficients are read-only: make_spectrum hands one mode
+    to every caller that asks for its profile.
     """
 
     pole: ResonancePole
@@ -162,9 +164,12 @@ def solve_mode(
     coeffs = coeffs * scale
     u0, uL = u0 * scale, uL * scale
     norm_residual = abs(_norm_square(coeffs, q, profile, u0, uL, k_n) - 1.0)
+    edges = profile.edges
+    for array in (edges, q, coeffs):
+        array.flags.writeable = False
     return ResonantMode(
         pole=pole,
-        edges=profile.edges,
+        edges=edges,
         q=q,
         coefficients=coeffs,
         u0=u0,

@@ -37,7 +37,8 @@ both marched pairs keep their digits (_trusted)
 
 W does not depend on x, so every edge certifies the same root; the
 returned k takes that last step.  A step that would leave the fourth
-quadrant is halved until it stays in.
+quadrant is halved until it stays in; an iterate it leaves within
+_STEP_ULPS ulps of the imaginary axis is a quadrant escape.
 
 find_poles refines all of a window's seeds in lockstep (_newton).  Each
 round evaluates every active seed's iterate and its two difference points
@@ -270,7 +271,7 @@ def refine_pole(profile: PotentialProfile, seed: complex) -> ResonancePole:
     PoleConvergenceError with the iterate trace after _MAX_ITERATIONS
     iterations or when an iterate trips an overflow guard (a layer's or the
     march's), and QuadrantEscapeError when halving cannot keep a step in
-    the quadrant.
+    the quadrant or keeps it only within _STEP_ULPS ulps of Re k = 0.
     """
     k = complex(seed)
     if not (k.real > 0 and k.imag < 0):
@@ -355,6 +356,13 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
             last[i] = w, step
             ks[i] = k + step
             trace.append(ks[i])
+            if ks[i].real < _STEP_ULPS * _EPS * abs(ks[i]):
+                # a root off the quadrant: halving would hold Re k at
+                # rounding level for every remaining round
+                failed[i] = QuadrantEscapeError(
+                    f"iterate {ks[i]} reached the imaginary axis", trace
+                )
+                continue
             stepping.append(i)
         active = stepping
         rounds += 1

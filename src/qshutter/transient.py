@@ -27,6 +27,7 @@ that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,8 @@ METHODS = (
 )
 # modes each method needs, in METHODS order (exact-N: none on a free profile)
 _MODES_NEEDED = dict(zip(METHODS, (0, 2, 2, 1)))
+# (profile, n_poles) pairs whose spectra make_spectrum keeps
+_SPECTRUM_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,10 @@ class Spectrum:
 
     Poles and modes belong to the potential alone; the incidence energy
     enters only through the stationary field, so `at` costs one stationary
-    solve and every problem it returns shares these mode objects.
+    solve and every problem it returns shares these mode objects.  A
+    spectrum from make_spectrum is also shared by every later caller that
+    asks for the same (profile, n_poles), so its modes' arrays are
+    read-only.
     """
 
     profile: PotentialProfile
@@ -125,17 +131,34 @@ class Spectrum:
 
 
 def make_spectrum(profile: PotentialProfile, n_poles: int = 4) -> Spectrum:
-    """Find the first n_poles poles of profile and solve their modes.
+    """The first n_poles poles of profile and their solved modes.
 
     n_poles = 0 is allowed only for a free profile (no resonances exist to
     retain); otherwise at least one mode is required.
+
+    A spectrum is a pure function of (profile, n_poles), and a profile is
+    immutable, so the spectra of the 32 most recently used pairs
+    (_SPECTRUM_MEMO_SIZE) are kept and returned again: every caller asking
+    for one pair gets the same Spectrum object, whose mode arrays are
+    read-only.  A search that raises keeps nothing and raises again on the
+    next call.  make_spectrum.cache_info() reports the reuse, and
+    make_spectrum.cache_clear() empties the memo.
     """
     if n_poles == 0 or profile.is_free:
         if not profile.is_free:
             raise DomainError("n_poles = 0 is only valid for a free profile")
         return Spectrum(profile, ())
+    return _search(profile, n_poles)
+
+
+@lru_cache(maxsize=_SPECTRUM_MEMO_SIZE)
+def _search(profile: PotentialProfile, n_poles: int) -> Spectrum:
     poles = find_poles(profile, n_poles)
     return Spectrum(profile, tuple(solve_mode(profile, p) for p in poles))
+
+
+make_spectrum.cache_info = _search.cache_info
+make_spectrum.cache_clear = _search.cache_clear
 
 
 def make_problem(
@@ -143,8 +166,9 @@ def make_problem(
 ) -> ShutterProblem:
     """ShutterProblem at real incidence energy E (eV); see make_spectrum.
 
-    Builds a fresh spectrum: for several energies on one profile, call
-    make_spectrum once and then its `at`.
+    The poles and modes come from make_spectrum's memo, so several energies
+    on one profile search it once; only the stationary field is solved per
+    call.
     """
     return make_spectrum(profile, n_poles).at(E)
 

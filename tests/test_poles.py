@@ -21,6 +21,7 @@ from qshutter import (
     OverflowGuardError,
     PoleConvergenceError,
     PoleCountError,
+    QuadrantEscapeError,
     build_profile,
     find_poles,
     pole_condition,
@@ -387,6 +388,20 @@ class TestFindPoles:
     def test_bad_count_rejected(self, triple_profile):
         with pytest.raises(DomainError):
             find_poles(triple_profile, 0)
+
+    @pytest.mark.parametrize(
+        "layers, mass_ratio", [([(1.14, 0.08)], 0.1), ([(2.42, 0.127)], 0.052)]
+    )
+    def test_seed_heading_for_imaginary_axis_escapes_promptly(self, layers, mass_ratio):
+        # a broad T(E) maximum seeds Newton toward a zero of W on the negative
+        # imaginary axis; halving used to hold Re k at denormals until the
+        # 100 rounds ran out (first profile) or certify that zero as a pole
+        # with a negative E_position (second)
+        with pytest.raises(QuadrantEscapeError) as err:
+            find_poles(build_profile(layers, mass_ratio), 1)
+        trace = err.value.trace
+        assert len(trace) < 40
+        assert 0 < trace[-1].real < 16 * np.finfo(float).eps * abs(trace[-1])
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION_PROFILES))

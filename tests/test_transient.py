@@ -13,16 +13,23 @@ from qshutter import (
     METHOD_TWO_LEVEL_M,
     DomainError,
     PhysicalConstants,
+    PoleError,
+    build_profile,
     density_two_level,
     evolve_trace,
+    find_poles,
     frequencies,
     make_problem,
+    make_spectrum,
+    parse_config,
     psi_exact,
+    resolve_scenario,
     transmission,
 )
 from qshutter import transient
 from qshutter.mfunc import m_function, y_values
 from qshutter.modes import rho, rho_mirror
+from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO
 from qshutter.scattering import stationary_wave
 from qshutter.transient import (
     METHODS,
@@ -99,6 +106,73 @@ class TestMakeProblem:
         other = spectrum.at(2.0 * ebar)
         assert all(m is n for m, n in zip(other.modes, a.modes))
         assert spectrum.poles == tuple(m.pole for m in a.modes)
+
+
+class TestSpectrumReuse:
+    """make_spectrum keeps one spectrum per (profile, n_poles)."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+
+        def counted(profile, N):
+            calls.append((profile, N))
+            return find_poles(profile, N)
+
+        monkeypatch.setattr(transient, "find_poles", counted)
+        make_spectrum.cache_clear()
+        return calls
+
+    def test_one_search_per_structure_across_energies(self, searches):
+        layers = "".join(f"layer = {w} nm, {h} eV\n" for w, h in DOUBLE_LAYERS)
+        text = layers + (
+            f"mass_ratio = {MASS_RATIO}\nenergy = {{}}\nn_poles = 2\n"
+            "t_max = 10 tau1\npoints = 20\nx = L\nmethods = exact-N\nout = t.csv\n"
+        )
+        a = resolve_scenario(parse_config(text.format("80 meV")))
+        b = resolve_scenario(parse_config(text.format("E1 + 2*Gamma1")))
+        assert len(searches) == 1
+        assert a.problem.E != b.problem.E
+        assert all(m is n for m, n in zip(a.problem.modes, b.problem.modes))
+
+    def test_call_forms_share_one_entry(self, searches, triple_profile):
+        first = make_spectrum(triple_profile)
+        assert make_spectrum(triple_profile, 4) is first
+        assert make_spectrum(triple_profile, n_poles=4) is first
+        # the key is the profile's value, not its identity
+        again = build_profile([(l.width, l.height) for l in triple_profile.layers], MASS_RATIO)
+        assert make_spectrum(again) is first
+        assert len(searches) == 1
+        info = make_spectrum.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
+    def test_other_structure_searches_again(self, searches):
+        layers = list(DOUBLE_LAYERS)
+        base = build_profile(layers, MASS_RATIO)
+        make_spectrum(base, 2)
+        make_spectrum(base, 1)
+        make_spectrum(build_profile(layers, 0.07), 2)
+        make_spectrum(build_profile([(5.0, 0.24), *layers[1:]], MASS_RATIO), 2)
+        assert [N for _, N in searches] == [2, 1, 2, 2]
+        assert len(set(searches)) == 4
+
+    def test_failed_search_is_not_kept(self, searches):
+        # a thin low barrier whose T(E) seed heads for the imaginary axis
+        profile = build_profile([(1.14, 0.08)], 0.1)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(PoleError) as err:
+                make_spectrum(profile, 1)
+            errors.append(err.value)
+        assert type(errors[0]) is type(errors[1])
+        assert str(errors[0]) == str(errors[1])
+        assert len(searches) == 2 and make_spectrum.cache_info().currsize == 0
+
+    def test_shared_mode_arrays_are_read_only(self, searches):
+        mode = make_spectrum(build_profile(list(DOUBLE_LAYERS), MASS_RATIO), 1).modes[0]
+        for array in (mode.coefficients, mode.q, mode.edges):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestPsiExact:
