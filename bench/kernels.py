@@ -9,13 +9,16 @@ The file name does not match pytest's test-file pattern, so a bare
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
 4000 points, Newton from that scan's first seed, the whole pole search for
 its four poles and for four poles of one 4-barrier profile of perfbench's
-`structures` stream (seed 1, op 4), one exact-N evaluation and one trace
-CSV at the doublet center on 2000 times, and `resolve_scenario` on the
-shipped triple-barrier config with make_spectrum's memo cleared before each
-round (cold: the pole search and mode solves run) and filled (warm: only
-the stationary field is solved).
+`structures` stream (seed 1, op 4), one exact-N evaluation at the doublet
+center on 2000 times, the CSVs of that trace with every method (a trace's
+first file, which formats the time cells, a later file, which reuses them,
+and all four files of a fresh trace), the CSV text of the 4000-point scan,
+and `resolve_scenario` on the shipped triple-barrier config with
+make_spectrum's memo cleared before each round (cold: the pole search and
+mode solves run) and filled (warm: only the stationary field is solved).
 """
 
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -31,9 +34,10 @@ from qshutter import (
     resolve_scenario,
     transmission,
 )
-from qshutter.output import write_trace_csv
+from qshutter.output import transmission_csv_text, write_trace_csv
 from qshutter.poles import refine_pole, seed_poles
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
+from qshutter.transient import METHOD_EXACT, METHODS
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
 TIMES = np.linspace(0.005, 10.0, 2000)
@@ -78,11 +82,43 @@ def test_psi_exact(benchmark, problem):
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
 
 
-def test_write_trace_csv(benchmark, problem, tmp_path):
-    trace = evolve_trace(problem, problem.L, TIMES)
+@pytest.fixture(scope="module")
+def trace(problem):
+    return evolve_trace(problem, problem.L, TIMES, METHODS)
+
+
+def _fresh(trace):
+    """The trace again, with no time cells formatted yet."""
+    return replace(trace)
+
+
+@pytest.mark.parametrize("write", ["first", "later"])
+def test_write_trace_csv(benchmark, trace, tmp_path, write):
     path = tmp_path / "trace.csv"
-    benchmark(write_trace_csv, path, trace, "exact-N")
+    if write == "first":
+        benchmark.pedantic(
+            write_trace_csv,
+            setup=lambda: ((path, _fresh(trace), METHOD_EXACT), {}),
+            rounds=100,
+        )
+    else:
+        write_trace_csv(tmp_path / "earlier.csv", trace, METHODS[-1])
+        benchmark(write_trace_csv, path, trace, METHOD_EXACT)
     assert len(path.read_text().splitlines()) == TIMES.size + 1
+
+
+def test_write_trace_csv_all_methods(benchmark, trace, tmp_path):
+    def write_all(trace):
+        return [write_trace_csv(tmp_path / f"{m}.csv", trace, m) for m in METHODS]
+
+    files = benchmark.pedantic(write_all, setup=lambda: ((_fresh(trace),), {}), rounds=50)
+    assert len(files) == 4
+
+
+def test_transmission_csv_text(benchmark, triple):
+    T = transmission(triple, SCAN_ENERGIES)[1]
+    text = benchmark(transmission_csv_text, SCAN_ENERGIES * 1e3, T)
+    assert text.count("\n") == SCAN_ENERGIES.size + 1
 
 
 @pytest.fixture(scope="module")

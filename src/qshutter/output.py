@@ -8,15 +8,15 @@ Schemas (fixed; part of the test surface):
 
 Manifests are plain structured text: one `check: name, expected, measured,
 tolerance, verdict` line per assertion plus free-form `info:` lines.  All
-numbers go through one format, fmt's %.12g for floats (trace rows apply it
-through one row template), so identical inputs produce byte-identical files.
+numbers go through one format, fmt's %.12g for floats, so identical inputs
+produce byte-identical files.  The CSVs apply it with one % per file, over a
+row template repeated once per row (_table).  A trace's `t_ps,t_over_tau1,`
+cells are formatted once, on its first write, and kept on the trace, so
+every later method file of that trace formats only its density column.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,46 +36,65 @@ __all__ = [
 
 
 def fmt(v) -> str:
-    """Deterministic number formatting for all emitted files."""
+    """Deterministic number formatting for manifests; the CSVs apply the
+    same %.12g to their floats through one row template."""
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
 
 
-# one trace row: fmt's float format for each number, then the method tag
-_TRACE_ROW = "%.12g,%.12g,%.12g,%s\n"
+def _table(header: str, row: str, *columns: list) -> str:
+    """header, then `row` filled from each row of the columns (zip's rows:
+    the shortest column sets the count), as one % over `row` repeated."""
+    n = min(map(len, columns))
+    cells = [None] * (n * len(columns))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column[:n]
+    return header + row * n % tuple(cells)
+
+
+# a trace row's time cells; the formatted cells are kept on the trace under
+# this key
+_TIME_CELLS = "%.12g,%.12g,\n"
+
+
+def _time_cells(trace: TransientTrace) -> list[str]:
+    """Every row's `t_ps,t_over_tau1,` cells."""
+    t_ps = trace.times.tolist()
+    t_over_tau1 = (trace.times / trace.tau_1).tolist()
+    return _table("", _TIME_CELLS, t_ps, t_over_tau1).split("\n")[:-1]
 
 
 def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     """One curve of a trace; time in both ps and tau_1 units.
 
-    The rows are formatted in one pass over the columns and written at
-    once; the bytes are those of a csv.writer fed fmt(float(...)) fields.
+    The bytes are those of a csv.writer fed fmt(float(...)) fields.  The
+    time cells are formatted on the trace's first write and reused by every
+    later one.
     """
     path = Path(path)
-    columns = (trace.times, trace.times / trace.tau_1, trace.densities[method])
-    rows = zip(*(c.tolist() for c in columns), itertools.repeat(method))
-    text = "t_ps,t_over_tau1,density,method\n" + "".join([_TRACE_ROW % row for row in rows])
+    cells = trace.text_memo.get(_TIME_CELLS)
+    if cells is None:
+        cells = trace.text_memo[_TIME_CELLS] = _time_cells(trace)
+    row = "%s%.12g," + method.replace("%", "%%") + "\n"
+    text = _table(
+        "t_ps,t_over_tau1,density,method\n", row, cells, trace.densities[method].tolist()
+    )
     path.write_text(text, newline="")
     return str(path)
 
 
 def poles_csv_text(poles: list[ResonancePole]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["n", "E_meV", "Gamma_meV", "Re_k_per_nm", "Im_k_per_nm", "tau_ps"])
-    for p in poles:
-        w.writerow(
-            [
-                p.index,
-                fmt(p.E_position * 1e3),
-                fmt(p.Gamma * 1e3),
-                fmt(p.k.real),
-                fmt(p.k.imag),
-                fmt(p.tau),
-            ]
-        )
-    return buf.getvalue()
+    return _table(
+        "n,E_meV,Gamma_meV,Re_k_per_nm,Im_k_per_nm,tau_ps\n",
+        "%s,%.12g,%.12g,%.12g,%.12g,%.12g\n",
+        [p.index for p in poles],
+        [p.E_position * 1e3 for p in poles],
+        [p.Gamma * 1e3 for p in poles],
+        [p.k.real for p in poles],
+        [p.k.imag for p in poles],
+        [p.tau for p in poles],
+    )
 
 
 def write_poles_csv(path, poles: list[ResonancePole]) -> str:
@@ -85,12 +104,12 @@ def write_poles_csv(path, poles: list[ResonancePole]) -> str:
 
 
 def transmission_csv_text(energies_meV, T_values) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["E_meV", "T"])
-    for e, t in zip(energies_meV, T_values):
-        w.writerow([fmt(float(e)), fmt(float(t))])
-    return buf.getvalue()
+    return _table(
+        "E_meV,T\n",
+        "%.12g,%.12g\n",
+        list(map(float, energies_meV)),
+        list(map(float, T_values)),
+    )
 
 
 def write_transmission_csv(path, energies_meV, T_values) -> str:

@@ -26,7 +26,7 @@ that case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -298,13 +298,25 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
 
 @dataclass(frozen=True)
 class TransientTrace:
-    """|Psi|^2 on a time grid at fixed position and incidence energy."""
+    """|Psi|^2 on a time grid at fixed position and incidence energy.
+
+    `times` is the trace's own read-only copy of the grid, so a later edit
+    of the caller's array reaches neither it nor text derived from it.
+    `text_memo` holds such text for writers (output keeps a trace CSV's
+    time cells there).
+    """
 
     x: float
     E: float
     tau_1: float
     times: np.ndarray
     densities: dict[str, np.ndarray]
+    text_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        times = np.array(self.times, dtype=float)
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
 
     @property
     def methods(self) -> tuple[str, ...]:

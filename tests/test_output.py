@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from qshutter import TransientTrace, evolve_trace, make_problem
+from qshutter import TransientTrace, evolve_trace, make_problem, output, transmission
 from qshutter.output import (
     Manifest,
     fmt,
@@ -73,14 +73,52 @@ class TestTraceCsv:
         assert rows[2] == ["1", "0.5", "0.5", "exact-N"]
 
 
-def _trace_csv_by_rows(trace, method):
-    """Reference trace CSV: one csv.writer row of fmt(float(...)) fields per time."""
+def _csv_by_rows(header, rows):
+    """Reference CSV text: one csv.writer row per row."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t_ps", "t_over_tau1", "density", "method"])
-    for t, v in zip(trace.times, trace.densities[method]):
-        w.writerow([fmt(float(t)), fmt(float(t / trace.tau_1)), fmt(float(v)), method])
+    w.writerow(header)
+    w.writerows(rows)
     return buf.getvalue()
+
+
+def _trace_csv_by_rows(trace, method):
+    """Reference trace CSV: one csv.writer row of fmt(float(...)) fields per time."""
+    return _csv_by_rows(
+        ["t_ps", "t_over_tau1", "density", "method"],
+        (
+            [fmt(float(t)), fmt(float(t / trace.tau_1)), fmt(float(v)), method]
+            for t, v in zip(trace.times, trace.densities[method])
+        ),
+    )
+
+
+class TestTableCsvBytes:
+    def test_poles_match_row_writer(self, triple_poles, double_poles):
+        for poles in (triple_poles, double_poles, []):
+            expected = _csv_by_rows(
+                ["n", "E_meV", "Gamma_meV", "Re_k_per_nm", "Im_k_per_nm", "tau_ps"],
+                (
+                    [p.index, fmt(p.E_position * 1e3), fmt(p.Gamma * 1e3),
+                     fmt(p.k.real), fmt(p.k.imag), fmt(p.tau)]
+                    for p in poles
+                ),
+            )
+            assert poles_csv_text(poles) == expected
+
+    def test_transmission_matches_row_writer(self, triple_profile):
+        energies = np.linspace(0.025, 100.0, 4000)
+        T = transmission(triple_profile, energies * 1e-3)[1]
+        cases = [
+            (energies, T),
+            ([1, 2.5, 1e-300, -0.0], [0, 1.0, np.float64(1.0 / 3.0), np.nan]),
+            ([1.0, 2.0, 3.0], [0.5]),  # zip's rows: the shorter column sets the count
+        ]
+        for e, t in cases:
+            expected = _csv_by_rows(
+                ["E_meV", "T"], ([fmt(float(a)), fmt(float(b))] for a, b in zip(e, t))
+            )
+            assert transmission_csv_text(e, t) == expected
 
 
 class TestTraceCsvBytes:
@@ -99,6 +137,47 @@ class TestTraceCsvBytes:
                 path = tmp_path / f"{method}.csv"
                 write_trace_csv(path, trace, method)
                 assert path.read_bytes() == _trace_csv_by_rows(trace, method).encode()
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_every_method_in_either_order(self, problem_ebar, tmp_path, order):
+        # the first write formats the time cells and the later ones reuse them
+        times = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 300)))
+        trace = evolve_trace(problem_ebar, problem_ebar.L, times, methods=METHODS)
+        for method in METHODS[::order]:
+            path = tmp_path / f"{method}.csv"
+            write_trace_csv(path, trace, method)
+            assert path.read_bytes() == _trace_csv_by_rows(trace, method).encode()
+
+    def test_percent_in_method_tag(self, tmp_path):
+        tag = "exact%d-100%"
+        trace = TransientTrace(
+            x=1.0,
+            E=0.01,
+            tau_1=0.3,
+            times=np.array([0.0, 0.125, 1.0 / 3.0]),
+            densities={tag: np.array([0.0, 1e-20, 0.7]), "b": np.array([1.0, 2.0, 3.0])},
+        )
+        for method in ("b", tag):
+            path = tmp_path / f"{method}.csv"
+            write_trace_csv(path, trace, method)
+            assert path.read_bytes() == _trace_csv_by_rows(trace, method).encode()
+
+    def test_time_cells_formatted_once_per_trace(self, problem_ebar, monkeypatch, tmp_path):
+        calls = []
+        real = output._time_cells
+
+        def counted(trace):
+            calls.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(output, "_time_cells", counted)
+        times = np.linspace(0.0, 10.0, 50)
+        trace = evolve_trace(problem_ebar, problem_ebar.L, times, methods=METHODS)
+        assert len(METHODS) == 4
+        for method in METHODS:
+            write_trace_csv(tmp_path / f"{method}.csv", trace, method)
+        write_trace_csv(tmp_path / "again.csv", trace, METHODS[0])
+        assert len(calls) == 1 and calls[0] is trace
 
 
 class TestManifest:

@@ -404,6 +404,28 @@ class TestFindPoles:
         assert 0 < trace[-1].real < 16 * np.finfo(float).eps * abs(trace[-1])
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="with more poles requested than T(E) shows, the scan window "
+        "doubles to its 12.8 eV cap (~512k energy points) before the count "
+        "error",
+    )
+    def test_count_error_ends_before_the_window_cap(self, monkeypatch):
+        # one resonance below the cap, three requested
+        points = []
+        real = poles_module.transmission
+
+        def counted(profile, energies):
+            points.append(np.size(energies))
+            return real(profile, energies)
+
+        monkeypatch.setattr(poles_module, "transmission", counted)
+        with pytest.raises(PoleCountError):
+            find_poles(build_profile([(9.8, 0.269)], MASS_RATIO), 3)
+        assert sum(points) < 100_000
+
+
 @pytest.mark.parametrize("name", sorted(REGRESSION_PROFILES))
 def test_regression_profile_matches_oracle(name):
     layers, N = REGRESSION_PROFILES[name]

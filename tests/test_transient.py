@@ -403,6 +403,17 @@ class TestEvolveTrace:
         for method in (METHOD_EXACT, METHOD_TWO_LEVEL_M, METHOD_TWO_LEVEL_CLOSED):
             assert trace.densities[method][-1] == pytest.approx(T, rel=0.1)
 
+    def test_times_are_the_traces_own_read_only_copy(self, problem_ebar):
+        # the trace used to keep the caller's grid by reference, so editing
+        # the grid rewrote trace.times and left the densities as they were
+        t = np.linspace(0.0, 5.0, 11)
+        trace = evolve_trace(problem_ebar, problem_ebar.L, t)
+        t[:] = 0.0
+        assert trace.times is not t
+        np.testing.assert_array_equal(trace.times, np.linspace(0.0, 5.0, 11))
+        with pytest.raises(ValueError):
+            trace.times[0] = 1.0
+
     def test_unknown_method_rejected(self, problem_ebar):
         with pytest.raises(DomainError):
             evolve_trace(problem_ebar, problem_ebar.L, [0.0, 1.0], methods=("euler",))
