@@ -403,7 +403,6 @@ class TestFindPoles:
         assert len(trace) < 40
         assert 0 < trace[-1].real < 16 * np.finfo(float).eps * abs(trace[-1])
 
-
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,

@@ -404,8 +404,8 @@ class TestEvolveTrace:
             assert trace.densities[method][-1] == pytest.approx(T, rel=0.1)
 
     def test_times_are_the_traces_own_read_only_copy(self, problem_ebar):
-        # the trace used to keep the caller's grid by reference, so editing
-        # the grid rewrote trace.times and left the densities as they were
+        # an edit of the caller's grid must not rewrite trace.times, which
+        # would no longer match the densities
         t = np.linspace(0.0, 5.0, 11)
         trace = evolve_trace(problem_ebar, problem_ebar.L, t)
         t[:] = 0.0
