@@ -16,14 +16,22 @@ and all four files of a fresh trace), the CSV text of the 4000-point scan,
 and `resolve_scenario` on the shipped triple-barrier config with
 make_spectrum's memo cleared before each round (cold: the pole search and
 mode solves run) and filled (warm: only the stationary field is solved).
+The cold starts time whole fresh interpreters: `import qshutter`, the
+`poles` subcommand on the shipped triple barrier and the `transmission`
+subcommand on the shipped double barrier over 1-200 meV.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qshutter
 from qshutter import (
     build_profile,
     evolve_trace,
@@ -138,3 +146,28 @@ def test_resolve_scenario_warm(benchmark, triple_config):
     resolve_scenario(triple_config)
     rs = benchmark(resolve_scenario, triple_config)
     assert len(rs.problem.modes) == 4
+
+
+COLD_STARTS = {
+    "import": ["-c", "import qshutter"],
+    "poles": ["-m", "qshutter.cli", "poles", "--config", "triple_barrier"],
+    "transmission": [
+        "-m", "qshutter.cli", "transmission", "--config", "double_barrier",
+        "--from", "1", "--to", "200",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(COLD_STARTS))
+def test_cold_start(benchmark, name):
+    # a fresh interpreter importing the same qshutter as this process
+    package_root = str(Path(qshutter.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, path)))}
+    proc = benchmark.pedantic(
+        subprocess.run,
+        args=([sys.executable, *COLD_STARTS[name]],),
+        kwargs={"capture_output": True, "env": env},
+        rounds=7,
+    )
+    assert proc.returncode == 0, proc.stderr

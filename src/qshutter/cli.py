@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import run_acceptance
 from .config import ScenarioConfig, override, parse_config, run_scenario
 from .errors import ConfigError, QShutterError
 from .output import (
@@ -119,6 +118,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here: no other subcommand pays for the acceptance module
+    from .acceptance import run_acceptance
+
     results = run_acceptance()
     return 0 if all(r.passed for r in results) else 1
 

@@ -23,12 +23,15 @@ All four argument classes occurring in the transient solution (s = +-k real,
 s = k_n fourth quadrant, s = -k_n* third quadrant) map to regions where wofz
 is exponent-safe: |e^{y^2}| <= 1 whenever the reflection is triggered
 internally, and the algebraic 1/(2 sqrt(pi) y) sector otherwise.
+
+scipy.special is imported on the first evaluation, not with the package:
+transfer matrices, T(E), poles and modes never need it, and it is most of
+the package's import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import DomainError
 from .model import PhysicalConstants
@@ -44,15 +47,28 @@ __all__ = [
 # e^{i 3pi/4}, the fixed phase of every transient argument
 Y_PHASE = complex(np.exp(1j * 3.0 * np.pi / 4.0))
 
+# scipy's wofz once _wofz has imported it
+_WOFZ = None
+
+
+def _wofz():
+    """scipy.special.wofz, imported on the first call and kept."""
+    global _WOFZ
+    if _WOFZ is None:
+        from scipy.special import wofz
+
+        _WOFZ = wofz
+    return _WOFZ
+
 
 def faddeeva(z):
     """w(z) = e^{-z^2} erfc(-iz), vectorized over complex arrays."""
-    return wofz(z)
+    return _wofz()(z)
 
 
 def m_function(y):
     """M(y) = w(iy)/2, vectorized."""
-    return 0.5 * wofz(1j * np.asarray(y, dtype=complex))
+    return 0.5 * _wofz()(1j * np.asarray(y, dtype=complex))
 
 
 def m_function_scaled(y):
@@ -65,6 +81,7 @@ def m_function_scaled(y):
     Re(y^2) < 0 the product itself is exponentially large and the direct
     branch overflows honestly.
     """
+    wofz = _wofz()
     y = np.asarray(y, dtype=complex)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)

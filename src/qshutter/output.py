@@ -17,6 +17,8 @@ every later method file of that trace formats only its density column.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,18 +67,28 @@ def _time_cells(trace: TransientTrace) -> list[str]:
     return _table("", _TIME_CELLS, t_ps, t_over_tau1).split("\n")[:-1]
 
 
+def _last_cell(text: str) -> str:
+    """`text` as csv.writer writes it at the end of a row: quoted when it
+    holds a comma, a quote, a carriage return or a line feed."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("", text))
+    return buf.getvalue()[1:-2]
+
+
 def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     """One curve of a trace; time in both ps and tau_1 units.
 
-    The bytes are those of a csv.writer fed fmt(float(...)) fields.  The
-    time cells are formatted on the trace's first write and reused by every
+    The bytes are those of a csv.writer (line terminator "\\n") fed
+    fmt(float(...)) fields; a method tag holding a carriage return is
+    quoted as well, so every row reads back as four fields.  The time
+    cells are formatted on the trace's first write and reused by every
     later one.
     """
     path = Path(path)
     cells = trace.text_memo.get(_TIME_CELLS)
     if cells is None:
         cells = trace.text_memo[_TIME_CELLS] = _time_cells(trace)
-    row = "%s%.12g," + method.replace("%", "%%") + "\n"
+    row = "%s%.12g," + _last_cell(method).replace("%", "%%") + "\n"
     text = _table(
         "t_ps,t_over_tau1,density,method\n", row, cells, trace.densities[method].tolist()
     )

@@ -15,7 +15,7 @@ partners.  The partner terms are not optional: they carry the cancellation
 that makes Psi vanish as t -> 0+.  The truncated sum leaves a residual
 there: at the triple barrier's doublet center |Psi(L, 1e-6 ps)|^2/T reads
 1.2e-1, 6.1e-5, 7.7e-5, 9.3e-6, 6.3e-4, 3.3e-4 for N = 1..6, which is not
-monotone and so no measure of convergence in N (ROADMAP item 5).  Every
+monotone and so no measure of convergence in N (ROADMAP item 6).  Every
 M-function method is a partial sum of this one expansion (see _sums).
 
 On a free profile the expansion degenerates (no poles) and does not reduce

@@ -88,14 +88,56 @@ def test_submodule_names_resolve():
             assert hasattr(module, attr), f"qshutter.{name}.{attr}"
 
 
-def test_import_loads_pipeline_modules():
-    # a fresh interpreter importing the same qshutter as this process
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter that imports the
+    same qshutter as this process."""
     package_root = str(Path(qshutter.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_root, path)))}
-    code = "import sys, qshutter; print(' '.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return proc.stdout
+
+
+def test_import_loads_pipeline_modules():
+    loaded = set(_fresh_python("import sys, qshutter; print(' '.join(sys.modules))").split())
     for name in ("scattering", "poles", "modes", "mfunc", "transient", "twolevel", "config", "output"):
         assert f"qshutter.{name}" in loaded
+
+
+# Structure-level work and the poles/transmission subcommands, then the first
+# M-function evaluation; prints the heavy modules loaded before and after it.
+_COLD_START = """
+import contextlib, io, sys
+import numpy as np
+import qshutter
+from qshutter import build_profile, cli, find_poles, solve_mode, transmission
+from qshutter.mfunc import m_function
+from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
+
+heavy = ("scipy", "qshutter.acceptance")
+profile = build_profile(list(TRIPLE_LAYERS), MASS_RATIO)
+for pole in find_poles(profile, 4):
+    solve_mode(profile, pole)
+transmission(profile, np.linspace(1e-3, 0.1, 50))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["poles", "--config", "triple_barrier"]) == 0
+    assert cli.main(
+        ["transmission", "--config", "double_barrier", "--from", "1", "--to", "200"]
+    ) == 0
+print(" ".join(name for name in heavy if name in sys.modules) or "-")
+y = np.array([0.0, 0.3 - 2.0j, -1.5 + 0.7j, 4.0 + 4.0j, -6.0 - 0.5j])
+m = m_function(y)
+print(" ".join(name for name in heavy if name in sys.modules) or "-")
+import scipy.special
+print(m.tobytes() == (0.5 * scipy.special.wofz(1j * y)).tobytes())
+"""
+
+
+def test_cold_start_loads_scipy_on_first_m_function():
+    # poles, modes, T(E) and the poles/transmission subcommands never need
+    # the Faddeeva kernel or the acceptance module
+    before, after, same = _fresh_python(_COLD_START).splitlines()
+    assert before == "-"
+    assert after == "scipy"
+    assert same == "True"

@@ -121,6 +121,17 @@ class TestTableCsvBytes:
             assert transmission_csv_text(e, t) == expected
 
 
+def _hand_built(tag):
+    """A three-time trace with a curve under `tag` and one under "b"."""
+    return TransientTrace(
+        x=1.0,
+        E=0.01,
+        tau_1=0.3,
+        times=np.array([0.0, 0.125, 1.0 / 3.0]),
+        densities={tag: np.array([0.0, 1e-20, 0.7]), "b": np.array([1.0, 2.0, 3.0])},
+    )
+
+
 class TestTraceCsvBytes:
     def test_matches_row_writer(self, problem_ebar, free_profile, tmp_path):
         # every method on the triple barrier, t = 0 included, and a free
@@ -150,17 +161,24 @@ class TestTraceCsvBytes:
 
     def test_percent_in_method_tag(self, tmp_path):
         tag = "exact%d-100%"
-        trace = TransientTrace(
-            x=1.0,
-            E=0.01,
-            tau_1=0.3,
-            times=np.array([0.0, 0.125, 1.0 / 3.0]),
-            densities={tag: np.array([0.0, 1e-20, 0.7]), "b": np.array([1.0, 2.0, 3.0])},
-        )
+        trace = _hand_built(tag)
         for method in ("b", tag):
             path = tmp_path / f"{method}.csv"
             write_trace_csv(path, trace, method)
             assert path.read_bytes() == _trace_csv_by_rows(trace, method).encode()
+
+    @pytest.mark.parametrize("tag", ['a,"b"', "two\nlines", "two\rlines"])
+    def test_method_tag_quoted_like_csv_writer(self, tmp_path, tag):
+        trace = _hand_built(tag)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace, tag)
+        with path.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(r) for r in rows] == [4] * 4
+        assert [r[3] for r in rows[1:]] == [tag] * 3
+        if "\r" not in tag:
+            # the reference writer ends rows in "\n", so it leaves "\r" bare
+            assert path.read_bytes() == _trace_csv_by_rows(trace, tag).encode()
 
     def test_time_cells_formatted_once_per_trace(self, problem_ebar, monkeypatch, tmp_path):
         calls = []
