@@ -9,7 +9,8 @@ The file name does not match pytest's test-file pattern, so a bare
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
 4000 points, Newton from that scan's first seed, the whole pole search for
 its four poles and for four poles of one 4-barrier profile of perfbench's
-`structures` stream (seed 1, op 4), one exact-N evaluation at the doublet
+`structures` stream (seed 1, op 4), the mode solves of the triple
+barrier's four poles, one exact-N evaluation at the doublet
 center on 2000 times, the CSVs of that trace with every method (a trace's
 first file, which formats the time cells, a later file, which reuses them,
 and all four files of a fresh trace), the CSV text of the 4000-point scan,
@@ -40,6 +41,7 @@ from qshutter import (
     parse_config,
     psi_exact,
     resolve_scenario,
+    solve_mode,
     transmission,
 )
 from qshutter.output import transmission_csv_text, write_trace_csv
@@ -83,6 +85,12 @@ def test_find_poles(benchmark, triple, name):
     profile = triple if name == "triple" else build_profile(FOUR_BARRIERS, MASS_RATIO)
     poles = benchmark(find_poles, profile, 4)
     assert len(poles) == 4
+
+
+def test_solve_mode(benchmark, triple):
+    poles = find_poles(triple, 4)
+    modes = benchmark(lambda: [solve_mode(triple, p) for p in poles])
+    assert all(m.outgoing_residual < 1e-8 for m in modes)
 
 
 def test_psi_exact(benchmark, problem):

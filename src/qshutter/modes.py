@@ -14,15 +14,11 @@ divergent exterior of an outgoing solution).  This convention is what makes
 the two-level truncation of the stationary wave quantitatively correct; the
 truncation test in the suite doubles as its validation.
 
-solve_mode builds u_n from two outgoing pieces: (1, -i k_n) at x = 0
-marched forward and (1, +i k_n) at x = L marched backward, each satisfying
-its own boundary condition exactly.  The right piece is scaled to meet the
-left one at an interior edge, so neither march crosses the whole profile:
-a wave marched through a thick barrier in the direction it decays carries
-the rounding of the growing one, e^{|Im q| w} times larger.  The join is the
-edge, among those where both pieces keep their digits (poles._trusted), at
-which the two pieces mismatch least.  At a converged pole the Wronskian of
-the pieces vanishes, so (u, u') agree there to rounding.
+solve_mode builds u_n from scattering's two outgoing pieces, each exact at
+its own end: the right piece is scaled to meet the left one at the edge
+scattering's join test (_join) picks, the test the pole search certifies
+its poles with.  At a converged pole the Wronskian of the pieces vanishes,
+so (u, u') agree there to rounding.
 
 The expansion factor of the transient solution is
 
@@ -39,8 +35,8 @@ import numpy as np
 
 from .errors import PoleQualityError
 from .model import PotentialProfile
-from .poles import ResonancePole, _growth, _joins, _outgoing, _trusted
-from .scattering import _layers, layered_wave
+from .poles import ResonancePole
+from .scattering import _growth, _join, _layers, _outgoing, layered_wave
 
 __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 
@@ -54,14 +50,10 @@ class ResonantMode:
 
         u(edges[j] + xi) = A_j cos(q_j xi) + B_j sin(q_j xi)/q_j .
 
-    outgoing_residual is the relative mismatch of (u, u') at the join edge,
-    once the right piece is scaled to match the left one on its larger
-    component of (u, u'/k_n):
-
-        |u_L u_R' - u_L' u_R| / (max(|u_R|, |u_R'/k_n|) (|u_L'| + |k_n u_L|)).
-
-    With the join at x = L, where u_R = 1 and u_R' = i k_n, this is the
-    exit-condition residual |u'(L) - i k_n u(L)| / (|u'(L)| + |k_n u(L)|).
+    outgoing_residual is the join test's relative mismatch of (u, u') at the
+    join edge (scattering module docstring); with the join at x = L, where
+    u_R = 1 and u_R' = i k_n, it is the exit-condition residual
+    |u'(L) - i k_n u(L)| / (|u'(L)| + |k_n u(L)|).
     normalization_residual is |integral + surface term - 1| after scaling.
     edges, q and coefficients are read-only: make_spectrum hands one mode
     to every caller that asks for its profile.
@@ -88,14 +80,15 @@ def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
 
         a^2 (w/2)(1+S) + 2 b^2 w^3 U + 2 a b w^2 V
 
-    S, U, V are entire in z^2; series below |z| = 1e-5 avoids cancellation.
+    S, U, V are entire in z^2: series through z^6 below |z| = 0.1 (~3e-14
+    truncation) avoid the closed forms' cancellation, ~eps/z^2 relative.
     """
     z = 2.0 * q * w
-    if abs(z) < 1e-5:
+    if abs(z) < 0.1:
         z2 = z * z
-        s = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-        u = 1.0 / 6.0 - z2 / 120.0 + z2 * z2 / 5040.0
-        v = 0.5 - z2 / 24.0 + z2 * z2 / 720.0
+        s = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2**3 / 5040.0
+        u = 1.0 / 6.0 - z2 / 120.0 + z2 * z2 / 5040.0 - z2**3 / 362880.0
+        v = 0.5 - z2 / 24.0 + z2 * z2 / 720.0 - z2**3 / 40320.0
     else:
         s = np.sin(z) / z
         u = (1.0 - s) / (z * z)
@@ -118,36 +111,24 @@ def _norm_square(
     return total + 1j * (u0 * u0 + uL * uL) / (2.0 * k_n)
 
 
-def solve_mode(
-    profile: PotentialProfile, pole: ResonancePole, initial_scale: complex = 1.0
-) -> ResonantMode:
+def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
     """Join the two outgoing pieces, verify the join, and normalize u_n.
 
-    The left piece starts as initial_scale * (1, -i k_n) at x = 0, the right
-    piece as (1, +i k_n) at x = L; the right piece is scaled to meet the
-    left one at the join edge (see ResonantMode).  The normalized mode is
-    invariant under initial_scale up to a global sign, which is then fixed
-    by arg u_n(0) in (-pi/2, pi/2].
+    The left piece starts as (1, -i k_n) at x = 0, the right piece as
+    (1, +i k_n) at x = L; the right piece is scaled to meet the left one at
+    the join edge (see ResonantMode).  The global sign of the normalized
+    mode is fixed by arg u_n(0) in (-pi/2, pi/2].
     """
     k_n = pole.k
     layers = _layers(profile, k_n)
     q = layers[0]
     left, right = _outgoing(layers, k_n)
-    joins = _joins(len(q))
-    joins = joins[_trusted(_growth(profile, q), left, right, k_n)[joins]]
-    if not joins.size:
+    edge, residual, alpha = _join(_growth(layers), left, right, k_n)
+    if residual == np.inf:
         raise PoleQualityError(
             f"pole n={pole.index}: no join edge where both outgoing pieces keep "
             f"their digits; pole likely unconverged"
         )
-    left = left * complex(initial_scale)
-    (u_l, du_l), (u_r, du_r) = left[joins].T, right[joins].T
-    # match the right piece on its larger component of (u, u'/k_n)
-    size_r = np.maximum(np.abs(u_r), np.abs(du_r / k_n))
-    mismatch = np.abs(u_l * du_r - du_l * u_r) / (size_r * (np.abs(du_l) + np.abs(k_n * u_l)))
-    j = int(mismatch.argmin())
-    edge, residual = joins[j], float(mismatch[j])
-    alpha = u_l[j] / u_r[j] if abs(u_r[j]) == size_r[j] else du_l[j] / du_r[j]
     if residual > 1e-6:
         raise PoleQualityError(
             f"pole n={pole.index}: outgoing residual {residual:.3e} at the join "

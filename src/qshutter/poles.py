@@ -15,30 +15,17 @@ k(E_peak - i * HWHM), which for sharp resonances sits within a few percent
 of the pole.  Each half-height crossing is one array search between the
 peak and the next point where T rises again.
 
-Newton does not iterate on m22 itself.  A thick barrier amplifies the
-left-outgoing wave (1, -ik) marched from x = 0 by up to e^{|Im q| w}, so
-m22 at the far end carries rounding of that size and its absolute value
-cannot fall below |m22'| ulp(k) near the root.  Instead the left-outgoing
-wave is marched forward from x = 0 and the right-outgoing wave (1, +ik)
-backward from x = L, each to one interior edge, chosen at the seed as the
-edge where the summed |Im q| w on either side balances and held fixed.
-Their Wronskian there,
-
-    W = u_L u_R' - u_L' u_R = 2 i k e^{-ikL} m22(k),
-
-has the zeros of m22, and neither march crosses more than about half of
-the profile's growth (the matching-point method of GAMOW: Vertse, Pal &
-Balogh, Comput. Phys. Commun. 27, 309 (1982)).  The derivative is a central
-difference (relative step 1e-7).  Newton stops on backward error: the
-step is within _STEP_ULPS ulps of |k|, and at some interior edge where
-both marched pairs keep their digits (_trusted)
-
-    |W| <= _W_TOL (|k| |u_L| + |u_L'|) (|u_R| + |u_R'| / |k|).
-
-W does not depend on x, so every edge certifies the same root; the
-returned k takes that last step.  A step that would leave the fourth
-quadrant is halved until it stays in; an iterate it leaves within
-_STEP_ULPS ulps of the imaginary axis is a quadrant escape.
+Newton works not on m22, whose rounding at the far end of a thick barrier
+grows by up to e^{|Im q| w}, so that |m22| cannot fall below |m22'| ulp(k)
+near the root, but on the Wronskian W of scattering's outgoing pieces at
+one join edge, where the summed |Im q| w on either side balances at the
+seed.  The derivative is a central difference (relative step 1e-7).
+Newton stops on backward error: the step is within _STEP_ULPS ulps of |k|
+and scattering's join test (_join) reads at most _W_TOL.  W does not
+depend on x, so every edge certifies the same root; the returned k takes
+that last step.  A step that would leave the fourth quadrant is halved
+until it stays in; an iterate it leaves within _STEP_ULPS ulps of the
+imaginary axis is a quadrant escape.
 
 find_poles refines all of a window's seeds in lockstep (_newton).  Each
 round evaluates every active seed's iterate and its two difference points
@@ -66,7 +53,9 @@ from .errors import (
     QuadrantEscapeError,
 )
 from .model import PotentialProfile, energy_of, wavenumber
-from .scattering import _layers, _march, transfer_matrix, transmission
+from .scattering import (
+    _W_TOL, _growth, _join, _joins, _layers, _outgoing, _wronskian, transfer_matrix, transmission
+)
 
 __all__ = [
     "ResonancePole",
@@ -79,13 +68,16 @@ __all__ = [
 # seed-scan grid: E_j = _E_FIRST + j / _GRID_DENSITY eV, 40 points per meV
 _E_FIRST = 1e-6
 _GRID_DENSITY = 40e3
-# Newton stop: |step| <= _STEP_ULPS eps |k| and the scaled Wronskian test
+# Newton stop: |step| <= _STEP_ULPS eps |k| and the join test at _W_TOL
 _STEP_ULPS = 16
-_W_TOL = 1e-8
 _MAX_ITERATIONS = 100
 _EPS = float(np.finfo(float).eps)
 # halvings of a step that would leave the fourth quadrant before giving up
 _MAX_HALVINGS = 60
+# the scan window stops doubling at this many times the highest first
+# full-transmission energy V + (hbar^2/2m)(pi/w)^2 of a barrier, past which
+# T(E) ripples near 1 (`structures` searches never pass 1.74 V_max)
+_WINDOW_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -129,73 +121,10 @@ def pole_condition(profile: PotentialProfile, k: complex) -> complex:
     return transfer_matrix(profile, k).m22
 
 
-def _outgoing(layers, k):
-    """(u, u') of the left- and right-outgoing waves at every edge.
-
-    The left wave starts as (1, -ik) at x = 0 and is marched forward.  The
-    right wave starts as (1, +ik) at x = L; it is marched backward as the
-    forward march of (1, -ik) through the mirrored layers, with u' negated.
-    Both have shape (n_layers + 1, 2, *k.shape): row e is the pair at
-    edges[e].
-    """
-    slope = -1j * np.asarray(k)
-    left = _march(layers, 1.0, slope)
-    right = _march(tuple(a[::-1] for a in layers), 1.0, slope)[::-1]
-    right[:, 1] *= -1.0
-    return left, right
-
-
-def _joins(n_layers: int) -> np.ndarray:
-    """Edges where the two outgoing waves may be joined: the interior ones,
-    or x = L for a single layer, which has none."""
-    return np.arange(1, n_layers) if n_layers > 1 else np.array([1])
-
-
-def _growth(profile: PotentialProfile, q: np.ndarray) -> np.ndarray:
-    """Summed |Im q| w from x = 0 to each edge, shape (n_layers + 1, *s) for
-    q of shape (n_layers, *s).
-
-    A march from x = 0 to edge e can amplify rounding by about
-    e^{growth[e]}, one from x = L by about e^{growth[-1] - growth[e]}.
-    """
-    widths = np.array([l.width for l in profile.layers]).reshape((-1,) + (1,) * (q.ndim - 1))
-    growth = np.cumsum(np.abs(q.imag) * widths, axis=0)
-    return np.concatenate((np.zeros((1, *growth.shape[1:])), growth))
-
-
 def _join_edge(growth: np.ndarray) -> int:
     """The join edge where the growth on either side balances."""
     joins = _joins(len(growth) - 1)
     return int(joins[np.abs(2.0 * growth[joins] - growth[-1]).argmin()])
-
-
-def _trusted(growth: np.ndarray, left, right, k: complex) -> np.ndarray:
-    """Edges where both outgoing pairs keep the digits the Wronskian test
-    reads: each pair's size |u| + |u'|/|k|, against 2 at its start, exceeds
-    the rounding eps e^growth of its march by at least 1/_W_TOL."""
-    floor = np.log(2.0 * _EPS / _W_TOL)
-    with np.errstate(divide="ignore"):  # a pair of zeros has log size -inf
-        size_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs(k))
-        size_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs(k))
-    return (size_l >= floor + growth) & (size_r >= floor + growth[-1] - growth)
-
-
-def _wronskian(left, right):
-    """u_L u_R' - u_L' u_R, elementwise over the edges and points."""
-    return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
-
-
-def _certified(growth: np.ndarray, left, right, k: complex) -> bool:
-    """Whether the Wronskian test holds at a join edge both pairs are
-    trusted at (left and right hold the pairs at k only)."""
-    ak = abs(k)
-    scale = (ak * np.abs(left[:, 0]) + np.abs(left[:, 1])) * (
-        np.abs(right[:, 0]) + np.abs(right[:, 1]) / ak
-    )
-    passed = _trusted(growth, left, right, k) & (
-        np.abs(_wronskian(left, right)) <= _W_TOL * scale
-    )
-    return bool(passed[_joins(len(growth) - 1)].any())
 
 
 def _grid(E_max: float) -> np.ndarray:
@@ -319,7 +248,7 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
             )
             failed[i].__cause__ = err
             continue
-        growth = _growth(profile, layers[0][:, 0])
+        growth = _growth(layers)[:, 0]
         if rounds == 0:
             edges = {i: _join_edge(growth[:, col]) for col, i in enumerate(active)}
         left, right = _outgoing(layers, points)
@@ -332,9 +261,9 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
                 step = -w / ((w_plus - w_minus) / (2.0 * h))
             except ZeroDivisionError:
                 step = complex(np.nan)
-            if abs(step) <= _STEP_ULPS * _EPS * abs(k) and _certified(
+            if abs(step) <= _STEP_ULPS * _EPS * abs(k) and _join(
                 growth[:, col], left[:, :, 0, col], right[:, :, 0, col], k
-            ):
+            )[1] <= _W_TOL:
                 k = k + step
                 c = profile.constants
                 poles[i] = ResonancePole(index=0, k=k, E=energy_of(k, c), hbar=c.hbar_ev_ps)
@@ -383,20 +312,24 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     curlyE_n.
 
     The scan window starts at 50 meV and doubles (at most 8 times) until N
-    seeds appear; each doubling evaluates T(E) only past the previous
-    window.  Duplicates collapse at |dk| < 1e-9 nm^-1.
+    seeds appear or it reaches the profile bound of _WINDOW_CAP; each
+    doubling evaluates T(E) only past the previous window.  Duplicates
+    collapse at |dk| < 1e-9 nm^-1.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     if profile.is_free:
         raise PoleCountError(found=0, requested=N)
+    h22m = profile.constants.hbar2_over_2m
+    barriers = [l for l in profile.layers if l.height > 0]
+    cap = _WINDOW_CAP * max(l.height + h22m * (np.pi / l.width) ** 2 for l in barriers)
     E_max = 0.05
     T = np.empty(0)
     for _ in range(9):
         energies = _grid(E_max)
         T = np.concatenate((T, transmission(profile, energies[len(T) :])[1]))
         seeds = _seeds(profile, energies, T)
-        if len(seeds) >= N:
+        if len(seeds) >= N or E_max >= cap:
             break
         E_max *= 2.0
     poles: list[ResonancePole] = []

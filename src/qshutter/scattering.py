@@ -32,6 +32,21 @@ T = 4 / (s^2 + d^2).  A real-typed k therefore runs the kernel and the
 march in real arithmetic; only the read-off of M is complex.  A
 complex-typed k (Newton iterates, poles, modes) runs the same code in
 complex arithmetic.
+
+The pole search and the resonant-mode solver share the outgoing pieces
+(_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
+marched backward.  A wave marched through a thick barrier carries rounding
+amplified by up to e^{|Im q| w}, so the pieces are joined at an interior
+edge and neither march crosses the whole profile (the matching-point method
+of GAMOW: Vertse, Pal & Balogh, Comput. Phys. Commun. 27, 309 (1982)).
+Their Wronskian W = u_L u_R' - u_L' u_R = 2 i k e^{-ikL} m22(k) does not
+depend on x and vanishes at a pole.  The one join test, _join, reads the
+relative mismatch
+
+    |W| / (max(|u_R|, |u_R'/k|) (|u_L'| + |k u_L|)),
+
+that of (u, u') once the right piece is scaled to the left one on its
+larger component of (u, u'/k), at the join edges where both keep digits.
 """
 
 from __future__ import annotations
@@ -60,6 +75,11 @@ OVERFLOW_GUARD = 300.0
 # marches; their summed |Im(q) * width| stays below this, e^100 short of the
 # double-precision ceiling e^709
 MARCH_GUARD = 600.0
+
+# the join test reads relative mismatches down to _W_TOL, so a piece is
+# trusted at an edge where its size exceeds its march's rounding by 1/_W_TOL
+_W_TOL = 1e-8
+_TRUST_FLOOR = np.log(2.0 * np.finfo(float).eps / _W_TOL)
 
 # points per array evaluation in transmission: scan windows reach ~10^6
 # points, and one unblocked pass holds several complex arrays of that size
@@ -111,7 +131,7 @@ def _wave_numbers(k):
 
 
 def _layers(profile: PotentialProfile, k):
-    """Per-layer (q, c, ws, m), elementwise over a scalar or array k.
+    """Per-layer (q, c, ws, m, g), elementwise over a scalar or array k.
 
     Each output has shape (n_layers, *k.shape).  Layer j's fundamental
     matrix, mapping (psi, psi') across the layer, is [[c, ws], [m, c]] with
@@ -122,6 +142,7 @@ def _layers(profile: PotentialProfile, k):
     A real-typed k gives real c, ws and m: q^2 is then real, so z is real
     (cos, sin of |z|) where q^2 >= 0 and purely imaginary (cosh, sinh of
     |z|) where it is negative.  q itself stays complex, real or imaginary.
+    g = |Im z| is the layer's growth exponent (_growth), None for real k.
 
     Raises OverflowGuardError for the first point of k (in C order) where a
     layer's |Im z| passes OVERFLOW_GUARD, naming its lowest such layer, or,
@@ -143,10 +164,12 @@ def _layers(profile: PotentialProfile, k):
         np.multiply(q, 1j, out=q, where=~wave)
         z = root * w
         _guard(np.where(wave, 0.0, z).reshape(len(w), -1))
+        g = None  # no real-k march reads it, and a scan frees it at once
     else:
         q = np.sqrt(q2)
         z = q * w
-        _guard(np.abs(z.imag).reshape(len(w), -1))
+        g = np.abs(z.imag)
+        _guard(g.reshape(len(w), -1))
     small = np.abs(z) < 1e-6
     series = small.any()
     zs = np.where(small, 1.0, z) if series else z
@@ -164,7 +187,7 @@ def _layers(profile: PotentialProfile, k):
         c = np.where(small, 1.0 - z2 / 2.0, c)
         s = np.where(small, 1.0 - z2 / 6.0, s)
     ws = w * s
-    return q, c, ws, -q2 * ws
+    return q, c, ws, -q2 * ws, g
 
 
 def _guard(exponent: np.ndarray) -> None:
@@ -184,7 +207,7 @@ def _guard(exponent: np.ndarray) -> None:
 
 def _sweep(layers, value, slope):
     """Yield (psi, psi') at x = 0 and past each layer in turn, elementwise."""
-    _, c, ws, m = layers
+    c, ws, m = layers[1:4]
     yield value, slope
     for cj, wsj, mj in zip(c, ws, m):
         value, slope = cj * value + wsj * slope, mj * value + cj * slope
@@ -205,6 +228,68 @@ def _march(layers, value, slope) -> np.ndarray:
     for j, (value, slope) in enumerate(_sweep(layers, value, slope)):
         pairs[j, 0], pairs[j, 1] = value, slope
     return pairs
+
+
+def _outgoing(layers, k):
+    """(u, u') of the left- and right-outgoing waves at every edge.
+
+    The left wave starts as (1, -ik) at x = 0 and is marched forward.  The
+    right wave starts as (1, +ik) at x = L; it is marched backward as the
+    forward march of (1, -ik) through the mirrored layers, with u' negated.
+    Both have shape (n_layers + 1, 2, *k.shape): row e is the pair at
+    edges[e].
+    """
+    slope = -1j * np.asarray(k)
+    left = _march(layers, 1.0, slope)
+    right = _march(tuple(a[::-1] for a in layers[:4]), 1.0, slope)[::-1]
+    right[:, 1] *= -1.0
+    return left, right
+
+
+def _joins(n_layers: int) -> np.ndarray:
+    """Edges where the two outgoing waves may be joined: the interior ones,
+    or x = L for a single layer, which has none."""
+    return np.arange(1, n_layers) if n_layers > 1 else np.array([1])
+
+
+def _growth(layers) -> np.ndarray:
+    """Summed |Im z| from x = 0 to each edge, shape (n_layers + 1, *s).
+
+    A march from x = 0 to edge e can amplify rounding by about
+    e^{growth[e]}, one from x = L by about e^{growth[-1] - growth[e]}.
+    """
+    growth = np.cumsum(layers[4], axis=0)
+    return np.concatenate((np.zeros((1, *growth.shape[1:])), growth))
+
+
+def _wronskian(left, right):
+    """u_L u_R' - u_L' u_R, elementwise over the edges and points."""
+    return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+
+
+def _join(growth: np.ndarray, left, right, k: complex) -> tuple[int, float, complex]:
+    """(edge, mismatch, alpha) from the growth and outgoing pairs at one k.
+
+    edge is the join edge of least mismatch (module docstring) among those
+    where each pair's size |u| + |u'|/|k|, against 2 at its start, exceeds
+    its march's rounding eps e^growth by 1/_W_TOL; alpha scales the right
+    piece onto the left one there.  With no such edge the mismatch is inf.
+    """
+    with np.errstate(divide="ignore"):  # a pair of zeros has log size -inf
+        log_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs(k))
+        log_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs(k))
+    trusted = (log_l >= _TRUST_FLOOR + growth) & (log_r >= _TRUST_FLOOR + growth[-1] - growth)
+    joins = _joins(len(growth) - 1)
+    edges = joins[trusted[joins]]
+    if not edges.size:
+        return 0, np.inf, np.nan
+    left, right = left[edges], right[edges]
+    (u_l, du_l), (u_r, du_r) = left.T, right.T
+    size_r = np.maximum(np.abs(u_r), np.abs(du_r / k))
+    mismatch = np.abs(_wronskian(left, right)) / (size_r * (np.abs(du_l) + np.abs(k * u_l)))
+    j = int(mismatch.argmin())
+    alpha = u_l[j] / u_r[j] if abs(u_r[j]) == size_r[j] else du_l[j] / du_r[j]
+    return int(edges[j]), float(mismatch[j]), alpha
 
 
 def _nonzero_k(k):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qshutter import DomainError, solve_mode
+from qshutter import DomainError
 from qshutter.model import wavenumber
 from qshutter.modes import rho, rho_mirror
 from qshutter.scattering import solve_stationary, stationary_wave
@@ -55,11 +55,6 @@ class TestSolveMode:
             closed = _layer_integral(a, b, m.q[j], layer.width)
             assert abs(closed - complex(re, im)) < 1e-9
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="just above the |2qw| < 1e-5 series switch, U = (1 - sin z/z)/z^2 "
-        "cancels to ~eps/z^2 relative, so the layer integral keeps ~6 digits",
-    )
     def test_layer_integral_above_series_switch_matches_quadrature(self):
         import mpmath as mp
 
@@ -73,18 +68,6 @@ class TestSolveMode:
                 mp.quad(lambda x: (am * mp.cos(qm * x) + bm * mp.sin(qm * x) / qm) ** 2, [0, w])
             )
         assert abs(_layer_integral(a, b, q, w) - ref) <= 1e-12 * abs(ref)
-
-    def test_normalization_invariant_under_initial_scale(
-        self, triple_profile, triple_poles
-    ):
-        # any complex seed scale must land on the same normalized mode
-        base = solve_mode(triple_profile, triple_poles[0])
-        scaled = solve_mode(
-            triple_profile, triple_poles[0], initial_scale=2.7 - 1.3j
-        )
-        L = triple_profile.total_length
-        for x in (0.0, 0.3 * L, 0.77 * L, L):
-            assert abs(base.u(x) - scaled.u(x)) < 1e-12 * max(abs(base.u(x)), 1.0)
 
     def test_sign_convention(self, triple_modes, double_modes):
         for m in triple_modes + double_modes:

@@ -403,13 +403,6 @@ class TestFindPoles:
         assert len(trace) < 40
         assert 0 < trace[-1].real < 16 * np.finfo(float).eps * abs(trace[-1])
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="with more poles requested than T(E) shows, the scan window "
-        "doubles to its 12.8 eV cap (~512k energy points) before the count "
-        "error",
-    )
     def test_count_error_ends_before_the_window_cap(self, monkeypatch):
         # one resonance below the cap, three requested
         points = []

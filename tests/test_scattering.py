@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T_DOUBLE_83740, T_TRIPLE_12949, T_TRIPLE_EBAR
-from qshutter import DomainError, OverflowGuardError, build_profile, find_poles, transmission
+from qshutter import (
+    DomainError,
+    OverflowGuardError,
+    QShutterError,
+    build_profile,
+    find_poles,
+    solve_mode,
+    transmission,
+)
 from qshutter import scattering
 from qshutter.model import wavenumber
 from qshutter.presets import MASS_RATIO
@@ -281,6 +289,23 @@ class TestRealAxis:
             s, d = P[0, 0] + P[1, 1], k * P[0, 1] - P[1, 0] / k
             T_ref = float(mp.re(4 / (s * s + d * d)))
         assert abs(T - T_ref) < 1e-10 * T_ref
+
+
+class TestPolesAndModes:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(profile=_barrier_profiles(), n=st.integers(1, 4))
+    def test_typed_error_or_modes_within_their_residual_bounds(self, profile, n):
+        # the whole structure-level path either raises a typed error that
+        # says why or returns modes that pass their own invariants, never NaN
+        try:
+            modes = [solve_mode(profile, p) for p in find_poles(profile, n)]
+        except QShutterError:
+            return
+        for m in modes:
+            assert m.outgoing_residual < 1e-8
+            assert m.normalization_residual < 1e-10
+            assert np.all(np.isfinite(m.coefficients))
+            assert np.isfinite(m.u0) and np.isfinite(m.uL)
 
 
 def _layer_sum_per_point(edges, q, coefficients, x):
