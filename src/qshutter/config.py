@@ -61,6 +61,15 @@ class Incidence:
             return f"E1 + {self.value:g}*Gamma1"
         return "doublet-center"
 
+    def energy(self, poles) -> float:
+        """The incidence energy (eV) against a structure's poles, in order."""
+        if self.kind == "absolute":
+            return self.value
+        p1 = poles[0]
+        if self.kind == "offset":
+            return p1.E_position + self.value * p1.Gamma
+        return 0.5 * (p1.E_position + poles[1].E_position)
+
 
 # poles each incidence kind reads: none, E1 and Gamma1, or the doublet
 _POLES_NEEDED = {"absolute": 0, "offset": 1, "doublet-center": 2}
@@ -274,14 +283,8 @@ def resolve_scenario(cfg: ScenarioConfig) -> ResolvedScenario:
         raise ConfigError(f"x = {x} nm outside [0, {L}]", field="x")
     needed = [_POLES_NEEDED[inc.kind], *(_MODES_NEEDED[m] for m in cfg.methods)]
     spectrum = make_spectrum(profile, max(cfg.n_poles, *needed))
-    p1 = spectrum.poles[0]
-    if inc.kind == "absolute":
-        E = inc.value
-    elif inc.kind == "offset":
-        E = p1.E_position + inc.value * p1.Gamma
-    else:
-        E = 0.5 * (p1.E_position + spectrum.poles[1].E_position)
-    tau_1 = p1.tau
+    E = inc.energy(spectrum.poles)
+    tau_1 = spectrum.poles[0].tau
     return ResolvedScenario(
         config=cfg,
         problem=spectrum.at(E),

@@ -7,7 +7,9 @@ Schemas (fixed; part of the test surface):
     transmission:  E_meV, T
 
 Manifests are plain structured text: one `check: name, expected, measured,
-tolerance, verdict` line per assertion plus free-form `info:` lines.  All
+tolerance, verdict` line per assertion plus free-form `info:` lines.  Each
+assertion is one Check record (built by check_abs or check_bound), the same
+record the selftest prints as an expected-vs-measured sub-line.  All
 numbers go through one format, fmt's %.12g for floats, so identical inputs
 produce byte-identical files.  The CSVs apply it with one % per file, over a
 row template repeated once per row (_table).  A trace's `t_ps,t_over_tau1,`
@@ -32,6 +34,9 @@ __all__ = [
     "write_poles_csv",
     "transmission_csv_text",
     "write_transmission_csv",
+    "Check",
+    "check_abs",
+    "check_bound",
     "Manifest",
     "gnuplot_script",
 ]
@@ -130,23 +135,47 @@ def write_transmission_csv(path, energies_meV, T_values) -> str:
     return str(path)
 
 
-@dataclass
-class ManifestCheck:
+@dataclass(frozen=True)
+class Check:
+    """One expected-vs-measured assertion.
+
+    With a tolerance it is an absolute band, |measured - expected| <= tolerance;
+    without one (None) expected is the text of a bound whose verdict the
+    caller decided.  render() gives the manifest `check:` line, line() the
+    selftest sub-line.
+    """
+
     name: str
-    expected: str
-    measured: str
-    tolerance: str
+    expected: float | str
+    measured: float
+    tolerance: float | None
     passed: bool
 
-    @property
-    def verdict(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
     def render(self) -> str:
+        tol = "-" if self.tolerance is None else fmt(self.tolerance)
         return (
-            f"check: {self.name}, {self.expected}, {self.measured}, "
-            f"{self.tolerance}, {self.verdict}"
+            f"check: {self.name}, {fmt(self.expected)}, {fmt(self.measured)}, "
+            f"{tol}, {'PASS' if self.passed else 'FAIL'}"
         )
+
+    def line(self) -> str:
+        if self.tolerance is None:
+            expected, measured = self.expected, f"{self.measured:.6g}"
+        else:
+            expected = f"{self.expected:g} +- {self.tolerance:g}"
+            measured = f"{self.measured:.6f}"
+        tag = "ok  " if self.passed else "FAIL"
+        return f"    {tag}  {self.name}: expected {expected}, measured {measured}"
+
+
+def check_abs(name: str, expected: float, measured: float, tol: float) -> Check:
+    """|measured - expected| <= tol."""
+    return Check(name, expected, measured, tol, bool(abs(measured - expected) <= tol))
+
+
+def check_bound(name: str, expected: str, measured: float, ok: bool) -> Check:
+    """Inequality or ordering check; the caller supplies the verdict."""
+    return Check(name, expected, measured, None, bool(ok))
 
 
 @dataclass
@@ -154,24 +183,19 @@ class Manifest:
     """Collects check/info lines for one figure run."""
 
     title: str
-    checks: list[ManifestCheck] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
     infos: list[str] = field(default_factory=list)
 
     def add_info(self, key: str, value) -> None:
         self.infos.append(f"info: {key} = {fmt(value)}")
 
     def check_abs(self, name: str, expected: float, measured: float, tol: float) -> bool:
-        """|measured - expected| <= tol."""
-        ok = abs(measured - expected) <= tol
-        self.checks.append(
-            ManifestCheck(name, fmt(expected), fmt(measured), fmt(tol), ok)
-        )
-        return ok
+        self.checks.append(check_abs(name, expected, measured, tol))
+        return self.checks[-1].passed
 
     def check_bound(self, name: str, expected: str, measured: float, ok: bool) -> bool:
-        """Inequality or ordering check; caller supplies the verdict."""
-        self.checks.append(ManifestCheck(name, expected, fmt(measured), "-", ok))
-        return ok
+        self.checks.append(check_bound(name, expected, measured, ok))
+        return self.checks[-1].passed
 
     @property
     def ok(self) -> bool:

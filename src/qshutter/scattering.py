@@ -285,10 +285,11 @@ def _join(growth: np.ndarray, left, right, k: complex) -> tuple[int, float, comp
         return 0, np.inf, np.nan
     left, right = left[edges], right[edges]
     (u_l, du_l), (u_r, du_r) = left.T, right.T
-    size_r = np.maximum(np.abs(u_r), np.abs(du_r / k))
+    abs_u, abs_du = np.abs(u_r), np.abs(du_r / k)
+    size_r = np.maximum(abs_u, abs_du)
     mismatch = np.abs(_wronskian(left, right)) / (size_r * (np.abs(du_l) + np.abs(k * u_l)))
     j = int(mismatch.argmin())
-    alpha = u_l[j] / u_r[j] if abs(u_r[j]) == size_r[j] else du_l[j] / du_r[j]
+    alpha = u_l[j] / u_r[j] if abs_u[j] >= abs_du[j] else du_l[j] / du_r[j]
     return int(edges[j]), float(mismatch[j]), alpha
 
 

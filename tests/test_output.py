@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from qshutter import TransientTrace, evolve_trace, make_problem, output, transmission
+from qshutter.acceptance import CheckResult
 from qshutter.output import (
     Manifest,
+    check_abs,
+    check_bound,
     fmt,
     gnuplot_script,
     poles_csv_text,
@@ -222,6 +225,36 @@ class TestManifest:
         path = tmp_path / "manifest.txt"
         m.write(path)
         assert path.read_text().endswith("result: PASS\n")
+
+
+class TestCheckRendering:
+    """One Check renders as a manifest `check:` line and as a selftest line."""
+
+    CHECKS = (
+        check_abs("tau1 (ps)", 1.61, 1.61510339377, 0.01),
+        check_abs("curlyE1 (meV)", 11.512, 11.503606063, 0.001),
+        check_bound("pole search runtime (s)", "< 1", 0.0062993012, True),
+    )
+
+    def test_manifest_lines(self):
+        assert [c.render() for c in self.CHECKS] == [
+            "check: tau1 (ps), 1.61, 1.61510339377, 0.01, PASS",
+            "check: curlyE1 (meV), 11.512, 11.503606063, 0.001, FAIL",
+            "check: pole search runtime (s), < 1, 0.0062993012, -, PASS",
+        ]
+
+    def test_selftest_lines(self):
+        result = CheckResult(
+            "stated doublet parameters", number=1, checks=list(self.CHECKS), notes=["why"]
+        )
+        assert not result.passed
+        assert result.render() == (
+            "criterion  1: FAIL  stated doublet parameters\n"
+            "    ok    tau1 (ps): expected 1.61 +- 0.01, measured 1.615103\n"
+            "    FAIL  curlyE1 (meV): expected 11.512 +- 0.001, measured 11.503606\n"
+            "    ok    pole search runtime (s): expected < 1, measured 0.0062993\n"
+            "    note: why"
+        )
 
 
 def test_gnuplot_script(tmp_path):

@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 
 from qshutter import QShutterError
+from qshutter.acceptance import (
+    AcceptanceContext,
+    criterion_3,
+    criterion_4,
+    criterion_6,
+    criterion_7,
+    criterion_9,
+)
 from qshutter.presets import PRESETS, run_figure
 
 
@@ -101,3 +109,66 @@ class TestFig3b:
     def test_three_structures_emitted(self, result):
         csvs = [f for f in result.files if f.endswith(".csv")]
         assert len(csvs) == 3
+
+
+# every manifest's checks in order: (name, verdict, measured value)
+MANIFEST_CHECKS = {
+    "fig1": [
+        ("E1 + 2*Gamma1 (meV)", False, 12.3186773232),
+        ("tau1 (ps)", True, 1.61510339377),
+        ("closed two-level vs exact, max rel dev on [0.5, 10] tau1", True, 0.0454407661761),
+    ],
+    "fig2a": [
+        ("max |M-form density - envelope| over [0, 10] tau1", True, 0.0386786228982),
+        ("residual oscillation frequency (rad/ps)", True, 4.29460643086),
+    ],
+    "fig2b": [
+        ("T at the doublet center", True, 0.118545826936),
+        ("dominant frequency (rad/ps)", True, 2.17710983551),
+    ],
+    "fig3a": [
+        ("triple asymptote T", True, 0.118545826936),
+        ("double asymptote T (own doublet offset)", False, 0.0238094388553),
+        ("T(83.740 meV), double", True, 0.0229811569853),
+    ],
+    "fig3b": [
+        ("T(Ebar(b2)) ordering over b2 = 3, 4, 5 nm", True, 0.423134225263),
+        ("T(Ebar(5 nm))", True, 0.541680052198),
+    ],
+}
+
+
+@pytest.mark.parametrize("preset_id", sorted(MANIFEST_CHECKS))
+def test_manifest_checks_pinned(preset_id, tmp_path):
+    checks = run_figure(preset_id, tmp_path).manifest.checks
+    expected = MANIFEST_CHECKS[preset_id]
+    assert [(c.name, c.passed) for c in checks] == [(n, v) for n, v, _ in expected]
+    for c, (_, _, measured) in zip(checks, expected):
+        assert c.measured == pytest.approx(measured, rel=1e-9)
+
+
+# checks a figure and a selftest criterion both make: (preset, criterion, name)
+SHARED_CHECKS = [
+    ("fig1", criterion_4, "tau1 (ps)"),
+    ("fig1", criterion_6, "closed two-level vs exact, max rel dev on [0.5, 10] tau1"),
+    ("fig2a", criterion_7, "max |M-form density - envelope| over [0, 10] tau1"),
+    ("fig2a", criterion_7, "residual oscillation frequency (rad/ps)"),
+    ("fig3a", criterion_3, "T(83.740 meV), double"),
+    ("fig3b", criterion_9, "T(Ebar(b2)) ordering over b2 = 3, 4, 5 nm"),
+    ("fig3b", criterion_9, "T(Ebar(5 nm))"),
+]
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return AcceptanceContext()
+
+
+@pytest.mark.parametrize("preset_id, criterion, name", SHARED_CHECKS)
+def test_shared_check_matches_its_criterion(preset_id, criterion, name, ctx, tmp_path):
+    def find(checks):
+        (check,) = (c for c in checks if c.name == name)
+        return check.expected, check.tolerance
+
+    figure = run_figure(preset_id, tmp_path).manifest.checks
+    assert find(figure) == find(criterion(ctx).checks)

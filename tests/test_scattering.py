@@ -307,6 +307,18 @@ class TestPolesAndModes:
             assert np.all(np.isfinite(m.coefficients))
             assert np.isfinite(m.u0) and np.isfinite(m.uL)
 
+    def test_join_scales_on_the_larger_component_of_the_right_piece(self):
+        # |u_R| = 2.31 against |u_R'/k| = 0.1, so the right piece is scaled on
+        # u.  For this u_R Python's abs of the numpy scalar and numpy's
+        # vectorised abs differ in the last bit (numpy 2.4), so a join that
+        # compared the two would take the u' ratio, 30, instead
+        u_r = 1.267732437050385 + 1.925695544488903j
+        left = np.array([[1, 1], [2, 3], [1, 1]], dtype=complex)
+        right = np.array([[1, 1], [u_r, 0.1], [1, 1]], dtype=complex)
+        edge, _, alpha = scattering._join(np.zeros(3), left, right, 1.0 + 0j)
+        assert edge == 1
+        assert alpha == pytest.approx(2 / u_r, rel=1e-15)
+
 
 def _layer_sum_per_point(edges, q, coefficients, x):
     """Reference for layered_wave: one point at a time, series below |z| = 1e-6."""
