@@ -9,9 +9,9 @@ stated pole digits are not reachable from the pinned constants
 0.008-0.024 meV away.  Those criteria fail honestly here; the suite never
 substitutes computed values for stated ones, it records both.
 
-A criterion's result is a numbered Manifest with notes, holding
-output.Check records; the checks it shares with a figure preset are built
-by that preset's functions in presets.
+A criterion's result is a numbered Manifest with notes whose verdict is ok;
+its Checks are built by check_abs or check_bound, or, when it shares them
+with a figure preset, by that preset's functions in presets.
 
 Oracles used by criterion 10 (arbitrary-precision Faddeeva reference,
 free-particle closed form, Crank-Nicolson grid propagation) live in this
@@ -21,7 +21,6 @@ module so the selftest is self-contained.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -72,12 +71,8 @@ class CheckResult(Manifest):
     number: int = field(kw_only=True)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return self.ok
-
     def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
+        verdict = "PASS" if self.ok else "FAIL"
         return f"criterion {self.number:2d}: {verdict}  {self.title}"
 
     def render(self) -> str:
@@ -333,8 +328,8 @@ def criterion_9(ctx: AcceptanceContext) -> CheckResult:
 # --- criterion 10: invariant property suites ------------------------------
 
 
-def _faddeeva_reference(z: complex):
-    """w(z) at 50 significant digits via the arbitrary-precision route."""
+def _faddeeva_reference(z):
+    """w(z) = e^{-z^2} erfc(-iz) to 50 digits; z a complex or an mpmath mpc."""
     import mpmath as mp
 
     with mp.workdps(50):
@@ -485,7 +480,8 @@ def _free_psi_reference(k: float, x: float, t: float, beta: float) -> complex:
     with mp.workdps(40):
 
         def M(y):
-            return mp.mpf("0.5") * mp.exp(y * y) * mp.erfc(y)
+            # M(y) = e^{y^2} erfc(y) / 2 = w(iy) / 2
+            return _faddeeva_reference(1j * y) / 2
 
         root = mp.sqrt(4 * mp.mpf(beta) * t)
         phase = mp.exp(1j * mp.mpf(x) ** 2 / (4 * mp.mpf(beta) * t))
@@ -628,15 +624,14 @@ CRITERIA = (
 )
 
 
-def run_acceptance(stream=None) -> list[CheckResult]:
+def run_acceptance() -> list[CheckResult]:
     """Run all ten criteria in order, printing one block per criterion."""
-    stream = stream if stream is not None else sys.stdout
     ctx = AcceptanceContext()
     results = []
     for crit in CRITERIA:
         res = crit(ctx)
-        print(res.render(), file=stream)
+        print(res.render())
         results.append(res)
-    n_pass = sum(r.passed for r in results)
-    print(f"passed {n_pass} of {len(results)} criteria", file=stream)
+    n_pass = sum(r.ok for r in results)
+    print(f"passed {n_pass} of {len(results)} criteria")
     return results

@@ -86,11 +86,10 @@ def _cmd_transmission(args) -> int:
             f"window must satisfy 0 < from < to, got {args.e_from}..{args.e_to} meV",
             field="from/to",
         )
-    points = args.points if args.points is not None else 400
-    if points < 2:
-        raise ConfigError(f"--points must be >= 2, got {points}", field="points")
+    if args.points < 2:
+        raise ConfigError(f"--points must be >= 2, got {args.points}", field="points")
     profile = cfg.profile()
-    energies = np.linspace(args.e_from, args.e_to, points)
+    energies = np.linspace(args.e_from, args.e_to, args.points)
     T = transmission(profile, energies * 1e-3)[1]
     sys.stdout.write(transmission_csv_text(energies, T))
     if args.out is not None:
@@ -114,7 +113,7 @@ def _cmd_figure(args) -> int:
     for f in result.files:
         print(f"wrote {f}", file=sys.stderr)
     print(f"wrote {result.manifest_path}", file=sys.stderr)
-    return 0 if result.ok else 3
+    return 0 if result.manifest.ok else 3
 
 
 def _cmd_selftest(args) -> int:
@@ -122,7 +121,7 @@ def _cmd_selftest(args) -> int:
     from .acceptance import run_acceptance
 
     results = run_acceptance()
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.ok for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="config path or shipped name")
     p.add_argument("--from", dest="e_from", type=float, required=True, metavar="MEV")
     p.add_argument("--to", dest="e_to", type=float, required=True, metavar="MEV")
-    p.add_argument("--points", type=int, default=None, help="grid points (default 400)")
+    p.add_argument("--points", type=int, default=400, help="grid points (default 400)")
     p.add_argument("--out", default=None, metavar="DIR", help="also write transmission.csv here")
     p.set_defaults(func=_cmd_transmission)
 

@@ -48,16 +48,16 @@ HBAR2_OVER_2ME = 0.0380998
 class PhysicalConstants:
     """Unit bridge shared by all modules.
 
-    hbar is stored in meV ps (the published constant to all digits);
-    hbar_ev_ps converts it once to the internal eV ps scale.
+    mass_ratio is the one field; hbar (meV ps) and hbar2_over_2me (eV nm^2)
+    are class constants, the published values; hbar_ev_ps is hbar in eV ps.
     hbar2_over_2m is hbar^2/2m for the *effective* mass, eV nm^2.
     hbar_over_2m = (hbar^2/2m)/hbar has units nm^2/ps and is the diffusion
     scale entering the transient arguments.
     """
 
     mass_ratio: float
-    hbar: float = HBAR_MEV_PS
-    hbar2_over_2me: float = HBAR2_OVER_2ME
+    hbar = HBAR_MEV_PS
+    hbar2_over_2me = HBAR2_OVER_2ME
 
     def __post_init__(self):
         if not (0 < self.mass_ratio < np.inf):

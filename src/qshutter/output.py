@@ -8,8 +8,9 @@ Schemas (fixed; part of the test surface):
 
 Manifests are plain structured text: one `check: name, expected, measured,
 tolerance, verdict` line per assertion plus free-form `info:` lines.  Each
-assertion is one Check record (built by check_abs or check_bound), the same
-record the selftest prints as an expected-vs-measured sub-line.  All
+assertion is one Check record, built by check_abs or check_bound and
+appended to Manifest.checks; the selftest prints the same record as an
+expected-vs-measured sub-line.  A manifest's one verdict is Manifest.ok.  All
 numbers go through one format, fmt's %.12g for floats, so identical inputs
 produce byte-identical files.  The CSVs apply it with one % per file, over a
 row template repeated once per row (_table).  A trace's `t_ps,t_over_tau1,`
@@ -180,7 +181,7 @@ def check_bound(name: str, expected: str, measured: float, ok: bool) -> Check:
 
 @dataclass
 class Manifest:
-    """Collects check/info lines for one figure run."""
+    """Collects the infos and the appended Checks of one figure run."""
 
     title: str
     checks: list[Check] = field(default_factory=list)
@@ -188,14 +189,6 @@ class Manifest:
 
     def add_info(self, key: str, value) -> None:
         self.infos.append(f"info: {key} = {fmt(value)}")
-
-    def check_abs(self, name: str, expected: float, measured: float, tol: float) -> bool:
-        self.checks.append(check_abs(name, expected, measured, tol))
-        return self.checks[-1].passed
-
-    def check_bound(self, name: str, expected: str, measured: float, ok: bool) -> bool:
-        self.checks.append(check_bound(name, expected, measured, ok))
-        return self.checks[-1].passed
 
     @property
     def ok(self) -> bool:

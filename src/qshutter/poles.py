@@ -41,7 +41,7 @@ is the lowest-index failing seed's, as a loop over the seeds would raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -340,8 +340,4 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     poles.sort(key=lambda p: p.E_position)
     if len(poles) < N:
         raise PoleCountError(found=len(poles), requested=N)
-    c = profile.constants
-    return [
-        ResonancePole(index=i + 1, k=p.k, E=energy_of(p.k, c), hbar=c.hbar_ev_ps)
-        for i, p in enumerate(poles[:N])
-    ]
+    return [replace(p, index=i + 1) for i, p in enumerate(poles[:N])]

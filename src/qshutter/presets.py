@@ -150,7 +150,7 @@ def _report_fig1(man: Manifest, runs):
     man.add_info("incidence", rs.config.incidence.describe())
     man.add_info("resolved_E_meV", rs.E_meV)
     man.add_info("T_at_E", _T_at_E(rs))
-    man.check_abs("E1 + 2*Gamma1 (meV)", 12.33, rs.E_meV, 0.005)
+    man.checks.append(check_abs("E1 + 2*Gamma1 (meV)", 12.33, rs.E_meV, 0.005))
     man.checks.append(check_tau1(rs.tau_1))
     man.checks.append(check_closed_two_level(trace, rs.tau_1))
     return _method_curves(runs)
@@ -180,7 +180,7 @@ def _report_fig2b(man: Manifest, runs):
     [(rs, _, trace)] = runs
     man.add_info("incidence", rs.config.incidence.describe())
     man.add_info("resolved_E_meV", rs.E_meV)
-    man.check_abs("T at the doublet center", 0.119, _T_at_E(rs), 0.001)
+    man.checks.append(check_abs("T at the doublet center", 0.119, _T_at_E(rs), 0.001))
     freqs = frequencies(rs.problem.E, rs.problem.modes[0].pole, rs.problem.modes[1].pole)
     man.add_info("omega21_rad_per_ps", freqs.omega_21)
     target = freqs.omega_21 / 2.0
@@ -201,10 +201,12 @@ def _report_fig3a(man: Manifest, runs):
     man.add_info("double resolved_E_meV", rs_d.E_meV)
     man.add_info("triple transient maximum", float(trace_t.densities[METHOD_EXACT].max()))
     man.add_info("double transient maximum", float(trace_d.densities[METHOD_EXACT].max()))
-    man.check_abs("triple asymptote T", 0.119, _T_at_E(rs_t), 0.001)
-    man.check_abs("double asymptote T (own doublet offset)", 0.0229, _T_at_E(rs_d), 0.0002)
-    # the stated value is tied to the printed incidence energy; record it too
-    man.checks.append(check_stated_double_T(rs_d.problem.profile))
+    man.checks.extend([
+        check_abs("triple asymptote T", 0.119, _T_at_E(rs_t), 0.001),
+        check_abs("double asymptote T (own doublet offset)", 0.0229, _T_at_E(rs_d), 0.0002),
+        # the stated value is tied to the printed incidence energy; record it too
+        check_stated_double_T(rs_d.problem.profile),
+    ])
     return [
         (Path(files_t[0]).name, "triple barrier at doublet center"),
         (Path(files_d[0]).name, "double barrier, matched offset"),
@@ -234,14 +236,9 @@ class FigurePreset:
 
 @dataclass
 class FigureResult:
-    preset_id: str
     files: list[str]
     manifest_path: str
     manifest: Manifest
-
-    @property
-    def ok(self) -> bool:
-        return self.manifest.ok
 
 
 PRESETS: dict[str, FigurePreset] = {
@@ -339,7 +336,6 @@ def run_figure(preset_id: str, out_dir: str = ".") -> FigureResult:
     files = [f for _, run_files, _ in runs for f in run_files]
     files.append(gnuplot_script(out / f"{preset_id}.gp", preset.description, curves))
     return FigureResult(
-        preset_id=preset_id,
         files=files,
         manifest_path=man.write(out / f"{preset_id}_manifest.txt"),
         manifest=man,

@@ -37,7 +37,7 @@ def ctx():
 def run(ctx, criterion):
     result = criterion(ctx)
     print(result.render())
-    assert result.passed, "\n" + result.render()
+    assert result.ok, "\n" + result.render()
 
 
 def test_criterion_01_stated_doublet_parameters_triple(ctx):

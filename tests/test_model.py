@@ -1,5 +1,7 @@
 """Units, layer stacks, and the energy <-> wave number bridge."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from qshutter.model import energy_of, wavenumber
 
 
 class TestPhysicalConstants:
+    def test_mass_ratio_is_the_only_field(self):
+        # hbar and hbar^2/2m_e are fixed class constants, not settable values
+        assert [f.name for f in dataclasses.fields(PhysicalConstants)] == ["mass_ratio"]
+
     def test_hbar_is_the_published_meV_ps_value(self):
         c = PhysicalConstants(mass_ratio=0.067)
         assert c.hbar == 0.6582119569

@@ -205,9 +205,12 @@ class TestManifest:
     def test_check_lines_and_result(self):
         m = Manifest("demo")
         m.add_info("E_meV", 12.949)
-        assert m.check_abs("T", 0.119, 0.1186, 0.001)
-        assert not m.check_abs("tau", 1.61, 1.71, 0.01)
-        m.check_bound("monotone", "increasing", 0.54, True)
+        m.checks += [
+            check_abs("T", 0.119, 0.1186, 0.001),
+            check_abs("tau", 1.61, 1.71, 0.01),
+            check_bound("monotone", "increasing", 0.54, True),
+        ]
+        assert [c.passed for c in m.checks] == [True, False, True]
         text = m.render()
         lines = text.splitlines()
         assert lines[0] == "manifest: demo"
@@ -220,7 +223,7 @@ class TestManifest:
 
     def test_all_pass(self, tmp_path):
         m = Manifest("ok")
-        m.check_abs("x", 1.0, 1.0, 0.1)
+        m.checks.append(check_abs("x", 1.0, 1.0, 0.1))
         assert m.ok
         path = tmp_path / "manifest.txt"
         m.write(path)
@@ -247,7 +250,7 @@ class TestCheckRendering:
         result = CheckResult(
             "stated doublet parameters", number=1, checks=list(self.CHECKS), notes=["why"]
         )
-        assert not result.passed
+        assert not result.ok
         assert result.render() == (
             "criterion  1: FAIL  stated doublet parameters\n"
             "    ok    tau1 (ps): expected 1.61 +- 0.01, measured 1.615103\n"

@@ -403,6 +403,17 @@ class TestFindPoles:
         assert len(trace) < 40
         assert 0 < trace[-1].real < 16 * np.finfo(float).eps * abs(trace[-1])
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="find_poles returns only poles whose T(E) shows a peak: the "
+        "double barrier's third lowest pole, 385.50 meV with Gamma 143.58 meV, "
+        "has no peak of its own, so the 510.91 meV pole is returned third",
+    )
+    def test_double_barrier_third_pole_is_the_third_lowest(self, double_profile):
+        # refine_pole from 0.8269 - 0.0763i converges to this pole
+        root = oracle_root(double_profile, 0.8269 - 0.0763j)
+        assert abs(find_poles(double_profile, 3)[2].k - root) < 1e-9
+
     def test_count_error_ends_before_the_window_cap(self, monkeypatch):
         # one resonance below the cap, three requested
         points = []

@@ -39,7 +39,7 @@ class TestFig2b:
         return run_figure("fig2b", tmp_path_factory.mktemp("fig2b"))
 
     def test_manifest_passes(self, result):
-        assert result.ok
+        assert result.manifest.ok
         assert result.manifest.render().endswith("result: PASS\n")
 
     def test_files_exist(self, result):
@@ -69,7 +69,7 @@ class TestFig1:
         return run_figure("fig1", tmp_path_factory.mktemp("fig1"))
 
     def test_files_written_despite_failed_check(self, result):
-        assert not result.ok
+        assert not result.manifest.ok
         for f in result.files:
             assert Path(f).exists()
 
@@ -104,7 +104,7 @@ class TestFig3b:
         return run_figure("fig3b", tmp_path_factory.mktemp("fig3b"))
 
     def test_manifest_passes(self, result):
-        assert result.ok
+        assert result.manifest.ok
 
     def test_three_structures_emitted(self, result):
         csvs = [f for f in result.files if f.endswith(".csv")]
