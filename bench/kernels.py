@@ -11,7 +11,10 @@ barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
 its four poles and for four poles of one 4-barrier profile of perfbench's
 `structures` stream (seed 1, op 4), the mode solves of the triple
 barrier's four poles, one exact-N evaluation at the doublet
-center on 2000 times, the CSVs of that trace with every method (a trace's
+center on 2000 times and one 200 x 2000 density map built by a psi_exact
+call per x (`perfbench`'s `density_maps` op), both with psi_exact's
+column memo cleared before each round so that the M columns are built
+every round, the CSVs of that trace with every method (a trace's
 first file, which formats the time cells, a later file, which reuses them,
 and all four files of a fresh trace), the CSV text of the 4000-point scan,
 and `resolve_scenario` on the shipped triple-barrier config with
@@ -93,9 +96,30 @@ def test_solve_mode(benchmark, triple):
     assert all(m.outgoing_residual < 1e-8 for m in modes)
 
 
+def _cold(*args):
+    """Setup for benchmark.pedantic: args, with psi_exact's memo emptied."""
+
+    def setup():
+        psi_exact.cache_clear()
+        return args, {}
+
+    return setup
+
+
 def test_psi_exact(benchmark, problem):
-    psi = benchmark(psi_exact, problem, problem.L, TIMES)
+    psi = benchmark.pedantic(
+        psi_exact, setup=_cold(problem, problem.L, TIMES), rounds=100, warmup_rounds=1
+    )
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
+
+
+def test_density_map_per_x(benchmark, problem):
+    def density_map(xs):
+        return np.array([np.abs(psi_exact(problem, x, TIMES)) ** 2 for x in xs])
+
+    xs = np.linspace(0.0, problem.L, 200)
+    dmap = benchmark.pedantic(density_map, setup=_cold(xs), rounds=10, warmup_rounds=1)
+    assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
 
 
 @pytest.fixture(scope="module")

@@ -101,9 +101,4 @@ def y_values(s, t, constants: PhysicalConstants):
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise DomainError("t must be >= 0 ps")
-    return _y_from_root(s, np.sqrt(t), constants)
-
-
-def _y_from_root(s, root_t, constants: PhysicalConstants):
-    """y_s from sqrt(t), for a caller that has checked t and reuses its root."""
-    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * root_t
+    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * np.sqrt(t)

@@ -15,7 +15,7 @@ partners.  The partner terms are not optional: they carry the cancellation
 that makes Psi vanish as t -> 0+.  The truncated sum leaves a residual
 there: at the triple barrier's doublet center |Psi(L, 1e-6 ps)|^2/T reads
 1.2e-1, 6.1e-5, 7.7e-5, 9.3e-6, 6.3e-4, 3.3e-4 for N = 1..6, which is not
-monotone and so no measure of convergence in N (ROADMAP item 6).  Every
+monotone and so no measure of convergence in N (ROADMAP item 8).  Every
 M-function method is a partial sum of this one expansion (see _sums).
 
 On a free profile the expansion degenerates (no poles) and does not reduce
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .mfunc import _y_from_root, m_function
+from .mfunc import m_function, y_values
 from .model import PhysicalConstants, PotentialProfile, wavenumber
 from .modes import ResonantMode, rho, rho_mirror, solve_mode
 from .poles import ResonancePole, find_poles
@@ -76,6 +76,9 @@ METHODS = (
 _MODES_NEEDED = dict(zip(METHODS, (0, 2, 2, 1)))
 # (profile, n_poles) pairs whose spectra make_spectrum keeps
 _SPECTRUM_MEMO_SIZE = 32
+# M(y_s) columns _column keeps, and the most time points a kept column has
+_COLUMN_MEMO_SIZE = 32
+_COLUMN_MEMO_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,21 @@ def _result(psi):
     return complex(psi) if np.ndim(psi) == 0 else psi
 
 
+@lru_cache(maxsize=_COLUMN_MEMO_SIZE)
+def _column(s: complex, shape: tuple, t_bytes: bytes, c: PhysicalConstants):
+    """The read-only M(y_s) column on the checked time grid (shape, t_bytes).
+
+    The shape is part of the key: a (n, 1) grid has the bytes of an (n,)
+    grid but needs a column of its own shape.
+    """
+    t = np.frombuffer(t_bytes).reshape(shape)
+    column = m_function(y_values(s, t, c))
+    # a 0-d grid gives a numpy scalar, which is read-only already
+    if column.ndim:
+        column.flags.writeable = False
+    return column
+
+
 def _sums(problem: ShutterProblem, x, t, n_modes: int):
     """(rho_n of the summed modes, doublet sum, full sum) of the expansion.
 
@@ -201,6 +219,9 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
     memory stays at a few arrays of the broadcast (x, t) shape.  The doublet
     sum stops after two pairs (with n_modes <= 2 it is the full sum).  A
     free profile has no poles; both sums are then the free-shutter solution.
+    The columns come from _column's memo, or from the same function
+    uncached when the grid has more than _COLUMN_MEMO_POINTS points (see
+    psi_exact).
     """
     if len(problem.modes) < n_modes:
         raise DomainError(f"needs {n_modes} mode(s), problem has {len(problem.modes)}")
@@ -214,11 +235,12 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
         return (), psi, psi
     c = problem.constants
     k = problem.k
-    # _times has checked t; every column shares one sqrt(t)
-    root_t = np.sqrt(t_arr)
+    # _times has checked t; every column of this call shares one grid key
+    grid = (t_arr.shape, t_arr.tobytes())
+    evaluate = _column if t_arr.size <= _COLUMN_MEMO_POINTS else _column.__wrapped__
 
     def column(s):
-        return m_function(_y_from_root(s, root_t, c))
+        return evaluate(complex(s), *grid, c)
 
     phi = stationary_wave(problem.field, x)
     psi = phi * column(k) - np.conj(phi) * column(-k)
@@ -241,9 +263,26 @@ def psi_exact(problem: ShutterProblem, x, t):
 
     Free profiles dispatch to the closed-form free-shutter solution (the
     pole expansion is empty there and does not represent free propagation).
+
+    M(y_s) depends on the wave number s and on t but not on x, so the
+    columns of the 32 most recently used (s, time grid, constants) keys
+    (_COLUMN_MEMO_SIZE) are kept and shared by psi_exact, psi_doublet_M,
+    delta_term and evolve_trace: a loop over x on one grid evaluates each
+    of its 2 + 2N columns once.  Two limits hold.  A per-x loop hits only
+    while 2 + 2N <= 32 (N <= 15); above that the least recently used
+    column is always the next one asked for, so nothing hits.  A grid of
+    more than 4096 points (_COLUMN_MEMO_POINTS) is never kept and is
+    evaluated on every call.  A kept column is read-only, and a miss
+    runs the same arithmetic as an uncached evaluation, so results do
+    not depend on the memo.  psi_exact.cache_info() reports the reuse,
+    and psi_exact.cache_clear() empties the memo.
     """
     _, _, psi = _sums(problem, x, t, len(problem.modes))
     return _result(psi)
+
+
+psi_exact.cache_info = _column.cache_info
+psi_exact.cache_clear = _column.cache_clear
 
 
 def psi_doublet_M(problem: ShutterProblem, x, t):

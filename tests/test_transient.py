@@ -26,7 +26,7 @@ from qshutter import (
     resolve_scenario,
     transmission,
 )
-from qshutter import transient
+from qshutter import mfunc, transient
 from qshutter.mfunc import m_function, y_values
 from qshutter.modes import rho, rho_mirror
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO
@@ -355,6 +355,8 @@ class TestEvaluator:
 
         p = problem_ebar
         times = np.linspace(0.0, 10.0 * p.modes[0].pole.tau, 2000)
+        # an earlier test on this grid would leave its columns in the memo
+        psi_exact.cache_clear()
         monkeypatch.setattr(transient, "m_function", counting)
         trace = evolve_trace(p, p.L, times, (METHOD_EXACT, METHOD_TWO_LEVEL_M))
         assert len(calls) == 2 + 2 * len(p.modes)
@@ -363,6 +365,72 @@ class TestEvaluator:
         doublet = np.abs(psi_doublet_M(p, p.L, times[1:])) ** 2
         assert np.array_equal(trace.densities[METHOD_EXACT][1:], exact)
         assert np.array_equal(trace.densities[METHOD_TWO_LEVEL_M][1:], doublet)
+
+
+class TestColumnMemo:
+    """psi_exact's memo keeps the x-independent M(y_s) columns of a grid."""
+
+    @pytest.fixture
+    def times(self, problem_ebar):
+        psi_exact.cache_clear()
+        return np.linspace(0.01, 10.0 * problem_ebar.modes[0].pole.tau, 2000)
+
+    def test_per_x_loop_evaluates_each_column_once(self, problem_ebar, times, monkeypatch):
+        p = problem_ebar
+        calls = []
+        wofz = mfunc._wofz()
+
+        def counting(z):
+            calls.append(np.shape(z))
+            return wofz(z)
+
+        monkeypatch.setattr(mfunc, "_WOFZ", counting)
+        for x in np.linspace(0.0, p.L, 200):
+            psi_exact(p, x, times)
+        assert calls == [times.shape] * (2 + 2 * len(p.modes))
+
+    def test_per_x_rows_equal_the_broadcast_call(self, problem_ebar, times):
+        p = problem_ebar
+        n = len(p.modes)
+        xs = np.linspace(0.0, p.L, 200)
+        rows = np.array([psi_exact(p, x, times) for x in xs])
+        broadcast = psi_exact(p, xs[:, None], times)
+        # kept columns change no bit of either form
+        assert np.array_equal(rows, [reference_psi(p, x, times, n) for x in xs])
+        assert np.array_equal(broadcast, reference_psi(p, xs[:, None], times, n))
+        # rho of a scalar x and of an array x may differ in the last bit
+        assert np.max(np.abs(rows - broadcast)) <= 1e-14 * np.max(np.abs(rows))
+        n_columns = 2 + 2 * n
+        info = psi_exact.cache_info()
+        assert (info.hits, info.misses) == (len(xs) * n_columns, n_columns)
+
+    def test_grid_shape_is_part_of_the_key(self, problem_ebar, times):
+        p = problem_ebar
+        column_grid = times[:, None]
+        assert column_grid.tobytes() == times.tobytes()
+        flat = psi_exact(p, p.L, times)
+        column = psi_exact(p, p.L, column_grid)
+        assert flat.shape == times.shape and column.shape == column_grid.shape
+        assert np.array_equal(column[:, 0], flat)
+        assert np.array_equal(flat, reference_psi(p, p.L, times, len(p.modes)))
+
+    def test_columns_are_read_only(self, problem_ebar, times):
+        p = problem_ebar
+        psi_exact(p, p.L, times)
+        column = transient._column(complex(p.k), times.shape, times.tobytes(), p.constants)
+        assert psi_exact.cache_info().hits == 1
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
+    def test_grid_past_the_point_cap_is_not_kept(self, problem_ebar, times):
+        p = problem_ebar
+        psi_exact(p, p.L, times)
+        kept = psi_exact.cache_info().currsize
+        big = np.linspace(0.01, 10.0 * p.modes[0].pole.tau, 5000)
+        first = psi_exact(p, p.L, big)
+        assert psi_exact.cache_info().currsize == kept
+        assert np.array_equal(psi_exact(p, p.L, big), first)
 
 
 class TestFreeShutterPsi:
