@@ -12,11 +12,13 @@ its four poles and for four poles of one 4-barrier profile of perfbench's
 `structures` stream (seed 1, op 4), the mode solves of the triple
 barrier's four poles, one exact-N evaluation at the doublet
 center on 2000 times and one 200 x 2000 density map built by a psi_exact
-call per x (`perfbench`'s `density_maps` op), both with psi_exact's
+call per x (`perfbench`'s `density_maps` op), both cold, with psi_exact's
 column memo cleared before each round so that the M columns are built
-every round, the CSVs of that trace with every method (a trace's
-first file, which formats the time cells, a later file, which reuses them,
-and all four files of a fresh trace), the CSV text of the 4000-point scan,
+every round, and both warm, with the memo filled by one call before the
+rounds so that they time the x-dependent part alone, the CSVs of that
+trace with every method (a trace's first file, which formats the time
+cells, a later file, which reuses them, and all four files of a fresh
+trace), the CSV text of the 4000-point scan,
 and `resolve_scenario` on the shipped triple-barrier config with
 make_spectrum's memo cleared before each round (cold: the pole search and
 mode solves run) and filled (warm: only the stationary field is solved).
@@ -113,12 +115,30 @@ def test_psi_exact(benchmark, problem):
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
 
 
-def test_density_map_per_x(benchmark, problem):
-    def density_map(xs):
-        return np.array([np.abs(psi_exact(problem, x, TIMES)) ** 2 for x in xs])
+def test_psi_exact_warm(benchmark, problem):
+    psi_exact(problem, problem.L, TIMES)
+    psi = benchmark.pedantic(
+        psi_exact, args=(problem, problem.L, TIMES), rounds=1000, warmup_rounds=1
+    )
+    assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
 
+
+def _density_map(problem, xs):
+    return np.array([np.abs(psi_exact(problem, x, TIMES)) ** 2 for x in xs])
+
+
+def test_density_map_per_x(benchmark, problem):
     xs = np.linspace(0.0, problem.L, 200)
-    dmap = benchmark.pedantic(density_map, setup=_cold(xs), rounds=10, warmup_rounds=1)
+    dmap = benchmark.pedantic(
+        _density_map, setup=_cold(problem, xs), rounds=10, warmup_rounds=1
+    )
+    assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
+
+
+def test_density_map_per_x_warm(benchmark, problem):
+    xs = np.linspace(0.0, problem.L, 200)
+    psi_exact(problem, problem.L, TIMES)
+    dmap = benchmark.pedantic(_density_map, args=(problem, xs), rounds=30, warmup_rounds=1)
     assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
 
 

@@ -162,14 +162,19 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
 
 def rho(mode: ResonantMode, k: float, x):
     """rho_n(x, k) = 2 i k u_n(0) u_n(x) / (k^2 - k_n^2) for real k."""
+    return _rho(mode, k, mode.u(x))
+
+
+def _rho(mode: ResonantMode, k: float, u):
+    """rho's formula for a caller that already holds u = u_n(x)."""
     k = float(k)
     k_n = mode.pole.k
-    return 2j * k * mode.u0 * mode.u(x) / (k * k - k_n * k_n)
+    return 2j * k * mode.u0 * u / (k * k - k_n * k_n)
 
 
 def rho_mirror(mode: ResonantMode, k: float, x):
     """rho_{-n}(x, k): partner at k_{-n} = -k_n* with u_{-n} = u_n*.
 
-    Substituting the partner into rho's formula gives rho_n(x, -k)*.
+    Substituting the partner into rho's formula gives rho_n(x, -k)* = -rho_n(x, k)*.
     """
-    return np.conj(rho(mode, -k, x))
+    return -np.conj(rho(mode, k, x))

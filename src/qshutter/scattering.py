@@ -415,11 +415,20 @@ def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):
     complex) or an array (gives an array of its shape).  A point on an
     interface belongs to the layer on its right, x = L to the last layer.
     """
+    return _wave(q, coefficients, *_locate(edges, x))
+
+
+def _locate(edges: np.ndarray, x):
+    """(j, xi) of layered_wave for x in [0, L]: x's layer and its offset."""
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0.0) & (x <= edges[-1])):
         raise DomainError(f"x must lie in [0, {float(edges[-1])}] nm")
-    j = np.minimum(edges.searchsorted(x, side="right") - 1, len(q) - 1)
-    xi = x - edges[j]
+    j = np.minimum(edges.searchsorted(x, side="right") - 1, len(edges) - 2)
+    return j, x - edges[j]
+
+
+def _wave(q: np.ndarray, coefficients: np.ndarray, j, xi):
+    """layered_wave at an x that _locate has placed in layer j at offset xi."""
     z = q[j] * xi
     # sin(z)/z is accurate as it stands down to z = 0, where it takes its limit 1
     at_zero = z == 0

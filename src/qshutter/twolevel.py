@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QShutterError
-from .modes import ResonantMode, rho
+from .modes import ResonantMode, _rho
 from .poles import ResonancePole
+from .scattering import _locate, _wave
 
 __all__ = [
     "DoubletFrequencies",
@@ -175,8 +176,8 @@ def density_two_level(
     would be a real defect and raises.
     """
     _broadcast_xt(x, t)
-    r1 = rho(mode_1, k, x)
-    r2 = rho(mode_2, k, x)
+    located = _locate(mode_1.edges, x)
+    r1, r2 = (_rho(m, k, _wave(m.q, m.coefficients, *located)) for m in (mode_1, mode_2))
     d = (
         abs(r1) ** 2 * chi(freqs, 1, t)
         + abs(r2) ** 2 * chi(freqs, 2, t)

@@ -103,6 +103,31 @@ class TestRho:
                 )
                 assert abs(direct - expect) < 1e-12 * max(abs(expect), 1.0)
 
+    @pytest.mark.parametrize("structure", ["triple", "double"])
+    def test_mirror_is_its_definition_bit_for_bit(
+        self, structure, triple_profile, triple_modes, double_profile, double_modes, ebar
+    ):
+        # rho_mirror takes -rho_n(x, k)*; its definition is rho_n(x, -k)*.
+        # uint64 views compare every bit, signed zeros included
+        profile, modes, energy = {
+            "triple": (triple_profile, triple_modes, ebar),
+            "double": (double_profile, double_modes, double_modes[0].pole.E_position),
+        }[structure]
+        k0 = wavenumber(energy, profile).real
+        interior = np.linspace(0.0, profile.total_length, 502)[1:-1]
+        xs = np.concatenate((profile.edges, interior))
+
+        def bits(values):
+            return np.asarray(values, dtype=complex).view(np.uint64)
+
+        for m in modes:
+            for k in (k0, 0.37 * k0, 1.9 * k0):
+                expect = bits(np.conj(rho(m, -k, xs)))
+                assert np.array_equal(bits(rho_mirror(m, k, xs)), expect)
+                scalars = [rho_mirror(m, k, float(x)) for x in xs]
+                expect = [np.conj(rho(m, -k, float(x))) for x in xs]
+                assert np.array_equal(bits(scalars), bits(expect))
+
     def test_on_resonance_dominance(self, triple_profile, triple_modes):
         # |rho_1(L)|^2 carries nearly all of the near-unity resonant density
         k1 = wavenumber(triple_modes[0].pole.E_position, triple_profile).real

@@ -28,9 +28,9 @@ from qshutter import (
 )
 from qshutter import mfunc, transient
 from qshutter.mfunc import m_function, y_values
-from qshutter.modes import rho, rho_mirror
+from qshutter.modes import rho
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO
-from qshutter.scattering import stationary_wave
+from qshutter.scattering import _locate, stationary_wave
 from qshutter.transient import (
     METHODS,
     Spectrum,
@@ -41,7 +41,11 @@ from qshutter.transient import (
 
 
 def reference_psi(problem, x, t, n_modes):
-    """The resonance expansion added one term at a time, in order."""
+    """The resonance expansion added one term at a time, in order.
+
+    Each partner term is rho_{-n} by its definition, rho_n(x, -k)*, so the
+    reference does not share psi_exact's shortcut -rho_n(x, k)*.
+    """
     c, k = problem.constants, problem.k
     t = np.asarray(t, dtype=float)
     phi = stationary_wave(problem.field, x)
@@ -51,7 +55,7 @@ def reference_psi(problem, x, t, n_modes):
     for mode in problem.modes[:n_modes]:
         k_n = mode.pole.k
         psi = psi - rho(mode, k, x) * m_function(y_values(k_n, t, c))
-        psi = psi - rho_mirror(mode, k, x) * m_function(
+        psi = psi - np.conj(rho(mode, -k, x)) * m_function(
             y_values(-np.conj(k_n), t, c)
         )
     return psi
@@ -344,6 +348,37 @@ class TestEvaluator:
                     assert np.max(np.abs(got - ref)) <= 1e-14 * scale
                     if np.ndim(ref) == 0:
                         assert type(got) is complex
+
+    def test_per_x_at_every_interface(self, problems):
+        # an interface belongs to the layer on its right, x = L to the last
+        for p in problems:
+            edges = p.profile.edges
+            n_layers = len(p.profile.layers)
+            layers, _ = _locate(edges, edges)
+            assert layers.tolist() == [*range(n_layers), n_layers - 1]
+            t = np.linspace(0.01, 20.0, 101) * p.modes[0].pole.tau
+            for x in edges:
+                for n_modes, got in (
+                    (len(p.modes), psi_exact(p, x, t)),
+                    (2, psi_doublet_M(p, x, t)),
+                ):
+                    assert np.array_equal(got, reference_psi(p, x, t, n_modes))
+
+    def test_per_x_call_locates_x_once(self, problem_ebar, monkeypatch):
+        # one lookup, then Phi and each u_n; every rho_-n comes from its rho_n
+        calls = []
+        for name in ("_locate", "_wave"):
+
+            def counting(*args, name=name, original=getattr(transient, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(transient, name, counting)
+        p = problem_ebar
+        assert len(p.modes) == 4
+        psi_exact(p, 0.5 * p.L, np.linspace(0.01, 10.0, 50))
+        assert calls.count("_locate") == 1
+        assert calls.count("_wave") == 1 + len(p.modes)
 
     def test_trace_sums_the_expansion_once(self, problem_ebar, monkeypatch):
         # exact-N and two-level-M share one pass: 2 + 2N M columns, not 2 + 2N + 6

@@ -15,6 +15,7 @@ from qshutter import (
     transmission,
     xi,
 )
+from qshutter import twolevel
 from qshutter.modes import rho
 from qshutter.twolevel import (
     clamp_count,
@@ -188,6 +189,34 @@ class TestDensityTwoLevel:
         assert grid.shape == (len(xs), len(t))
         assert np.max(np.abs(grid - loop)) <= 1e-13 * np.max(loop)
         assert isinstance(density_two_level(*args, xs[2], k, t[3]), float)
+
+    def test_rhos_from_one_located_x(
+        self, triple_modes, freqs_ebar, problem_ebar, monkeypatch
+    ):
+        # x is located once and both rho_n are evaluated there, with rho's bits
+        mode_1, mode_2 = triple_modes[:2]
+        k = problem_ebar.k
+        edges = problem_ebar.profile.edges
+        xs = np.concatenate((edges, np.linspace(0.0, problem_ebar.L, 41)))
+        t = np.linspace(0.5, 20.0, 300)
+        r1, r2 = rho(mode_1, k, xs[:, None]), rho(mode_2, k, xs[:, None])
+        expect = (
+            abs(r1) ** 2 * chi(freqs_ebar, 1, t)
+            + abs(r2) ** 2 * chi(freqs_ebar, 2, t)
+            + 2.0 * np.real(r1 * np.conj(r2) * xi(freqs_ebar, 1, 2, t))
+        )
+        got = density_two_level(mode_1, mode_2, freqs_ebar, xs[:, None], k, t)
+        assert np.array_equal(got, expect)
+        calls = []
+        for name in ("_locate", "_wave"):
+
+            def counting(*args, name=name, original=getattr(twolevel, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(twolevel, name, counting)
+        density_two_level(mode_1, mode_2, freqs_ebar, xs[3], k, t)
+        assert calls == ["_locate", "_wave", "_wave"]
 
     def test_long_time_is_stationary(self, triple_modes, freqs_ebar, problem_ebar):
         k, L = problem_ebar.k, problem_ebar.L
