@@ -16,9 +16,11 @@ call per x (`perfbench`'s `density_maps` op), both cold, with psi_exact's
 column memo cleared before each round so that the M columns are built
 every round, and both warm, with the memo filled by one call before the
 rounds so that they time the x-dependent part alone, the CSVs of that
-trace with every method (a trace's first file, which formats the time
-cells, a later file, which reuses them, and all four files of a fresh
-trace), the CSV text of the 4000-point scan,
+trace with every method (a first file, with the time-cell memo cleared so
+that it formats the cells, a later file of the same trace, a first file of
+a trace at another energy on the kept grid, which is `scenario_sweep`'s
+case, and all four files of a trace with the memo cleared), the CSV text
+of the 4000-point scan,
 and `resolve_scenario` on the shipped triple-barrier config with
 make_spectrum's memo cleared before each round (cold: the pole search and
 mode solves run) and filled (warm: only the stationary field is solved).
@@ -49,6 +51,7 @@ from qshutter import (
     solve_mode,
     transmission,
 )
+from qshutter import output
 from qshutter.output import transmission_csv_text, write_trace_csv
 from qshutter.poles import refine_pole, seed_poles
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
@@ -98,20 +101,19 @@ def test_solve_mode(benchmark, triple):
     assert all(m.outgoing_residual < 1e-8 for m in modes)
 
 
-def _cold(*args):
-    """Setup for benchmark.pedantic: args, with psi_exact's memo emptied."""
+def _cold(clear, *args):
+    """Setup for benchmark.pedantic: args, with a memo emptied by clear()."""
 
     def setup():
-        psi_exact.cache_clear()
+        clear()
         return args, {}
 
     return setup
 
 
 def test_psi_exact(benchmark, problem):
-    psi = benchmark.pedantic(
-        psi_exact, setup=_cold(problem, problem.L, TIMES), rounds=100, warmup_rounds=1
-    )
+    setup = _cold(psi_exact.cache_clear, problem, problem.L, TIMES)
+    psi = benchmark.pedantic(psi_exact, setup=setup, rounds=100, warmup_rounds=1)
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
 
 
@@ -129,9 +131,8 @@ def _density_map(problem, xs):
 
 def test_density_map_per_x(benchmark, problem):
     xs = np.linspace(0.0, problem.L, 200)
-    dmap = benchmark.pedantic(
-        _density_map, setup=_cold(problem, xs), rounds=10, warmup_rounds=1
-    )
+    setup = _cold(psi_exact.cache_clear, problem, xs)
+    dmap = benchmark.pedantic(_density_map, setup=setup, rounds=10, warmup_rounds=1)
     assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
 
 
@@ -147,23 +148,27 @@ def trace(problem):
     return evolve_trace(problem, problem.L, TIMES, METHODS)
 
 
-def _fresh(trace):
-    """The trace again, with no time cells formatted yet."""
-    return replace(trace)
-
-
-@pytest.mark.parametrize("write", ["first", "later"])
-def test_write_trace_csv(benchmark, trace, tmp_path, write):
+@pytest.mark.parametrize("write", ["first", "later", "kept_grid"])
+def test_write_trace_csv(benchmark, problem, trace, tmp_path, write):
     path = tmp_path / "trace.csv"
     if write == "first":
-        benchmark.pedantic(
-            write_trace_csv,
-            setup=lambda: ((path, _fresh(trace), METHOD_EXACT), {}),
-            rounds=100,
-        )
-    else:
+        setup = _cold(output._time_cells.cache_clear, path, trace, METHOD_EXACT)
+        benchmark.pedantic(write_trace_csv, setup=setup, rounds=100)
+    elif write == "later":
         write_trace_csv(tmp_path / "earlier.csv", trace, METHODS[-1])
         benchmark(write_trace_csv, path, trace, METHOD_EXACT)
+    else:
+        write_trace_csv(tmp_path / "earlier.csv", trace, METHODS[-1])
+        # a new trace each round, at another energy of the same structure:
+        # the same grid and tau_1
+        spectrum = make_spectrum(problem.profile, len(problem.modes))
+        other = evolve_trace(spectrum.at(spectrum.poles[1].E_position), problem.L, TIMES)
+        assert other.tau_1 == trace.tau_1
+        benchmark.pedantic(
+            write_trace_csv,
+            setup=lambda: ((path, replace(other), METHOD_EXACT), {}),
+            rounds=100,
+        )
     assert len(path.read_text().splitlines()) == TIMES.size + 1
 
 
@@ -171,7 +176,8 @@ def test_write_trace_csv_all_methods(benchmark, trace, tmp_path):
     def write_all(trace):
         return [write_trace_csv(tmp_path / f"{m}.csv", trace, m) for m in METHODS]
 
-    files = benchmark.pedantic(write_all, setup=lambda: ((_fresh(trace),), {}), rounds=50)
+    setup = _cold(output._time_cells.cache_clear, trace)
+    files = benchmark.pedantic(write_all, setup=setup, rounds=50)
     assert len(files) == 4
 
 

@@ -14,8 +14,9 @@ expected-vs-measured sub-line.  A manifest's one verdict is Manifest.ok.  All
 numbers go through one format, fmt's %.12g for floats, so identical inputs
 produce byte-identical files.  The CSVs apply it with one % per file, over a
 row template repeated once per row (_table).  A trace's `t_ps,t_over_tau1,`
-cells are formatted once, on its first write, and kept on the trace, so
-every later method file of that trace formats only its density column.
+cells depend only on its time grid and tau_1, so the cells of the 8 most
+recently written grids are kept (_time_cells): every later file on a kept
+grid, of the same trace or of another one, formats only its density column.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
+from .errors import DomainError
 from .poles import ResonancePole
-from .transient import TransientTrace
+from .transient import _COLUMN_MEMO_POINTS, TransientTrace
 
 __all__ = [
     "fmt",
@@ -61,16 +66,18 @@ def _table(header: str, row: str, *columns: list) -> str:
     return header + row * n % tuple(cells)
 
 
-# a trace row's time cells; the formatted cells are kept on the trace under
-# this key
+# a trace row's time cells, and the (grid, tau_1) keys whose cells _time_cells keeps
 _TIME_CELLS = "%.12g,%.12g,\n"
+_TIME_CELLS_MEMO_SIZE = 8
 
 
-def _time_cells(trace: TransientTrace) -> list[str]:
-    """Every row's `t_ps,t_over_tau1,` cells."""
-    t_ps = trace.times.tolist()
-    t_over_tau1 = (trace.times / trace.tau_1).tolist()
-    return _table("", _TIME_CELLS, t_ps, t_over_tau1).split("\n")[:-1]
+@lru_cache(maxsize=_TIME_CELLS_MEMO_SIZE)
+def _time_cells(t_bytes: bytes, tau_1: float) -> tuple[str, ...]:
+    """Every row's `t_ps,t_over_tau1,` cells on the time grid t_bytes."""
+    times = np.frombuffer(t_bytes)
+    return tuple(
+        _table("", _TIME_CELLS, times.tolist(), (times / tau_1).tolist()).split("\n")[:-1]
+    )
 
 
 def _last_cell(text: str) -> str:
@@ -86,14 +93,24 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
 
     The bytes are those of a csv.writer (line terminator "\\n") fed
     fmt(float(...)) fields; a method tag holding a carriage return is
-    quoted as well, so every row reads back as four fields.  The time
-    cells are formatted on the trace's first write and reused by every
-    later one.
+    quoted as well, so every row reads back as four fields.  A method the
+    trace does not hold raises DomainError before any file is opened.
+
+    The time cells are keyed on (times.tobytes(), tau_1), not on the trace:
+    the cells of the 8 most recently written keys (_TIME_CELLS_MEMO_SIZE)
+    are kept, as a read-only tuple of strings (0.15-0.17 MB per 2000-row
+    grid), and every later write on a kept grid reuses them.  A grid of more
+    than 4096 points (transient._COLUMN_MEMO_POINTS) is formatted on every
+    write and never kept, so a large trace pins no text after it is gone.
+    A free profile's tau_1 is nan, which equals no other nan, so two free
+    traces never share cells.  _time_cells.cache_clear() empties the memo.
     """
+    if method not in trace.densities:
+        raise DomainError(f"trace has no '{method}' curve; it has {trace.methods}")
     path = Path(path)
-    cells = trace.text_memo.get(_TIME_CELLS)
-    if cells is None:
-        cells = trace.text_memo[_TIME_CELLS] = _time_cells(trace)
+    times = trace.times
+    format_cells = _time_cells if times.size <= _COLUMN_MEMO_POINTS else _time_cells.__wrapped__
+    cells = format_cells(times.tobytes(), trace.tau_1)
     row = "%s%.12g," + _last_cell(method).replace("%", "%%") + "\n"
     text = _table(
         "t_ps,t_over_tau1,density,method\n", row, cells, trace.densities[method].tolist()

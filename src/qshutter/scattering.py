@@ -421,7 +421,7 @@ def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):
 def _locate(edges: np.ndarray, x):
     """(j, xi) of layered_wave for x in [0, L]: x's layer and its offset."""
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= edges[-1])):
+    if not ((x >= 0.0) & (x <= edges[-1])).all():
         raise DomainError(f"x must lie in [0, {float(edges[-1])}] nm")
     j = np.minimum(edges.searchsorted(x, side="right") - 1, len(edges) - 2)
     return j, x - edges[j]

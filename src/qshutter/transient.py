@@ -26,7 +26,7 @@ that case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -179,7 +179,7 @@ def make_problem(
 def _times(t) -> np.ndarray:
     """t (ps) as a float array; every time must be finite and > 0."""
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr > 0) & (t_arr < np.inf)):
+    if not ((t_arr > 0) & (t_arr < np.inf)).all():
         raise DomainError("t must be finite and > 0 ps (t = 0 is the initial condition)")
     return t_arr
 
@@ -189,14 +189,16 @@ def _result(psi):
 
 
 @lru_cache(maxsize=_COLUMN_MEMO_SIZE)
-def _column(s: complex, shape: tuple, t_bytes: bytes, c: PhysicalConstants):
+def _column(s: complex, shape: tuple, t_bytes: bytes, mass_ratio: float):
     """The read-only M(y_s) column on the checked time grid (shape, t_bytes).
 
     The shape is part of the key: a (n, 1) grid has the bytes of an (n,)
-    grid but needs a column of its own shape.
+    grid but needs a column of its own shape.  The mass ratio, the one
+    field of PhysicalConstants, fixes hbar/2m; the constants are built only
+    on a miss.
     """
     t = np.frombuffer(t_bytes).reshape(shape)
-    column = m_function(y_values(s, t, c))
+    column = m_function(y_values(s, t, PhysicalConstants(mass_ratio)))
     # a 0-d grid gives a numpy scalar, which is read-only already
     if column.ndim:
         column.flags.writeable = False
@@ -219,31 +221,40 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
     located = _locate(problem.field.edges, x)
     x = np.asarray(x, dtype=float)
     t_arr = _times(t)
-    _broadcast_xt(x, t_arr)
+    # a 0-d x broadcasts against any t
+    if x.ndim:
+        _broadcast_xt(x, t_arr)
     if not problem.modes:
         if not problem.profile.is_free:
             raise DomainError("problem carries no modes for a non-free profile")
         psi = free_shutter_psi(problem.k, x, t, problem.constants)
         return (), psi, psi
-    c = problem.constants
     k = problem.k
-    # _times has checked t; every column of this call shares one grid key
-    grid = (t_arr.shape, t_arr.tobytes())
+    # _times has checked t; every column of this call shares one key tail
+    key = (t_arr.shape, t_arr.tobytes(), problem.profile.mass_ratio)
     evaluate = _column if t_arr.size <= _COLUMN_MEMO_POINTS else _column.__wrapped__
 
     def column(s):
-        return evaluate(complex(s), *grid, c)
+        return evaluate(complex(s), *key)
 
     phi = _wave(problem.field.q, problem.field.coefficients, *located)
     psi = phi * column(k) - np.conj(phi) * column(-k)
+    # every term product has psi's shape, and one scratch array holds each in
+    # turn; a 0-d psi keeps numpy's scalar product, which rounds differently
+    # from the array loop in the last bit
+    term = np.empty_like(psi) if np.ndim(psi) else None
+
+    def product(a, s):
+        return a * column(s) if term is None else np.multiply(a, column(s), out=term)
+
     rhos = []
     doublet = None
     for n, mode in enumerate(problem.modes[:n_modes]):
         if n == 2:
             doublet = psi.copy()
         rhos.append(_rho(mode, k, _wave(mode.q, mode.coefficients, *located)))
-        psi -= rhos[-1] * column(mode.pole.k)
-        psi -= -np.conj(rhos[-1]) * column(mode.pole.k_mirror)
+        psi -= product(rhos[-1], mode.pole.k)
+        psi -= product(-np.conj(rhos[-1]), mode.pole.k_mirror)
     return rhos, psi if doublet is None else doublet, psi
 
 
@@ -260,7 +271,7 @@ def psi_exact(problem: ShutterProblem, x, t):
     pole expansion is empty there and does not represent free propagation).
 
     M(y_s) depends on the wave number s and on t but not on x, so the
-    columns of the 32 most recently used (s, time grid, constants) keys
+    columns of the 32 most recently used (s, time grid, mass ratio) keys
     (_COLUMN_MEMO_SIZE) are kept and shared by psi_exact, psi_doublet_M,
     delta_term and evolve_trace: a loop over x on one grid evaluates each
     of its 2 + 2N columns once.  Two limits hold.  A per-x loop hits only
@@ -336,8 +347,6 @@ class TransientTrace:
 
     `times` is the trace's own read-only copy of the grid, so a later edit
     of the caller's array reaches neither it nor text derived from it.
-    `text_memo` holds such text for writers (output keeps a trace CSV's
-    time cells there).
     """
 
     x: float
@@ -345,7 +354,6 @@ class TransientTrace:
     tau_1: float
     times: np.ndarray
     densities: dict[str, np.ndarray]
-    text_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)

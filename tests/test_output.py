@@ -2,11 +2,20 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qshutter import TransientTrace, evolve_trace, make_problem, output, transmission
+from qshutter import (
+    DomainError,
+    TransientTrace,
+    evolve_trace,
+    make_problem,
+    output,
+    transient,
+    transmission,
+)
 from qshutter.acceptance import CheckResult
 from qshutter.output import (
     Manifest,
@@ -183,22 +192,59 @@ class TestTraceCsvBytes:
             # the reference writer ends rows in "\n", so it leaves "\r" bare
             assert path.read_bytes() == _trace_csv_by_rows(trace, tag).encode()
 
-    def test_time_cells_formatted_once_per_trace(self, problem_ebar, monkeypatch, tmp_path):
-        calls = []
-        real = output._time_cells
+    def test_time_cells_formatted_once_per_grid(
+        self, triple_spectrum, ebar, monkeypatch, tmp_path
+    ):
+        formats = []
+        table = output._table
 
-        def counted(trace):
-            calls.append(trace)
-            return real(trace)
+        def counted(header, row, *columns):
+            # _time_cells is the one caller that renders without a header
+            if not header:
+                formats.append(len(columns[0]))
+            return table(header, row, *columns)
 
-        monkeypatch.setattr(output, "_time_cells", counted)
+        def write_every_method(trace, name):
+            for method in trace.methods:
+                path = tmp_path / f"{name}-{method}.csv"
+                write_trace_csv(path, trace, method)
+                assert path.read_bytes() == _trace_csv_by_rows(trace, method).encode()
+
+        # the memo is module state: an earlier test may have kept these grids
+        output._time_cells.cache_clear()
+        monkeypatch.setattr(output, "_table", counted)
         times = np.linspace(0.0, 10.0, 50)
-        trace = evolve_trace(problem_ebar, problem_ebar.L, times, methods=METHODS)
-        assert len(METHODS) == 4
-        for method in METHODS:
-            write_trace_csv(tmp_path / f"{method}.csv", trace, method)
-        write_trace_csv(tmp_path / "again.csv", trace, METHODS[0])
-        assert len(calls) == 1 and calls[0] is trace
+        L = triple_spectrum.profile.total_length
+        energies = (ebar, triple_spectrum.poles[1].E_position)
+        traces = [evolve_trace(triple_spectrum.at(E), L, times, METHODS) for E in energies]
+        assert traces[0].tau_1 == traces[1].tau_1
+        for i, trace in enumerate(traces):
+            write_every_method(trace, f"E{i}")
+        assert formats == [50]
+        # tau_1 sets the t_over_tau1 column, so another tau_1 formats again
+        write_every_method(replace(traces[0], tau_1=2 * traces[0].tau_1), "tau")
+        # and so does another grid
+        write_every_method(
+            evolve_trace(triple_spectrum.at(ebar), L, times[:40], METHODS), "grid"
+        )
+        assert formats == [50, 50, 40]
+        assert output._time_cells.cache_info().currsize == 3
+        # a grid past the point cap is formatted on every write and never kept
+        n = transient._COLUMN_MEMO_POINTS + 1
+        big = TransientTrace(
+            x=1.0, E=0.01, tau_1=0.3, times=np.linspace(0.0, 10.0, n),
+            densities={"a": np.linspace(0.0, 1.0, n), "b": np.zeros(n)},
+        )
+        write_every_method(big, "big")
+        assert formats == [50, 50, 40, n, n]
+        assert output._time_cells.cache_info().currsize == 3
+
+    def test_missing_method_is_a_domain_error(self, tmp_path):
+        trace = _hand_built("a")
+        path = tmp_path / "trace.csv"
+        with pytest.raises(DomainError, match=r"no 'two-level-M' curve.*\('a', 'b'\)"):
+            write_trace_csv(path, trace, "two-level-M")
+        assert not path.exists()
 
 
 class TestManifest:

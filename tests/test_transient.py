@@ -29,7 +29,7 @@ from qshutter import (
 from qshutter import mfunc, transient
 from qshutter.mfunc import m_function, y_values
 from qshutter.modes import rho
-from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO
+from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
 from qshutter.scattering import _locate, stationary_wave
 from qshutter.transient import (
     METHODS,
@@ -364,6 +364,19 @@ class TestEvaluator:
                 ):
                     assert np.array_equal(got, reference_psi(p, x, t, n_modes))
 
+    def test_scalar_x_and_t_match_the_reference_bit_for_bit(self, problems):
+        # a 0-d sum multiplies numpy scalars, as the reference does; the
+        # array loop rounds some of those products differently
+        for p in problems:
+            tau_1 = p.modes[0].pole.tau
+            for x in np.linspace(0.0, p.L, 7):
+                for t in (0.01 * tau_1, 0.3 * tau_1, 20.0 * tau_1):
+                    for n_modes, got in (
+                        (len(p.modes), psi_exact(p, x, t)),
+                        (2, psi_doublet_M(p, x, t)),
+                    ):
+                        assert got == reference_psi(p, x, t, n_modes)
+
     def test_per_x_call_locates_x_once(self, problem_ebar, monkeypatch):
         # one lookup, then Phi and each u_n; every rho_-n comes from its rho_n
         calls = []
@@ -452,11 +465,30 @@ class TestColumnMemo:
     def test_columns_are_read_only(self, problem_ebar, times):
         p = problem_ebar
         psi_exact(p, p.L, times)
-        column = transient._column(complex(p.k), times.shape, times.tobytes(), p.constants)
+        column = transient._column(
+            complex(p.k), times.shape, times.tobytes(), p.profile.mass_ratio
+        )
         assert psi_exact.cache_info().hits == 1
         assert not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = 0.0
+
+    def test_mass_ratio_is_part_of_the_key(self, triple_profile, ebar, times):
+        # a doubled mass ratio at half the energy has the same k, bit for bit,
+        # so only the mass ratio in the key tells the two M(y_k) columns apart
+        light = make_spectrum(triple_profile, 2).at(ebar)
+        assert triple_profile.mass_ratio == MASS_RATIO
+        heavy_profile = build_profile(list(TRIPLE_LAYERS), 2 * MASS_RATIO)
+        assert heavy_profile.layers == triple_profile.layers
+        heavy = make_spectrum(heavy_profile, 2).at(ebar / 2)
+        assert heavy.k == light.k
+        columns = [
+            transient._column(complex(p.k), times.shape, times.tobytes(), p.profile.mass_ratio)
+            for p in (light, heavy)
+        ]
+        assert not np.array_equal(*columns)
+        for p in (light, heavy, light):
+            assert np.array_equal(psi_exact(p, p.L, times), reference_psi(p, p.L, times, 2))
 
     def test_grid_past_the_point_cap_is_not_kept(self, problem_ebar, times):
         p = problem_ebar
