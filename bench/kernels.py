@@ -12,11 +12,12 @@ its four poles and for four poles of one 4-barrier profile of perfbench's
 `structures` stream (seed 1, op 4), the mode solves of the triple
 barrier's four poles, one exact-N evaluation at the doublet
 center on 2000 times and one 200 x 2000 density map built by a psi_exact
-call per x (`perfbench`'s `density_maps` op), both cold, with psi_exact's
-column memo cleared before each round so that the M columns are built
-every round, and both warm, with the memo filled by one call before the
-rounds so that they time the x-dependent part alone, the CSVs of that
-trace with every method (a first file, with the time-cell memo cleared so
+call per x (`perfbench`'s `density_maps` op), both cold, with
+psi_exact.cache_clear() emptying its column memo and its block memo before
+each round so that the M columns are built every round, and both warm,
+with one call before the rounds filling the block that every timed call
+then fetches in one lookup, so that they time the x-dependent part alone,
+the CSVs of that trace with every method (a first file, with the time-cell memo cleared so
 that it formats the cells, a later file of the same trace, a first file of
 a trace at another energy on the kept grid, which is `scenario_sweep`'s
 case, and all four files of a trace with the memo cleared), the CSV text

@@ -27,7 +27,7 @@ that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -79,6 +79,8 @@ _SPECTRUM_MEMO_SIZE = 32
 # M(y_s) columns _column keeps, and the most time points a kept column has
 _COLUMN_MEMO_SIZE = 32
 _COLUMN_MEMO_POINTS = 4096
+# column blocks (one per wave-number tuple, grid and mass ratio) _block keeps
+_BLOCK_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,14 @@ class ShutterProblem:
     @property
     def L(self) -> float:
         return self.profile.total_length
+
+    @cached_property
+    def _wave_numbers(self) -> tuple[complex, ...]:
+        """(k, -k, k_1, k_-1, k_2, k_-2, ...): the s of each M(y_s) column."""
+        poles = (m.pole for m in self.modes)
+        return (complex(self.k), complex(-self.k)) + tuple(
+            complex(s) for p in poles for s in (p.k, p.k_mirror)
+        )
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,21 @@ def _column(s: complex, shape: tuple, t_bytes: bytes, mass_ratio: float):
     return column
 
 
+@lru_cache(maxsize=_BLOCK_MEMO_SIZE)
+def _block(wave_numbers: tuple, shape: tuple, t_bytes: bytes, mass_ratio: float):
+    """The M(y_s) columns of wave_numbers, in order, on the grid (shape, t_bytes).
+
+    The grid is checked here, when its block is built; a grid that fails
+    raises and is not kept, so a hit needs no check.  The columns come from
+    _column's memo and are held, not copied.  A grid of more than
+    _COLUMN_MEMO_POINTS points runs through _block.__wrapped__ and keeps no
+    column either.
+    """
+    t = _times(np.frombuffer(t_bytes).reshape(shape))
+    evaluate = _column if t.size <= _COLUMN_MEMO_POINTS else _column.__wrapped__
+    return tuple(evaluate(s, shape, t_bytes, mass_ratio) for s in wave_numbers)
+
+
 def _sums(problem: ShutterProblem, x, t, n_modes: int):
     """(rho_n of the summed modes, doublet sum, full sum) of the expansion.
 
@@ -213,14 +238,23 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
     memory stays at a few arrays of the broadcast (x, t) shape.  The doublet
     sum stops after two pairs (with n_modes <= 2 it is the full sum).  A
     free profile has no poles; both sums are then the free-shutter solution.
+
     The rows are evaluated at x located once, with rho_-n = -rho_n* (see
-    rho_mirror), and the columns come from _column's memo (see psi_exact).
+    rho_mirror).  The 2 + 2 n_modes columns come from one _block lookup,
+    which checks t when it builds the block (a free profile's block is
+    empty and only checks t); x is checked first and the broadcast of x
+    against t last.  Each term product goes through one scratch array of
+    psi's shape; a 0-d psi keeps numpy's scalar product, which rounds
+    differently from the array loop in the last bit.
     """
     if len(problem.modes) < n_modes:
         raise DomainError(f"needs {n_modes} mode(s), problem has {len(problem.modes)}")
     located = _locate(problem.field.edges, x)
     x = np.asarray(x, dtype=float)
-    t_arr = _times(t)
+    t_arr = np.asarray(t, dtype=float)
+    wave_numbers = problem._wave_numbers[: 2 + 2 * n_modes] if problem.modes else ()
+    block = _block if t_arr.size <= _COLUMN_MEMO_POINTS else _block.__wrapped__
+    columns = block(wave_numbers, t_arr.shape, t_arr.tobytes(), problem.profile.mass_ratio)
     # a 0-d x broadcasts against any t
     if x.ndim:
         _broadcast_xt(x, t_arr)
@@ -230,31 +264,18 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
         psi = free_shutter_psi(problem.k, x, t, problem.constants)
         return (), psi, psi
     k = problem.k
-    # _times has checked t; every column of this call shares one key tail
-    key = (t_arr.shape, t_arr.tobytes(), problem.profile.mass_ratio)
-    evaluate = _column if t_arr.size <= _COLUMN_MEMO_POINTS else _column.__wrapped__
-
-    def column(s):
-        return evaluate(complex(s), *key)
-
     phi = _wave(problem.field.q, problem.field.coefficients, *located)
-    psi = phi * column(k) - np.conj(phi) * column(-k)
-    # every term product has psi's shape, and one scratch array holds each in
-    # turn; a 0-d psi keeps numpy's scalar product, which rounds differently
-    # from the array loop in the last bit
+    psi = phi * columns[0] - np.conj(phi) * columns[1]
     term = np.empty_like(psi) if np.ndim(psi) else None
-
-    def product(a, s):
-        return a * column(s) if term is None else np.multiply(a, column(s), out=term)
-
     rhos = []
     doublet = None
     for n, mode in enumerate(problem.modes[:n_modes]):
         if n == 2:
             doublet = psi.copy()
-        rhos.append(_rho(mode, k, _wave(mode.q, mode.coefficients, *located)))
-        psi -= product(rhos[-1], mode.pole.k)
-        psi -= product(-np.conj(rhos[-1]), mode.pole.k_mirror)
+        rho = _rho(mode, k, _wave(mode.q, mode.coefficients, *located))
+        rhos.append(rho)
+        for a, column in ((rho, columns[2 * n + 2]), (-np.conj(rho), columns[2 * n + 3])):
+            psi -= a * column if term is None else np.multiply(a, column, out=term)
     return rhos, psi if doublet is None else doublet, psi
 
 
@@ -271,24 +292,34 @@ def psi_exact(problem: ShutterProblem, x, t):
     pole expansion is empty there and does not represent free propagation).
 
     M(y_s) depends on the wave number s and on t but not on x, so the
-    columns of the 32 most recently used (s, time grid, mass ratio) keys
-    (_COLUMN_MEMO_SIZE) are kept and shared by psi_exact, psi_doublet_M,
-    delta_term and evolve_trace: a loop over x on one grid evaluates each
-    of its 2 + 2N columns once.  Two limits hold.  A per-x loop hits only
-    while 2 + 2N <= 32 (N <= 15); above that the least recently used
-    column is always the next one asked for, so nothing hits.  A grid of
-    more than 4096 points (_COLUMN_MEMO_POINTS) is never kept and is
-    evaluated on every call.  A kept column is read-only, and a miss
-    runs the same arithmetic as an uncached evaluation, so results do
-    not depend on the memo.  psi_exact.cache_info() reports the reuse,
-    and psi_exact.cache_clear() empties the memo.
+    columns are kept and shared by psi_exact, psi_doublet_M, delta_term and
+    evolve_trace.  A call fetches all 2 + 2N of its columns with one lookup
+    in a memo of the 8 most recently used blocks (_BLOCK_MEMO_SIZE), each
+    keyed on (wave numbers, time grid, mass ratio); the grid is checked
+    when its block is built, so a per-x loop on one grid builds one block
+    and checks the grid once.  A block gathers its columns from the 32 most
+    recently used (s, time grid, mass ratio) columns (_COLUMN_MEMO_SIZE), so
+    one profile's blocks at several energies share the pole columns.  A
+    block holds those read-only columns, not copies, and keeps them alive
+    after the column memo lets them go.  Two limits hold.  A block built
+    again finds its columns kept only while 2 + 2N <= 32 (N <= 15).  A grid
+    of more than 4096 points (_COLUMN_MEMO_POINTS) is never kept and is
+    evaluated on every call.  A miss runs the same arithmetic as an
+    uncached evaluation, so results do not depend on the memos.
+    psi_exact.cache_info() reports the column memo (its misses count the
+    columns evaluated), and psi_exact.cache_clear() empties both memos.
     """
     _, _, psi = _sums(problem, x, t, len(problem.modes))
     return _result(psi)
 
 
+def _clear_memos():
+    _block.cache_clear()
+    _column.cache_clear()
+
+
 psi_exact.cache_info = _column.cache_info
-psi_exact.cache_clear = _column.cache_clear
+psi_exact.cache_clear = _clear_memos
 
 
 def psi_doublet_M(problem: ShutterProblem, x, t):

@@ -31,7 +31,7 @@ from qshutter import poles as poles_module
 from qshutter import solve_mode
 from qshutter.poles import refine_pole, seed_poles
 from qshutter.model import wavenumber
-from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
+from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS, fig3b_layers
 
 # Profiles of the perfbench `structures` stream, seed 1, on which Newton on
 # m22 failed: it stalled at a root it had found (op 5, pole in the first
@@ -413,6 +413,19 @@ class TestFindPoles:
         # refine_pole from 0.8269 - 0.0763i converges to this pole
         root = oracle_root(double_profile, 0.8269 - 0.0763j)
         assert abs(find_poles(double_profile, 3)[2].k - root) < 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="find_poles returns only poles whose T(E) shows a peak: from "
+        "b2 = 6.9 nm on the fig3b doublet's two peaks merge, and at b2 = 7 nm "
+        "the 13.36 meV member is skipped for the 53.23 meV pole",
+    )
+    def test_fig3b_doublet_at_seven_nm(self):
+        # refine_pole seeded from b2 = 6.85 nm's second pole converges to this
+        # pole, 0.153300642 - 0.001570803i (13.3626 meV, Gamma 0.5477 meV)
+        profile = build_profile(fig3b_layers(7.0), MASS_RATIO)
+        root = oracle_root(profile, 0.153300642 - 0.001570803j)
+        assert abs(find_poles(profile, 2)[1].k - root) < 1e-9
 
     def test_count_error_ends_before_the_window_cap(self, monkeypatch):
         # one resonance below the cap, three requested

@@ -416,7 +416,7 @@ class TestEvaluator:
 
 
 class TestColumnMemo:
-    """psi_exact's memo keeps the x-independent M(y_s) columns of a grid."""
+    """psi_exact's memos keep the x-independent M(y_s) columns of a grid."""
 
     @pytest.fixture
     def times(self, problem_ebar):
@@ -448,9 +448,38 @@ class TestColumnMemo:
         assert np.array_equal(broadcast, reference_psi(p, xs[:, None], times, n))
         # rho of a scalar x and of an array x may differ in the last bit
         assert np.max(np.abs(rows - broadcast)) <= 1e-14 * np.max(np.abs(rows))
+        # one block for the loop and the broadcast call, each column evaluated once
         n_columns = 2 + 2 * n
         info = psi_exact.cache_info()
-        assert (info.hits, info.misses) == (len(xs) * n_columns, n_columns)
+        assert (info.hits, info.misses) == (0, n_columns)
+        blocks = transient._block.cache_info()
+        assert (blocks.hits, blocks.misses) == (len(xs), 1)
+
+    def test_failing_grid_is_checked_again_and_not_kept(self, problem_ebar, times):
+        p = problem_ebar
+        psi_exact(p, p.L, times)
+        kept = transient._block.cache_info().currsize
+        bad = np.concatenate(([0.0], times[1:]))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                psi_exact(p, p.L, bad)
+        assert transient._block.cache_info().currsize == kept
+
+    def test_doublet_form_reuses_the_columns(self, problem_ebar, times):
+        p = problem_ebar
+        psi_exact(p, p.L, times)
+        evaluated = psi_exact.cache_info().misses
+        doublet = psi_doublet_M(p, p.L, times)
+        assert psi_exact.cache_info().misses == evaluated
+        assert np.array_equal(doublet, reference_psi(p, p.L, times, 2))
+
+    def test_cache_clear_empties_both_memos(self, problem_ebar, times):
+        p = problem_ebar
+        psi_exact(p, p.L, times)
+        assert psi_exact.cache_info().currsize and transient._block.cache_info().currsize
+        psi_exact.cache_clear()
+        assert psi_exact.cache_info().currsize == 0
+        assert transient._block.cache_info().currsize == 0
 
     def test_grid_shape_is_part_of_the_key(self, problem_ebar, times):
         p = problem_ebar
@@ -493,10 +522,10 @@ class TestColumnMemo:
     def test_grid_past_the_point_cap_is_not_kept(self, problem_ebar, times):
         p = problem_ebar
         psi_exact(p, p.L, times)
-        kept = psi_exact.cache_info().currsize
+        kept = psi_exact.cache_info().currsize, transient._block.cache_info().currsize
         big = np.linspace(0.01, 10.0 * p.modes[0].pole.tau, 5000)
         first = psi_exact(p, p.L, big)
-        assert psi_exact.cache_info().currsize == kept
+        assert (psi_exact.cache_info().currsize, transient._block.cache_info().currsize) == kept
         assert np.array_equal(psi_exact(p, p.L, big), first)
 
 
