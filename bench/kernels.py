@@ -17,6 +17,8 @@ psi_exact.cache_clear() emptying its column memo and its block memo before
 each round so that the M columns are built every round, and both warm,
 with one call before the rounds filling the block that every timed call
 then fetches in one lookup, so that they time the x-dependent part alone,
+one closed two-level density (density_two_level) at the doublet center,
+x = L, on 2000 times over [0, 10 tau1],
 the CSVs of that trace with every method (a first file, with the time-cell memo cleared so
 that it formats the cells, a later file of the same trace, a first file of
 a trace at another energy on the kept grid, which is `scenario_sweep`'s
@@ -43,8 +45,10 @@ import pytest
 import qshutter
 from qshutter import (
     build_profile,
+    density_two_level,
     evolve_trace,
     find_poles,
+    frequencies,
     make_spectrum,
     parse_config,
     psi_exact,
@@ -142,6 +146,14 @@ def test_density_map_per_x_warm(benchmark, problem):
     psi_exact(problem, problem.L, TIMES)
     dmap = benchmark.pedantic(_density_map, args=(problem, xs), rounds=30, warmup_rounds=1)
     assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
+
+
+def test_density_two_level(benchmark, problem):
+    mode_1, mode_2 = problem.modes[:2]
+    freqs = frequencies(problem.E, mode_1.pole, mode_2.pole)
+    t = np.linspace(0.0, 10.0 * mode_1.pole.tau, 2000)
+    d = benchmark(density_two_level, mode_1, mode_2, freqs, problem.L, problem.k, t)
+    assert d.shape == t.shape and np.all(d >= 0.0)
 
 
 @pytest.fixture(scope="module")

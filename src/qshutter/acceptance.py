@@ -29,7 +29,7 @@ import numpy as np
 from .config import Incidence
 from .mfunc import faddeeva, m_function, m_function_scaled
 from .model import PhysicalConstants, build_profile, energy_of, wavenumber
-from .modes import rho, solve_mode
+from .modes import rho
 from .output import Check, Manifest, check_abs, check_bound
 from .poles import find_poles
 from .presets import (
@@ -83,7 +83,7 @@ class CheckResult(Manifest):
 
 
 class AcceptanceContext:
-    """Shared profiles and their spectra, each built once on first use."""
+    """Shared profiles; their spectra come from make_spectrum's memo."""
 
     def __init__(self):
         self.triple = build_profile(list(TRIPLE_LAYERS), MASS_RATIO)
@@ -94,12 +94,9 @@ class AcceptanceContext:
             "b2_4": (build_profile(list(fig3b_layers(4.0)), MASS_RATIO), 4),
             "b2_5": (build_profile(list(fig3b_layers(5.0)), MASS_RATIO), 4),
         }
-        self._spectra: dict[str, Spectrum] = {}
 
     def spectrum(self, name: str) -> Spectrum:
-        if name not in self._spectra:
-            self._spectra[name] = make_spectrum(*self._profiles[name])
-        return self._spectra[name]
+        return make_spectrum(*self._profiles[name])
 
     def poles_of(self, name: str):
         return self.spectrum(name).poles
@@ -127,9 +124,6 @@ def criterion_1(ctx: AcceptanceContext) -> CheckResult:
     t0 = time.perf_counter()
     poles = find_poles(ctx.triple, 4)
     runtime = time.perf_counter() - t0
-    ctx._spectra["triple"] = Spectrum(
-        ctx.triple, tuple(solve_mode(ctx.triple, p) for p in poles)
-    )
     p1, p2 = poles[0], poles[1]
     cr.checks = [
         check_abs("curlyE1 (meV)", 11.512, p1.E_position / MEV, 0.001),

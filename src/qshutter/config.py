@@ -14,10 +14,10 @@ Chosen over nested formats so fixtures diff line by line.  Grammar:
     out        = <path>                       (default trace.csv)
 
 Units are mandatory on dimensioned fields; unknown keys, duplicate scalar
-keys, and malformed values are errors carrying the line number and field
-name.  The defaults above live only on ScenarioConfig: parse_config maps
-each scalar key to its field and parser (_FIELDS) and leaves out every key
-the text does not set.  Symbolic incidence specs resolve only after the
+keys, repeated method tags and malformed values are errors carrying the
+line number and field name.  The defaults above live only on
+ScenarioConfig: parse_config maps each scalar key to its field and parser
+(_FIELDS) and leaves out every key the text does not set.  Symbolic incidence specs resolve only after the
 profile's poles are found, deterministically from the profile alone;
 run_scenario resolves, evolves and writes one trace CSV per method.
 """
@@ -170,13 +170,15 @@ def _parse_x(rhs: str, line: int, field: str) -> float | None:
 
 def _parse_methods(rhs: str, line: int, field: str) -> tuple[str, ...]:
     tags = tuple(s.strip() for s in rhs.split(","))
-    for tag in tags:
+    for i, tag in enumerate(tags):
         if tag not in METHODS:
             raise ConfigError(
                 f"unknown method '{tag}'; valid: {', '.join(METHODS)}",
                 line=line,
                 field=field,
             )
+        if tag in tags[:i]:
+            raise ConfigError(f"duplicate method '{tag}'", line=line, field=field)
     return tags
 
 

@@ -190,7 +190,9 @@ class TestFigure:
 
 class TestSelftest:
     def test_reports_every_criterion_and_fails(self, capsys, monkeypatch):
-        # one pole search per distinct profile: triple, double, b2 = 4 and 5 nm
+        # criterion 1 times a pole search of the triple barrier on its own;
+        # every spectrum comes from make_spectrum's memo, which searches each
+        # distinct profile once: triple, double, b2 = 4 and 5 nm
         searches = []
 
         def counted(profile, N):
@@ -202,7 +204,7 @@ class TestSelftest:
         # earlier tests may have left these profiles' spectra in the memo
         transient.make_spectrum.cache_clear()
         code, out, err = run_cli(["selftest"], capsys)
-        assert len(searches) == 4
+        assert len(searches) == 1 + 4
         lines = re.findall(r"^criterion\s+\d+: (?:PASS|FAIL)", out, re.MULTILINE)
         assert len(lines) == 10
         m = re.search(r"passed (\d+) of 10 criteria", out)

@@ -111,6 +111,17 @@ class TestParseConfig:
                 "energy = 10 meV\nmethods = simpson\n"
             )
 
+    def test_duplicate_method_rejected_with_line(self):
+        # a repeated tag would write the same trace CSV twice
+        text = (
+            "layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = 10 meV\n"
+            "methods = exact-N, exact-N, two-level-M\n"
+        )
+        with pytest.raises(
+            ConfigError, match=r"line 4, field 'methods': duplicate method 'exact-N'"
+        ):
+            parse_config(text)
+
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config(
             "\n# leading comment\n\nlayer = 5 nm, 0.1 eV\n"

@@ -1,5 +1,6 @@
 """Closed-form two-level density: frequencies, chi/xi factors, spectra."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,11 +18,15 @@ from qshutter import (
 )
 from qshutter import twolevel
 from qshutter.modes import rho
-from qshutter.twolevel import (
-    clamp_count,
-    density_resonant_exponential,
-    reset_clamp_count,
-)
+from qshutter.twolevel import clamp_count, density_resonant_exponential
+
+
+def factored_sum(r1, r2, freqs, t):
+    """sum_{n=1,2} rho_n (1 - e^{(i omega_hat_n - Gamma_n/2 hbar) t})."""
+    h2 = 2.0 * freqs.hbar
+    return r1 * (1.0 - np.exp((1j * freqs.omega_hat_1 - freqs.Gamma_1 / h2) * t)) + r2 * (
+        1.0 - np.exp((1j * freqs.omega_hat_2 - freqs.Gamma_2 / h2) * t)
+    )
 
 
 def stationary_density(modes, x, k):
@@ -200,11 +205,7 @@ class TestDensityTwoLevel:
         xs = np.concatenate((edges, np.linspace(0.0, problem_ebar.L, 41)))
         t = np.linspace(0.5, 20.0, 300)
         r1, r2 = rho(mode_1, k, xs[:, None]), rho(mode_2, k, xs[:, None])
-        expect = (
-            abs(r1) ** 2 * chi(freqs_ebar, 1, t)
-            + abs(r2) ** 2 * chi(freqs_ebar, 2, t)
-            + 2.0 * np.real(r1 * np.conj(r2) * xi(freqs_ebar, 1, 2, t))
-        )
+        expect = np.abs(factored_sum(r1, r2, freqs_ebar, t)) ** 2
         got = density_two_level(mode_1, mode_2, freqs_ebar, xs[:, None], k, t)
         assert np.array_equal(got, expect)
         calls = []
@@ -228,15 +229,50 @@ class TestDensityTwoLevel:
         )
         assert d == pytest.approx(stationary_density(triple_modes, L, k), abs=1e-9)
 
-    def test_clamp_counter(self, triple_modes, freqs_ebar, problem_ebar):
-        reset_clamp_count()
-        before = clamp_count()
+    def test_never_negative_near_zero_time(
+        self, triple_modes, freqs_ebar, problem_ebar
+    ):
+        # the squared modulus cannot go below 0 where the expansion cancels
         t = np.linspace(0.0, 1e-6, 50)
-        density_two_level(
+        d = density_two_level(
             triple_modes[0], triple_modes[1], freqs_ebar, problem_ebar.L,
             problem_ebar.k, t,
         )
-        assert clamp_count() >= before  # counting is monotone, never raises here
+        assert d[0] == 0.0
+        assert np.all(d >= 0.0)
+        assert clamp_count() == 0
+
+    @pytest.mark.parametrize("energy", ["E1 + 2 Gamma1", "Ebar"])
+    def test_matches_fifty_digit_sum(
+        self, triple_spectrum, triple_poles, problem_ebar, energy
+    ):
+        # the same double rho_n summed and squared at 50 digits; the chi/xi
+        # expansion missed this by up to 7.7e-12 relative on these grids
+        p1 = triple_poles[0]
+        problem = (
+            triple_spectrum.at(p1.E_position + 2.0 * p1.Gamma)
+            if energy == "E1 + 2 Gamma1"
+            else problem_ebar
+        )
+        mode_1, mode_2 = problem.modes[:2]
+        freqs = frequencies(problem.E, mode_1.pole, mode_2.pole)
+        t = np.linspace(0.0, 10.0 * p1.tau, 2000)[1:200]
+        r1, r2 = rho(mode_1, problem.k, problem.L), rho(mode_2, problem.k, problem.L)
+        got = density_two_level(mode_1, mode_2, freqs, problem.L, problem.k, t)
+        with mp.workdps(50):
+            h2 = 2 * mp.mpf(freqs.hbar)
+            terms = [
+                (mp.mpc(r), mp.mpc(0, om) - mp.mpf(gamma) / h2)
+                for r, om, gamma in (
+                    (r1, freqs.omega_hat_1, freqs.Gamma_1),
+                    (r2, freqs.omega_hat_2, freqs.Gamma_2),
+                )
+            ]
+            expect = np.array([
+                float(abs(sum(r * (1 - mp.exp(z * mp.mpf(tt))) for r, z in terms)) ** 2)
+                for tt in t
+            ])
+        assert np.all(np.abs(got - expect) < 1e-13 * expect)
 
 
 class TestDensityStationary:
