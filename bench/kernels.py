@@ -13,10 +13,14 @@ its four poles and for four poles of one 4-barrier profile of perfbench's
 barrier's four poles, one exact-N evaluation at the doublet
 center on 2000 times and one 200 x 2000 density map built by a psi_exact
 call per x (`perfbench`'s `density_maps` op), both cold, with
-psi_exact.cache_clear() emptying its column memo and its block memo before
-each round so that the M columns are built every round, and both warm,
-with one call before the rounds filling the block that every timed call
-then fetches in one lookup, so that they time the x-dependent part alone,
+psi_exact.cache_clear() emptying its grid memo before each round so that
+the M columns are evaluated every round, and both warm, with one call
+before the rounds keeping the grid whose columns every timed call then
+fetches, so that they time the x-dependent part alone, one exact-N
+evaluation at another energy of the kept spectrum on a kept grid (each
+round's set-up empties the memo and keeps the grid's pole columns through
+a call at the doublet center, so the timed call evaluates only its own
+M(y_k) and M(y_-k), which is `scenario_sweep`'s case),
 one closed two-level density (density_two_level) at the doublet center,
 x = L, on 2000 times over [0, 10 tau1],
 the CSVs of that trace with every method (a first file, with the time-cell memo cleared so
@@ -127,6 +131,19 @@ def test_psi_exact_warm(benchmark, problem):
     psi = benchmark.pedantic(
         psi_exact, args=(problem, problem.L, TIMES), rounds=1000, warmup_rounds=1
     )
+    assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
+
+
+def test_psi_exact_new_energy(benchmark, problem):
+    spectrum = make_spectrum(problem.profile, len(problem.modes))
+    other = spectrum.at(spectrum.poles[1].E_position)
+
+    def setup():
+        psi_exact.cache_clear()
+        psi_exact(problem, problem.L, TIMES)
+        return (other, other.L, TIMES), {}
+
+    psi = benchmark.pedantic(psi_exact, setup=setup, rounds=200, warmup_rounds=1)
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .poles import ResonancePole
-from .transient import _COLUMN_MEMO_POINTS, TransientTrace
+from .transient import _COLUMN_MEMO_POINTS, TransientTrace, _GridKey
 
 __all__ = [
     "fmt",
@@ -72,9 +72,9 @@ _TIME_CELLS_MEMO_SIZE = 8
 
 
 @lru_cache(maxsize=_TIME_CELLS_MEMO_SIZE)
-def _time_cells(t_bytes: bytes, tau_1: float) -> tuple[str, ...]:
-    """Every row's `t_ps,t_over_tau1,` cells on the time grid t_bytes."""
-    times = np.frombuffer(t_bytes)
+def _time_cells(t_key: _GridKey, tau_1: float) -> tuple[str, ...]:
+    """Every row's `t_ps,t_over_tau1,` cells on the time grid t_key."""
+    times = np.frombuffer(t_key)
     return tuple(
         _table("", _TIME_CELLS, times.tolist(), (times / tau_1).tolist()).split("\n")[:-1]
     )
@@ -96,12 +96,12 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     quoted as well, so every row reads back as four fields.  A method the
     trace does not hold raises DomainError before any file is opened.
 
-    The time cells are keyed on (times.tobytes(), tau_1), not on the trace:
-    the cells of the 8 most recently written keys (_TIME_CELLS_MEMO_SIZE)
-    are kept, as a read-only tuple of strings (0.15-0.17 MB per 2000-row
-    grid), and every later write on a kept grid reuses them.  A grid of more
-    than 4096 points (transient._COLUMN_MEMO_POINTS) is formatted on every
-    write and never kept, so a large trace pins no text after it is gone.
+    The time cells are keyed on (grid, tau_1), not on the trace, the grid as
+    transient._GridKey keys it: the cells of the 8 most recently written
+    keys (_TIME_CELLS_MEMO_SIZE) are kept, as a read-only tuple of strings
+    (0.15-0.17 MB per 2000-row grid), and every later write on a kept grid
+    reuses them.  A grid of more than 4096 points (_COLUMN_MEMO_POINTS) is
+    formatted on every write and never kept, so a large trace pins no text.
     A free profile's tau_1 is nan, which equals no other nan, so two free
     traces never share cells.  _time_cells.cache_clear() empties the memo.
     """
@@ -110,7 +110,7 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     path = Path(path)
     times = trace.times
     format_cells = _time_cells if times.size <= _COLUMN_MEMO_POINTS else _time_cells.__wrapped__
-    cells = format_cells(times.tobytes(), trace.tau_1)
+    cells = format_cells(_GridKey(times.tobytes()), trace.tau_1)
     row = "%s%.12g," + _last_cell(method).replace("%", "%%") + "\n"
     text = _table(
         "t_ps,t_over_tau1,density,method\n", row, cells, trace.densities[method].tolist()

@@ -16,7 +16,8 @@ that makes Psi vanish as t -> 0+.  The truncated sum leaves a residual
 there: at the triple barrier's doublet center |Psi(L, 1e-6 ps)|^2/T reads
 1.2e-1, 6.1e-5, 7.7e-5, 9.3e-6, 6.3e-4, 3.3e-4 for N = 1..6, which is not
 monotone and so no measure of convergence in N (ROADMAP item 8).  Every
-M-function method is a partial sum of this one expansion (see _sums).
+M-function method is a partial sum of this one expansion (see _sums), and
+the M(y_s) columns, which do not depend on x, are kept per time grid.
 
 On a free profile the expansion degenerates (no poles) and does not reduce
 to the free propagation of the cutoff wave; psi_exact dispatches to the
@@ -76,11 +77,11 @@ METHODS = (
 _MODES_NEEDED = dict(zip(METHODS, (0, 2, 2, 1)))
 # (profile, n_poles) pairs whose spectra make_spectrum keeps
 _SPECTRUM_MEMO_SIZE = 32
-# M(y_s) columns _column keeps, and the most time points a kept column has
-_COLUMN_MEMO_SIZE = 32
+# time grids _grid keeps, the M(y_s) columns a kept grid holds between calls,
+# and the most points a kept grid has (output's time cells share this cap)
+_GRID_MEMO_SIZE = 8
+_GRID_COLUMNS = 32
 _COLUMN_MEMO_POINTS = 4096
-# column blocks (one per wave-number tuple, grid and mass ratio) _block keeps
-_BLOCK_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -198,36 +199,40 @@ def _result(psi):
     return complex(psi) if np.ndim(psi) == 0 else psi
 
 
-@lru_cache(maxsize=_COLUMN_MEMO_SIZE)
-def _column(s: complex, shape: tuple, t_bytes: bytes, mass_ratio: float):
-    """The read-only M(y_s) column on the checked time grid (shape, t_bytes).
+class _GridKey(bytes):
+    """A time grid's bytes as a memo key: the hash reads only the length and
+    the first and last 64 bytes, and equality still compares every byte."""
 
-    The shape is part of the key: a (n, 1) grid has the bytes of an (n,)
-    grid but needs a column of its own shape.  The mass ratio, the one
-    field of PhysicalConstants, fixes hbar/2m; the constants are built only
-    on a miss.
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash((len(self), self[:64], self[-64:]))
+
+
+class _Grid(dict):
+    """The read-only M(y_s) columns of one time grid, keyed by wave number s.
+
+    The grid is checked when it is built, and one that fails is not kept.
+    The shape is part of the key, since a (n, 1) grid has the bytes of an
+    (n,) grid; the mass ratio fixes hbar/2m.  A missing column is evaluated
+    on first use and kept.
     """
-    t = np.frombuffer(t_bytes).reshape(shape)
-    column = m_function(y_values(s, t, PhysicalConstants(mass_ratio)))
-    # a 0-d grid gives a numpy scalar, which is read-only already
-    if column.ndim:
-        column.flags.writeable = False
-    return column
+
+    def __init__(self, shape: tuple, t_key: _GridKey, mass_ratio: float):
+        super().__init__()
+        self.t = _times(np.frombuffer(t_key).reshape(shape))
+        self.constants = PhysicalConstants(mass_ratio)
+
+    def __missing__(self, s: complex):
+        column = m_function(y_values(s, self.t, self.constants))
+        # a 0-d grid gives a numpy scalar, which is read-only already
+        if column.ndim:
+            column.flags.writeable = False
+        self[s] = column
+        return column
 
 
-@lru_cache(maxsize=_BLOCK_MEMO_SIZE)
-def _block(wave_numbers: tuple, shape: tuple, t_bytes: bytes, mass_ratio: float):
-    """The M(y_s) columns of wave_numbers, in order, on the grid (shape, t_bytes).
-
-    The grid is checked here, when its block is built; a grid that fails
-    raises and is not kept, so a hit needs no check.  The columns come from
-    _column's memo and are held, not copied.  A grid of more than
-    _COLUMN_MEMO_POINTS points runs through _block.__wrapped__ and keeps no
-    column either.
-    """
-    t = _times(np.frombuffer(t_bytes).reshape(shape))
-    evaluate = _column if t.size <= _COLUMN_MEMO_POINTS else _column.__wrapped__
-    return tuple(evaluate(s, shape, t_bytes, mass_ratio) for s in wave_numbers)
+_grid = lru_cache(maxsize=_GRID_MEMO_SIZE)(_Grid)
 
 
 def _sums(problem: ShutterProblem, x, t, n_modes: int):
@@ -240,21 +245,23 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
     free profile has no poles; both sums are then the free-shutter solution.
 
     The rows are evaluated at x located once, with rho_-n = -rho_n* (see
-    rho_mirror).  The 2 + 2 n_modes columns come from one _block lookup,
-    which checks t when it builds the block (a free profile's block is
-    empty and only checks t); x is checked first and the broadcast of x
-    against t last.  Each term product goes through one scratch array of
-    psi's shape; a 0-d psi keeps numpy's scalar product, which rounds
-    differently from the array loop in the last bit.
+    rho_mirror).  One _grid lookup checks t when it builds the grid (a free
+    profile only checks t), after x and before the broadcast of x against
+    t; each column is fetched where its term uses it.  A grid over
+    _GRID_COLUMNS that misses one of this call's columns starts over first,
+    so no call loses a column it still needs.
+    Each term product goes through one scratch array of psi's shape; a 0-d
+    psi keeps numpy's scalar product, which rounds differently from the
+    array loop in the last bit.
     """
     if len(problem.modes) < n_modes:
         raise DomainError(f"needs {n_modes} mode(s), problem has {len(problem.modes)}")
     located = _locate(problem.field.edges, x)
     x = np.asarray(x, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    wave_numbers = problem._wave_numbers[: 2 + 2 * n_modes] if problem.modes else ()
-    block = _block if t_arr.size <= _COLUMN_MEMO_POINTS else _block.__wrapped__
-    columns = block(wave_numbers, t_arr.shape, t_arr.tobytes(), problem.profile.mass_ratio)
+    grid = (_grid if t_arr.size <= _COLUMN_MEMO_POINTS else _grid.__wrapped__)(
+        t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.mass_ratio
+    )
     # a 0-d x broadcasts against any t
     if x.ndim:
         _broadcast_xt(x, t_arr)
@@ -263,18 +270,20 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
             raise DomainError("problem carries no modes for a non-free profile")
         psi = free_shutter_psi(problem.k, x, t, problem.constants)
         return (), psi, psi
-    k = problem.k
+    s = problem._wave_numbers
+    if len(grid) > _GRID_COLUMNS and any(v not in grid for v in s[: 2 + 2 * n_modes]):
+        grid.clear()
     phi = _wave(problem.field.q, problem.field.coefficients, *located)
-    psi = phi * columns[0] - np.conj(phi) * columns[1]
+    psi = phi * grid[s[0]] - np.conj(phi) * grid[s[1]]
     term = np.empty_like(psi) if np.ndim(psi) else None
     rhos = []
     doublet = None
     for n, mode in enumerate(problem.modes[:n_modes]):
         if n == 2:
             doublet = psi.copy()
-        rho = _rho(mode, k, _wave(mode.q, mode.coefficients, *located))
+        rho = _rho(mode, problem.k, _wave(mode.q, mode.coefficients, *located))
         rhos.append(rho)
-        for a, column in ((rho, columns[2 * n + 2]), (-np.conj(rho), columns[2 * n + 3])):
+        for a, column in ((rho, grid[s[2 * n + 2]]), (-np.conj(rho), grid[s[2 * n + 3]])):
             psi -= a * column if term is None else np.multiply(a, column, out=term)
     return rhos, psi if doublet is None else doublet, psi
 
@@ -291,35 +300,24 @@ def psi_exact(problem: ShutterProblem, x, t):
     Free profiles dispatch to the closed-form free-shutter solution (the
     pole expansion is empty there and does not represent free propagation).
 
-    M(y_s) depends on the wave number s and on t but not on x, so the
-    columns are kept and shared by psi_exact, psi_doublet_M, delta_term and
-    evolve_trace.  A call fetches all 2 + 2N of its columns with one lookup
-    in a memo of the 8 most recently used blocks (_BLOCK_MEMO_SIZE), each
-    keyed on (wave numbers, time grid, mass ratio); the grid is checked
-    when its block is built, so a per-x loop on one grid builds one block
-    and checks the grid once.  A block gathers its columns from the 32 most
-    recently used (s, time grid, mass ratio) columns (_COLUMN_MEMO_SIZE), so
-    one profile's blocks at several energies share the pole columns.  A
-    block holds those read-only columns, not copies, and keeps them alive
-    after the column memo lets them go.  Two limits hold.  A block built
-    again finds its columns kept only while 2 + 2N <= 32 (N <= 15).  A grid
-    of more than 4096 points (_COLUMN_MEMO_POINTS) is never kept and is
-    evaluated on every call.  A miss runs the same arithmetic as an
-    uncached evaluation, so results do not depend on the memos.
-    psi_exact.cache_info() reports the column memo (its misses count the
-    columns evaluated), and psi_exact.cache_clear() empties both memos.
+    M(y_s) depends on the wave number s and on t but not on x, so one memo
+    keeps the columns of the 8 most recently used time grids
+    (_GRID_MEMO_SIZE), keyed on (grid shape, grid bytes, mass ratio), for
+    psi_exact, psi_doublet_M, delta_term and evolve_trace.  A grid is
+    checked once, when it is built, and keeps its read-only columns by wave
+    number: a per-x loop evaluates each column once, and one profile's pole
+    columns serve every incidence energy on the grid.  A grid holds at most
+    32 columns between calls (_GRID_COLUMNS), and one of more than 4096
+    points (_COLUMN_MEMO_POINTS) is never kept.  A miss runs the uncached
+    arithmetic, so results do not depend on the memo.  psi_exact.cache_info()
+    counts grids (a miss checks one); psi_exact.cache_clear() empties it.
     """
     _, _, psi = _sums(problem, x, t, len(problem.modes))
     return _result(psi)
 
 
-def _clear_memos():
-    _block.cache_clear()
-    _column.cache_clear()
-
-
-psi_exact.cache_info = _column.cache_info
-psi_exact.cache_clear = _clear_memos
+psi_exact.cache_info = _grid.cache_info
+psi_exact.cache_clear = _grid.cache_clear
 
 
 def psi_doublet_M(problem: ShutterProblem, x, t):

@@ -416,15 +416,20 @@ class TestEvaluator:
 
 
 class TestColumnMemo:
-    """psi_exact's memos keep the x-independent M(y_s) columns of a grid."""
+    """psi_exact's memo keeps the x-independent M(y_s) columns of a grid."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        # the memo is module state: an earlier test may have kept these grids
+        psi_exact.cache_clear()
 
     @pytest.fixture
     def times(self, problem_ebar):
-        psi_exact.cache_clear()
         return np.linspace(0.01, 10.0 * problem_ebar.modes[0].pole.tau, 2000)
 
-    def test_per_x_loop_evaluates_each_column_once(self, problem_ebar, times, monkeypatch):
-        p = problem_ebar
+    @pytest.fixture
+    def wofz_calls(self, monkeypatch):
+        """The argument shape of every wofz call: one call per column evaluated."""
         calls = []
         wofz = mfunc._wofz()
 
@@ -433,76 +438,93 @@ class TestColumnMemo:
             return wofz(z)
 
         monkeypatch.setattr(mfunc, "_WOFZ", counting)
+        return calls
+
+    def test_per_x_loop_evaluates_each_column_once(self, problem_ebar, times, wofz_calls):
+        p = problem_ebar
         for x in np.linspace(0.0, p.L, 200):
             psi_exact(p, x, times)
-        assert calls == [times.shape] * (2 + 2 * len(p.modes))
+        assert wofz_calls == [times.shape] * (2 + 2 * len(p.modes))
+        # one miss: the grid is checked once, when it is built
+        info = psi_exact.cache_info()
+        assert (info.hits, info.misses) == (199, 1)
 
-    def test_per_x_rows_equal_the_broadcast_call(self, problem_ebar, times):
+    def test_per_x_rows_equal_the_broadcast_call(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         n = len(p.modes)
         xs = np.linspace(0.0, p.L, 200)
         rows = np.array([psi_exact(p, x, times) for x in xs])
         broadcast = psi_exact(p, xs[:, None], times)
+        # one grid for the loop and the broadcast call, each column evaluated once
+        assert wofz_calls == [times.shape] * (2 + 2 * n)
+        info = psi_exact.cache_info()
+        assert (info.hits, info.misses) == (len(xs), 1)
         # kept columns change no bit of either form
         assert np.array_equal(rows, [reference_psi(p, x, times, n) for x in xs])
         assert np.array_equal(broadcast, reference_psi(p, xs[:, None], times, n))
         # rho of a scalar x and of an array x may differ in the last bit
         assert np.max(np.abs(rows - broadcast)) <= 1e-14 * np.max(np.abs(rows))
-        # one block for the loop and the broadcast call, each column evaluated once
-        n_columns = 2 + 2 * n
-        info = psi_exact.cache_info()
-        assert (info.hits, info.misses) == (0, n_columns)
-        blocks = transient._block.cache_info()
-        assert (blocks.hits, blocks.misses) == (len(xs), 1)
 
     def test_failing_grid_is_checked_again_and_not_kept(self, problem_ebar, times):
         p = problem_ebar
         psi_exact(p, p.L, times)
-        kept = transient._block.cache_info().currsize
+        before = psi_exact.cache_info()
         bad = np.concatenate(([0.0], times[1:]))
         for _ in range(2):
             with pytest.raises(DomainError):
                 psi_exact(p, p.L, bad)
-        assert transient._block.cache_info().currsize == kept
+        after = psi_exact.cache_info()
+        assert after.misses == before.misses + 2
+        assert after.currsize == before.currsize
 
-    def test_doublet_form_reuses_the_columns(self, problem_ebar, times):
+    def test_doublet_form_reuses_the_columns(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         psi_exact(p, p.L, times)
-        evaluated = psi_exact.cache_info().misses
+        evaluated = len(wofz_calls)
+        assert evaluated == 2 + 2 * len(p.modes)
         doublet = psi_doublet_M(p, p.L, times)
-        assert psi_exact.cache_info().misses == evaluated
+        assert len(wofz_calls) == evaluated
         assert np.array_equal(doublet, reference_psi(p, p.L, times, 2))
 
-    def test_cache_clear_empties_both_memos(self, problem_ebar, times):
+    def test_cache_clear_empties_the_memo(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         psi_exact(p, p.L, times)
-        assert psi_exact.cache_info().currsize and transient._block.cache_info().currsize
+        assert psi_exact.cache_info().currsize == 1
         psi_exact.cache_clear()
         assert psi_exact.cache_info().currsize == 0
-        assert transient._block.cache_info().currsize == 0
+        # so the next call evaluates every column again
+        psi_exact(p, p.L, times)
+        assert wofz_calls == [times.shape] * (2 * (2 + 2 * len(p.modes)))
 
-    def test_grid_shape_is_part_of_the_key(self, problem_ebar, times):
+    def test_grid_shape_is_part_of_the_key(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         column_grid = times[:, None]
         assert column_grid.tobytes() == times.tobytes()
         flat = psi_exact(p, p.L, times)
         column = psi_exact(p, p.L, column_grid)
+        n_columns = 2 + 2 * len(p.modes)
+        assert wofz_calls == [times.shape] * n_columns + [column_grid.shape] * n_columns
         assert flat.shape == times.shape and column.shape == column_grid.shape
         assert np.array_equal(column[:, 0], flat)
         assert np.array_equal(flat, reference_psi(p, p.L, times, len(p.modes)))
 
-    def test_columns_are_read_only(self, problem_ebar, times):
+    def test_columns_are_read_only(self, problem_ebar, times, monkeypatch):
         p = problem_ebar
-        psi_exact(p, p.L, times)
-        column = transient._column(
-            complex(p.k), times.shape, times.tobytes(), p.profile.mass_ratio
-        )
-        assert psi_exact.cache_info().hits == 1
-        assert not column.flags.writeable
-        with pytest.raises(ValueError):
-            column[0] = 0.0
+        columns = []
 
-    def test_mass_ratio_is_part_of_the_key(self, triple_profile, ebar, times):
+        def keeping(y):
+            columns.append(m_function(y))
+            return columns[-1]
+
+        monkeypatch.setattr(transient, "m_function", keeping)
+        psi_exact(p, p.L, times)
+        assert len(columns) == 2 + 2 * len(p.modes)
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_mass_ratio_is_part_of_the_key(self, triple_profile, ebar, times, wofz_calls):
         # a doubled mass ratio at half the energy has the same k, bit for bit,
         # so only the mass ratio in the key tells the two M(y_k) columns apart
         light = make_spectrum(triple_profile, 2).at(ebar)
@@ -511,22 +533,76 @@ class TestColumnMemo:
         assert heavy_profile.layers == triple_profile.layers
         heavy = make_spectrum(heavy_profile, 2).at(ebar / 2)
         assert heavy.k == light.k
-        columns = [
-            transient._column(complex(p.k), times.shape, times.tobytes(), p.profile.mass_ratio)
-            for p in (light, heavy)
-        ]
-        assert not np.array_equal(*columns)
-        for p in (light, heavy, light):
-            assert np.array_equal(psi_exact(p, p.L, times), reference_psi(p, p.L, times, 2))
+        problems = (light, heavy, light)
+        results = [psi_exact(p, p.L, times) for p in problems]
+        # the heavy grid evaluates its own M(y_k) and M(y_-k); light's stay kept
+        assert wofz_calls == [times.shape] * (2 * (2 + 2 * 2))
+        for p, psi in zip(problems, results):
+            assert np.array_equal(psi, reference_psi(p, p.L, times, 2))
 
-    def test_grid_past_the_point_cap_is_not_kept(self, problem_ebar, times):
+    def test_grid_past_the_point_cap_is_not_kept(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         psi_exact(p, p.L, times)
-        kept = psi_exact.cache_info().currsize, transient._block.cache_info().currsize
+        kept = psi_exact.cache_info().currsize
         big = np.linspace(0.01, 10.0 * p.modes[0].pole.tau, 5000)
         first = psi_exact(p, p.L, big)
-        assert (psi_exact.cache_info().currsize, transient._block.cache_info().currsize) == kept
+        assert psi_exact.cache_info().currsize == kept
         assert np.array_equal(psi_exact(p, p.L, big), first)
+        # both calls on the big grid evaluate every column
+        n_columns = 2 + 2 * len(p.modes)
+        assert wofz_calls == [times.shape] * n_columns + [big.shape] * (2 * n_columns)
+
+    def test_new_energy_on_a_kept_grid_evaluates_only_its_k_columns(
+        self, triple_spectrum, double_profile, times, wofz_calls
+    ):
+        p = triple_spectrum.at(triple_spectrum.poles[0].E_position)
+        psi_exact(p, p.L, times)
+        # another profile's columns pass through on six grids of its own: 36
+        # columns, more than a 32-column memo shared by every grid holds
+        double = make_spectrum(double_profile, 2)
+        q = double.at(double.poles[0].E_position)
+        for end in range(1, 7):
+            psi_exact(q, q.L, np.linspace(0.01, end, 50))
+        assert len(wofz_calls) == 2 + 2 * len(p.modes) + 6 * 6
+        del wofz_calls[:]
+        # the triple barrier's pole columns are still kept on its grid
+        r = triple_spectrum.at(triple_spectrum.poles[1].E_position)
+        psi = psi_exact(r, r.L, times)
+        assert wofz_calls == [times.shape] * 2
+        assert np.array_equal(psi, reference_psi(r, r.L, times, len(r.modes)))
+
+    def test_column_bound_holds_between_calls(
+        self, triple_spectrum, problem_ebar, times, wofz_calls, monkeypatch
+    ):
+        monkeypatch.setattr(transient, "_GRID_COLUMNS", 4)
+        p = problem_ebar
+        assert len(p.modes) == 4
+        xs = np.linspace(0.0, p.L, 50)
+        rows = [psi_exact(p, x, times) for x in xs]
+        # each call finds the grid over the bound but misses none of its columns
+        assert wofz_calls == [times.shape] * 10
+        # a call that misses a column starts the grid over
+        r = triple_spectrum.at(triple_spectrum.poles[1].E_position)
+        psi = psi_exact(r, r.L, times)
+        assert wofz_calls == [times.shape] * 20
+        for x, row in list(zip(xs, rows))[::10]:
+            assert np.array_equal(row, reference_psi(p, x, times, 4))
+        assert np.array_equal(psi, reference_psi(r, r.L, times, 4))
+
+    def test_grids_whose_hashes_collide_stay_apart(self, problem_ebar, wofz_calls):
+        p = problem_ebar
+        a = np.linspace(0.01, 10.0, 50)
+        b = a.copy()
+        b[20:30] += 0.01
+        # equal length and equal first and last 64 bytes: one hash, two grids
+        keys = [transient._GridKey(t.tobytes()) for t in (a, b)]
+        assert hash(keys[0]) == hash(keys[1]) and keys[0] != keys[1]
+        results = [psi_exact(p, p.L, t) for t in (a, b)]
+        assert wofz_calls == [a.shape] * (2 * (2 + 2 * len(p.modes)))
+        assert psi_exact.cache_info().currsize == 2
+        assert not np.array_equal(*results)
+        for t, psi in zip((a, b), results):
+            assert np.array_equal(psi, reference_psi(p, p.L, t, len(p.modes)))
 
 
 class TestFreeShutterPsi:
