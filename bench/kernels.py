@@ -22,7 +22,9 @@ round's set-up empties the memo and keeps the grid's pole columns through
 a call at the doublet center, so the timed call evaluates only its own
 M(y_k) and M(y_-k), which is `scenario_sweep`'s case),
 one closed two-level density (density_two_level) at the doublet center,
-x = L, on 2000 times over [0, 10 tau1],
+x = L, on 2000 times over [0, 10 tau1], the dominant line
+(dominant_frequency_series) of fig2b's trace, exact N = 4 at the same
+energy, x and times,
 the CSVs of that trace with every method (a first file, with the time-cell memo cleared so
 that it formats the cells, a later file of the same trace, a first file of
 a trace at another energy on the kept grid, which is `scenario_sweep`'s
@@ -50,6 +52,7 @@ import qshutter
 from qshutter import (
     build_profile,
     density_two_level,
+    dominant_frequency_series,
     evolve_trace,
     find_poles,
     frequencies,
@@ -171,6 +174,16 @@ def test_density_two_level(benchmark, problem):
     t = np.linspace(0.0, 10.0 * mode_1.pole.tau, 2000)
     d = benchmark(density_two_level, mode_1, mode_2, freqs, problem.L, problem.k, t)
     assert d.shape == t.shape and np.all(d >= 0.0)
+
+
+def test_dominant_frequency(benchmark, problem):
+    mode_1, mode_2 = problem.modes[:2]
+    t = np.linspace(0.0, 10.0 * mode_1.pole.tau, 2000)
+    d = evolve_trace(problem, problem.L, t, (METHOD_EXACT,)).densities[METHOD_EXACT]
+    omega = benchmark(dominant_frequency_series, t, d)
+    # within criterion 8's 3% of omega_21 / 2
+    half = frequencies(problem.E, mode_1.pole, mode_2.pole).omega_21 / 2.0
+    assert omega == pytest.approx(half, rel=0.03)
 
 
 @pytest.fixture(scope="module")

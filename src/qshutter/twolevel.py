@@ -7,8 +7,9 @@ densities),
     Psi ~ sum_{n=1,2} rho_n (1 - e^{i omega_hat_n t - Gamma_n t/2 hbar})
 
 with omega_hat_n = (E - curlyE_n)/hbar.  density_two_level evaluates this
-sum and takes its squared modulus, which is never negative.  The paper
-expands the modulus squared into
+sum and takes its squared modulus, which is never negative.  That modulus
+is a sum of nine damped exponentials, so dominant_frequency_series, a
+matrix pencil, fits it exactly.  The paper expands the modulus squared into
 
     |Psi|^2 = |rho_1|^2 chi_1 + |rho_2|^2 chi_2 + 2 Re{rho_1 rho_2* xi_12}
 
@@ -52,6 +53,9 @@ __all__ = [
     "dominant_frequency_series",
     "clamp_count",
 ]
+
+_PENCIL_SAMPLES = 200  # dominant_frequency_series keeps at most this many samples
+_PENCIL_CUT = 1e-10  # and the singular values above this share of the largest
 
 
 def clamp_count() -> int:
@@ -204,13 +208,19 @@ def density_resonant_exponential(T_peak: float, tau_1: float, t):
 
 
 def dominant_frequency_series(times, values) -> float | None:
-    """Angular frequency (rad/ps) of the strongest non-DC spectral peak.
+    """Angular frequency (rad/ps) of the strongest oscillating line.
 
-    Mean-subtracted rfft with 16x zero padding and three-point parabolic
-    peak interpolation; the padding buys the interpolation enough bin
-    resolution for percent-level accuracy on a 10-lifetime window.
-    Returns None when the series carries no oscillation above the noise
-    floor (flat trace, or no peak standing out of the spectral background).
+    A matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38, 814 (1990)) fits
+    the trace as sum_j a_j e^{s_j t}: decimate evenly to at most
+    _PENCIL_SAMPLES, keep the Hankel singular values (window n/3) above
+    _PENCIL_CUT of the largest, then one eigvals gives the s_j and one
+    lstsq the a_j.  Returns |Im s_j| of the largest-|a_j| line with Im s_j
+    != 0, or None if no line oscillates (a zero, constant or build-up trace).
+
+    A line faster than pi/(step dt), step the decimation stride, aliases:
+    39 rad/ps for 2000 t on [0, 10 tau1], below the 51 and 68 rad/ps
+    detunings at Ebar of the triple barrier's poles 3 and 4.  Those decay
+    within 0.2 ps and leave the six strongest lines as with 1,000 samples.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -221,23 +231,13 @@ def dominant_frequency_series(times, values) -> float | None:
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise DomainError("time grid must be uniform")
-    dt = float(steps[0])
-    s = values - values.mean()
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    if float(np.max(np.abs(s))) < 1e-12 * scale:
-        return None
-    n_pad = 16 * len(s)
-    amp = np.abs(np.fft.rfft(s, n=n_pad))
-    if len(amp) < 4:
-        return None
-    p = int(np.argmax(amp[1:])) + 1
-    if amp[p] < 5.0 * np.median(amp[1:]):
-        return None
-    if 1 <= p < len(amp) - 1:
-        a, b, c = amp[p - 1], amp[p], amp[p + 1]
-        denom = a - 2.0 * b + c
-        delta = 0.5 * (a - c) / denom if denom != 0 else 0.0
-    else:
-        delta = 0.0
-    return float(2.0 * np.pi * (p + delta) / (n_pad * dt))
-
+    step = -(-len(values) // _PENCIL_SAMPLES)
+    v = values[::step]
+    hankel = np.lib.stride_tricks.sliding_window_view(v, len(v) // 3 + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    basis = vh[: np.count_nonzero(sv > _PENCIL_CUT * sv[0])].T
+    z = np.linalg.eigvals(np.linalg.pinv(basis[:-1]) @ basis[1:])
+    a = np.linalg.lstsq(z ** np.arange(len(v))[:, None], v, rcond=None)[0]
+    omega = np.abs(np.angle(z)) / (step * float(steps[0]))
+    live = omega > 0
+    return float(omega[live][np.argmax(np.abs(a[live]))]) if live.any() else None

@@ -120,11 +120,11 @@ MANIFEST_CHECKS = {
     ],
     "fig2a": [
         ("max |M-form density - envelope| over [0, 10] tau1", True, 0.0386786228982),
-        ("residual oscillation frequency (rad/ps)", True, 4.29460643086),
+        ("residual oscillation frequency (rad/ps)", True, 4.34482852545),
     ],
     "fig2b": [
         ("T at the doublet center", True, 0.118545826936),
-        ("dominant frequency (rad/ps)", True, 2.17710983551),
+        ("dominant frequency (rad/ps)", True, 2.17241461073),
     ],
     "fig3a": [
         ("triple asymptote T", True, 0.118545826936),

@@ -1,11 +1,14 @@
 """Closed-form two-level density: frequencies, chi/xi factors, spectra."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import TRIPLE_OMEGA21
 from qshutter import (
+    METHOD_EXACT,
     METHOD_TWO_LEVEL_CLOSED,
     DomainError,
     chi,
@@ -323,6 +326,24 @@ class TestResonantExponential:
             density_resonant_exponential(0.5, 1.0, np.nan)
 
 
+@pytest.fixture(scope="module", params=["Ebar", "curlyE1", "curlyE2 + 2 Gamma2"])
+def line_trace(request, triple_spectrum, triple_poles):
+    """(trace at x = L on 2000 t over [0, 10 tau1], the line it beats at):
+    omega_21/2 at Ebar, omega_21 on curlyE1, |omega_hat_2| at curlyE2 + 2 Gamma2."""
+    p1, p2 = triple_poles[:2]
+    E = {
+        "Ebar": 0.5 * (p1.E_position + p2.E_position),
+        "curlyE1": p1.E_position,
+        "curlyE2 + 2 Gamma2": p2.E_position + 2.0 * p2.Gamma,
+    }[request.param]
+    f = frequencies(E, p1, p2)
+    line = {"Ebar": f.omega_21 / 2.0, "curlyE1": f.omega_21}.get(request.param, abs(f.omega_hat_2))
+    problem = triple_spectrum.at(E)
+    times = np.linspace(0.0, 10.0 * p1.tau, 2000)
+    trace = evolve_trace(problem, problem.L, times, (METHOD_EXACT, METHOD_TWO_LEVEL_CLOSED))
+    return trace, line
+
+
 class TestDominantFrequency:
     def test_synthetic_tone(self):
         # sin^2(omega_0 t / 2) oscillates at omega_0
@@ -396,3 +417,26 @@ class TestDominantFrequency:
             t_bad[-1] = bad
             with pytest.raises(DomainError):
                 dominant_frequency_series(t_bad, v)
+
+    def test_closed_form_is_exact(self, line_trace):
+        # measured: <= 2.1e-14 relative
+        trace, line = line_trace
+        got = dominant_frequency_series(
+            trace.times, trace.densities[METHOD_TWO_LEVEL_CLOSED]
+        )
+        assert got == pytest.approx(line, rel=1e-12)
+
+    def test_exact_density(self, line_trace):
+        # measured: <= 1.6e-7 relative (the M tails are not exponentials)
+        trace, line = line_trace
+        got = dominant_frequency_series(trace.times, trace.densities[METHOD_EXACT])
+        assert got == pytest.approx(line, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "trace", [np.zeros_like, lambda t: (1.0 - np.exp(-t)) ** 2], ids=["zero", "build-up"]
+    )
+    def test_no_oscillating_line(self, trace):
+        t = np.linspace(0.0, 10.0, 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dominant_frequency_series(t, trace(t)) is None
