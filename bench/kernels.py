@@ -16,7 +16,8 @@ call per x (`perfbench`'s `density_maps` op), both cold, with
 psi_exact.cache_clear() emptying its grid memo before each round so that
 the M columns are evaluated every round, and both warm, with one call
 before the rounds keeping the grid whose columns every timed call then
-fetches, so that they time the x-dependent part alone, one exact-N
+fetches, so that they time the x-dependent part alone, the same map as
+one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
 evaluation at another energy of the kept spectrum on a kept grid (each
 round's set-up empties the memo and keeps the grid's pole columns through
 a call at the doublet center, so the timed call evaluates only its own
@@ -36,20 +37,36 @@ mode solves run) and filled (warm: only the stationary field is solved).
 The cold starts time whole fresh interpreters: `import qshutter`, the
 `poles` subcommand on the shipped triple barrier and the `transmission`
 subcommand on the shipped double barrier over 1-200 meV.
+
+Native thread pools are pinned to one thread before numpy is imported, as
+in perfbench/run.py, so that a BLAS product times the same whatever the
+machine's core count.
 """
 
 import os
-import subprocess
-import sys
-from dataclasses import replace
-from importlib import resources
-from pathlib import Path
 
-import numpy as np
-import pytest
+# pin native thread pools before numpy is imported
+for _var in (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+):
+    os.environ[_var] = "1"
 
-import qshutter
-from qshutter import (
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from importlib import resources  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import qshutter  # noqa: E402
+from qshutter import (  # noqa: E402
     build_profile,
     density_two_level,
     dominant_frequency_series,
@@ -63,11 +80,11 @@ from qshutter import (
     solve_mode,
     transmission,
 )
-from qshutter import output
-from qshutter.output import transmission_csv_text, write_trace_csv
-from qshutter.poles import refine_pole, seed_poles
-from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
-from qshutter.transient import METHOD_EXACT, METHODS
+from qshutter import output  # noqa: E402
+from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
+from qshutter.poles import refine_pole, seed_poles  # noqa: E402
+from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
+from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
 TIMES = np.linspace(0.005, 10.0, 2000)
@@ -165,6 +182,15 @@ def test_density_map_per_x_warm(benchmark, problem):
     xs = np.linspace(0.0, problem.L, 200)
     psi_exact(problem, problem.L, TIMES)
     dmap = benchmark.pedantic(_density_map, args=(problem, xs), rounds=30, warmup_rounds=1)
+    assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
+
+
+def test_density_map_broadcast(benchmark, problem):
+    xs = np.linspace(0.0, problem.L, 200)[:, None]
+    psi_exact(problem, problem.L, TIMES)
+    dmap = benchmark.pedantic(
+        lambda: np.abs(psi_exact(problem, xs, TIMES)) ** 2, rounds=30, warmup_rounds=1
+    )
     assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
 
 

@@ -74,7 +74,7 @@ _TIME_CELLS_MEMO_SIZE = 8
 @lru_cache(maxsize=_TIME_CELLS_MEMO_SIZE)
 def _time_cells(t_key: _GridKey, tau_1: float) -> tuple[str, ...]:
     """Every row's `t_ps,t_over_tau1,` cells on the time grid t_key."""
-    times = np.frombuffer(t_key)
+    times = np.frombuffer(t_key.data)
     return tuple(
         _table("", _TIME_CELLS, times.tolist(), (times / tau_1).tolist()).split("\n")[:-1]
     )

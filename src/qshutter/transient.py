@@ -16,8 +16,10 @@ that makes Psi vanish as t -> 0+.  The truncated sum leaves a residual
 there: at the triple barrier's doublet center |Psi(L, 1e-6 ps)|^2/T reads
 1.2e-1, 6.1e-5, 7.7e-5, 9.3e-6, 6.3e-4, 3.3e-4 for N = 1..6, which is not
 monotone and so no measure of convergence in N (ROADMAP item 8).  Every
-M-function method is a partial sum of this one expansion (see _sums), and
-the M(y_s) columns, which do not depend on x, are kept per time grid.
+M-function method is a partial sum of this one expansion (see _sums).  x
+enters only through the 2 + 2N coefficients [Phi, -Phi*, -rho_n, rho_n*]
+and t only through the M(y_s) columns, so the sum is one matrix product of
+the x rows and a block of columns; the columns are kept per time grid.
 
 On a free profile the expansion degenerates (no poles) and does not reduce
 to the free propagation of the cutoff wave; psi_exact dispatches to the
@@ -199,14 +201,21 @@ def _result(psi):
     return complex(psi) if np.ndim(psi) == 0 else psi
 
 
-class _GridKey(bytes):
+class _GridKey:
     """A time grid's bytes as a memo key: the hash reads only the length and
     the first and last 64 bytes, and equality still compares every byte."""
 
-    __slots__ = ()
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self._hash = hash((len(data), data[:64], data[-64:]))
 
     def __hash__(self):
-        return hash((len(self), self[:64], self[-64:]))
+        return self._hash
+
+    def __eq__(self, other):
+        return isinstance(other, _GridKey) and self.data == other.data
 
 
 class _Grid(dict):
@@ -220,7 +229,7 @@ class _Grid(dict):
 
     def __init__(self, shape: tuple, t_key: _GridKey, mass_ratio: float):
         super().__init__()
-        self.t = _times(np.frombuffer(t_key).reshape(shape))
+        self.t = _times(np.frombuffer(t_key.data).reshape(shape))
         self.constants = PhysicalConstants(mass_ratio)
 
     def __missing__(self, s: complex):
@@ -233,33 +242,80 @@ class _Grid(dict):
 
 
 _grid = lru_cache(maxsize=_GRID_MEMO_SIZE)(_Grid)
+# (grid, wave numbers, block) of the most recent call on a kept grid
+_kept_block = (None, (), None)
 
 
-def _sums(problem: ShutterProblem, x, t, n_modes: int):
-    """(rho_n of the summed modes, doublet sum, full sum) of the expansion.
+def _block(grid: _Grid, s: tuple[complex, ...], keep: bool) -> np.ndarray:
+    """The read-only (*t.shape, len(s)) block of grid's M(y_s) columns.
 
-    The rows [Phi, -Phi*, -rho_1, -rho_-1, ...] times their M(y_s) columns
-    are added in place one term at a time through pole pair n_modes, so
-    memory stays at a few arrays of the broadcast (x, t) shape.  The doublet
-    sum stops after two pairs (with n_modes <= 2 it is the full sum).  A
-    free profile has no poles; both sums are then the free-shutter solution.
+    A time's entries are adjacent, so a per-x product is one short dot
+    product per time, whose bits depend on no BLAS thread count (OpenBLAS's
+    gemv over a (len(s), n) block rounds some columns differently at 1 and
+    2 threads).  The block of the most recent call on a kept grid is kept,
+    one in total, so a per-x loop stacks it once.  A grid over _GRID_COLUMNS
+    that misses one of s starts over first, so no call loses a column it
+    still needs; a grid that is not kept drops each column once copied.
+    """
+    global _kept_block
+    kept_grid, kept_s, block = _kept_block
+    if kept_grid is grid and kept_s == s:
+        return block
+    if len(grid) > _GRID_COLUMNS and any(v not in grid for v in s):
+        grid.clear()
+    block = np.empty((*grid.t.shape, len(s)), dtype=complex)
+    for j, v in enumerate(s):
+        block[..., j] = grid[v]
+        if not keep:
+            del grid[v]
+    block.flags.writeable = False
+    if keep:
+        _kept_block = (grid, s, block)
+    return block
+
+
+def _product(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """sum_j rows[..., j] columns[..., j] over the broadcast of x and t.
+
+    rows is (*x.shape, K) and columns (*t.shape, K).  An outer product of x
+    and t (a 0-d x, a 0-d t, or an x whose trailing t.ndim axes are 1) is
+    one matrix product: a gemv for a 0-d x, a gemm for a map.  Any other
+    broadcast, such as x and t of one length taken as pairs, goes through
+    einsum.
+    """
+    n, x_shape, t_shape = rows.shape[-1], rows.shape[:-1], columns.shape[:-1]
+    lead = x_shape[: max(len(x_shape) - len(t_shape), 0)]
+    if all(d == 1 for d in x_shape[len(lead) :]):
+        return (rows.reshape(-1, n) @ columns.reshape(-1, n).T).reshape(lead + t_shape)
+    return np.einsum("...k,...k->...", rows, columns)
+
+
+def _sums(problem: ShutterProblem, x, t, *n_modes: int):
+    """(rho_n of the summed modes, one partial sum per count in n_modes).
+
+    Psi(x, t) is the separable sum R(x) . C(t): x enters only through the
+    2 + 2N rows R = [Phi, -Phi*, -rho_1, rho_1*, -rho_2, ...] and t only
+    through the M(y_s) columns C.  The partial sum through pole pair n is
+    R[:2 + 2n] . C[:2 + 2n], one matrix product (see _product), computed
+    only for the counts asked for.  It meets the term-by-term sum to the
+    dot-product rounding bound, 2 gamma_{K+2} sum_j |R_j||C_j| for K terms
+    (Higham 2002, section 3.1), not bit for bit, and a per-x loop meets a
+    broadcast call to the same bound.  A free profile has no poles; every
+    sum is then the free-shutter solution.
 
     The rows are evaluated at x located once, with rho_-n = -rho_n* (see
     rho_mirror).  One _grid lookup checks t when it builds the grid (a free
     profile only checks t), after x and before the broadcast of x against
-    t; each column is fetched where its term uses it.  A grid over
-    _GRID_COLUMNS that misses one of this call's columns starts over first,
-    so no call loses a column it still needs.
-    Each term product goes through one scratch array of psi's shape; a 0-d
-    psi keeps numpy's scalar product, which rounds differently from the
-    array loop in the last bit.
+    t; the call's columns come as one stacked block (see _block).
     """
-    if len(problem.modes) < n_modes:
-        raise DomainError(f"needs {n_modes} mode(s), problem has {len(problem.modes)}")
+    n_max = max(n_modes)
+    if len(problem.modes) < n_max:
+        raise DomainError(f"needs {n_max} mode(s), problem has {len(problem.modes)}")
     located = _locate(problem.field.edges, x)
     x = np.asarray(x, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    grid = (_grid if t_arr.size <= _COLUMN_MEMO_POINTS else _grid.__wrapped__)(
+    keep = t_arr.size <= _COLUMN_MEMO_POINTS
+    grid = (_grid if keep else _grid.__wrapped__)(
         t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.mass_ratio
     )
     # a 0-d x broadcasts against any t
@@ -269,33 +325,32 @@ def _sums(problem: ShutterProblem, x, t, n_modes: int):
         if not problem.profile.is_free:
             raise DomainError("problem carries no modes for a non-free profile")
         psi = free_shutter_psi(problem.k, x, t, problem.constants)
-        return (), psi, psi
-    s = problem._wave_numbers
-    if len(grid) > _GRID_COLUMNS and any(v not in grid for v in s[: 2 + 2 * n_modes]):
-        grid.clear()
+        return (), [psi] * len(n_modes)
+    size = 2 + 2 * n_max
+    columns = _block(grid, problem._wave_numbers[:size], keep)
     phi = _wave(problem.field.q, problem.field.coefficients, *located)
-    psi = phi * grid[s[0]] - np.conj(phi) * grid[s[1]]
-    term = np.empty_like(psi) if np.ndim(psi) else None
+    rows = np.empty((*x.shape, size), dtype=complex)
+    rows[..., 0], rows[..., 1] = phi, -np.conj(phi)
     rhos = []
-    doublet = None
-    for n, mode in enumerate(problem.modes[:n_modes]):
-        if n == 2:
-            doublet = psi.copy()
+    for n, mode in enumerate(problem.modes[:n_max]):
         rho = _rho(mode, problem.k, _wave(mode.q, mode.coefficients, *located))
+        rows[..., 2 * n + 2], rows[..., 2 * n + 3] = -rho, np.conj(rho)
         rhos.append(rho)
-        for a, column in ((rho, grid[s[2 * n + 2]]), (-np.conj(rho), grid[s[2 * n + 3]])):
-            psi -= a * column if term is None else np.multiply(a, column, out=term)
-    return rhos, psi if doublet is None else doublet, psi
+    return rhos, [
+        _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n]) for n in n_modes
+    ]
 
 
 def psi_exact(problem: ShutterProblem, x, t):
     """Psi(x, t) from the full retained pole set.
 
-    x and t broadcast against each other: psi_exact(p, xs[:, None], t)
-    gives the (len(xs), len(t)) map in one call.  It agrees with a loop of
-    per-x calls to ~1e-14 relative, not bit for bit: rho of a scalar x and
-    of an array x may differ in the last bit.  A call locates x once and
-    evaluates 1 + N layered waves (Phi and each u_n; rho_-n = -rho_n*).
+    A call locates x once, evaluates 1 + N layered waves (Phi and each u_n;
+    rho_-n = -rho_n*) into the rows [Phi, -Phi*, -rho_1, rho_1*, ...], and
+    returns their product with the call's block of M(y_s) columns: one gemv
+    for a scalar x.  x and t broadcast against each other:
+    psi_exact(p, xs[:, None], t) gives the (len(xs), len(t)) map as one
+    gemm, which agrees with a loop of per-x calls to the dot-product
+    rounding bound (see _sums), not bit for bit.
 
     Free profiles dispatch to the closed-form free-shutter solution (the
     pole expansion is empty there and does not represent free propagation).
@@ -308,11 +363,12 @@ def psi_exact(problem: ShutterProblem, x, t):
     number: a per-x loop evaluates each column once, and one profile's pole
     columns serve every incidence energy on the grid.  A grid holds at most
     32 columns between calls (_GRID_COLUMNS), and one of more than 4096
-    points (_COLUMN_MEMO_POINTS) is never kept.  A miss runs the uncached
+    points (_COLUMN_MEMO_POINTS) is never kept; one block of stacked
+    columns is kept as well (see _block).  A miss runs the uncached
     arithmetic, so results do not depend on the memo.  psi_exact.cache_info()
     counts grids (a miss checks one); psi_exact.cache_clear() empties it.
     """
-    _, _, psi = _sums(problem, x, t, len(problem.modes))
+    _, (psi,) = _sums(problem, x, t, len(problem.modes))
     return _result(psi)
 
 
@@ -325,7 +381,7 @@ def psi_doublet_M(problem: ShutterProblem, x, t):
 
     x and t broadcast against each other, as in psi_exact.
     """
-    _, psi, _ = _sums(problem, x, t, 2)
+    _, (psi,) = _sums(problem, x, t, 2)
     return _result(psi)
 
 
@@ -339,7 +395,7 @@ def delta_term(problem: ShutterProblem, x, t):
     at small t it is O(1) and enforces the vanishing initial condition.
     x and t broadcast against each other, as in psi_exact.
     """
-    (rho_1, rho_2), doublet, _ = _sums(problem, x, t, 2)
+    (rho_1, rho_2), (doublet,) = _sums(problem, x, t, 2)
     t_arr = np.asarray(t, dtype=float)
     hbar = problem.constants.hbar_ev_ps
     phase_k, phase_1, phase_2 = (
@@ -425,11 +481,12 @@ def evolve_trace(
     tau_1 = problem.modes[0].pole.tau if problem.modes else np.nan
 
     # exact-N and two-level-M are two partial sums of one expansion
+    counts = {METHOD_EXACT: len(problem.modes), METHOD_TWO_LEVEL_M: 2}
+    counts = {method: n for method, n in counts.items() if method in methods}
     amplitudes = {}
-    if METHOD_EXACT in methods or METHOD_TWO_LEVEL_M in methods:
-        n_modes = len(problem.modes) if METHOD_EXACT in methods else 2
-        _, doublet, full = _sums(problem, x, t_pos, n_modes)
-        amplitudes = {METHOD_EXACT: full, METHOD_TWO_LEVEL_M: doublet}
+    if counts:
+        _, sums = _sums(problem, x, t_pos, *counts.values())
+        amplitudes = dict(zip(counts, sums))
 
     densities: dict[str, np.ndarray] = {}
     for method in methods:
