@@ -7,9 +7,12 @@ Run with
 The file name does not match pytest's test-file pattern, so a bare
 `python -m pytest` does not collect it.  Every input is fixed: the triple
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
-4000 points, Newton from that scan's first seed, the whole pole search for
-its four poles and for four poles of one 4-barrier profile of perfbench's
-`structures` stream (seed 1, op 4), the mode solves of the triple
+4000 points, the same scan of one 4-barrier (7-layer) profile of
+perfbench's `structures` stream (seed 1, op 4), one scalar T(E) at the
+triple barrier's first resonance E_1, Newton from that scan's first seed,
+the lockstep Newton batch (poles._newton) from its four seeds, the whole
+pole search for its four poles and for four poles of the 4-barrier
+profile, the mode solves of the triple
 barrier's four poles, one exact-N evaluation at the doublet
 center on 2000 times and one 200 x 2000 density map built by a psi_exact
 call per x (`perfbench`'s `density_maps` op), both cold, with
@@ -82,7 +85,7 @@ from qshutter import (  # noqa: E402
 )
 from qshutter import output  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
-from qshutter.poles import refine_pole, seed_poles  # noqa: E402
+from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
 from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
 
@@ -106,15 +109,29 @@ def problem(triple):
     return spectrum.at(0.5 * (poles[0].E_position + poles[1].E_position))
 
 
-def test_transmission_scan(benchmark, triple):
-    _, T = benchmark(transmission, triple, SCAN_ENERGIES)
+@pytest.mark.parametrize("name", ["triple", "four_barriers"])
+def test_transmission_scan(benchmark, triple, name):
+    profile = triple if name == "triple" else build_profile(FOUR_BARRIERS, MASS_RATIO)
+    _, T = benchmark(transmission, profile, SCAN_ENERGIES)
     assert T.shape == SCAN_ENERGIES.shape and T.max() <= 1.0 + 1e-9
+
+
+def test_transmission_scalar(benchmark, triple):
+    E_1 = find_poles(triple, 1)[0].E_position
+    _, T = benchmark(transmission, triple, E_1)
+    assert 0.9 < T <= 1.0 + 1e-9
 
 
 def test_refine_pole(benchmark, triple):
     seed = seed_poles(triple, 0.05)[0]
     pole = benchmark(refine_pole, triple, seed)
     assert abs(pole.k - seed) < 1e-2
+
+
+def test_newton_batch(benchmark, triple):
+    seeds = seed_poles(triple, 0.1)
+    poles = benchmark(_newton, triple, seeds)
+    assert len(seeds) == len(poles) == 4
 
 
 @pytest.mark.parametrize("name", ["triple", "four_barriers"])

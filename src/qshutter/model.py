@@ -91,14 +91,28 @@ class PotentialProfile:
     """Ordered layer stack on [0, L] with effective-mass ratio.
 
     total_length is the exact sum of layer widths; edges[j] is the left
-    boundary of layer j, edges[-1] = L.
+    boundary of layer j, edges[-1] = L.  heights, widths and edges are
+    read-only arrays built once, at construction, for the kernels that
+    read them on every call; they take no part in equality or hashing.
     """
 
     layers: tuple[Layer, ...]
     mass_ratio: float
     total_length: float = field(init=False)
+    heights: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        widths = np.array([l.width for l in self.layers])
+        arrays = {
+            "heights": np.array([l.height for l in self.layers]),
+            "widths": widths,
+            "edges": np.concatenate(([0.0], np.cumsum(widths))),
+        }
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(
             self, "total_length", float(sum(l.width for l in self.layers))
         )
@@ -106,10 +120,6 @@ class PotentialProfile:
     @property
     def constants(self) -> PhysicalConstants:
         return PhysicalConstants(mass_ratio=self.mass_ratio)
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum([l.width for l in self.layers])))
 
     @property
     def is_free(self) -> bool:

@@ -29,8 +29,8 @@ imaginary axis is a quadrant escape.
 
 find_poles refines all of a window's seeds in lockstep (_newton).  Each
 round evaluates every active seed's iterate and its two difference points
-as one (3, n_seeds) array, through one kernel call and one pair of
-marches, which cost about as much for 18 points as for 3.  Each seed keeps
+as one (3, n_seeds) array, through one kernel call and one march of both
+outgoing pieces, which cost about as much for 18 points as for 3.  Each seed keeps
 its own join edge, stop test, halving and trace, and takes its step in
 Python complex arithmetic from its own column, so every pole is bit for
 bit the one refine_pole (the one-seed call) returns.  A seed leaves the

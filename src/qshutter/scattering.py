@@ -18,7 +18,14 @@ across them; transfer_matrix, solve_stationary, the pole search and the
 resonant-mode solver all consume the two.  transfer_matrix and
 transmission take whole arrays: a T(E) scan over a window (the pole
 seeding, the CLI sweep) is a few array passes with no Python loop over
-points.
+points.  The scan (_scan_t) keeps only the end pair of its march and
+updates it in place.
+
+The kernel and the marches reuse their buffers where the bits allow it:
+every output is bit for bit what the allocating expressions give.  numpy
+rounds a complex product written over one of its own factors differently
+when the array has a single entry, so complex products go to a buffer of
+their own.
 
 M is read off the fundamental matrix: the solutions starting as (1, 0) and
 (0, 1) at x = 0 are marched to x = L, where their pairs are the columns of
@@ -29,15 +36,18 @@ On the real axis, where every scan and every stationary field lives, q^2
 = k^2 - V/(hbar^2/2m) is real, so each layer matrix is real (cos and sin,
 or cosh and sinh where the layer is evanescent) and so are P, s and d, and
 T = 4 / (s^2 + d^2).  A real-typed k therefore runs the kernel and the
-march in real arithmetic; only the read-off of M is complex.  A
-complex-typed k (Newton iterates, poles, modes) runs the same code in
+march in real arithmetic, and builds no complex q (only solve_stationary
+reads q, and forms it for its one k); only the read-off of M is complex.
+A complex-typed k (Newton iterates, poles, modes) runs the same code in
 complex arithmetic.
 
 The pole search and the resonant-mode solver share the outgoing pieces
 (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
-marched backward.  A wave marched through a thick barrier carries rounding
-amplified by up to e^{|Im q| w}, so the pieces are joined at an interior
-edge and neither march crosses the whole profile (the matching-point method
+marched backward, as one stacked march for the Newton batch's array of k
+and as two numpy-scalar marches for a mode's one k.  A wave marched
+through a thick barrier carries rounding amplified by up to e^{|Im q| w},
+so the pieces are joined at an interior edge and neither march crosses
+the whole profile (the matching-point method
 of GAMOW: Vertse, Pal & Balogh, Comput. Phys. Commun. 27, 309 (1982)).
 Their Wronskian W = u_L u_R' - u_L' u_R = 2 i k e^{-ikL} m22(k) does not
 depend on x and vanishes at a pole.  The one join test, _join, reads the
@@ -133,16 +143,18 @@ def _wave_numbers(k):
 def _layers(profile: PotentialProfile, k):
     """Per-layer (q, c, ws, m, g), elementwise over a scalar or array k.
 
-    Each output has shape (n_layers, *k.shape).  Layer j's fundamental
+    Each array has shape (n_layers, *k.shape).  Layer j's fundamental
     matrix, mapping (psi, psi') across the layer, is [[c, ws], [m, c]] with
     z = q w, c = cos z, ws = w sin(z)/z (series below |z| = 1e-6) and
     m = -q^2 ws.  q = sqrt(k^2 - V_j/(hbar^2/2m)) on the principal branch;
     the matrix is even in q, so the branch only fixes q for determinism.
 
-    A real-typed k gives real c, ws and m: q^2 is then real, so z is real
-    (cos, sin of |z|) where q^2 >= 0 and purely imaginary (cosh, sinh of
-    |z|) where it is negative.  q itself stays complex, real or imaginary.
-    g = |Im z| is the layer's growth exponent (_growth), None for real k.
+    A real-typed k gives real c, ws and m and neither q nor g (both None):
+    q^2 is then real, so |z| = sqrt(|q^2|) w, and c and sin(z)/z are cos and
+    sin of |z| where q^2 >= 0 and cosh and sinh of it where q^2 < 0.  No
+    real-k march reads q, so it is not built; solve_stationary forms it for
+    its one k (_real_q).  g = |Im z| is the layer's growth exponent
+    (_growth).  |z|, ws and m are formed in place.
 
     Raises OverflowGuardError for the first point of k (in C order) where a
     layer's |Im z| passes OVERFLOW_GUARD, naming its lowest such layer, or,
@@ -150,50 +162,68 @@ def _layers(profile: PotentialProfile, k):
     naming the layer where the sum crosses it.
     """
     k = _wave_numbers(k)
-    h22m = profile.constants.hbar2_over_2m
     column = (-1,) + (1,) * k.ndim
-    v = np.array([l.height for l in profile.layers]).reshape(column) / h22m
-    w = np.array([l.width for l in profile.layers]).reshape(column)
+    v = (profile.heights / profile.constants.hbar2_over_2m).reshape(column)
+    w = profile.widths.reshape(column)
     q2 = k * k - v
     real = k.dtype != complex
     if real:
-        # q is real where q^2 >= 0 and imaginary where it is negative: use |z|
         wave = q2 >= 0.0
-        root = np.sqrt(np.abs(q2))
-        q = root.astype(complex)
-        np.multiply(q, 1j, out=q, where=~wave)
-        z = root * w
+        evanescent = ~wave
+        z = np.abs(q2)
+        np.sqrt(z, out=z)
+        z *= w
         _guard(np.where(wave, 0.0, z).reshape(len(w), -1))
-        g = None  # no real-k march reads it, and a scan frees it at once
+        q = g = None
+        small = z < 1e-6
     else:
         q = np.sqrt(q2)
         z = q * w
         g = np.abs(z.imag)
         _guard(g.reshape(len(w), -1))
-    small = np.abs(z) < 1e-6
+        small = np.abs(z) < 1e-6
     series = small.any()
     zs = np.where(small, 1.0, z) if series else z
     if real:
         c, s = np.empty_like(z), np.empty_like(z)
         np.cos(z, out=c, where=wave)
-        np.cosh(z, out=c, where=~wave)
+        np.cosh(z, out=c, where=evanescent)
         np.sin(zs, out=s, where=wave)
-        np.sinh(zs, out=s, where=~wave)
-        s /= zs
+        np.sinh(zs, out=s, where=evanescent)
     else:
-        c, s = np.cos(z), np.sin(zs) / zs
+        c, s = np.cos(z), np.sin(zs)
+    s /= zs
     if series:
         z2 = q2 * w * w
         c = np.where(small, 1.0 - z2 / 2.0, c)
         s = np.where(small, 1.0 - z2 / 6.0, s)
-    ws = w * s
-    return q, c, ws, -q2 * ws, g
+    ws = np.multiply(s, w, out=s)
+    # m = -q^2 ws into z's buffer: a complex product written over one of its
+    # own factors can round differently when it has a single entry
+    m = np.multiply(np.negative(q2, out=q2), ws, out=z)
+    return q, c, ws, m, g
+
+
+def _real_q(profile: PotentialProfile, k) -> np.ndarray:
+    """q of _layers at one real k: sqrt(|q^2|), times i where q^2 < 0."""
+    q2 = k * k - profile.heights / profile.constants.hbar2_over_2m
+    q = np.sqrt(np.abs(q2)).astype(complex)
+    np.multiply(q, 1j, out=q, where=q2 < 0.0)
+    return q
 
 
 def _guard(exponent: np.ndarray) -> None:
-    """Raise OverflowGuardError for exponent = |Im z|, shape (layers, points)."""
+    """Raise OverflowGuardError for exponent = |Im z|, shape (layers, points).
+
+    One max over every entry and one over the per-point sums pass a guard
+    that does not trip; both read an array of no points as 0.  Only a trip
+    searches for its first point.
+    """
+    summed = exponent.sum(axis=0)
+    if exponent.max(initial=0.0) <= OVERFLOW_GUARD and summed.max(initial=0.0) <= MARCH_GUARD:
+        return
     over = exponent > OVERFLOW_GUARD
-    tripped = over.any(axis=0) | (exponent.sum(axis=0) > MARCH_GUARD)
+    tripped = over.any(axis=0) | (summed > MARCH_GUARD)
     if not tripped.any():
         return
     point = int(tripped.argmax())
@@ -205,28 +235,32 @@ def _guard(exponent: np.ndarray) -> None:
     raise OverflowGuardError(layer, float(summed[layer]), point, summed=True)
 
 
-def _sweep(layers, value, slope):
-    """Yield (psi, psi') at x = 0 and past each layer in turn, elementwise."""
-    c, ws, m = layers[1:4]
-    yield value, slope
-    for cj, wsj, mj in zip(c, ws, m):
-        value, slope = cj * value + wsj * slope, mj * value + cj * slope
-        yield value, slope
-
-
 def _march(layers, value, slope) -> np.ndarray:
     """Carry (psi, psi') from x = 0 across the layers, elementwise.
 
     value and slope broadcast against the layers' point shape s; returns the
     pairs at every edge, x = 0 first and x = L last, shape (n_layers + 1, 2,
-    *s), real when the layers and the start are.
+    *s), real when the layers and the start are.  Each layer maps (psi,
+    psi') to (c psi + ws psi', m psi + c psi'); an array march writes the
+    products straight into the next edge's pair, and a march of 0-d pairs
+    (a mode solve) steps in numpy-scalar arithmetic (see _outgoing).
     """
-    c = layers[1]
+    c, ws, m = layers[1:4]
     shape = np.broadcast_shapes(np.shape(value), np.shape(slope), c.shape[1:])
-    dtype = np.result_type(value, slope, c)
-    pairs = np.empty((len(c) + 1, 2, *shape), dtype=dtype)
-    for j, (value, slope) in enumerate(_sweep(layers, value, slope)):
-        pairs[j, 0], pairs[j, 1] = value, slope
+    pairs = np.empty((len(c) + 1, 2, *shape), dtype=np.result_type(value, slope, c))
+    pairs[0, 0], pairs[0, 1] = value, slope
+    if not shape:
+        for j, (cj, wsj, mj) in enumerate(zip(c, ws, m), 1):
+            value, slope = cj * value + wsj * slope, mj * value + cj * slope
+            pairs[j, 0], pairs[j, 1] = value, slope
+        return pairs
+    term = np.empty(shape, dtype=pairs.dtype)
+    for j, (cj, wsj, mj) in enumerate(zip(c, ws, m)):
+        (value, slope), (psi, dpsi) = pairs[j], pairs[j + 1]
+        np.multiply(cj, value, out=psi)
+        psi += np.multiply(wsj, slope, out=term)
+        np.multiply(mj, value, out=dpsi)
+        dpsi += np.multiply(cj, slope, out=term)
     return pairs
 
 
@@ -238,10 +272,24 @@ def _outgoing(layers, k):
     forward march of (1, -ik) through the mirrored layers, with u' negated.
     Both have shape (n_layers + 1, 2, *k.shape): row e is the pair at
     edges[e].
+
+    An array k (the Newton batch) marches both waves as one march over the
+    layers stacked with their mirror image: the same elementwise arithmetic
+    in half the array passes.  A 0-d k (a mode solve) keeps two marches in
+    numpy-scalar arithmetic.  numpy's scalar and array complex products can
+    differ in the last bit (as modes.rho and a 0-d-t psi_exact do), and a
+    stacked march of one k moved solve_mode's coefficients by up to 3.3e-11
+    of the largest one.
     """
     slope = -1j * np.asarray(k)
-    left = _march(layers, 1.0, slope)
-    right = _march(tuple(a[::-1] for a in layers[:4]), 1.0, slope)[::-1]
+    entries = layers[1:4]
+    if slope.ndim:
+        stacked = [np.stack((a, a[::-1]), axis=1) for a in entries]
+        pairs = _march((None, *stacked), 1.0, slope)
+        left, right = pairs[:, :, 0], pairs[::-1, :, 1]
+    else:
+        left = _march(layers, 1.0, slope)
+        right = _march((None, *(a[::-1] for a in entries)), 1.0, slope)[::-1]
     right[:, 1] *= -1.0
     return left, right
 
@@ -258,8 +306,10 @@ def _growth(layers) -> np.ndarray:
     A march from x = 0 to edge e can amplify rounding by about
     e^{growth[e]}, one from x = L by about e^{growth[-1] - growth[e]}.
     """
-    growth = np.cumsum(layers[4], axis=0)
-    return np.concatenate((np.zeros((1, *growth.shape[1:])), growth))
+    g = layers[4]
+    growth = np.zeros((len(g) + 1, *g.shape[1:]))
+    np.cumsum(g, axis=0, out=growth[1:])
+    return growth
 
 
 def _wronskian(left, right):
@@ -339,10 +389,26 @@ def _exterior(profile: PotentialProfile, k, layers):
 
 
 def _scan_t(profile: PotentialProfile, k: np.ndarray) -> np.ndarray:
-    """t = 1/m22 at a 1-D array of real k: the march keeps only its end pair
-    and only m22 is formed, through the expression transfer_matrix uses."""
-    *_, end = _sweep(_layers(profile, k), *np.eye(2)[:, :, None])
-    return 1.0 / _m22(profile, k, end)[0]
+    """t = 1/m22 at a 1-D array of real k, through the expression
+    transfer_matrix uses for m22.
+
+    The fundamental pair starts as layer 0's matrix, P = [[c, ws], [m, c]]
+    (rows psi and psi', columns F1 and F2), and is marched across the other
+    layers in place with two scratch rows; only its end pair is kept and
+    only m22 is formed.
+    """
+    _, c, ws, m, _ = _layers(profile, k)
+    value, slope = np.stack((c[0], ws[0])), np.stack((m[0], c[0]))
+    term, product = np.empty_like(value), np.empty_like(value)
+    for cj, wsj, mj in zip(c[1:], ws[1:], m[1:]):
+        # (value, slope) <- (c value + ws slope, c slope + m value)
+        np.multiply(wsj, slope, out=term)
+        np.multiply(mj, value, out=product)
+        value *= cj
+        value += term
+        slope *= cj
+        slope += product
+    return 1.0 / _m22(profile, k, (value, slope))[0]
 
 
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
@@ -365,10 +431,11 @@ def solve_stationary(profile: PotentialProfile, k: float | complex) -> Stationar
     layers = _layers(profile, k)
     tm, pairs = _exterior(profile, k, layers)
     r, t = tm.r, tm.t
+    q = _real_q(profile, k) if layers[0] is None else layers[0]
     # Phi = e^{ikx} + r e^{-ikx} starts as (1 + r, ik (1 - r)) at x = 0
     coefficients = (1.0 + r) * pairs[..., 0] + 1j * k * (1.0 - r) * pairs[..., 1]
     return StationaryField(
-        k=complex(k), r=r, t=t, edges=profile.edges, q=layers[0], coefficients=coefficients
+        k=complex(k), r=r, t=t, edges=profile.edges, q=q, coefficients=coefficients
     )
 
 
@@ -386,23 +453,24 @@ def transmission(profile: PotentialProfile, E):
         raise DomainError(f"transmission needs real finite E > 0 eV, got {E[~valid][0]}")
     k = np.atleast_1d(wavenumber(E.real, profile)).real.ravel()
     t = np.empty(k.shape, dtype=complex)
+    T = np.empty(k.shape)
     for start in range(0, k.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         try:
             t[block] = _scan_t(profile, k[block])
         except OverflowGuardError as err:
             # a loop over E meets the points before the guarded one first
-            _check_unitarity(_scan_t(profile, k[block][: err.point]))
+            _check_unitarity(np.abs(_scan_t(profile, k[block][: err.point])) ** 2)
+            err.point += start
             raise
-        _check_unitarity(t[block])
-    T = np.abs(t) ** 2
+        T[block] = np.abs(t[block]) ** 2
+        _check_unitarity(T[block])
     if E.ndim == 0:
         return complex(t[0]), float(T[0])
     return t.reshape(E.shape), T.reshape(E.shape)
 
 
-def _check_unitarity(t: np.ndarray) -> None:
-    T = np.abs(t) ** 2
+def _check_unitarity(T: np.ndarray) -> None:
     over = T > 1.0 + 1e-9
     if over.any():
         raise QShutterError(f"unitarity violated: T = {float(T[over.argmax()])}")

@@ -366,14 +366,21 @@ def psi_exact(problem: ShutterProblem, x, t):
     points (_COLUMN_MEMO_POINTS) is never kept; one block of stacked
     columns is kept as well (see _block).  A miss runs the uncached
     arithmetic, so results do not depend on the memo.  psi_exact.cache_info()
-    counts grids (a miss checks one); psi_exact.cache_clear() empties it.
+    counts grids (a miss checks one); psi_exact.cache_clear() empties it and
+    drops the kept block.
     """
     _, (psi,) = _sums(problem, x, t, len(problem.modes))
     return _result(psi)
 
 
+def _cache_clear() -> None:
+    global _kept_block
+    _grid.cache_clear()
+    _kept_block = (None, (), None)
+
+
 psi_exact.cache_info = _grid.cache_info
-psi_exact.cache_clear = _grid.cache_clear
+psi_exact.cache_clear = _cache_clear
 
 
 def psi_doublet_M(problem: ShutterProblem, x, t):

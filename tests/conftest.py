@@ -1,4 +1,5 @@
-"""Shared fixtures: the two reference structures, their poles and modes.
+"""Shared fixtures: the two reference structures, their poles and modes, and
+one generated set of figure and evolve outputs.
 
 Pole wave numbers, resonance parameters, and transmission values below are
 regression pins: computed once with this package, frozen, and asserted at
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import golden
 from qshutter import build_profile, find_poles, make_spectrum, solve_mode
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
 
@@ -110,3 +112,12 @@ def problem_res1(triple_spectrum, triple_poles):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture(scope="session")
+def generated_outputs(tmp_path_factory):
+    """(directory, FigureResults by preset) of one run of every figure preset
+    and of `qshutter evolve` on both shipped configs (golden.generate),
+    shared by the preset tests and the golden record."""
+    out_dir = tmp_path_factory.mktemp("outputs")
+    return out_dir, golden.generate(out_dir)

@@ -35,8 +35,8 @@ class TestFig2b:
 
     @pytest.fixture(scope="class")
     @staticmethod
-    def result(tmp_path_factory):
-        return run_figure("fig2b", tmp_path_factory.mktemp("fig2b"))
+    def result(generated_outputs):
+        return generated_outputs[1]["fig2b"]
 
     def test_manifest_passes(self, result):
         assert result.manifest.ok
@@ -65,8 +65,8 @@ class TestFig1:
 
     @pytest.fixture(scope="class")
     @staticmethod
-    def result(tmp_path_factory):
-        return run_figure("fig1", tmp_path_factory.mktemp("fig1"))
+    def result(generated_outputs):
+        return generated_outputs[1]["fig1"]
 
     def test_files_written_despite_failed_check(self, result):
         assert not result.manifest.ok
@@ -100,8 +100,8 @@ class TestFig3b:
 
     @pytest.fixture(scope="class")
     @staticmethod
-    def result(tmp_path_factory):
-        return run_figure("fig3b", tmp_path_factory.mktemp("fig3b"))
+    def result(generated_outputs):
+        return generated_outputs[1]["fig3b"]
 
     def test_manifest_passes(self, result):
         assert result.manifest.ok
@@ -139,8 +139,8 @@ MANIFEST_CHECKS = {
 
 
 @pytest.mark.parametrize("preset_id", sorted(MANIFEST_CHECKS))
-def test_manifest_checks_pinned(preset_id, tmp_path):
-    checks = run_figure(preset_id, tmp_path).manifest.checks
+def test_manifest_checks_pinned(preset_id, generated_outputs):
+    checks = generated_outputs[1][preset_id].manifest.checks
     expected = MANIFEST_CHECKS[preset_id]
     assert [(c.name, c.passed) for c in checks] == [(n, v) for n, v, _ in expected]
     for c, (_, _, measured) in zip(checks, expected):
@@ -165,10 +165,12 @@ def ctx():
 
 
 @pytest.mark.parametrize("preset_id, criterion, name", SHARED_CHECKS)
-def test_shared_check_matches_its_criterion(preset_id, criterion, name, ctx, tmp_path):
+def test_shared_check_matches_its_criterion(
+    preset_id, criterion, name, ctx, generated_outputs
+):
     def find(checks):
         (check,) = (c for c in checks if c.name == name)
         return check.expected, check.tolerance
 
-    figure = run_figure(preset_id, tmp_path).manifest.checks
+    figure = generated_outputs[1][preset_id].manifest.checks
     assert find(figure) == find(criterion(ctx).checks)

@@ -1,6 +1,7 @@
 """Transfer matrix, transmission, and the stationary wave."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ class TestTransferMatrix:
             assert array.value.layer_index == scalar.value.layer_index
             assert array.value.exponent_magnitude == scalar.value.exponent_magnitude
             assert array.value.point == E.index(first)
+
+    def test_guard_names_the_point_of_a_later_block(self):
+        # a trip at a block's first point checks no earlier point of that
+        # block (an empty array) and names the point's index in all of E
+        profile = build_profile([(1.0, 0.0), (5000.0, 1.0), (5000.0, 2.0)], 0.067)
+        for guarded in (scattering._BLOCK, scattering._BLOCK + 2):
+            E = np.full(scattering._BLOCK + 5, 2.5)
+            E[guarded] = 1e-3
+            with pytest.raises(OverflowGuardError) as err:
+                transmission(profile, E)
+            assert err.value.point == guarded and err.value.layer_index == 1
 
     def test_march_guard_bounds_the_summed_growth(self):
         # three barriers at |Im q| w ~ 249 each pass the per-layer guard, but
@@ -260,6 +272,32 @@ class TestRealAxis:
         E = _reference_energies(profile)
         t, _ = transmission(profile, E)
         assert np.array_equal(t, transfer_matrix(profile, wavenumber(E, profile).real).t)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(profile=_barrier_profiles())
+    def test_scalar_transmission_is_the_scan_entry(self, profile):
+        # a scalar E runs the array scan on a block of one point: the same bits
+        E = _reference_energies(profile)[::4]
+        t, T = transmission(profile, E)
+        for i, e in enumerate(E):
+            t_i, T_i = transmission(profile, e)
+            assert t_i == t[i] and T_i == T[i]
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(profile=_barrier_profiles(), E=st.floats(1e-5, 0.5))
+    def test_stationary_q_at_real_k(self, profile, E):
+        # real k: q = sqrt(|q^2|), real where q^2 >= 0 and imaginary where it
+        # is negative, as the same float arithmetic one layer at a time gives
+        h22m = profile.constants.hbar2_over_2m
+        for energy in (E, *(l.height for l in profile.layers if l.height > 0)):
+            k = wavenumber(energy, profile).real
+            q = solve_stationary(profile, k).q
+            for q_j, layer in zip(q, profile.layers):
+                q2 = k * k - layer.height / h22m
+                root = math.sqrt(abs(q2))
+                expected = complex(root, 0.0) if q2 >= 0 else complex(0.0, root)
+                assert (q_j.real, q_j.imag) == (expected.real, expected.imag)
+                assert math.copysign(1.0, q_j.real) == 1.0
 
     @pytest.mark.xfail(
         strict=True,

@@ -636,6 +636,15 @@ class TestColumnMemo:
         psi_exact(p, p.L, times)
         assert wofz_calls == [times.shape] * (2 * (2 + 2 * len(p.modes)))
 
+    def test_cache_clear_drops_the_kept_block(self, problem_ebar, times):
+        p = problem_ebar
+        psi_exact(p, p.L, times)
+        grid, _, block = transient._kept_block
+        assert grid is not None and block.shape == (*times.shape, 2 + 2 * len(p.modes))
+        psi_exact.cache_clear()
+        # the slot keeps neither the last grid (with its columns) nor its block
+        assert transient._kept_block == (None, (), None)
+
     def test_grid_shape_is_part_of_the_key(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         column_grid = times[:, None]
