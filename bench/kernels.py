@@ -13,7 +13,9 @@ triple barrier's first resonance E_1, Newton from that scan's first seed,
 the lockstep Newton batch (poles._newton) from its four seeds, the whole
 pole search for its four poles and for four poles of the 4-barrier
 profile, the mode solves of the triple
-barrier's four poles, one exact-N evaluation at the doublet
+barrier's four poles, one whole `structures` op of `perfbench` on the
+triple barrier at N = 4 (build the profile, find its poles, solve their
+modes, T(E_n) at each), one exact-N evaluation at the doublet
 center on 2000 times and one 200 x 2000 density map built by a psi_exact
 call per x (`perfbench`'s `density_maps` op), both cold, with
 psi_exact.cache_clear() emptying its grid memo before each round so that
@@ -145,6 +147,18 @@ def test_solve_mode(benchmark, triple):
     poles = find_poles(triple, 4)
     modes = benchmark(lambda: [solve_mode(triple, p) for p in poles])
     assert all(m.outgoing_residual < 1e-8 for m in modes)
+
+
+def test_structure_op(benchmark):
+    # perfbench's structure_op, as the workload runs it
+    def structure_op():
+        profile = build_profile([tuple(l) for l in TRIPLE_LAYERS], MASS_RATIO)
+        poles = find_poles(profile, 4)
+        modes = [solve_mode(profile, p) for p in poles]
+        return poles, modes, [transmission(profile, p.E_position)[1] for p in poles]
+
+    poles, modes, Ts = benchmark(structure_op)
+    assert len(poles) == len(modes) == 4 and all(T <= 1.0 + 1e-9 for T in Ts)
 
 
 def _cold(clear, *args):

@@ -92,13 +92,15 @@ class PotentialProfile:
 
     total_length is the exact sum of layer widths; edges[j] is the left
     boundary of layer j, edges[-1] = L.  heights, widths and edges are
-    read-only arrays built once, at construction, for the kernels that
-    read them on every call; they take no part in equality or hashing.
+    read-only arrays, and constants the mass ratio's PhysicalConstants,
+    built once, at construction, for the kernels that read them on every
+    call; they take no part in equality or hashing.
     """
 
     layers: tuple[Layer, ...]
     mass_ratio: float
     total_length: float = field(init=False)
+    constants: PhysicalConstants = field(init=False, repr=False, compare=False)
     heights: np.ndarray = field(init=False, repr=False, compare=False)
     widths: np.ndarray = field(init=False, repr=False, compare=False)
     edges: np.ndarray = field(init=False, repr=False, compare=False)
@@ -116,10 +118,7 @@ class PotentialProfile:
         object.__setattr__(
             self, "total_length", float(sum(l.width for l in self.layers))
         )
-
-    @property
-    def constants(self) -> PhysicalConstants:
-        return PhysicalConstants(mass_ratio=self.mass_ratio)
+        object.__setattr__(self, "constants", PhysicalConstants(self.mass_ratio))
 
     @property
     def is_free(self) -> bool:

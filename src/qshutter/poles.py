@@ -9,11 +9,19 @@ k_{-n} = -k_n* are derived by symmetry, never searched.
 Seeding scans T(E) on one nested grid, E_j = 1e-6 eV + j/(40 per meV):
 every window (0, E_max] is a prefix of the next, so find_poles, doubling its
 window from 50 meV, evaluates each energy once, and seed_poles(profile,
-E_max) sees exactly the seeds find_poles sees for that window.  Local
-maxima come from one array mask; each peak contributes the seed
-k(E_peak - i * HWHM), which for sharp resonances sits within a few percent
-of the pole.  Each half-height crossing is one array search between the
-peak and the next point where T rises again.
+E_max) sees exactly the seeds find_poles sees for that window.  Being
+nested, the grid's wave numbers are one array per mass ratio: find_poles
+slices each window's new points from a kept array of the grid's first
+_KEPT_POINTS k (formed once, as transmission forms k, and never longer
+than that cap) and scans them through scattering's _scan, which skips
+transmission's input checks (every grid point is a valid energy) but keeps
+its unitarity check and overflow guard.  A window that is not the last
+and holds fewer than N peaks of T cannot give N seeds, so find_poles
+doubles it without seeding it.  Local maxima come from one array mask;
+each peak contributes the seed k(E_peak - i * HWHM), which for sharp
+resonances sits within a few percent of the pole.  Each half-height
+crossing is one array search between the peak and the next point where T
+rises again.
 
 Newton works not on m22, whose rounding at the far end of a thick barrier
 grows by up to e^{|Im q| w}, so that |m22| cannot fall below |m22'| ulp(k)
@@ -30,10 +38,13 @@ imaginary axis is a quadrant escape.
 find_poles refines all of a window's seeds in lockstep (_newton).  Each
 round evaluates every active seed's iterate and its two difference points
 as one (3, n_seeds) array, through one kernel call and one march of both
-outgoing pieces, which cost about as much for 18 points as for 3.  Each seed keeps
-its own join edge, stop test, halving and trace, and takes its step in
-Python complex arithmetic from its own column, so every pole is bit for
-bit the one refine_pole (the one-seed call) returns.  A seed leaves the
+outgoing pieces, which cost about as much for 18 points as for 3.  W is
+formed only at each seed's own join edge, and one join test
+(scattering._join_mismatches) serves every seed whose step has reached
+rounding level.  Each seed keeps its own join edge, stop test, halving and
+trace, and takes its step in Python complex arithmetic from its own
+column, so every pole is bit for bit the one refine_pole (the one-seed
+call) returns.  A seed leaves the
 batch once it converges or fails; a tripped guard fails the seed that owns
 the guarded point, and the others are evaluated again.  The error raised
 is the lowest-index failing seed's, as a loop over the seeds would raise.
@@ -42,6 +53,7 @@ is the lowest-index failing seed's, as a loop over the seeds would raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,9 +64,19 @@ from .errors import (
     PoleCountError,
     QuadrantEscapeError,
 )
-from .model import PotentialProfile, energy_of, wavenumber
+from .model import PhysicalConstants, PotentialProfile, energy_of, wavenumber
 from .scattering import (
-    _W_TOL, _growth, _join, _joins, _layers, _outgoing, _wronskian, transfer_matrix, transmission
+    _BLOCK,
+    _W_TOL,
+    _growth,
+    _join_mismatches,
+    _joins,
+    _layers,
+    _outgoing,
+    _scan,
+    _wronskian,
+    transfer_matrix,
+    transmission,
 )
 
 __all__ = [
@@ -68,6 +90,11 @@ __all__ = [
 # seed-scan grid: E_j = _E_FIRST + j / _GRID_DENSITY eV, 40 points per meV
 _E_FIRST = 1e-6
 _GRID_DENSITY = 40e3
+# find_poles keeps the real k of the grid's first _KEPT_POINTS points per
+# mass ratio, 128 KiB each (the 400 meV window has 16000 points; 495 of the
+# first 498 `structures` ops of seeds 1, 2 and 11 stop there), and forms the
+# k of a larger window's points afresh; a multiple of scattering's _BLOCK
+_KEPT_POINTS = 1 << 14
 # Newton stop: |step| <= _STEP_ULPS eps |k| and the join test at _W_TOL
 _STEP_ULPS = 16
 _MAX_ITERATIONS = 100
@@ -127,16 +154,50 @@ def _join_edge(growth: np.ndarray) -> int:
     return int(joins[np.abs(2.0 * growth[joins] - growth[-1]).argmin()])
 
 
+def _points(E_max: float) -> int:
+    """The number of the nested scan grid's points up to E_max (at least three)."""
+    return max(3, int((E_max - _E_FIRST) * _GRID_DENSITY) + 1)
+
+
 def _grid(E_max: float) -> np.ndarray:
-    """The nested scan grid's points up to E_max (at least three)."""
-    n = max(3, int((E_max - _E_FIRST) * _GRID_DENSITY) + 1)
-    return _E_FIRST + np.arange(n) / _GRID_DENSITY
+    """The nested scan grid's points up to E_max."""
+    return _E_FIRST + np.arange(_points(E_max)) / _GRID_DENSITY
+
+
+@lru_cache(maxsize=4)
+def _kept_k(constants: PhysicalConstants) -> np.ndarray:
+    """The real k of the grid's first _KEPT_POINTS points, read-only, formed
+    in blocks of _BLOCK points so that no complex array of its size is
+    held while it is built."""
+    k = np.empty(_KEPT_POINTS)
+    for start in range(0, _KEPT_POINTS, _BLOCK):
+        k[start : start + _BLOCK] = _fresh_k(constants, start, start + _BLOCK)
+    k.flags.writeable = False
+    return k
+
+
+def _fresh_k(constants: PhysicalConstants, start: int, stop: int) -> np.ndarray:
+    """The real k of the grid's points start to stop - 1, as transmission
+    forms k (wavenumber's complex sqrt)."""
+    return wavenumber(_E_FIRST + np.arange(start, stop) / _GRID_DENSITY, constants).real
+
+
+def _grid_k(constants: PhysicalConstants, start: int, stop: int) -> np.ndarray:
+    """_fresh_k, sliced from the kept array when it holds the points."""
+    if stop <= _KEPT_POINTS:
+        return _kept_k(constants)[start:stop]
+    return _fresh_k(constants, start, stop)
+
+
+def _peaks(T) -> np.ndarray:
+    """The grid indices of the local maxima of T."""
+    inner = T[1:-1]
+    return np.flatnonzero((inner > T[:-2]) & (inner >= T[2:])) + 1
 
 
 def _seeds(profile: PotentialProfile, energies, T) -> list[complex]:
     """Seeds from the local maxima of T on the grid `energies`."""
-    inner = T[1:-1]
-    peaks = np.flatnonzero((inner > T[:-2]) & (inner >= T[2:])) + 1
+    peaks = _peaks(T)
     # the walk down the grid is the walk up the reversed grid
     up, down = (energies, T), (energies[::-1], T[::-1])
     rises_up, rises_down = (np.flatnonzero(t[1:] > t[:-1]) + 1 for _, t in (up, down))
@@ -252,18 +313,31 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
         if rounds == 0:
             edges = {i: _join_edge(growth[:, col]) for col, i in enumerate(active)}
         left, right = _outgoing(layers, points)
-        wronskian = _wronskian(left, right)
-        stepping = []
-        for col, (i, h) in enumerate(zip(active, hs)):
-            k, trace = ks[i], traces[i]
-            w, w_plus, w_minus = (complex(v) for v in wronskian[edges[i], :, col])
+        # W at each seed's own join edge only, as Python complexes
+        cols = np.arange(len(active))
+        at = [edges[i] for i in active]
+        wronskians = _wronskian(left[at, :, :, cols], right[at, :, :, cols]).tolist()
+        steps = []
+        for (w, w_plus, w_minus), h in zip(wronskians, hs):
             try:
-                step = -w / ((w_plus - w_minus) / (2.0 * h))
+                steps.append(-w / ((w_plus - w_minus) / (2.0 * h)))
             except ZeroDivisionError:
-                step = complex(np.nan)
-            if abs(step) <= _STEP_ULPS * _EPS * abs(k) and _join(
-                growth[:, col], left[:, :, 0, col], right[:, :, 0, col], k
-            )[1] <= _W_TOL:
+                steps.append(complex(np.nan))
+        # one join test for every seed whose step has reached rounding level
+        near = [
+            col for col, (k, step) in enumerate(zip(now, steps))
+            if abs(step) <= _STEP_ULPS * _EPS * abs(k)
+        ]
+        certified = set()
+        if near:
+            mismatch = _join_mismatches(
+                growth[:, near], left[:, :, 0, near], right[:, :, 0, near], points[0, near]
+            )
+            certified = {col for col, m in zip(near, mismatch) if m <= _W_TOL}
+        stepping = []
+        for col, (i, step) in enumerate(zip(active, steps)):
+            k, trace = ks[i], traces[i]
+            if col in certified:
                 k = k + step
                 c = profile.constants
                 poles[i] = ResonancePole(index=0, k=k, E=energy_of(k, c), hbar=c.hbar_ev_ps)
@@ -282,7 +356,7 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
                     f"iterate {k + step} left the fourth quadrant", trace
                 )
                 continue
-            last[i] = w, step
+            last[i] = wronskians[col][0], step
             ks[i] = k + step
             trace.append(ks[i])
             if ks[i].real < _STEP_ULPS * _EPS * abs(ks[i]):
@@ -313,8 +387,10 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
 
     The scan window starts at 50 meV and doubles (at most 8 times) until N
     seeds appear or it reaches the profile bound of _WINDOW_CAP; each
-    doubling evaluates T(E) only past the previous window.  Duplicates
-    collapse at |dk| < 1e-9 nm^-1.
+    doubling evaluates T(E) only past the previous window, at k sliced from
+    the kept grid (module docstring), and a window with fewer than N peaks
+    is seeded only when it is the last.  Duplicates collapse at |dk| <
+    1e-9 nm^-1.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -325,12 +401,16 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     cap = _WINDOW_CAP * max(l.height + h22m * (np.pi / l.width) ** 2 for l in barriers)
     E_max = 0.05
     T = np.empty(0)
-    for _ in range(9):
-        energies = _grid(E_max)
-        T = np.concatenate((T, transmission(profile, energies[len(T) :])[1]))
-        seeds = _seeds(profile, energies, T)
-        if len(seeds) >= N or E_max >= cap:
-            break
+    for attempt in range(9):
+        k = _grid_k(profile.constants, len(T), _points(E_max))
+        T = np.concatenate((T, _scan(profile, k)[1]))
+        last = attempt == 8 or E_max >= cap
+        # each peak gives at most one seed: a window of fewer than N peaks
+        # is not searched for them
+        if last or len(_peaks(T)) >= N:
+            seeds = _seeds(profile, _grid(E_max), T)
+            if last or len(seeds) >= N:
+                break
         E_max *= 2.0
     poles: list[ResonancePole] = []
     for p in _newton(profile, seeds):

@@ -19,7 +19,16 @@ resonant-mode solver all consume the two.  transfer_matrix and
 transmission take whole arrays: a T(E) scan over a window (the pole
 seeding, the CLI sweep) is a few array passes with no Python loop over
 points.  The scan (_scan_t) keeps only the end pair of its march and
-updates it in place.
+updates it in place; _scan runs it in blocks with transmission's checks,
+and the pole search calls it directly on its kept grid of k.
+
+A scalar T(E) (one per pole in a structure's workload) is mostly fixed
+numpy call overhead, so a valid float E takes a one-point path
+(_transmission_at): k, the layers and the complex read-off of M stay on
+one-element arrays, and only the real march runs in Python floats, whose
+products and sums round as numpy's real ones do.  The complex tail stays
+on arrays because numpy's array complex product rounds differently from
+the Python (and numpy-scalar) one in about 44% of random products.
 
 The kernel and the marches reuse their buffers where the bits allow it:
 every output is bit for bit what the allocating expressions give.  numpy
@@ -44,7 +53,8 @@ complex arithmetic.
 The pole search and the resonant-mode solver share the outgoing pieces
 (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
 marched backward, as one stacked march for the Newton batch's array of k
-and as two numpy-scalar marches for a mode's one k.  A wave marched
+(three array passes a layer, _march_rows) and as two numpy-scalar marches
+for a mode's one k.  A wave marched
 through a thick barrier carries rounding amplified by up to e^{|Im q| w},
 so the pieces are joined at an interior edge and neither march crosses
 the whole profile (the matching-point method
@@ -56,7 +66,9 @@ relative mismatch
     |W| / (max(|u_R|, |u_R'/k|) (|u_L'| + |k u_L|)),
 
 that of (u, u') once the right piece is scaled to the left one on its
-larger component of (u, u'/k), at the join edges where both keep digits.
+larger component of (u, u'/k), at the join edges where both keep digits
+(_trusted).  _join reads it at one k (a mode), _join_mismatches at a batch
+of Newton iterates in one pass, bit for bit as _join reads each.
 """
 
 from __future__ import annotations
@@ -241,8 +253,8 @@ def _march(layers, value, slope) -> np.ndarray:
     value and slope broadcast against the layers' point shape s; returns the
     pairs at every edge, x = 0 first and x = L last, shape (n_layers + 1, 2,
     *s), real when the layers and the start are.  Each layer maps (psi,
-    psi') to (c psi + ws psi', m psi + c psi'); an array march writes the
-    products straight into the next edge's pair, and a march of 0-d pairs
+    psi') to (c psi + ws psi', m psi + c psi'); an array march runs
+    _march_rows on the layers' [c; m] and [ws; c], and a march of 0-d pairs
     (a mode solve) steps in numpy-scalar arithmetic (see _outgoing).
     """
     c, ws, m = layers[1:4]
@@ -254,13 +266,25 @@ def _march(layers, value, slope) -> np.ndarray:
             value, slope = cj * value + wsj * slope, mj * value + cj * slope
             pairs[j, 0], pairs[j, 1] = value, slope
         return pairs
-    term = np.empty(shape, dtype=pairs.dtype)
-    for j, (cj, wsj, mj) in enumerate(zip(c, ws, m)):
-        (value, slope), (psi, dpsi) = pairs[j], pairs[j + 1]
-        np.multiply(cj, value, out=psi)
-        psi += np.multiply(wsj, slope, out=term)
-        np.multiply(mj, value, out=dpsi)
-        dpsi += np.multiply(cj, slope, out=term)
+    # [c; m] and [ws; c] with unit axes for the start's own leading axes
+    rows = (len(c), 2) + (1,) * (len(shape) + 1 - c.ndim) + c.shape[1:]
+    by_value, by_slope = (np.stack(a, axis=1).reshape(rows) for a in ((c, m), (ws, c)))
+    return _march_rows(by_value, by_slope, pairs)
+
+
+def _march_rows(by_value, by_slope, pairs) -> np.ndarray:
+    """Fill pairs[1:] from pairs[0]: pairs[j + 1] = by_value[j] psi +
+    by_slope[j] psi', with (psi, psi') = pairs[j].
+
+    by_value[j] and by_slope[j] hold layer j's matrix columns, [c; m] and
+    [ws; c], shaped as pairs[j], so a layer takes three array passes and
+    writes straight into the next edge's pair.
+    """
+    term = np.empty(pairs.shape[1:], dtype=pairs.dtype)
+    for j, (a, b) in enumerate(zip(by_value, by_slope)):
+        (value, slope), pair = pairs[j], pairs[j + 1]
+        np.multiply(a, value, out=pair)
+        pair += np.multiply(b, slope, out=term)
     return pairs
 
 
@@ -273,23 +297,28 @@ def _outgoing(layers, k):
     Both have shape (n_layers + 1, 2, *k.shape): row e is the pair at
     edges[e].
 
-    An array k (the Newton batch) marches both waves as one march over the
-    layers stacked with their mirror image: the same elementwise arithmetic
-    in half the array passes.  A 0-d k (a mode solve) keeps two marches in
-    numpy-scalar arithmetic.  numpy's scalar and array complex products can
-    differ in the last bit (as modes.rho and a 0-d-t psi_exact do), and a
-    stacked march of one k moved solve_mode's coefficients by up to 3.3e-11
-    of the largest one.
+    An array k (the Newton batch) marches both waves as one march: each
+    layer's [c; m] and [ws; c] are stacked with their mirror image's once,
+    so a layer of both waves takes three array passes.  A 0-d k (a mode
+    solve) keeps two marches in numpy-scalar arithmetic.  numpy's scalar
+    and array complex products can differ in the last bit (as modes.rho
+    and a 0-d-t psi_exact do), and a stacked march of one k moved
+    solve_mode's coefficients by up to 3.3e-11 of the largest one.
     """
     slope = -1j * np.asarray(k)
-    entries = layers[1:4]
+    c, ws, m = layers[1:4]
     if slope.ndim:
-        stacked = [np.stack((a, a[::-1]), axis=1) for a in entries]
-        pairs = _march((None, *stacked), 1.0, slope)
+        pairs = np.empty((len(c) + 1, 2, 2, *slope.shape), dtype=complex)
+        pairs[0, 0], pairs[0, 1] = 1.0, slope
+        # [[a, a mirrored], [b, b mirrored]] per layer: (layer, row, wave, *k.shape)
+        axes = (2, 0, 1, *range(3, 3 + slope.ndim))
+        by_value = np.array([[c, c[::-1]], [m, m[::-1]]]).transpose(axes)
+        by_slope = np.array([[ws, ws[::-1]], [c, c[::-1]]]).transpose(axes)
+        pairs = _march_rows(by_value, by_slope, pairs)
         left, right = pairs[:, :, 0], pairs[::-1, :, 1]
     else:
         left = _march(layers, 1.0, slope)
-        right = _march((None, *(a[::-1] for a in entries)), 1.0, slope)[::-1]
+        right = _march((None, c[::-1], ws[::-1], m[::-1]), 1.0, slope)[::-1]
     right[:, 1] *= -1.0
     return left, right
 
@@ -317,30 +346,61 @@ def _wronskian(left, right):
     return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
 
 
-def _join(growth: np.ndarray, left, right, k: complex) -> tuple[int, float, complex]:
-    """(edge, mismatch, alpha) from the growth and outgoing pairs at one k.
+def _trusted(growth: np.ndarray, left, right, k):
+    """The join test at the join edges of each point of k (0-d or 1-D).
 
-    edge is the join edge of least mismatch (module docstring) among those
-    where each pair's size |u| + |u'|/|k|, against 2 at its start, exceeds
-    its march's rounding eps e^growth by 1/_W_TOL; alpha scales the right
-    piece onto the left one there.  With no such edge the mismatch is inf.
+    growth has shape (n_layers + 1, *s), left and right (n_layers + 1, 2,
+    *s) and k shape s.  An (edge, point) entry is trusted where each pair's
+    size |u| + |u'|/|k|, against 2 at its start, exceeds its march's
+    rounding eps e^growth by 1/_W_TOL.  Returns the trusted entries as an
+    index into growth (edges, then points for a 1-D k), in C order, and at
+    each of them the relative mismatch (module docstring), whether the
+    right piece scales on u (else on u'), and (u_L, u_L', u_R, u_R').
+    Every entry takes the arithmetic of a join of its own point.
     """
+    # |k| as Python's abs of a complex forms it: numpy's array abs can
+    # differ in the last bit
+    abs_k = abs(k) if growth.ndim == 1 else np.hypot(k.real, k.imag)
     with np.errstate(divide="ignore"):  # a pair of zeros has log size -inf
-        log_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs(k))
-        log_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs(k))
+        log_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs_k)
+        log_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs_k)
     trusted = (log_l >= _TRUST_FLOOR + growth) & (log_r >= _TRUST_FLOOR + growth[-1] - growth)
     joins = _joins(len(growth) - 1)
-    edges = joins[trusted[joins]]
-    if not edges.size:
-        return 0, np.inf, np.nan
-    left, right = left[edges], right[edges]
+    edges, *points = trusted[joins].nonzero()
+    at = (joins[edges], *points)
+    if points:
+        left, right, k = left.swapaxes(1, 2), right.swapaxes(1, 2), k[points[0]]
+    left, right = left[at], right[at]
     (u_l, du_l), (u_r, du_r) = left.T, right.T
     abs_u, abs_du = np.abs(u_r), np.abs(du_r / k)
     size_r = np.maximum(abs_u, abs_du)
     mismatch = np.abs(_wronskian(left, right)) / (size_r * (np.abs(du_l) + np.abs(k * u_l)))
+    return at, mismatch, abs_u >= abs_du, (u_l, du_l, u_r, du_r)
+
+
+def _join(growth: np.ndarray, left, right, k: complex) -> tuple[int, float, complex]:
+    """(edge, mismatch, alpha) from the growth and outgoing pairs at one k.
+
+    edge is the first trusted join edge (_trusted) of least mismatch;
+    alpha scales the right piece onto the left one there.  With no trusted
+    edge the mismatch is inf.
+    """
+    (edges,), mismatch, on_u, (u_l, du_l, u_r, du_r) = _trusted(growth, left, right, k)
+    if not edges.size:
+        return 0, np.inf, np.nan
     j = int(mismatch.argmin())
-    alpha = u_l[j] / u_r[j] if abs_u[j] >= abs_du[j] else du_l[j] / du_r[j]
+    alpha = u_l[j] / u_r[j] if on_u[j] else du_l[j] / du_r[j]
     return int(edges[j]), float(mismatch[j]), alpha
+
+
+def _join_mismatches(growth: np.ndarray, left, right, k: np.ndarray) -> np.ndarray:
+    """_join's mismatch at each point of a 1-D array k, from one _trusted
+    pass over all of them: the least mismatch of a point's trusted edges,
+    inf where it has none."""
+    at, mismatch = _trusted(growth, left, right, k)[:2]
+    least = np.full(growth.shape, np.inf)
+    least[at] = mismatch
+    return least.min(axis=0)
 
 
 def _nonzero_k(k):
@@ -446,12 +506,28 @@ def transmission(profile: PotentialProfile, E):
     evaluated at real k, in real arithmetic, in blocks of _BLOCK points to
     bound the working memory.  The unitarity and overflow errors are raised
     for the point a loop over E in C order would meet first.
+
+    A Python or numpy float E in (0, inf) takes a one-point path
+    (_transmission_at) with the same arithmetic and checks; every other E
+    (0-d arrays, ints, other dtypes, complex, invalid values) takes the
+    array path.
     """
+    if isinstance(E, float) and 0.0 < E < np.inf:
+        return _transmission_at(profile, E)
     E = np.asarray(E)
     valid = np.isreal(E) & (E.real > 0) & (E.real < np.inf)
     if not valid.all():
         raise DomainError(f"transmission needs real finite E > 0 eV, got {E[~valid][0]}")
-    k = np.atleast_1d(wavenumber(E.real, profile)).real.ravel()
+    t, T = _scan(profile, np.atleast_1d(wavenumber(E.real, profile)).real.ravel())
+    if E.ndim == 0:
+        return complex(t[0]), float(T[0])
+    return t.reshape(E.shape), T.reshape(E.shape)
+
+
+def _scan(profile: PotentialProfile, k: np.ndarray):
+    """(t, T) of transmission at a 1-D array of real k > 0, without its
+    input checks: _scan_t in blocks of _BLOCK points, with the unitarity
+    check and the guard."""
     t = np.empty(k.shape, dtype=complex)
     T = np.empty(k.shape)
     for start in range(0, k.size, _BLOCK):
@@ -465,9 +541,30 @@ def transmission(profile: PotentialProfile, E):
             raise
         T[block] = np.abs(t[block]) ** 2
         _check_unitarity(T[block])
-    if E.ndim == 0:
-        return complex(t[0]), float(T[0])
-    return t.reshape(E.shape), T.reshape(E.shape)
+    return t, T
+
+
+def _transmission_at(profile: PotentialProfile, E: float) -> tuple[complex, float]:
+    """transmission at one valid float E, bit for bit the array path's entry.
+
+    k (wavenumber's complex sqrt), the layers and the complex read-off of M
+    (_m22, 1/m22, |t|^2) are formed on one-element arrays, and the real
+    march of _scan_t in Python floats (module docstring).
+    """
+    k = wavenumber(np.array([E]), profile).real
+    _, c, ws, m, _ = _layers(profile, k)
+    c, ws, m = c[:, 0].tolist(), ws[:, 0].tolist(), m[:, 0].tolist()
+    # P = [[p11, p12], [p21, p22]] starts as layer 0's matrix
+    p11, p12, p21, p22 = c[0], ws[0], m[0], c[0]
+    for cj, wsj, mj in zip(c[1:], ws[1:], m[1:]):
+        p11, p12, p21, p22 = (
+            cj * p11 + wsj * p21, cj * p12 + wsj * p22, cj * p21 + mj * p11, cj * p22 + mj * p12
+        )
+    end = np.array([p11, p12, p21, p22])
+    t = 1.0 / _m22(profile, k, ((end[0:1], end[1:2]), (end[2:3], end[3:4])))[0]
+    T = np.abs(t) ** 2
+    _check_unitarity(T)
+    return complex(t[0]), float(T[0])
 
 
 def _check_unitarity(T: np.ndarray) -> None:

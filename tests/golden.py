@@ -1,15 +1,19 @@
 """The golden record of the output contract: every figure preset's CSVs,
-manifest and gnuplot script, and `qshutter evolve` on both shipped configs.
+manifest and gnuplot script, and `qshutter evolve` on both shipped configs,
+and the bits of the pole search.
 
 For each file the record holds its SHA-256, its line count and the text of
 its first 20 lines (the t -> 0 cells) and of every 100th line, together
 with the numpy, scipy and BLAS versions it was made with, since the last
-bits of a cell depend on them.  tests/test_golden.py regenerates the outputs
-and compares; a change that moves a cell rewrites the record with
+bits of a cell depend on them.  For each profile of POLE_PROFILES it holds,
+as float.hex, every pole's k, every mode's u0, uL and two residuals and
+T(E_n) at every pole, and for one failing Newton seed the error's type and
+text.  tests/test_golden.py regenerates the outputs and compares; a change
+that moves a cell or a bit rewrites the record with
 
     PYTHONPATH=src python tests/golden.py
 
-and lists the moved cells in CHANGES.md.
+and lists the moved cells and bits in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -23,13 +27,52 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from qshutter import cli
-from qshutter.presets import PRESETS, run_figure
+from qshutter import (
+    PoleConvergenceError,
+    build_profile,
+    cli,
+    find_poles,
+    solve_mode,
+    transmission,
+)
+from qshutter.poles import refine_pole
+from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, PRESETS, TRIPLE_LAYERS, run_figure
 
 RECORD = Path(__file__).with_name("golden_outputs.json")
 SHIPPED_CONFIGS = ("double_barrier", "triple_barrier")
 HEAD_LINES = 20
 EVERY = 100
+# (layers, N): both shipped structures and 16 fixed profiles in the ranges of
+# perfbench's `structures` workload (2-4 barriers of 1-12 nm by 0.10-0.35 eV,
+# wells of 3-16 nm), four of them with 7 layers
+POLE_PROFILES = {
+    "triple": (TRIPLE_LAYERS, 4),
+    "double": (DOUBLE_LAYERS, 2),
+    "s01": (((1.09, 0.196), (4.07, 0.0), (6.48, 0.212)), 2),
+    "s02": (((4.28, 0.255), (10.29, 0.0), (1.99, 0.102), (7.97, 0.0), (10.87, 0.107)), 3),
+    "s03": (((11.58, 0.286), (12.41, 0.0), (3.02, 0.247), (12.31, 0.0), (11.0, 0.11),
+             (4.32, 0.0), (11.67, 0.299)), 4),
+    "s04": (((2.48, 0.262), (14.99, 0.0), (3.3, 0.282)), 1),
+    "s05": (((3.03, 0.281), (4.82, 0.0), (11.91, 0.112), (7.65, 0.0), (8.05, 0.255)), 1),
+    "s06": (((2.09, 0.176), (5.86, 0.0), (9.11, 0.185), (11.89, 0.0), (11.7, 0.273),
+             (7.6, 0.0), (8.63, 0.322)), 1),
+    "s07": (((6.18, 0.244), (6.71, 0.0), (8.37, 0.151)), 2),
+    "s08": (((11.41, 0.284), (5.13, 0.0), (2.72, 0.322), (11.37, 0.0), (2.14, 0.314)), 3),
+    "s09": (((7.25, 0.203), (13.64, 0.0), (6.67, 0.287), (7.12, 0.0), (1.27, 0.155),
+             (11.77, 0.0), (6.44, 0.272)), 4),
+    "s10": (((8.41, 0.193), (6.37, 0.0), (8.49, 0.262)), 2),
+    "s11": (((1.14, 0.249), (6.75, 0.0), (11.55, 0.137), (9.76, 0.0), (4.95, 0.237)), 3),
+    "s12": (((9.77, 0.164), (10.56, 0.0), (8.86, 0.267), (15.41, 0.0), (7.44, 0.27),
+             (3.21, 0.0), (2.63, 0.154)), 3),
+    "s13": (((5.11, 0.154), (10.62, 0.0), (2.7, 0.234)), 1),
+    "s14": (((10.36, 0.106), (3.42, 0.0), (6.69, 0.128), (9.71, 0.0), (1.98, 0.301)), 1),
+    "s15": (((9.7, 0.2), (5.67, 0.0), (4.46, 0.306), (5.51, 0.0), (11.44, 0.25),
+             (15.22, 0.0), (2.4, 0.118)), 4),
+    "s16": (((2.74, 0.132), (15.49, 0.0), (10.95, 0.2), (10.98, 0.0), (2.47, 0.335),
+             (3.37, 0.0), (8.99, 0.218)), 1),
+}
+# a seed on the triple barrier whose first Newton step trips the overflow guard
+GUARD_SEED = 0.150123534489 - 0.001646011879j
 
 
 def generate(out_dir: Path) -> dict:
@@ -92,11 +135,67 @@ def compare(record: dict, files: dict) -> list[str]:
     return problems
 
 
+def _hex(z) -> str:
+    """A complex number as the float.hex of its real and imaginary parts."""
+    z = complex(z)
+    return f"{z.real.hex()},{z.imag.hex()}"
+
+
+def pole_record() -> dict:
+    """{profile: {field: [value, ...]}} of the pole search on POLE_PROFILES,
+    every number as float.hex, and {"guard_seed": {"error": [type, text]}}."""
+    record = {}
+    for name, (layers, N) in POLE_PROFILES.items():
+        profile = build_profile(list(layers), MASS_RATIO)
+        poles = find_poles(profile, N)
+        modes = [solve_mode(profile, p) for p in poles]
+        record[name] = {
+            "k": [_hex(p.k) for p in poles],
+            "u0": [_hex(m.u0) for m in modes],
+            "uL": [_hex(m.uL) for m in modes],
+            "outgoing_residual": [float(m.outgoing_residual).hex() for m in modes],
+            "normalization_residual": [float(m.normalization_residual).hex() for m in modes],
+            "T": [transmission(profile, p.E_position)[1].hex() for p in poles],
+        }
+    triple = build_profile(list(TRIPLE_LAYERS), MASS_RATIO)
+    try:
+        refine_pole(triple, GUARD_SEED)
+    except PoleConvergenceError as err:
+        record["guard_seed"] = {"error": [type(err).__name__, str(err)]}
+    else:
+        record["guard_seed"] = {"error": []}
+    return record
+
+
+def compare_poles(record: dict, current: dict) -> list[str]:
+    """One message per difference: a missing or extra profile or field, or
+    an entry whose value moved, named as profile: field[index]."""
+    problems = [f"{name}: not generated" for name in record if name not in current]
+    problems += [f"{name}: not in the record" for name in current if name not in record]
+    for name in [n for n in record if n in current]:
+        want, got = record[name], current[name]
+        for field in sorted(set(want) | set(got)):
+            old, new = want.get(field), got.get(field)
+            if old is None or new is None or len(old) != len(new):
+                problems.append(f"{name}: {field} is {old} in the record, {new} now")
+                continue
+            problems += [
+                f"{name}: {field}[{i}] moved: {a} -> {b}"
+                for i, (a, b) in enumerate(zip(old, new))
+                if a != b
+            ]
+    return problems
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         generate(out_dir)
-        record = {"versions": versions(), "files": summarize(out_dir)}
+        record = {
+            "versions": versions(),
+            "files": summarize(out_dir),
+            "poles": pole_record(),
+        }
     RECORD.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {RECORD} ({len(record['files'])} files)", file=sys.stderr)
     return 0

@@ -1,7 +1,8 @@
-"""The output contract: every figure output and evolve trace against the
-golden record (tests/golden.py)."""
+"""The output contract: every figure output and evolve trace, and the bits
+of the pole search, against the golden record (tests/golden.py)."""
 
 import json
+import math
 
 import golden
 
@@ -33,3 +34,25 @@ def test_one_moved_cell_is_named(generated_outputs, tmp_path):
     (problem,) = golden.compare(record, golden.summarize(tmp_path))
     assert problem.startswith(f"{name}: bytes moved")
     assert problem.count("\n  line ") == 1 and "\n  line 3: " in problem
+
+
+def test_pole_search_matches_the_bit_record():
+    record = _record()
+    problems = golden.compare_poles(record["poles"], golden.pole_record())
+    assert not problems, (
+        f"pole search bits moved against the golden record (made with "
+        f"{record['versions']}; this run has {golden.versions()}):\n" + "\n".join(problems)
+    )
+
+
+def test_one_moved_pole_bit_is_named():
+    record = _record()["poles"]
+    current = json.loads(json.dumps(record))
+    # one ulp on the imaginary part of a pole, one character of the error
+    re, im = current["s09"]["k"][2].split(",")
+    current["s09"]["k"][2] = f"{re},{math.nextafter(float.fromhex(im), 0.0).hex()}"
+    current["guard_seed"]["error"][1] += "."
+    problems = golden.compare_poles(record, current)
+    assert len(problems) == 2
+    assert problems[0].startswith("s09: k[2] moved: ")
+    assert problems[1].startswith("guard_seed: error[1] moved: ")

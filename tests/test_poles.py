@@ -152,22 +152,43 @@ class TestSeedPoles:
     def test_incremental_windows_match_seed_poles(
         self, triple_profile, double_profile, monkeypatch
     ):
-        # find_poles evaluates T(E) only past the previous window; each
-        # window must still give the seeds of a fresh scan of that window
-        grid, seeds = poles_module._grid, poles_module._seeds
+        # find_poles evaluates T(E) only past the previous window and seeds
+        # only its last window or one with at least N peaks; each seeded
+        # window must still give the seeds of a fresh scan of that window,
+        # and each window passed over fewer than N seeds
+        points, seeds = poles_module._points, poles_module._seeds
         for profile, N in ((triple_profile, 4), (double_profile, 3)):
-            windows, scans = [], []
+            windows, scans = [], {}
+
+            def seeded(profile, energies, T):
+                assert energies[-1] not in scans
+                scans[energies[-1]] = seeds(profile, energies, T)
+                return scans[energies[-1]]
+
             monkeypatch.setattr(
-                poles_module, "_grid", lambda E_max: windows.append(E_max) or grid(E_max)
+                poles_module, "_points", lambda E_max: windows.append(E_max) or points(E_max)
             )
-            monkeypatch.setattr(
-                poles_module, "_seeds", lambda *args: scans.append(seeds(*args)) or scans[-1]
-            )
+            monkeypatch.setattr(poles_module, "_seeds", seeded)
             find_poles(profile, N)
             monkeypatch.undo()
-            assert len(windows) == len(scans) >= 2
-            for E_max, got in zip(windows, scans):
-                assert seed_poles(profile, E_max) == got
+            windows = list(dict.fromkeys(windows))
+            assert len(windows) >= 2 and scans
+            for E_max in windows:
+                fresh = seed_poles(profile, E_max)
+                got = scans.pop(poles_module._grid(E_max)[-1], None)
+                assert fresh == got if got is not None else len(fresh) < N
+            assert not scans
+
+    def test_kept_grid_is_the_fresh_grid(self, triple_profile):
+        # find_poles' k, kept up to the cap and formed afresh past it, are
+        # the bits transmission forms from the grid's energies
+        c, n = triple_profile.constants, poles_module._KEPT_POINTS
+        energies = poles_module._grid(2 * n / poles_module._GRID_DENSITY)
+        fresh = wavenumber(energies, c).real
+        assert len(energies) == 2 * n and len(poles_module._kept_k(c)) == n
+        for start, stop in ((0, 2001), (2001, n), (n - 5, n + 5), (n, 2 * n)):
+            k = poles_module._grid_k(c, start, stop)
+            assert k.tobytes() == fresh[start:stop].tobytes()
 
     def test_seeds_sit_in_fourth_quadrant(self, triple_profile):
         for s in seed_poles(triple_profile, 60e-3):

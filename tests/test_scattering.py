@@ -20,7 +20,7 @@ from qshutter import (
 )
 from qshutter import scattering
 from qshutter.model import wavenumber
-from qshutter.presets import MASS_RATIO
+from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
 from qshutter.scattering import (
     layered_wave,
     solve_stationary,
@@ -162,6 +162,34 @@ class TestTransmission:
         t, T = transmission(triple_profile, np.linspace(0.01, 0.02, 5))
         assert t.shape == T.shape == (5,) and t.dtype == complex and T.dtype == float
 
+    @pytest.mark.parametrize(
+        "E", [0.0125, np.float64(0.0125), np.array(0.0125), 1, np.float32(0.0125), 0.0125 + 0j]
+    )
+    def test_scalar_is_the_array_entry(self, triple_profile, E):
+        # floats take the one-point path, every other scalar the array path;
+        # both give (complex, float) with the bits of a one-point array
+        t, T = transmission(triple_profile, E)
+        t_array, T_array = transmission(triple_profile, np.array([E]))
+        assert type(t) is complex and type(T) is float
+        assert t == t_array[0] and T == T_array[0]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, np.nan, np.inf, 0, -1, np.float64(-0.01)])
+    def test_bad_scalar_raises_what_the_array_path_raises(self, triple_profile, bad):
+        with pytest.raises(DomainError) as scalar:
+            transmission(triple_profile, bad)
+        with pytest.raises(DomainError) as array:
+            transmission(triple_profile, np.asarray(bad))
+        assert str(scalar.value) == str(array.value)
+
+    def test_scalar_guard_trip_raises_what_the_array_path_raises(self):
+        thick = build_profile([(5000.0, 1.0)], 0.067)
+        with pytest.raises(OverflowGuardError) as scalar:
+            transmission(thick, 1e-3)
+        with pytest.raises(OverflowGuardError) as array:
+            transmission(thick, np.array([1e-3]))
+        assert str(scalar.value) == str(array.value)
+        assert vars(scalar.value) == vars(array.value) and scalar.value.point == 0
+
     def test_one_bad_energy_rejected(self, triple_profile):
         for bad in (0.0, -0.01, np.nan, np.inf):
             with pytest.raises(DomainError):
@@ -276,7 +304,7 @@ class TestRealAxis:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(profile=_barrier_profiles())
     def test_scalar_transmission_is_the_scan_entry(self, profile):
-        # a scalar E runs the array scan on a block of one point: the same bits
+        # a scalar E takes the one-point path: the bits of the array scan
         E = _reference_energies(profile)[::4]
         t, T = transmission(profile, E)
         for i, e in enumerate(E):
@@ -356,6 +384,63 @@ class TestPolesAndModes:
         edge, _, alpha = scattering._join(np.zeros(3), left, right, 1.0 + 0j)
         assert edge == 1
         assert alpha == pytest.approx(2 / u_r, rel=1e-15)
+
+
+# a 4-barrier (7-layer) profile of perfbench's `structures` stream
+FOUR_BARRIERS = (
+    (5.06, 0.194), (13.42, 0.0), (7.14, 0.288), (9.55, 0.0),
+    (5.9, 0.335), (7.31, 0.0), (9.21, 0.323),
+)
+
+
+def _join_per_column(growth, left, right, k):
+    """Reference for the join test at one k: the trusted join edges first,
+    then the mismatch at each of them alone."""
+    with np.errstate(divide="ignore"):
+        log_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs(k))
+        log_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs(k))
+    floor = scattering._TRUST_FLOOR
+    trusted = (log_l >= floor + growth) & (log_r >= floor + growth[-1] - growth)
+    joins = scattering._joins(len(growth) - 1)
+    edges = joins[trusted[joins]]
+    if not edges.size:
+        return 0, np.inf, np.nan
+    left, right = left[edges], right[edges]
+    (u_l, du_l), (u_r, du_r) = left.T, right.T
+    abs_u, abs_du = np.abs(u_r), np.abs(du_r / k)
+    wronskian = u_l * du_r - du_l * u_r
+    mismatch = np.abs(wronskian) / (np.maximum(abs_u, abs_du) * (np.abs(du_l) + np.abs(k * u_l)))
+    j = int(mismatch.argmin())
+    alpha = u_l[j] / u_r[j] if abs_u[j] >= abs_du[j] else du_l[j] / du_r[j]
+    return int(edges[j]), float(mismatch[j]), alpha
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestJoin:
+    @pytest.mark.parametrize("layers", [TRIPLE_LAYERS, FOUR_BARRIERS])
+    def test_batched_join_is_the_per_column_join(self, layers):
+        # Newton's batch: the poles, iterates off them, and a last column
+        # whose growth leaves no join edge trusted
+        profile = build_profile(list(layers), MASS_RATIO)
+        poles = [p.k for p in find_poles(profile, 3)]
+        ks = np.array(poles + [k * (1 + 1e-4j) for k in poles] + [k * 1.01 for k in poles])
+        layers = scattering._layers(profile, ks)
+        left, right = scattering._outgoing(layers, ks)
+        growth = scattering._growth(layers)
+        growth[:, -1] = 1e3 * np.arange(len(growth))
+        batched = scattering._join_mismatches(growth, left, right, ks)
+        assert batched.shape == ks.shape and batched[-1] == np.inf
+        assert (batched[:3] < scattering._W_TOL).all() and (batched[3:-1] > scattering._W_TOL).all()
+        for col, k in enumerate(ks.tolist()):
+            column = growth[:, col], left[:, :, col], right[:, :, col], k
+            edge, mismatch, alpha = scattering._join(*column)
+            ref_edge, ref_mismatch, ref_alpha = _join_per_column(*column)
+            assert edge == ref_edge and _bits(alpha) == _bits(ref_alpha)
+            assert float(batched[col]).hex() == mismatch.hex() == ref_mismatch.hex()
 
 
 def _layer_sum_per_point(edges, q, coefficients, x):
