@@ -9,7 +9,8 @@ The file name does not match pytest's test-file pattern, so a bare
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
 4000 points, the same scan of one 4-barrier (7-layer) profile of
 perfbench's `structures` stream (seed 1, op 4), one scalar T(E) at the
-triple barrier's first resonance E_1, Newton from that scan's first seed,
+triple barrier's first resonance E_1, its stationary field
+(solve_stationary) at the real k of E_1, Newton from that scan's first seed,
 the lockstep Newton batch (poles._newton) from its four seeds, the whole
 pole search for its four poles and for four poles of the 4-barrier
 profile, the mode solves of the triple
@@ -86,9 +87,11 @@ from qshutter import (  # noqa: E402
     transmission,
 )
 from qshutter import output  # noqa: E402
+from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
+from qshutter.scattering import solve_stationary  # noqa: E402
 from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
@@ -122,6 +125,12 @@ def test_transmission_scalar(benchmark, triple):
     E_1 = find_poles(triple, 1)[0].E_position
     _, T = benchmark(transmission, triple, E_1)
     assert 0.9 < T <= 1.0 + 1e-9
+
+
+def test_solve_stationary(benchmark, triple):
+    k = float(wavenumber(find_poles(triple, 1)[0].E_position, triple).real)
+    field = benchmark(solve_stationary, triple, k)
+    assert abs(abs(field.r) ** 2 + abs(field.t) ** 2 - 1.0) < 1e-10
 
 
 def test_refine_pole(benchmark, triple):

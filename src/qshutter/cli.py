@@ -67,11 +67,8 @@ def _out_dir(path_str: str) -> Path:
 
 
 def _cmd_poles(args) -> int:
-    cfg = _load_config(args.config)
-    n = args.n if args.n is not None else cfg.n_poles
-    if n < 1:
-        raise ConfigError(f"--n must be >= 1, got {n}", field="n")
-    poles = find_poles(cfg.profile(), n)
+    cfg = override(_load_config(args.config), n_poles=args.n)
+    poles = find_poles(cfg.profile(), cfg.n_poles)
     sys.stdout.write(poles_csv_text(poles))
     if args.out is not None:
         path = write_poles_csv(_out_dir(args.out) / "poles.csv", poles)

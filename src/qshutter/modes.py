@@ -120,10 +120,12 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
     mode is fixed by arg u_n(0) in (-pi/2, pi/2].
     """
     k_n = pole.k
-    layers = _layers(profile, k_n)
-    q = layers[0]
-    left, right = _outgoing(layers, k_n)
-    edge, residual, alpha = _join(_growth(layers), left, right, k_n)
+    # a batch of one point: the pieces walk in Python numbers (_outgoing)
+    k = np.array([k_n])
+    layers = _layers(profile, k)
+    q = layers[0][:, 0]
+    left, right = _outgoing(layers, k)
+    (edge,), (residual,), (alpha,) = _join(_growth(layers), left, right, k)
     if residual == np.inf:
         raise PoleQualityError(
             f"pole n={pole.index}: no join edge where both outgoing pieces keep "
@@ -134,8 +136,8 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
             f"pole n={pole.index}: outgoing residual {residual:.3e} at the join "
             f"x = {profile.edges[edge]:g} nm; pole likely unconverged"
         )
-    coeffs = np.concatenate((left[:edge], alpha * right[edge:-1]))
-    u0, uL = coeffs[0][0], alpha * right[-1][0]
+    coeffs = np.concatenate((left[:edge, :, 0], alpha * right[edge:-1, :, 0]))
+    u0, uL = coeffs[0][0], alpha * right[-1, 0, 0]
     nsq = _norm_square(coeffs, q, profile, u0, uL, k_n)
     scale = 1.0 / np.sqrt(nsq)
     # sign convention: arg u(0) in (-pi/2, pi/2]
@@ -155,7 +157,7 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
         coefficients=coeffs,
         u0=u0,
         uL=uL,
-        outgoing_residual=residual,
+        outgoing_residual=float(residual),
         normalization_residual=float(norm_residual),
     )
 

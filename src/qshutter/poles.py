@@ -40,7 +40,7 @@ round evaluates every active seed's iterate and its two difference points
 as one (3, n_seeds) array, through one kernel call and one march of both
 outgoing pieces, which cost about as much for 18 points as for 3.  W is
 formed only at each seed's own join edge, and one join test
-(scattering._join_mismatches) serves every seed whose step has reached
+(scattering._join) serves every seed whose step has reached
 rounding level.  Each seed keeps its own join edge, stop test, halving and
 trace, and takes its step in Python complex arithmetic from its own
 column, so every pole is bit for bit the one refine_pole (the one-seed
@@ -69,7 +69,7 @@ from .scattering import (
     _BLOCK,
     _W_TOL,
     _growth,
-    _join_mismatches,
+    _join,
     _joins,
     _layers,
     _outgoing,
@@ -330,9 +330,9 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
         ]
         certified = set()
         if near:
-            mismatch = _join_mismatches(
+            mismatch = _join(
                 growth[:, near], left[:, :, 0, near], right[:, :, 0, near], points[0, near]
-            )
+            )[1]
             certified = {col for col, m in zip(near, mismatch) if m <= _W_TOL}
         stepping = []
         for col, (i, step) in enumerate(zip(active, steps)):

@@ -13,33 +13,42 @@ potentials; then t = 1/m22 and r = -m21/m22.  m22 is analytic in k away
 from k = 0, and its zeros are exactly the transmission-amplitude poles.
 
 One kernel, _layers, builds every layer's matrix entries elementwise over
-a scalar or an array of k, and one march, _march, carries (psi, psi')
-across them; transfer_matrix, solve_stationary, the pole search and the
-resonant-mode solver all consume the two.  transfer_matrix and
-transmission take whole arrays: a T(E) scan over a window (the pole
-seeding, the CLI sweep) is a few array passes with no Python loop over
-points.  The scan (_scan_t) keeps only the end pair of its march and
-updates it in place; _scan runs it in blocks with transmission's checks,
-and the pole search calls it directly on its kept grid of k.
+a scalar or an array of k, and each layer maps (psi, psi') to (c psi + ws
+psi', m psi + c psi').  Three marches carry pairs across the layers, split
+by representation, not by caller:
 
-A scalar T(E) (one per pole in a structure's workload) is mostly fixed
-numpy call overhead, so a valid float E takes a one-point path
-(_transmission_at): k, the layers and the complex read-off of M stay on
-one-element arrays, and only the real march runs in Python floats, whose
-products and sums round as numpy's real ones do.  The complex tail stays
-on arrays because numpy's array complex product rounds differently from
-the Python (and numpy-scalar) one in about 44% of random products.
+  _walk        one point of k, in Python numbers, the pair at every edge:
+               a scalar T(E) (_transmission_at), solve_stationary and a
+               mode's outgoing pieces;
+  _march_rows  arrays of k, three array passes a layer, the pair at every
+               edge: transfer_matrix and the Newton batch's outgoing pieces;
+  _scan_t      a 1-D array of real k, in place, the end pair only: the T(E)
+               scan, which _scan runs in blocks with transmission's checks
+               and the pole search calls directly on its kept grid of k.
 
-The kernel and the marches reuse their buffers where the bits allow it:
-every output is bit for bit what the allocating expressions give.  numpy
-rounds a complex product written over one of its own factors differently
-when the array has a single entry, so complex products go to a buffer of
-their own.
+The rule rests on two facts about numpy's rounding.  Real arithmetic rounds
+the same in every representation (IEEE): a Python float, a numpy scalar and
+an array entry give the same bits, so a real walk is the array march's
+entry.  Complex arithmetic does not: Python's complex arithmetic is numpy's
+scalar arithmetic bit for bit, but numpy's array product (0-d and
+one-element arrays included) rounds differently in about 45% of random
+products, and is not even commutative bit for bit.  So a complex walk has
+the bits of numpy-scalar arithmetic, and a one-point result that must be
+the array path's entry (a scalar T(E), solve_stationary's r and t) reads M
+off one-element arrays: only its march runs in Python numbers.  A scalar
+T(E) (one per pole in a structure's workload) is mostly fixed numpy call
+overhead, which the walk avoids.
 
-M is read off the fundamental matrix: the solutions starting as (1, 0) and
-(0, 1) at x = 0 are marched to x = L, where their pairs are the columns of
-the layer product P; with s = P11 + P22 and d = k P12 - P21/k,
-m22 = (1/2) e^{ikL} (s - i d).
+The kernel and the array marches reuse their buffers where the bits allow
+it: every output is bit for bit what the allocating expressions give.
+numpy rounds a complex product written over one of its own factors
+differently when the array has a single entry, so complex products go to a
+buffer of their own.
+
+M is read off the fundamental matrix (_read_off): the solutions F1 and F2,
+starting as (1, 0) and (0, 1) at x = 0, are marched to x = L, where their
+pairs are the columns of the layer product P; with s = P11 + P22 and d =
+k P12 - P21/k, m22 = (1/2) e^{ikL} (s - i d).
 
 On the real axis, where every scan and every stationary field lives, q^2
 = k^2 - V/(hbar^2/2m) is real, so each layer matrix is real (cos and sin,
@@ -52,23 +61,21 @@ complex arithmetic.
 
 The pole search and the resonant-mode solver share the outgoing pieces
 (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
-marched backward, as one stacked march for the Newton batch's array of k
-(three array passes a layer, _march_rows) and as two numpy-scalar marches
-for a mode's one k.  A wave marched
-through a thick barrier carries rounding amplified by up to e^{|Im q| w},
-so the pieces are joined at an interior edge and neither march crosses
-the whole profile (the matching-point method
-of GAMOW: Vertse, Pal & Balogh, Comput. Phys. Commun. 27, 309 (1982)).
-Their Wronskian W = u_L u_R' - u_L' u_R = 2 i k e^{-ikL} m22(k) does not
-depend on x and vanishes at a pole.  The one join test, _join, reads the
-relative mismatch
+marched backward, stacked into one _march_rows march for the Newton
+batch and walked for a mode's one k.  A wave marched through a thick
+barrier carries rounding amplified by up to e^{|Im q| w}, so the pieces
+are joined at an interior edge and neither march crosses the whole
+profile (the matching-point method of GAMOW: Vertse, Pal & Balogh,
+Comput. Phys. Commun. 27, 309 (1982)).  Their Wronskian W = u_L u_R' -
+u_L' u_R = 2 i k e^{-ikL} m22(k) does not depend on x and vanishes at a
+pole.  The one join test, _join, reads the relative mismatch
 
     |W| / (max(|u_R|, |u_R'/k|) (|u_L'| + |k u_L|)),
 
 that of (u, u') once the right piece is scaled to the left one on its
 larger component of (u, u'/k), at the join edges where both keep digits
-(_trusted).  _join reads it at one k (a mode), _join_mismatches at a batch
-of Newton iterates in one pass, bit for bit as _join reads each.
+(_trusted), at every point of a 1-D array of k in one pass: a batch of
+Newton iterates, or a mode's one k as a batch of one.
 """
 
 from __future__ import annotations
@@ -247,29 +254,15 @@ def _guard(exponent: np.ndarray) -> None:
     raise OverflowGuardError(layer, float(summed[layer]), point, summed=True)
 
 
-def _march(layers, value, slope) -> np.ndarray:
-    """Carry (psi, psi') from x = 0 across the layers, elementwise.
-
-    value and slope broadcast against the layers' point shape s; returns the
-    pairs at every edge, x = 0 first and x = L last, shape (n_layers + 1, 2,
-    *s), real when the layers and the start are.  Each layer maps (psi,
-    psi') to (c psi + ws psi', m psi + c psi'); an array march runs
-    _march_rows on the layers' [c; m] and [ws; c], and a march of 0-d pairs
-    (a mode solve) steps in numpy-scalar arithmetic (see _outgoing).
-    """
-    c, ws, m = layers[1:4]
-    shape = np.broadcast_shapes(np.shape(value), np.shape(slope), c.shape[1:])
-    pairs = np.empty((len(c) + 1, 2, *shape), dtype=np.result_type(value, slope, c))
-    pairs[0, 0], pairs[0, 1] = value, slope
-    if not shape:
-        for j, (cj, wsj, mj) in enumerate(zip(c, ws, m), 1):
-            value, slope = cj * value + wsj * slope, mj * value + cj * slope
-            pairs[j, 0], pairs[j, 1] = value, slope
-        return pairs
-    # [c; m] and [ws; c] with unit axes for the start's own leading axes
-    rows = (len(c), 2) + (1,) * (len(shape) + 1 - c.ndim) + c.shape[1:]
-    by_value, by_slope = (np.stack(a, axis=1).reshape(rows) for a in ((c, m), (ws, c)))
-    return _march_rows(by_value, by_slope, pairs)
+def _walk(c, ws, m, value, slope) -> list:
+    """The pairs (psi, psi') at every edge, x = 0 first, from (value, slope)
+    at x = 0, in Python numbers: c, ws and m list the layers' entries at
+    one k, floats for a real k and complexes for a complex one."""
+    pairs = [(value, slope)]
+    for cj, wsj, mj in zip(c, ws, m):
+        value, slope = cj * value + wsj * slope, mj * value + cj * slope
+        pairs.append((value, slope))
+    return pairs
 
 
 def _march_rows(by_value, by_slope, pairs) -> np.ndarray:
@@ -297,28 +290,27 @@ def _outgoing(layers, k):
     Both have shape (n_layers + 1, 2, *k.shape): row e is the pair at
     edges[e].
 
-    An array k (the Newton batch) marches both waves as one march: each
-    layer's [c; m] and [ws; c] are stacked with their mirror image's once,
-    so a layer of both waves takes three array passes.  A 0-d k (a mode
-    solve) keeps two marches in numpy-scalar arithmetic.  numpy's scalar
-    and array complex products can differ in the last bit (as modes.rho
-    and a 0-d-t psi_exact do), and a stacked march of one k moved
-    solve_mode's coefficients by up to 3.3e-11 of the largest one.
+    One point of k (a mode) walks each wave in Python numbers (_walk).  More
+    points (the Newton batch) march both waves as one march: each layer's
+    [c; m] and [ws; c] are stacked with their mirror image's once, so a
+    layer of both waves takes three array passes (_march_rows).
     """
-    slope = -1j * np.asarray(k)
-    c, ws, m = layers[1:4]
-    if slope.ndim:
-        pairs = np.empty((len(c) + 1, 2, 2, *slope.shape), dtype=complex)
-        pairs[0, 0], pairs[0, 1] = 1.0, slope
+    if k.size == 1:
+        c, ws, m = (a.ravel().tolist() for a in layers[1:4])
+        slope = -1j * k.item()
+        shape = (len(c) + 1, 2, *k.shape)
+        left = np.array(_walk(c, ws, m, 1.0, slope)).reshape(shape)
+        right = np.array(_walk(c[::-1], ws[::-1], m[::-1], 1.0, slope)[::-1]).reshape(shape)
+    else:
+        c, ws, m = layers[1:4]
+        pairs = np.empty((len(c) + 1, 2, 2, *k.shape), dtype=complex)
+        pairs[0, 0], pairs[0, 1] = 1.0, -1j * k
         # [[a, a mirrored], [b, b mirrored]] per layer: (layer, row, wave, *k.shape)
-        axes = (2, 0, 1, *range(3, 3 + slope.ndim))
+        axes = (2, 0, 1, *range(3, 3 + k.ndim))
         by_value = np.array([[c, c[::-1]], [m, m[::-1]]]).transpose(axes)
         by_slope = np.array([[ws, ws[::-1]], [c, c[::-1]]]).transpose(axes)
         pairs = _march_rows(by_value, by_slope, pairs)
         left, right = pairs[:, :, 0], pairs[::-1, :, 1]
-    else:
-        left = _march(layers, 1.0, slope)
-        right = _march((None, c[::-1], ws[::-1], m[::-1]), 1.0, slope)[::-1]
     right[:, 1] *= -1.0
     return left, right
 
@@ -346,31 +338,29 @@ def _wronskian(left, right):
     return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
 
 
-def _trusted(growth: np.ndarray, left, right, k):
-    """The join test at the join edges of each point of k (0-d or 1-D).
+def _trusted(growth: np.ndarray, left, right, k: np.ndarray):
+    """The join test at the join edges of each point of a 1-D array k.
 
-    growth has shape (n_layers + 1, *s), left and right (n_layers + 1, 2,
-    *s) and k shape s.  An (edge, point) entry is trusted where each pair's
-    size |u| + |u'|/|k|, against 2 at its start, exceeds its march's
-    rounding eps e^growth by 1/_W_TOL.  Returns the trusted entries as an
-    index into growth (edges, then points for a 1-D k), in C order, and at
-    each of them the relative mismatch (module docstring), whether the
-    right piece scales on u (else on u'), and (u_L, u_L', u_R, u_R').
-    Every entry takes the arithmetic of a join of its own point.
+    growth has shape (n_layers + 1, len(k)) and left and right (n_layers +
+    1, 2, len(k)).  An (edge, point) entry is trusted where each pair's size
+    |u| + |u'|/|k|, against 2 at its start, exceeds its march's rounding
+    eps e^growth by 1/_W_TOL.  Returns the trusted entries as an index into
+    growth (edges, then points), in C order, and at each of them the
+    relative mismatch (module docstring), whether the right piece scales on
+    u (else on u'), and (u_L, u_L', u_R, u_R').  Every entry takes the
+    arithmetic of a join of its own point.
     """
     # |k| as Python's abs of a complex forms it: numpy's array abs can
     # differ in the last bit
-    abs_k = abs(k) if growth.ndim == 1 else np.hypot(k.real, k.imag)
+    abs_k = np.hypot(k.real, k.imag)
     with np.errstate(divide="ignore"):  # a pair of zeros has log size -inf
         log_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs_k)
         log_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs_k)
     trusted = (log_l >= _TRUST_FLOOR + growth) & (log_r >= _TRUST_FLOOR + growth[-1] - growth)
     joins = _joins(len(growth) - 1)
-    edges, *points = trusted[joins].nonzero()
-    at = (joins[edges], *points)
-    if points:
-        left, right, k = left.swapaxes(1, 2), right.swapaxes(1, 2), k[points[0]]
-    left, right = left[at], right[at]
+    edges, points = trusted[joins].nonzero()
+    at = (joins[edges], points)
+    left, right, k = left.swapaxes(1, 2)[at], right.swapaxes(1, 2)[at], k[points]
     (u_l, du_l), (u_r, du_r) = left.T, right.T
     abs_u, abs_du = np.abs(u_r), np.abs(du_r / k)
     size_r = np.maximum(abs_u, abs_du)
@@ -378,29 +368,22 @@ def _trusted(growth: np.ndarray, left, right, k):
     return at, mismatch, abs_u >= abs_du, (u_l, du_l, u_r, du_r)
 
 
-def _join(growth: np.ndarray, left, right, k: complex) -> tuple[int, float, complex]:
-    """(edge, mismatch, alpha) from the growth and outgoing pairs at one k.
+def _join(growth: np.ndarray, left, right, k: np.ndarray):
+    """(edge, mismatch, alpha) at each point of a 1-D array k.
 
-    edge is the first trusted join edge (_trusted) of least mismatch;
-    alpha scales the right piece onto the left one there.  With no trusted
-    edge the mismatch is inf.
+    edge is the point's first trusted join edge (_trusted) of least
+    mismatch, and alpha scales the right piece onto the left one there.
+    With no trusted edge the mismatch is inf and alpha nan.  A mode's join
+    is a batch of one point.
     """
-    (edges,), mismatch, on_u, (u_l, du_l, u_r, du_r) = _trusted(growth, left, right, k)
-    if not edges.size:
-        return 0, np.inf, np.nan
-    j = int(mismatch.argmin())
-    alpha = u_l[j] / u_r[j] if on_u[j] else du_l[j] / du_r[j]
-    return int(edges[j]), float(mismatch[j]), alpha
-
-
-def _join_mismatches(growth: np.ndarray, left, right, k: np.ndarray) -> np.ndarray:
-    """_join's mismatch at each point of a 1-D array k, from one _trusted
-    pass over all of them: the least mismatch of a point's trusted edges,
-    inf where it has none."""
-    at, mismatch = _trusted(growth, left, right, k)[:2]
+    at, mismatch, on_u, (u_l, du_l, u_r, du_r) = _trusted(growth, left, right, k)
     least = np.full(growth.shape, np.inf)
     least[at] = mismatch
-    return least.min(axis=0)
+    alpha = np.full(growth.shape, np.nan, dtype=complex)
+    # the larger of |u_R| and |u_R'/k| is nonzero at a trusted entry
+    alpha[at] = np.where(on_u, u_l, du_l) / np.where(on_u, u_r, du_r)
+    edge, points = least.argmin(axis=0), np.arange(len(k))
+    return edge, least[edge, points], alpha[edge, points]
 
 
 def _nonzero_k(k):
@@ -422,30 +405,33 @@ def _m22(profile: PotentialProfile, k, end):
     return (trace - 1j * skew) * half, trace, skew, half
 
 
-def _exterior(profile: PotentialProfile, k, layers):
-    """Transfer matrix from the kernel output, plus the per-layer pairs.
+def _read_off(profile: PotentialProfile, k, end) -> TransferMatrix:
+    """M from P's entries end = ((P11, P12), (P21, P22)), elementwise over k.
 
-    The fundamental solutions F1 and F2, (psi, psi') = (1, 0) and (0, 1) at
-    x = 0, are marched to x = L together; their pairs there are the columns
-    of the layer product P, real for real k.  With the exterior basis
-    C(x) = [[e^{ikx}, e^{-ikx}], [ik e^{ikx}, -ik e^{-ikx}]], M is
-    C(L)^{-1} P C(0), whose entries need only the sums and differences
-    below.  pairs has shape (n_layers, 2, 2, *k.shape): [layer, (psi,
-    psi'), (F1, F2)].
+    With the exterior basis C(x) = [[e^{ikx}, e^{-ikx}], [ik e^{ikx}, -ik
+    e^{-ikx}]], M is C(L)^{-1} P C(0), whose entries need only the sums and
+    differences below.
     """
-    start = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
-    pairs = _march(layers, start[0], start[1])
-    (p11, p12), (p21, p22) = end = pairs[-1]
+    (p11, p12), (p21, p22) = end
     m22, trace, skew, half = _m22(profile, k, end)
     split, cross = p11 - p22, k * p12 + p21 / k
     half_inv = 0.25 / half
-    tm = TransferMatrix(
+    return TransferMatrix(
         m11=(trace + 1j * skew) * half_inv,
         m12=(split - 1j * cross) * half_inv,
         m21=(split + 1j * cross) * half,
         m22=m22,
     )
-    return tm, pairs[:-1]
+
+
+def _fundamental(profile: PotentialProfile, k: np.ndarray):
+    """(layers, F1's pairs, F2's pairs, P's entries on one-element arrays)
+    at a one-element array k: F1 and F2 walk from (1, 0) and (0, 1)."""
+    layers = _layers(profile, k)
+    c, ws, m = (a.ravel().tolist() for a in layers[1:4])
+    f1, f2 = _walk(c, ws, m, 1.0, 0.0), _walk(c, ws, m, 0.0, 1.0)
+    end = np.array([*f1[-1], *f2[-1]])  # P11, P21, P12, P22
+    return layers, f1, f2, ((end[0:1], end[2:3]), (end[1:2], end[3:4]))
 
 
 def _scan_t(profile: PotentialProfile, k: np.ndarray) -> np.ndarray:
@@ -476,24 +462,34 @@ def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
 
     Elementwise over k: a scalar gives complex fields, an array gives
     arrays of its shape.  A real-typed k takes the real-arithmetic march;
-    k + 0j takes the complex one.
+    k + 0j takes the complex one.  F1 and F2 are marched as one array march
+    (_march_rows) whose pairs at x = L are the columns of P.
     """
     k = _nonzero_k(k)
-    return _exterior(profile, k, _layers(profile, k))[0]
+    _, c, ws, m, _ = _layers(profile, k)
+    pairs = np.empty((len(c) + 1, 2, 2, *k.shape), dtype=c.dtype)
+    pairs[0] = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
+    # [c; m] and [ws; c] per layer, with a unit axis for F1 and F2
+    rows = (len(c), 2, 1, *k.shape)
+    by_value, by_slope = (np.stack(a, axis=1).reshape(rows) for a in ((c, m), (ws, c)))
+    return _read_off(profile, k, _march_rows(by_value, by_slope, pairs)[-1])
 
 
 def solve_stationary(profile: PotentialProfile, k: float | complex) -> StationaryField:
     """Full interior solution Phi(x, k) for exterior incidence from the left.
 
-    A real k marches in real arithmetic, a complex one in complex.
+    A real k walks in real arithmetic, a complex one in complex.  M is read
+    off on one-element arrays, so at a real k, r and t are
+    transfer_matrix's entries at np.array([k]) bit for bit.
     """
-    k = _nonzero_k(float(k) if np.isrealobj(k) else complex(k))
-    layers = _layers(profile, k)
-    tm, pairs = _exterior(profile, k, layers)
-    r, t = tm.r, tm.t
-    q = _real_q(profile, k) if layers[0] is None else layers[0]
+    k = _nonzero_k([float(k) if np.isrealobj(k) else complex(k)])
+    layers, f1, f2, end = _fundamental(profile, k)
+    tm = _read_off(profile, k, end)
+    r, t = tm.r[0], tm.t[0]
+    q = _real_q(profile, k) if layers[0] is None else layers[0][:, 0]
+    k = k.item()
     # Phi = e^{ikx} + r e^{-ikx} starts as (1 + r, ik (1 - r)) at x = 0
-    coefficients = (1.0 + r) * pairs[..., 0] + 1j * k * (1.0 - r) * pairs[..., 1]
+    coefficients = (1.0 + r) * np.array(f1[:-1]) + 1j * k * (1.0 - r) * np.array(f2[:-1])
     return StationaryField(
         k=complex(k), r=r, t=t, edges=profile.edges, q=q, coefficients=coefficients
     )
@@ -549,19 +545,10 @@ def _transmission_at(profile: PotentialProfile, E: float) -> tuple[complex, floa
 
     k (wavenumber's complex sqrt), the layers and the complex read-off of M
     (_m22, 1/m22, |t|^2) are formed on one-element arrays, and the real
-    march of _scan_t in Python floats (module docstring).
+    march in Python floats (_fundamental).
     """
     k = wavenumber(np.array([E]), profile).real
-    _, c, ws, m, _ = _layers(profile, k)
-    c, ws, m = c[:, 0].tolist(), ws[:, 0].tolist(), m[:, 0].tolist()
-    # P = [[p11, p12], [p21, p22]] starts as layer 0's matrix
-    p11, p12, p21, p22 = c[0], ws[0], m[0], c[0]
-    for cj, wsj, mj in zip(c[1:], ws[1:], m[1:]):
-        p11, p12, p21, p22 = (
-            cj * p11 + wsj * p21, cj * p12 + wsj * p22, cj * p21 + mj * p11, cj * p22 + mj * p12
-        )
-    end = np.array([p11, p12, p21, p22])
-    t = 1.0 / _m22(profile, k, ((end[0:1], end[1:2]), (end[2:3], end[3:4])))[0]
+    t = 1.0 / _m22(profile, k, _fundamental(profile, k)[3])[0]
     T = np.abs(t) ** 2
     _check_unitarity(T)
     return complex(t[0]), float(T[0])

@@ -1,5 +1,5 @@
-"""Shared fixtures: the two reference structures, their poles and modes, and
-one generated set of figure and evolve outputs.
+"""Shared fixtures: the two reference structures, their poles and modes,
+one generated set of figure and evolve outputs, and one selftest run.
 
 Pole wave numbers, resonance parameters, and transmission values below are
 regression pins: computed once with this package, frozen, and asserted at
@@ -10,11 +10,15 @@ integration) live in the acceptance module, not here.
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 import golden
-from qshutter import build_profile, find_poles, make_spectrum, solve_mode
+from qshutter import acceptance, build_profile, cli, find_poles, make_spectrum, solve_mode
+from qshutter import transient
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
 
 # triple barrier: 3/16/3/16/3 nm at 0.12 eV barriers, m* = 0.067 m_e
@@ -121,3 +125,34 @@ def generated_outputs(tmp_path_factory):
     shared by the preset tests and the golden record."""
     out_dir = tmp_path_factory.mktemp("outputs")
     return out_dir, golden.generate(out_dir)
+
+
+@pytest.fixture(scope="session")
+def selftest_run():
+    """(exit code, stdout, CheckResults, searches) of one `qshutter selftest`
+    run, shared by the CLI test and the acceptance tests.
+
+    make_spectrum's memo is emptied first, since earlier tests may have left
+    the run's spectra in it, and searches lists the N of every pole search
+    the run makes (find_poles as the acceptance module and make_spectrum
+    call it).  The CheckResults are the ones run_acceptance returns.
+    """
+    searches, results = [], []
+    run_acceptance = acceptance.run_acceptance
+
+    def counted(profile, N):
+        searches.append(N)
+        return find_poles(profile, N)
+
+    def recorded():
+        results.extend(run_acceptance())
+        return results
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(acceptance, "find_poles", counted)
+        mp.setattr(transient, "find_poles", counted)
+        mp.setattr(acceptance, "run_acceptance", recorded)
+        transient.make_spectrum.cache_clear()
+        code = cli.main(["selftest"])
+    return code, out.getvalue(), results, searches

@@ -13,7 +13,7 @@ import pytest
 from conftest import TRIPLE_E1_MEV
 
 import qshutter
-from qshutter import acceptance, find_poles, transient
+from qshutter import find_poles
 from qshutter.cli import main
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO
 
@@ -55,9 +55,11 @@ class TestPoles:
         assert abs(qshutter.pole_condition(profile, find_poles(profile, 3)[2].k)) < 1e-12
 
     def test_n_zero_rejected(self, capsys):
+        # the bound lives in the config's field table, as for evolve --n
         code, out, err = run_cli(["poles", "--config", "triple_barrier", "--n", "0"], capsys)
         assert code == 2
         assert "error:" in err
+        assert "field 'n_poles'" in err
 
     def test_config_file_path(self, tmp_path, capsys):
         cfg = tmp_path / "custom.cfg"
@@ -189,21 +191,11 @@ class TestFigure:
 
 
 class TestSelftest:
-    def test_reports_every_criterion_and_fails(self, capsys, monkeypatch):
+    def test_reports_every_criterion_and_fails(self, selftest_run):
         # criterion 1 times a pole search of the triple barrier on its own;
         # every spectrum comes from make_spectrum's memo, which searches each
         # distinct profile once: triple, double, b2 = 4 and 5 nm
-        searches = []
-
-        def counted(profile, N):
-            searches.append(N)
-            return find_poles(profile, N)
-
-        monkeypatch.setattr(acceptance, "find_poles", counted)
-        monkeypatch.setattr(transient, "find_poles", counted)
-        # earlier tests may have left these profiles' spectra in the memo
-        transient.make_spectrum.cache_clear()
-        code, out, err = run_cli(["selftest"], capsys)
+        code, out, _, searches = selftest_run
         assert len(searches) == 1 + 4
         lines = re.findall(r"^criterion\s+\d+: (?:PASS|FAIL)", out, re.MULTILINE)
         assert len(lines) == 10

@@ -312,6 +312,18 @@ class TestRealAxis:
             assert t_i == t[i] and T_i == T[i]
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(profile=_barrier_profiles())
+    def test_stationary_field_is_the_array_entry(self, profile):
+        # solve_stationary walks F1 and F2 in Python floats and transfer_matrix
+        # marches them on arrays; real arithmetic rounds alike in both, and
+        # both read M off arrays, so r and t are the same bits
+        k = wavenumber(_reference_energies(profile)[::4], profile).real
+        for i, k_i in enumerate(k.tolist()):
+            f = solve_stationary(profile, k_i)
+            tm = transfer_matrix(profile, k[i : i + 1])
+            assert _bits(f.t) == _bits(tm.t[0]) and _bits(f.r) == _bits(tm.r[0])
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(profile=_barrier_profiles(), E=st.floats(1e-5, 0.5))
     def test_stationary_q_at_real_k(self, profile, E):
         # real k: q = sqrt(|q^2|), real where q^2 >= 0 and imaginary where it
@@ -379,9 +391,10 @@ class TestPolesAndModes:
         # vectorised abs differ in the last bit (numpy 2.4), so a join that
         # compared the two would take the u' ratio, 30, instead
         u_r = 1.267732437050385 + 1.925695544488903j
-        left = np.array([[1, 1], [2, 3], [1, 1]], dtype=complex)
-        right = np.array([[1, 1], [u_r, 0.1], [1, 1]], dtype=complex)
-        edge, _, alpha = scattering._join(np.zeros(3), left, right, 1.0 + 0j)
+        left = np.array([[1, 1], [2, 3], [1, 1]], dtype=complex)[..., None]
+        right = np.array([[1, 1], [u_r, 0.1], [1, 1]], dtype=complex)[..., None]
+        k = np.array([1.0 + 0j])
+        (edge,), _, (alpha,) = scattering._join(np.zeros((3, 1)), left, right, k)
         assert edge == 1
         assert alpha == pytest.approx(2 / u_r, rel=1e-15)
 
@@ -432,15 +445,21 @@ class TestJoin:
         left, right = scattering._outgoing(layers, ks)
         growth = scattering._growth(layers)
         growth[:, -1] = 1e3 * np.arange(len(growth))
-        batched = scattering._join_mismatches(growth, left, right, ks)
+        edges, batched, alphas = scattering._join(growth, left, right, ks)
         assert batched.shape == ks.shape and batched[-1] == np.inf
         assert (batched[:3] < scattering._W_TOL).all() and (batched[3:-1] > scattering._W_TOL).all()
         for col, k in enumerate(ks.tolist()):
-            column = growth[:, col], left[:, :, col], right[:, :, col], k
-            edge, mismatch, alpha = scattering._join(*column)
-            ref_edge, ref_mismatch, ref_alpha = _join_per_column(*column)
-            assert edge == ref_edge and _bits(alpha) == _bits(ref_alpha)
-            assert float(batched[col]).hex() == mismatch.hex() == ref_mismatch.hex()
+            ref_edge, ref_mismatch, ref_alpha = _join_per_column(
+                growth[:, col], left[:, :, col], right[:, :, col], k
+            )
+            # the column as a batch of one point, as a mode joins its pieces
+            one = slice(col, col + 1)
+            (edge,), (mismatch,), (alpha,) = scattering._join(
+                growth[:, one], left[:, :, one], right[:, :, one], ks[one]
+            )
+            assert edge == edges[col] == ref_edge
+            assert _bits(alpha) == _bits(alphas[col]) == _bits(ref_alpha)
+            assert float(batched[col]).hex() == float(mismatch).hex() == ref_mismatch.hex()
 
 
 def _layer_sum_per_point(edges, q, coefficients, x):
