@@ -8,7 +8,9 @@ The file name does not match pytest's test-file pattern, so a bare
 `python -m pytest` does not collect it.  Every input is fixed: the triple
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
 4000 points, the same scan of one 4-barrier (7-layer) profile of
-perfbench's `structures` stream (seed 1, op 4), one scalar T(E) at the
+perfbench's `structures` stream (seed 1, op 4), the pole search's scan of
+its 100 meV window (4000 points of its grid, read as (s, d, T) in real
+arithmetic) on both profiles, one scalar T(E) at the
 triple barrier's first resonance E_1, its stationary field
 (solve_stationary) at the real k of E_1, Newton from that scan's first seed,
 the lockstep Newton batch (poles._newton) from its four seeds, the whole
@@ -89,7 +91,7 @@ from qshutter import (  # noqa: E402
 from qshutter import output  # noqa: E402
 from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
-from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
+from qshutter.poles import _newton, _scanned, refine_pole, seed_poles  # noqa: E402
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
 from qshutter.scattering import solve_stationary  # noqa: E402
 from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
@@ -119,6 +121,15 @@ def test_transmission_scan(benchmark, triple, name):
     profile = triple if name == "triple" else build_profile(FOUR_BARRIERS, MASS_RATIO)
     _, T = benchmark(transmission, profile, SCAN_ENERGIES)
     assert T.shape == SCAN_ENERGIES.shape and T.max() <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", ["triple", "four_barriers"])
+def test_pole_scan(benchmark, triple, name):
+    # the pole search's scan of its 100 meV window: (s, d, T) in real
+    # arithmetic at the 4000 points of the kept grid
+    profile = triple if name == "triple" else build_profile(FOUR_BARRIERS, MASS_RATIO)
+    s, d, T = benchmark(_scanned, profile, 0, 4000)
+    assert T.shape == s.shape == d.shape == (4000,) and T.max() <= 1.0 + 1e-9
 
 
 def test_transmission_scalar(benchmark, triple):

@@ -22,9 +22,10 @@ by representation, not by caller:
                mode's outgoing pieces;
   _march_rows  arrays of k, three array passes a layer, the pair at every
                edge: transfer_matrix and the Newton batch's outgoing pieces;
-  _scan_t      a 1-D array of real k, in place, the end pair only: the T(E)
-               scan, which _scan runs in blocks with transmission's checks
-               and the pole search calls directly on its kept grid of k.
+  _scan_sd     a 1-D array of real k, in place, the end pair only, read
+               off as (s, d) below: the T(E) scan, which _scan runs in
+               blocks with transmission's checks, for transmission and for
+               the pole search on its kept grid of k.
 
 The rule rests on two facts about numpy's rounding.  Real arithmetic rounds
 the same in every representation (IEEE): a Python float, a numpy scalar and
@@ -58,6 +59,13 @@ march in real arithmetic, and builds no complex q (only solve_stationary
 reads q, and forms it for its one k); only the read-off of M is complex.
 A complex-typed k (Newton iterates, poles, modes) runs the same code in
 complex arithmetic.
+
+A scan ends in (s, d) and leaves their reading to its caller (_scan's
+read): transmission forms t = 1/m22 through _m22, with the bits of
+transfer_matrix's m22, while the pole search reads T = (2/hypot(s, d))^2
+in real arithmetic (hypot, since s^2 + d^2 overflows once the summed
+growth passes ~355) and keeps s and d, the parts of g = s - i d = 2
+e^{-ikL} m22, whose zeros are the poles.
 
 The pole search and the resonant-mode solver share the outgoing pieces
 (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
@@ -393,16 +401,18 @@ def _nonzero_k(k):
     return k
 
 
-def _m22(profile: PotentialProfile, k, end):
-    """(m22, s, d, e^{ikL}/2) from P's entries end = ((P11, P12), (P21, P22)).
-
-    s and d are the sum and difference of the module docstring; the other
-    entries of M are read off them and the factor.
-    """
+def _sd(k, end):
+    """(s, d) = (P11 + P22, k P12 - P21/k) from P's entries end = ((P11, P12),
+    (P21, P22)): the sum and difference of the module docstring."""
     (p11, p12), (p21, p22) = end
-    trace, skew = p11 + p22, k * p12 - p21 / k
+    return p11 + p22, k * p12 - p21 / k
+
+
+def _m22(profile: PotentialProfile, k, s, d):
+    """(m22, e^{ikL}/2) from the sum s and difference d (_sd); the other
+    entries of M are read off the same factor."""
     half = 0.5 * np.exp(1j * k * profile.total_length)
-    return (trace - 1j * skew) * half, trace, skew, half
+    return (s - 1j * d) * half, half
 
 
 def _read_off(profile: PotentialProfile, k, end) -> TransferMatrix:
@@ -413,11 +423,12 @@ def _read_off(profile: PotentialProfile, k, end) -> TransferMatrix:
     differences below.
     """
     (p11, p12), (p21, p22) = end
-    m22, trace, skew, half = _m22(profile, k, end)
+    s, d = _sd(k, end)
+    m22, half = _m22(profile, k, s, d)
     split, cross = p11 - p22, k * p12 + p21 / k
     half_inv = 0.25 / half
     return TransferMatrix(
-        m11=(trace + 1j * skew) * half_inv,
+        m11=(s + 1j * d) * half_inv,
         m12=(split - 1j * cross) * half_inv,
         m21=(split + 1j * cross) * half,
         m22=m22,
@@ -434,14 +445,14 @@ def _fundamental(profile: PotentialProfile, k: np.ndarray):
     return layers, f1, f2, ((end[0:1], end[2:3]), (end[1:2], end[3:4]))
 
 
-def _scan_t(profile: PotentialProfile, k: np.ndarray) -> np.ndarray:
-    """t = 1/m22 at a 1-D array of real k, through the expression
-    transfer_matrix uses for m22.
+def _scan_sd(profile: PotentialProfile, k: np.ndarray):
+    """(s, d) at a 1-D array of real k, through the expressions
+    transfer_matrix uses for them.
 
     The fundamental pair starts as layer 0's matrix, P = [[c, ws], [m, c]]
     (rows psi and psi', columns F1 and F2), and is marched across the other
     layers in place with two scratch rows; only its end pair is kept and
-    only m22 is formed.
+    only s and d are formed.
     """
     _, c, ws, m, _ = _layers(profile, k)
     value, slope = np.stack((c[0], ws[0])), np.stack((m[0], c[0]))
@@ -454,7 +465,7 @@ def _scan_t(profile: PotentialProfile, k: np.ndarray) -> np.ndarray:
         value += term
         slope *= cj
         slope += product
-    return 1.0 / _m22(profile, k, (value, slope))[0]
+    return _sd(k, (value, slope))
 
 
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
@@ -520,24 +531,36 @@ def transmission(profile: PotentialProfile, E):
     return t.reshape(E.shape), T.reshape(E.shape)
 
 
-def _scan(profile: PotentialProfile, k: np.ndarray):
-    """(t, T) of transmission at a 1-D array of real k > 0, without its
-    input checks: _scan_t in blocks of _BLOCK points, with the unitarity
-    check and the guard."""
-    t = np.empty(k.shape, dtype=complex)
-    T = np.empty(k.shape)
-    for start in range(0, k.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
+def _transmitted(profile: PotentialProfile, k: np.ndarray, s, d):
+    """(t, T = |t|^2) of transmission from a scan's (s, d): t = 1/m22."""
+    t = 1.0 / _m22(profile, k, s, d)[0]
+    return t, np.abs(t) ** 2
+
+
+def _scan(profile: PotentialProfile, k: np.ndarray, read=_transmitted):
+    """read(profile, k, s, d) at a 1-D array of real k > 0, without
+    transmission's input checks: _scan_sd in blocks of _BLOCK points, with
+    the guard and the unitarity check of T, read's last output.
+
+    read maps a block's (s, d) to a tuple of arrays of the block's length;
+    the blocks' tuples are joined into one tuple of whole arrays.
+    """
+    parts = []
+    # no points still read one (empty) block, for the arrays' dtypes
+    for start in range(0, k.size, _BLOCK) or [0]:
+        block = k[start : start + _BLOCK]
         try:
-            t[block] = _scan_t(profile, k[block])
+            parts.append(read(profile, block, *_scan_sd(profile, block)))
         except OverflowGuardError as err:
             # a loop over E meets the points before the guarded one first
-            _check_unitarity(np.abs(_scan_t(profile, k[block][: err.point])) ** 2)
+            head = block[: err.point]
+            _check_unitarity(read(profile, head, *_scan_sd(profile, head))[-1])
             err.point += start
             raise
-        T[block] = np.abs(t[block]) ** 2
-        _check_unitarity(T[block])
-    return t, T
+        _check_unitarity(parts[-1][-1])
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _transmission_at(profile: PotentialProfile, E: float) -> tuple[complex, float]:
@@ -548,8 +571,7 @@ def _transmission_at(profile: PotentialProfile, E: float) -> tuple[complex, floa
     march in Python floats (_fundamental).
     """
     k = wavenumber(np.array([E]), profile).real
-    t = 1.0 / _m22(profile, k, _fundamental(profile, k)[3])[0]
-    T = np.abs(t) ** 2
+    t, T = _transmitted(profile, k, *_sd(k, _fundamental(profile, k)[3]))
     _check_unitarity(T)
     return complex(t[0]), float(T[0])
 

@@ -44,13 +44,14 @@ class TestPoles:
         assert "wrote" in err
 
     def test_double_barrier_third_pole(self, capsys):
-        # Newton from the third T(E) peak's seed used to leave the quadrant
+        # Newton from the third T(E) peak's seed used to leave the quadrant;
+        # the third lowest pole (385.50 meV), which oracle_root confirms
         code, out, err = run_cli(["poles", "--config", "double_barrier", "--n", "3"], capsys)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 4
         k3 = complex(float(rows[3][3]), float(rows[3][4]))
-        assert abs(k3 - (0.954720722 - 0.114178093j)) < 1e-9
+        assert abs(k3 - (0.826892586 - 0.076338617j)) < 1e-9
         profile = qshutter.build_profile(list(DOUBLE_LAYERS), MASS_RATIO)
         assert abs(qshutter.pole_condition(profile, find_poles(profile, 3)[2].k)) < 1e-12
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superlattice
 from conftest import T_DOUBLE_83740, T_TRIPLE_12949, T_TRIPLE_EBAR
 from qshutter import (
     DomainError,
@@ -397,6 +398,44 @@ class TestPolesAndModes:
         (edge,), _, (alpha,) = scattering._join(np.zeros((3, 1)), left, right, k)
         assert edge == 1
         assert alpha == pytest.approx(2 / u_r, rel=1e-15)
+
+
+    def test_trust_threshold_reads_k_as_python_abs(self):
+        # every point's left piece sits exactly on its trust threshold when
+        # |k| is Python's abs: log(|u'|/|k|) = log 1 = 0 = _TRUST_FLOOR +
+        # growth.  numpy's vectorised abs differs from it in the last bit for
+        # about a third of these k, and where it reads larger the point would
+        # fall below the threshold
+        rng = np.random.default_rng(7)
+        k = rng.uniform(0.05, 1.0, 64) - 1j * rng.uniform(1e-4, 0.3, 64)
+        growth = np.zeros((3, 64))
+        growth[1:] = -scattering._TRUST_FLOOR
+        left = np.zeros((3, 2, 64), dtype=complex)
+        left[1, 1] = [abs(z) for z in k.tolist()]
+        right = np.ones((3, 2, 64), dtype=complex)
+        (edges, points), *_ = scattering._trusted(growth, left, right, k)
+        assert (edges == 1).all() and (points == np.arange(64)).all()
+
+
+class TestSuperlattice:
+    # The march against the Chebyshev form of P_N (tests/superlattice.py):
+    # N cells of a 3 nm x 0.12 eV barrier and a 16 nm well, at 4001 real
+    # energies on (1, 200] meV, where T falls to 1e-95 in the gaps at N = 40.
+    # Each bound is about twice the largest relative error of g = s - i d
+    # measured (3.9e-15, 8.2e-14, 1.0e-13, 2.3e-13 and 2.0e-12)
+    @pytest.mark.parametrize(
+        "n, bound", [(2, 8e-15), (6, 2e-13), (10, 2e-13), (20, 5e-13), (40, 4e-12)]
+    )
+    def test_march_matches_chebyshev(self, n, bound):
+        barrier, well = (3.0, 0.12), 16.0
+        profile = build_profile(superlattice.layers(n, barrier, well, trailing=True), MASS_RATIO)
+        k = wavenumber(np.linspace(1e-3, 0.2, 4002)[1:], profile).real
+        p = superlattice.chebyshev_power(superlattice.cell_matrix(profile, k, barrier, well), n)
+        g = p[0, 0] + p[1, 1] - 1j * (k * p[0, 1] - p[1, 0] / k)
+        m22 = 0.5 * np.exp(1j * k * profile.total_length) * g
+        assert np.max(np.abs(transfer_matrix(profile, k).m22 - m22) / np.abs(m22)) < bound
+        s, d = scattering._scan_sd(profile, k)
+        assert np.max(np.abs(s - 1j * d - g) / np.abs(g)) < bound
 
 
 # a 4-barrier (7-layer) profile of perfbench's `structures` stream
