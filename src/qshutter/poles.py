@@ -244,10 +244,9 @@ def _muller(energies, condition, i: int) -> complex | None:
     return energies[i] + x if cmath.isfinite(x) and x.imag < 0 else None
 
 
-def _seeds(profile: PotentialProfile, energies, T, condition=None) -> list[complex]:
+def _seeds(profile: PotentialProfile, energies, T, condition) -> list[complex]:
     """Seeds from the local maxima of T on the grid `energies`: _muller on
-    the pole condition (s, d) at each kept peak, else (or with condition
-    None) the peak's E - i HWHM."""
+    the pole condition (s, d) at each kept peak, else the peak's E - i HWHM."""
     peaks = _peaks(T)
     # the walk down the grid is the walk up the reversed grid
     up, down = (energies, T), (energies[::-1], T[::-1])
@@ -261,7 +260,7 @@ def _seeds(profile: PotentialProfile, energies, T, condition=None) -> list[compl
             # no side ever reaches half height: rounding ripple on a flat
             # background (free profile), not a resonance
             continue
-        seed = None if condition is None else _muller(energies, condition, i)
+        seed = _muller(energies, condition, i)
         if seed is None:
             hwhm = (e_hi - e_lo) / 2.0
             if hwhm <= 0:

@@ -542,25 +542,29 @@ def _scan(profile: PotentialProfile, k: np.ndarray, read=_transmitted):
     transmission's input checks: _scan_sd in blocks of _BLOCK points, with
     the guard and the unitarity check of T, read's last output.
 
-    read maps a block's (s, d) to a tuple of arrays of the block's length;
-    the blocks' tuples are joined into one tuple of whole arrays.
+    read maps a block's (s, d) to a tuple of arrays of the block's length.
+    One block is returned as read; more are written into whole arrays of
+    the first block's dtypes, so that no block outlives its write.
     """
-    parts = []
     # no points still read one (empty) block, for the arrays' dtypes
     for start in range(0, k.size, _BLOCK) or [0]:
         block = k[start : start + _BLOCK]
         try:
-            parts.append(read(profile, block, *_scan_sd(profile, block)))
+            part = read(profile, block, *_scan_sd(profile, block))
         except OverflowGuardError as err:
             # a loop over E meets the points before the guarded one first
             head = block[: err.point]
             _check_unitarity(read(profile, head, *_scan_sd(profile, head))[-1])
             err.point += start
             raise
-        _check_unitarity(parts[-1][-1])
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        _check_unitarity(part[-1])
+        if start == 0:
+            if block.size == k.size:
+                return part
+            whole = tuple(np.empty(k.shape, dtype=a.dtype) for a in part)
+        for out, a in zip(whole, part):
+            out[start : start + block.size] = a
+    return whole
 
 
 def _transmission_at(profile: PotentialProfile, E: float) -> tuple[complex, float]:

@@ -307,7 +307,10 @@ class TestSeedWalk:
         profile = build_profile([(5.0, 0.2)], MASS_RATIO)
         T = np.array(levels) / 8.0
         energies = poles_module._grid(len(T) / poles_module._GRID_DENSITY)[: len(T)]
-        assert poles_module._seeds(profile, energies, T) == _walked_seeds(profile, energies, T)
+        # g = E - i has its root above the axis: every peak takes E - i HWHM
+        condition = (energies, np.ones_like(energies))
+        seeds = poles_module._seeds(profile, energies, T, condition)
+        assert seeds == _walked_seeds(profile, energies, T)
 
 
 class TestRefinePole:
