@@ -12,7 +12,8 @@ perfbench's `structures` stream (seed 1, op 4), the pole search's scan of
 its 100 meV window (4000 points of its grid, read as (s, d, T) in real
 arithmetic) on both profiles, one scalar T(E) at the
 triple barrier's first resonance E_1, its stationary field
-(solve_stationary) at the real k of E_1, Newton from that scan's first seed,
+(solve_stationary) at the real k of E_1, transfer_matrix at 200 real k of
+(0, 100 meV], Newton from that scan's first seed,
 the lockstep Newton batch (poles._newton) from its four seeds, the whole
 pole search for its four poles and for four poles of the 4-barrier
 profile, the mode solves of the triple
@@ -93,7 +94,7 @@ from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, _scanned, refine_pole, seed_poles  # noqa: E402
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
-from qshutter.scattering import solve_stationary  # noqa: E402
+from qshutter.scattering import solve_stationary, transfer_matrix  # noqa: E402
 from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
@@ -142,6 +143,12 @@ def test_solve_stationary(benchmark, triple):
     k = float(wavenumber(find_poles(triple, 1)[0].E_position, triple).real)
     field = benchmark(solve_stationary, triple, k)
     assert abs(abs(field.r) ** 2 + abs(field.t) ** 2 - 1.0) < 1e-10
+
+
+def test_transfer_matrix(benchmark, triple):
+    k = wavenumber(np.linspace(0.1 / 200, 0.1, 200), triple).real
+    m = benchmark(transfer_matrix, triple, k)
+    assert np.all(np.abs(m.m11 * m.m22 - m.m12 * m.m21 - 1.0) < 1e-6)
 
 
 def test_refine_pole(benchmark, triple):

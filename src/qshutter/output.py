@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .poles import ResonancePole
-from .transient import _COLUMN_MEMO_POINTS, TransientTrace, _GridKey
+from .transient import _COLUMN_MEMO_POINTS, _GRID_MEMO_SIZE, TransientTrace, _GridKey
 
 __all__ = [
     "fmt",
@@ -66,12 +66,12 @@ def _table(header: str, row: str, *columns: list) -> str:
     return header + row * n % tuple(cells)
 
 
-# a trace row's time cells, and the (grid, tau_1) keys whose cells _time_cells keeps
+# a trace row's time cells
 _TIME_CELLS = "%.12g,%.12g,\n"
-_TIME_CELLS_MEMO_SIZE = 8
 
 
-@lru_cache(maxsize=_TIME_CELLS_MEMO_SIZE)
+# as many (grid, tau_1) keys as transient keeps time grids
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
 def _time_cells(t_key: _GridKey, tau_1: float) -> tuple[str, ...]:
     """Every row's `t_ps,t_over_tau1,` cells on the time grid t_key."""
     times = np.frombuffer(t_key.data)
@@ -97,11 +97,12 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     trace does not hold raises DomainError before any file is opened.
 
     The time cells are keyed on (grid, tau_1), not on the trace, the grid as
-    transient._GridKey keys it: the cells of the 8 most recently written
-    keys (_TIME_CELLS_MEMO_SIZE) are kept, as a read-only tuple of strings
-    (0.15-0.17 MB per 2000-row grid), and every later write on a kept grid
-    reuses them.  A grid of more than 4096 points (_COLUMN_MEMO_POINTS) is
-    formatted on every write and never kept, so a large trace pins no text.
+    transient._GridKey keys it.  transient's caps on the grids it keeps
+    serve here too: the cells of the 8 most recently written keys
+    (_GRID_MEMO_SIZE) are kept, as a read-only tuple of strings (0.15-0.17
+    MB per 2000-row grid), and every later write on a kept grid reuses them.
+    A grid of more than 4096 points (_COLUMN_MEMO_POINTS) is formatted on
+    every write and never kept, so a large trace pins no text.
     A free profile's tau_1 is nan, which equals no other nan, so two free
     traces never share cells.  _time_cells.cache_clear() empties the memo.
     """

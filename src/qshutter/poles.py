@@ -459,8 +459,12 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     E_max = 0.05
     s, d, T = (np.empty(0),) * 3
     for attempt in range(9):
-        scanned = _scanned(profile, len(T), _points(E_max))
-        s, d, T = (np.concatenate(pair) for pair in zip((s, d, T), scanned))
+        # joined one array at a time, each block part dropped once joined, so
+        # the old arrays, the block and the three joined ones never coexist
+        block = list(_scanned(profile, len(T), _points(E_max)))
+        s = np.concatenate((s, block.pop(0)))
+        d = np.concatenate((d, block.pop(0)))
+        T = np.concatenate((T, block.pop(0)))
         last = attempt == 8 or E_max >= cap
         # each peak gives at most one seed: a window of fewer than N peaks
         # is not searched for them

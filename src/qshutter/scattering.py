@@ -14,18 +14,17 @@ from k = 0, and its zeros are exactly the transmission-amplitude poles.
 
 One kernel, _layers, builds every layer's matrix entries elementwise over
 a scalar or an array of k, and each layer maps (psi, psi') to (c psi + ws
-psi', m psi + c psi').  Three marches carry pairs across the layers, split
+psi', m psi + c psi').  Two marches carry pairs across the layers, split
 by representation, not by caller:
 
-  _walk        one point of k, in Python numbers, the pair at every edge:
-               a scalar T(E) (_transmission_at), solve_stationary and a
-               mode's outgoing pieces;
-  _march_rows  arrays of k, three array passes a layer, the pair at every
-               edge: transfer_matrix and the Newton batch's outgoing pieces;
-  _scan_sd     a 1-D array of real k, in place, the end pair only, read
-               off as (s, d) below: the T(E) scan, which _scan runs in
-               blocks with transmission's checks, for transmission and for
-               the pole search on its kept grid of k.
+  _walk    one point of k, in Python numbers, the pair at every edge: a
+           scalar T(E) (_transmission_at), solve_stationary and a mode's
+           outgoing pieces;
+  _march   arrays of k, into a ring of R pairs: R = n_layers + 1 keeps the
+           pair at every edge (the Newton batch's outgoing pieces), R = 2
+           only the end pair (_layer_product: transfer_matrix, and the
+           T(E) scan, which _scan runs in blocks with transmission's checks,
+           for transmission and for the pole search on its kept grid of k).
 
 The rule rests on two facts about numpy's rounding.  Real arithmetic rounds
 the same in every representation (IEEE): a Python float, a numpy scalar and
@@ -40,11 +39,12 @@ off one-element arrays: only its march runs in Python numbers.  A scalar
 T(E) (one per pole in a structure's workload) is mostly fixed numpy call
 overhead, which the walk avoids.
 
-The kernel and the array marches reuse their buffers where the bits allow
+The kernel and the array march reuse their buffers where the bits allow
 it: every output is bit for bit what the allocating expressions give.
 numpy rounds a complex product written over one of its own factors
 differently when the array has a single entry, so complex products go to a
-buffer of their own.
+buffer of their own, and the march writes each product with the layer
+entry as its first factor.
 
 M is read off the fundamental matrix (_read_off): the solutions F1 and F2,
 starting as (1, 0) and (0, 1) at x = 0, are marched to x = L, where their
@@ -69,14 +69,14 @@ e^{-ikL} m22, whose zeros are the poles.
 
 The pole search and the resonant-mode solver share the outgoing pieces
 (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
-marched backward, stacked into one _march_rows march for the Newton
-batch and walked for a mode's one k.  A wave marched through a thick
-barrier carries rounding amplified by up to e^{|Im q| w}, so the pieces
-are joined at an interior edge and neither march crosses the whole
-profile (the matching-point method of GAMOW: Vertse, Pal & Balogh,
-Comput. Phys. Commun. 27, 309 (1982)).  Their Wronskian W = u_L u_R' -
-u_L' u_R = 2 i k e^{-ikL} m22(k) does not depend on x and vanishes at a
-pole.  The one join test, _join, reads the relative mismatch
+marched backward, stacked into one _march for the Newton batch and
+walked for a mode's one k.  A wave marched through a thick barrier carries
+rounding amplified by up to e^{|Im q| w}, so the pieces are joined at an
+interior edge and neither march crosses the whole profile (the
+matching-point method of GAMOW: Vertse, Pal & Balogh, Comput. Phys.
+Commun. 27, 309 (1982)).  Their Wronskian W = u_L u_R' - u_L' u_R = 2 i k
+e^{-ikL} m22(k) does not depend on x and vanishes at a pole.  The one join
+test, _join, reads the relative mismatch
 
     |W| / (max(|u_R|, |u_R'/k|) (|u_L'| + |k u_L|)),
 
@@ -273,20 +273,35 @@ def _walk(c, ws, m, value, slope) -> list:
     return pairs
 
 
-def _march_rows(by_value, by_slope, pairs) -> np.ndarray:
-    """Fill pairs[1:] from pairs[0]: pairs[j + 1] = by_value[j] psi +
-    by_slope[j] psi', with (psi, psi') = pairs[j].
+def _march(c, ws, m, pairs) -> np.ndarray:
+    """March (psi, psi') across the layers: layer j maps pairs[j % R] to
+    pairs[(j + 1) % R], R = len(pairs), as (c psi + ws psi', m psi + c psi').
 
-    by_value[j] and by_slope[j] hold layer j's matrix columns, [c; m] and
-    [ws; c], shaped as pairs[j], so a layer takes three array passes and
-    writes straight into the next edge's pair.
+    R = n_layers + 1 keeps the pair at every edge; R = 2 keeps only the end
+    pair, at pairs[n_layers % 2].  c[j], ws[j] and m[j] broadcast against a
+    pair's rows.  Each product takes the layer entry as its first factor and
+    goes to a buffer other than either factor, which fixes its complex bits.
     """
-    term = np.empty(pairs.shape[1:], dtype=pairs.dtype)
-    for j, (a, b) in enumerate(zip(by_value, by_slope)):
-        (value, slope), pair = pairs[j], pairs[j + 1]
-        np.multiply(a, value, out=pair)
-        pair += np.multiply(b, slope, out=term)
+    rows = [tuple(pair) for pair in pairs]
+    term = np.empty(pairs.shape[2:], dtype=pairs.dtype)
+    for j, (cj, wsj, mj) in enumerate(zip(c, ws, m)):
+        value, slope = rows[j % len(rows)]
+        to_value, to_slope = rows[(j + 1) % len(rows)]
+        np.multiply(cj, value, to_value)
+        to_value += np.multiply(wsj, slope, term)
+        np.multiply(mj, value, to_slope)
+        to_slope += np.multiply(cj, slope, term)
     return pairs
+
+
+def _layer_product(c, ws, m) -> np.ndarray:
+    """P = [[P11, P12], [P21, P22]] elementwise over k: layer 0's matrix,
+    [[c, ws], [m, c]] (rows psi and psi', columns F1 and F2), marched across
+    the other layers keeping only the end pair."""
+    pairs = np.empty((2, 2, 2, *c.shape[1:]), dtype=c.dtype)
+    pairs[0, 0, 0] = pairs[0, 1, 1] = c[0]
+    pairs[0, 0, 1], pairs[0, 1, 0] = ws[0], m[0]
+    return _march(c[1:], ws[1:], m[1:], pairs)[(len(c) - 1) % 2]
 
 
 def _outgoing(layers, k):
@@ -299,9 +314,9 @@ def _outgoing(layers, k):
     edges[e].
 
     One point of k (a mode) walks each wave in Python numbers (_walk).  More
-    points (the Newton batch) march both waves as one march: each layer's
-    [c; m] and [ws; c] are stacked with their mirror image's once, so a
-    layer of both waves takes three array passes (_march_rows).
+    points (the Newton batch) march both waves as one _march, keeping every
+    edge: each of c, ws and m is stacked with its mirror image along a wave
+    axis.
     """
     if k.size == 1:
         c, ws, m = (a.ravel().tolist() for a in layers[1:4])
@@ -310,14 +325,11 @@ def _outgoing(layers, k):
         left = np.array(_walk(c, ws, m, 1.0, slope)).reshape(shape)
         right = np.array(_walk(c[::-1], ws[::-1], m[::-1], 1.0, slope)[::-1]).reshape(shape)
     else:
-        c, ws, m = layers[1:4]
-        pairs = np.empty((len(c) + 1, 2, 2, *k.shape), dtype=complex)
+        c, ws, m = (np.stack((a, a[::-1]), axis=1) for a in layers[1:4])
+        # (edge, row, wave, *k.shape)
+        pairs = np.empty((len(c) + 1, 2, *c.shape[1:]), dtype=complex)
         pairs[0, 0], pairs[0, 1] = 1.0, -1j * k
-        # [[a, a mirrored], [b, b mirrored]] per layer: (layer, row, wave, *k.shape)
-        axes = (2, 0, 1, *range(3, 3 + k.ndim))
-        by_value = np.array([[c, c[::-1]], [m, m[::-1]]]).transpose(axes)
-        by_slope = np.array([[ws, ws[::-1]], [c, c[::-1]]]).transpose(axes)
-        pairs = _march_rows(by_value, by_slope, pairs)
+        pairs = _march(c, ws, m, pairs)
         left, right = pairs[:, :, 0], pairs[::-1, :, 1]
     right[:, 1] *= -1.0
     return left, right
@@ -446,26 +458,9 @@ def _fundamental(profile: PotentialProfile, k: np.ndarray):
 
 
 def _scan_sd(profile: PotentialProfile, k: np.ndarray):
-    """(s, d) at a 1-D array of real k, through the expressions
-    transfer_matrix uses for them.
-
-    The fundamental pair starts as layer 0's matrix, P = [[c, ws], [m, c]]
-    (rows psi and psi', columns F1 and F2), and is marched across the other
-    layers in place with two scratch rows; only its end pair is kept and
-    only s and d are formed.
-    """
-    _, c, ws, m, _ = _layers(profile, k)
-    value, slope = np.stack((c[0], ws[0])), np.stack((m[0], c[0]))
-    term, product = np.empty_like(value), np.empty_like(value)
-    for cj, wsj, mj in zip(c[1:], ws[1:], m[1:]):
-        # (value, slope) <- (c value + ws slope, c slope + m value)
-        np.multiply(wsj, slope, out=term)
-        np.multiply(mj, value, out=product)
-        value *= cj
-        value += term
-        slope *= cj
-        slope += product
-    return _sd(k, (value, slope))
+    """(s, d) at a 1-D array of real k, through the march and the
+    expressions transfer_matrix uses for them (_layer_product, _sd)."""
+    return _sd(k, _layer_product(*_layers(profile, k)[1:4]))
 
 
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
@@ -474,16 +469,10 @@ def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
     Elementwise over k: a scalar gives complex fields, an array gives
     arrays of its shape.  A real-typed k takes the real-arithmetic march;
     k + 0j takes the complex one.  F1 and F2 are marched as one array march
-    (_march_rows) whose pairs at x = L are the columns of P.
+    (_layer_product) whose end pair holds the columns of P.
     """
     k = _nonzero_k(k)
-    _, c, ws, m, _ = _layers(profile, k)
-    pairs = np.empty((len(c) + 1, 2, 2, *k.shape), dtype=c.dtype)
-    pairs[0] = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
-    # [c; m] and [ws; c] per layer, with a unit axis for F1 and F2
-    rows = (len(c), 2, 1, *k.shape)
-    by_value, by_slope = (np.stack(a, axis=1).reshape(rows) for a in ((c, m), (ws, c)))
-    return _read_off(profile, k, _march_rows(by_value, by_slope, pairs)[-1])
+    return _read_off(profile, k, _layer_product(*_layers(profile, k)[1:4]))
 
 
 def solve_stationary(profile: PotentialProfile, k: float | complex) -> StationaryField:

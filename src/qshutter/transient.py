@@ -80,7 +80,8 @@ _MODES_NEEDED = dict(zip(METHODS, (0, 2, 2, 1)))
 # (profile, n_poles) pairs whose spectra make_spectrum keeps
 _SPECTRUM_MEMO_SIZE = 32
 # time grids _grid keeps, the M(y_s) columns a kept grid holds between calls,
-# and the most points a kept grid has (output's time cells share this cap)
+# and the most points a kept grid has (output keeps the time cells of as
+# many grids, under the same cap on points)
 _GRID_MEMO_SIZE = 8
 _GRID_COLUMNS = 32
 _COLUMN_MEMO_POINTS = 4096
@@ -357,11 +358,12 @@ def psi_exact(problem: ShutterProblem, x, t):
 
     M(y_s) depends on the wave number s and on t but not on x, so one memo
     keeps the columns of the 8 most recently used time grids
-    (_GRID_MEMO_SIZE), keyed on (grid shape, grid bytes, mass ratio), for
-    psi_exact, psi_doublet_M, delta_term and evolve_trace.  A grid is
-    checked once, when it is built, and keeps its read-only columns by wave
-    number: a per-x loop evaluates each column once, and one profile's pole
-    columns serve every incidence energy on the grid.  A grid holds at most
+    (_GRID_MEMO_SIZE, which also sizes output's memo of time cells), keyed
+    on (grid shape, grid bytes, mass ratio), for psi_exact, psi_doublet_M,
+    delta_term and evolve_trace.  A grid is checked once, when it is built,
+    and keeps its read-only columns by wave number: a per-x loop evaluates
+    each column once, and one profile's pole columns serve every incidence
+    energy on the grid.  A grid holds at most
     32 columns between calls (_GRID_COLUMNS), and one of more than 4096
     points (_COLUMN_MEMO_POINTS) is never kept; one block of stacked
     columns is kept as well (see _block).  A miss runs the uncached

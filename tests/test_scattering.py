@@ -61,6 +61,31 @@ def _transmission_per_point(profile, E):
     return t, np.abs(t) ** 2
 
 
+@st.composite
+def _barrier_profiles(draw):
+    """2-4 barriers with wells between, in the ranges of perfbench's
+    `structures` workload: barriers 1-12 nm by 0.10-0.35 eV, wells 3-16 nm."""
+    layers = []
+    n_barriers = draw(st.integers(2, 4))
+    for j in range(n_barriers):
+        layers.append((draw(st.floats(1.0, 12.0)), draw(st.floats(0.10, 0.35))))
+        if j < n_barriers - 1:
+            layers.append((draw(st.floats(3.0, 16.0)), 0.0))
+    return build_profile(layers, 0.067)
+
+
+def _stacked_rows_march(by_value, by_slope, pairs):
+    """Reference array march: pairs[j + 1] = by_value[j] psi + by_slope[j]
+    psi', (psi, psi') = pairs[j], where by_value[j] and by_slope[j] stack
+    layer j's matrix columns [c; m] and [ws; c] as rows shaped as a pair."""
+    term = np.empty(pairs.shape[1:], dtype=pairs.dtype)
+    for j, (a, b) in enumerate(zip(by_value, by_slope)):
+        (value, slope), pair = pairs[j], pairs[j + 1]
+        np.multiply(a, value, out=pair)
+        pair += np.multiply(b, slope, out=term)
+    return pairs
+
+
 class TestTransferMatrix:
     def test_unit_determinant_real_k(self, triple_profile, double_profile, rng):
         # |det - 1| of the formed matrix floats at ~eps/T, so the 1e-10 bound
@@ -146,6 +171,43 @@ class TestTransferMatrix:
         assert err.value.summed and err.value.point == 1
         assert err.value.layer_index == 4
         assert scattering.MARCH_GUARD < err.value.exponent_magnitude < 3 * scattering.OVERFLOW_GUARD
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(profile=_barrier_profiles())
+    def test_complex_march_matches_stacked_rows_exactly(self, profile):
+        # at complex k numpy's product is not commutative bit for bit and
+        # rounds differently written over one of its own factors: the march
+        # must keep the bits of a march from the identity over stacked rows
+        rng = np.random.default_rng(3)
+        one_layer = build_profile([(4.0, 0.2)], 0.067)
+        for p in (profile, one_layer):
+            for shape in ((), (1,), (3,), (3, 4)):
+                # an array even at shape (), as transfer_matrix holds k: M read
+                # off at a numpy-scalar k would round as Python's complexes
+                k = np.asarray(rng.uniform(0.05, 1.0, shape) - 1j * rng.uniform(0.0, 0.05, shape))
+                _, c, ws, m, _ = scattering._layers(p, k)
+                pairs = np.empty((len(c) + 1, 2, 2, *k.shape), dtype=complex)
+                pairs[0] = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
+                rows = (len(c), 2, 1, *k.shape)
+                by_value, by_slope = (np.stack(a, axis=1).reshape(rows) for a in ((c, m), (ws, c)))
+                end = _stacked_rows_march(by_value, by_slope, pairs)[-1]
+                ref, got = scattering._read_off(p, k, end), transfer_matrix(p, k)
+                for name in ("m11", "m12", "m21", "m22"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), (shape, name)
+                if k.size == 1:
+                    continue  # one point walks its outgoing pieces in Python numbers
+                # the Newton batch: both outgoing waves, the right one through
+                # the mirrored layers, as one march of (1, -ik)
+                pairs = np.empty((len(c) + 1, 2, 2, *k.shape), dtype=complex)
+                pairs[0, 0], pairs[0, 1] = 1.0, -1j * k
+                axes = (2, 0, 1, *range(3, 3 + k.ndim))
+                by_value = np.array([[c, c[::-1]], [m, m[::-1]]]).transpose(axes)
+                by_slope = np.array([[ws, ws[::-1]], [c, c[::-1]]]).transpose(axes)
+                pairs = _stacked_rows_march(by_value, by_slope, pairs)
+                left, right = scattering._outgoing(scattering._layers(p, k), k)
+                assert np.array_equal(left, pairs[:, :, 0])
+                assert np.array_equal(right[:, 0], pairs[::-1, 0, 1])
+                assert np.array_equal(right[:, 1], -pairs[::-1, 1, 1])
 
 
 class TestTransmission:
@@ -258,19 +320,6 @@ class TestTransmission:
         for E in rng.uniform(1e-3, 0.3, size=100):
             _, T = transmission(triple_profile, E)
             assert 0.0 <= T <= 1.0 + 1e-9
-
-
-@st.composite
-def _barrier_profiles(draw):
-    """2-4 barriers with wells between, in the ranges of perfbench's
-    `structures` workload: barriers 1-12 nm by 0.10-0.35 eV, wells 3-16 nm."""
-    layers = []
-    n_barriers = draw(st.integers(2, 4))
-    for j in range(n_barriers):
-        layers.append((draw(st.floats(1.0, 12.0)), draw(st.floats(0.10, 0.35))))
-        if j < n_barriers - 1:
-            layers.append((draw(st.floats(3.0, 16.0)), 0.0))
-    return build_profile(layers, 0.067)
 
 
 class TestRealAxis:
