@@ -8,13 +8,14 @@ The file name does not match pytest's test-file pattern, so a bare
 `python -m pytest` does not collect it.  Every input is fixed: the triple
 barrier of the presets (m* = 0.067), its T(E) scan over (0, 100 meV] on
 4000 points, the same scan of one 4-barrier (7-layer) profile of
-perfbench's `structures` stream (seed 1, op 4), the pole search's scan of
-its 100 meV window (4000 points of its grid, read as (s, d, T) in real
-arithmetic) on both profiles, one scalar T(E) at the
+perfbench's `structures` stream (seed 1, op 4), the pole search's count
+and moment seeds of one box, Re k up to k(100 meV) (seed_poles), on both
+profiles, one scalar T(E) at the
 triple barrier's first resonance E_1, its stationary field
 (solve_stationary) at the real k of E_1, transfer_matrix at 200 real k of
-(0, 100 meV], Newton from that scan's first seed,
-the lockstep Newton batch (poles._newton) from its four seeds, the whole
+(0, 100 meV], Newton from the first seed of the 50 meV box,
+the lockstep Newton batch (poles._newton) from the 100 meV box's four
+seeds, the whole
 pole search for its four poles and for four poles of the 4-barrier
 profile, the mode solves of the triple
 barrier's four poles, one whole `structures` op of `perfbench` on the
@@ -92,7 +93,7 @@ from qshutter import (  # noqa: E402
 from qshutter import output  # noqa: E402
 from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
-from qshutter.poles import _newton, _scanned, refine_pole, seed_poles  # noqa: E402
+from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
 from qshutter.scattering import solve_stationary, transfer_matrix  # noqa: E402
 from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
@@ -125,12 +126,12 @@ def test_transmission_scan(benchmark, triple, name):
 
 
 @pytest.mark.parametrize("name", ["triple", "four_barriers"])
-def test_pole_scan(benchmark, triple, name):
-    # the pole search's scan of its 100 meV window: (s, d, T) in real
-    # arithmetic at the 4000 points of the kept grid
+def test_box_seeds(benchmark, triple, name):
+    # one box of the pole search, Re k up to k(100 meV): its contour count
+    # and moment seeds
     profile = triple if name == "triple" else build_profile(FOUR_BARRIERS, MASS_RATIO)
-    s, d, T = benchmark(_scanned, profile, 0, 4000)
-    assert T.shape == s.shape == d.shape == (4000,) and T.max() <= 1.0 + 1e-9
+    seeds = benchmark(seed_poles, profile, 0.1)
+    assert len(seeds) == 4
 
 
 def test_transmission_scalar(benchmark, triple):

@@ -11,7 +11,8 @@ tunneling problem stays within a few orders of magnitude of unity.
 
 The potential is a stack of constant-height layers on [0, L], zero outside.
 Heights are restricted to >= 0: only barriers and flat wells occur here, and
-negative wells would invalidate the pole-search windows used downstream.
+negative wells would bind states, whose zeros of m22 above the real axis the
+pole search's contour counts assume absent.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ with third-quadrant partners k_{-n} = -k_n*, u_{-n} = u_n*.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +77,17 @@ class ResonantMode:
 def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
     """integral_0^w (a cos(q xi) + b sin(q xi)/q)^2 d xi in closed form.
 
-    With z = 2 q w, S = sin(z)/z, U = (1-S)/z^2, V = (1-cos z)/z^2:
+    From |2 q w| = 0.1 up the wave is A e^{iq xi} + B e^{-iq(xi - w)} with
+    Im q >= 0, A from (u, u') at xi = 0 and B from (u, u') at xi = w, so
+    that each part is largest at its own edge, and
 
-        a^2 (w/2)(1+S) + 2 b^2 w^3 U + 2 a b w^2 V
+        (A^2 + B^2) (e^{2iqw} - 1)/(2iq) + 2 A B w e^{iqw}
 
-    S, U, V are entire in z^2: series through z^6 below |z| = 0.1 (~3e-14
-    truncation) avoid the closed forms' cancellation, ~eps/z^2 relative.
+    keeps its digits in an evanescent layer, where the cosh^2 and sinh^2
+    terms of the (a, b) form below cancel.  Below, where A and B cancel
+    instead, it is a^2 (w/2)(1+S) + 2 b^2 w^3 U + 2 a b w^2 V with z = 2 q w,
+    S = sin(z)/z, U = (1-S)/z^2 and V = (1-cos z)/z^2, each summed as its
+    series in z^2 through z^6 (~3e-14 truncation).
     """
     z = 2.0 * q * w
     if abs(z) < 0.1:
@@ -89,11 +95,13 @@ def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
         s = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2**3 / 5040.0
         u = 1.0 / 6.0 - z2 / 120.0 + z2 * z2 / 5040.0 - z2**3 / 362880.0
         v = 0.5 - z2 / 24.0 + z2 * z2 / 720.0 - z2**3 / 40320.0
-    else:
-        s = np.sin(z) / z
-        u = (1.0 - s) / (z * z)
-        v = (1.0 - np.cos(z)) / (z * z)
-    return a * a * (w / 2.0) * (1.0 + s) + 2.0 * b * b * w**3 * u + 2.0 * a * b * w**2 * v
+        return a * a * (w / 2.0) * (1.0 + s) + 2.0 * b * b * w**3 * u + 2.0 * a * b * w**2 * v
+    a, b, q = complex(a), complex(b), complex(q) if q.imag >= 0 else -complex(q)
+    c, s, h = cmath.cos(q * w), cmath.sin(q * w), cmath.exp(1j * q * w)
+    value, slope = a * c + b * s / q, b * c - a * q * s
+    A = (a - 1j * b / q) / 2.0
+    B = (value + 1j * slope / q) / 2.0
+    return (A * A + B * B) * (h * h - 1.0) / (2j * q) + 2.0 * A * B * w * h
 
 
 def _norm_square(

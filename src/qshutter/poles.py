@@ -1,4 +1,4 @@
-"""S-matrix pole search: transmission-peak seeding plus matched-interface
+"""S-matrix pole search: a contour count, moment seeds and matched-interface
 Newton.
 
 A pole is a zero of m22(k) = 1/t(k) (pole_condition) in the fourth quadrant
@@ -6,35 +6,49 @@ of the k plane, k_n = a_n - i b_n (a_n, b_n > 0); its complex energy is
 E_n = (hbar^2/2m) k_n^2 = curlyE_n - i Gamma_n/2.  Third-quadrant partners
 k_{-n} = -k_n* are derived by symmetry, never searched.
 
-Seeding scans T(E) on one nested grid, E_j = 1e-6 eV + j/(40 per meV):
-every window (0, E_max] is a prefix of the next, so find_poles, doubling its
-window from 50 meV, evaluates each energy once, and seed_poles(profile,
-E_max) sees exactly the seeds find_poles sees for that window.  Being
-nested, the grid's wave numbers are one array per mass ratio: find_poles
-slices each window's new points from a kept array of the grid's first
-_KEPT_POINTS k (formed once, as transmission forms k, and never longer
-than that cap) and scans them through scattering's _scan, which skips
-transmission's input checks (every grid point is a valid energy) but keeps
-its unitarity check and overflow guard.  The scan's end pair is read as
-the real s = P11 + P22 and d = k P12 - P21/k (_condition): T is
-(2/hypot(s, d))^2, |t|^2 with no complex arithmetic, and s and d are kept
-for every point of the window, since g(E) = s - i d = 2 e^{-ikL} m22
-vanishes exactly at the poles.  A window that is not the last and holds
-fewer than N peaks of T cannot give N seeds, so find_poles doubles it
-without seeding it.
+Depth rule.  find_poles returns the N lowest poles by curlyE_n among those
+with -Im k <= Re k / 4 (Gamma_n <= 1.07 curlyE_n).  A pole that obeys the
+rule has Re k^2 >= (Re k)^2 (1 - 1/16), so every such pole below a given
+curlyE lies left of a known Re k, and "the N lowest" is a finite search.
 
-Local maxima of T come from one array mask.  A peak seeds only where T
-falls to half its height on at least one side before rising again (each
-half-height crossing is one array search between the peak and the next
-point where T rises); a peak with no crossing is rounding ripple on a flat
-background.  Each kept peak i is seeded by one step of Muller's method
-(D. E. Muller, MTAC 10, 208 (1956)) on g: E_i + x, with x the root nearest
-0 of the quadratic through g at the points i - 1, i and i + 1 (_muller).
-Over the first 83 `structures` ops of seeds 1, 2, 3 and 11 the median
-relative distance from seed to pole is 9e-9 (2e-4 for E_i - i HWHM), and
-the Newton batch takes 2.98 rounds per op (4.46 from E_i - i HWHM).  E_i -
-i HWHM, with the half width from the two crossings, remains the seed
-wherever x is not finite or has Im x >= 0.
+Count.  The poles are the zeros of h(k) = k e^{-ikL} m22 = (k (P11 + P22) -
+i (k^2 P12 - P21))/2, read off scattering's layer product P at complex k
+(_h).  h is entire (g = e^{-ikL} m22 has a pole at k = 0, which stalls the
+quadrature on a box's left side), and for V >= 0 none of its zeros lies in
+the upper half plane, so the winding number of h around a box counts the
+poles inside it.  A box is Re k in [left, right], Im k in [-depth, 0.05].
+Its boundary is one closed chain of panels, one per side to begin with,
+each holding its start and _PANEL_POINTS Gauss-Legendre nodes (Golub-
+Welsch, computed once at import); the whole chain is one kernel call.
+Every panel where a phase step of h between neighbouring points passes
+1 rad is halved, all of them in one further call per round.  The count K
+is the summed phase step over 2 pi.
+
+Moments.  The power sums s_p = sum_n u_n^p of the K zeros, u = (k - c)/r
+with c the box's centre and r its half diagonal, need no h': integrating
+u^p h'/h by parts from the chain's first corner u_0 gives
+
+    s_p = u_0^p K - (p / 2 pi i r) oint u^{p-1} Log h dk,
+
+with Log h continued along the chain from u_0 (L. M. Delves and J. N.
+Lyness, Math. Comp. 21, 543 (1967)).  The same nodes and weights take the
+integral.  Newton's identities turn the sums into a monic polynomial,
+whose roots (np.roots) are the seeds.  A pole a rounding distance below
+the real axis can seed above it, so a seed's imaginary part is mirrored
+into the lower half plane.
+
+Boxes.  find_poles counts and seeds strips left to right: Re k from k(E_prev)
+(0.01 nm^-1 for the first) to k(E_max), depth k(E_max)/4, with E_max
+doubling from 50 meV for at most 9 strips and up to _WINDOW_CAP.  It stops
+once N seeds obey the rule and k(E_max)^2 (1 - 1/16) >= Re z_N^2, z_N the
+N-th lowest of them in Re k^2: past that no lower pole that obeys the rule
+can lie further right.  One Newton batch then refines every seed.  A box
+whose seeds give fewer distinct poles inside it than it counts (a cluster
+of poles, whose moments are ill-conditioned: superlattices of many cells)
+is halved on Re k and seeded again, for at most _MAX_ROUNDS rounds.  Over
+the first 83 `structures` ops of seeds 1, 2, 3 and 11 every box found what
+it counted (916 poles), and the seeds sat a median 5.8e-10 (at most
+1.1e-3) from their poles, relative.
 
 Newton works not on m22, whose rounding at the far end of a thick barrier
 grows by up to e^{|Im q| w}, so that |m22| cannot fall below |m22'| ulp(k)
@@ -48,7 +62,7 @@ that last step.  A step that would leave the fourth quadrant is halved
 until it stays in; an iterate it leaves within _STEP_ULPS ulps of the
 imaginary axis is a quadrant escape.
 
-find_poles refines all of a window's seeds in lockstep (_newton).  Each
+find_poles refines all of its seeds in lockstep (_newton).  Each
 round evaluates every active seed's iterate and its two difference points
 as one (3, n_seeds) array, through one kernel call and one march of both
 outgoing pieces, which cost about as much for 18 points as for 3.  W is
@@ -65,9 +79,7 @@ is the lowest-index failing seed's, as a loop over the seeds would raise.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,16 +90,15 @@ from .errors import (
     PoleCountError,
     QuadrantEscapeError,
 )
-from .model import PhysicalConstants, PotentialProfile, energy_of, wavenumber
+from .model import PotentialProfile, energy_of, wavenumber
 from .scattering import (
-    _BLOCK,
     _W_TOL,
     _growth,
     _join,
     _joins,
+    _layer_product,
     _layers,
     _outgoing,
-    _scan,
     _wronskian,
     transfer_matrix,
 )
@@ -100,23 +111,27 @@ __all__ = [
     "find_poles",
 ]
 
-# seed-scan grid: E_j = _E_FIRST + j / _GRID_DENSITY eV, 40 points per meV
-_E_FIRST = 1e-6
-_GRID_DENSITY = 40e3
-# find_poles keeps the real k of the grid's first _KEPT_POINTS points per
-# mass ratio, 128 KiB each (the 400 meV window has 16000 points; 495 of the
-# first 498 `structures` ops of seeds 1, 2 and 11 stop there), and forms the
-# k of a larger window's points afresh; a multiple of scattering's _BLOCK
-_KEPT_POINTS = 1 << 14
+# the depth rule: find_poles returns poles with -Im k <= _DEPTH Re k
+_DEPTH = 0.25
+# the boxes' top edge (Im k) and the first box's left edge (Re k), nm^-1
+_TOP = 0.05
+_LEFT = 0.01
+# Gauss-Legendre nodes per contour panel; a panel is halved where a phase
+# step of h between neighbouring points passes _MAX_PHASE_STEP rad
+_PANEL_POINTS = 24
+_MAX_PHASE_STEP = 1.0
+# rounds of halving, of a contour's panels and of boxes that count more
+# poles than their seeds find
+_MAX_ROUNDS = 12
 # Newton stop: |step| <= _STEP_ULPS eps |k| and the join test at _W_TOL
 _STEP_ULPS = 16
 _MAX_ITERATIONS = 100
 _EPS = float(np.finfo(float).eps)
 # halvings of a step that would leave the fourth quadrant before giving up
 _MAX_HALVINGS = 60
-# the scan window stops doubling at this many times the highest first
-# full-transmission energy V + (hbar^2/2m)(pi/w)^2 of a barrier, past which
-# T(E) ripples near 1 (`structures` searches never pass 1.74 V_max)
+# the boxes stop at this many times the highest first full-transmission
+# energy V + (hbar^2/2m)(pi/w)^2 of a barrier, past which T(E) ripples
+# near 1 (`structures` searches never pass 1.74 V_max)
 _WINDOW_CAP = 4.0
 
 
@@ -167,148 +182,96 @@ def _join_edge(growth: np.ndarray) -> int:
     return int(joins[np.abs(2.0 * growth[joins] - growth[-1]).argmin()])
 
 
-def _points(E_max: float) -> int:
-    """The number of the nested scan grid's points up to E_max (at least three)."""
-    return max(3, int((E_max - _E_FIRST) * _GRID_DENSITY) + 1)
+def _gauss_legendre(n: int):
+    """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1],
+    from the eigenvectors of the Jacobi matrix (Golub-Welsch)."""
+    j = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
 
-def _grid(E_max: float) -> np.ndarray:
-    """The nested scan grid's points up to E_max."""
-    return _E_FIRST + np.arange(_points(E_max)) / _GRID_DENSITY
+_NODES, _WEIGHTS = _gauss_legendre(_PANEL_POINTS)
+# a panel's points as fractions of the way along it: its start, then its nodes
+_ABSCISSAE = np.concatenate(([0.0], (1.0 + _NODES) / 2.0))
 
 
-@lru_cache(maxsize=4)
-def _kept_k(constants: PhysicalConstants) -> np.ndarray:
-    """The real k of the grid's first _KEPT_POINTS points, read-only, formed
-    in blocks of _BLOCK points so that no complex array of its size is
-    held while it is built."""
-    k = np.empty(_KEPT_POINTS)
-    for start in range(0, _KEPT_POINTS, _BLOCK):
-        k[start : start + _BLOCK] = _fresh_k(constants, start, start + _BLOCK)
-    k.flags.writeable = False
-    return k
+def _h(profile: PotentialProfile, k: np.ndarray) -> np.ndarray:
+    """h(k) = k e^{-ikL} m22 = (k (P11 + P22) - i (k^2 P12 - P21))/2 at a
+    complex array k: entire, and off k = 0 zero exactly at the poles."""
+    (p11, p12), (p21, p22) = _layer_product(*_layers(profile, k)[1:4])
+    return (k * (p11 + p22) - 1j * (k * k * p12 - p21)) / 2.0
 
 
-def _fresh_k(constants: PhysicalConstants, start: int, stop: int) -> np.ndarray:
-    """The real k of the grid's points start to stop - 1, as transmission
-    forms k (wavenumber's complex sqrt)."""
-    return wavenumber(_E_FIRST + np.arange(start, stop) / _GRID_DENSITY, constants).real
+def _panels(starts: np.ndarray) -> np.ndarray:
+    """The points of a closed chain of panels from their starts: each
+    panel's start and its nodes, shape (n_panels, _PANEL_POINTS + 1)."""
+    return starts[:, None] + (np.roll(starts, -1) - starts)[:, None] * _ABSCISSAE
 
 
-def _grid_k(constants: PhysicalConstants, start: int, stop: int) -> np.ndarray:
-    """_fresh_k, sliced from the kept array when it holds the points."""
-    if stop <= _KEPT_POINTS:
-        return _kept_k(constants)[start:stop]
-    return _fresh_k(constants, start, stop)
+def _contour(profile: PotentialProfile, corners: np.ndarray):
+    """(points, h, steps) of the closed chain of panels around corners (one
+    panel per side to begin with, counterclockwise): _panels' points, h
+    there, and the phase step of h from each point to the next along the
+    chain.  Every panel holding a step above _MAX_PHASE_STEP is halved, for
+    at most _MAX_ROUNDS rounds of one kernel call each."""
+    points = _panels(corners)
+    h = _h(profile, points)
+    for round_ in range(_MAX_ROUNDS + 1):
+        chain = h.ravel()
+        steps = np.angle(np.roll(chain, -1) / chain).reshape(h.shape)
+        # a step that is not finite (h = 0 on the chain) halves as well
+        rough = ~(np.abs(steps) <= _MAX_PHASE_STEP).all(axis=1)
+        if not rough.any() or round_ == _MAX_ROUNDS:
+            return points, h, steps
+        counts = 1 + rough
+        second = (np.cumsum(counts) - 1)[rough]
+        starts = np.repeat(points[:, 0], counts)
+        starts[second] = (starts[second - 1] + starts[(second + 1) % len(starts)]) / 2.0
+        points, h = _panels(starts), np.repeat(h, counts, axis=0)
+        fresh = np.zeros(len(starts), dtype=bool)
+        fresh[second] = fresh[second - 1] = True
+        h[fresh] = _h(profile, points[fresh])
 
 
-def _peaks(T) -> np.ndarray:
-    """The grid indices of the local maxima of T."""
-    inner = T[1:-1]
-    return np.flatnonzero((inner > T[:-2]) & (inner >= T[2:])) + 1
-
-
-def _condition(profile: PotentialProfile, k: np.ndarray, s, d):
-    """The pole search's read of a scan block (scattering._scan): (s, d), the
-    real and minus the imaginary part of the pole condition g = s - i d =
-    2 e^{-ikL} m22, and T = (2/hypot(s, d))^2, all in real arithmetic."""
-    T = np.hypot(s, d)
-    np.divide(2.0, T, out=T)
-    return s, d, np.square(T, out=T)
-
-
-def _scanned(profile: PotentialProfile, start: int, stop: int):
-    """(s, d, T) of _condition at the grid's points start to stop - 1."""
-    return _scan(profile, _grid_k(profile.constants, start, stop), _condition)
-
-
-def _muller(energies, condition, i: int) -> complex | None:
-    """E_i + x, x the root nearest 0 of the quadratic through g = s - i d at
-    the grid points i - 1, i and i + 1 (one step of Muller's method), or None
-    where x is not finite or has Im x >= 0; condition is (s, d).
-
-    The quadratic is a t^2 + b t + 1 in t = x/h, through g/g_i (|g| >= 2 on
-    the real axis, as T <= 1), and its root nearest 0 is -2/(b +- sqrt(b^2 -
-    4a)), with the sign that makes the denominator larger.
-    """
-    h = (energies[i + 1] - energies[i - 1]) / 2.0
-    s, d = (part[i - 1 : i + 2].tolist() for part in condition)
-    below, at, above = (complex(re, -im) for re, im in zip(s, d))
-    below, above = below / at, above / at
-    a, b = (above + below) / 2.0 - 1.0, (above - below) / 2.0
-    root = cmath.sqrt(b * b - 4.0 * a)
-    try:
-        x = -2.0 * h / max(b + root, b - root, key=abs)
-    except ZeroDivisionError:
-        return None
-    return energies[i] + x if cmath.isfinite(x) and x.imag < 0 else None
-
-
-def _seeds(profile: PotentialProfile, energies, T, condition) -> list[complex]:
-    """Seeds from the local maxima of T on the grid `energies`: _muller on
-    the pole condition (s, d) at each kept peak, else the peak's E - i HWHM."""
-    peaks = _peaks(T)
-    # the walk down the grid is the walk up the reversed grid
-    up, down = (energies, T), (energies[::-1], T[::-1])
-    rises_up, rises_down = (np.flatnonzero(t[1:] > t[:-1]) + 1 for _, t in (up, down))
-    seeds = []
-    for i in peaks:
-        half = T[i] / 2.0
-        e_lo, crossed_lo = _half_crossing(*down, len(T) - 1 - i, half, rises_down)
-        e_hi, crossed_hi = _half_crossing(*up, i, half, rises_up)
-        if not (crossed_lo or crossed_hi):
-            # no side ever reaches half height: rounding ripple on a flat
-            # background (free profile), not a resonance
-            continue
-        seed = _muller(energies, condition, i)
-        if seed is None:
-            hwhm = (e_hi - e_lo) / 2.0
-            if hwhm <= 0:
-                hwhm = energies[1] - energies[0]
-            seed = complex(energies[i], -hwhm)
-        seeds.append(wavenumber(seed, profile))
-    return seeds
+def _box_seeds(profile: PotentialProfile, left: float, right: float, depth: float):
+    """(count, seeds) of the box Re k in [left, right], Im k in [-depth, _TOP]:
+    the number of poles inside it (the winding number of h around it) and
+    one seed for each, from the box's moments (module docstring)."""
+    corners = np.array([left - 1j * depth, right - 1j * depth, right + 1j * _TOP, left + 1j * _TOP])
+    points, h, steps = _contour(profile, corners)
+    count = int(round(steps.sum() / (2.0 * np.pi)))
+    if count < 1:
+        return 0, []
+    # Log h along the chain, continuous from the first corner on
+    phase = np.angle(h.flat[0]) + (np.cumsum(steps) - steps.ravel()).reshape(h.shape)
+    log_h = np.log(np.abs(h)) + 1j * phase
+    # u = (k - c)/r, c the box's centre and r its half diagonal
+    centre = corners.mean()
+    radius = abs(corners[0] - centre)
+    u = (points - centre) / radius
+    lengths = np.roll(points[:, 0], -1) - points[:, 0]
+    weighted = (log_h[:, 1:] * lengths[:, None] * (_WEIGHTS / 2.0)).ravel()
+    moments = weighted @ np.vander(u[:, 1:].ravel(), count, increasing=True)
+    p = np.arange(1, count + 1)
+    sums = u[0, 0] ** p * count - p * moments / (2j * np.pi * radius)
+    # Newton's identities: the monic polynomial whose roots have these sums
+    coefficients = [1.0]
+    for m in p:
+        coefficients.append(-np.dot(coefficients[::-1], sums[:m]) / m)
+    seeds = centre + radius * np.roots(coefficients)
+    # a pole a rounding distance below the real axis can seed above it
+    return count, [complex(s.real, -abs(s.imag)) for s in seeds.tolist()]
 
 
 def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
-    """Seeds from T(E) maxima on (0, E_max]: one Muller step on the pole
-    condition at each resonance peak, else the peak's E - i HWHM.
-
-    The grid is the nested one of the module docstring, scanned as
-    find_poles scans it (scattering._scan, read by _condition), so that the
-    seeds are those find_poles refines for this window.  A peak seeds only
-    where T falls to half its height on either side; overlapping doublet
-    peaks each get their own seed, and when a half-height crossing is cut
-    off by the adjacent valley, the valley stands in for the crossing.  An
-    empty list is a valid result (free or sub-resonant window).
-    """
+    """Seeds of the poles in the box Re k in [0.01 nm^-1, k(E_max)], Im k in
+    [-k(E_max)/4, 0.05 nm^-1]: the contour count and moments of the module
+    docstring, as find_poles forms them for its first box.  An empty list
+    is a valid result (a free profile, or no pole in the box)."""
     if not (E_max > 0):
         raise DomainError(f"E_max must be > 0 eV, got {E_max}")
-    energies = _grid(E_max)
-    s, d, T = _scanned(profile, 0, len(energies))
-    return _seeds(profile, energies, T, (s, d))
-
-
-def _half_crossing(energies, T, peak: int, half: float, rises):
-    """(energy, crossed) walking up the grid from the peak: the half-height
-    crossing, or the nearest valley/end when the crossing is masked by an
-    adjacent peak.
-
-    rises holds the sorted j where T[j] > T[j - 1].  The walk stops at the
-    first point below half height, interpolating between it and the point
-    before, unless the first rise past the peak comes sooner: the point
-    before that rise is the valley.
-    """
-    at = int(rises.searchsorted(peak, side="right"))
-    stop = int(rises[at]) if at < len(rises) else len(T) - 1
-    below = np.flatnonzero(T[peak + 1 : stop + 1] < half)
-    if not below.size:
-        return float(energies[stop - 1 if at < len(rises) else stop]), False
-    j = peak + 1 + int(below[0])
-    i = j - 1
-    # linear interpolation between i and j
-    frac = (T[i] - half) / (T[i] - T[j])
-    return float(energies[i] + frac * (energies[j] - energies[i])), True
+    right = wavenumber(E_max, profile).real
+    return _box_seeds(profile, _LEFT, right, _DEPTH * right)[1]
 
 
 def refine_pole(profile: PotentialProfile, seed: complex) -> ResonancePole:
@@ -438,16 +401,21 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
     return [poles[i] for i in range(len(ks))]
 
 
-def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
-    """The N lowest fourth-quadrant poles, indexed 1..N by increasing
-    curlyE_n.
+def _obeys(k: complex) -> bool:
+    """The depth rule: -Im k <= Re k / 4."""
+    return -k.imag <= _DEPTH * k.real
 
-    The scan window starts at 50 meV and doubles (at most 8 times) until N
-    seeds appear or it reaches the profile bound of _WINDOW_CAP; each
-    doubling evaluates T(E) only past the previous window, at k sliced from
-    the kept grid (module docstring), and a window with fewer than N peaks
-    is seeded only when it is the last.  Duplicates collapse at |dk| <
-    1e-9 nm^-1.
+
+def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
+    """The N lowest poles by curlyE_n among those with -Im k <= Re k / 4,
+    indexed 1..N by increasing curlyE_n.
+
+    Boxes of the k plane are counted and seeded left to right (module
+    docstring) until N seeds obey the rule and no lower pole that obeys it
+    can lie past the last box; all seeds are then refined in one lockstep
+    batch.  A box whose count exceeds the distinct poles found inside it is
+    halved on Re k and seeded again.  Duplicates collapse at |dk| < 1e-9
+    nm^-1.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -456,29 +424,41 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     h22m = profile.constants.hbar2_over_2m
     barriers = [l for l in profile.layers if l.height > 0]
     cap = _WINDOW_CAP * max(l.height + h22m * (np.pi / l.width) ** 2 for l in barriers)
-    E_max = 0.05
-    s, d, T = (np.empty(0),) * 3
+    E_max, left = 0.05, _LEFT
+    boxes, seeds = [], []
     for attempt in range(9):
-        # joined one array at a time, each block part dropped once joined, so
-        # the old arrays, the block and the three joined ones never coexist
-        block = list(_scanned(profile, len(T), _points(E_max)))
-        s = np.concatenate((s, block.pop(0)))
-        d = np.concatenate((d, block.pop(0)))
-        T = np.concatenate((T, block.pop(0)))
-        last = attempt == 8 or E_max >= cap
-        # each peak gives at most one seed: a window of fewer than N peaks
-        # is not searched for them
-        if last or len(_peaks(T)) >= N:
-            seeds = _seeds(profile, _grid(E_max), T, (s, d))
-            if last or len(seeds) >= N:
-                break
-        E_max *= 2.0
+        right = wavenumber(E_max, profile).real
+        box = (left, right, _DEPTH * right)
+        count, box_seeds = _box_seeds(profile, *box)
+        boxes.append((box, count))
+        seeds += box_seeds
+        # Re k^2 of the seeds that obey the rule; one that obeys it with Re
+        # k > right has Re k^2 > right^2 (1 - _DEPTH^2)
+        lowest = sorted((s * s).real for s in seeds if _obeys(s))
+        found = len(lowest) >= N and right * right * (1.0 - _DEPTH**2) >= lowest[N - 1]
+        if found or attempt == 8 or E_max >= cap:
+            break
+        left, E_max = right, 2.0 * E_max
     poles: list[ResonancePole] = []
-    for p in _newton(profile, seeds):
-        if any(abs(p.k - other.k) < 1e-9 for other in poles):
-            continue
-        poles.append(p)
-    poles.sort(key=lambda p: p.E_position)
+    for _ in range(_MAX_ROUNDS):
+        for p in _newton(profile, seeds):
+            if not any(abs(p.k - other.k) < 1e-9 for other in poles):
+                poles.append(p)
+        short = [
+            (left, right, depth)
+            for (left, right, depth), count in boxes
+            if sum(left <= p.k.real <= right and -depth <= p.k.imag for p in poles) < count
+        ]
+        if not short:
+            break
+        boxes, seeds = [], []
+        for left, right, depth in short:
+            middle = (left + right) / 2.0
+            for half in ((left, middle, depth), (middle, right, depth)):
+                count, half_seeds = _box_seeds(profile, *half)
+                boxes.append((half, count))
+                seeds += half_seeds
+    poles = sorted((p for p in poles if _obeys(p.k)), key=lambda p: p.E_position)
     if len(poles) < N:
         raise PoleCountError(found=len(poles), requested=N)
     return [replace(p, index=i + 1) for i, p in enumerate(poles[:N])]

@@ -22,9 +22,9 @@ by representation, not by caller:
            outgoing pieces;
   _march   arrays of k, into a ring of R pairs: R = n_layers + 1 keeps the
            pair at every edge (the Newton batch's outgoing pieces), R = 2
-           only the end pair (_layer_product: transfer_matrix, and the
-           T(E) scan, which _scan runs in blocks with transmission's checks,
-           for transmission and for the pole search on its kept grid of k).
+           only the end pair (_layer_product: transfer_matrix, the pole
+           search's contour, and the T(E) scan, which _scan runs in blocks
+           with transmission's checks).
 
 The rule rests on two facts about numpy's rounding.  Real arithmetic rounds
 the same in every representation (IEEE): a Python float, a numpy scalar and
@@ -60,12 +60,8 @@ reads q, and forms it for its one k); only the read-off of M is complex.
 A complex-typed k (Newton iterates, poles, modes) runs the same code in
 complex arithmetic.
 
-A scan ends in (s, d) and leaves their reading to its caller (_scan's
-read): transmission forms t = 1/m22 through _m22, with the bits of
-transfer_matrix's m22, while the pole search reads T = (2/hypot(s, d))^2
-in real arithmetic (hypot, since s^2 + d^2 overflows once the summed
-growth passes ~355) and keeps s and d, the parts of g = s - i d = 2
-e^{-ikL} m22, whose zeros are the poles.
+A scan ends in (s, d), from which transmission forms t = 1/m22 through
+_m22, with the bits of transfer_matrix's m22.
 
 The pole search and the resonant-mode solver share the outgoing pieces
 (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
@@ -118,9 +114,8 @@ MARCH_GUARD = 600.0
 _W_TOL = 1e-8
 _TRUST_FLOOR = np.log(2.0 * np.finfo(float).eps / _W_TOL)
 
-# points per array evaluation in transmission: scan windows reach ~10^6
-# points, and one unblocked pass holds several complex arrays of that size
-# per layer
+# points per array evaluation in transmission: an unblocked pass over a
+# long scan holds several complex arrays of its size per layer
 _BLOCK = 2048
 
 
@@ -526,27 +521,26 @@ def _transmitted(profile: PotentialProfile, k: np.ndarray, s, d):
     return t, np.abs(t) ** 2
 
 
-def _scan(profile: PotentialProfile, k: np.ndarray, read=_transmitted):
-    """read(profile, k, s, d) at a 1-D array of real k > 0, without
+def _scan(profile: PotentialProfile, k: np.ndarray):
+    """(t, T) of _transmitted at a 1-D array of real k > 0, without
     transmission's input checks: _scan_sd in blocks of _BLOCK points, with
-    the guard and the unitarity check of T, read's last output.
+    the guard and the unitarity check of T.
 
-    read maps a block's (s, d) to a tuple of arrays of the block's length.
-    One block is returned as read; more are written into whole arrays of
-    the first block's dtypes, so that no block outlives its write.
+    One block is returned as it is read; more are written into whole arrays
+    of the first block's dtypes, so that no block outlives its write.
     """
     # no points still read one (empty) block, for the arrays' dtypes
     for start in range(0, k.size, _BLOCK) or [0]:
         block = k[start : start + _BLOCK]
         try:
-            part = read(profile, block, *_scan_sd(profile, block))
+            part = _transmitted(profile, block, *_scan_sd(profile, block))
         except OverflowGuardError as err:
             # a loop over E meets the points before the guarded one first
             head = block[: err.point]
-            _check_unitarity(read(profile, head, *_scan_sd(profile, head))[-1])
+            _check_unitarity(_transmitted(profile, head, *_scan_sd(profile, head))[1])
             err.point += start
             raise
-        _check_unitarity(part[-1])
+        _check_unitarity(part[1])
         if start == 0:
             if block.size == k.size:
                 return part

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qshutter import DomainError
+from qshutter import DomainError, build_profile, find_poles, solve_mode
 from qshutter.model import wavenumber
 from qshutter.modes import rho, rho_mirror
+from qshutter.presets import MASS_RATIO
 from qshutter.scattering import solve_stationary, stationary_wave
 
 
@@ -68,6 +69,28 @@ class TestSolveMode:
                 mp.quad(lambda x: (am * mp.cos(qm * x) + bm * mp.sin(qm * x) / qm) ** 2, [0, w])
             )
         assert abs(_layer_integral(a, b, q, w) - ref) <= 1e-12 * abs(ref)
+
+    def test_evanescent_layer_integral_keeps_its_digits(self):
+        # the 52.97 meV pole (Gamma 23.9 meV) of a profile in perfbench's
+        # `structures` ranges: across the 11.52 nm x 0.35 eV barrier the
+        # cos^2 and sin^2 terms of the (a, b) form each reach ~1e5 and
+        # cancel to 0.023, which left a normalization residual of 1.0e-10
+        import mpmath as mp
+
+        from qshutter.modes import _layer_integral
+
+        layers = [(1.06, 0.197), (6.62, 0.0), (11.52, 0.35), (9.71, 0.0), (11.94, 0.188)]
+        profile = build_profile(layers, MASS_RATIO)
+        m = solve_mode(profile, find_poles(profile, 3)[1])
+        assert m.pole.E_position == pytest.approx(52.9704e-3, abs=1e-7)
+        assert m.normalization_residual < 1e-14
+        (a, b), q, w = m.coefficients[2], m.q[2], layers[2][0]
+        with mp.workdps(40):
+            am, bm, qm = mp.mpc(a), mp.mpc(b), mp.mpc(q)
+            ref = complex(
+                mp.quad(lambda x: (am * mp.cos(qm * x) + bm * mp.sin(qm * x) / qm) ** 2, [0, w])
+            )
+        assert abs(_layer_integral(a, b, q, w) - ref) <= 1e-13 * abs(ref)
 
     def test_sign_convention(self, triple_modes, double_modes):
         for m in triple_modes + double_modes:

@@ -1,11 +1,9 @@
-"""Pole seeding, Newton refinement, and ResonancePole invariants."""
+"""Pole counting and seeding, Newton refinement, and ResonancePole invariants."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import superlattice
 from conftest import (
@@ -31,10 +29,8 @@ from qshutter import (
     transmission,
 )
 from qshutter import poles as poles_module
-from qshutter import scattering
 from qshutter import solve_mode
 from qshutter.poles import refine_pole, seed_poles
-from qshutter.model import wavenumber
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS, fig3b_layers
 from golden import POLE_PROFILES
 
@@ -60,6 +56,12 @@ LOCKSTEP_PROFILES = {
 # first step trips the overflow guard; the second runs out of iterations
 GUARD_SEED = 0.150123534489 - 0.001646011879j
 STALL_SEED = 0.08 - 3.5j
+# the seeds the T(E) scan once gave two single barriers (by mass ratio),
+# each heading for a zero of W on the negative imaginary axis
+ESCAPE_SEEDS = {
+    0.1: 2.2744258904099013 - 0.9922601680878274j,
+    0.052: 1.121768745390778 - 0.44621042137128386j,
+}
 
 
 def oracle_root(profile, k0: complex) -> complex:
@@ -138,179 +140,115 @@ class TestSeedPoles:
         with pytest.raises(DomainError):
             seed_poles(triple_profile, 0.0)
 
-    def test_matches_per_point_reference_scan(
-        self, triple_profile, double_profile, monkeypatch
-    ):
-        cases = ((triple_profile, 20e-3), (triple_profile, 60e-3), (double_profile, 100e-3))
-        seeds = [seed_poles(profile, E_max) for profile, E_max in cases]
-
-        def per_point(profile, k, read):
-            # each point's (s, d) from the one-point walk of a scalar T(E)
-            parts = [
-                read(profile, at, *scattering._sd(at, scattering._fundamental(profile, at)[3]))
-                for at in k.reshape(-1, 1)
-            ]
-            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-        monkeypatch.setattr(poles_module, "_scan", per_point)
-        for (profile, E_max), got in zip(cases, seeds):
-            ref = seed_poles(profile, E_max)
-            assert len(got) == len(ref) >= 1
-            assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
-
-    def test_incremental_windows_match_seed_poles(
-        self, triple_profile, double_profile, monkeypatch
-    ):
-        # find_poles evaluates T(E) only past the previous window and seeds
-        # only its last window or one with at least N peaks; each seeded
-        # window must still give the seeds of a fresh scan of that window,
-        # and each window passed over fewer than N seeds
-        points, seeds = poles_module._points, poles_module._seeds
-        for profile, N in ((triple_profile, 4), (double_profile, 3)):
-            windows, scans = [], {}
-
-            def seeded(profile, energies, T, condition):
-                assert energies[-1] not in scans
-                scans[energies[-1]] = seeds(profile, energies, T, condition)
-                return scans[energies[-1]]
-
-            monkeypatch.setattr(
-                poles_module, "_points", lambda E_max: windows.append(E_max) or points(E_max)
-            )
-            monkeypatch.setattr(poles_module, "_seeds", seeded)
-            find_poles(profile, N)
-            monkeypatch.undo()
-            windows = list(dict.fromkeys(windows))
-            assert len(windows) >= 2 and scans
-            for E_max in windows:
-                fresh = seed_poles(profile, E_max)
-                got = scans.pop(poles_module._grid(E_max)[-1], None)
-                assert fresh == got if got is not None else len(fresh) < N
-            assert not scans
-
-    def test_kept_grid_is_the_fresh_grid(self, triple_profile):
-        # find_poles' k, kept up to the cap and formed afresh past it, are
-        # the bits transmission forms from the grid's energies
-        c, n = triple_profile.constants, poles_module._KEPT_POINTS
-        energies = poles_module._grid(2 * n / poles_module._GRID_DENSITY)
-        fresh = wavenumber(energies, c).real
-        assert len(energies) == 2 * n and len(poles_module._kept_k(c)) == n
-        for start, stop in ((0, 2001), (2001, n), (n - 5, n + 5), (n, 2 * n)):
-            k = poles_module._grid_k(c, start, stop)
-            assert k.tobytes() == fresh[start:stop].tobytes()
-
     def test_seeds_sit_in_fourth_quadrant(self, triple_profile):
         for s in seed_poles(triple_profile, 60e-3):
             assert s.real > 0 and s.imag < 0
 
 
-def _find_poles_seeds(profile, N, monkeypatch):
-    """(poles, the seeds of find_poles' last seeded window, Newton batch
-    rounds: its _layers calls)."""
-    scans, rounds = [], []
-    seeds, layers = poles_module._seeds, poles_module._layers
+def _search(profile, N, monkeypatch):
+    """(poles, [(box, count, seeds)] in the order find_poles seeds its boxes,
+    h points, Newton rounds: the batch's marches of the outgoing pieces)."""
+    boxes, points, rounds = [], [], []
+    box_seeds, h, outgoing = poles_module._box_seeds, poles_module._h, poles_module._outgoing
+
+    def seeded(profile, *box):
+        count, seeds = box_seeds(profile, *box)
+        boxes.append((box, count, seeds))
+        return count, seeds
+
+    monkeypatch.setattr(poles_module, "_box_seeds", seeded)
+    monkeypatch.setattr(poles_module, "_h", lambda p, k: points.append(k.size) or h(p, k))
     monkeypatch.setattr(
-        poles_module, "_seeds", lambda *args: scans.append(seeds(*args)) or scans[-1]
+        poles_module, "_outgoing", lambda *args: rounds.append(1) or outgoing(*args)
     )
-    monkeypatch.setattr(
-        poles_module, "_layers", lambda *args: rounds.append(1) or layers(*args)
-    )
-    poles = find_poles(profile, N)
-    monkeypatch.undo()
-    return poles, scans[-1], len(rounds)
+    try:
+        poles = find_poles(profile, N)
+    finally:
+        monkeypatch.undo()
+    return poles, boxes, sum(points), len(rounds)
 
 
-class TestMullerSeeds:
+def _found_equals_counted(profile, N, monkeypatch):
+    """Every box find_poles seeds finds as many distinct poles inside it as
+    it counts: the first boxes' seeds refine to their count, and a box
+    that is halved finds its count in its halves."""
+    poles, boxes, _, _ = _search(profile, N, monkeypatch)
+    found = []
+    for box, count, seeds in boxes:
+        for seed in seeds:
+            k = refine_pole(profile, seed).k
+            if not any(abs(k - other) < 1e-9 for other in found):
+                found.append(k)
+    for (left, right, depth), count, _ in boxes:
+        inside = [k for k in found if left <= k.real <= right and -depth <= k.imag]
+        assert len(inside) == count
+    assert all(-p.k.imag <= p.k.real / 4.0 for p in poles)
+    return boxes
+
+
+class TestContourSeeds:
+    @pytest.mark.parametrize("name", sorted(POLE_PROFILES))
+    def test_found_equals_counted(self, name, monkeypatch):
+        layers, N = POLE_PROFILES[name]
+        _found_equals_counted(build_profile(list(layers), MASS_RATIO), N, monkeypatch)
+
+    @pytest.mark.parametrize("nb", range(2, 11))
+    def test_superlattice_found_equals_counted(self, nb, monkeypatch):
+        layers = superlattice.layers(nb, (3.0, 0.12), 16.0)
+        _found_equals_counted(build_profile(layers, MASS_RATIO), nb - 1, monkeypatch)
+
+    def test_cluster_box_is_halved(self, monkeypatch):
+        # 16 cells put 22 poles in the first box, whose moments cannot
+        # separate the miniband: the box is halved once and its halves
+        # count 8 and 14
+        layers = superlattice.layers(16, (3.0, 0.12), 16.0)
+        boxes = _found_equals_counted(build_profile(layers, MASS_RATIO), 15, monkeypatch)
+        assert [count for _, count, _ in boxes] == [22, 8, 14]
+
     def test_seeds_sit_near_their_poles(self, monkeypatch):
-        # one Muller step on g = s - i d puts each seed within 3e-2 of its
-        # pole, relative, and half of them within 1e-6 (measured: largest
-        # 2.7e-2 on s01's broad resonances, median 2.0e-7 over 49 seeds; the
-        # E - i HWHM seeds read 0.106 and 2.6e-4)
+        # measured over the 51 seeds of POLE_PROFILES: largest 1.2e-4
+        # (s09), median 8.3e-10
         errors = []
         for layers, N in POLE_PROFILES.values():
             profile = build_profile(list(layers), MASS_RATIO)
-            for seed in _find_poles_seeds(profile, N, monkeypatch)[1]:
-                k = refine_pole(profile, seed).k
-                errors.append(abs(seed - k) / abs(k))
-        assert max(errors) < 3e-2 and np.median(errors) < 1e-6
+            for _, _, seeds in _search(profile, N, monkeypatch)[1]:
+                for seed in seeds:
+                    k = refine_pole(profile, seed).k
+                    errors.append(abs(seed - k) / abs(k))
+        assert max(errors) < 5e-4 and np.median(errors) < 1e-8
 
-    @pytest.mark.parametrize("layers, N", [(TRIPLE_LAYERS, 4), (DOUBLE_LAYERS, 2)])
-    def test_newton_rounds(self, layers, N, monkeypatch):
-        # five rounds each from the E - i HWHM seeds
+    @pytest.mark.parametrize(
+        "layers, N, points, rounds",
+        [(TRIPLE_LAYERS, 4, 200, 3), (DOUBLE_LAYERS, 2, 450, 2)],
+    )
+    def test_work_counts(self, layers, N, points, rounds, monkeypatch):
+        # h points and Newton rounds of the whole search: the triple barrier
+        # counts two boxes of 100 points, the double barrier four and two
+        # halved panels
         profile = build_profile(list(layers), MASS_RATIO)
-        assert _find_poles_seeds(profile, N, monkeypatch)[2] <= 4
+        assert _search(profile, N, monkeypatch)[2:] == (points, rounds)
 
-    def test_exact_quadratic_gives_its_root(self, triple_profile):
-        # g an exact quadratic in E with its root in the lower half plane:
-        # the Muller seed at a kept peak is that root
-        energies = poles_module._grid(0.02)
-        T = np.exp(-(((energies - 0.0115) / 4e-4) ** 2))
-        root = 0.0115 + 3e-5 - 2e-4j
-        g = (energies - root) * (energies - 0.3 + 0.1j)
-        (seed,) = poles_module._seeds(triple_profile, energies, T, (g.real, -g.imag))
-        assert abs(seed - wavenumber(root, triple_profile)) < 1e-12 * abs(seed)
+    def test_seed_above_the_axis_is_mirrored(self, triple_profile, monkeypatch):
+        # a root of the moment polynomial above the real axis seeds at its
+        # mirror image below it
+        roots = np.array([0.1 + 0.2j, -0.3 - 0.1j])
+        monkeypatch.setattr(poles_module.np, "roots", lambda coefficients: roots)
+        count, seeds = poles_module._box_seeds(triple_profile, 0.01, 0.2, 0.05)
+        centre = 0.105
+        above, below = centre + abs(0.01 - 0.05j - centre) * roots
+        assert count == 2 and above.imag > 0 > below.imag
+        assert seeds == pytest.approx([above.conjugate(), below], abs=1e-15)
 
-    def test_root_above_the_axis_falls_back_to_hwhm(self, triple_profile):
-        energies = poles_module._grid(0.02)
-        T = np.exp(-(((energies - 0.0115) / 4e-4) ** 2))
-        g = energies - (0.0115 + 2e-4j)
-        seeds = poles_module._seeds(triple_profile, energies, T, (g.real, -g.imag))
-        assert seeds == _walked_seeds(triple_profile, energies, T)
-
-    def test_opaque_scan_reads_finite_transmission(self):
+    def test_opaque_profile_stays_finite(self):
         # two 290 nm x 0.35 eV barriers: the summed kappa w, 455 at E -> 0 and
-        # 385 at 100 meV, puts s^2 + d^2 past the double-precision range
-        # while each layer stays inside the guard
+        # 385 at 100 meV, puts the layer product near e^455 while each layer
+        # stays inside the guard
         profile = build_profile([(290.0, 0.35), (10.0, 0.0), (290.0, 0.35)], MASS_RATIO)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s, d, T = poles_module._scanned(profile, 0, 4000)
             seed_poles(profile, 0.1)
-        assert np.isfinite(T).all() and (T >= 0.0).all()
-        assert np.maximum(abs(s), abs(d)).max() > np.sqrt(np.finfo(float).max)
-
-
-def _walked_seeds(profile, energies, T):
-    """Reference for _seeds: the half-height walk one grid point at a time."""
-
-    def walk(peak, half, step):
-        i = peak
-        while 0 < i < len(T) - 1:
-            j = i + step
-            if T[j] < half:
-                frac = (T[i] - half) / (T[i] - T[j])
-                return float(energies[i] + frac * (energies[j] - energies[i])), True
-            if T[j] > T[i]:
-                return float(energies[i]), False
-            i = j
-        return float(energies[i]), False
-
-    seeds = []
-    for i in range(1, len(T) - 1):
-        if not (T[i] > T[i - 1] and T[i] >= T[i + 1]):
-            continue
-        (e_lo, lo), (e_hi, hi) = walk(i, T[i] / 2.0, -1), walk(i, T[i] / 2.0, +1)
-        if lo or hi:
-            hwhm = (e_hi - e_lo) / 2.0
-            if hwhm <= 0:
-                hwhm = energies[1] - energies[0]
-            seeds.append(wavenumber(complex(energies[i], -hwhm), profile))
-    return seeds
-
-
-class TestSeedWalk:
-    # coarse levels make plateaus, ties at half height and walks that run off
-    # either end of the grid
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(levels=st.lists(st.integers(0, 8), min_size=3, max_size=60))
-    def test_matches_point_by_point_walk(self, levels):
-        profile = build_profile([(5.0, 0.2)], MASS_RATIO)
-        T = np.array(levels) / 8.0
-        energies = poles_module._grid(len(T) / poles_module._GRID_DENSITY)[: len(T)]
-        # g = E - i has its root above the axis: every peak takes E - i HWHM
-        condition = (energies, np.ones_like(energies))
-        seeds = poles_module._seeds(profile, energies, T, condition)
-        assert seeds == _walked_seeds(profile, energies, T)
+            (pole,) = find_poles(profile, 1)
+        assert pole.E_position == pytest.approx(35.3832e-3, abs=1e-7)
 
 
 class TestRefinePole:
@@ -379,13 +317,13 @@ class TestRefinePole:
 
 
 def _per_seed_poles(profile, seeds, N):
-    """find_poles' result from a refine_pole loop over the seeds it scanned."""
+    """find_poles' result from a refine_pole loop over the seeds it formed."""
     poles = []
     for seed in seeds:
         p = refine_pole(profile, seed)
         if not any(abs(p.k - other.k) < 1e-9 for other in poles):
             poles.append(p)
-    poles.sort(key=lambda p: p.E_position)
+    poles = sorted((p for p in poles if -p.k.imag <= p.k.real / 4.0), key=lambda p: p.E_position)
     return [(p.k, p.E) for p in poles[:N]]
 
 
@@ -396,19 +334,16 @@ def _raised(call):
 
 
 class TestLockstep:
-    """find_poles refines every seed of a window together; each must end as
+    """find_poles refines every seed of its boxes together; each must end as
     refine_pole alone ends it, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_PROFILES))
     def test_find_poles_matches_per_seed_loop(self, name, monkeypatch):
         layers, N = LOCKSTEP_PROFILES[name]
         profile = build_profile(layers, MASS_RATIO)
-        scans, seeds = [], poles_module._seeds
-        monkeypatch.setattr(
-            poles_module, "_seeds", lambda *args: scans.append(seeds(*args)) or scans[-1]
-        )
-        got = [(p.k, p.E) for p in find_poles(profile, N)]
-        assert got == _per_seed_poles(profile, scans[-1], N)
+        poles, boxes, _, _ = _search(profile, N, monkeypatch)
+        seeds = [seed for _, _, box_seeds in boxes for seed in box_seeds]
+        assert [(p.k, p.E) for p in poles] == _per_seed_poles(profile, seeds, N)
 
     @pytest.mark.parametrize(
         "window",
@@ -424,7 +359,7 @@ class TestLockstep:
         good = seed_poles(triple_profile, 0.05)[0]
         seeds = [good if s == "good" else s for s in window]
         expected = _raised(lambda: [refine_pole(triple_profile, s) for s in seeds])
-        monkeypatch.setattr(poles_module, "_seeds", lambda *args: seeds)
+        monkeypatch.setattr(poles_module, "_box_seeds", lambda *args: (len(seeds), seeds))
         got = _raised(lambda: find_poles(triple_profile, 1))
         assert type(got) is type(expected) and str(got) == str(expected)
         assert got.trace == expected.trace
@@ -492,49 +427,60 @@ class TestFindPoles:
         "layers, mass_ratio", [([(1.14, 0.08)], 0.1), ([(2.42, 0.127)], 0.052)]
     )
     def test_seed_heading_for_imaginary_axis_escapes_promptly(self, layers, mass_ratio):
-        # a broad T(E) maximum seeds Newton toward a zero of W on the negative
-        # imaginary axis; halving used to hold Re k at denormals until the
-        # 100 rounds ran out (first profile) or certify that zero as a pole
-        # with a negative E_position (second)
+        # the seed a broad T(E) maximum once gave leads Newton toward a zero
+        # of W on the negative imaginary axis; halving used to hold Re k at
+        # denormals until the 100 rounds ran out (first profile) or certify
+        # that zero as a pole with a negative E_position (second).  Neither
+        # profile has a pole that obeys the depth rule, so find_poles counts
+        # none and refines nothing
+        profile = build_profile(layers, mass_ratio)
         with pytest.raises(QuadrantEscapeError) as err:
-            find_poles(build_profile(layers, mass_ratio), 1)
+            refine_pole(profile, ESCAPE_SEEDS[mass_ratio])
         trace = err.value.trace
         assert len(trace) < 40
         assert 0 < trace[-1].real < 16 * np.finfo(float).eps * abs(trace[-1])
+        with pytest.raises(PoleCountError, match="0 poles found"):
+            find_poles(profile, 1)
 
     def test_double_barrier_third_pole_is_the_third_lowest(self, double_profile):
-        # the pole (385.50 meV, Gamma 143.58 meV) has no T(E) peak of its own;
-        # the Muller seed of the 454.5 meV peak, 410.6 - 49.8i meV, leads
-        # Newton to it.  refine_pole from 0.8269 - 0.0763i converges to it
+        # the pole (385.50 meV, Gamma 143.58 meV) has no T(E) peak of its own
         root = oracle_root(double_profile, 0.8269 - 0.0763j)
         assert abs(find_poles(double_profile, 3)[2].k - root) < 1e-9
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="find_poles returns only poles whose T(E) shows a peak: from "
-        "b2 = 6.9 nm on the fig3b doublet's two peaks merge, and at b2 = 7 nm "
-        "the 13.36 meV member is skipped for the 53.23 meV pole",
-    )
     def test_fig3b_doublet_at_seven_nm(self):
-        # refine_pole seeded from b2 = 6.85 nm's second pole converges to this
-        # pole, 0.153300642 - 0.001570803i (13.3626 meV, Gamma 0.5477 meV)
+        # where the doublet's two T(E) peaks have merged: refine_pole seeded
+        # from b2 = 6.85 nm's second pole converges to this pole,
+        # 0.153300642 - 0.001570803i (13.3626 meV, Gamma 0.5477 meV)
         profile = build_profile(fig3b_layers(7.0), MASS_RATIO)
         root = oracle_root(profile, 0.153300642 - 0.001570803j)
         assert abs(find_poles(profile, 2)[1].k - root) < 1e-9
 
+    def test_fig3b_keeps_both_doublets(self):
+        # the lower doublet lies below 16 meV and the upper one between 40
+        # and 60 meV for every b2 from 3 to 8 nm
+        for b2 in np.arange(300, 801, 5) / 100.0:
+            profile = build_profile(fig3b_layers(b2), MASS_RATIO)
+            lower = [p.E_position for p in find_poles(profile, 2)]
+            poles = [p.E_position for p in find_poles(profile, 4)]
+            assert max(lower) < 16e-3 and max(poles[:2]) < 16e-3, b2
+            assert 40e-3 < poles[2] and poles[3] < 60e-3, b2
+
+    def test_fig3b_at_eight_nm_matches_oracle(self):
+        # 12.9542, 13.2778, 50.8117 and 52.8071 meV
+        profile = build_profile(fig3b_layers(8.0), MASS_RATIO)
+        for p in find_poles(profile, 4):
+            root = oracle_root(profile, p.k)
+            assert abs(p.k - root) < 1e-14 * abs(root)
+
     def test_count_error_ends_before_the_window_cap(self, monkeypatch):
-        # one resonance below the cap, three requested
+        # one barrier with four poles that obey the rule below the cap, five
+        # requested: six boxes, 600 h points in all
         points = []
-        real = poles_module._scan
-
-        def counted(profile, k, read):
-            points.append(np.size(k))
-            return real(profile, k, read)
-
-        monkeypatch.setattr(poles_module, "_scan", counted)
-        with pytest.raises(PoleCountError):
-            find_poles(build_profile([(9.8, 0.269)], MASS_RATIO), 3)
-        assert sum(points) < 100_000
+        real = poles_module._h
+        monkeypatch.setattr(poles_module, "_h", lambda p, k: points.append(k.size) or real(p, k))
+        with pytest.raises(PoleCountError, match="4 poles found"):
+            find_poles(build_profile([(9.8, 0.269)], MASS_RATIO), 5)
+        assert sum(points) <= 600
 
 
 def _first_miniband(nb, barrier, well):
@@ -558,13 +504,23 @@ class TestSuperlatticePoles:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="find_poles seeds only T(E) peaks that fall to half height: "
-        "between the 1 nm miniband's peaks T never does, so the 11.921 meV "
-        "pole (Gamma 2.852 meV) is skipped and a 35.18 meV pole of the "
-        "second miniband is returned fourth",
+        reason="the 1 nm miniband's first pole, 6.1934 meV (Gamma 0.480 meV), "
+        "lies 0.12 Gamma from its T = 1 energy 6.252 meV, past this test's "
+        "0.1 Gamma bound; find_poles returns the whole miniband "
+        "(test_first_miniband_of_thin_barriers_matches_oracle)",
     )
     def test_first_miniband_of_thin_barriers(self):
         _first_miniband(5, (1.0, 0.12), 16.0)
+
+    def test_first_miniband_of_thin_barriers_matches_oracle(self):
+        # 6.1934, 8.2994, 11.9205 and 16.6884 meV
+        profile = build_profile(superlattice.layers(5, (1.0, 0.12), 16.0), MASS_RATIO)
+        poles = find_poles(profile, 4)
+        expected = [6.1934e-3, 8.2994e-3, 11.9205e-3, 16.6884e-3]
+        assert [p.E_position for p in poles] == pytest.approx(expected, abs=1e-7)
+        for p in poles:
+            root = oracle_root(profile, p.k)
+            assert abs(p.k - root) < 1e-14 * abs(root)
 
 
 @pytest.mark.parametrize("name", sorted(REGRESSION_PROFILES))
