@@ -15,7 +15,9 @@ triple barrier's first resonance E_1, its stationary field
 (solve_stationary) at the real k of E_1, transfer_matrix at 200 real k of
 (0, 100 meV], Newton from the first seed of the 50 meV box,
 the lockstep Newton batch (poles._newton) from the 100 meV box's four
-seeds, the whole
+seeds, the join test (scattering._join) at the triple barrier's four poles
+as one batch, as the Newton batch runs it, and at its first pole alone, as
+a mode solve runs it, build_profile on the triple barrier's layers, the whole
 pole search for its four poles and for four poles of the 4-barrier
 profile, the mode solves of the triple
 barrier's four poles, one whole `structures` op of `perfbench` on the
@@ -95,7 +97,14 @@ from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
-from qshutter.scattering import solve_stationary, transfer_matrix  # noqa: E402
+from qshutter.scattering import (  # noqa: E402
+    _growth,
+    _join,
+    _layers,
+    _outgoing,
+    solve_stationary,
+    transfer_matrix,
+)
 from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
@@ -162,6 +171,21 @@ def test_newton_batch(benchmark, triple):
     seeds = seed_poles(triple, 0.1)
     poles = benchmark(_newton, triple, seeds)
     assert len(seeds) == len(poles) == 4
+
+
+@pytest.mark.parametrize("points", ["batch", "mode"])
+def test_join(benchmark, triple, points):
+    # the Newton batch's join test at its four poles, or a mode's at one
+    ks = np.array([p.k for p in find_poles(triple, 4)][: 4 if points == "batch" else 1])
+    layers = _layers(triple, ks)
+    left, right = _outgoing(layers, ks)
+    edges, mismatch, _ = benchmark(_join, _growth(layers), left, right, ks)
+    assert (edges > 0).all() and (mismatch < 1e-8).all()
+
+
+def test_build_profile(benchmark):
+    profile = benchmark(build_profile, list(TRIPLE_LAYERS), MASS_RATIO)
+    assert len(profile.layers) == len(TRIPLE_LAYERS)
 
 
 @pytest.mark.parametrize("name", ["triple", "four_barriers"])

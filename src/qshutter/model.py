@@ -17,6 +17,7 @@ pole search's contour counts assume absent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,9 +141,9 @@ def build_profile(
     for j, (width, height) in enumerate(layer_spec):
         width = float(width)
         height = float(height)
-        if not (width > 0) or not np.isfinite(width):
+        if not (width > 0) or not math.isfinite(width):
             raise LayerWidthError(f"layer {j}: width must be > 0 nm, got {width}")
-        if height < 0 or not np.isfinite(height):
+        if height < 0 or not math.isfinite(height):
             raise LayerHeightError(
                 f"layer {j}: height must be >= 0 eV, got {height}"
             )

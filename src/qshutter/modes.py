@@ -91,12 +91,12 @@ def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
     """
     z = 2.0 * q * w
     if abs(z) < 0.1:
-        z2 = z * z
+        z2 = np.complex128(z * z)  # numpy's complex / float rounds unlike Python's
         s = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2**3 / 5040.0
         u = 1.0 / 6.0 - z2 / 120.0 + z2 * z2 / 5040.0 - z2**3 / 362880.0
         v = 0.5 - z2 / 24.0 + z2 * z2 / 720.0 - z2**3 / 40320.0
         return a * a * (w / 2.0) * (1.0 + s) + 2.0 * b * b * w**3 * u + 2.0 * a * b * w**2 * v
-    a, b, q = complex(a), complex(b), complex(q) if q.imag >= 0 else -complex(q)
+    q = q if q.imag >= 0 else -q
     c, s, h = cmath.cos(q * w), cmath.sin(q * w), cmath.exp(1j * q * w)
     value, slope = a * c + b * s / q, b * c - a * q * s
     A = (a - 1j * b / q) / 2.0
@@ -113,9 +113,8 @@ def _norm_square(
     k_n: complex,
 ) -> complex:
     total = 0.0 + 0.0j
-    for j, layer in enumerate(profile.layers):
-        a, b = coeffs[j]
-        total += _layer_integral(a, b, q[j], layer.width)
+    for (a, b), q_j, w in zip(coeffs.tolist(), q.tolist(), profile.widths.tolist()):
+        total += _layer_integral(a, b, q_j, w)
     return total + 1j * (u0 * u0 + uL * uL) / (2.0 * k_n)
 
 

@@ -33,7 +33,8 @@ u^p h'/h by parts from the chain's first corner u_0 gives
 with Log h continued along the chain from u_0 (L. M. Delves and J. N.
 Lyness, Math. Comp. 21, 543 (1967)).  The same nodes and weights take the
 integral.  Newton's identities turn the sums into a monic polynomial,
-whose roots (np.roots) are the seeds.  A pole a rounding distance below
+whose roots (np.roots) are the seeds; a box that counts one pole takes s_1
+itself, the root np.roots would return.  A pole a rounding distance below
 the real axis can seed above it, so a seed's imaginary part is mirrored
 into the lower half plane.
 
@@ -65,21 +66,22 @@ imaginary axis is a quadrant escape.
 find_poles refines all of its seeds in lockstep (_newton).  Each
 round evaluates every active seed's iterate and its two difference points
 as one (3, n_seeds) array, through one kernel call and one march of both
-outgoing pieces, which cost about as much for 18 points as for 3.  W is
-formed only at each seed's own join edge, and one join test
-(scattering._join) serves every seed whose step has reached
-rounding level.  Each seed keeps its own join edge, stop test, halving and
-trace, and takes its step in Python complex arithmetic from its own
-column, so every pole is bit for bit the one refine_pole (the one-seed
-call) returns.  A seed leaves the
-batch once it converges or fails; a tripped guard fails the seed that owns
-the guarded point, and the others are evaluated again.  The error raised
-is the lowest-index failing seed's, as a loop over the seeds would raise.
+outgoing pieces, which cost about as much for 18 points as for 3.  The
+first round picks every seed's join edge, where the growth on either side
+balances, in one argmin over the batch.  W is formed only at each seed's
+own join edge, and one join test (scattering._join) serves every seed
+whose step has reached rounding level.  Each seed keeps its own join edge,
+stop test, halving and trace, and takes its step in Python complex
+arithmetic from its own column, so every pole is bit for bit the one
+refine_pole (the one-seed call) returns.  A seed leaves the batch once it
+converges or fails; a tripped guard fails the seed that owns the guarded
+point, and the others are evaluated again.  The error raised is the
+lowest-index failing seed's, as a loop over the seeds would raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,12 +178,6 @@ def pole_condition(profile: PotentialProfile, k: complex) -> complex:
     return transfer_matrix(profile, k).m22
 
 
-def _join_edge(growth: np.ndarray) -> int:
-    """The join edge where the growth on either side balances."""
-    joins = _joins(len(growth) - 1)
-    return int(joins[np.abs(2.0 * growth[joins] - growth[-1]).argmin()])
-
-
 def _gauss_legendre(n: int):
     """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1],
     from the eigenvectors of the Jacobi matrix (Golub-Welsch)."""
@@ -205,7 +201,8 @@ def _h(profile: PotentialProfile, k: np.ndarray) -> np.ndarray:
 def _panels(starts: np.ndarray) -> np.ndarray:
     """The points of a closed chain of panels from their starts: each
     panel's start and its nodes, shape (n_panels, _PANEL_POINTS + 1)."""
-    return starts[:, None] + (np.roll(starts, -1) - starts)[:, None] * _ABSCISSAE
+    lengths = np.concatenate((starts[1:], starts[:1])) - starts
+    return starts[:, None] + lengths[:, None] * _ABSCISSAE
 
 
 def _contour(profile: PotentialProfile, corners: np.ndarray):
@@ -218,7 +215,7 @@ def _contour(profile: PotentialProfile, corners: np.ndarray):
     h = _h(profile, points)
     for round_ in range(_MAX_ROUNDS + 1):
         chain = h.ravel()
-        steps = np.angle(np.roll(chain, -1) / chain).reshape(h.shape)
+        steps = np.angle(np.concatenate((chain[1:], chain[:1])) / chain).reshape(h.shape)
         # a step that is not finite (h = 0 on the chain) halves as well
         rough = ~(np.abs(steps) <= _MAX_PHASE_STEP).all(axis=1)
         if not rough.any() or round_ == _MAX_ROUNDS:
@@ -249,18 +246,26 @@ def _box_seeds(profile: PotentialProfile, left: float, right: float, depth: floa
     centre = corners.mean()
     radius = abs(corners[0] - centre)
     u = (points - centre) / radius
-    lengths = np.roll(points[:, 0], -1) - points[:, 0]
+    starts = points[:, 0]
+    lengths = np.concatenate((starts[1:], starts[:1])) - starts
     weighted = (log_h[:, 1:] * lengths[:, None] * (_WEIGHTS / 2.0)).ravel()
     moments = weighted @ np.vander(u[:, 1:].ravel(), count, increasing=True)
     p = np.arange(1, count + 1)
     sums = u[0, 0] ** p * count - p * moments / (2j * np.pi * radius)
-    # Newton's identities: the monic polynomial whose roots have these sums
-    coefficients = [1.0]
-    for m in p:
-        coefficients.append(-np.dot(coefficients[::-1], sums[:m]) / m)
-    seeds = centre + radius * np.roots(coefficients)
+    seeds = centre + radius * _roots(sums)
     # a pole a rounding distance below the real axis can seed above it
     return count, [complex(s.real, -abs(s.imag)) for s in seeds.tolist()]
+
+
+def _roots(sums: np.ndarray) -> np.ndarray:
+    """The numbers with power sums s_1, s_2, ...: np.roots of the monic
+    polynomial of Newton's identities, or for one number s_1, its root."""
+    if len(sums) == 1:
+        return sums
+    coefficients = [1.0]
+    for m in np.arange(1, len(sums) + 1):
+        coefficients.append(-np.dot(coefficients[::-1], sums[:m]) / m)
+    return np.roots(coefficients)
 
 
 def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
@@ -331,7 +336,10 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
             continue
         growth = _growth(layers)[:, 0]
         if rounds == 0:
-            edges = {i: _join_edge(growth[:, col]) for col, i in enumerate(active)}
+            # each seed's join edge, where the growth on either side balances
+            joins = _joins(len(growth) - 1)
+            balance = np.abs(2.0 * growth[joins] - growth[-1]).argmin(axis=0)
+            edges = dict(zip(active, (balance + joins.start).tolist()))
         left, right = _outgoing(layers, points)
         # W at each seed's own join edge only, as Python complexes
         cols = np.arange(len(active))
@@ -461,4 +469,4 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     poles = sorted((p for p in poles if _obeys(p.k)), key=lambda p: p.E_position)
     if len(poles) < N:
         raise PoleCountError(found=len(poles), requested=N)
-    return [replace(p, index=i + 1) for i, p in enumerate(poles[:N])]
+    return [ResonancePole(i + 1, p.k, p.E, p.hbar) for i, p in enumerate(poles[:N])]

@@ -29,15 +29,15 @@ by representation, not by caller:
 The rule rests on two facts about numpy's rounding.  Real arithmetic rounds
 the same in every representation (IEEE): a Python float, a numpy scalar and
 an array entry give the same bits, so a real walk is the array march's
-entry.  Complex arithmetic does not: Python's complex arithmetic is numpy's
-scalar arithmetic bit for bit, but numpy's array product (0-d and
-one-element arrays included) rounds differently in about 45% of random
-products, and is not even commutative bit for bit.  So a complex walk has
-the bits of numpy-scalar arithmetic, and a one-point result that must be
-the array path's entry (a scalar T(E), solve_stationary's r and t) reads M
-off one-element arrays: only its march runs in Python numbers.  A scalar
-T(E) (one per pole in a structure's workload) is mostly fixed numpy call
-overhead, which the walk avoids.
+entry.  Complex arithmetic does not: Python's complex products and sums are
+numpy's scalar ones bit for bit (its quotients are not), but numpy's array
+product (0-d and one-element arrays included) rounds differently in about
+45% of random products, and is not even commutative bit for bit.  So a
+complex walk has the bits of numpy-scalar arithmetic, and a one-point
+result that must be the array path's entry (a scalar T(E),
+solve_stationary's r and t) reads M off one-element arrays: only its march
+runs in Python numbers.  A scalar T(E) (one per pole in a structure's
+workload) is mostly fixed numpy call overhead, which the walk avoids.
 
 The kernel and the array march reuse their buffers where the bits allow
 it: every output is bit for bit what the allocating expressions give.
@@ -77,9 +77,9 @@ test, _join, reads the relative mismatch
     |W| / (max(|u_R|, |u_R'/k|) (|u_L'| + |k u_L|)),
 
 that of (u, u') once the right piece is scaled to the left one on its
-larger component of (u, u'/k), at the join edges where both keep digits
-(_trusted), at every point of a 1-D array of k in one pass: a batch of
-Newton iterates, or a mode's one k as a batch of one.
+larger component of (u, u'/k), at the join edges where both keep digits,
+at every point of a 1-D array of k in one pass: a batch of Newton
+iterates, or a mode's one k as a batch of one.
 """
 
 from __future__ import annotations
@@ -237,12 +237,13 @@ def _real_q(profile: PotentialProfile, k) -> np.ndarray:
 def _guard(exponent: np.ndarray) -> None:
     """Raise OverflowGuardError for exponent = |Im z|, shape (layers, points).
 
-    One max over every entry and one over the per-point sums pass a guard
-    that does not trip; both read an array of no points as 0.  Only a trip
-    searches for its first point.
+    No exponent is negative, so a largest per-point sum (0 for no points)
+    of at most OVERFLOW_GUARD passes; above it one max over every entry
+    decides.  Only a trip searches for its first point.
     """
     summed = exponent.sum(axis=0)
-    if exponent.max(initial=0.0) <= OVERFLOW_GUARD and summed.max(initial=0.0) <= MARCH_GUARD:
+    top = summed.max(initial=0.0)
+    if top <= OVERFLOW_GUARD or (top <= MARCH_GUARD and exponent.max() <= OVERFLOW_GUARD):
         return
     over = exponent > OVERFLOW_GUARD
     tripped = over.any(axis=0) | (summed > MARCH_GUARD)
@@ -330,10 +331,10 @@ def _outgoing(layers, k):
     return left, right
 
 
-def _joins(n_layers: int) -> np.ndarray:
-    """Edges where the two outgoing waves may be joined: the interior ones,
-    or x = L for a single layer, which has none."""
-    return np.arange(1, n_layers) if n_layers > 1 else np.array([1])
+def _joins(n_layers: int) -> slice:
+    """Edges where the two outgoing waves may be joined, as a slice of the
+    edges: the interior ones, or x = L for a single layer, which has none."""
+    return slice(1, max(n_layers, 2))
 
 
 def _growth(layers) -> np.ndarray:
@@ -353,52 +354,43 @@ def _wronskian(left, right):
     return left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
 
 
-def _trusted(growth: np.ndarray, left, right, k: np.ndarray):
-    """The join test at the join edges of each point of a 1-D array k.
+def _join(growth: np.ndarray, left, right, k: np.ndarray):
+    """(edge, mismatch, alpha): the join test at each point of a 1-D array k.
 
     growth has shape (n_layers + 1, len(k)) and left and right (n_layers +
-    1, 2, len(k)).  An (edge, point) entry is trusted where each pair's size
+    1, 2, len(k)).  A join edge is trusted at a point where each pair's size
     |u| + |u'|/|k|, against 2 at its start, exceeds its march's rounding
-    eps e^growth by 1/_W_TOL.  Returns the trusted entries as an index into
-    growth (edges, then points), in C order, and at each of them the
-    relative mismatch (module docstring), whether the right piece scales on
-    u (else on u'), and (u_L, u_L', u_R, u_R').  Every entry takes the
-    arithmetic of a join of its own point.
+    eps e^growth by 1/_W_TOL.  edge is the point's first trusted join edge
+    of least relative mismatch (module docstring), and alpha scales the
+    right piece onto the left one there, on the larger of |u_R| and
+    |u_R'/k|.  With no trusted edge, edge is 0, the mismatch inf and alpha
+    nan.  Every point takes the arithmetic of a join of its own; a mode's
+    join is a batch of one point.
     """
+    joins = _joins(len(growth) - 1)
+    join_l, join_r, grown = left[joins], right[joins], growth[joins]
+    abs_l, abs_r = np.abs(join_l), np.abs(join_r)
     # |k| as Python's abs of a complex forms it: numpy's array abs can
     # differ in the last bit
     abs_k = np.hypot(k.real, k.imag)
-    with np.errstate(divide="ignore"):  # a pair of zeros has log size -inf
-        log_l = np.log(np.abs(left[:, 0]) + np.abs(left[:, 1]) / abs_k)
-        log_r = np.log(np.abs(right[:, 0]) + np.abs(right[:, 1]) / abs_k)
-    trusted = (log_l >= _TRUST_FLOOR + growth) & (log_r >= _TRUST_FLOOR + growth[-1] - growth)
-    joins = _joins(len(growth) - 1)
-    edges, points = trusted[joins].nonzero()
-    at = (joins[edges], points)
-    left, right, k = left.swapaxes(1, 2)[at], right.swapaxes(1, 2)[at], k[points]
-    (u_l, du_l), (u_r, du_r) = left.T, right.T
-    abs_u, abs_du = np.abs(u_r), np.abs(du_r / k)
-    size_r = np.maximum(abs_u, abs_du)
-    mismatch = np.abs(_wronskian(left, right)) / (size_r * (np.abs(du_l) + np.abs(k * u_l)))
-    return at, mismatch, abs_u >= abs_du, (u_l, du_l, u_r, du_r)
-
-
-def _join(growth: np.ndarray, left, right, k: np.ndarray):
-    """(edge, mismatch, alpha) at each point of a 1-D array k.
-
-    edge is the point's first trusted join edge (_trusted) of least
-    mismatch, and alpha scales the right piece onto the left one there.
-    With no trusted edge the mismatch is inf and alpha nan.  A mode's join
-    is a batch of one point.
-    """
-    at, mismatch, on_u, (u_l, du_l, u_r, du_r) = _trusted(growth, left, right, k)
-    least = np.full(growth.shape, np.inf)
-    least[at] = mismatch
-    alpha = np.full(growth.shape, np.nan, dtype=complex)
-    # the larger of |u_R| and |u_R'/k| is nonzero at a trusted entry
-    alpha[at] = np.where(on_u, u_l, du_l) / np.where(on_u, u_r, du_r)
-    edge, points = least.argmin(axis=0), np.arange(len(k))
-    return edge, least[edge, points], alpha[edge, points]
+    abs_du = np.abs(join_r[:, 1] / k)
+    # a pair of zeros has log size -inf, and where it is not trusted a
+    # mismatch or alpha may be 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_l = np.log(abs_l[:, 0] + abs_l[:, 1] / abs_k)
+        log_r = np.log(abs_r[:, 0] + abs_r[:, 1] / abs_k)
+        size_r = np.maximum(abs_r[:, 0], abs_du)
+        scale = size_r * (abs_l[:, 1] + np.abs(k * join_l[:, 0]))
+        mismatch = np.abs(_wronskian(join_l, join_r)) / scale
+        trusted = (log_l >= _TRUST_FLOOR + grown) & (log_r >= _TRUST_FLOOR + growth[-1] - grown)
+        least = np.where(trusted, mismatch, np.inf)
+        at, points = least.argmin(axis=0), np.arange(len(k))
+        edge, mismatch = at + joins.start, least[at, points]
+        # row 0 (u) where the right piece scales on u, else row 1 (u')
+        row = (abs_r[at, 0, points] < abs_du[at, points]).astype(np.intp)
+        alpha = left[edge, row, points] / right[edge, row, points]
+    found = mismatch != np.inf
+    return np.where(found, edge, 0), mismatch, np.where(found, alpha, np.nan)
 
 
 def _nonzero_k(k):

@@ -228,6 +228,24 @@ class TestContourSeeds:
         profile = build_profile(list(layers), MASS_RATIO)
         assert _search(profile, N, monkeypatch)[2:] == (points, rounds)
 
+    def test_one_pole_box_seed_is_the_polynomial_root(self, monkeypatch):
+        # a box that counts one pole seeds at s_1 itself; np.roots of the
+        # polynomial Newton's identities build from s_1 returns it bit for bit
+        sums, roots = [], poles_module._roots
+        monkeypatch.setattr(poles_module, "_roots", lambda s: sums.append(s) or roots(s))
+        for layers, N in POLE_PROFILES.values():
+            find_poles(build_profile(list(layers), MASS_RATIO), N)
+        # 19 of the 33 boxes count one pole
+        ones = [s for s in sums if len(s) == 1]
+        assert len(ones) > 10
+        for s in ones:
+            coefficients = [1.0]
+            for m in np.arange(1, len(s) + 1):
+                coefficients.append(-np.dot(coefficients[::-1], s[:m]) / m)
+            (shortcut,), (root,) = roots(s).tolist(), np.roots(coefficients).tolist()
+            assert shortcut.real.hex() == root.real.hex()
+            assert shortcut.imag.hex() == root.imag.hex()
+
     def test_seed_above_the_axis_is_mirrored(self, triple_profile, monkeypatch):
         # a root of the moment polynomial above the real axis seeds at its
         # mirror image below it

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,8 +463,24 @@ class TestPolesAndModes:
         left = np.zeros((3, 2, 64), dtype=complex)
         left[1, 1] = [abs(z) for z in k.tolist()]
         right = np.ones((3, 2, 64), dtype=complex)
-        (edges, points), *_ = scattering._trusted(growth, left, right, k)
-        assert (edges == 1).all() and (points == np.arange(64)).all()
+        # a point with no trusted join edge would join at edge 0, mismatch inf
+        edges, mismatch, _ = scattering._join(growth, left, right, k)
+        assert (edges == 1).all() and np.isfinite(mismatch).all()
+
+    def test_join_with_no_trusted_edge_warns_of_nothing(self):
+        # the join test forms sizes, mismatches and alpha on join edges that
+        # are not trusted too: pieces of zeros (log size -inf, mismatch and
+        # alpha 0/0) and growth that leaves no edge trusted give edge 0,
+        # mismatch inf and alpha nan at every point, with no RuntimeWarning
+        k = np.array([0.1 - 0.01j, 0.2 - 0.02j, 0.3 - 0.03j])
+        growth = np.zeros((4, 3))
+        growth[:, 1:] = 1e3 * np.arange(4)[:, None]
+        left, right = np.ones((2, 4, 2, 3), dtype=complex)
+        left[:, :, 0] = right[:, :, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges, mismatch, alpha = scattering._join(growth, left, right, k)
+        assert (edges == 0).all() and (mismatch == np.inf).all() and np.isnan(alpha).all()
 
 
 class TestSuperlattice:
@@ -503,7 +520,7 @@ def _join_per_column(growth, left, right, k):
     floor = scattering._TRUST_FLOOR
     trusted = (log_l >= floor + growth) & (log_r >= floor + growth[-1] - growth)
     joins = scattering._joins(len(growth) - 1)
-    edges = joins[trusted[joins]]
+    edges = np.arange(len(growth))[joins][trusted[joins]]
     if not edges.size:
         return 0, np.inf, np.nan
     left, right = left[edges], right[edges]
