@@ -15,7 +15,9 @@ triple barrier's first resonance E_1, its stationary field
 (solve_stationary) at the real k of E_1, transfer_matrix at 200 real k of
 (0, 100 meV], Newton from the first seed of the 50 meV box,
 the lockstep Newton batch (poles._newton) from the 100 meV box's four
-seeds, the join test (scattering._join) at the triple barrier's four poles
+seeds, the walk of both outgoing pieces (scattering._outgoing) at the
+triple barrier's four poles and their central-difference points, as one
+Newton round walks them, the join test (scattering._join) at its four poles
 as one batch, as the Newton batch runs it, and at its first pole alone, as
 a mode solve runs it, build_profile on the triple barrier's layers, the whole
 pole search for its four poles and for four poles of the 4-barrier
@@ -171,6 +173,16 @@ def test_newton_batch(benchmark, triple):
     seeds = seed_poles(triple, 0.1)
     poles = benchmark(_newton, triple, seeds)
     assert len(seeds) == len(poles) == 4
+
+
+def test_outgoing_batch(benchmark, triple):
+    # the Newton batch's walk of both outgoing pieces at the four poles and
+    # their central-difference points, one (3, 4) array
+    ks = np.array([p.k for p in find_poles(triple, 4)])
+    hs = np.abs(ks) * 1e-7
+    points = np.array([ks, ks + hs, ks - hs])
+    left, right = benchmark(_outgoing, _layers(triple, points), points)
+    assert left.shape == right.shape == (len(TRIPLE_LAYERS) + 1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("points", ["batch", "mode"])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from qshutter import build_profile, transmission
-from qshutter.output import gnuplot_script, write_transmission_csv
+from qshutter.output import write_transmission_csv
 
 out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_out")
 out.mkdir(parents=True, exist_ok=True)
@@ -51,16 +51,16 @@ for name, profile, window in (
     for i in np.flatnonzero(interior) + 1:
         print(f"  {name}: peak T = {T[i]:.4f} at E = {energies[i]:.3f} meV")
 
-script = gnuplot_script(
-    out / "transmission.gp",
-    "stationary transmission",
-    [
-        ("transmission_double.csv", "double barrier"),
-        ("transmission_triple.csv", "triple barrier"),
-    ],
-    xlabel="E (meV)",
-    ylabel="T",
-    x_col=1,
-    y_col=2,
+# gnuplot_script lays out the trace CSVs, so the scan writes its own script
+script = out / "transmission.gp"
+script.write_text(
+    "set datafile separator ','\n"
+    "set title 'stationary transmission'\n"
+    "set xlabel 'E (meV)'\n"
+    "set ylabel 'T'\n"
+    "set terminal pngcairo size 960,640\n"
+    "set output 'transmission.png'\n"
+    "plot 'transmission_double.csv' using 1:2 every ::1 with lines title 'double barrier', \\\n"
+    "     'transmission_triple.csv' using 1:2 every ::1 with lines title 'triple barrier'\n"
 )
 print(f"wrote {script}")

@@ -225,30 +225,23 @@ class Manifest:
         return str(path)
 
 
-def gnuplot_script(
-    path,
-    title: str,
-    curves: list[tuple[str, str]],
-    xlabel: str = "t / tau_1",
-    ylabel: str = "|Psi|^2",
-    x_col: int = 2,
-    y_col: int = 3,
-) -> str:
-    """Plain-text plotting script over the emitted CSVs (no plotting
-    dependency in the package); curves are (csv_filename, legend) pairs."""
+def gnuplot_script(path, title: str, curves: list[tuple[str, str]]) -> str:
+    """Plain-text plotting script over the emitted trace CSVs (no plotting
+    dependency in the package): |Psi|^2 (column 3) against t / tau_1
+    (column 2); curves are (csv_filename, legend) pairs."""
     path = Path(path)
     png = path.with_suffix(".png").name
     # every ::1 skips the header row
     plots = ", \\\n     ".join(
-        f"'{fname}' using {x_col}:{y_col} every ::1 with lines title '{label}'"
+        f"'{fname}' using 2:3 every ::1 with lines title '{label}'"
         for fname, label in curves
     )
     script = (
         "# generated plotting script; run with: gnuplot <this file>\n"
         "set datafile separator ','\n"
         f"set title '{title}'\n"
-        f"set xlabel '{xlabel}'\n"
-        f"set ylabel '{ylabel}'\n"
+        "set xlabel 't / tau_1'\n"
+        "set ylabel '|Psi|^2'\n"
         "set key top right\n"
         "set grid\n"
         "set terminal pngcairo size 960,640\n"

@@ -65,7 +65,7 @@ imaginary axis is a quadrant escape.
 
 find_poles refines all of its seeds in lockstep (_newton).  Each
 round evaluates every active seed's iterate and its two difference points
-as one (3, n_seeds) array, through one kernel call and one march of both
+as one (3, n_seeds) array, through one kernel call and one walk of both
 outgoing pieces, which cost about as much for 18 points as for 3.  The
 first round picks every seed's join edge, where the growth on either side
 balances, in one argmin over the batch.  W is formed only at each seed's
@@ -81,6 +81,7 @@ lowest-index failing seed's, as a loop over the seeds would raise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -425,6 +426,10 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     halved on Re k and seeded again.  Duplicates collapse at |dk| < 1e-9
     nm^-1.
     """
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise DomainError(f"N must be an integer, got {N!r}") from None
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     if profile.is_free:

@@ -29,6 +29,7 @@ that case.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -168,7 +169,8 @@ def make_spectrum(profile: PotentialProfile, n_poles: int = 4) -> Spectrum:
     return _search(profile, n_poles)
 
 
-@lru_cache(maxsize=_SPECTRUM_MEMO_SIZE)
+# typed: a count of 2.0 must reach find_poles's check, not the memo of 2
+@lru_cache(maxsize=_SPECTRUM_MEMO_SIZE, typed=True)
 def _search(profile: PotentialProfile, n_poles: int) -> Spectrum:
     poles = find_poles(profile, n_poles)
     return Spectrum(profile, tuple(solve_mode(profile, p) for p in poles))
@@ -474,6 +476,8 @@ def evolve_trace(
     amplitude decay time 2 hbar/Gamma_1 dictated by the closed two-level
     form at omega_hat_1 = 0.
     """
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"x must be a real number, got {x!r}")
     _locate(problem.field.edges, x)
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or len(times) < 1:

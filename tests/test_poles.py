@@ -25,6 +25,7 @@ from qshutter import (
     QuadrantEscapeError,
     build_profile,
     find_poles,
+    make_spectrum,
     pole_condition,
     transmission,
 )
@@ -437,9 +438,21 @@ class TestFindPoles:
         with pytest.raises(PoleCountError, match="0 poles found"):
             find_poles(free_profile, 1)
 
-    def test_bad_count_rejected(self, triple_profile):
-        with pytest.raises(DomainError):
-            find_poles(triple_profile, 0)
+    def test_bad_count_rejected(self, triple_profile, monkeypatch):
+        # a count below 1 or one operator.index refuses is rejected before
+        # any box is counted, and a kept spectrum of 2 poles does not answer
+        # for a count of 2.0
+        make_spectrum(triple_profile, 2)
+        boxes, box_seeds = [], poles_module._box_seeds
+        monkeypatch.setattr(
+            poles_module, "_box_seeds", lambda *a: boxes.append(a) or box_seeds(*a)
+        )
+        for N in (0, 2.5, 2.0):
+            with pytest.raises(DomainError):
+                find_poles(triple_profile, N)
+            with pytest.raises(DomainError):
+                make_spectrum(triple_profile, N)
+        assert boxes == []
 
     @pytest.mark.parametrize(
         "layers, mass_ratio", [([(1.14, 0.08)], 0.1), ([(2.42, 0.127)], 0.052)]

@@ -807,6 +807,17 @@ class TestEvolveTrace:
         with pytest.raises(DomainError):
             evolve_trace(problem_ebar, problem_ebar.L, [0.0, 1.0], methods=("euler",))
 
+    def test_position_not_a_real_scalar_rejected(self, problem_ebar, monkeypatch):
+        # rejected before any M column is evaluated; the memo is emptied so
+        # that a kept column cannot hide a call
+        psi_exact.cache_clear()
+        calls = []
+        monkeypatch.setattr(transient, "m_function", lambda y: calls.append(y) or m_function(y))
+        for bad in ([1.0], "L", 1.0 + 0j):
+            with pytest.raises(DomainError):
+                evolve_trace(problem_ebar, bad, [0.0, 1.0, 2.0])
+        assert calls == []
+
     def test_decreasing_grid_rejected(self, problem_ebar):
         with pytest.raises(DomainError):
             evolve_trace(problem_ebar, problem_ebar.L, [1.0, 0.5])
