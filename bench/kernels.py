@@ -15,8 +15,10 @@ triple barrier's first resonance E_1, its stationary field
 (solve_stationary) at the real k of E_1, transfer_matrix at 200 real k of
 (0, 100 meV], Newton from the first seed of the 50 meV box,
 the lockstep Newton batch (poles._newton) from the 100 meV box's four
-seeds, the walk of both outgoing pieces (scattering._outgoing) at the
-triple barrier's four poles and their central-difference points, as one
+seeds, the same batch from two seeds it cannot bring home (a 100-round
+stall and a seed whose second evaluation trips the overflow guard), the
+walk of both outgoing pieces (scattering._outgoing) at the triple
+barrier's four poles and their central-difference points, as one
 Newton round walks them, the join test (scattering._join) at its four poles
 as one batch, as the Newton batch runs it, and at its first pole alone, as
 a mode solve runs it, build_profile on the triple barrier's layers, the whole
@@ -94,7 +96,7 @@ from qshutter import (  # noqa: E402
     solve_mode,
     transmission,
 )
-from qshutter import output  # noqa: E402
+from qshutter import PoleConvergenceError, output  # noqa: E402
 from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
@@ -111,6 +113,10 @@ from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
 TIMES = np.linspace(0.005, 10.0, 2000)
+# triple-barrier seeds refine_pole cannot bring home: Newton from the first
+# stalls for 100 rounds, and the second's first step trips the overflow guard
+STALL_SEED = 0.08 - 3.5j
+GUARD_SEED = 0.150123534489 - 0.001646011879j
 FOUR_BARRIERS = (
     (5.06, 0.194), (13.42, 0.0), (7.14, 0.288), (9.55, 0.0),
     (5.9, 0.335), (7.31, 0.0), (9.21, 0.323),
@@ -173,6 +179,15 @@ def test_newton_batch(benchmark, triple):
     seeds = seed_poles(triple, 0.1)
     poles = benchmark(_newton, triple, seeds)
     assert len(seeds) == len(poles) == 4
+
+
+def test_newton_failing_batch(benchmark, triple):
+    def failing_batch():
+        with pytest.raises(PoleConvergenceError) as err:
+            _newton(triple, [STALL_SEED, GUARD_SEED])
+        return err.value
+
+    assert isinstance(benchmark(failing_batch), PoleConvergenceError)
 
 
 def test_outgoing_batch(benchmark, triple):

@@ -74,9 +74,8 @@ whose step has reached rounding level.  Each seed keeps its own join edge,
 stop test, halving and trace, and takes its step in Python complex
 arithmetic from its own column, so every pole is bit for bit the one
 refine_pole (the one-seed call) returns.  A seed leaves the batch once it
-converges or fails; a tripped guard fails the seed that owns the guarded
-point, and the others are evaluated again.  The error raised is the
-lowest-index failing seed's, as a loop over the seeds would raise.
+converges; the first seed to fail ends the batch with its error (a tripped
+guard fails the seed that owns the guarded point).
 """
 
 from __future__ import annotations
@@ -288,6 +287,7 @@ def refine_pole(profile: PotentialProfile, seed: complex) -> ResonancePole:
     iterations or when an iterate trips an overflow guard (a layer's or the
     march's), and QuadrantEscapeError when halving cannot keep a step in
     the quadrant or keeps it only within _STEP_ULPS ulps of Re k = 0.
+    It is the one-seed batch of _newton, which find_poles runs.
     """
     k = complex(seed)
     if not (k.real > 0 and k.imag < 0):
@@ -299,21 +299,17 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
     """refine_pole from every fourth-quadrant seed in lockstep (module
     docstring): one array evaluation per round for all unfinished seeds.
 
-    Raises what refine_pole raises for the lowest-index seed that fails;
-    seeds after a failed one are dropped, as their poles cannot be returned.
+    The first seed to fail ends the batch, at once, with what refine_pole
+    raises for it; after _MAX_ITERATIONS rounds, that is the first seed still active.
     """
     ks = [complex(seed) for seed in seeds]
     traces = [[k] for k in ks]
     edges: dict[int, int] = {}
     last = {}  # each seed's last (W, step)
     poles: dict[int, ResonancePole] = {}
-    failed: dict[int, PoleConvergenceError] = {}
     active = list(range(len(ks)))
     rounds = 0
-    while rounds < _MAX_ITERATIONS:
-        active = [i for i in active if not failed or i < min(failed)]
-        if not active:
-            break
+    while active and rounds < _MAX_ITERATIONS:
         # each seed's W and its central-difference neighbours, as columns
         now = [ks[i] for i in active]
         hs = [abs(k) * 1e-7 for k in now]
@@ -323,18 +319,14 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
         try:
             layers = _layers(profile, points)
         except OverflowGuardError as err:
-            # a diverging iterate has run deep into the lower half plane:
-            # fail its seed and evaluate the rest again.  The guarded point
-            # is the first of its seed's column, so its row is the index the
-            # seed's own 3-point evaluation would name
-            n = len(active)
-            i = active.pop(err.point % n)
-            err.point //= n
-            failed[i] = PoleConvergenceError(
+            # a diverging iterate has run deep into the lower half plane.
+            # The guarded point is the first of its seed's column, so its
+            # row is the index the seed's own 3-point evaluation would name
+            i = active[err.point % len(active)]
+            err.point //= len(active)
+            raise PoleConvergenceError(
                 f"iterate {ks[i]} tripped the guard: {err}", traces[i]
-            )
-            failed[i].__cause__ = err
-            continue
+            ) from err
         growth = _growth(layers)[:, 0]
         if rounds == 0:
             # each seed's join edge, where the growth on either side balances
@@ -372,41 +364,36 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
                 poles[i] = ResonancePole(index=0, k=k, E=energy_of(k, c), hbar=c.hbar_ev_ps)
                 continue
             if step == 0 or not np.isfinite(step):
-                failed[i] = PoleConvergenceError(
+                raise PoleConvergenceError(
                     f"no Newton step from uncertified iterate {k}", trace
                 )
-                continue
             for _ in range(_MAX_HALVINGS):
                 if (k + step).real > 0 and (k + step).imag < 0:
                     break
                 step /= 2.0
             else:
-                failed[i] = QuadrantEscapeError(
+                raise QuadrantEscapeError(
                     f"iterate {k + step} left the fourth quadrant", trace
                 )
-                continue
             last[i] = wronskians[col][0], step
             ks[i] = k + step
             trace.append(ks[i])
             if ks[i].real < _STEP_ULPS * _EPS * abs(ks[i]):
                 # a root off the quadrant: halving would hold Re k at
                 # rounding level for every remaining round
-                failed[i] = QuadrantEscapeError(
+                raise QuadrantEscapeError(
                     f"iterate {ks[i]} reached the imaginary axis", trace
                 )
-                continue
             stepping.append(i)
         active = stepping
         rounds += 1
-    for i in active:
-        w, step = last[i]
-        failed[i] = PoleConvergenceError(
+    if active:
+        w, step = last[active[0]]
+        raise PoleConvergenceError(
             f"no convergence after {_MAX_ITERATIONS} iterations, "
             f"last |W| = {abs(w):.3e}, last step {abs(step):.3e}",
-            traces[i],
+            traces[active[0]],
         )
-    if failed:
-        raise failed[min(failed)]
     return [poles[i] for i in range(len(ks))]
 
 
@@ -422,7 +409,8 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     Boxes of the k plane are counted and seeded left to right (module
     docstring) until N seeds obey the rule and no lower pole that obeys it
     can lie past the last box; all seeds are then refined in one lockstep
-    batch.  A box whose count exceeds the distinct poles found inside it is
+    batch, which the first seed to fail ends with refine_pole's error for
+    it.  A box whose count exceeds the distinct poles found inside it is
     halved on Re k and seeded again.  Duplicates collapse at |dk| < 1e-9
     nm^-1.
     """

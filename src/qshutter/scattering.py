@@ -551,9 +551,17 @@ def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):
     return _wave(q, coefficients, *_locate(edges, x))
 
 
+def _real_array(values, name: str) -> np.ndarray:
+    """values as a float array; complex values raise DomainError."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise DomainError(f"{name} must be real, not complex")
+    return values.astype(float, copy=False)
+
+
 def _locate(edges: np.ndarray, x):
     """(j, xi) of layered_wave for x in [0, L]: x's layer and its offset."""
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "x")
     if not ((x >= 0.0) & (x <= edges[-1])).all():
         raise DomainError(f"x must lie in [0, {float(edges[-1])}] nm")
     j = np.minimum(edges.searchsorted(x, side="right") - 1, len(edges) - 2)

@@ -40,7 +40,7 @@ from .mfunc import m_function, y_values
 from .model import PhysicalConstants, PotentialProfile, wavenumber
 from .modes import ResonantMode, _rho, solve_mode
 from .poles import ResonancePole, find_poles
-from .scattering import StationaryField, _locate, _wave, solve_stationary
+from .scattering import StationaryField, _locate, _real_array, _wave, solve_stationary
 from .twolevel import (
     _broadcast_xt,
     density_resonant_exponential,
@@ -135,9 +135,9 @@ class Spectrum:
         return tuple(m.pole for m in self.modes)
 
     def at(self, E: float) -> ShutterProblem:
-        """The ShutterProblem at real incidence energy E (eV)."""
-        if not (0 < E < np.inf):
-            raise DomainError(f"incidence energy must be finite and > 0 eV, got {E}")
+        """The ShutterProblem at incidence energy E (eV), a real scalar in (0, inf)."""
+        if np.ndim(E) or np.asarray(E).dtype.kind not in "iuf" or not 0 < E < np.inf:
+            raise DomainError(f"incidence energy must be a real scalar in (0, inf) eV, got {E!r}")
         k = wavenumber(E, self.profile).real
         return ShutterProblem(
             profile=self.profile,
@@ -193,8 +193,8 @@ def make_problem(
 
 
 def _times(t) -> np.ndarray:
-    """t (ps) as a float array; every time must be finite and > 0."""
-    t_arr = np.asarray(t, dtype=float)
+    """t (ps) as a float array; every time must be real, finite and > 0."""
+    t_arr = _real_array(t, "t")
     if not ((t_arr > 0) & (t_arr < np.inf)).all():
         raise DomainError("t must be finite and > 0 ps (t = 0 is the initial condition)")
     return t_arr
@@ -316,7 +316,7 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
         raise DomainError(f"needs {n_max} mode(s), problem has {len(problem.modes)}")
     located = _locate(problem.field.edges, x)
     x = np.asarray(x, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _real_array(t, "t")
     keep = t_arr.size <= _COLUMN_MEMO_POINTS
     grid = (_grid if keep else _grid.__wrapped__)(
         t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.mass_ratio
@@ -479,7 +479,7 @@ def evolve_trace(
     if not isinstance(x, numbers.Real):
         raise DomainError(f"x must be a real number, got {x!r}")
     _locate(problem.field.edges, x)
-    times = np.asarray(time_grid, dtype=float)
+    times = _real_array(time_grid, "time grid")
     if times.ndim != 1 or len(times) < 1:
         raise DomainError("time grid must be a 1-D array")
     if not (np.all(times >= 0) and np.all(np.diff(times) > 0)):

@@ -372,14 +372,30 @@ class TestLockstep:
     def test_failing_seed_raises_what_the_loop_raises(
         self, window, triple_profile, monkeypatch
     ):
-        # the lowest-index failing seed decides, even when a later seed
-        # fails rounds earlier (the guard trips on the second round, the
-        # stall ends on the hundredth)
+        # the first failure ends the batch at once: of a loop of refine_pole
+        # over the seeds, the error of the seed that fails after the fewest
+        # evaluations, even when a lower-index seed would fail later (the
+        # guard trips on the second evaluation, the stall ends on the
+        # hundredth)
         good = seed_poles(triple_profile, 0.05)[0]
         seeds = [good if s == "good" else s for s in window]
-        expected = _raised(lambda: [refine_pole(triple_profile, s) for s in seeds])
+        evaluations, layers = [], poles_module._layers
+        monkeypatch.setattr(
+            poles_module, "_layers", lambda *a: evaluations.append(1) or layers(*a)
+        )
+        raised = {}
+        for seed in seeds:
+            evaluations.clear()
+            try:
+                refine_pole(triple_profile, seed)
+            except PoleConvergenceError as err:
+                raised.setdefault(len(evaluations), err)
+        first = min(raised)
+        expected = raised[first]
+        evaluations.clear()
         monkeypatch.setattr(poles_module, "_box_seeds", lambda *args: (len(seeds), seeds))
         got = _raised(lambda: find_poles(triple_profile, 1))
+        assert len(evaluations) == first == (2 if GUARD_SEED in seeds else 100)
         assert type(got) is type(expected) and str(got) == str(expected)
         assert got.trace == expected.trace
         cause = got.__cause__

@@ -135,6 +135,10 @@ class TestMakeProblem:
                 make_problem(triple_profile, bad)
             with pytest.raises(DomainError):
                 frequencies(bad, triple_poles[0], triple_poles[1])
+        # an energy that is not a real scalar
+        for bad in (np.array([0.01]), [0.01], 0.01 + 0j, "0.01"):
+            with pytest.raises(DomainError):
+                make_problem(triple_profile, bad)
 
     def test_zero_modes_only_for_free(self, triple_profile, free_profile):
         with pytest.raises(DomainError):
@@ -249,6 +253,30 @@ class TestPsiExact:
         for bad in (99.0, np.nan):
             with pytest.raises(DomainError):
                 evolve_trace(problem_ebar, bad, [0.0, 1.0], (METHOD_EXPONENTIAL,))
+
+    def test_complex_x_and_t_rejected(self, problem_ebar):
+        # not read as their real parts: every evaluator at x or t raises
+        p = problem_ebar
+        mode_1, mode_2 = p.modes[:2]
+        freqs = frequencies(p.E, mode_1.pole, mode_2.pole)
+        calls = [
+            lambda x, t: psi_exact(p, x, t),
+            lambda x, t: psi_doublet_M(p, x, t),
+            lambda x, t: delta_term(p, x, t),
+            lambda x, t: density_two_level(mode_1, mode_2, freqs, x, p.k, t),
+        ]
+        for call in calls:
+            for x, t in ((np.array([10 + 5j]), 1.0), (10 + 0j, 1.0),
+                         (10.0, np.array([1 + 1j])), (10.0, 1 + 0j)):
+                with pytest.raises(DomainError):
+                    call(x, t)
+        for x in (np.array([10 + 5j]), 10 + 0j):
+            with pytest.raises(DomainError):
+                stationary_wave(p.field, x)
+            with pytest.raises(DomainError):
+                mode_1.u(x)
+            with pytest.raises(DomainError):
+                rho(mode_1, p.k, x)
 
     def test_density_map_matches_per_x_loop(self, problem_ebar):
         # x and t broadcast: an (n_x, 1) column against n_t times is the map
@@ -806,6 +834,11 @@ class TestEvolveTrace:
     def test_unknown_method_rejected(self, problem_ebar):
         with pytest.raises(DomainError):
             evolve_trace(problem_ebar, problem_ebar.L, [0.0, 1.0], methods=("euler",))
+
+    def test_complex_grid_rejected(self, problem_ebar):
+        for grid in ([0.0, 1.0 + 1j], np.array([0.0, 1.0, 2.0], dtype=complex)):
+            with pytest.raises(DomainError):
+                evolve_trace(problem_ebar, problem_ebar.L, grid)
 
     def test_position_not_a_real_scalar_rejected(self, problem_ebar, monkeypatch):
         # rejected before any M column is evaluated; the memo is emptied so
