@@ -47,9 +47,14 @@ that it formats the cells, a later file of the same trace, a first file of
 a trace at another energy on the kept grid, which is `scenario_sweep`'s
 case, and all four files of a trace with the memo cleared), the CSV text
 of the 4000-point scan,
-and `resolve_scenario` on the shipped triple-barrier config with
+`resolve_scenario` on the shipped triple-barrier config with
 make_spectrum's memo cleared before each round (cold: the pole search and
-mode solves run) and filled (warm: only the stationary field is solved).
+mode solves run) and filled (warm: only the stationary field is solved),
+criterion 10's grid oracle (acceptance._check_crank_nicolson: the free
+cutoff wave on the 680 nm grid, 1,250 Crank-Nicolson steps, against the
+closed form) and one whole selftest (run_acceptance, its output
+discarded) with make_spectrum's and psi_exact's memos cleared before each
+round.
 The cold starts time whole fresh interpreters: `import qshutter`, the
 `poles` subcommand on the shipped triple barrier and the `transmission`
 subcommand on the shipped double barrier over 1-200 meV.
@@ -72,6 +77,8 @@ for _var in (
 ):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
@@ -96,7 +103,7 @@ from qshutter import (  # noqa: E402
     solve_mode,
     transmission,
 )
-from qshutter import PoleConvergenceError, output  # noqa: E402
+from qshutter import PoleConvergenceError, acceptance, output  # noqa: E402
 from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
@@ -383,6 +390,24 @@ def test_resolve_scenario_warm(benchmark, triple_config):
     resolve_scenario(triple_config)
     rs = benchmark(resolve_scenario, triple_config)
     assert len(rs.problem.modes) == 4
+
+
+def test_grid_oracle(benchmark):
+    check = benchmark.pedantic(acceptance._check_crank_nicolson, rounds=10, warmup_rounds=1)
+    assert check.passed
+
+
+def test_selftest(benchmark):
+    def clear():
+        make_spectrum.cache_clear()
+        psi_exact.cache_clear()
+
+    def selftest():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return acceptance.run_acceptance()
+
+    results = benchmark.pedantic(selftest, setup=clear, rounds=3)
+    assert len(results) == 10
 
 
 COLD_STARTS = {

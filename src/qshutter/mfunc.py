@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import PhysicalConstants
+from .scattering import _real_array
 
 __all__ = [
     "faddeeva",
@@ -98,7 +99,7 @@ def y_values(s, t, constants: PhysicalConstants):
 
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
-    t = np.asarray(t, dtype=float)
+    t = _real_array(t, "t")
     if not np.all(t >= 0):
         raise DomainError("t must be >= 0 ps")
     return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * np.sqrt(t)

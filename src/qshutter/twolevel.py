@@ -117,8 +117,8 @@ def frequencies(E: float, pole_1: ResonancePole, pole_2: ResonancePole
                 ) -> DoubletFrequencies:
     """Doublet frequencies at incidence energy E (eV); requires
     curlyE_2 > curlyE_1 (ordered, non-degenerate doublet)."""
-    if not (0 < E < np.inf):
-        raise DomainError(f"E must be finite and > 0 eV, got {E}")
+    if np.ndim(E) or np.asarray(E).dtype.kind not in "iuf" or not 0 < E < np.inf:
+        raise DomainError(f"E must be a real scalar, finite and > 0 eV, got {E!r}")
     e1, e2 = pole_1.E_position, pole_2.E_position
     if not (e2 > e1):
         raise DomainError(

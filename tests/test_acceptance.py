@@ -11,7 +11,17 @@ includes interior-point truncation bounds that the two-term mode sum
 genuinely exceeds.  Those tests fail by design; the failure text records
 expected vs measured for each subcheck.  Do not silence them without
 revisiting the analysis in the project decision notes.
+
+The last test checks criterion 10's grid oracle against a step-by-step
+Crank-Nicolson march on a short grid.
 """
+
+import numpy as np
+from scipy.linalg import solve_banded
+
+from qshutter import acceptance
+from qshutter.model import PhysicalConstants
+from qshutter.presets import MASS_RATIO
 
 
 def run(selftest_run, number):
@@ -60,3 +70,28 @@ def test_criterion_09_enhancement_with_barrier_width(selftest_run):
 
 def test_criterion_10_invariant_property_suites(selftest_run):
     run(selftest_run, 10)
+
+
+def test_grid_oracle_matches_a_step_by_step_dirichlet_march(monkeypatch):
+    # criterion 10's grid oracle takes every Crank-Nicolson step at once in
+    # the sine basis; on a 20 nm half-width it meets 100 banded solves of
+    # (I + lam T) psi' = (I - lam T) psi on the interior nodes
+    monkeypatch.setattr(acceptance, "_CN_DOMAIN", 20.0)
+    constants = PhysicalConstants(mass_ratio=MASS_RATIO)
+    k, t_final = 0.142236183, 0.02
+    x, psi = acceptance._crank_nicolson_free(k, t_final, constants)
+
+    ref = np.where(x <= 0.0, 2j * np.sin(k * x), 0.0)[1:-1]
+    start = np.sum(np.abs(ref) ** 2)
+    lam = 1j * constants.hbar_over_2m * acceptance._CN_DT / (2.0 * acceptance._CN_DX**2)
+    bands = np.empty((3, ref.size), complex)
+    bands[0], bands[1], bands[2] = -lam, 1.0 + 2.0 * lam, -lam
+    for _ in range(100):
+        rhs = (1.0 - 2.0 * lam) * ref
+        rhs[1:] += lam * ref[:-1]
+        rhs[:-1] += lam * ref[1:]
+        ref = solve_banded((1, 1), bands, rhs)
+
+    assert psi[0] == psi[-1] == 0.0
+    assert np.max(np.abs(psi[1:-1] - ref)) < 1e-10 * np.max(np.abs(ref))
+    assert abs(np.sum(np.abs(psi) ** 2) / start - 1.0) < 1e-12

@@ -112,6 +112,11 @@ class TestYArgument:
             with pytest.raises(DomainError):
                 y_values(0.3, np.array([0.1, t, 0.3]), C)
 
+    def test_complex_time_rejected(self):
+        for t in (0.1 + 0j, np.array([0.1, 0.2 + 1e-3j])):
+            with pytest.raises(DomainError, match="real"):
+                y_values(0.3, t, C)
+
     def test_phase_factor(self):
         assert Y_PHASE == pytest.approx(np.exp(3j * np.pi / 4.0), abs=1e-15)
 

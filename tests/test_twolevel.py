@@ -75,6 +75,15 @@ class TestFrequencies:
         with pytest.raises(DomainError):
             frequencies(0.01, triple_poles[1], triple_poles[0])
 
+    @pytest.mark.parametrize(
+        "E",
+        [[0.0129], np.array([0.0129]), 0.0129 + 0j, "x", True, np.nan, -0.0129],
+        ids=["list", "array", "complex", "str", "bool", "nan", "negative"],
+    )
+    def test_energy_not_a_real_scalar_rejected(self, triple_poles, E):
+        with pytest.raises(DomainError):
+            frequencies(E, triple_poles[0], triple_poles[1])
+
 
 class TestChi:
     def test_boundary_values(self, freqs_ebar):
