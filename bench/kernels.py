@@ -52,9 +52,11 @@ make_spectrum's memo cleared before each round (cold: the pole search and
 mode solves run) and filled (warm: only the stationary field is solved),
 criterion 10's grid oracle (acceptance._check_crank_nicolson: the free
 cutoff wave on the 680 nm grid, 1,250 Crank-Nicolson steps, against the
-closed form) and one whole selftest (run_acceptance, its output
-discarded) with make_spectrum's and psi_exact's memos cleared before each
-round.
+closed form), criterion 10's Faddeeva check (acceptance._check_faddeeva_oracle:
+700 points against the 50-digit reference), the 50-digit secant of
+reference.pole on the double barrier's third pole (385.50 meV), and one
+whole selftest (run_acceptance, its output discarded) with make_spectrum's
+and psi_exact's memos cleared before each round.
 The cold starts time whole fresh interpreters: `import qshutter`, the
 `poles` subcommand on the shipped triple barrier and the `transmission`
 subcommand on the shipped double barrier over 1-200 meV.
@@ -103,11 +105,11 @@ from qshutter import (  # noqa: E402
     solve_mode,
     transmission,
 )
-from qshutter import PoleConvergenceError, acceptance, output  # noqa: E402
+from qshutter import PoleConvergenceError, acceptance, output, reference  # noqa: E402
 from qshutter.model import wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
-from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
+from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
 from qshutter.scattering import (  # noqa: E402
     _growth,
     _join,
@@ -395,6 +397,20 @@ def test_resolve_scenario_warm(benchmark, triple_config):
 def test_grid_oracle(benchmark):
     check = benchmark.pedantic(acceptance._check_crank_nicolson, rounds=10, warmup_rounds=1)
     assert check.passed
+
+
+def test_faddeeva_oracle(benchmark):
+    # criterion 10's generator, so the same 700 points
+    checks = benchmark.pedantic(
+        lambda: acceptance._check_faddeeva_oracle(np.random.default_rng(20260815)), rounds=3
+    )
+    assert all(check.passed for check in checks)
+
+
+def test_reference_pole(benchmark):
+    double = build_profile(list(DOUBLE_LAYERS), MASS_RATIO)
+    root = benchmark(reference.pole, double, 0.8269 - 0.0763j)
+    assert abs(root - (0.8268925864622473 - 0.07633861685396091j)) < 1e-15
 
 
 def test_selftest(benchmark):

@@ -13,10 +13,10 @@ A criterion's result is a numbered Manifest with notes whose verdict is ok;
 its Checks are built by check_abs or check_bound, or, when it shares them
 with a figure preset, by that preset's functions in presets.
 
-Oracles used by criterion 10 (arbitrary-precision Faddeeva reference,
-free-particle closed form, Crank-Nicolson grid propagation between
-Dirichlet walls, all of its steps taken at once in the discrete sine
-basis) live in this module so the selftest is self-contained.
+Criterion 10 checks the Faddeeva function and the free-shutter closed
+form against the arbitrary-precision references in `reference`.  Its grid
+oracle (Crank-Nicolson propagation between Dirichlet walls, all of its
+steps taken at once in the discrete sine basis) lives in this module.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import reference
 from .config import Incidence
 from .mfunc import faddeeva, m_function, m_function_scaled
 from .model import PhysicalConstants, build_profile, energy_of, wavenumber
@@ -323,18 +324,7 @@ def criterion_9(ctx: AcceptanceContext) -> CheckResult:
 # --- criterion 10: invariant property suites ------------------------------
 
 
-def _faddeeva_reference(z):
-    """w(z) = e^{-z^2} erfc(-iz) to 50 digits; z a complex or an mpmath mpc."""
-    import mpmath as mp
-
-    with mp.workdps(50):
-        zm = mp.mpc(z.real, z.imag)
-        return mp.exp(-zm * zm) * mp.erfc(-1j * zm)
-
-
 def _check_faddeeva_oracle(rng: np.random.Generator) -> list[Check]:
-    import mpmath as mp
-
     checks = []
     for label, r_lo, r_hi, n_pts, tol in (
         ("disc |z| <= 10", 0.0, 10.0, 500, 1e-12),
@@ -346,15 +336,14 @@ def _check_faddeeva_oracle(rng: np.random.Generator) -> list[Check]:
         worst = 0.0
         skipped = 0
         for z in zs:
-            ref = _faddeeva_reference(complex(z))
-            if mp.fabs(ref) > 1e280:
+            ref = reference.faddeeva(complex(z))
+            if abs(ref) > 1e280:
                 # beyond double range in the deep lower half plane; no
                 # double-precision implementation can represent the value
                 skipped += 1
                 continue
             got = complex(faddeeva(complex(z)))
-            err = abs(complex(got - complex(ref))) / float(mp.fabs(ref))
-            worst = max(worst, err)
+            worst = max(worst, abs(got - complex(ref)) / float(abs(ref)))
         name = f"Faddeeva vs 50-digit reference, {label}"
         if skipped:
             name += f" ({skipped} unrepresentable points skipped)"
@@ -468,24 +457,6 @@ def _check_doublet_truncation(ctx: AcceptanceContext) -> list[Check]:
     return checks
 
 
-def _free_psi_reference(k: float, x: float, t: float, beta: float) -> complex:
-    """Independent free-shutter value via the arbitrary-precision route."""
-    import mpmath as mp
-
-    with mp.workdps(40):
-
-        def M(y):
-            # M(y) = e^{y^2} erfc(y) / 2 = w(iy) / 2
-            return _faddeeva_reference(1j * y) / 2
-
-        root = mp.sqrt(4 * mp.mpf(beta) * t)
-        phase = mp.exp(1j * mp.mpf(x) ** 2 / (4 * mp.mpf(beta) * t))
-        zp = mp.exp(-1j * mp.pi / 4) * (x - 2 * beta * k * t) / root
-        zm = mp.exp(-1j * mp.pi / 4) * (x + 2 * beta * k * t) / root
-        val = phase * (M(zp) - M(zm))
-        return complex(val)
-
-
 def _check_free_reduction() -> Check:
     constants = PhysicalConstants(mass_ratio=MASS_RATIO)
     free = build_profile([(1.0, 0.0)], MASS_RATIO)
@@ -494,7 +465,7 @@ def _check_free_reduction() -> Check:
     worst = 0.0
     for x, t in ((0.5, 0.25), (0.25, 0.1), (1.0, 0.05)):
         mine = psi_exact(prob, x, t)
-        ref = _free_psi_reference(k, x, t, constants.hbar_over_2m)
+        ref = reference.free_shutter_psi(k, x, t, constants.hbar_over_2m)
         worst = max(worst, abs(mine - ref) / abs(ref))
     return check_bound(
         "free-profile density vs arbitrary-precision free-shutter value",

@@ -14,10 +14,10 @@ decaying like e^{-Gamma t/2 hbar} for fourth-quadrant poles.
 
 Accuracy contract: relative 1e-12 for |z| <= 10 and 1e-10 elsewhere, all
 quadrants.  scipy's wofz meets this with two orders of margin (checked
-against a 50-digit mpmath oracle in the test suite); near the lower-half-
-plane zeros of w the *relative* error is limited by the condition number of
-the reflection w(z) = 2e^{-z^2} - w(-z), which no double-precision algorithm
-escapes.
+against the 50-digit reference.faddeeva in the test suite); near the
+lower-half-plane zeros of w the *relative* error is limited by the
+condition number of the reflection w(z) = 2e^{-z^2} - w(-z), which no
+double-precision algorithm escapes.
 
 All four argument classes occurring in the transient solution (s = +-k real,
 s = k_n fourth quadrant, s = -k_n* third quadrant) map to regions where wofz
@@ -100,6 +100,6 @@ def y_values(s, t, constants: PhysicalConstants):
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
     t = _real_array(t, "t")
-    if not np.all(t >= 0):
-        raise DomainError("t must be >= 0 ps")
+    if not ((t >= 0) & (t < np.inf)).all():
+        raise DomainError("t must be finite and >= 0 ps")
     return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * np.sqrt(t)

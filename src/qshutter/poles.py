@@ -273,8 +273,8 @@ def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
     [-k(E_max)/4, 0.05 nm^-1]: the contour count and moments of the module
     docstring, as find_poles forms them for its first box.  An empty list
     is a valid result (a free profile, or no pole in the box)."""
-    if not (E_max > 0):
-        raise DomainError(f"E_max must be > 0 eV, got {E_max}")
+    if not (0 < E_max < np.inf):
+        raise DomainError(f"E_max must be finite and > 0 eV, got {E_max}")
     right = wavenumber(E_max, profile).real
     return _box_seeds(profile, _LEFT, right, _DEPTH * right)[1]
 
@@ -290,8 +290,8 @@ def refine_pole(profile: PotentialProfile, seed: complex) -> ResonancePole:
     It is the one-seed batch of _newton, which find_poles runs.
     """
     k = complex(seed)
-    if not (k.real > 0 and k.imag < 0):
-        raise DomainError(f"seed {k} not in the fourth quadrant")
+    if not (0 < k.real < np.inf and -np.inf < k.imag < 0):
+        raise DomainError(f"seed {k} not a finite point of the fourth quadrant")
     return _newton(profile, [k])[0]
 
 

@@ -375,8 +375,8 @@ def _join(growth: np.ndarray, left, right, k: np.ndarray):
 
 def _nonzero_k(k):
     k = _wave_numbers(k)
-    if (k == 0).any():
-        raise DomainError("k = 0: exterior plane waves undefined")
+    if not (np.isfinite(k) & (k != 0)).all():
+        raise DomainError("k must be finite and != 0 (at k = 0 exterior plane waves are undefined)")
     return k
 
 

@@ -179,6 +179,8 @@ def density_two_level(
     terms of order |rho_n|^2 and loses digits near t = 0.
     """
     _broadcast_xt(x, t)
+    if np.iscomplexobj(k) or not np.isfinite(k):
+        raise DomainError(f"k must be real and finite, got {k!r}")
     located = _locate(mode_1.edges, x)
     r1, r2 = (_rho(m, k, _wave(m.q, m.coefficients, *located)) for m in (mode_1, mode_2))
     t_arr = _times(t)
@@ -222,8 +224,7 @@ def dominant_frequency_series(times, values) -> float | None:
     detunings at Ebar of the triple barrier's poles 3 and 4.  Those decay
     within 0.2 ps and leave the six strongest lines as with 1,000 samples.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times, values = _real_array(times, "times"), _real_array(values, "values")
     if times.ndim != 1 or times.shape != values.shape or len(times) < 8:
         raise DomainError("need matching 1-D arrays with >= 8 samples")
     if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):

@@ -12,8 +12,10 @@ genuinely exceeds.  Those tests fail by design; the failure text records
 expected vs measured for each subcheck.  Do not silence them without
 revisiting the analysis in the project decision notes.
 
-The last test checks criterion 10's grid oracle against a step-by-step
-Crank-Nicolson march on a short grid.
+test_only_the_sub_checks_failing_by_design_fail lists the sub-checks that
+fail by design, so that a regression in any sub-check passing inside a
+failing criterion still fails a test.  The last test checks criterion 10's
+grid oracle against a step-by-step Crank-Nicolson march on a short grid.
 """
 
 import numpy as np
@@ -70,6 +72,29 @@ def test_criterion_09_enhancement_with_barrier_width(selftest_run):
 
 def test_criterion_10_invariant_property_suites(selftest_run):
     run(selftest_run, 10)
+
+
+# the sub-checks behind the five criteria that fail by design
+FAILING_BY_DESIGN = {
+    (1, "curlyE1 (meV)"),
+    (1, "Gamma1 (meV)"),
+    (1, "curlyE2 (meV)"),
+    (1, "Gamma2 (meV)"),
+    (2, "curlyE1 (meV)"),
+    (2, "Gamma1 (meV)"),
+    (4, "doublet center Ebar (meV)"),
+    (4, "(Ebar - curlyE1)/Gamma1"),
+    (6, "doublet M-form vs exact, max rel dev on [0.1, 10] tau1"),
+    (10, "|Phi - (rho1 + rho2)|/|Phi| over the doublet window, x = 10.25 nm"),
+    (10, "|Phi - (rho1 + rho2)|/|Phi| over the doublet window, x = 20.5 nm"),
+}
+
+
+def test_only_the_sub_checks_failing_by_design_fail(selftest_run):
+    # a criterion that fails by design hides its passing sub-checks (14 of
+    # them across criteria 1, 2, 4, 6 and 10): each must keep passing
+    failing = {(r.number, c.name) for r in selftest_run[2] for c in r.checks if not c.passed}
+    assert failing == FAILING_BY_DESIGN
 
 
 def test_grid_oracle_matches_a_step_by_step_dirichlet_march(monkeypatch):

@@ -70,6 +70,7 @@ SUBMODULES = [
     "output",
     "presets",
     "acceptance",
+    "reference",
     "cli",
 ]
 
@@ -103,6 +104,8 @@ def test_import_loads_pipeline_modules():
     loaded = set(_fresh_python("import sys, qshutter; print(' '.join(sys.modules))").split())
     for name in ("scattering", "poles", "modes", "mfunc", "transient", "twolevel", "config", "output"):
         assert f"qshutter.{name}" in loaded
+    # the arbitrary-precision references load with the selftest or a test
+    assert "qshutter.reference" not in loaded and "mpmath" not in loaded
 
 
 # Structure-level work and the poles/transmission subcommands, then the first

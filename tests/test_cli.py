@@ -45,7 +45,7 @@ class TestPoles:
 
     def test_double_barrier_third_pole(self, capsys):
         # Newton from the third T(E) peak's seed used to leave the quadrant;
-        # the third lowest pole (385.50 meV), which oracle_root confirms
+        # the third lowest pole (385.50 meV), which reference.pole confirms
         code, out, err = run_cli(["poles", "--config", "double_barrier", "--n", "3"], capsys)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))

@@ -2,20 +2,13 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from qshutter import DomainError, PhysicalConstants
+from qshutter import DomainError, PhysicalConstants, reference
 from qshutter.mfunc import Y_PHASE, faddeeva, m_function, m_function_scaled, y_values
 
 C = PhysicalConstants(mass_ratio=0.067)
-
-
-def _w_reference(z: complex) -> complex:
-    with mp.workdps(40):
-        zz = mp.mpc(z)
-        return complex(mp.exp(-(zz**2)) * mp.erfc(-1j * zz))
 
 
 class TestFaddeeva:
@@ -40,14 +33,14 @@ class TestFaddeeva:
         r = np.sqrt(rng.uniform(0.0, 100.0, size=200))
         th = rng.uniform(0.0, 2.0 * np.pi, size=200)
         for z in r * np.exp(1j * th):
-            ref = _w_reference(complex(z))
+            ref = complex(reference.faddeeva(complex(z)))
             if abs(ref) > 1e280:
                 continue  # |w| overflows double precision in the deep south
             assert abs(faddeeva(z) - ref) <= 1e-12 * max(abs(ref), 1e-300)
         r = np.sqrt(rng.uniform(100.0, 400.0, size=100))
         th = rng.uniform(0.0, 2.0 * np.pi, size=100)
         for z in r * np.exp(1j * th):
-            ref = _w_reference(complex(z))
+            ref = complex(reference.faddeeva(complex(z)))
             if abs(ref) > 1e280:
                 continue
             assert abs(faddeeva(z) - ref) <= 1e-10 * abs(ref)
@@ -106,7 +99,7 @@ class TestYArgument:
         assert y_values(0.3, 0.0, C) == 0.0
 
     def test_negative_time_rejected(self):
-        for t in (-1e-9, np.nan):
+        for t in (-1e-9, np.nan, np.inf):
             with pytest.raises(DomainError):
                 y_values(0.3, t, C)
             with pytest.raises(DomainError):

@@ -796,6 +796,10 @@ class TestFreeShutterPsi:
             free_shutter_psi(0.1, 0.5, np.nan, c)
         with pytest.raises(DomainError):
             free_shutter_psi(0.1, 0.5, np.inf, c)
+        # a non-finite x or k, or an x outside the documented x >= 0
+        for k, x in ((0.1, np.nan), (np.nan, 0.5), (0.1, -1.0), (0.1, np.inf)):
+            with pytest.raises(DomainError):
+                free_shutter_psi(k, x, 0.25, c)
 
 
 class TestEvolveTrace:

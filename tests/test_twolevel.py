@@ -113,6 +113,13 @@ class TestChi:
         with pytest.raises(DomainError):
             chi(freqs_ebar, 3, 1.0)
 
+    def test_nonfinite_wave_number_rejected(self, freqs_ebar, triple_modes, problem_ebar):
+        for k in (np.nan, np.inf, 0.1 + 0.1j):
+            with pytest.raises(DomainError):
+                density_two_level(
+                    triple_modes[0], triple_modes[1], freqs_ebar, problem_ebar.L, k, 1.0
+                )
+
     def test_negative_time_rejected(self, freqs_ebar, triple_modes, problem_ebar):
         for t in (-0.1, np.nan, np.inf, np.array([0.1, np.nan])):
             with pytest.raises(DomainError):
@@ -426,6 +433,9 @@ class TestDominantFrequency:
             t_bad[-1] = bad
             with pytest.raises(DomainError):
                 dominant_frequency_series(t_bad, v)
+        # complex samples, whose imaginary part a float cast would drop
+        with pytest.raises(DomainError, match="real"):
+            dominant_frequency_series(t, v + 1e-3j)
 
     def test_closed_form_is_exact(self, line_trace):
         # measured: <= 2.1e-14 relative
