@@ -100,6 +100,6 @@ def y_values(s, t, constants: PhysicalConstants):
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
     t = _real_array(t, "t")
-    if not ((t >= 0) & (t < np.inf)).all():
+    if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("t must be finite and >= 0 ps")
     return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * np.sqrt(t)

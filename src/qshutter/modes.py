@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleQualityError
+from .errors import PoleQualityError
 from .model import PotentialProfile
 from .poles import ResonancePole
-from .scattering import _growth, _join, _layers, _outgoing, layered_wave
+from .scattering import _growth, _join, _layers, _outgoing, _real_finite, layered_wave
 
 __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 
@@ -171,9 +171,7 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
 
 def rho(mode: ResonantMode, k: float, x):
     """rho_n(x, k) = 2 i k u_n(0) u_n(x) / (k^2 - k_n^2) for real k."""
-    if np.iscomplexobj(k) or not np.isfinite(k):
-        raise DomainError(f"k must be real and finite, got {k!r}")
-    return _rho(mode, k, mode.u(x))
+    return _rho(mode, _real_finite(k, "k"), mode.u(x))
 
 
 def _rho(mode: ResonantMode, k: float, u):

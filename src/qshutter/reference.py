@@ -7,7 +7,7 @@ import mpmath as mp
 
 from .errors import PoleConvergenceError
 
-__all__ = ["faddeeva", "free_shutter_psi", "march", "transmission", "pole", "layer_integral"]
+__all__ = ["faddeeva", "free_shutter_psi", "transmission", "pole", "layer_integral"]
 
 _DPS = 50
 
@@ -29,7 +29,7 @@ def free_shutter_psi(k: float, x: float, t: float, beta: float) -> complex:
 
 
 def _march(profile, k, u, du):
-    """march at the caller's precision, which findroot raises by 20 bits."""
+    """(u, u') at x = L from (u, du) at x = 0, at the caller's precision (findroot adds 20 bits)."""
     h22m = mp.mpf(profile.constants.hbar2_over_2m)
     for layer in profile.layers:
         q = mp.sqrt(k * k - mp.mpf(layer.height) / h22m)
@@ -38,16 +38,11 @@ def _march(profile, k, u, du):
     return u, du
 
 
-def march(profile, k, value, slope):
-    """(u, u') at x = L of the wave with (u, u') = (value, slope) at x = 0."""
-    with mp.workdps(_DPS):
-        return _march(profile, mp.mpmathify(k), value, slope)
-
-
 def transmission(profile, k: float):
     """T = 4/(s^2 + d^2) at a real k as an mpf, s and d as scattering._sd forms them."""
     with mp.workdps(_DPS):
-        (p11, p21), (p12, p22) = march(profile, k, 1, 0), march(profile, k, 0, 1)
+        k = mp.mpmathify(k)
+        (p11, p21), (p12, p22) = _march(profile, k, 1, 0), _march(profile, k, 0, 1)
         s, d = p11 + p22, k * p12 - p21 / k
         return mp.re(4 / (s * s + d * d))
 

@@ -559,6 +559,13 @@ def _real_array(values, name: str) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _real_finite(value, name: str) -> float:
+    """A scalar value as a float; complex, NaN and infinite values raise DomainError."""
+    if np.iscomplexobj(value) or not np.isfinite(value):
+        raise DomainError(f"{name} must be real and finite, got {value!r}")
+    return float(value)
+
+
 def _locate(edges: np.ndarray, x):
     """(j, xi) of layered_wave for x in [0, L]: x's layer and its offset."""
     x = _real_array(x, "x")

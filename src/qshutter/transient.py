@@ -427,8 +427,9 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
 
     beta = hbar/2m in nm^2/ps.  Exponent-safe for all real x, t > 0.
     """
-    if not (np.isfinite(k) and 0.0 <= x < np.inf):
-        raise DomainError(f"needs a finite k and a finite x >= 0 nm, got k = {k!r}, x = {x!r}")
+    x = _real_array(x, "x")
+    if not (np.isfinite(k) and ((x >= 0.0) & (x < np.inf)).all()):
+        raise DomainError(f"needs a finite k and every x finite and >= 0 nm, got k = {k!r}")
     t_arr = _times(t)
     beta = constants.hbar_over_2m
     root = np.sqrt(4.0 * beta * t_arr)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError
 from .modes import ResonantMode, _rho
 from .poles import ResonancePole
-from .scattering import _locate, _real_array, _wave
+from .scattering import _locate, _real_array, _real_finite, _wave
 
 __all__ = [
     "DoubletFrequencies",
@@ -179,8 +179,7 @@ def density_two_level(
     terms of order |rho_n|^2 and loses digits near t = 0.
     """
     _broadcast_xt(x, t)
-    if np.iscomplexobj(k) or not np.isfinite(k):
-        raise DomainError(f"k must be real and finite, got {k!r}")
+    k = _real_finite(k, "k")
     located = _locate(mode_1.edges, x)
     r1, r2 = (_rho(m, k, _wave(m.q, m.coefficients, *located)) for m in (mode_1, mode_2))
     t_arr = _times(t)

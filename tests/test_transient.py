@@ -324,6 +324,15 @@ class TestPsiExact:
         assert abs(got - free_shutter_psi(problem.k, 0.5, 0.25, c)) == 0.0
         assert abs(got - FREE_PSI_PIN) < 1e-12
 
+    def test_free_profile_broadcasts_over_x(self, free_profile):
+        # x and t broadcast on the closed-form path as on the pole sums
+        p = make_problem(free_profile, 0.01, n_poles=0)
+        xs, t = np.linspace(0.0, 1.0, 4), np.linspace(0.1, 2.0, 5)
+        grid = psi_exact(p, xs[:, None], t)
+        assert grid.shape == (4, 5)
+        for xi, row in zip(xs, grid):
+            assert np.array_equal(row, psi_exact(p, float(xi), t))
+
     def test_vectorized_over_time(self, problem_ebar):
         t = np.linspace(0.1, 5.0, 7)
         vec = psi_exact(problem_ebar, problem_ebar.L, t)
@@ -797,7 +806,10 @@ class TestFreeShutterPsi:
         with pytest.raises(DomainError):
             free_shutter_psi(0.1, 0.5, np.inf, c)
         # a non-finite x or k, or an x outside the documented x >= 0
-        for k, x in ((0.1, np.nan), (np.nan, 0.5), (0.1, -1.0), (0.1, np.inf)):
+        bad = (
+            (0.1, np.nan), (np.nan, 0.5), (0.1, -1.0), (0.1, np.inf), (0.1, np.array([0.5, -1.0]))
+        )
+        for k, x in bad:
             with pytest.raises(DomainError):
                 free_shutter_psi(k, x, 0.25, c)
 
