@@ -1,27 +1,36 @@
-"""Interleaved A/B timing of two source trees on perfbench's `structures` ops.
+"""Interleaved A/B timing of two source trees on perfbench's ops.
 
-    python bench/ab.py [REV] [--seeds 1 2 3 5 11] [--ops 166] [--probe]
+    python bench/ab.py [REV] [--workload {structures,density_maps}]
+                       [--seeds 1 2 3 5 11] [--ops 166] [--probe]
 
 Side A is the committed tree of the git revision REV (default HEAD),
 extracted with `git archive` into a temporary directory that is removed
 afterwards; side B is the working tree.  Each side's `src/qshutter` is
 imported under its own package name (`qshutter_a`, `qshutter_b`), so both
 run in this one process on the same interpreter state.  The ops are the
-first --ops of perfbench's `structures` stream for each --seed; each op
-(build the profile, find its N poles, solve their modes, T(E_n) at each)
-runs once on each side, the two sides one right after the other, with the
-side that runs first alternating from op to op.  --probe runs perfbench's
-machine-speed probe between ops, as a `perfbench` run does.
+first --ops of the --workload's stream (default `structures`) for each
+--seed, as perfbench/workloads.py builds and runs them: a `structures` op
+builds a profile, finds its N poles, solves their modes and takes T(E_n)
+at each; a `density_maps` op evaluates a 200 x 2000 map by one psi_exact
+call per x on one of three problems prepared per seed and side, with the
+two-level trace on half of the ops.  Each side runs the workload's set-up
+and warm-up with its own package (workloads.qs points at the side that
+runs), then each op runs once on each side, the two sides one right after
+the other, with the side that runs first alternating from op to op.
+--probe runs perfbench's machine-speed probe between ops, as a
+`perfbench` run does.
 
 It prints the ratio B/A of the summed op times and the median and
 quartiles of the per-op ratios B/A; an op that fails on either side is
 counted and left out of both.  A ratio below 1 means the working tree is
 faster.  Interleaving one op at a time puts both sides under the same
 machine state, which `perfbench`'s separate runs cannot.  On a shared
-2-core Xeon VM, four A/A runs (REV = HEAD with a clean working tree, the
-default 830 ops, one of them with --probe) read summed ratios of
-0.987-1.006 and median per-op ratios of 0.996-1.002, where ten `perfbench`
-runs of one tree spread by 3-9% of their median between q1 and q3.
+2-core Xeon VM, four A/A runs of `structures` (REV = HEAD with a clean
+working tree, the default 830 ops, one of them with --probe) read summed
+ratios of 0.987-1.006 and median per-op ratios of 0.996-1.002, and one
+of `density_maps` 1.000 and 1.000 (q1-q3 0.93-1.07), where ten
+`perfbench` runs of one tree spread by 3-9% of their median between q1
+and q3.
 
 Native thread pools are pinned to one thread before numpy is imported, as
 in perfbench/run.py.
@@ -52,6 +61,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+# --workload: the class in perfbench/workloads.py that builds its ops
+WORKLOADS = {"structures": "Structures", "density_maps": "DensityMaps"}
 
 
 def load(src: Path, name: str):
@@ -66,36 +77,45 @@ def load(src: Path, name: str):
     return module
 
 
-def structure_op(qs, layers, N):
-    """perfbench's `structures` op, on the package qs."""
-    profile = qs.build_profile([tuple(l) for l in layers], qs.presets.MASS_RATIO)
-    poles = qs.find_poles(profile, N)
-    modes = [qs.solve_mode(profile, p) for p in poles]
-    return poles, modes, [qs.transmission(profile, p.E_position)[1] for p in poles]
+def on(workloads, qs, call, *args):
+    """call(*args) with perfbench's workload code running on the package qs."""
+    workloads.qs = qs
+    return call(*args)
 
 
-def timed(qs, layers, N):
-    """The op's wall time in seconds, or None where it raises."""
+def timed(workloads, qs, op):
+    """The wall time in seconds of the perfbench op on qs, or None where it raises."""
     start = time.perf_counter()
     try:
-        structure_op(qs, layers, N)
+        on(workloads, qs, op.run)
     except qs.QShutterError:
         return None
     return time.perf_counter() - start
 
 
-def compare(sides, ops, probe=None):
+def compare(workloads, workload, sides, seeds, n_ops, probe=None):
     """([(A's time, B's time)] of the ops neither side fails, the number
     that fail on a side): one op at a time, the side that runs first
     alternating, with probe() before each op when it is given."""
-    for qs in sides:  # first calls: lazy imports and LAPACK set-up
-        timed(qs, *ops[0])
+    streams = []
+    for qs in sides:
+        states = [on(workloads, qs, workload.setup, seed) for seed in seeds]
+        # lazy imports, LAPACK set-up and first calls, as a perfbench run per seed
+        for state in states:
+            on(workloads, qs, workload.warm_up, state)
+        streams.append(
+            itertools.chain.from_iterable(
+                itertools.islice(workload.ops(state), n_ops) for state in states
+            )
+        )
     times, failed = [], 0
-    for i, (layers, N) in enumerate(ops):
+    for i, ops in enumerate(zip(*streams)):
         if probe is not None:
             probe()
-        order = sides if i % 2 == 0 else sides[::-1]
-        pair = {qs.__name__: timed(qs, layers, N) for qs in order}
+        order = list(zip(sides, ops))
+        if i % 2:
+            order.reverse()
+        pair = {qs.__name__: timed(workloads, qs, op) for qs, op in order}
         if None in pair.values():
             failed += 1
         else:
@@ -106,22 +126,18 @@ def compare(sides, ops, probe=None):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD")
+    parser.add_argument("--workload", choices=WORKLOADS, default="structures")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 5, 11])
     parser.add_argument("--ops", type=int, default=166)
     parser.add_argument("--probe", action="store_true")
     args = parser.parse_args(argv)
 
-    # perfbench's op stream and probe, with the working tree's package
+    # perfbench's workloads and probe, importing the working tree's package
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
     from run import probe
 
-    edges = workloads._opacity_edges()
-    ops = [
-        (layers, N)
-        for seed in args.seeds
-        for layers, N, _ in itertools.islice(workloads.structure_stream(seed, edges), args.ops)
-    ]
+    workload = getattr(workloads, WORKLOADS[args.workload])()
     # the tree of rev stays on disk while its package runs
     with tempfile.TemporaryDirectory() as tree:
         archive = subprocess.run(
@@ -130,10 +146,15 @@ def main(argv=None) -> int:
         ).stdout
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         sides = (load(Path(tree) / "src", "qshutter_a"), load(ROOT / "src", "qshutter_b"))
-        times, failed = compare(sides, ops, probe if args.probe else None)
+        times, failed = compare(
+            workloads, workload, sides, args.seeds, args.ops, probe if args.probe else None
+        )
     a, b = np.array(times).T
     q1, median, q3 = np.quantile(b / a, [0.25, 0.5, 0.75])
-    print(f"A = {args.rev}, B = working tree: {len(times)} ops, {failed} failed on a side")
+    print(
+        f"A = {args.rev}, B = working tree, {args.workload}: "
+        f"{len(times)} ops, {failed} failed on a side"
+    )
     print(f"summed: A {a.sum():.4f} s, B {b.sum():.4f} s, B/A {b.sum() / a.sum():.4f}")
     print(f"per-op B/A: median {median:.4f} (q1 {q1:.4f}, q3 {q3:.4f})")
     return 0

@@ -28,16 +28,20 @@ barrier's four poles, one whole `structures` op of `perfbench` on the
 triple barrier at N = 4 (build the profile, find its poles, solve their
 modes, T(E_n) at each), one exact-N evaluation at the doublet
 center on 2000 times and one 200 x 2000 density map built by a psi_exact
-call per x (`perfbench`'s `density_maps` op), both cold, with
-psi_exact.cache_clear() emptying its grid memo before each round so that
-the M columns are evaluated every round, and both warm, with one call
-before the rounds keeping the grid whose columns every timed call then
-fetches, so that they time the x-dependent part alone, the same map as
+call per x, both cold, on a new problem each round with
+psi_exact.cache_clear() emptying the grid memo before it, so that the M
+columns and the x rows are evaluated every round, and both warm, with
+one call before the rounds keeping the grid whose columns every timed
+call then fetches and the problem's x rows, so that they time the
+product alone, the same per-x map on a kept problem over a new time
+window each round, so that its x rows are kept and its M columns
+evaluated (`perfbench`'s `density_maps` op), the same map as
 one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
 evaluation at another energy of the kept spectrum on a kept grid (each
-round's set-up empties the memo and keeps the grid's pole columns through
-a call at the doublet center, so the timed call evaluates only its own
-M(y_k) and M(y_-k), which is `scenario_sweep`'s case),
+round's set-up empties the memo, keeps the grid's pole columns through
+a call at the doublet center and makes a new problem at that energy, so
+the timed call evaluates its x rows and only its own M(y_k) and
+M(y_-k), which is `scenario_sweep`'s case),
 one closed two-level density (density_two_level) at the doublet center,
 x = L, on 2000 times over [0, 10 tau1], the dominant line
 (dominant_frequency_series) of fig2b's trace, exact N = 4 at the same
@@ -259,8 +263,20 @@ def _cold(clear, *args):
     return setup
 
 
+def _cold_problem(problem, *args):
+    """Setup for benchmark.pedantic: a new problem at problem's energy, which
+    keeps no x rows, then args, with psi_exact's grid memo emptied."""
+    spectrum = make_spectrum(problem.profile, len(problem.modes))
+
+    def setup():
+        psi_exact.cache_clear()
+        return (spectrum.at(problem.E), *args), {}
+
+    return setup
+
+
 def test_psi_exact(benchmark, problem):
-    setup = _cold(psi_exact.cache_clear, problem, problem.L, TIMES)
+    setup = _cold_problem(problem, problem.L, TIMES)
     psi = benchmark.pedantic(psi_exact, setup=setup, rounds=100, warmup_rounds=1)
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
 
@@ -274,26 +290,40 @@ def test_psi_exact_warm(benchmark, problem):
 
 
 def test_psi_exact_new_energy(benchmark, problem):
+    # a new problem each round, as each scenario_sweep op resolves its own
     spectrum = make_spectrum(problem.profile, len(problem.modes))
-    other = spectrum.at(spectrum.poles[1].E_position)
 
     def setup():
         psi_exact.cache_clear()
         psi_exact(problem, problem.L, TIMES)
+        other = spectrum.at(spectrum.poles[1].E_position)
         return (other, other.L, TIMES), {}
 
     psi = benchmark.pedantic(psi_exact, setup=setup, rounds=200, warmup_rounds=1)
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
 
 
-def _density_map(problem, xs):
-    return np.array([np.abs(psi_exact(problem, x, TIMES)) ** 2 for x in xs])
+def _density_map(problem, xs, times=TIMES):
+    return np.array([np.abs(psi_exact(problem, x, times)) ** 2 for x in xs])
 
 
 def test_density_map_per_x(benchmark, problem):
     xs = np.linspace(0.0, problem.L, 200)
-    setup = _cold(psi_exact.cache_clear, problem, xs)
+    setup = _cold_problem(problem, xs)
     dmap = benchmark.pedantic(_density_map, setup=setup, rounds=10, warmup_rounds=1)
+    assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
+
+
+def test_density_map_new_window(benchmark, problem):
+    # kept x rows, and a time window no earlier round used
+    xs = np.linspace(0.0, problem.L, 200)
+    _density_map(problem, xs)
+    windows = (np.linspace(0.005 + 1e-4 * r, 10.0, TIMES.size) for r in range(1, 100))
+
+    def setup():
+        return (problem, xs, next(windows)), {}
+
+    dmap = benchmark.pedantic(_density_map, setup=setup, rounds=30, warmup_rounds=1)
     assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
 
 

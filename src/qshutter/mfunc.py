@@ -95,11 +95,14 @@ def m_function_scaled(y):
 
 
 def y_values(s, t, constants: PhysicalConstants):
-    """y_s for wave number s (nm^-1) at times t (ps); scalar or array t.
+    """y_s for a finite wave number s (nm^-1) at times t (ps); scalar or array t.
 
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
     t = _real_array(t, "t")
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("t must be finite and >= 0 ps")
-    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s) * np.sqrt(t)
+    s = complex(s)
+    if not np.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * s * np.sqrt(t)

@@ -19,7 +19,8 @@ monotone and so no measure of convergence in N (ROADMAP item 8).  Every
 M-function method is a partial sum of this one expansion (see _sums).  x
 enters only through the 2 + 2N coefficients [Phi, -Phi*, -rho_n, rho_n*]
 and t only through the M(y_s) columns, so the sum is one matrix product of
-the x rows and a block of columns; the columns are kept per time grid.
+the x rows and a block of columns.  The columns are kept per time grid, and
+a problem keeps the rows of each scalar x it evaluates (see psi_exact).
 
 On a free profile the expansion degenerates (no poles) and does not reduce
 to the free propagation of the cutoff wave; psi_exact dispatches to the
@@ -82,7 +83,8 @@ _MODES_NEEDED = dict(zip(METHODS, (0, 2, 2, 1)))
 _SPECTRUM_MEMO_SIZE = 32
 # time grids _grid keeps, the M(y_s) columns a kept grid holds between calls,
 # and the most points a kept grid has (output keeps the time cells of as
-# many grids, under the same cap on points)
+# many grids, under the same cap on points, and a problem the x rows of as
+# many positions)
 _GRID_MEMO_SIZE = 8
 _GRID_COLUMNS = 32
 _COLUMN_MEMO_POINTS = 4096
@@ -113,6 +115,11 @@ class ShutterProblem:
         return (complex(self.k), complex(-self.k)) + tuple(
             complex(s) for p in poles for s in (p.k, p.k_mirror)
         )
+
+    @cached_property
+    def _x_rows(self) -> dict:
+        """(x, mode count) -> (read-only rows, rho_n tuple) of kept scalar x; see _sums."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -307,15 +314,20 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     sum is then the free-shutter solution.
 
     The rows are evaluated at x located once, with rho_-n = -rho_n* (see
-    rho_mirror).  One _grid lookup checks t when it builds the grid (a free
-    profile only checks t), after x and before the broadcast of x against
-    t; the call's columns come as one stacked block (see _block).
+    rho_mirror); a scalar x's rows and rho_n are kept on the problem under
+    (x, n_max), and a hit skips _locate and every _wave (see psi_exact).
+    One _grid lookup checks t when it builds the grid (a free profile only
+    checks t), after x and before the broadcast of x against t; the call's
+    columns come as one stacked block (see _block).
     """
     n_max = max(n_modes)
     if len(problem.modes) < n_max:
         raise DomainError(f"needs {n_max} mode(s), problem has {len(problem.modes)}")
-    located = _locate(problem.field.edges, x)
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "x")
+    key = (x.item(), n_max) if x.ndim == 0 else None
+    kept = problem._x_rows.get(key)
+    if kept is None:
+        located = _locate(problem.field.edges, x)
     t_arr = _real_array(t, "t")
     keep = t_arr.size <= _COLUMN_MEMO_POINTS
     grid = (_grid if keep else _grid.__wrapped__)(
@@ -331,14 +343,20 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
         return (), [psi] * len(n_modes)
     size = 2 + 2 * n_max
     columns = _block(grid, problem._wave_numbers[:size], keep)
-    phi = _wave(problem.field.q, problem.field.coefficients, *located)
-    rows = np.empty((*x.shape, size), dtype=complex)
-    rows[..., 0], rows[..., 1] = phi, -np.conj(phi)
-    rhos = []
-    for n, mode in enumerate(problem.modes[:n_max]):
-        rho = _rho(mode, problem.k, _wave(mode.q, mode.coefficients, *located))
-        rows[..., 2 * n + 2], rows[..., 2 * n + 3] = -rho, np.conj(rho)
-        rhos.append(rho)
+    if kept is None:
+        phi = _wave(problem.field.q, problem.field.coefficients, *located)
+        rows = np.empty((*x.shape, size), dtype=complex)
+        rows[..., 0], rows[..., 1] = phi, -np.conj(phi)
+        rhos = []
+        for n, mode in enumerate(problem.modes[:n_max]):
+            rho = _rho(mode, problem.k, _wave(mode.q, mode.coefficients, *located))
+            rows[..., 2 * n + 2], rows[..., 2 * n + 3] = -rho, np.conj(rho)
+            rhos.append(rho)
+        kept = rows, tuple(rhos)
+        if key is not None and len(problem._x_rows) < _COLUMN_MEMO_POINTS:
+            rows.flags.writeable = False
+            problem._x_rows[key] = kept
+    rows, rhos = kept
     return rhos, [
         _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n]) for n in n_modes
     ]
@@ -372,6 +390,17 @@ def psi_exact(problem: ShutterProblem, x, t):
     arithmetic, so results do not depend on the memo.  psi_exact.cache_info()
     counts grids (a miss checks one); psi_exact.cache_clear() empties it and
     drops the kept block.
+
+    The x half is kept as well, on the problem itself: a scalar x, keyed
+    by its Python float and the call's mode count (so -0.0 and 0.0 share
+    a key), keeps its read-only rows and rho_n, for at most 4096 positions
+    per problem (_COLUMN_MEMO_POINTS; a later position is evaluated and not
+    kept).  A per-x map on a kept problem thus locates x and evaluates Phi
+    and the u_n once per position, whatever its time window.  A hit returns
+    the rows its miss computed, so every bit is the uncached call's, and it
+    may skip the x check: only an x that passed it is ever stored.  An
+    array x is never kept, the rows die with their problem, and
+    psi_exact.cache_clear() leaves them alone.
     """
     _, (psi,) = _sums(problem, x, t, len(problem.modes))
     return _result(psi)

@@ -105,6 +105,12 @@ class TestYArgument:
             with pytest.raises(DomainError):
                 y_values(0.3, np.array([0.1, t, 0.3]), C)
 
+    def test_nonfinite_wave_number_rejected(self):
+        for s in (np.nan, np.inf, complex(0.3, -np.inf)):
+            for t in (0.3, np.array([0.1, 0.3])):
+                with pytest.raises(DomainError, match="finite"):
+                    y_values(s, t, C)
+
     def test_complex_time_rejected(self):
         for t in (0.1 + 0j, np.array([0.1, 0.2 + 1e-3j])):
             with pytest.raises(DomainError, match="real"):

@@ -431,6 +431,23 @@ def outputs(E):
 """
 
 
+def _count_x_work(monkeypatch) -> list:
+    """The names of transient's _locate and _wave calls, in order."""
+    calls = []
+    for name in ("_locate", "_wave"):
+
+        def counting(*args, name=name, original=getattr(transient, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(transient, name, counting)
+    return calls
+
+
+def _hexes(values) -> list:
+    return [(v.real.hex(), v.imag.hex()) for v in np.ravel(values).tolist()]
+
+
 class TestEvaluator:
     """psi_exact, psi_doublet_M and delta_term are partial sums of one expansion."""
 
@@ -555,16 +572,10 @@ class TestEvaluator:
         assert proc.stdout == here
 
     def test_per_x_call_locates_x_once(self, problem_ebar, monkeypatch):
-        # one lookup, then Phi and each u_n; every rho_-n comes from its rho_n
-        calls = []
-        for name in ("_locate", "_wave"):
-
-            def counting(*args, name=name, original=getattr(transient, name)):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(transient, name, counting)
-        p = problem_ebar
+        # one lookup, then Phi and each u_n; every rho_-n comes from its rho_n.
+        # A fresh problem: the session's problem may keep this x's rows already
+        calls = _count_x_work(monkeypatch)
+        p = make_spectrum(problem_ebar.profile, 4).at(problem_ebar.E)
         assert len(p.modes) == 4
         psi_exact(p, 0.5 * p.L, np.linspace(0.01, 10.0, 50))
         assert calls.count("_locate") == 1
@@ -789,6 +800,79 @@ class TestColumnMemo:
         assert not np.array_equal(*results)
         for t, psi in zip((a, b), results):
             assert_at_bound(psi, p, p.L, t, len(p.modes))
+
+
+class TestRowMemo:
+    """A problem keeps the x rows of each scalar x it has evaluated."""
+
+    @pytest.fixture
+    def fresh(self, triple_spectrum, ebar):
+        """A new problem at the doublet center each call: nothing kept yet."""
+        return lambda: triple_spectrum.at(ebar)
+
+    @pytest.fixture
+    def times(self, problem_ebar):
+        return np.linspace(0.01, 10.0 * problem_ebar.modes[0].pole.tau, 50)
+
+    def test_second_call_at_one_x_reuses_its_rows(self, fresh, times, monkeypatch):
+        p, q = fresh(), fresh()
+        x = 0.37 * p.L
+        first = [f(p, x, times) for f in (psi_exact, psi_doublet_M, delta_term)]
+        calls = _count_x_work(monkeypatch)
+        again = [f(p, x, times) for f in (psi_exact, psi_doublet_M, delta_term)]
+        # a 0-d array and a numpy float at the same x share the key
+        again += [psi_exact(p, f(x), times) for f in (np.array, np.float64)]
+        assert calls == []
+        monkeypatch.undo()
+        reference = [f(q, x, times) for f in (psi_exact, psi_doublet_M, delta_term)]
+        for got in (first, again[:3]):
+            assert [_hexes(v) for v in got] == [_hexes(v) for v in reference]
+        assert _hexes(again[3]) == _hexes(again[4]) == _hexes(reference[0])
+        # one entry per (x, mode count), read-only
+        assert sorted(p._x_rows) == [(x, 2), (x, 4)]
+        for rows, rhos in p._x_rows.values():
+            assert not rows.flags.writeable and len(rows) == 2 + 2 * len(rhos)
+
+    def test_array_x_is_never_kept(self, fresh, times):
+        p = fresh()
+        # pairs, a map and a one-entry array
+        xs = np.linspace(0.0, p.L, len(times))
+        for x in (xs, xs[:, None], xs[:1]):
+            psi_exact(p, x, times)
+            psi_doublet_M(p, x, times)
+        # a trace's scalar x is kept, under its largest mode count
+        evolve_trace(p, p.L, times, METHODS)
+        assert list(p._x_rows) == [(p.L, 4)]
+
+    def test_rejected_x_raises_on_every_call_and_keeps_nothing(self, fresh, times):
+        p = fresh()
+        for x in (np.nan, -1.0, p.L + 1.0, 0.5 + 0j):
+            for _ in range(2):
+                for f in (psi_exact, psi_doublet_M):
+                    with pytest.raises(DomainError):
+                        f(p, x, times)
+        assert p._x_rows == {}
+
+    def test_signed_zeros_share_a_key_and_their_bits(self, fresh, times):
+        p, q = fresh(), fresh()
+        first = [psi_exact(p, x, times) for x in (-0.0, 0.0)]
+        second = [psi_exact(q, x, times) for x in (0.0, -0.0)]
+        assert len(p._x_rows) == len(q._x_rows) == 1
+        assert len({tuple(_hexes(v)) for v in first + second}) == 1
+
+    def test_positions_past_the_cap_are_evaluated_and_not_kept(
+        self, fresh, times, monkeypatch
+    ):
+        monkeypatch.setattr(transient, "_COLUMN_MEMO_POINTS", 3)
+        p = fresh()
+        xs = np.linspace(0.0, p.L, 5)
+        first = [psi_exact(p, x, times) for x in xs]
+        assert sorted(p._x_rows) == [(x, 4) for x in xs[:3]]
+        calls = _count_x_work(monkeypatch)
+        again = [psi_exact(p, x, times) for x in xs]
+        # the kept three are hits, the other two are evaluated again
+        assert calls == (["_locate"] + ["_wave"] * 5) * 2
+        assert [_hexes(v) for v in again] == [_hexes(v) for v in first]
 
 
 class TestFreeShutterPsi:
