@@ -1,6 +1,6 @@
 """Interleaved A/B timing of two source trees on perfbench's ops.
 
-    python bench/ab.py [REV] [--workload {structures,density_maps}]
+    python bench/ab.py [REV] [--workload {structures,scenario_sweep,density_maps}]
                        [--seeds 1 2 3 5 11] [--ops 166] [--probe]
 
 Side A is the committed tree of the git revision REV (default HEAD),
@@ -11,12 +11,16 @@ run in this one process on the same interpreter state.  The ops are the
 first --ops of the --workload's stream (default `structures`) for each
 --seed, as perfbench/workloads.py builds and runs them: a `structures` op
 builds a profile, finds its N poles, solves their modes and takes T(E_n)
-at each; a `density_maps` op evaluates a 200 x 2000 map by one psi_exact
-call per x on one of three problems prepared per seed and side, with the
-two-level trace on half of the ops.  Each side runs the workload's set-up
-and warm-up with its own package (workloads.qs points at the side that
-runs), then each op runs once on each side, the two sides one right after
-the other, with the side that runs first alternating from op to op.
+at each; a `scenario_sweep` op parses and resolves a seeded config on one
+of five shared structures, evolves its 2000-point trace and writes one CSV
+per method into a temporary directory of its own, removed after the op; a
+`density_maps` op evaluates a 200 x 2000 map by one psi_exact call per x
+on one of three problems prepared per seed and side, with the two-level
+trace on half of the ops.  Each side runs the workload's set-up and
+warm-up with its own package (workloads.qs and workloads.output point at
+the side that runs), then each op runs once on each side, the two sides
+one right after the other, with the side that runs first alternating from
+op to op.
 --probe runs perfbench's machine-speed probe between ops, as a
 `perfbench` run does.
 
@@ -30,7 +34,10 @@ working tree, the default 830 ops, one of them with --probe) read summed
 ratios of 0.987-1.006 and median per-op ratios of 0.996-1.002, and one
 of `density_maps` 1.000 and 1.000 (q1-q3 0.93-1.07), where ten
 `perfbench` runs of one tree spread by 3-9% of their median between q1
-and q3.
+and q3.  Two A/A runs of `scenario_sweep` (the default 830 ops, REV a
+`git stash create` snapshot of the working tree) read summed ratios of
+1.003 and 1.007 and median per-op ratios of 1.000 and 1.001 (q1-q3
+0.97-1.03).
 
 Native thread pools are pinned to one thread before numpy is imported, as
 in perfbench/run.py.
@@ -61,8 +68,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-# --workload: the class in perfbench/workloads.py that builds its ops
-WORKLOADS = {"structures": "Structures", "density_maps": "DensityMaps"}
+# --workload: a name of perfbench/workloads.py's make_workloads
+WORKLOADS = ("structures", "scenario_sweep", "density_maps")
 
 
 def load(src: Path, name: str):
@@ -80,6 +87,7 @@ def load(src: Path, name: str):
 def on(workloads, qs, call, *args):
     """call(*args) with perfbench's workload code running on the package qs."""
     workloads.qs = qs
+    workloads.output = importlib.import_module(f"{qs.__name__}.output")
     return call(*args)
 
 
@@ -88,9 +96,13 @@ def timed(workloads, qs, op):
     start = time.perf_counter()
     try:
         on(workloads, qs, op.run)
+        return time.perf_counter() - start
     except qs.QShutterError:
         return None
-    return time.perf_counter() - start
+    finally:
+        # an op's temporary directory goes after its time is taken
+        if op.cleanup is not None:
+            op.cleanup()
 
 
 def compare(workloads, workload, sides, seeds, n_ops, probe=None):
@@ -137,9 +149,10 @@ def main(argv=None) -> int:
     import workloads
     from run import probe
 
-    workload = getattr(workloads, WORKLOADS[args.workload])()
-    # the tree of rev stays on disk while its package runs
-    with tempfile.TemporaryDirectory() as tree:
+    # the tree of rev stays on disk while its package runs, and the
+    # scenario ops write their files under work
+    with tempfile.TemporaryDirectory() as tree, tempfile.TemporaryDirectory() as work:
+        workload = workloads.make_workloads(Path(work))[args.workload]
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", args.rev, "src"],
             check=True, capture_output=True,

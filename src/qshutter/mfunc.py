@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import PhysicalConstants
-from .scattering import _real_array
+from .scattering import _times
 
 __all__ = [
     "faddeeva",
@@ -99,9 +99,7 @@ def y_values(s, t, constants: PhysicalConstants):
 
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
-    t = _real_array(t, "t")
-    if not np.all(np.isfinite(t) & (t >= 0)):
-        raise DomainError("t must be finite and >= 0 ps")
+    t = _times(t)
     s = complex(s)
     if not np.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")

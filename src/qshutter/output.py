@@ -56,6 +56,13 @@ def fmt(v) -> str:
     return str(v)
 
 
+def _write(path, text: str) -> str:
+    """Write text to path with no newline translation; the path as a str."""
+    path = Path(path)
+    path.write_text(text, newline="")
+    return str(path)
+
+
 def _table(header: str, row: str, *columns: list) -> str:
     """header, then `row` filled from each row of the columns (zip's rows:
     the shortest column sets the count), as one % over `row` repeated."""
@@ -108,7 +115,6 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     """
     if method not in trace.densities:
         raise DomainError(f"trace has no '{method}' curve; it has {trace.methods}")
-    path = Path(path)
     times = trace.times
     format_cells = _time_cells if times.size <= _COLUMN_MEMO_POINTS else _time_cells.__wrapped__
     cells = format_cells(_GridKey(times.tobytes()), trace.tau_1)
@@ -116,8 +122,7 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     text = _table(
         "t_ps,t_over_tau1,density,method\n", row, cells, trace.densities[method].tolist()
     )
-    path.write_text(text, newline="")
-    return str(path)
+    return _write(path, text)
 
 
 def poles_csv_text(poles: list[ResonancePole]) -> str:
@@ -134,9 +139,7 @@ def poles_csv_text(poles: list[ResonancePole]) -> str:
 
 
 def write_poles_csv(path, poles: list[ResonancePole]) -> str:
-    path = Path(path)
-    path.write_text(poles_csv_text(poles), newline="")
-    return str(path)
+    return _write(path, poles_csv_text(poles))
 
 
 def transmission_csv_text(energies_meV, T_values) -> str:
@@ -149,9 +152,7 @@ def transmission_csv_text(energies_meV, T_values) -> str:
 
 
 def write_transmission_csv(path, energies_meV, T_values) -> str:
-    path = Path(path)
-    path.write_text(transmission_csv_text(energies_meV, T_values), newline="")
-    return str(path)
+    return _write(path, transmission_csv_text(energies_meV, T_values))
 
 
 @dataclass(frozen=True)
@@ -220,17 +221,14 @@ class Manifest:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> str:
-        path = Path(path)
-        path.write_text(self.render())
-        return str(path)
+        return _write(path, self.render())
 
 
 def gnuplot_script(path, title: str, curves: list[tuple[str, str]]) -> str:
     """Plain-text plotting script over the emitted trace CSVs (no plotting
     dependency in the package): |Psi|^2 (column 3) against t / tau_1
     (column 2); curves are (csv_filename, legend) pairs."""
-    path = Path(path)
-    png = path.with_suffix(".png").name
+    png = Path(path).with_suffix(".png").name
     # every ::1 skips the header row
     plots = ", \\\n     ".join(
         f"'{fname}' using 2:3 every ::1 with lines title '{label}'"
@@ -248,5 +246,4 @@ def gnuplot_script(path, title: str, curves: list[tuple[str, str]]) -> str:
         f"set output '{png}'\n"
         f"plot {plots}\n"
     )
-    path.write_text(script)
-    return str(path)
+    return _write(path, script)

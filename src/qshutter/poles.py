@@ -415,6 +415,9 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     nm^-1.
     """
     try:
+        # operator.index takes True as 1, but a bool is no count
+        if isinstance(N, bool):
+            raise TypeError
         N = operator.index(N)
     except TypeError:
         raise DomainError(f"N must be an integer, got {N!r}") from None

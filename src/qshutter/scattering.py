@@ -478,6 +478,8 @@ def transmission(profile: PotentialProfile, E):
     if isinstance(E, float) and 0.0 < E < np.inf:
         return _transmission_at(profile, E)
     E = np.asarray(E)
+    if E.dtype.kind not in "iufc":
+        raise DomainError(f"transmission needs real finite E > 0 eV, not {E.dtype} values")
     valid = np.isreal(E) & (E.real > 0) & (E.real < np.inf)
     if not valid.all():
         raise DomainError(f"transmission needs real finite E > 0 eV, got {E[~valid][0]}")
@@ -552,16 +554,25 @@ def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):
 
 
 def _real_array(values, name: str) -> np.ndarray:
-    """values as a float array; complex values raise DomainError."""
+    """values as a float array; any dtype but int, uint or float raises DomainError."""
     values = np.asarray(values)
-    if values.dtype.kind == "c":
-        raise DomainError(f"{name} must be real, not complex")
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real, not {values.dtype}")
     return values.astype(float, copy=False)
 
 
+def _times(t) -> np.ndarray:
+    """t (ps) as _real_array reads it; NaN, infinite and negative times raise."""
+    t = _real_array(t, "t")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise DomainError("t must be finite and >= 0 ps")
+    return t
+
+
 def _real_finite(value, name: str) -> float:
-    """A scalar value as a float; complex, NaN and infinite values raise DomainError."""
-    if np.iscomplexobj(value) or not np.isfinite(value):
+    """A scalar value as a float; any dtype but int, uint or float (complex,
+    bool, strings), NaN and infinite values raise DomainError."""
+    if np.asarray(value).dtype.kind not in "iuf" or not np.isfinite(value):
         raise DomainError(f"{name} must be real and finite, got {value!r}")
     return float(value)
 

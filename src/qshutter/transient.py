@@ -41,7 +41,7 @@ from .mfunc import m_function, y_values
 from .model import PhysicalConstants, PotentialProfile, wavenumber
 from .modes import ResonantMode, _rho, solve_mode
 from .poles import ResonancePole, find_poles
-from .scattering import StationaryField, _locate, _real_array, _wave, solve_stationary
+from .scattering import StationaryField, _locate, _real_array, _times, _wave, solve_stationary
 from .twolevel import (
     _broadcast_xt,
     density_resonant_exponential,
@@ -199,11 +199,11 @@ def make_problem(
     return make_spectrum(profile, n_poles).at(E)
 
 
-def _times(t) -> np.ndarray:
-    """t (ps) as a float array; every time must be real, finite and > 0."""
-    t_arr = _real_array(t, "t")
-    if not ((t_arr > 0) & (t_arr < np.inf)).all():
-        raise DomainError("t must be finite and > 0 ps (t = 0 is the initial condition)")
+def _positive_times(t) -> np.ndarray:
+    """t (ps) as _times checks it, with every time > 0."""
+    t_arr = _times(t)
+    if not (t_arr > 0).all():
+        raise DomainError("t must be > 0 ps (t = 0 is the initial condition)")
     return t_arr
 
 
@@ -234,13 +234,15 @@ class _Grid(dict):
     The grid is checked when it is built, and one that fails is not kept.
     The shape is part of the key, since a (n, 1) grid has the bytes of an
     (n,) grid; the mass ratio fixes hbar/2m.  A missing column is evaluated
-    on first use and kept.
+    on first use and kept.  `block` is (s, block) of the grid's most recent
+    call (see _block).
     """
 
     def __init__(self, shape: tuple, t_key: _GridKey, mass_ratio: float):
         super().__init__()
-        self.t = _times(np.frombuffer(t_key.data).reshape(shape))
+        self.t = _positive_times(np.frombuffer(t_key.data).reshape(shape))
         self.constants = PhysicalConstants(mass_ratio)
+        self.block = (), None
 
     def __missing__(self, s: complex):
         column = m_function(y_values(s, self.t, self.constants))
@@ -252,8 +254,6 @@ class _Grid(dict):
 
 
 _grid = lru_cache(maxsize=_GRID_MEMO_SIZE)(_Grid)
-# (grid, wave numbers, block) of the most recent call on a kept grid
-_kept_block = (None, (), None)
 
 
 def _block(grid: _Grid, s: tuple[complex, ...], keep: bool) -> np.ndarray:
@@ -262,14 +262,14 @@ def _block(grid: _Grid, s: tuple[complex, ...], keep: bool) -> np.ndarray:
     A time's entries are adjacent, so a per-x product is one short dot
     product per time, whose bits depend on no BLAS thread count (OpenBLAS's
     gemv over a (len(s), n) block rounds some columns differently at 1 and
-    2 threads).  The block of the most recent call on a kept grid is kept,
-    one in total, so a per-x loop stacks it once.  A grid over _GRID_COLUMNS
-    that misses one of s starts over first, so no call loses a column it
-    still needs; a grid that is not kept drops each column once copied.
+    2 threads).  Each grid keeps the block of its most recent call, so a
+    per-x loop stacks it once, and the block goes with its grid.  A grid
+    over _GRID_COLUMNS that misses one of s starts over first, so no call
+    loses a column it still needs; a grid that is not kept drops each
+    column once copied.
     """
-    global _kept_block
-    kept_grid, kept_s, block = _kept_block
-    if kept_grid is grid and kept_s == s:
+    kept_s, block = grid.block
+    if kept_s == s:
         return block
     if len(grid) > _GRID_COLUMNS and any(v not in grid for v in s):
         grid.clear()
@@ -279,8 +279,7 @@ def _block(grid: _Grid, s: tuple[complex, ...], keep: bool) -> np.ndarray:
         if not keep:
             del grid[v]
     block.flags.writeable = False
-    if keep:
-        _kept_block = (grid, s, block)
+    grid.block = s, block
     return block
 
 
@@ -385,11 +384,11 @@ def psi_exact(problem: ShutterProblem, x, t):
     each column once, and one profile's pole columns serve every incidence
     energy on the grid.  A grid holds at most
     32 columns between calls (_GRID_COLUMNS), and one of more than 4096
-    points (_COLUMN_MEMO_POINTS) is never kept; one block of stacked
-    columns is kept as well (see _block).  A miss runs the uncached
-    arithmetic, so results do not depend on the memo.  psi_exact.cache_info()
-    counts grids (a miss checks one); psi_exact.cache_clear() empties it and
-    drops the kept block.
+    points (_COLUMN_MEMO_POINTS) is never kept; each kept grid also keeps
+    the stacked block of its most recent call (see _block).  A miss runs
+    the uncached arithmetic, so results do not depend on the memo.
+    psi_exact.cache_info() counts grids (a miss checks one);
+    psi_exact.cache_clear() empties it, blocks and all.
 
     The x half is kept as well, on the problem itself: a scalar x, keyed
     by its Python float and the call's mode count (so -0.0 and 0.0 share
@@ -406,14 +405,8 @@ def psi_exact(problem: ShutterProblem, x, t):
     return _result(psi)
 
 
-def _cache_clear() -> None:
-    global _kept_block
-    _grid.cache_clear()
-    _kept_block = (None, (), None)
-
-
 psi_exact.cache_info = _grid.cache_info
-psi_exact.cache_clear = _cache_clear
+psi_exact.cache_clear = _grid.cache_clear
 
 
 def psi_doublet_M(problem: ShutterProblem, x, t):
@@ -459,7 +452,7 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
     x = _real_array(x, "x")
     if not (np.isfinite(k) and ((x >= 0.0) & (x < np.inf)).all()):
         raise DomainError(f"needs a finite k and every x finite and >= 0 nm, got k = {k!r}")
-    t_arr = _times(t)
+    t_arr = _positive_times(t)
     beta = constants.hbar_over_2m
     root = np.sqrt(4.0 * beta * t_arr)
     front = np.exp(1j * x * x / (4.0 * beta * t_arr))
@@ -511,11 +504,11 @@ def evolve_trace(
     if not isinstance(x, numbers.Real):
         raise DomainError(f"x must be a real number, got {x!r}")
     _locate(problem.field.edges, x)
-    times = _real_array(time_grid, "time grid")
+    times = _times(time_grid)
     if times.ndim != 1 or len(times) < 1:
         raise DomainError("time grid must be a 1-D array")
-    if not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
-        raise DomainError("time grid must be strictly increasing and >= 0")
+    if not np.all(np.diff(times) > 0):
+        raise DomainError("time grid must be strictly increasing")
     for method in methods:
         if method not in METHODS:
             raise DomainError(f"unknown method tag '{method}'; valid: {METHODS}")

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError
 from .modes import ResonantMode, _rho
 from .poles import ResonancePole
-from .scattering import _locate, _real_array, _real_finite, _wave
+from .scattering import _locate, _real_array, _real_finite, _times, _wave
 
 __all__ = [
     "DoubletFrequencies",
@@ -64,14 +64,6 @@ def clamp_count() -> int:
     reads it for its twolevel.clamps metric; it goes when that metric is
     retired with the benchmark's next revision."""
     return 0
-
-
-def _times(t) -> np.ndarray:
-    """t (ps) as a float array; complex, NaN, infinite and negative times raise."""
-    t_arr = _real_array(t, "t")
-    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
-        raise DomainError("t must be finite and >= 0 ps")
-    return t_arr
 
 
 def _broadcast_xt(x, t) -> None:

@@ -1,9 +1,11 @@
 """Exact shutter solution, doublet form, remainder term, and traces."""
 
+import gc
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import mpmath as mp
@@ -277,6 +279,30 @@ class TestPsiExact:
                 mode_1.u(x)
             with pytest.raises(DomainError):
                 rho(mode_1, p.k, x)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: psi_exact(p, "1.0", [0.1]),
+            lambda p: psi_exact(p, True, [0.1]),
+            lambda p: psi_exact(p, 1.0, ["0.1"]),
+            lambda p: evolve_trace(p, 1.0, ["0", "0.1"]),
+            lambda p: evolve_trace(p, True, [0.0, 0.1]),
+            lambda p: transmission(p.profile, True),
+            lambda p: transmission(p.profile, "0.01"),
+            lambda p: rho(p.modes[0], True, 1.0),
+            lambda p: find_poles(p.profile, True),
+        ],
+        ids=[
+            "psi_exact-str-x", "psi_exact-bool-x", "psi_exact-str-t",
+            "evolve_trace-str-grid", "evolve_trace-bool-x", "transmission-bool-E",
+            "transmission-str-E", "rho-bool-k", "find_poles-bool-N",
+        ],
+    )
+    def test_bools_and_strings_are_not_numbers(self, problem_ebar, call):
+        # neither parsed nor taken as 0 and 1: each raises as a complex value does
+        with pytest.raises(DomainError):
+            call(problem_ebar)
 
     def test_density_map_matches_per_x_loop(self, problem_ebar):
         # x and t broadcast: an (n_x, 1) column against n_t times is the map
@@ -628,6 +654,19 @@ class TestColumnMemo:
         monkeypatch.setattr(mfunc, "_WOFZ", counting)
         return calls
 
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Every block of M(y_s) columns that _block returns, in call order."""
+        returned = []
+        block = transient._block
+
+        def recording(*args):
+            returned.append(block(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(transient, "_block", recording)
+        return returned
+
     def test_per_x_loop_evaluates_each_column_once(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         for x in np.linspace(0.0, p.L, 200):
@@ -684,14 +723,31 @@ class TestColumnMemo:
         psi_exact(p, p.L, times)
         assert wofz_calls == [times.shape] * (2 * (2 + 2 * len(p.modes)))
 
-    def test_cache_clear_drops_the_kept_block(self, problem_ebar, times):
+    def test_cache_clear_drops_the_kept_block(self, problem_ebar, times, blocks):
         p = problem_ebar
         psi_exact(p, p.L, times)
-        grid, _, block = transient._kept_block
-        assert grid is not None and block.shape == (*times.shape, 2 + 2 * len(p.modes))
+        cleared = weakref.ref(blocks.pop())
         psi_exact.cache_clear()
-        # the slot keeps neither the last grid (with its columns) nor its block
-        assert transient._kept_block == (None, (), None)
+        assert psi_exact.cache_info().currsize == 0
+        # the block went with its grid
+        gc.collect()
+        assert cleared() is None
+        # so the next call stacks a fresh block, which the call after it reuses
+        psi_exact(p, p.L, times)
+        psi_exact(p, 0.5 * p.L, times)
+        assert blocks[0].shape == (*times.shape, 2 + 2 * len(p.modes))
+        assert blocks[1] is blocks[0]
+
+    def test_alternating_grids_stack_each_block_once(self, problem_ebar, times, blocks):
+        p = problem_ebar
+        grids = (times, times[:1000])
+        for x in np.linspace(0.0, p.L, 20):
+            for t in grids:
+                psi_exact(p, x, t)
+        # each grid keeps its own block: two stacked, each returned on every call
+        assert len({id(block) for block in blocks}) == 2
+        assert all(block is blocks[i % 2] for i, block in enumerate(blocks))
+        assert [block.shape[0] for block in blocks[:2]] == [len(t) for t in grids]
 
     def test_grid_shape_is_part_of_the_key(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
