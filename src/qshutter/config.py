@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .model import PotentialProfile, build_profile
+from .model import PotentialProfile, _count, build_profile
 from .output import write_trace_csv
 from .transient import _MODES_NEEDED, METHODS, ShutterProblem, evolve_trace, make_spectrum
 
@@ -139,12 +139,9 @@ def _parse_layer(rhs: str, line: int, field: str) -> tuple[float, float]:
         raise ConfigError(
             f"expected '<width> nm, <height> eV', got '{rhs}'", line=line, field=field
         )
-    w = _float(m.group(1), line, f"{field} width")
-    h = _float(m.group(2), line, f"{field} height")
-    if w <= 0:
-        raise ConfigError(f"width must be > 0 nm, got {w}", line=line, field=field)
-    if h < 0:
-        raise ConfigError(f"height must be >= 0 eV, got {h}", line=line, field=field)
+    width, height = f"{field} width", f"{field} height"
+    w = _bound(_float(m.group(1), line, width), ">", 0, line, width, " nm")
+    h = _bound(_float(m.group(2), line, height), ">=", 0, line, height, " eV")
     return w, h
 
 
@@ -241,15 +238,18 @@ def parse_config(text: str) -> ScenarioConfig:
 def override(cfg: ScenarioConfig, **values) -> ScenarioConfig:
     """cfg with the named config keys replaced (None leaves a key as it is).
 
-    Each value is checked against the key's bound in _FIELDS, so an override
-    fails like the same value in the config text, naming its key.
+    Each value is checked against the key's bound in _FIELDS, and an integer
+    key's value against the count rule (model._count), so an override fails
+    like the same value in the config text, naming its key.
     """
     changes = {}
     for key, value in values.items():
         if value is None:
             continue
-        name, _, bound = _FIELDS[key]
-        if bound is not None:
+        name, parse, bound = _FIELDS[key]
+        if parse is _int:
+            value = _count(value, "value", bound[1], partial(ConfigError, field=key))
+        elif bound is not None:
             _bound(value, *bound, None, key)
         changes[name] = value
     return replace(cfg, **changes)

@@ -34,8 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .model import PhysicalConstants
-from .scattering import _times
+from .model import PhysicalConstants, _complex_array, _times
 
 __all__ = [
     "faddeeva",
@@ -100,7 +99,7 @@ def y_values(s, t, constants: PhysicalConstants):
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
     t = _times(t)
-    s = complex(s)
-    if not np.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
-    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * s * np.sqrt(t)
+    s_arr = _complex_array(s, "s")
+    if s_arr.ndim or not np.isfinite(s_arr):
+        raise DomainError(f"s must be a finite scalar, got {s!r}")
+    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s_arr) * np.sqrt(t)

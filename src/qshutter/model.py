@@ -18,15 +18,18 @@ pole search's contour counts assume absent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptyProfileError,
     LayerHeightError,
     LayerWidthError,
     MassRatioError,
+    ProfileError,
 )
 
 __all__ = [
@@ -62,10 +65,7 @@ class PhysicalConstants:
     hbar2_over_2me = HBAR2_OVER_2ME
 
     def __post_init__(self):
-        if not (0 < self.mass_ratio < np.inf):
-            raise MassRatioError(
-                f"mass_ratio must be finite and > 0, got {self.mass_ratio}"
-            )
+        _real_finite(self.mass_ratio, "mass_ratio", MassRatioError, positive=True)
 
     @property
     def hbar_ev_ps(self) -> float:
@@ -132,24 +132,24 @@ def build_profile(
 ) -> PotentialProfile:
     """Validate and assemble a profile from (width nm, height eV) pairs.
 
-    Each invalid input gets its own error class so callers (and the config
-    parser) can name the failing constraint.
+    Each number is read by _real_finite, and each invalid input gets its
+    own error class so callers (and the config parser) can name the failing
+    constraint.
     """
     if len(layer_spec) == 0:
         raise EmptyProfileError("profile needs at least one layer")
     layers = []
     for j, (width, height) in enumerate(layer_spec):
-        width = float(width)
-        height = float(height)
-        if not (width > 0) or not math.isfinite(width):
-            raise LayerWidthError(f"layer {j}: width must be > 0 nm, got {width}")
-        if height < 0 or not math.isfinite(height):
-            raise LayerHeightError(
-                f"layer {j}: height must be >= 0 eV, got {height}"
-            )
+        try:
+            width = _real_finite(width, "width (nm)", LayerWidthError, positive=True)
+            height = _real_finite(height, "height (eV)", LayerHeightError)
+            if height < 0:
+                raise LayerHeightError(f"height (eV) must be >= 0, got {height}")
+        except ProfileError as err:
+            raise type(err)(f"layer {j}: {err}") from None
         layers.append(Layer(width=width, height=height))
-    PhysicalConstants(mass_ratio)  # raises MassRatioError
-    return PotentialProfile(layers=tuple(layers), mass_ratio=float(mass_ratio))
+    mass_ratio = _real_finite(mass_ratio, "mass_ratio", MassRatioError, positive=True)
+    return PotentialProfile(layers=tuple(layers), mass_ratio=mass_ratio)
 
 
 def wavenumber(E, profile_or_constants):
@@ -176,3 +176,74 @@ def _constants_of(obj) -> PhysicalConstants:
     if isinstance(obj, PhysicalConstants):
         return obj
     return obj.constants
+
+
+# The argument rules of every public entry: a real number has int, uint or float
+# dtype and is finite, a count is an integer and not a bool, and times are real,
+# finite and >= 0; a bad value raises DomainError or the typed error its caller names.
+def _real_array(values, name: str) -> np.ndarray:
+    """values as a float array; any dtype but int, uint or float raises DomainError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real, not {values.dtype}")
+    return values.astype(float, copy=False)
+
+
+def _complex_array(values, name: str) -> np.ndarray:
+    """_real_array's rule for values that may also be complex: a float or complex array."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iufc":
+        raise DomainError(f"{name} must be real or complex, not {values.dtype}")
+    return values.astype(complex if values.dtype.kind == "c" else float, copy=False)
+
+
+def _times(t) -> np.ndarray:
+    """t (ps) as _real_array reads it; NaN, infinite and negative times raise."""
+    t = _real_array(t, "t")
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise DomainError("t must be finite and >= 0 ps")
+    return t
+
+
+def _positive_times(t) -> np.ndarray:
+    """t (ps) as _times checks it, with every time > 0."""
+    t_arr = _times(t)
+    if not (t_arr > 0).all():
+        raise DomainError("t must be > 0 ps (t = 0 is the initial condition)")
+    return t_arr
+
+
+def _real_finite(value, name: str, error=DomainError, positive: bool = False) -> float:
+    """A real number as a float: a finite scalar of int, uint or float dtype
+    (not a bool, a complex number, a string or an array), and > 0 if
+    positive; anything else raises error."""
+    # Python floats and ints skip numpy: build_profile reads two a layer
+    if type(value) is float or type(value) is int or (
+        np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"
+    ):
+        if math.isfinite(value) and (value > 0 or not positive):
+            return float(value)
+    raise error(f"{name} must be a real, finite number{' > 0' if positive else ''}, got {value!r}")
+
+
+def _count(value, name: str, least: int = 1, error=DomainError) -> int:
+    """A count as an int: an integer (operator.index) that is not a bool and
+    is >= least; anything else raises error."""
+    try:
+        # operator.index takes True as 1, but a bool is no count
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return count
+
+
+def _broadcast_xt(x, t) -> None:
+    """Raise DomainError unless x and t broadcast against each other."""
+    try:
+        np.broadcast_shapes(np.shape(x), np.shape(t))
+    except ValueError:
+        raise DomainError(
+            f"x of shape {np.shape(x)} and t of shape {np.shape(t)} do not broadcast"
+        ) from None

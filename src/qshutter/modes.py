@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleQualityError
-from .model import PotentialProfile
+from .model import PotentialProfile, _real_finite
 from .poles import ResonancePole
-from .scattering import _growth, _join, _layers, _outgoing, _real_finite, layered_wave
+from .scattering import _growth, _join, _layers, _outgoing, layered_wave
 
 __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 

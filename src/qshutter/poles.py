@@ -80,7 +80,6 @@ guard fails the seed that owns the guarded point).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +91,7 @@ from .errors import (
     PoleCountError,
     QuadrantEscapeError,
 )
-from .model import PotentialProfile, energy_of, wavenumber
+from .model import PotentialProfile, _count, _real_finite, energy_of, wavenumber
 from .scattering import (
     _W_TOL,
     _growth,
@@ -273,9 +272,7 @@ def seed_poles(profile: PotentialProfile, E_max: float) -> list[complex]:
     [-k(E_max)/4, 0.05 nm^-1]: the contour count and moments of the module
     docstring, as find_poles forms them for its first box.  An empty list
     is a valid result (a free profile, or no pole in the box)."""
-    if not (0 < E_max < np.inf):
-        raise DomainError(f"E_max must be finite and > 0 eV, got {E_max}")
-    right = wavenumber(E_max, profile).real
+    right = wavenumber(_real_finite(E_max, "E_max (eV)", positive=True), profile).real
     return _box_seeds(profile, _LEFT, right, _DEPTH * right)[1]
 
 
@@ -414,15 +411,7 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     halved on Re k and seeded again.  Duplicates collapse at |dk| < 1e-9
     nm^-1.
     """
-    try:
-        # operator.index takes True as 1, but a bool is no count
-        if isinstance(N, bool):
-            raise TypeError
-        N = operator.index(N)
-    except TypeError:
-        raise DomainError(f"N must be an integer, got {N!r}") from None
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    N = _count(N, "N")
     if profile.is_free:
         raise PoleCountError(found=0, requested=N)
     h22m = profile.constants.hbar2_over_2m

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OverflowGuardError, QShutterError
-from .model import PotentialProfile, wavenumber
+from .model import PotentialProfile, _complex_array, _real_array, wavenumber
 
 __all__ = [
     "TransferMatrix",
@@ -374,7 +374,7 @@ def _join(growth: np.ndarray, left, right, k: np.ndarray):
 
 
 def _nonzero_k(k):
-    k = _wave_numbers(k)
+    k = _complex_array(k, "k")
     if not (np.isfinite(k) & (k != 0)).all():
         raise DomainError("k must be finite and != 0 (at k = 0 exterior plane waves are undefined)")
     return k
@@ -449,7 +449,7 @@ def solve_stationary(profile: PotentialProfile, k: float | complex) -> Stationar
     off on one-element arrays, so at a real k, r and t are
     transfer_matrix's entries at np.array([k]) bit for bit.
     """
-    k = _nonzero_k([float(k) if np.isrealobj(k) else complex(k)])
+    k = _nonzero_k(np.reshape(k, 1))
     layers, f1, f2, end = _fundamental(profile, k)
     tm = _read_off(profile, k, end)
     r, t = tm.r[0], tm.t[0]
@@ -477,9 +477,7 @@ def transmission(profile: PotentialProfile, E):
     """
     if isinstance(E, float) and 0.0 < E < np.inf:
         return _transmission_at(profile, E)
-    E = np.asarray(E)
-    if E.dtype.kind not in "iufc":
-        raise DomainError(f"transmission needs real finite E > 0 eV, not {E.dtype} values")
+    E = _complex_array(E, "E")
     valid = np.isreal(E) & (E.real > 0) & (E.real < np.inf)
     if not valid.all():
         raise DomainError(f"transmission needs real finite E > 0 eV, got {E[~valid][0]}")
@@ -551,30 +549,6 @@ def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):
     interface belongs to the layer on its right, x = L to the last layer.
     """
     return _wave(q, coefficients, *_locate(edges, x))
-
-
-def _real_array(values, name: str) -> np.ndarray:
-    """values as a float array; any dtype but int, uint or float raises DomainError."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be real, not {values.dtype}")
-    return values.astype(float, copy=False)
-
-
-def _times(t) -> np.ndarray:
-    """t (ps) as _real_array reads it; NaN, infinite and negative times raise."""
-    t = _real_array(t, "t")
-    if not np.all(np.isfinite(t) & (t >= 0)):
-        raise DomainError("t must be finite and >= 0 ps")
-    return t
-
-
-def _real_finite(value, name: str) -> float:
-    """A scalar value as a float; any dtype but int, uint or float (complex,
-    bool, strings), NaN and infinite values raise DomainError."""
-    if np.asarray(value).dtype.kind not in "iuf" or not np.isfinite(value):
-        raise DomainError(f"{name} must be real and finite, got {value!r}")
-    return float(value)
 
 
 def _locate(edges: np.ndarray, x):

@@ -30,7 +30,7 @@ that case.
 
 from __future__ import annotations
 
-import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,16 +38,14 @@ import numpy as np
 
 from .errors import DomainError
 from .mfunc import m_function, y_values
-from .model import PhysicalConstants, PotentialProfile, wavenumber
+from .model import (
+    PhysicalConstants, PotentialProfile, _broadcast_xt, _count, _positive_times, _real_array,
+    _real_finite, _times, wavenumber,
+)
 from .modes import ResonantMode, _rho, solve_mode
 from .poles import ResonancePole, find_poles
-from .scattering import StationaryField, _locate, _real_array, _times, _wave, solve_stationary
-from .twolevel import (
-    _broadcast_xt,
-    density_resonant_exponential,
-    density_two_level,
-    frequencies,
-)
+from .scattering import StationaryField, _locate, _wave, solve_stationary
+from .twolevel import density_resonant_exponential, density_two_level, frequencies
 
 __all__ = [
     "METHOD_EXACT",
@@ -143,12 +141,11 @@ class Spectrum:
 
     def at(self, E: float) -> ShutterProblem:
         """The ShutterProblem at incidence energy E (eV), a real scalar in (0, inf)."""
-        if np.ndim(E) or np.asarray(E).dtype.kind not in "iuf" or not 0 < E < np.inf:
-            raise DomainError(f"incidence energy must be a real scalar in (0, inf) eV, got {E!r}")
+        E = _real_finite(E, "incidence energy (eV)", positive=True)
         k = wavenumber(E, self.profile).real
         return ShutterProblem(
             profile=self.profile,
-            E=float(E),
+            E=E,
             k=k,
             modes=self.modes,
             field=solve_stationary(self.profile, k),
@@ -158,8 +155,8 @@ class Spectrum:
 def make_spectrum(profile: PotentialProfile, n_poles: int = 4) -> Spectrum:
     """The first n_poles poles of profile and their solved modes.
 
-    n_poles = 0 is allowed only for a free profile (no resonances exist to
-    retain); otherwise at least one mode is required.
+    n_poles is a count (model._count), >= 1 unless the profile is free
+    (no resonances exist to retain), and a free profile's spectrum is empty.
 
     A spectrum is a pure function of (profile, n_poles), and a profile is
     immutable, so the spectra of the 32 most recently used pairs
@@ -169,15 +166,11 @@ def make_spectrum(profile: PotentialProfile, n_poles: int = 4) -> Spectrum:
     next call.  make_spectrum.cache_info() reports the reuse, and
     make_spectrum.cache_clear() empties the memo.
     """
-    if n_poles == 0 or profile.is_free:
-        if not profile.is_free:
-            raise DomainError("n_poles = 0 is only valid for a free profile")
-        return Spectrum(profile, ())
-    return _search(profile, n_poles)
+    n_poles = _count(n_poles, "n_poles", least=0 if profile.is_free else 1)
+    return Spectrum(profile, ()) if profile.is_free else _search(profile, n_poles)
 
 
-# typed: a count of 2.0 must reach find_poles's check, not the memo of 2
-@lru_cache(maxsize=_SPECTRUM_MEMO_SIZE, typed=True)
+@lru_cache(maxsize=_SPECTRUM_MEMO_SIZE)
 def _search(profile: PotentialProfile, n_poles: int) -> Spectrum:
     poles = find_poles(profile, n_poles)
     return Spectrum(profile, tuple(solve_mode(profile, p) for p in poles))
@@ -197,14 +190,6 @@ def make_problem(
     call.
     """
     return make_spectrum(profile, n_poles).at(E)
-
-
-def _positive_times(t) -> np.ndarray:
-    """t (ps) as _times checks it, with every time > 0."""
-    t_arr = _times(t)
-    if not (t_arr > 0).all():
-        raise DomainError("t must be > 0 ps (t = 0 is the initial condition)")
-    return t_arr
 
 
 def _result(psi):
@@ -228,8 +213,9 @@ class _GridKey:
         return isinstance(other, _GridKey) and self.data == other.data
 
 
-class _Grid(dict):
-    """The read-only M(y_s) columns of one time grid, keyed by wave number s.
+class _Grid(OrderedDict):
+    """The read-only M(y_s) columns of one time grid, keyed by wave number s
+    and ordered from least to most recently used.
 
     The grid is checked when it is built, and one that fails is not kept.
     The shape is part of the key, since a (n, 1) grid has the bytes of an
@@ -263,21 +249,22 @@ def _block(grid: _Grid, s: tuple[complex, ...], keep: bool) -> np.ndarray:
     product per time, whose bits depend on no BLAS thread count (OpenBLAS's
     gemv over a (len(s), n) block rounds some columns differently at 1 and
     2 threads).  Each grid keeps the block of its most recent call, so a
-    per-x loop stacks it once, and the block goes with its grid.  A grid
-    over _GRID_COLUMNS that misses one of s starts over first, so no call
-    loses a column it still needs; a grid that is not kept drops each
-    column once copied.
+    per-x loop stacks it once, and the block goes with its grid.  Each
+    copied column becomes the grid's most recently used, and the grid then
+    drops its least recently used columns down to its cap: _GRID_COLUMNS
+    for a kept grid, so a new energy evaluates only its own k columns, and
+    0 for one that is not kept, which drops each column once copied.
     """
     kept_s, block = grid.block
     if kept_s == s:
         return block
-    if len(grid) > _GRID_COLUMNS and any(v not in grid for v in s):
-        grid.clear()
+    cap = _GRID_COLUMNS if keep else 0
     block = np.empty((*grid.t.shape, len(s)), dtype=complex)
     for j, v in enumerate(s):
         block[..., j] = grid[v]
-        if not keep:
-            del grid[v]
+        grid.move_to_end(v)
+        while len(grid) > cap:
+            grid.popitem(last=False)
     block.flags.writeable = False
     grid.block = s, block
     return block
@@ -382,10 +369,10 @@ def psi_exact(problem: ShutterProblem, x, t):
     delta_term and evolve_trace.  A grid is checked once, when it is built,
     and keeps its read-only columns by wave number: a per-x loop evaluates
     each column once, and one profile's pole columns serve every incidence
-    energy on the grid.  A grid holds at most
-    32 columns between calls (_GRID_COLUMNS), and one of more than 4096
-    points (_COLUMN_MEMO_POINTS) is never kept; each kept grid also keeps
-    the stacked block of its most recent call (see _block).  A miss runs
+    energy on the grid.  A grid holds at most 32 columns between calls
+    (_GRID_COLUMNS; it drops the least recently used), and one of more
+    than 4096 points (_COLUMN_MEMO_POINTS) is never kept; each kept grid
+    also keeps the stacked block of its most recent call (see _block).  A miss runs
     the uncached arithmetic, so results do not depend on the memo.
     psi_exact.cache_info() counts grids (a miss checks one);
     psi_exact.cache_clear() empties it, blocks and all.
@@ -449,9 +436,9 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
 
     beta = hbar/2m in nm^2/ps.  Exponent-safe for all real x, t > 0.
     """
-    x = _real_array(x, "x")
-    if not (np.isfinite(k) and ((x >= 0.0) & (x < np.inf)).all()):
-        raise DomainError(f"needs a finite k and every x finite and >= 0 nm, got k = {k!r}")
+    k, x = _real_finite(k, "k"), _real_array(x, "x")
+    if not ((x >= 0.0) & (x < np.inf)).all():
+        raise DomainError("needs every x finite and >= 0 nm")
     t_arr = _positive_times(t)
     beta = constants.hbar_over_2m
     root = np.sqrt(4.0 * beta * t_arr)
@@ -499,16 +486,18 @@ def evolve_trace(
     tags use modes 1 and 2; "exponential" is the on-resonance envelope
     T(E) (1 - e^{-t/(2 hbar/Gamma_1)})^2, whose time constant is the
     amplitude decay time 2 hbar/Gamma_1 dictated by the closed two-level
-    form at omega_hat_1 = 0.
+    form at omega_hat_1 = 0.  x is a real number in [0, L], and methods a
+    sequence of one or more distinct tags.
     """
-    if not isinstance(x, numbers.Real):
-        raise DomainError(f"x must be a real number, got {x!r}")
+    x = _real_finite(x, "x")
     _locate(problem.field.edges, x)
     times = _times(time_grid)
     if times.ndim != 1 or len(times) < 1:
         raise DomainError("time grid must be a 1-D array")
     if not np.all(np.diff(times) > 0):
         raise DomainError("time grid must be strictly increasing")
+    if isinstance(methods, str) or not methods or len(set(methods)) < len(methods):
+        raise DomainError(f"methods must be one or more distinct tags, got {methods!r}")
     for method in methods:
         if method not in METHODS:
             raise DomainError(f"unknown method tag '{method}'; valid: {METHODS}")
@@ -542,5 +531,5 @@ def evolve_trace(
         densities[method] = np.zeros_like(times)
         densities[method][positive] = d
     return TransientTrace(
-        x=float(x), E=problem.E, tau_1=float(tau_1), times=times, densities=densities
+        x=x, E=problem.E, tau_1=float(tau_1), times=times, densities=densities
     )

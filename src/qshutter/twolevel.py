@@ -39,9 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .model import _broadcast_xt, _count, _real_array, _real_finite, _times
 from .modes import ResonantMode, _rho
 from .poles import ResonancePole
-from .scattering import _locate, _real_array, _real_finite, _times, _wave
+from .scattering import _locate, _wave
 
 __all__ = [
     "DoubletFrequencies",
@@ -66,16 +67,6 @@ def clamp_count() -> int:
     return 0
 
 
-def _broadcast_xt(x, t) -> None:
-    """Raise DomainError unless x and t broadcast against each other."""
-    try:
-        np.broadcast_shapes(np.shape(x), np.shape(t))
-    except ValueError:
-        raise DomainError(
-            f"x of shape {np.shape(x)} and t of shape {np.shape(t)} do not broadcast"
-        ) from None
-
-
 @dataclass(frozen=True)
 class DoubletFrequencies:
     """Signed detunings and the Bohr frequency of a resonance doublet.
@@ -98,19 +89,16 @@ class DoubletFrequencies:
         return abs(self.omega_hat_21)
 
     def _pick(self, n: int) -> tuple[float, float]:
-        if n == 1:
-            return self.omega_hat_1, self.Gamma_1
-        if n == 2:
-            return self.omega_hat_2, self.Gamma_2
-        raise DomainError(f"level index must be 1 or 2, got {n}")
+        if _count(n, "level index") > 2:
+            raise DomainError(f"level index must be 1 or 2, got {n}")
+        return (self.omega_hat_2, self.Gamma_2) if n == 2 else (self.omega_hat_1, self.Gamma_1)
 
 
 def frequencies(E: float, pole_1: ResonancePole, pole_2: ResonancePole
                 ) -> DoubletFrequencies:
     """Doublet frequencies at incidence energy E (eV); requires
     curlyE_2 > curlyE_1 (ordered, non-degenerate doublet)."""
-    if np.ndim(E) or np.asarray(E).dtype.kind not in "iuf" or not 0 < E < np.inf:
-        raise DomainError(f"E must be a real scalar, finite and > 0 eV, got {E!r}")
+    E = _real_finite(E, "E (eV)", positive=True)
     e1, e2 = pole_1.E_position, pole_2.E_position
     if not (e2 > e1):
         raise DomainError(
@@ -118,7 +106,7 @@ def frequencies(E: float, pole_1: ResonancePole, pole_2: ResonancePole
         )
     hbar = pole_1.hbar
     return DoubletFrequencies(
-        E=float(E),
+        E=E,
         omega_hat_1=(E - e1) / hbar,
         omega_hat_2=(E - e2) / hbar,
         omega_hat_21=(e2 - e1) / hbar,
@@ -193,8 +181,7 @@ def density_resonant_exponential(T_peak: float, tau_1: float, t):
     """
     if not (0.0 <= T_peak <= 1.0):
         raise DomainError(f"T_peak must be in [0, 1], got {T_peak}")
-    if not (tau_1 > 0):
-        raise DomainError(f"tau_1 must be > 0 ps, got {tau_1}")
+    tau_1 = _real_finite(tau_1, "tau_1 (ps)", positive=True)
     t_arr = _times(t)
     out = T_peak * (1.0 - np.exp(-t_arr / tau_1)) ** 2
     return float(out) if np.asarray(t).ndim == 0 else out

@@ -6,7 +6,35 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qshutter
+from qshutter import (
+    ConfigError,
+    DomainError,
+    LayerHeightError,
+    LayerWidthError,
+    MassRatioError,
+    PhysicalConstants,
+    build_profile,
+    chi,
+    density_two_level,
+    evolve_trace,
+    find_poles,
+    frequencies,
+    make_spectrum,
+    parse_config,
+    pole_condition,
+    psi_exact,
+    xi,
+)
+from qshutter.config import override
+from qshutter.mfunc import y_values
+from qshutter.modes import rho
+from qshutter.poles import seed_poles
+from qshutter.scattering import solve_stationary, transfer_matrix
+from qshutter.twolevel import density_resonant_exponential
 
 PUBLIC = [
     # errors
@@ -144,3 +172,98 @@ def test_cold_start_loads_scipy_on_first_m_function():
     assert before == "-"
     assert after == "scipy"
     assert same == "True"
+
+
+
+# The argument contract (model's number rules), one case per row: a public
+# entry called on the triple barrier's doublet-center problem p, and the
+# typed error it raises, or None where the value is accepted.  A real number
+# has int, uint or float dtype and is finite, a count is an integer and not a
+# bool, and neither is an array.
+def _freqs(p):
+    return frequencies(p.E, p.modes[0].pole, p.modes[1].pole)
+
+
+def _config():
+    return parse_config("layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = 10 meV\n")
+
+
+def _free_spectrum(n_poles):
+    return make_spectrum(build_profile([(10.0, 0.0)], 0.067), n_poles)
+
+
+_LAYERS = [(3.0, 0.12), (5.0, 0.0), (3.0, 0.12)]
+_ARRAY = np.array([0.1, 0.2])
+CONTRACT = {
+    # scalars that are arrays
+    "rho-array-k": (lambda p: rho(p.modes[0], _ARRAY, 1.0), DomainError),
+    "density_two_level-array-k": (
+        lambda p: density_two_level(*p.modes[:2], _freqs(p), p.L, _ARRAY, 0.1), DomainError
+    ),
+    "evolve_trace-0d-x": (lambda p: evolve_trace(p, np.array(1.0), [0.1]), None),
+    "psi_exact-0d-x": (lambda p: psi_exact(p, np.array(1.0), [0.1]), None),
+    "Spectrum.at-array-E": (lambda p: make_spectrum(p.profile).at(np.array([p.E])), DomainError),
+    # profile inputs
+    "build_profile-str-layer": (lambda p: build_profile([("3", "0.12")], 0.067), LayerWidthError),
+    "build_profile-bool-width": (lambda p: build_profile([(True, 0.12)], 0.067), LayerWidthError),
+    "build_profile-bool-height": (lambda p: build_profile([(3.0, True)], 0.067), LayerHeightError),
+    "build_profile-str-mass": (lambda p: build_profile(_LAYERS, "0.067"), MassRatioError),
+    "build_profile-bool-mass": (lambda p: build_profile(_LAYERS, True), MassRatioError),
+    "build_profile-numpy": (
+        lambda p: build_profile([(np.float64(3.0), np.int64(0))], np.float32(0.5)), None
+    ),
+    "PhysicalConstants-complex": (lambda p: PhysicalConstants(1j), MassRatioError),
+    "PhysicalConstants-bool": (lambda p: PhysicalConstants(True), MassRatioError),
+    # wave numbers, energies, counts and level indices
+    "transfer_matrix-bool-k": (lambda p: transfer_matrix(p.profile, True), DomainError),
+    "transfer_matrix-str-k": (lambda p: transfer_matrix(p.profile, "0.1"), DomainError),
+    "transfer_matrix-complex-k": (lambda p: transfer_matrix(p.profile, 0.1 - 0.01j), None),
+    "pole_condition-bool-k": (lambda p: pole_condition(p.profile, True), DomainError),
+    "pole_condition-str-k": (lambda p: pole_condition(p.profile, "0.1"), DomainError),
+    "solve_stationary-bool-k": (lambda p: solve_stationary(p.profile, True), DomainError),
+    "solve_stationary-str-k": (lambda p: solve_stationary(p.profile, "0.1"), DomainError),
+    "solve_stationary-numpy-k": (lambda p: solve_stationary(p.profile, np.float64(0.1)), None),
+    "y_values-str-s": (lambda p: y_values("1", 0.1, p.constants), DomainError),
+    "y_values-bool-s": (lambda p: y_values(True, 0.1, p.constants), DomainError),
+    "y_values-complex-s": (lambda p: y_values(np.complex128(0.1 - 0.01j), 0.1, p.constants), None),
+    "seed_poles-bool-E_max": (lambda p: seed_poles(p.profile, True), DomainError),
+    "seed_poles-str-E_max": (lambda p: seed_poles(p.profile, "0.05"), DomainError),
+    "frequencies-str-E": (
+        lambda p: frequencies("0.0129", p.modes[0].pole, p.modes[1].pole), DomainError
+    ),
+    "density_resonant_exponential-bool-tau": (
+        lambda p: density_resonant_exponential(0.5, True, 1.0), DomainError
+    ),
+    "chi-bool-n": (lambda p: chi(_freqs(p), True, 0.1), DomainError),
+    "chi-float-n": (lambda p: chi(_freqs(p), 2.0, 0.1), DomainError),
+    "chi-numpy-n": (lambda p: chi(_freqs(p), np.int64(2), 0.1), None),
+    "xi-float-n": (lambda p: xi(_freqs(p), 1, 2.0, 0.1), DomainError),
+    "make_spectrum-negative-n": (lambda p: _free_spectrum(-3), DomainError),
+    "make_spectrum-str-n": (lambda p: _free_spectrum("x"), DomainError),
+    "make_spectrum-float-n": (lambda p: _free_spectrum(2.5), DomainError),
+    "make_spectrum-zero-n": (lambda p: _free_spectrum(0), None),
+    "find_poles-bool-N": (lambda p: find_poles(p.profile, True), DomainError),
+    # method lists and CLI overrides
+    "evolve_trace-str-methods": (lambda p: evolve_trace(p, p.L, [0.1], "exact-N"), DomainError),
+    "evolve_trace-no-methods": (lambda p: evolve_trace(p, p.L, [0.1], ()), DomainError),
+    "evolve_trace-repeated-methods": (
+        lambda p: evolve_trace(p, p.L, [0.1], ("exact-N", "exact-N")), DomainError
+    ),
+    "override-bool-n_poles": (lambda p: override(_config(), n_poles=True), ConfigError),
+    "override-float-points": (lambda p: override(_config(), points=2.5), ConfigError),
+    "override-numpy-points": (lambda p: override(_config(), points=np.int64(50)), None),
+}
+
+
+@pytest.mark.parametrize("call, error", CONTRACT.values(), ids=CONTRACT.keys())
+def test_argument_contract(problem_ebar, call, error):
+    if error is None:
+        call(problem_ebar)
+    else:
+        with pytest.raises(error):
+            call(problem_ebar)
+
+
+def test_numpy_count_shares_the_spectrum_memo(triple_profile):
+    # the count is read before the memo, so np.int64(4) finds the entry of 4
+    assert make_spectrum(triple_profile, np.int64(4)) is make_spectrum(triple_profile, 4)

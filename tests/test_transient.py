@@ -827,20 +827,46 @@ class TestColumnMemo:
     def test_column_bound_holds_between_calls(
         self, triple_spectrum, problem_ebar, times, wofz_calls, monkeypatch
     ):
-        monkeypatch.setattr(transient, "_GRID_COLUMNS", 4)
+        monkeypatch.setattr(transient, "_GRID_COLUMNS", 12)
         p = problem_ebar
         assert len(p.modes) == 4
+        grid = transient._grid(times.shape, transient._GridKey(times.tobytes()), MASS_RATIO)
         xs = np.linspace(0.0, p.L, 50)
         rows = [psi_exact(p, x, times) for x in xs]
-        # each call finds the grid over the bound but misses none of its columns
-        assert wofz_calls == [times.shape] * 10
-        # a call that misses a column starts the grid over
-        r = triple_spectrum.at(triple_spectrum.poles[1].E_position)
-        psi = psi_exact(r, r.L, times)
-        assert wofz_calls == [times.shape] * 20
+        assert wofz_calls == [times.shape] * 10 and len(grid) == 10
+        # each new energy evaluates its two k columns; past the bound the
+        # grid drops its least recently used columns, here p's k columns
+        energies = [pole.E_position for pole in triple_spectrum.poles[:2]]
+        others = [triple_spectrum.at(E) for E in energies]
+        for r in others:
+            psi_exact(r, r.L, times)
+            assert len(grid) == 12
+        assert wofz_calls == [times.shape] * 14
+        assert p._wave_numbers[0] not in grid and others[0]._wave_numbers[0] in grid
+        # so p evaluates them again, and drops the first other energy's
+        again = psi_exact(p, p.L, times)
+        assert wofz_calls == [times.shape] * 16 and len(grid) == 12
+        assert others[0]._wave_numbers[0] not in grid
+        assert np.array_equal(again, rows[-1])
         for x, row in list(zip(xs, rows))[::10]:
             assert_at_bound(row, p, x, times, 4)
-        assert_at_bound(psi, r, r.L, times, 4)
+
+    def test_new_energy_past_the_bound_evaluates_only_its_k_columns(
+        self, triple_spectrum, times, wofz_calls
+    ):
+        # 13 energies hold 8 pole columns and 26 k columns, 34 in all: more
+        # than the 32 a grid keeps, so it has dropped its two oldest k columns
+        poles = triple_spectrum.poles
+        energies = np.linspace(poles[0].E_position, poles[1].E_position, 14)
+        for E in energies[:-1]:
+            p = triple_spectrum.at(E)
+            psi_exact(p, p.L, times)
+        assert len(wofz_calls) == 34
+        del wofz_calls[:]
+        r = triple_spectrum.at(energies[-1])
+        psi = psi_exact(r, r.L, times)
+        assert wofz_calls == [times.shape] * 2
+        assert_at_bound(psi, r, r.L, times, len(r.modes))
 
     def test_grids_whose_hashes_collide_stay_apart(self, problem_ebar, wofz_calls):
         p = problem_ebar
