@@ -13,7 +13,10 @@ and moment seeds of one box, Re k up to k(100 meV) (seed_poles), on both
 profiles, one scalar T(E) at the
 triple barrier's first resonance E_1, its stationary field
 (solve_stationary) at the real k of E_1, transfer_matrix at 200 real k of
-(0, 100 meV], Newton from the first seed of the 50 meV box,
+(0, 100 meV], the argument-reading entries of the hot paths
+(wavenumber at E_1, energy_of at its pole's k as a Python complex, as the
+Newton batch passes it, and m_function on one y and on the 2000 y of one
+pole column), Newton from the first seed of the 50 meV box,
 the lockstep Newton batch (poles._newton) from the 100 meV box's four
 seeds, the same batch from two seeds it cannot bring home (a 100-round
 stall and a seed whose second evaluation trips the overflow guard), the
@@ -110,7 +113,8 @@ from qshutter import (  # noqa: E402
     transmission,
 )
 from qshutter import PoleConvergenceError, acceptance, output, reference  # noqa: E402
-from qshutter.model import wavenumber  # noqa: E402
+from qshutter.mfunc import m_function, y_values  # noqa: E402
+from qshutter.model import energy_of, wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
@@ -180,6 +184,25 @@ def test_transfer_matrix(benchmark, triple):
     k = wavenumber(np.linspace(0.1 / 200, 0.1, 200), triple).real
     m = benchmark(transfer_matrix, triple, k)
     assert np.all(np.abs(m.m11 * m.m22 - m.m12 * m.m21 - 1.0) < 1e-6)
+
+
+def test_wavenumber(benchmark, triple):
+    E_1 = find_poles(triple, 1)[0].E_position
+    k = benchmark(wavenumber, E_1, triple)
+    assert k.real > 0 and k.imag == 0
+
+
+def test_energy_of(benchmark, triple):
+    pole = find_poles(triple, 1)[0]
+    E = benchmark(energy_of, complex(pole.k), triple)
+    assert E == pole.E
+
+
+@pytest.mark.parametrize("points", [1, 2000])
+def test_m_function(benchmark, triple, points):
+    y = y_values(find_poles(triple, 1)[0].k, TIMES[:points], triple.constants)
+    m = benchmark(m_function, y)
+    assert m.shape == y.shape and np.all(np.isfinite(m))
 
 
 def test_refine_pole(benchmark, triple):

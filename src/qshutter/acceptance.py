@@ -61,7 +61,7 @@ from .transient import (
 )
 from .twolevel import chi, density_resonant_exponential, frequencies, xi
 
-__all__ = ["CheckResult", "AcceptanceContext", "run_acceptance", "CRITERIA"]
+__all__ = ["CheckResult", "run_acceptance", "CRITERIA"]
 
 MEV = 1e-3  # eV per meV
 
@@ -84,47 +84,33 @@ class CheckResult(Manifest):
         return "\n".join(out)
 
 
-class AcceptanceContext:
-    """Shared profiles; their spectra come from make_spectrum's memo."""
+# the selftest's structures: name -> (layers, pole count)
+_STRUCTURES = {
+    "triple": (TRIPLE_LAYERS, 4),
+    "double": (DOUBLE_LAYERS, 2),
+    "b2_4": (fig3b_layers(4.0), 4),
+    "b2_5": (fig3b_layers(5.0), 4),
+}
 
-    def __init__(self):
-        self.triple = build_profile(list(TRIPLE_LAYERS), MASS_RATIO)
-        self.double = build_profile(list(DOUBLE_LAYERS), MASS_RATIO)
-        self._profiles = {
-            "triple": (self.triple, 4),
-            "double": (self.double, 2),
-            "b2_4": (build_profile(list(fig3b_layers(4.0)), MASS_RATIO), 4),
-            "b2_5": (build_profile(list(fig3b_layers(5.0)), MASS_RATIO), 4),
-        }
 
-    def spectrum(self, name: str) -> Spectrum:
-        return make_spectrum(*self._profiles[name])
+def _spectrum(name: str) -> Spectrum:
+    """A selftest structure's spectrum, from make_spectrum's memo."""
+    layers, n_poles = _STRUCTURES[name]
+    return make_spectrum(build_profile(list(layers), MASS_RATIO), n_poles)
 
-    def poles_of(self, name: str):
-        return self.spectrum(name).poles
 
-    def doublet_center(self, name: str) -> float:
-        return Incidence("doublet-center").energy(self.poles_of(name))
-
-    @property
-    def Ebar(self) -> float:
-        return self.doublet_center("triple")
-
-    @property
-    def tau1(self) -> float:
-        return self.poles_of("triple")[0].tau
-
-    def problem(self, name: str, E: float):
-        return self.spectrum(name).at(E)
+def _doublet_center(name: str) -> float:
+    return Incidence("doublet-center").energy(_spectrum(name).poles)
 
 
 # --- criteria 1-4: stated resonance parameters and transmissions ---------
 
 
-def criterion_1(ctx: AcceptanceContext) -> CheckResult:
+def criterion_1() -> CheckResult:
     cr = CheckResult("stated doublet parameters, triple barrier", number=1)
+    triple = build_profile(list(TRIPLE_LAYERS), MASS_RATIO)
     t0 = time.perf_counter()
-    poles = find_poles(ctx.triple, 4)
+    poles = find_poles(triple, 4)
     runtime = time.perf_counter() - t0
     p1, p2 = poles[0], poles[1]
     cr.checks = [
@@ -143,9 +129,9 @@ def criterion_1(ctx: AcceptanceContext) -> CheckResult:
     return cr
 
 
-def criterion_2(ctx: AcceptanceContext) -> CheckResult:
+def criterion_2() -> CheckResult:
     cr = CheckResult("stated resonance parameters, double barrier", number=2)
-    p1 = ctx.poles_of("double")[0]
+    p1 = _spectrum("double").poles[0]
     cr.checks = [
         check_abs("curlyE1 (meV)", 80.11, p1.E_position / MEV, 0.01),
         check_abs("Gamma1 (meV)", 1.033, p1.Gamma / MEV, 0.001),
@@ -161,35 +147,35 @@ def criterion_2(ctx: AcceptanceContext) -> CheckResult:
     return cr
 
 
-def criterion_3(ctx: AcceptanceContext) -> CheckResult:
+def criterion_3() -> CheckResult:
     cr = CheckResult("stated transmission values", number=3)
-    T_center = transmission(ctx.triple, 12.949 * MEV)[1]
-    T_res_t = transmission(ctx.triple, 11.512 * MEV)[1]
-    T_res_d = transmission(ctx.double, 80.11 * MEV)[1]
+    triple, double = _spectrum("triple"), _spectrum("double")
+    T_center = transmission(triple.profile, 12.949 * MEV)[1]
+    T_res_t = transmission(triple.profile, 11.512 * MEV)[1]
+    T_res_d = transmission(double.profile, 80.11 * MEV)[1]
     cr.checks = [
         check_abs("T(12.949 meV), triple", 0.119, T_center, 0.001),
-        check_stated_double_T(ctx.double),
+        check_stated_double_T(double.profile),
         check_bound("T at stated curlyE1, triple", ">= 0.99", T_res_t, T_res_t >= 0.99),
         check_bound("T at stated curlyE1, double", ">= 0.99", T_res_d, T_res_d >= 0.99),
     ]
-    p1t = ctx.poles_of("triple")[0]
-    p1d = ctx.poles_of("double")[0]
+    p1t, p1d = triple.poles[0], double.poles[0]
     cr.notes.append(
         f"at the self-computed resonance energies: T({p1t.E_position / MEV:.4f} meV) = "
-        f"{transmission(ctx.triple, p1t.E_position)[1]:.6f} (triple), "
+        f"{transmission(triple.profile, p1t.E_position)[1]:.6f} (triple), "
         f"T({p1d.E_position / MEV:.4f} meV) = "
-        f"{transmission(ctx.double, p1d.E_position)[1]:.6f} (double)"
+        f"{transmission(double.profile, p1d.E_position)[1]:.6f} (double)"
     )
     return cr
 
 
-def criterion_4(ctx: AcceptanceContext) -> CheckResult:
+def criterion_4() -> CheckResult:
     cr = CheckResult("derived doublet quantities, triple barrier", number=4)
-    p1 = ctx.poles_of("triple")[0]
-    offset_units = (ctx.Ebar - p1.E_position) / p1.Gamma
+    p1, Ebar = _spectrum("triple").poles[0], _doublet_center("triple")
+    offset_units = (Ebar - p1.E_position) / p1.Gamma
     cr.checks = [
         check_tau1(p1.tau),
-        check_abs("doublet center Ebar (meV)", 12.949, ctx.Ebar / MEV, 0.001),
+        check_abs("doublet center Ebar (meV)", 12.949, Ebar / MEV, 0.001),
         check_abs("(Ebar - curlyE1)/Gamma1", 3.515, offset_units, 0.005),
     ]
     cr.notes.append(
@@ -202,20 +188,20 @@ def criterion_4(ctx: AcceptanceContext) -> CheckResult:
 # --- criteria 5-9: transient behavior ------------------------------------
 
 
-def criterion_5(ctx: AcceptanceContext) -> CheckResult:
+def criterion_5() -> CheckResult:
     cr = CheckResult("long-time asymptote |Psi(L)|^2 -> T(E) at t = 25 tau1", number=5)
-    p_t, p_d = ctx.poles_of("triple"), ctx.poles_of("double")
+    p_t, p_d = _spectrum("triple").poles, _spectrum("double").poles
     cases = [
         ("triple, E1 + 2 Gamma1", "triple", Incidence("offset", 2.0).energy(p_t)),
         ("triple, E1", "triple", Incidence("offset", 0.0).energy(p_t)),
-        ("triple, doublet center", "triple", ctx.Ebar),
+        ("triple, doublet center", "triple", _doublet_center("triple")),
         ("double, E1 + 3.515 Gamma1", "double", Incidence("offset", 3.515).energy(p_d)),
     ]
     for b2, name in ((4.0, "b2_4"), (5.0, "b2_5")):
         label = f"wider central barrier b2 = {b2:g} nm, doublet center"
-        cases.append((label, name, ctx.doublet_center(name)))
+        cases.append((label, name, _doublet_center(name)))
     for label, name, E in cases:
-        prob = ctx.problem(name, E)
+        prob = _spectrum(name).at(E)
         T = abs(prob.field.t) ** 2
         d = abs(psi_exact(prob, prob.L, 25.0 * prob.modes[0].pole.tau)) ** 2
         rel = abs(d - T) / T
@@ -225,10 +211,11 @@ def criterion_5(ctx: AcceptanceContext) -> CheckResult:
     return cr
 
 
-def criterion_6(ctx: AcceptanceContext) -> CheckResult:
+def criterion_6() -> CheckResult:
     cr = CheckResult("two-level fidelity against the exact N=4 density", number=6)
-    prob = ctx.problem("triple", Incidence("offset", 2.0).energy(ctx.poles_of("triple")))
-    tau1 = ctx.tau1
+    triple = _spectrum("triple")
+    prob = triple.at(Incidence("offset", 2.0).energy(triple.poles))
+    tau1 = triple.poles[0].tau
     times = np.linspace(0.1 * tau1, 10.0 * tau1, 1500)
     trace = evolve_trace(
         prob,
@@ -260,11 +247,11 @@ def criterion_6(ctx: AcceptanceContext) -> CheckResult:
     return cr
 
 
-def criterion_7(ctx: AcceptanceContext) -> CheckResult:
+def criterion_7() -> CheckResult:
     cr = CheckResult("on-resonance envelope of the doublet M-form density", number=7)
-    p = ctx.poles_of("triple")
-    p1 = p[0]
-    prob = ctx.problem("triple", Incidence("offset", 0.0).energy(p))
+    triple = _spectrum("triple")
+    p, p1 = triple.poles, triple.poles[0]
+    prob = triple.at(Incidence("offset", 0.0).energy(p))
     times = np.linspace(0.0, 10.0 * p1.tau, 2000)
     trace = evolve_trace(prob, prob.L, times, (METHOD_TWO_LEVEL_M, METHOD_EXPONENTIAL))
     d7 = trace.densities[METHOD_TWO_LEVEL_M]
@@ -281,10 +268,11 @@ def criterion_7(ctx: AcceptanceContext) -> CheckResult:
     return cr
 
 
-def criterion_8(ctx: AcceptanceContext) -> CheckResult:
+def criterion_8() -> CheckResult:
     cr = CheckResult("single-frequency regime at the doublet center", number=8)
-    prob = ctx.problem("triple", ctx.Ebar)
-    tau1 = ctx.tau1
+    triple, Ebar = _spectrum("triple"), _doublet_center("triple")
+    prob = triple.at(Ebar)
+    tau1 = triple.poles[0].tau
     times = np.linspace(0.0, 10.0 * tau1, 2000)
     trace = evolve_trace(prob, prob.L, times, (METHOD_EXACT,))
     target = 4.368 / 2.0
@@ -297,8 +285,8 @@ def criterion_8(ctx: AcceptanceContext) -> CheckResult:
         0.03,
     )
     cr.checks.append(check)
-    p = ctx.poles_of("triple")
-    own = frequencies(ctx.Ebar, p[0], p[1]).omega_21 / 2.0
+    p = triple.poles
+    own = frequencies(Ebar, p[0], p[1]).omega_21 / 2.0
     f_dom = check.measured
     if not math.isnan(f_dom):
         cr.notes.append(
@@ -308,10 +296,10 @@ def criterion_8(ctx: AcceptanceContext) -> CheckResult:
     return cr
 
 
-def criterion_9(ctx: AcceptanceContext) -> CheckResult:
+def criterion_9() -> CheckResult:
     cr = CheckResult("transmission enhancement with central barrier width", number=9)
     T_of = {
-        b2: transmission(ctx.spectrum(name).profile, ctx.doublet_center(name))[1]
+        b2: transmission(_spectrum(name).profile, _doublet_center(name))[1]
         for b2, name in ((3.0, "triple"), (4.0, "b2_4"), (5.0, "b2_5"))
     }
     cr.checks = check_enhancement(list(T_of.values()))
@@ -405,11 +393,11 @@ def _check_m_symmetry(rng: np.random.Generator) -> list[Check]:
     ]
 
 
-def _check_factorizations(ctx: AcceptanceContext) -> Check:
-    p = ctx.poles_of("triple")
+def _check_factorizations() -> Check:
+    p = _spectrum("triple").poles
     worst = 0.0
-    t = np.linspace(0.0, 10.0 * ctx.tau1, 400)
-    for E in (ctx.Ebar, Incidence("offset", 2.0).energy(p)):
+    t = np.linspace(0.0, 10.0 * p[0].tau, 400)
+    for E in (_doublet_center("triple"), Incidence("offset", 2.0).energy(p)):
         fr = frequencies(E, p[0], p[1])
         h2 = 2.0 * fr.hbar
         z = {
@@ -428,15 +416,15 @@ def _check_factorizations(ctx: AcceptanceContext) -> Check:
     )
 
 
-def _check_doublet_truncation(ctx: AcceptanceContext) -> list[Check]:
-    p = ctx.poles_of("triple")
-    modes = ctx.spectrum("triple").modes[:2]
-    L = ctx.triple.total_length
+def _check_doublet_truncation() -> list[Check]:
+    triple = _spectrum("triple")
+    p, modes = triple.poles, triple.modes[:2]
+    L = triple.profile.total_length
     xs = np.array([L / 4.0, L / 2.0, L])
 
     def miss(E):
         """|Phi - (rho1 + rho2)|/|Phi| at xs."""
-        prob = ctx.problem("triple", E)
+        prob = triple.at(E)
         phi = stationary_wave(prob.field, xs)
         pair = rho(modes[0], prob.k, xs) + rho(modes[1], prob.k, xs)
         return np.abs(phi - pair) / np.abs(phi)
@@ -452,7 +440,7 @@ def _check_doublet_truncation(ctx: AcceptanceContext) -> list[Check]:
         )
         for x, w in zip(xs, worst)
     ]
-    rel = miss(ctx.Ebar)[-1]
+    rel = miss(_doublet_center("triple"))[-1]
     checks.append(check_bound("same at x = L, E = doublet center", "< 0.10", rel, rel < 0.10))
     return checks
 
@@ -524,16 +512,16 @@ def _check_crank_nicolson() -> Check:
     )
 
 
-def _check_short_time(ctx: AcceptanceContext) -> Check:
-    prob = ctx.problem("triple", ctx.Ebar)
+def _check_short_time() -> Check:
+    prob = _spectrum("triple").at(_doublet_center("triple"))
     T = abs(prob.field.t) ** 2
     d = abs(psi_exact(prob, prob.L, 1e-6)) ** 2
     return check_bound("|Psi(L)|^2 / T at t = 1e-6 ps", "< 1e-3", d / T, d / T < 1e-3)
 
 
-def _check_unitarity(ctx: AcceptanceContext) -> Check:
+def _check_unitarity() -> Check:
     worst = 0.0
-    for profile, e_hi in ((ctx.triple, 0.3), (ctx.double, 0.4)):
+    for profile, e_hi in ((_spectrum("triple").profile, 0.3), (_spectrum("double").profile, 0.4)):
         M = transfer_matrix(profile, wavenumber(np.linspace(1e-3, e_hi, 200), profile).real)
         worst = max(worst, np.max(np.abs(np.abs(M.r) ** 2 + np.abs(M.t) ** 2 - 1.0)))
     return check_bound(
@@ -541,18 +529,18 @@ def _check_unitarity(ctx: AcceptanceContext) -> Check:
     )
 
 
-def criterion_10(ctx: AcceptanceContext) -> CheckResult:
+def criterion_10() -> CheckResult:
     cr = CheckResult("invariant property suites", number=10)
     rng = np.random.default_rng(20260815)
     cr.checks = [
         *_check_faddeeva_oracle(rng),
         *_check_m_symmetry(rng),
-        _check_factorizations(ctx),
-        *_check_doublet_truncation(ctx),
+        _check_factorizations(),
+        *_check_doublet_truncation(),
         _check_free_reduction(),
         _check_crank_nicolson(),
-        _check_short_time(ctx),
-        _check_unitarity(ctx),
+        _check_short_time(),
+        _check_unitarity(),
     ]
     if not all(c.passed for c in cr.checks if "rho1 + rho2" in c.name):
         cr.notes.append(
@@ -582,10 +570,9 @@ CRITERIA = (
 
 def run_acceptance() -> list[CheckResult]:
     """Run all ten criteria in order, printing one block per criterion."""
-    ctx = AcceptanceContext()
     results = []
     for crit in CRITERIA:
-        res = crit(ctx)
+        res = crit()
         print(res.render())
         results.append(res)
     n_pass = sum(r.ok for r in results)

@@ -25,12 +25,7 @@ import numpy as np
 
 from .config import ScenarioConfig, override, parse_config, run_scenario
 from .errors import ConfigError, QShutterError
-from .output import (
-    poles_csv_text,
-    transmission_csv_text,
-    write_poles_csv,
-    write_transmission_csv,
-)
+from .output import _write, poles_csv_text, transmission_csv_text
 from .poles import find_poles
 from .presets import PRESETS, run_figure
 from .scattering import transmission
@@ -60,20 +55,20 @@ def _load_config(spec: str) -> ScenarioConfig:
     return parse_config(text)
 
 
-def _out_dir(path_str: str) -> Path:
-    out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _emit(text: str, out_dir: str | None, name: str) -> int:
+    """CSV text, formatted once, to stdout and, with --out, to out_dir/name."""
+    sys.stdout.write(text)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        print(f"wrote {_write(out / name, text)}", file=sys.stderr)
+    return 0
 
 
 def _cmd_poles(args) -> int:
     cfg = override(_load_config(args.config), n_poles=args.n)
     poles = find_poles(cfg.profile(), cfg.n_poles)
-    sys.stdout.write(poles_csv_text(poles))
-    if args.out is not None:
-        path = write_poles_csv(_out_dir(args.out) / "poles.csv", poles)
-        print(f"wrote {path}", file=sys.stderr)
-    return 0
+    return _emit(poles_csv_text(poles), args.out, "poles.csv")
 
 
 def _cmd_transmission(args) -> int:
@@ -88,11 +83,7 @@ def _cmd_transmission(args) -> int:
     profile = cfg.profile()
     energies = np.linspace(args.e_from, args.e_to, args.points)
     T = transmission(profile, energies * 1e-3)[1]
-    sys.stdout.write(transmission_csv_text(energies, T))
-    if args.out is not None:
-        path = write_transmission_csv(_out_dir(args.out) / "transmission.csv", energies, T)
-        print(f"wrote {path}", file=sys.stderr)
-    return 0
+    return _emit(transmission_csv_text(energies, T), args.out, "transmission.csv")
 
 
 def _cmd_evolve(args) -> int:

@@ -16,15 +16,16 @@ Chosen over nested formats so fixtures diff line by line.  Grammar:
 Units are mandatory on dimensioned fields; unknown keys, duplicate scalar
 keys, repeated method tags and malformed values are errors carrying the
 line number and field name.  The defaults above live only on
-ScenarioConfig: parse_config maps each scalar key to its field and parser
-(_FIELDS) and leaves out every key the text does not set.  Symbolic incidence specs resolve only after the
-profile's poles are found, deterministically from the profile alone;
-run_scenario resolves, evolves and writes one trace CSV per method.
+ScenarioConfig: parse_config maps each scalar key to its field, parser and
+model rule (_FIELDS) and leaves out every key the text does not set;
+override reads a value by the same rule.  Symbolic incidence specs resolve
+only after the profile's poles are found, deterministically from the
+profile alone; run_scenario resolves, evolves and writes one trace CSV per
+method.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
@@ -32,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import PotentialProfile, _count, build_profile
+from .errors import ConfigError, ProfileError
+from .model import PotentialProfile, _count, _layer, _real_finite, build_profile
 from .output import write_trace_csv
 from .transient import _MODES_NEEDED, METHODS, ShutterProblem, evolve_trace, make_spectrum
 
@@ -49,10 +50,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Incidence:
-    """Incidence-energy spec: absolute | offset from E1 | doublet center."""
+    """Incidence-energy spec: absolute | offset from E1 | doublet center; a kind
+    outside _POLES_NEEDED or a value that is not a real number
+    (model._real_finite) raises ConfigError naming the energy key."""
 
     kind: str  # "absolute" | "offset" | "doublet-center"
     value: float = 0.0  # eV for absolute, Gamma_1 multiples for offset
+
+    def __post_init__(self):
+        error = partial(ConfigError, field="energy")
+        if not (isinstance(self.kind, str) and self.kind in _POLES_NEEDED):
+            raise error(f"unknown incidence kind {self.kind!r}; valid: {', '.join(_POLES_NEEDED)}")
+        object.__setattr__(self, "value", _real_finite(self.value, "value", error))
 
     def describe(self) -> str:
         if self.kind == "absolute":
@@ -95,42 +104,26 @@ _LAYER_RE = re.compile(
     r"^\s*([-+0-9.eE]+)\s*nm\s*,\s*([-+0-9.eE]+)\s*eV\s*$"
 )
 _OFFSET_RE = re.compile(r"^\s*E1\s*([+-])\s*([0-9.eE+-]+)\s*\*\s*Gamma1\s*$")
-_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
-def _float(text: str, line: int, field: str) -> float:
+def _number(text: str, line: int, field: str) -> int | float:
+    """The int that text spells when it is all digits after a sign, else its
+    float; the key's model rule then decides whether it is a valid value."""
     try:
-        v = float(text)
+        return int(text) if text.lstrip("+-").isdigit() else float(text)
     except ValueError:
         raise ConfigError(f"not a number: '{text}'", line=line, field=field)
-    if not np.isfinite(v):
-        raise ConfigError(f"not finite: '{text}'", line=line, field=field)
-    return v
-
-
-def _int(text: str, line: int, field: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"not an integer: '{text}'", line=line, field=field)
 
 
 def _quantity(
     text: str, line: int, field: str, unit: str, expected: str | None = None
-) -> float:
+) -> int | float:
     """The number of '<float> <unit>'; other text raises naming `expected`."""
     m = re.fullmatch(rf"\s*([-+0-9.eE]+)\s*{unit}\s*", text)
     if not m:
         expected = expected or f"'<float> {unit}'"
         raise ConfigError(f"expected {expected}, got '{text}'", line=line, field=field)
-    return _float(m.group(1), line, field)
-
-
-def _bound(v, op: str, bound: int, line: int, field: str, unit: str = ""):
-    """v itself when `v op bound` holds; a ConfigError otherwise."""
-    if not _COMPARE[op](v, bound):
-        raise ConfigError(f"must be {op} {bound}{unit}, got {v}", line=line, field=field)
-    return v
+    return _number(m.group(1), line, field)
 
 
 def _parse_layer(rhs: str, line: int, field: str) -> tuple[float, float]:
@@ -139,24 +132,24 @@ def _parse_layer(rhs: str, line: int, field: str) -> tuple[float, float]:
         raise ConfigError(
             f"expected '<width> nm, <height> eV', got '{rhs}'", line=line, field=field
         )
-    width, height = f"{field} width", f"{field} height"
-    w = _bound(_float(m.group(1), line, width), ">", 0, line, width, " nm")
-    h = _bound(_float(m.group(2), line, height), ">=", 0, line, height, " eV")
-    return w, h
+    try:
+        layer = _layer(_number(m.group(1), line, field), _number(m.group(2), line, field))
+    except ProfileError as err:
+        raise ConfigError(str(err), line=line, field=field) from None
+    return layer.width, layer.height
 
 
 def _parse_incidence(rhs: str, line: int, field: str) -> Incidence:
     if rhs == "doublet-center":
         return Incidence(kind="doublet-center")
+    error = partial(ConfigError, line=line, field=field)
     m = _OFFSET_RE.match(rhs)
     if m:
-        c = _float(m.group(2), line, field)
+        c = _real_finite(_number(m.group(2), line, field), "value", error)
         return Incidence(kind="offset", value=-c if m.group(1) == "-" else c)
-    v = _quantity(
-        rhs, line, field, "meV",
-        "'<float> meV', 'E1 + <c>*Gamma1' or 'doublet-center'",
-    )
-    return Incidence(kind="absolute", value=_bound(v, ">", 0, line, field, " meV") * 1e-3)
+    expected = "'<float> meV', 'E1 + <c>*Gamma1' or 'doublet-center'"
+    v = _quantity(rhs, line, field, "meV", expected)
+    return Incidence(kind="absolute", value=_real_finite(v, "value", error, positive=True) * 1e-3)
 
 
 def _parse_x(rhs: str, line: int, field: str) -> float | None:
@@ -185,17 +178,27 @@ def _parse_out(rhs: str, line: int, field: str) -> str:
     return rhs
 
 
-# every scalar key: (ScenarioConfig field, parser(rhs, line, key), bound or None)
+# every scalar key: (ScenarioConfig field, parser(rhs, line, key), the model
+# rule its value obeys or None)
 _FIELDS = {
-    "mass_ratio": ("mass_ratio", _float, (">", 0)),
+    "mass_ratio": ("mass_ratio", _number, partial(_real_finite, positive=True)),
     "energy": ("incidence", _parse_incidence, None),
-    "n_poles": ("n_poles", _int, (">=", 1)),
-    "t_max": ("t_max_tau1", partial(_quantity, unit="tau1"), (">", 0)),
-    "points": ("points", _int, (">=", 2)),
-    "x": ("x_nm", _parse_x, None),
+    "n_poles": ("n_poles", _number, partial(_count, least=1)),
+    "t_max": ("t_max_tau1", partial(_quantity, unit="tau1"), partial(_real_finite, positive=True)),
+    "points": ("points", _number, partial(_count, least=2)),
+    "x": ("x_nm", _parse_x, _real_finite),
     "methods": ("methods", _parse_methods, None),
     "out": ("out", _parse_out, None),
 }
+
+
+def _checked(key: str, value, line: int | None = None):
+    """value as the rule of key's _FIELDS row reads it, a ConfigError naming
+    key and line if it fails; None (x = L) meets no rule."""
+    rule = _FIELDS[key][2]
+    if rule is None or value is None:
+        return value
+    return rule(value, "value", error=partial(ConfigError, line=line, field=key))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -222,10 +225,8 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"duplicate key (first on line {seen[key]})", line=lineno, field=key
             )
         seen[key] = lineno
-        name, parse, bound = _FIELDS[key]
-        values[name] = parse(rhs, lineno, key)
-        if bound is not None:
-            _bound(values[name], *bound, lineno, key)
+        name, parse, _ = _FIELDS[key]
+        values[name] = _checked(key, parse(rhs, lineno, key), lineno)
     if not layers:
         raise ConfigError("no 'layer' lines", field="layer")
     defaults = {f.name for f in fields(ScenarioConfig) if f.default is not MISSING}
@@ -238,20 +239,12 @@ def parse_config(text: str) -> ScenarioConfig:
 def override(cfg: ScenarioConfig, **values) -> ScenarioConfig:
     """cfg with the named config keys replaced (None leaves a key as it is).
 
-    Each value is checked against the key's bound in _FIELDS, and an integer
-    key's value against the count rule (model._count), so an override fails
-    like the same value in the config text, naming its key.
+    Each value is read by its key's rule in _FIELDS, as the same value in
+    the config text is, so an override fails like it, naming its key.
     """
-    changes = {}
-    for key, value in values.items():
-        if value is None:
-            continue
-        name, parse, bound = _FIELDS[key]
-        if parse is _int:
-            value = _count(value, "value", bound[1], partial(ConfigError, field=key))
-        elif bound is not None:
-            _bound(value, *bound, None, key)
-        changes[name] = value
+    changes = {
+        _FIELDS[key][0]: _checked(key, value) for key, value in values.items() if value is not None
+    }
     return replace(cfg, **changes)
 
 

@@ -87,7 +87,8 @@ class PoleCountError(PoleError):
 
 
 class PoleQualityError(PoleError):
-    """A mode was built from a pole whose outgoing residual is too large."""
+    """A pole fails a quality test: find_poles returned it with Im k >= 0 (a
+    width below the rounding of Im k), or its mode's outgoing residual is too large."""
 
 
 class ConfigError(QShutterError, ValueError):

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .model import PhysicalConstants, _complex_array, _times
+from .model import PhysicalConstants, _complex_array, _complex_finite, _times
 
 __all__ = [
     "faddeeva",
@@ -63,12 +62,12 @@ def _wofz():
 
 def faddeeva(z):
     """w(z) = e^{-z^2} erfc(-iz), vectorized over complex arrays."""
-    return _wofz()(z)
+    return _wofz()(_complex_array(z, "z"))
 
 
 def m_function(y):
     """M(y) = w(iy)/2, vectorized."""
-    return 0.5 * _wofz()(1j * np.asarray(y, dtype=complex))
+    return 0.5 * _wofz()(1j * np.asarray(_complex_array(y, "y"), dtype=complex))
 
 
 def m_function_scaled(y):
@@ -82,7 +81,7 @@ def m_function_scaled(y):
     branch overflows honestly.
     """
     wofz = _wofz()
-    y = np.asarray(y, dtype=complex)
+    y = np.asarray(_complex_array(y, "y"), dtype=complex)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     out = np.empty(y.shape, dtype=complex)
@@ -99,7 +98,4 @@ def y_values(s, t, constants: PhysicalConstants):
     hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
     """
     t = _times(t)
-    s_arr = _complex_array(s, "s")
-    if s_arr.ndim or not np.isfinite(s_arr):
-        raise DomainError(f"s must be a finite scalar, got {s!r}")
-    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * complex(s_arr) * np.sqrt(t)
+    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * _complex_finite(s, "s") * np.sqrt(t)

@@ -17,6 +17,7 @@ pole search's contour counts assume absent.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -132,22 +133,18 @@ def build_profile(
 ) -> PotentialProfile:
     """Validate and assemble a profile from (width nm, height eV) pairs.
 
-    Each number is read by _real_finite, and each invalid input gets its
-    own error class so callers (and the config parser) can name the failing
-    constraint.
+    Each layer is read by _layer and the mass ratio by _real_finite, and
+    each invalid input gets its own error class so callers (and the config
+    parser) can name the failing constraint.
     """
     if len(layer_spec) == 0:
         raise EmptyProfileError("profile needs at least one layer")
     layers = []
     for j, (width, height) in enumerate(layer_spec):
         try:
-            width = _real_finite(width, "width (nm)", LayerWidthError, positive=True)
-            height = _real_finite(height, "height (eV)", LayerHeightError)
-            if height < 0:
-                raise LayerHeightError(f"height (eV) must be >= 0, got {height}")
+            layers.append(_layer(width, height))
         except ProfileError as err:
             raise type(err)(f"layer {j}: {err}") from None
-        layers.append(Layer(width=width, height=height))
     mass_ratio = _real_finite(mass_ratio, "mass_ratio", MassRatioError, positive=True)
     return PotentialProfile(layers=tuple(layers), mass_ratio=mass_ratio)
 
@@ -162,14 +159,14 @@ def wavenumber(E, profile_or_constants):
     convention used everywhere downstream; real E >= 0 maps to real k >= 0.
     """
     c = _constants_of(profile_or_constants)
-    k = np.sqrt(np.asarray(E, dtype=complex) / c.hbar2_over_2m)
+    k = np.sqrt(np.asarray(_complex_array(E, "E"), dtype=complex) / c.hbar2_over_2m)
     return complex(k) if k.ndim == 0 else k
 
 
 def energy_of(k, profile_or_constants) -> complex:
     """E = (hbar^2/2m) k^2 in eV; inverse of wavenumber on its branch."""
     c = _constants_of(profile_or_constants)
-    return complex(k) ** 2 * c.hbar2_over_2m
+    return _complex_finite(k, "k") ** 2 * c.hbar2_over_2m
 
 
 def _constants_of(obj) -> PhysicalConstants:
@@ -179,8 +176,9 @@ def _constants_of(obj) -> PhysicalConstants:
 
 
 # The argument rules of every public entry: a real number has int, uint or float
-# dtype and is finite, a count is an integer and not a bool, and times are real,
-# finite and >= 0; a bad value raises DomainError or the typed error its caller names.
+# dtype and is finite, a complex one may also have complex dtype, a count is an
+# integer and not a bool, and times are real, finite and >= 0; a bad value raises
+# DomainError or the typed error its caller names.
 def _real_array(values, name: str) -> np.ndarray:
     """values as a float array; any dtype but int, uint or float raises DomainError."""
     values = np.asarray(values)
@@ -224,6 +222,27 @@ def _real_finite(value, name: str, error=DomainError, positive: bool = False) ->
         if math.isfinite(value) and (value > 0 or not positive):
             return float(value)
     raise error(f"{name} must be a real, finite number{' > 0' if positive else ''}, got {value!r}")
+
+
+def _complex_finite(value, name: str, error=DomainError) -> complex:
+    """_real_finite's rule for a number that may also have complex dtype, as a complex."""
+    # Python numbers skip numpy: energy_of reads one k per certified pole
+    if type(value) in (complex, float, int) or (
+        np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iufc"
+    ):
+        if cmath.isfinite(value):
+            return complex(value)
+    raise error(f"{name} must be a finite real or complex number, got {value!r}")
+
+
+def _layer(width, height) -> Layer:
+    """One layer as build_profile reads it: width a real number > 0
+    (LayerWidthError), height a real number >= 0 (LayerHeightError)."""
+    width = _real_finite(width, "width (nm)", LayerWidthError, positive=True)
+    height = _real_finite(height, "height (eV)", LayerHeightError)
+    if height < 0:
+        raise LayerHeightError(f"height (eV) must be >= 0, got {height}")
+    return Layer(width=width, height=height)
 
 
 def _count(value, name: str, least: int = 1, error=DomainError) -> int:

@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
+from .model import _real_array
 from .poles import ResonancePole
 from .transient import _COLUMN_MEMO_POINTS, _GRID_MEMO_SIZE, TransientTrace, _GridKey
 
@@ -146,8 +147,8 @@ def transmission_csv_text(energies_meV, T_values) -> str:
     return _table(
         "E_meV,T\n",
         "%.12g,%.12g\n",
-        list(map(float, energies_meV)),
-        list(map(float, T_values)),
+        _real_array(energies_meV, "energies_meV").tolist(),
+        _real_array(T_values, "T_values").tolist(),
     )
 
 

@@ -89,9 +89,10 @@ from .errors import (
     OverflowGuardError,
     PoleConvergenceError,
     PoleCountError,
+    PoleQualityError,
     QuadrantEscapeError,
 )
-from .model import PotentialProfile, _count, _real_finite, energy_of, wavenumber
+from .model import PotentialProfile, _complex_finite, _count, _real_finite, energy_of, wavenumber
 from .scattering import (
     _W_TOL,
     _growth,
@@ -286,9 +287,9 @@ def refine_pole(profile: PotentialProfile, seed: complex) -> ResonancePole:
     the quadrant or keeps it only within _STEP_ULPS ulps of Re k = 0.
     It is the one-seed batch of _newton, which find_poles runs.
     """
-    k = complex(seed)
-    if not (0 < k.real < np.inf and -np.inf < k.imag < 0):
-        raise DomainError(f"seed {k} not a finite point of the fourth quadrant")
+    k = _complex_finite(seed, "seed")
+    if not (0 < k.real and k.imag < 0):
+        raise DomainError(f"seed {k} not a point of the fourth quadrant")
     return _newton(profile, [k])[0]
 
 
@@ -409,7 +410,8 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     batch, which the first seed to fail ends with refine_pole's error for
     it.  A box whose count exceeds the distinct poles found inside it is
     halved on Re k and seeded again.  Duplicates collapse at |dk| < 1e-9
-    nm^-1.
+    nm^-1.  A returned pole with Im k >= 0, whose width is below the
+    rounding of Im k, raises PoleQualityError naming it.
     """
     N = _count(N, "N")
     if profile.is_free:
@@ -454,4 +456,9 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     poles = sorted((p for p in poles if _obeys(p.k)), key=lambda p: p.E_position)
     if len(poles) < N:
         raise PoleCountError(found=len(poles), requested=N)
+    for i, p in enumerate(poles[:N]):
+        if p.k.imag >= 0:
+            raise PoleQualityError(
+                f"pole n={i + 1}: Im k = {p.k.imag:.3g} nm^-1 >= 0 (Gamma = {p.Gamma:.3g} eV)"
+            )
     return [ResonancePole(i + 1, p.k, p.E, p.hbar) for i, p in enumerate(poles[:N])]

@@ -179,6 +179,7 @@ def density_resonant_exponential(T_peak: float, tau_1: float, t):
     density envelope that is the amplitude time 2 hbar/Gamma_1 (see module
     docstring), while pole lifetimes remain hbar/Gamma_n.
     """
+    T_peak = _real_finite(T_peak, "T_peak")
     if not (0.0 <= T_peak <= 1.0):
         raise DomainError(f"T_peak must be in [0, 1], got {T_peak}")
     tau_1 = _real_finite(tau_1, "tau_1 (ps)", positive=True)

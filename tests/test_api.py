@@ -1,6 +1,7 @@
 """The top-level API: one import per pipeline step, everything else by module."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -20,20 +21,26 @@ from qshutter import (
     build_profile,
     chi,
     density_two_level,
+    dominant_frequency_series,
     evolve_trace,
     find_poles,
     frequencies,
+    make_problem,
     make_spectrum,
     parse_config,
     pole_condition,
     psi_exact,
+    transmission,
     xi,
 )
-from qshutter.config import override
-from qshutter.mfunc import y_values
-from qshutter.modes import rho
-from qshutter.poles import seed_poles
-from qshutter.scattering import solve_stationary, transfer_matrix
+from qshutter.config import Incidence, override
+from qshutter.mfunc import faddeeva, m_function, m_function_scaled, y_values
+from qshutter.model import energy_of, wavenumber
+from qshutter.modes import rho, rho_mirror
+from qshutter.output import transmission_csv_text, write_transmission_csv
+from qshutter.poles import refine_pole, seed_poles
+from qshutter.scattering import layered_wave, solve_stationary, stationary_wave, transfer_matrix
+from qshutter.transient import delta_term, free_shutter_psi, psi_doublet_M
 from qshutter.twolevel import density_resonant_exponential
 
 PUBLIC = [
@@ -203,6 +210,21 @@ CONTRACT = {
     "evolve_trace-0d-x": (lambda p: evolve_trace(p, np.array(1.0), [0.1]), None),
     "psi_exact-0d-x": (lambda p: psi_exact(p, np.array(1.0), [0.1]), None),
     "Spectrum.at-array-E": (lambda p: make_spectrum(p.profile).at(np.array([p.E])), DomainError),
+    "rho_mirror-array-k": (lambda p: rho_mirror(p.modes[0], _ARRAY, 1.0), DomainError),
+    "energy_of-array-k": (lambda p: energy_of(_ARRAY, p.profile), DomainError),
+    "density_resonant_exponential-array-T_peak": (
+        lambda p: density_resonant_exponential(np.array([0.5]), 1.0, 0.1), DomainError
+    ),
+    # positions and time grids
+    "stationary_wave-str-x": (lambda p: stationary_wave(p.field, "1"), DomainError),
+    "layered_wave-str-x": (
+        lambda p: layered_wave(p.field.edges, p.field.q, p.field.coefficients, "1"), DomainError
+    ),
+    "psi_doublet_M-str-x": (lambda p: psi_doublet_M(p, "1", [0.1]), DomainError),
+    "delta_term-str-x": (lambda p: delta_term(p, "1", [0.1]), DomainError),
+    "dominant_frequency_series-str-times": (
+        lambda p: dominant_frequency_series(["0"] * 8, [1.0] * 8), DomainError
+    ),
     # profile inputs
     "build_profile-str-layer": (lambda p: build_profile([("3", "0.12")], 0.067), LayerWidthError),
     "build_profile-bool-width": (lambda p: build_profile([(True, 0.12)], 0.067), LayerWidthError),
@@ -226,6 +248,19 @@ CONTRACT = {
     "y_values-str-s": (lambda p: y_values("1", 0.1, p.constants), DomainError),
     "y_values-bool-s": (lambda p: y_values(True, 0.1, p.constants), DomainError),
     "y_values-complex-s": (lambda p: y_values(np.complex128(0.1 - 0.01j), 0.1, p.constants), None),
+    "wavenumber-str-E": (lambda p: wavenumber("0.01", p.profile), DomainError),
+    "wavenumber-bool-E": (lambda p: wavenumber(True, p.profile), DomainError),
+    "wavenumber-complex-E": (lambda p: wavenumber(0.01 - 1e-4j, p.profile), None),
+    "energy_of-str-k": (lambda p: energy_of("0.1", p.profile), DomainError),
+    "energy_of-numpy-k": (lambda p: energy_of(np.complex128(0.1 - 0.01j), p.profile), None),
+    "refine_pole-str-seed": (lambda p: refine_pole(p.profile, "0.2-0.002j"), DomainError),
+    "transmission-str-E": (lambda p: transmission(p.profile, "0.01"), DomainError),
+    "make_problem-str-E": (lambda p: make_problem(p.profile, "0.0129"), DomainError),
+    "free_shutter_psi-str-k": (lambda p: free_shutter_psi("0.1", 1.0, 0.1, p.constants), DomainError),
+    "faddeeva-str-z": (lambda p: faddeeva("1"), DomainError),
+    "m_function-str-y": (lambda p: m_function("1"), DomainError),
+    "m_function-bool-y": (lambda p: m_function(True), DomainError),
+    "m_function_scaled-str-y": (lambda p: m_function_scaled("1"), DomainError),
     "seed_poles-bool-E_max": (lambda p: seed_poles(p.profile, True), DomainError),
     "seed_poles-str-E_max": (lambda p: seed_poles(p.profile, "0.05"), DomainError),
     "frequencies-str-E": (
@@ -233,6 +268,9 @@ CONTRACT = {
     ),
     "density_resonant_exponential-bool-tau": (
         lambda p: density_resonant_exponential(0.5, True, 1.0), DomainError
+    ),
+    "density_resonant_exponential-bool-T_peak": (
+        lambda p: density_resonant_exponential(True, 1.0, 0.1), DomainError
     ),
     "chi-bool-n": (lambda p: chi(_freqs(p), True, 0.1), DomainError),
     "chi-float-n": (lambda p: chi(_freqs(p), 2.0, 0.1), DomainError),
@@ -243,7 +281,7 @@ CONTRACT = {
     "make_spectrum-float-n": (lambda p: _free_spectrum(2.5), DomainError),
     "make_spectrum-zero-n": (lambda p: _free_spectrum(0), None),
     "find_poles-bool-N": (lambda p: find_poles(p.profile, True), DomainError),
-    # method lists and CLI overrides
+    # method lists, incidence specs, CLI overrides and CSV columns
     "evolve_trace-str-methods": (lambda p: evolve_trace(p, p.L, [0.1], "exact-N"), DomainError),
     "evolve_trace-no-methods": (lambda p: evolve_trace(p, p.L, [0.1], ()), DomainError),
     "evolve_trace-repeated-methods": (
@@ -252,6 +290,40 @@ CONTRACT = {
     "override-bool-n_poles": (lambda p: override(_config(), n_poles=True), ConfigError),
     "override-float-points": (lambda p: override(_config(), points=2.5), ConfigError),
     "override-numpy-points": (lambda p: override(_config(), points=np.int64(50)), None),
+    "override-bool-x": (lambda p: override(_config(), x=True), ConfigError),
+    "override-str-x": (lambda p: override(_config(), x="3"), ConfigError),
+    "override-numpy-x": (lambda p: override(_config(), x=np.float64(3.0)), None),
+    "override-bool-t_max": (lambda p: override(_config(), t_max=True), ConfigError),
+    "override-str-t_max": (lambda p: override(_config(), t_max="5"), ConfigError),
+    "override-str-mass_ratio": (lambda p: override(_config(), mass_ratio="0.067"), ConfigError),
+    "Incidence-unknown-kind": (lambda p: Incidence("bogus"), ConfigError),
+    "Incidence-str-value": (lambda p: Incidence("offset", "2"), ConfigError),
+    "Incidence-numpy-value": (lambda p: Incidence("offset", np.float64(2.0)), None),
+    "transmission_csv_text-str-E": (lambda p: transmission_csv_text(["10"], [0.5]), DomainError),
+    "write_transmission_csv-str-T": (
+        lambda p: write_transmission_csv(os.devnull, [10.0], ["0.5"]), DomainError
+    ),
+}
+
+# public functions with no CONTRACT row, and what each takes instead of a
+# number the contract reads; the reference module's oracles also read
+# mpmath's own numbers and are left out as a whole
+NO_ROW = {
+    "run_acceptance": "nothing",
+    "main": "argv strings, typed by argparse",
+    "parse_config": "config text, read by its grammar",
+    "resolve_scenario": "a ScenarioConfig",
+    "run_scenario": "a ScenarioConfig and a directory",
+    "solve_mode": "a profile and a ResonancePole",
+    "fmt": "any value, formatted as given",
+    "write_trace_csv": "a path, a trace and a method tag",
+    "poles_csv_text": "ResonancePoles",
+    "write_poles_csv": "a path and ResonancePoles",
+    "check_abs": "a check's measured value, recorded as given (nan included)",
+    "check_bound": "a check's measured value and verdict, recorded as given",
+    "gnuplot_script": "a path, a title and file names",
+    "run_figure": "a preset name and a directory",
+    "clamp_count": "nothing",
 }
 
 
@@ -262,6 +334,17 @@ def test_argument_contract(problem_ebar, call, error):
     else:
         with pytest.raises(error):
             call(problem_ebar)
+
+
+def test_every_public_function_has_a_contract_row():
+    # a row names its entry before its first "-"; NO_ROW holds exactly the rest
+    rows = {key.split("-")[0] for key in CONTRACT}
+    unrowed = set()
+    for name in SUBMODULES:
+        if name != "reference":
+            module = importlib.import_module(f"qshutter.{name}")
+            unrowed |= {f for f in module.__all__ if inspect.isfunction(getattr(module, f))} - rows
+    assert sorted(unrowed ^ NO_ROW.keys()) == []
 
 
 def test_numpy_count_shares_the_spectrum_memo(triple_profile):

@@ -101,7 +101,30 @@ class TestParseConfig:
     def test_zero_poles_rejected_with_line(self):
         # every config run reads pole 1 for its tau1 time grid
         text = "layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = 10 meV\nn_poles = 0\n"
-        with pytest.raises(ConfigError, match=r"line 4, field 'n_poles': must be >= 1"):
+        with pytest.raises(
+            ConfigError, match=r"line 4, field 'n_poles': value must be an integer >= 1"
+        ):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("mass_ratio = 1e999", "mass_ratio"),
+            ("energy = -5 meV", "energy"),
+            ("energy = E1 + 1e999*Gamma1", "energy"),
+            ("t_max = 0 tau1", "t_max"),
+            ("n_poles = 2.5", "n_poles"),
+            ("points = 1", "points"),
+            ("x = 1e999 nm", "x"),
+            ("layer = 2 nm, -0.1 eV", "layer 1"),
+        ],
+    )
+    def test_value_outside_its_rule_names_line_and_field(self, line, field):
+        # each value is read by the model rule of its key, with the line added
+        base = {"layer": "layer = 5 nm, 0.1 eV", "mass_ratio": "mass_ratio = 0.067",
+                "energy": "energy = 10 meV"}
+        text = "\n".join({**base, line.split(" =")[0]: line}.values())
+        with pytest.raises(ConfigError, match=rf"line \d, field '{field}': "):
             parse_config(text)
 
     def test_unknown_method_rejected(self):

@@ -22,6 +22,7 @@ from qshutter import (
     OverflowGuardError,
     PoleConvergenceError,
     PoleCountError,
+    PoleQualityError,
     QuadrantEscapeError,
     build_profile,
     find_poles,
@@ -501,6 +502,14 @@ class TestFindPoles:
         with pytest.raises(PoleCountError, match="4 poles found"):
             find_poles(build_profile([(9.8, 0.269)], MASS_RATIO), 5)
         assert sum(points) <= 600
+
+    def test_upper_half_plane_pole_raises_quality_error(self):
+        # a random profile whose first pole is too sharp for its Im k: Newton
+        # certifies it at Im k = +2.86e-20 nm^-1 (Gamma = -1.96e-20 eV)
+        layers = [(9.61, 0.142), (20.67, 0.044), (10.66, 0.498), (7.72, 0.0),
+                  (26.46, 0.408), (37.07, 0.048), (22.57, 0.432)]
+        with pytest.raises(PoleQualityError, match=r"pole n=1: Im k = 2.86e-20 nm\^-1 >= 0"):
+            find_poles(build_profile(layers, MASS_RATIO), 5)
 
 
 def _first_miniband(nb, barrier, well):

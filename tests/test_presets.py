@@ -8,7 +8,6 @@ import pytest
 
 from qshutter import QShutterError
 from qshutter.acceptance import (
-    AcceptanceContext,
     criterion_3,
     criterion_4,
     criterion_6,
@@ -159,18 +158,11 @@ SHARED_CHECKS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    return AcceptanceContext()
-
-
 @pytest.mark.parametrize("preset_id, criterion, name", SHARED_CHECKS)
-def test_shared_check_matches_its_criterion(
-    preset_id, criterion, name, ctx, generated_outputs
-):
+def test_shared_check_matches_its_criterion(preset_id, criterion, name, generated_outputs):
     def find(checks):
         (check,) = (c for c in checks if c.name == name)
         return check.expected, check.tolerance
 
     figure = generated_outputs[1][preset_id].manifest.checks
-    assert find(figure) == find(criterion(ctx).checks)
+    assert find(figure) == find(criterion().checks)
