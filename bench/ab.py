@@ -1,17 +1,19 @@
 """Interleaved A/B timing of two source trees on perfbench's ops.
 
-    python bench/ab.py [REV] [--workload {structures,scenario_sweep,density_maps}]
+    python bench/ab.py [REV] [--workload NAME [NAME ...]]
                        [--seeds 1 2 3 5 11] [--ops 166] [--probe]
 
 Side A is the committed tree of the git revision REV (default HEAD),
 extracted with `git archive` into a temporary directory that is removed
 afterwards; side B is the working tree.  Each side's `src/qshutter` is
 imported under its own package name (`qshutter_a`, `qshutter_b`), so both
-run in this one process on the same interpreter state.  The ops are the
-first --ops of the --workload's stream (default `structures`) for each
---seed, as perfbench/workloads.py builds and runs them: a `structures` op
-builds a profile, finds its N poles, solves their modes and takes T(E_n)
-at each; a `scenario_sweep` op parses and resolves a seeded config on one
+run in this one process on the same interpreter state.  --workload names
+one or more of `structures`, `scenario_sweep` and `density_maps` (default:
+all three, in that order), and each is compared in turn.  A workload's ops
+are the first --ops of its stream for each --seed, as
+perfbench/workloads.py builds and runs them: a `structures` op builds a
+profile, finds its N poles, solves their modes and takes T(E_n) at each;
+a `scenario_sweep` op parses and resolves a seeded config on one
 of five shared structures, evolves its 2000-point trace and writes one CSV
 per method into a temporary directory of its own, removed after the op; a
 `density_maps` op evaluates a 200 x 2000 map by one psi_exact call per x
@@ -24,11 +26,12 @@ op to op.
 --probe runs perfbench's machine-speed probe between ops, as a
 `perfbench` run does.
 
-It prints the ratio B/A of the summed op times and the median and
-quartiles of the per-op ratios B/A; an op that fails on either side is
-counted and left out of both.  A ratio below 1 means the working tree is
-faster.  Interleaving one op at a time puts both sides under the same
-machine state, which `perfbench`'s separate runs cannot.  On a shared
+For each workload it prints a block with the ratio B/A of the summed op
+times and the median and quartiles of the per-op ratios B/A; an op that
+fails on either side is counted and left out of both.  A ratio below 1
+means the working tree is faster.  Interleaving one op at a time puts
+both sides under the same machine state, which `perfbench`'s separate
+runs cannot.  On a shared
 2-core Xeon VM, four A/A runs of `structures` (REV = HEAD with a clean
 working tree, the default 830 ops, one of them with --probe) read summed
 ratios of 0.987-1.006 and median per-op ratios of 0.996-1.002, and one
@@ -68,7 +71,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-# --workload: a name of perfbench/workloads.py's make_workloads
+# --workload: names of perfbench/workloads.py's make_workloads
 WORKLOADS = ("structures", "scenario_sweep", "density_maps")
 
 
@@ -138,7 +141,7 @@ def compare(workloads, workload, sides, seeds, n_ops, probe=None):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD")
-    parser.add_argument("--workload", choices=WORKLOADS, default="structures")
+    parser.add_argument("--workload", choices=WORKLOADS, nargs="+", default=list(WORKLOADS))
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 5, 11])
     parser.add_argument("--ops", type=int, default=166)
     parser.add_argument("--probe", action="store_true")
@@ -152,24 +155,25 @@ def main(argv=None) -> int:
     # the tree of rev stays on disk while its package runs, and the
     # scenario ops write their files under work
     with tempfile.TemporaryDirectory() as tree, tempfile.TemporaryDirectory() as work:
-        workload = workloads.make_workloads(Path(work))[args.workload]
+        made = workloads.make_workloads(Path(work))
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", args.rev, "src"],
             check=True, capture_output=True,
         ).stdout
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         sides = (load(Path(tree) / "src", "qshutter_a"), load(ROOT / "src", "qshutter_b"))
-        times, failed = compare(
-            workloads, workload, sides, args.seeds, args.ops, probe if args.probe else None
-        )
-    a, b = np.array(times).T
-    q1, median, q3 = np.quantile(b / a, [0.25, 0.5, 0.75])
-    print(
-        f"A = {args.rev}, B = working tree, {args.workload}: "
-        f"{len(times)} ops, {failed} failed on a side"
-    )
-    print(f"summed: A {a.sum():.4f} s, B {b.sum():.4f} s, B/A {b.sum() / a.sum():.4f}")
-    print(f"per-op B/A: median {median:.4f} (q1 {q1:.4f}, q3 {q3:.4f})")
+        for name in args.workload:
+            times, failed = compare(
+                workloads, made[name], sides, args.seeds, args.ops, probe if args.probe else None
+            )
+            a, b = np.array(times).T
+            q1, median, q3 = np.quantile(b / a, [0.25, 0.5, 0.75])
+            print(
+                f"A = {args.rev}, B = working tree, {name}: "
+                f"{len(times)} ops, {failed} failed on a side"
+            )
+            print(f"summed: A {a.sum():.4f} s, B {b.sum():.4f} s, B/A {b.sum() / a.sum():.4f}")
+            print(f"per-op B/A: median {median:.4f} (q1 {q1:.4f}, q3 {q3:.4f})", flush=True)
     return 0
 
 

@@ -16,12 +16,13 @@ Chosen over nested formats so fixtures diff line by line.  Grammar:
 Units are mandatory on dimensioned fields; unknown keys, duplicate scalar
 keys, repeated method tags and malformed values are errors carrying the
 line number and field name.  The defaults above live only on
-ScenarioConfig: parse_config maps each scalar key to its field, parser and
-model rule (_FIELDS) and leaves out every key the text does not set;
-override reads a value by the same rule.  Symbolic incidence specs resolve
-only after the profile's poles are found, deterministically from the
-profile alone; run_scenario resolves, evolves and writes one trace CSV per
-method.
+ScenarioConfig, which reads each field by the rule of its key's _FIELDS
+row; parse_config maps each scalar key to its field and parser, leaves out
+every key the text does not set, and adds a key's line to the error of its
+rule; override is dataclasses.replace by key.  Symbolic incidence specs
+resolve only after the profile's poles are found, deterministically from
+the profile alone; run_scenario resolves, evolves and writes one trace CSV
+per method.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ProfileError
-from .model import PotentialProfile, _count, _layer, _real_finite, build_profile
+from .model import Layer, PotentialProfile, _count, _real_finite, build_profile
 from .output import write_trace_csv
-from .transient import _MODES_NEEDED, METHODS, ShutterProblem, evolve_trace, make_spectrum
+from .transient import _MODES_NEEDED, ShutterProblem, _method_tags, evolve_trace, make_spectrum
 
 __all__ = [
     "Incidence",
@@ -51,8 +52,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Incidence:
     """Incidence-energy spec: absolute | offset from E1 | doublet center; a kind
-    outside _POLES_NEEDED or a value that is not a real number
-    (model._real_finite) raises ConfigError naming the energy key."""
+    outside _POLES_NEEDED, a value that is not a real number
+    (model._real_finite) or an absolute energy <= 0 raises ConfigError naming
+    the energy key."""
 
     kind: str  # "absolute" | "offset" | "doublet-center"
     value: float = 0.0  # eV for absolute, Gamma_1 multiples for offset
@@ -61,7 +63,8 @@ class Incidence:
         error = partial(ConfigError, field="energy")
         if not (isinstance(self.kind, str) and self.kind in _POLES_NEEDED):
             raise error(f"unknown incidence kind {self.kind!r}; valid: {', '.join(_POLES_NEEDED)}")
-        object.__setattr__(self, "value", _real_finite(self.value, "value", error))
+        value = _real_finite(self.value, "value", error, positive=self.kind == "absolute")
+        object.__setattr__(self, "value", value)
 
     def describe(self) -> str:
         if self.kind == "absolute":
@@ -86,6 +89,9 @@ _POLES_NEEDED = {"absolute": 0, "offset": 1, "doublet-center": 2}
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; each field but layers is read by the rule of its key's
+    _FIELDS row, a ConfigError naming the key, and the layers by profile()."""
+
     layers: tuple[tuple[float, float], ...]
     mass_ratio: float
     incidence: Incidence
@@ -95,6 +101,13 @@ class ScenarioConfig:
     x_nm: float | None = None  # None means x = L
     methods: tuple[str, ...] = ("exact-N",)
     out: str = "trace.csv"
+
+    def __post_init__(self):
+        for key, (name, _, rule) in _FIELDS.items():
+            value = getattr(self, name)
+            if value is not None or name != "x_nm":  # x = None is x = L
+                value = rule(value, "value", error=partial(ConfigError, field=key))
+                object.__setattr__(self, name, value)
 
     def profile(self) -> PotentialProfile:
         return build_profile(list(self.layers), self.mass_ratio)
@@ -133,7 +146,7 @@ def _parse_layer(rhs: str, line: int, field: str) -> tuple[float, float]:
             f"expected '<width> nm, <height> eV', got '{rhs}'", line=line, field=field
         )
     try:
-        layer = _layer(_number(m.group(1), line, field), _number(m.group(2), line, field))
+        layer = Layer(_number(m.group(1), line, field), _number(m.group(2), line, field))
     except ProfileError as err:
         raise ConfigError(str(err), line=line, field=field) from None
     return layer.width, layer.height
@@ -142,14 +155,12 @@ def _parse_layer(rhs: str, line: int, field: str) -> tuple[float, float]:
 def _parse_incidence(rhs: str, line: int, field: str) -> Incidence:
     if rhs == "doublet-center":
         return Incidence(kind="doublet-center")
-    error = partial(ConfigError, line=line, field=field)
     m = _OFFSET_RE.match(rhs)
     if m:
-        c = _real_finite(_number(m.group(2), line, field), "value", error)
+        c = _number(m.group(2), line, field)
         return Incidence(kind="offset", value=-c if m.group(1) == "-" else c)
     expected = "'<float> meV', 'E1 + <c>*Gamma1' or 'doublet-center'"
-    v = _quantity(rhs, line, field, "meV", expected)
-    return Incidence(kind="absolute", value=_real_finite(v, "value", error, positive=True) * 1e-3)
+    return Incidence(kind="absolute", value=_quantity(rhs, line, field, "meV", expected) * 1e-3)
 
 
 def _parse_x(rhs: str, line: int, field: str) -> float | None:
@@ -158,47 +169,25 @@ def _parse_x(rhs: str, line: int, field: str) -> float | None:
     return _quantity(rhs, line, field, "nm", "'L' or '<float> nm'")
 
 
-def _parse_methods(rhs: str, line: int, field: str) -> tuple[str, ...]:
-    tags = tuple(s.strip() for s in rhs.split(","))
-    for i, tag in enumerate(tags):
-        if tag not in METHODS:
-            raise ConfigError(
-                f"unknown method '{tag}'; valid: {', '.join(METHODS)}",
-                line=line,
-                field=field,
-            )
-        if tag in tags[:i]:
-            raise ConfigError(f"duplicate method '{tag}'", line=line, field=field)
-    return tags
+def _instance(value, name: str, error, kind):
+    """value if it is of type kind and not empty; anything else raises error."""
+    if not (isinstance(value, kind) and value):
+        raise error(f"{name} must be of type {kind.__name__} and not empty, got {value!r}")
+    return value
 
 
-def _parse_out(rhs: str, line: int, field: str) -> str:
-    if not rhs:
-        raise ConfigError("empty path", line=line, field=field)
-    return rhs
-
-
-# every scalar key: (ScenarioConfig field, parser(rhs, line, key), the model
-# rule its value obeys or None)
+# every scalar key: (ScenarioConfig field, parser(rhs, line, key), the rule
+# (value, name, error) its value obeys)
 _FIELDS = {
     "mass_ratio": ("mass_ratio", _number, partial(_real_finite, positive=True)),
-    "energy": ("incidence", _parse_incidence, None),
+    "energy": ("incidence", _parse_incidence, partial(_instance, kind=Incidence)),
     "n_poles": ("n_poles", _number, partial(_count, least=1)),
     "t_max": ("t_max_tau1", partial(_quantity, unit="tau1"), partial(_real_finite, positive=True)),
     "points": ("points", _number, partial(_count, least=2)),
     "x": ("x_nm", _parse_x, _real_finite),
-    "methods": ("methods", _parse_methods, None),
-    "out": ("out", _parse_out, None),
+    "methods": ("methods", lambda rhs, *_: tuple(s.strip() for s in rhs.split(",")), _method_tags),
+    "out": ("out", lambda rhs, *_: rhs, partial(_instance, kind=str)),
 }
-
-
-def _checked(key: str, value, line: int | None = None):
-    """value as the rule of key's _FIELDS row reads it, a ConfigError naming
-    key and line if it fails; None (x = L) meets no rule."""
-    rule = _FIELDS[key][2]
-    if rule is None or value is None:
-        return value
-    return rule(value, "value", error=partial(ConfigError, line=line, field=key))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -206,46 +195,46 @@ def parse_config(text: str) -> ScenarioConfig:
     layers: list[tuple[float, float]] = []
     seen: dict[str, int] = {}
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", line=lineno)
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
-        if key == "layer":
-            layers.append(_parse_layer(rhs, lineno, f"layer {len(layers) + 1}"))
-            continue
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown key '{key}'", line=lineno, field=key)
-        if key in seen:
-            raise ConfigError(
-                f"duplicate key (first on line {seen[key]})", line=lineno, field=key
-            )
-        seen[key] = lineno
-        name, parse, _ = _FIELDS[key]
-        values[name] = _checked(key, parse(rhs, lineno, key), lineno)
-    if not layers:
-        raise ConfigError("no 'layer' lines", field="layer")
-    defaults = {f.name for f in fields(ScenarioConfig) if f.default is not MISSING}
-    for key, (name, _, _) in _FIELDS.items():
-        if name not in values and name not in defaults:
-            raise ConfigError("missing required key", field=key)
-    return ScenarioConfig(layers=tuple(layers), **values)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError("expected 'key = value'", line=lineno)
+            key, _, rhs = line.partition("=")
+            key = key.strip()
+            rhs = rhs.strip()
+            if key == "layer":
+                layers.append(_parse_layer(rhs, lineno, f"layer {len(layers) + 1}"))
+                continue
+            if key not in _FIELDS:
+                raise ConfigError(f"unknown key '{key}'", line=lineno, field=key)
+            if key in seen:
+                raise ConfigError(
+                    f"duplicate key (first on line {seen[key]})", line=lineno, field=key
+                )
+            seen[key] = lineno
+            name, parse, _ = _FIELDS[key]
+            values[name] = parse(rhs, lineno, key)
+        if not layers:
+            raise ConfigError("no 'layer' lines", field="layer")
+        defaults = {f.name for f in fields(ScenarioConfig) if f.default is not MISSING}
+        for key, (name, _, _) in _FIELDS.items():
+            if name not in values and name not in defaults:
+                raise ConfigError("missing required key", field=key)
+        return ScenarioConfig(layers=tuple(layers), **values)
+    except ConfigError as err:
+        # a rule's error names its key; the key's line is in seen
+        if err.line is not None or err.field not in seen:
+            raise
+        raise ConfigError(err.message, line=seen[err.field], field=err.field) from None
 
 
 def override(cfg: ScenarioConfig, **values) -> ScenarioConfig:
-    """cfg with the named config keys replaced (None leaves a key as it is).
-
-    Each value is read by its key's rule in _FIELDS, as the same value in
-    the config text is, so an override fails like it, naming its key.
-    """
-    changes = {
-        _FIELDS[key][0]: _checked(key, value) for key, value in values.items() if value is not None
-    }
-    return replace(cfg, **changes)
+    """cfg with the named config keys replaced (None leaves a key as it is);
+    ScenarioConfig reads each value by its key's rule, as parse_config's."""
+    return replace(cfg, **{_FIELDS[key][0]: v for key, v in values.items() if v is not None})
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,7 @@ class ConfigError(QShutterError, ValueError):
     """Scenario-config parse or validation failure with line/field context."""
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
+        self.message = message
         self.line = line
         self.field = field
         where = []

@@ -66,7 +66,8 @@ class PhysicalConstants:
     hbar2_over_2me = HBAR2_OVER_2ME
 
     def __post_init__(self):
-        _real_finite(self.mass_ratio, "mass_ratio", MassRatioError, positive=True)
+        mass_ratio = _real_finite(self.mass_ratio, "mass_ratio", MassRatioError, positive=True)
+        object.__setattr__(self, "mass_ratio", mass_ratio)
 
     @property
     def hbar_ev_ps(self) -> float:
@@ -83,16 +84,28 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class Layer:
-    """One constant-potential slab: width in nm, height in eV (>= 0)."""
+    """One constant-potential slab, each field a float: width in nm, a real
+    number > 0 (LayerWidthError), and height in eV, a real number >= 0
+    (LayerHeightError)."""
 
     width: float
     height: float
+
+    def __post_init__(self):
+        width = _real_finite(self.width, "width (nm)", LayerWidthError, positive=True)
+        height = _real_finite(self.height, "height (eV)", LayerHeightError)
+        if height < 0:
+            raise LayerHeightError(f"height (eV) must be >= 0, got {height}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
 
 @dataclass(frozen=True)
 class PotentialProfile:
     """Ordered layer stack on [0, L] with effective-mass ratio.
 
+    layers is one or more Layers (EmptyProfileError, ProfileError), and
+    mass_ratio is stored as the float its PhysicalConstants reads.
     total_length is the exact sum of layer widths; edges[j] is the left
     boundary of layer j, edges[-1] = L.  heights, widths and edges are
     read-only arrays, and constants the mass ratio's PhysicalConstants,
@@ -109,6 +122,11 @@ class PotentialProfile:
     edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.layers) == 0:
+            raise EmptyProfileError("profile needs at least one layer")
+        if not all(isinstance(layer, Layer) for layer in self.layers):
+            raise ProfileError(f"layers must be Layers, got {self.layers!r}")
+        constants = PhysicalConstants(self.mass_ratio)
         widths = np.array([l.width for l in self.layers])
         arrays = {
             "heights": np.array([l.height for l in self.layers]),
@@ -118,10 +136,9 @@ class PotentialProfile:
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(
-            self, "total_length", float(sum(l.width for l in self.layers))
-        )
-        object.__setattr__(self, "constants", PhysicalConstants(self.mass_ratio))
+        object.__setattr__(self, "total_length", float(sum(l.width for l in self.layers)))
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "mass_ratio", constants.mass_ratio)
 
     @property
     def is_free(self) -> bool:
@@ -131,22 +148,15 @@ class PotentialProfile:
 def build_profile(
     layer_spec: list[tuple[float, float]], mass_ratio: float
 ) -> PotentialProfile:
-    """Validate and assemble a profile from (width nm, height eV) pairs.
-
-    Each layer is read by _layer and the mass ratio by _real_finite, and
-    each invalid input gets its own error class so callers (and the config
-    parser) can name the failing constraint.
-    """
-    if len(layer_spec) == 0:
-        raise EmptyProfileError("profile needs at least one layer")
+    """A profile from (width nm, height eV) pairs: Layer reads each pair,
+    its error naming the layer's index, and PotentialProfile the rest."""
     layers = []
     for j, (width, height) in enumerate(layer_spec):
         try:
-            layers.append(_layer(width, height))
+            layers.append(Layer(width, height))
         except ProfileError as err:
             raise type(err)(f"layer {j}: {err}") from None
-    mass_ratio = _real_finite(mass_ratio, "mass_ratio", MassRatioError, positive=True)
-    return PotentialProfile(layers=tuple(layers), mass_ratio=mass_ratio)
+    return PotentialProfile(tuple(layers), mass_ratio)
 
 
 def wavenumber(E, profile_or_constants):
@@ -215,7 +225,7 @@ def _real_finite(value, name: str, error=DomainError, positive: bool = False) ->
     """A real number as a float: a finite scalar of int, uint or float dtype
     (not a bool, a complex number, a string or an array), and > 0 if
     positive; anything else raises error."""
-    # Python floats and ints skip numpy: build_profile reads two a layer
+    # Python floats and ints skip numpy: Layer reads two
     if type(value) is float or type(value) is int or (
         np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"
     ):
@@ -233,16 +243,6 @@ def _complex_finite(value, name: str, error=DomainError) -> complex:
         if cmath.isfinite(value):
             return complex(value)
     raise error(f"{name} must be a finite real or complex number, got {value!r}")
-
-
-def _layer(width, height) -> Layer:
-    """One layer as build_profile reads it: width a real number > 0
-    (LayerWidthError), height a real number >= 0 (LayerHeightError)."""
-    width = _real_finite(width, "width (nm)", LayerWidthError, positive=True)
-    height = _real_finite(height, "height (eV)", LayerHeightError)
-    if height < 0:
-        raise LayerHeightError(f"height (eV) must be >= 0, got {height}")
-    return Layer(width=width, height=height)
 
 
 def _count(value, name: str, least: int = 1, error=DomainError) -> int:

@@ -1,19 +1,29 @@
 """Arbitrary-precision references for the selftest and the tests: mpmath at
 _DPS digits on the binary inputs the pipeline sees (layer widths, heights and
 hbar^2/2m, or float arguments).  `import qshutter` loads neither it nor mpmath.
+Each oracle takes Python, numpy and mpmath numbers, and refuses a string or a
+bool (_numbers), which mpmath would parse or read as 0 or 1.
 """
 
 import mpmath as mp
+import numpy as np
 
-from .errors import PoleConvergenceError
+from .errors import DomainError, PoleConvergenceError
 
 __all__ = ["faddeeva", "free_shutter_psi", "transmission", "pole", "layer_integral"]
 
 _DPS = 50
 
 
+def _numbers(*args) -> None:
+    """Raise DomainError if an argument is a str or a bool."""
+    if any(isinstance(arg, (str, bool, np.bool_)) for arg in args):
+        raise DomainError(f"the references take numbers, got {args!r}")
+
+
 def faddeeva(z):
     """w(z) = e^{-z^2} erfc(-iz) as an mpc; z a complex or an mpc."""
+    _numbers(z)
     with mp.workdps(_DPS):
         z = mp.mpc(z)
         return mp.exp(-z * z) * mp.erfc(-1j * z)
@@ -21,6 +31,7 @@ def faddeeva(z):
 
 def free_shutter_psi(k: float, x: float, t: float, beta: float) -> complex:
     """transient.free_shutter_psi's closed form, M(y) = w(iy)/2, as a complex."""
+    _numbers(k, x, t, beta)
     with mp.workdps(_DPS):
         root, phase = mp.sqrt(4 * mp.mpf(beta) * t), mp.exp(-1j * mp.pi / 4)
         zp, zm = (phase * (x - 2 * beta * s * t) / root for s in (k, -k))
@@ -40,6 +51,7 @@ def _march(profile, k, u, du):
 
 def transmission(profile, k: float):
     """T = 4/(s^2 + d^2) at a real k as an mpf, s and d as scattering._sd forms them."""
+    _numbers(k)
     with mp.workdps(_DPS):
         k = mp.mpmathify(k)
         (p11, p21), (p12, p22) = _march(profile, k, 1, 0), _march(profile, k, 0, 1)
@@ -51,6 +63,7 @@ def pole(profile, k0: complex) -> complex:
     """The zero of m22 next to k0 as a complex, by mpmath's secant on ik u(L) - u'(L)
     for the wave marched from (1, -ik).  A root to less than ~1e-26 (|f| not far
     below f's change over a relative 1e-20) raises PoleConvergenceError."""
+    _numbers(k0)
     with mp.workdps(_DPS):
         def outgoing(k):
             u, du = _march(profile, k, 1, -1j * k)
@@ -65,5 +78,6 @@ def pole(profile, k0: complex) -> complex:
 
 def layer_integral(a: complex, b: complex, q: complex, w: float):
     """integral_0^w (a cos(q xi) + b sin(q xi)/q)^2 d xi by mp.quad, as an mpc."""
+    _numbers(a, b, q, w)
     with mp.workdps(_DPS):
         return mp.quad(lambda xi: (a * mp.cos(q * xi) + b * mp.sin(q * xi) / q) ** 2, [0, w])

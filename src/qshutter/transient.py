@@ -473,6 +473,19 @@ class TransientTrace:
         return tuple(self.densities.keys())
 
 
+def _method_tags(methods, name: str, error=DomainError) -> tuple[str, ...]:
+    """methods, a tuple or list of one or more distinct METHODS, as a tuple; else error."""
+    tags = tuple(methods) if isinstance(methods, (tuple, list)) else ()
+    if not tags:
+        raise error(f"{name} must be a tuple or list of one or more tags, got {methods!r}")
+    for i, tag in enumerate(tags):
+        if tag not in METHODS:
+            raise error(f"unknown method {tag!r}; valid: {', '.join(METHODS)}")
+        if tag in tags[:i]:
+            raise error(f"duplicate method {tag!r}")
+    return tags
+
+
 def evolve_trace(
     problem: ShutterProblem,
     x: float,
@@ -496,11 +509,8 @@ def evolve_trace(
         raise DomainError("time grid must be a 1-D array")
     if not np.all(np.diff(times) > 0):
         raise DomainError("time grid must be strictly increasing")
-    if isinstance(methods, str) or not methods or len(set(methods)) < len(methods):
-        raise DomainError(f"methods must be one or more distinct tags, got {methods!r}")
+    methods = _method_tags(methods, "methods")
     for method in methods:
-        if method not in METHODS:
-            raise DomainError(f"unknown method tag '{method}'; valid: {METHODS}")
         if len(problem.modes) < _MODES_NEEDED[method]:
             raise DomainError(f"{method} needs {_MODES_NEEDED[method]} mode(s)")
     positive = times > 0

@@ -154,9 +154,10 @@ def density_two_level(
 
     x and t broadcast against each other, as in psi_exact; the result is a
     float only when both are scalars.  It is 0 at t = 0 and tends to
-    |rho_1 + rho_2|^2 as t -> infinity.  A squared modulus is never
-    negative; the chi/xi expansion reaches the same value by cancelling
-    terms of order |rho_n|^2 and loses digits near t = 0.
+    |rho_1 + rho_2|^2 as t -> infinity.  Each 1 - e^{zt} is -expm1(zt),
+    which keeps its digits as t -> 0.  A squared modulus is never negative;
+    the chi/xi expansion reaches the same value by cancelling terms of order
+    |rho_n|^2 and loses digits near t = 0.
     """
     _broadcast_xt(x, t)
     k = _real_finite(k, "k")
@@ -165,7 +166,7 @@ def density_two_level(
     t_arr = _times(t)
     h2 = 2.0 * freqs.hbar
     psi = sum(
-        r * (1.0 - np.exp((1j * omega - gamma / h2) * t_arr))
+        r * -np.expm1((1j * omega - gamma / h2) * t_arr)
         for r, (omega, gamma) in ((r1, freqs._pick(1)), (r2, freqs._pick(2)))
     )
     d = np.abs(psi) ** 2

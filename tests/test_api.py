@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,10 +15,14 @@ import qshutter
 from qshutter import (
     ConfigError,
     DomainError,
+    EmptyProfileError,
     LayerHeightError,
     LayerWidthError,
     MassRatioError,
     PhysicalConstants,
+    PotentialProfile,
+    ProfileError,
+    ScenarioConfig,
     build_profile,
     chi,
     density_two_level,
@@ -33,9 +38,10 @@ from qshutter import (
     transmission,
     xi,
 )
+from qshutter import reference
 from qshutter.config import Incidence, override
 from qshutter.mfunc import faddeeva, m_function, m_function_scaled, y_values
-from qshutter.model import energy_of, wavenumber
+from qshutter.model import Layer, energy_of, wavenumber
 from qshutter.modes import rho, rho_mirror
 from qshutter.output import transmission_csv_text, write_transmission_csv
 from qshutter.poles import refine_pole, seed_poles
@@ -183,23 +189,30 @@ def test_cold_start_loads_scipy_on_first_m_function():
 
 
 # The argument contract (model's number rules), one case per row: a public
-# entry called on the triple barrier's doublet-center problem p, and the
-# typed error it raises, or None where the value is accepted.  A real number
-# has int, uint or float dtype and is finite, a count is an integer and not a
-# bool, and neither is an array.
+# entry or input record called on the triple barrier's doublet-center
+# problem p, and the typed error it raises, or None where the value is
+# accepted.  A real number has int, uint or float dtype and is finite, a count
+# is an integer and not a bool, and neither is an array.
 def _freqs(p):
     return frequencies(p.E, p.modes[0].pole, p.modes[1].pole)
+
+
+_LAYERS = ((3.0, 0.12), (5.0, 0.0), (3.0, 0.12))
 
 
 def _config():
     return parse_config("layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = 10 meV\n")
 
 
+def _scenario(**fields):
+    base = {"layers": _LAYERS, "mass_ratio": 0.067, "incidence": Incidence("doublet-center")}
+    return ScenarioConfig(**{**base, **fields})
+
+
 def _free_spectrum(n_poles):
     return make_spectrum(build_profile([(10.0, 0.0)], 0.067), n_poles)
 
 
-_LAYERS = [(3.0, 0.12), (5.0, 0.0), (3.0, 0.12)]
 _ARRAY = np.array([0.1, 0.2])
 CONTRACT = {
     # scalars that are arrays
@@ -236,6 +249,21 @@ CONTRACT = {
     ),
     "PhysicalConstants-complex": (lambda p: PhysicalConstants(1j), MassRatioError),
     "PhysicalConstants-bool": (lambda p: PhysicalConstants(True), MassRatioError),
+    # profile records built directly read the same rules
+    "Layer-bool-width": (lambda p: Layer(True, 0.12), LayerWidthError),
+    "PotentialProfile-negative-width": (
+        lambda p: PotentialProfile((Layer(-3.0, 0.12),), 0.067), LayerWidthError
+    ),
+    "PotentialProfile-negative-height": (
+        lambda p: PotentialProfile((Layer(3.0, -0.5),), 0.067), LayerHeightError
+    ),
+    "PotentialProfile-empty": (lambda p: PotentialProfile((), 0.067), EmptyProfileError),
+    "PotentialProfile-tuple-layer": (
+        lambda p: PotentialProfile(((3.0, 0.12),), 0.067), ProfileError
+    ),
+    "PotentialProfile-str-mass": (
+        lambda p: PotentialProfile((Layer(3.0, 0.12),), "0.067"), MassRatioError
+    ),
     # wave numbers, energies, counts and level indices
     "transfer_matrix-bool-k": (lambda p: transfer_matrix(p.profile, True), DomainError),
     "transfer_matrix-str-k": (lambda p: transfer_matrix(p.profile, "0.1"), DomainError),
@@ -296,6 +324,14 @@ CONTRACT = {
     "override-bool-t_max": (lambda p: override(_config(), t_max=True), ConfigError),
     "override-str-t_max": (lambda p: override(_config(), t_max="5"), ConfigError),
     "override-str-mass_ratio": (lambda p: override(_config(), mass_ratio="0.067"), ConfigError),
+    "ScenarioConfig-bool-points": (lambda p: _scenario(points=True), ConfigError),
+    "ScenarioConfig-bool-x": (lambda p: _scenario(x_nm=True), ConfigError),
+    "ScenarioConfig-str-t_max": (lambda p: _scenario(t_max_tau1="5"), ConfigError),
+    "ScenarioConfig-unknown-method": (lambda p: _scenario(methods=("bogus",)), ConfigError),
+    "ScenarioConfig-str-incidence": (
+        lambda p: _scenario(incidence="doublet-center"), ConfigError
+    ),
+    "ScenarioConfig-numpy-points": (lambda p: _scenario(points=np.int64(50)), None),
     "Incidence-unknown-kind": (lambda p: Incidence("bogus"), ConfigError),
     "Incidence-str-value": (lambda p: Incidence("offset", "2"), ConfigError),
     "Incidence-numpy-value": (lambda p: Incidence("offset", np.float64(2.0)), None),
@@ -303,11 +339,23 @@ CONTRACT = {
     "write_transmission_csv-str-T": (
         lambda p: write_transmission_csv(os.devnull, [10.0], ["0.5"]), DomainError
     ),
+    # the arbitrary-precision oracles, which also take mpmath numbers
+    "reference.faddeeva-str-z": (lambda p: reference.faddeeva("1"), DomainError),
+    "reference.faddeeva-mpc-z": (lambda p: reference.faddeeva(mp.mpc(1, 0.5)), None),
+    "reference.free_shutter_psi-bool-t": (
+        lambda p: reference.free_shutter_psi(0.1, 1.0, True, 1.0), DomainError
+    ),
+    "reference.transmission-str-k": (
+        lambda p: reference.transmission(p.profile, "0.1"), DomainError
+    ),
+    "reference.pole-str-k0": (lambda p: reference.pole(p.profile, "0.2-0.002j"), DomainError),
+    "reference.layer_integral-bool-w": (
+        lambda p: reference.layer_integral(1.0, 0.0, 0.5, True), DomainError
+    ),
 }
 
 # public functions with no CONTRACT row, and what each takes instead of a
-# number the contract reads; the reference module's oracles also read
-# mpmath's own numbers and are left out as a whole
+# number the contract reads
 NO_ROW = {
     "run_acceptance": "nothing",
     "main": "argv strings, typed by argparse",
@@ -326,6 +374,14 @@ NO_ROW = {
     "clamp_count": "nothing",
 }
 
+# public classes with no CONTRACT row: records the package builds from its
+# own results, not from a caller's numbers
+RESULT_RECORDS = {
+    "TransferMatrix", "StationaryField", "ResonancePole", "ResonantMode", "ShutterProblem",
+    "Spectrum", "TransientTrace", "DoubletFrequencies", "Check", "Manifest", "FigurePreset",
+    "FigureResult", "CheckResult",
+}
+
 
 @pytest.mark.parametrize("call, error", CONTRACT.values(), ids=CONTRACT.keys())
 def test_argument_contract(problem_ebar, call, error):
@@ -337,14 +393,18 @@ def test_argument_contract(problem_ebar, call, error):
 
 
 def test_every_public_function_has_a_contract_row():
-    # a row names its entry before its first "-"; NO_ROW holds exactly the rest
+    # a row names its entry before its first "-"; NO_ROW and RESULT_RECORDS
+    # hold exactly the rest.  The oracles share the names of the entries they
+    # check, so their rows name their module.
     rows = {key.split("-")[0] for key in CONTRACT}
     unrowed = set()
     for name in SUBMODULES:
-        if name != "reference":
-            module = importlib.import_module(f"qshutter.{name}")
-            unrowed |= {f for f in module.__all__ if inspect.isfunction(getattr(module, f))} - rows
-    assert sorted(unrowed ^ NO_ROW.keys()) == []
+        module = importlib.import_module(f"qshutter.{name}")
+        prefix = "reference." if name == "reference" else ""
+        public = {f for f in module.__all__ if inspect.isfunction(getattr(module, f))}
+        public |= {c for c in module.__all__ if inspect.isclass(getattr(module, c))}
+        unrowed |= {prefix + f for f in public} - rows
+    assert sorted(unrowed ^ (NO_ROW.keys() | RESULT_RECORDS)) == []
 
 
 def test_numpy_count_shares_the_spectrum_memo(triple_profile):

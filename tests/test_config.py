@@ -117,10 +117,13 @@ class TestParseConfig:
             ("points = 1", "points"),
             ("x = 1e999 nm", "x"),
             ("layer = 2 nm, -0.1 eV", "layer 1"),
+            ("methods = exact-N, simpson", "methods"),
+            ("out = ", "out"),
         ],
     )
     def test_value_outside_its_rule_names_line_and_field(self, line, field):
-        # each value is read by the model rule of its key, with the line added
+        # ScenarioConfig reads each value by the rule of its key, and
+        # parse_config adds the key's line
         base = {"layer": "layer = 5 nm, 0.1 eV", "mass_ratio": "mass_ratio = 0.067",
                 "energy": "energy = 10 meV"}
         text = "\n".join({**base, line.split(" =")[0]: line}.values())

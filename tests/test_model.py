@@ -11,9 +11,10 @@ from qshutter import (
     LayerWidthError,
     MassRatioError,
     PhysicalConstants,
+    PotentialProfile,
     build_profile,
 )
-from qshutter.model import energy_of, wavenumber
+from qshutter.model import Layer, energy_of, wavenumber
 
 
 class TestPhysicalConstants:
@@ -68,6 +69,13 @@ class TestBuildProfile:
                 build_profile([(3.0, 0.1)], bad)
             with pytest.raises(MassRatioError):
                 PhysicalConstants(bad)
+
+    def test_records_store_floats(self):
+        # the records read numpy numbers by the same rules, and keep Python floats
+        p = PotentialProfile((Layer(np.float32(3.0), np.int64(0)),), np.float32(0.5))
+        assert type(p.layers[0].width) is type(p.layers[0].height) is float
+        assert type(p.mass_ratio) is type(p.constants.mass_ratio) is float
+        assert p == build_profile([(3.0, 0.0)], 0.5)
 
 
 class TestWavenumber:

@@ -27,8 +27,8 @@ from qshutter.twolevel import clamp_count, density_resonant_exponential
 def factored_sum(r1, r2, freqs, t):
     """sum_{n=1,2} rho_n (1 - e^{(i omega_hat_n - Gamma_n/2 hbar) t})."""
     h2 = 2.0 * freqs.hbar
-    return r1 * (1.0 - np.exp((1j * freqs.omega_hat_1 - freqs.Gamma_1 / h2) * t)) + r2 * (
-        1.0 - np.exp((1j * freqs.omega_hat_2 - freqs.Gamma_2 / h2) * t)
+    return r1 * -np.expm1((1j * freqs.omega_hat_1 - freqs.Gamma_1 / h2) * t) + r2 * -np.expm1(
+        (1j * freqs.omega_hat_2 - freqs.Gamma_2 / h2) * t
     )
 
 
@@ -292,6 +292,22 @@ class TestDensityTwoLevel:
                 for tt in t
             ])
         assert np.all(np.abs(got - expect) < 1e-13 * expect)
+
+    def test_small_time_keeps_its_digits(self, triple_modes, freqs_ebar, problem_ebar):
+        # 1 - e^{zt} = -(zt + (zt)^2/2 + (zt)^3/6 + (zt)^4/24) to ~1e-26
+        # relative for |zt| < 1e-4; 1 - np.exp(zt) cancelled to 4e-5 here
+        mode_1, mode_2 = triple_modes[:2]
+        k, L = problem_ebar.k, problem_ebar.L
+        t = np.geomspace(1e-12, 1e-6, 200)
+        h2 = 2.0 * freqs_ebar.hbar
+        psi = 0.0
+        for mode, n in ((mode_1, 1), (mode_2, 2)):
+            omega, gamma = freqs_ebar._pick(n)
+            zt = (1j * omega - gamma / h2) * t
+            psi = psi - rho(mode, k, L) * (zt + zt**2 / 2 + zt**3 / 6 + zt**4 / 24)
+        expect = np.abs(psi) ** 2
+        got = density_two_level(mode_1, mode_2, freqs_ebar, L, k, t)
+        assert np.max(np.abs(got / expect - 1.0)) < 1e-13
 
 
 class TestDensityStationary:
