@@ -200,7 +200,7 @@ def test_energy_of(benchmark, triple):
 
 @pytest.mark.parametrize("points", [1, 2000])
 def test_m_function(benchmark, triple, points):
-    y = y_values(find_poles(triple, 1)[0].k, TIMES[:points], triple.constants)
+    y = y_values(find_poles(triple, 1)[0].k, TIMES[:points], triple.hbar_over_2m)
     m = benchmark(m_function, y)
     assert m.shape == y.shape and np.all(np.isfinite(m))
 

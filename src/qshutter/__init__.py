@@ -26,7 +26,7 @@ from .errors import (
     QShutterError,
     QuadrantEscapeError,
 )
-from .model import PhysicalConstants, PotentialProfile, build_profile
+from .model import PotentialProfile, build_profile
 from .scattering import transmission
 from .poles import ResonancePole, find_poles, pole_condition
 from .modes import ResonantMode, solve_mode
@@ -71,7 +71,6 @@ __all__ = [
     "PoleCountError",
     "PoleQualityError",
     "ConfigError",
-    "PhysicalConstants",
     "PotentialProfile",
     "build_profile",
     "transmission",

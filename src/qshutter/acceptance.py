@@ -30,7 +30,7 @@ import numpy as np
 from . import reference
 from .config import Incidence
 from .mfunc import faddeeva, m_function, m_function_scaled
-from .model import PhysicalConstants, build_profile, energy_of, wavenumber
+from .model import HBAR_MEV_PS, build_profile, energy_of, wavenumber
 from .modes import rho
 from .output import Check, Manifest, check_abs, check_bound
 from .poles import find_poles
@@ -136,10 +136,9 @@ def criterion_2() -> CheckResult:
         check_abs("curlyE1 (meV)", 80.11, p1.E_position / MEV, 0.01),
         check_abs("Gamma1 (meV)", 1.033, p1.Gamma / MEV, 0.001),
     ]
-    hbar_mev_ps = PhysicalConstants(mass_ratio=MASS_RATIO).hbar
     cr.notes.append(
         f"the stated lifetime 6.37 ps contradicts the stated width: "
-        f"hbar/Gamma1 = {hbar_mev_ps / 1.033:.3f} ps from 1.033 meV "
+        f"hbar/Gamma1 = {HBAR_MEV_PS / 1.033:.3f} ps from 1.033 meV "
         f"(measured tau1 = {p1.tau:.3f} ps); the width is the pinned "
         f"quantity and the factor-10 lifetime discrepancy is recorded here, "
         f"not reconciled"
@@ -446,14 +445,13 @@ def _check_doublet_truncation() -> list[Check]:
 
 
 def _check_free_reduction() -> Check:
-    constants = PhysicalConstants(mass_ratio=MASS_RATIO)
     free = build_profile([(1.0, 0.0)], MASS_RATIO)
     k = 0.142236183
-    prob = make_problem(free, energy_of(k, constants).real, n_poles=0)
+    prob = make_problem(free, energy_of(k, free).real, n_poles=0)
     worst = 0.0
     for x, t in ((0.5, 0.25), (0.25, 0.1), (1.0, 0.05)):
         mine = psi_exact(prob, x, t)
-        ref = reference.free_shutter_psi(k, x, t, constants.hbar_over_2m)
+        ref = reference.free_shutter_psi(k, x, t, free.hbar_over_2m)
         worst = max(worst, abs(mine - ref) / abs(ref))
     return check_bound(
         "free-profile density vs arbitrary-precision free-shutter value",
@@ -468,7 +466,7 @@ def _check_free_reduction() -> Check:
 _CN_DOMAIN, _CN_DX, _CN_DT = 680.0, 0.02, 2e-4
 
 
-def _crank_nicolson_free(k: float, t_final: float, constants: PhysicalConstants):
+def _crank_nicolson_free(k: float, t_final: float, beta: float):
     """Propagate the cutoff wave on a grid; returns (x_grid, psi at t_final).
 
     Crank-Nicolson with Dirichlet walls at both ends of the grid, taken
@@ -490,7 +488,7 @@ def _crank_nicolson_free(k: float, t_final: float, constants: PhysicalConstants)
     psi[0] = psi[-1] = 0.0
     n = x.size - 2
     mu = 4.0 * np.sin(np.arange(1, n + 1) * (math.pi / (2 * (n + 1)))) ** 2
-    a = constants.hbar_over_2m * _CN_DT / (2.0 * _CN_DX * _CN_DX) * mu
+    a = beta * _CN_DT / (2.0 * _CN_DX * _CN_DX) * mu
     steps = round(t_final / _CN_DT)
     phase = np.exp(-2j * steps * np.arctan(a))
     psi[1:-1] = idst(phase * dst(psi[1:-1], type=1), type=1)
@@ -498,11 +496,11 @@ def _crank_nicolson_free(k: float, t_final: float, constants: PhysicalConstants)
 
 
 def _check_crank_nicolson() -> Check:
-    constants = PhysicalConstants(mass_ratio=MASS_RATIO)
+    beta = build_profile([(1.0, 0.0)], MASS_RATIO).hbar_over_2m
     k, t_final = 0.142236183, 0.25
-    x, psi = _crank_nicolson_free(k, t_final, constants)
+    x, psi = _crank_nicolson_free(k, t_final, beta)
     j = int(np.argmin(np.abs(x - 0.5)))
-    exact = free_shutter_psi(k, float(x[j]), t_final, constants)
+    exact = free_shutter_psi(k, float(x[j]), t_final, beta)
     rel = abs(psi[j] - exact) / abs(exact)
     return check_bound(
         f"grid propagation vs closed form at x = {x[j]:.4f} nm, t = {t_final} ps",

@@ -28,14 +28,14 @@ per method.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ProfileError
-from .model import Layer, PotentialProfile, _count, _real_finite, build_profile
+from .model import PotentialProfile, _count, _real_finite, build_profile
 from .output import write_trace_csv
 from .transient import _MODES_NEEDED, ShutterProblem, _method_tags, evolve_trace, make_spectrum
 
@@ -90,7 +90,9 @@ _POLES_NEEDED = {"absolute": 0, "offset": 1, "doublet-center": 2}
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario; each field but layers is read by the rule of its key's
-    _FIELDS row, a ConfigError naming the key, and the layers by profile()."""
+    _FIELDS row, a ConfigError naming the key.  layers are built once by
+    build_profile into the profile profile() returns, a ConfigError naming
+    'layer N' (from 1), and kept as that profile's (width, height) floats."""
 
     layers: tuple[tuple[float, float], ...]
     mass_ratio: float
@@ -101,6 +103,7 @@ class ScenarioConfig:
     x_nm: float | None = None  # None means x = L
     methods: tuple[str, ...] = ("exact-N",)
     out: str = "trace.csv"
+    _profile: PotentialProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, (name, _, rule) in _FIELDS.items():
@@ -108,9 +111,18 @@ class ScenarioConfig:
             if value is not None or name != "x_nm":  # x = None is x = L
                 value = rule(value, "value", error=partial(ConfigError, field=key))
                 object.__setattr__(self, name, value)
+        try:
+            profile = build_profile(self.layers, self.mass_ratio)
+        except ProfileError as err:
+            # build_profile names layer j counting from 0
+            m = re.fullmatch(r"(?:layer (\d+): )?(.*)", str(err))
+            key = f"layer {int(m[1]) + 1}" if m[1] else "layer"
+            raise ConfigError(m[2], field=key) from None
+        object.__setattr__(self, "layers", tuple((l.width, l.height) for l in profile.layers))
+        object.__setattr__(self, "_profile", profile)
 
     def profile(self) -> PotentialProfile:
-        return build_profile(list(self.layers), self.mass_ratio)
+        return self._profile
 
 
 _LAYER_RE = re.compile(
@@ -139,17 +151,13 @@ def _quantity(
     return _number(m.group(1), line, field)
 
 
-def _parse_layer(rhs: str, line: int, field: str) -> tuple[float, float]:
+def _parse_layer(rhs: str, line: int, field: str) -> tuple[int | float, int | float]:
     m = _LAYER_RE.match(rhs)
     if not m:
         raise ConfigError(
             f"expected '<width> nm, <height> eV', got '{rhs}'", line=line, field=field
         )
-    try:
-        layer = Layer(_number(m.group(1), line, field), _number(m.group(2), line, field))
-    except ProfileError as err:
-        raise ConfigError(str(err), line=line, field=field) from None
-    return layer.width, layer.height
+    return _number(m.group(1), line, field), _number(m.group(2), line, field)
 
 
 def _parse_incidence(rhs: str, line: int, field: str) -> Incidence:
@@ -207,6 +215,7 @@ def parse_config(text: str) -> ScenarioConfig:
             rhs = rhs.strip()
             if key == "layer":
                 layers.append(_parse_layer(rhs, lineno, f"layer {len(layers) + 1}"))
+                seen[f"layer {len(layers)}"] = lineno
                 continue
             if key not in _FIELDS:
                 raise ConfigError(f"unknown key '{key}'", line=lineno, field=key)
@@ -225,7 +234,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigError("missing required key", field=key)
         return ScenarioConfig(layers=tuple(layers), **values)
     except ConfigError as err:
-        # a rule's error names its key; the key's line is in seen
+        # a rule's error names its key or layer, whose line is in seen
         if err.line is not None or err.field not in seen:
             raise
         raise ConfigError(err.message, line=seen[err.field], field=err.field) from None

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import PhysicalConstants, _complex_array, _complex_finite, _times
+from .model import _complex_array, _complex_finite, _real_finite, _times
 
 __all__ = [
     "faddeeva",
@@ -92,10 +92,11 @@ def m_function_scaled(y):
     return out[0] if scalar else out
 
 
-def y_values(s, t, constants: PhysicalConstants):
+def y_values(s, t, hbar_over_2m: float):
     """y_s for a finite wave number s (nm^-1) at times t (ps); scalar or array t.
 
-    hbar/2m = (hbar^2/2m)/hbar has units nm^2/ps, so y is dimensionless.
+    hbar/2m = (hbar^2/2m)/hbar > 0 has units nm^2/ps, so y is dimensionless.
     """
     t = _times(t)
-    return Y_PHASE * np.sqrt(constants.hbar_over_2m) * _complex_finite(s, "s") * np.sqrt(t)
+    beta = _real_finite(hbar_over_2m, "hbar_over_2m (nm^2/ps)", positive=True)
+    return Y_PHASE * np.sqrt(beta) * _complex_finite(s, "s") * np.sqrt(t)

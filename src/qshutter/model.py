@@ -34,52 +34,21 @@ from .errors import (
 )
 
 __all__ = [
-    "PhysicalConstants",
     "Layer",
     "PotentialProfile",
     "build_profile",
     "wavenumber",
     "energy_of",
     "HBAR_MEV_PS",
+    "HBAR_EV_PS",
     "HBAR2_OVER_2ME",
 ]
 
-# the published value, meV ps; this is what PhysicalConstants.hbar holds
+# the published value, meV ps
 HBAR_MEV_PS = 0.6582119569
+HBAR_EV_PS = HBAR_MEV_PS * 1e-3
 # eV nm^2
 HBAR2_OVER_2ME = 0.0380998
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit bridge shared by all modules.
-
-    mass_ratio is the one field; hbar (meV ps) and hbar2_over_2me (eV nm^2)
-    are class constants, the published values; hbar_ev_ps is hbar in eV ps.
-    hbar2_over_2m is hbar^2/2m for the *effective* mass, eV nm^2.
-    hbar_over_2m = (hbar^2/2m)/hbar has units nm^2/ps and is the diffusion
-    scale entering the transient arguments.
-    """
-
-    mass_ratio: float
-    hbar = HBAR_MEV_PS
-    hbar2_over_2me = HBAR2_OVER_2ME
-
-    def __post_init__(self):
-        mass_ratio = _real_finite(self.mass_ratio, "mass_ratio", MassRatioError, positive=True)
-        object.__setattr__(self, "mass_ratio", mass_ratio)
-
-    @property
-    def hbar_ev_ps(self) -> float:
-        return self.hbar * 1e-3
-
-    @property
-    def hbar2_over_2m(self) -> float:
-        return self.hbar2_over_2me / self.mass_ratio
-
-    @property
-    def hbar_over_2m(self) -> float:
-        return self.hbar2_over_2m / self.hbar_ev_ps
 
 
 @dataclass(frozen=True)
@@ -105,18 +74,20 @@ class PotentialProfile:
     """Ordered layer stack on [0, L] with effective-mass ratio.
 
     layers is one or more Layers (EmptyProfileError, ProfileError), and
-    mass_ratio is stored as the float its PhysicalConstants reads.
-    total_length is the exact sum of layer widths; edges[j] is the left
-    boundary of layer j, edges[-1] = L.  heights, widths and edges are
-    read-only arrays, and constants the mass ratio's PhysicalConstants,
-    built once, at construction, for the kernels that read them on every
-    call; they take no part in equality or hashing.
+    mass_ratio a real number > 0 (MassRatioError), stored as a float.
+    edges[j] is the left boundary of layer j, and total_length = edges[-1] = L.
+    hbar2_over_2m is hbar^2/2m for the effective mass (eV nm^2) and
+    hbar_over_2m = (hbar^2/2m)/hbar (nm^2/ps).  These floats and the read-only
+    arrays heights, widths and edges are computed once, at construction, for
+    the kernels that read them on every call; they take no part in equality
+    or hashing.
     """
 
     layers: tuple[Layer, ...]
     mass_ratio: float
     total_length: float = field(init=False)
-    constants: PhysicalConstants = field(init=False, repr=False, compare=False)
+    hbar2_over_2m: float = field(init=False, repr=False, compare=False)
+    hbar_over_2m: float = field(init=False, repr=False, compare=False)
     heights: np.ndarray = field(init=False, repr=False, compare=False)
     widths: np.ndarray = field(init=False, repr=False, compare=False)
     edges: np.ndarray = field(init=False, repr=False, compare=False)
@@ -126,7 +97,7 @@ class PotentialProfile:
             raise EmptyProfileError("profile needs at least one layer")
         if not all(isinstance(layer, Layer) for layer in self.layers):
             raise ProfileError(f"layers must be Layers, got {self.layers!r}")
-        constants = PhysicalConstants(self.mass_ratio)
+        mass_ratio = _real_finite(self.mass_ratio, "mass_ratio", MassRatioError, positive=True)
         widths = np.array([l.width for l in self.layers])
         arrays = {
             "heights": np.array([l.height for l in self.layers]),
@@ -136,9 +107,11 @@ class PotentialProfile:
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "total_length", float(sum(l.width for l in self.layers)))
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "mass_ratio", constants.mass_ratio)
+        hbar2_over_2m = HBAR2_OVER_2ME / mass_ratio
+        object.__setattr__(self, "total_length", float(arrays["edges"][-1]))
+        object.__setattr__(self, "hbar2_over_2m", hbar2_over_2m)
+        object.__setattr__(self, "hbar_over_2m", hbar2_over_2m / HBAR_EV_PS)
+        object.__setattr__(self, "mass_ratio", mass_ratio)
 
     @property
     def is_free(self) -> bool:
@@ -149,17 +122,21 @@ def build_profile(
     layer_spec: list[tuple[float, float]], mass_ratio: float
 ) -> PotentialProfile:
     """A profile from (width nm, height eV) pairs: Layer reads each pair,
-    its error naming the layer's index, and PotentialProfile the rest."""
+    its error naming the layer's index, and PotentialProfile the rest.
+    An entry that is not a pair raises ProfileError naming its layer."""
     layers = []
-    for j, (width, height) in enumerate(layer_spec):
+    for j, entry in enumerate(layer_spec):
         try:
+            width, height = entry
             layers.append(Layer(width, height))
         except ProfileError as err:
             raise type(err)(f"layer {j}: {err}") from None
+        except (TypeError, ValueError):
+            raise ProfileError(f"layer {j}: not a (width, height) pair: {entry!r}") from None
     return PotentialProfile(tuple(layers), mass_ratio)
 
 
-def wavenumber(E, profile_or_constants):
+def wavenumber(E, profile: PotentialProfile):
     """k = sqrt(2mE)/hbar in nm^-1 for real or complex energy E in eV.
 
     Elementwise: a scalar E gives a complex, an array a complex array of its
@@ -168,21 +145,13 @@ def wavenumber(E, profile_or_constants):
     the fourth quadrant (Re k > 0, Im k < 0), which is the outgoing-pole
     convention used everywhere downstream; real E >= 0 maps to real k >= 0.
     """
-    c = _constants_of(profile_or_constants)
-    k = np.sqrt(np.asarray(_complex_array(E, "E"), dtype=complex) / c.hbar2_over_2m)
+    k = np.sqrt(np.asarray(_complex_array(E, "E"), dtype=complex) / profile.hbar2_over_2m)
     return complex(k) if k.ndim == 0 else k
 
 
-def energy_of(k, profile_or_constants) -> complex:
+def energy_of(k, profile: PotentialProfile) -> complex:
     """E = (hbar^2/2m) k^2 in eV; inverse of wavenumber on its branch."""
-    c = _constants_of(profile_or_constants)
-    return _complex_finite(k, "k") ** 2 * c.hbar2_over_2m
-
-
-def _constants_of(obj) -> PhysicalConstants:
-    if isinstance(obj, PhysicalConstants):
-        return obj
-    return obj.constants
+    return _complex_finite(k, "k") ** 2 * profile.hbar2_over_2m
 
 
 # The argument rules of every public entry: a real number has int, uint or float

@@ -92,7 +92,9 @@ from .errors import (
     PoleQualityError,
     QuadrantEscapeError,
 )
-from .model import PotentialProfile, _complex_finite, _count, _real_finite, energy_of, wavenumber
+from .model import (
+    HBAR_EV_PS, PotentialProfile, _complex_finite, _count, _real_finite, energy_of, wavenumber,
+)
 from .scattering import (
     _W_TOL,
     _growth,
@@ -358,8 +360,7 @@ def _newton(profile: PotentialProfile, seeds) -> list[ResonancePole]:
             k, trace = ks[i], traces[i]
             if col in certified:
                 k = k + step
-                c = profile.constants
-                poles[i] = ResonancePole(index=0, k=k, E=energy_of(k, c), hbar=c.hbar_ev_ps)
+                poles[i] = ResonancePole(index=0, k=k, E=energy_of(k, profile), hbar=HBAR_EV_PS)
                 continue
             if step == 0 or not np.isfinite(step):
                 raise PoleConvergenceError(
@@ -416,7 +417,7 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
     N = _count(N, "N")
     if profile.is_free:
         raise PoleCountError(found=0, requested=N)
-    h22m = profile.constants.hbar2_over_2m
+    h22m = profile.hbar2_over_2m
     barriers = [l for l in profile.layers if l.height > 0]
     cap = _WINDOW_CAP * max(l.height + h22m * (np.pi / l.width) ** 2 for l in barriers)
     E_max, left = 0.05, _LEFT

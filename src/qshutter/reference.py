@@ -41,7 +41,7 @@ def free_shutter_psi(k: float, x: float, t: float, beta: float) -> complex:
 
 def _march(profile, k, u, du):
     """(u, u') at x = L from (u, du) at x = 0, at the caller's precision (findroot adds 20 bits)."""
-    h22m = mp.mpf(profile.constants.hbar2_over_2m)
+    h22m = mp.mpf(profile.hbar2_over_2m)
     for layer in profile.layers:
         q = mp.sqrt(k * k - mp.mpf(layer.height) / h22m)
         c, s = mp.cos(q * layer.width), mp.sin(q * layer.width)

@@ -182,7 +182,7 @@ def _layers(profile: PotentialProfile, k):
     """
     k = _wave_numbers(k)
     column = (-1,) + (1,) * k.ndim
-    v = (profile.heights / profile.constants.hbar2_over_2m).reshape(column)
+    v = (profile.heights / profile.hbar2_over_2m).reshape(column)
     w = profile.widths.reshape(column)
     q2 = k * k - v
     real = k.dtype != complex
@@ -225,7 +225,7 @@ def _layers(profile: PotentialProfile, k):
 
 def _real_q(profile: PotentialProfile, k) -> np.ndarray:
     """q of _layers at one real k: sqrt(|q^2|), times i where q^2 < 0."""
-    q2 = k * k - profile.heights / profile.constants.hbar2_over_2m
+    q2 = k * k - profile.heights / profile.hbar2_over_2m
     q = np.sqrt(np.abs(q2)).astype(complex)
     np.multiply(q, 1j, out=q, where=q2 < 0.0)
     return q

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DomainError
 from .mfunc import m_function, y_values
 from .model import (
-    PhysicalConstants, PotentialProfile, _broadcast_xt, _count, _positive_times, _real_array,
+    HBAR_EV_PS, PotentialProfile, _broadcast_xt, _count, _positive_times, _real_array,
     _real_finite, _times, wavenumber,
 )
 from .modes import ResonantMode, _rho, solve_mode
@@ -97,10 +97,6 @@ class ShutterProblem:
     k: float
     modes: tuple[ResonantMode, ...]
     field: StationaryField
-
-    @property
-    def constants(self) -> PhysicalConstants:
-        return self.profile.constants
 
     @property
     def L(self) -> float:
@@ -219,19 +215,19 @@ class _Grid(OrderedDict):
 
     The grid is checked when it is built, and one that fails is not kept.
     The shape is part of the key, since a (n, 1) grid has the bytes of an
-    (n,) grid; the mass ratio fixes hbar/2m.  A missing column is evaluated
-    on first use and kept.  `block` is (s, block) of the grid's most recent
-    call (see _block).
+    (n,) grid; so is hbar/2m, the one profile number a column reads.  A
+    missing column is evaluated on first use and kept.  `block` is (s,
+    block) of the grid's most recent call (see _block).
     """
 
-    def __init__(self, shape: tuple, t_key: _GridKey, mass_ratio: float):
+    def __init__(self, shape: tuple, t_key: _GridKey, hbar_over_2m: float):
         super().__init__()
         self.t = _positive_times(np.frombuffer(t_key.data).reshape(shape))
-        self.constants = PhysicalConstants(mass_ratio)
+        self.hbar_over_2m = hbar_over_2m
         self.block = (), None
 
     def __missing__(self, s: complex):
-        column = m_function(y_values(s, self.t, self.constants))
+        column = m_function(y_values(s, self.t, self.hbar_over_2m))
         # a 0-d grid gives a numpy scalar, which is read-only already
         if column.ndim:
             column.flags.writeable = False
@@ -317,7 +313,7 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     t_arr = _real_array(t, "t")
     keep = t_arr.size <= _COLUMN_MEMO_POINTS
     grid = (_grid if keep else _grid.__wrapped__)(
-        t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.mass_ratio
+        t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.hbar_over_2m
     )
     # a 0-d x broadcasts against any t
     if x.ndim:
@@ -325,7 +321,7 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     if not problem.modes:
         if not problem.profile.is_free:
             raise DomainError("problem carries no modes for a non-free profile")
-        psi = free_shutter_psi(problem.k, x, t, problem.constants)
+        psi = free_shutter_psi(problem.k, x, t, problem.profile.hbar_over_2m)
         return (), [psi] * len(n_modes)
     size = 2 + 2 * n_max
     columns = _block(grid, problem._wave_numbers[:size], keep)
@@ -365,7 +361,7 @@ def psi_exact(problem: ShutterProblem, x, t):
     M(y_s) depends on the wave number s and on t but not on x, so one memo
     keeps the columns of the 8 most recently used time grids
     (_GRID_MEMO_SIZE, which also sizes output's memo of time cells), keyed
-    on (grid shape, grid bytes, mass ratio), for psi_exact, psi_doublet_M,
+    on (grid shape, grid bytes, hbar/2m), for psi_exact, psi_doublet_M,
     delta_term and evolve_trace.  A grid is checked once, when it is built,
     and keeps its read-only columns by wave number: a per-x loop evaluates
     each column once, and one profile's pole columns serve every incidence
@@ -417,16 +413,15 @@ def delta_term(problem: ShutterProblem, x, t):
     """
     (rho_1, rho_2), (doublet,) = _sums(problem, x, t, 2)
     t_arr = np.asarray(t, dtype=float)
-    hbar = problem.constants.hbar_ev_ps
     phase_k, phase_1, phase_2 = (
-        np.exp(-1j * E * t_arr / hbar)
+        np.exp(-1j * E * t_arr / HBAR_EV_PS)
         for E in (problem.E, problem.modes[0].pole.E, problem.modes[1].pole.E)
     )
     kept = rho_1 * (phase_k - phase_1) + rho_2 * (phase_k - phase_2)
     return _result(doublet - kept)
 
 
-def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
+def free_shutter_psi(k: float, x: float, t, hbar_over_2m: float):
     """Closed-form free evolution of the cutoff standing wave, x >= 0.
 
     Psi = M(x, k, t) - M(x, -k, t) with the position-dependent argument
@@ -434,13 +429,13 @@ def free_shutter_psi(k: float, x: float, t, constants: PhysicalConstants):
         M(x, s, t) = 1/2 e^{i x^2/(4 beta t)} w(i zeta_s),
         zeta_s     = e^{-i pi/4} (x - 2 beta s t) / sqrt(4 beta t),
 
-    beta = hbar/2m in nm^2/ps.  Exponent-safe for all real x, t > 0.
+    beta = hbar/2m > 0 in nm^2/ps.  Exponent-safe for all real x, t > 0.
     """
     k, x = _real_finite(k, "k"), _real_array(x, "x")
     if not ((x >= 0.0) & (x < np.inf)).all():
         raise DomainError("needs every x finite and >= 0 nm")
     t_arr = _positive_times(t)
-    beta = constants.hbar_over_2m
+    beta = _real_finite(hbar_over_2m, "hbar_over_2m (nm^2/ps)", positive=True)
     root = np.sqrt(4.0 * beta * t_arr)
     front = np.exp(1j * x * x / (4.0 * beta * t_arr))
     phase = np.exp(-1j * np.pi / 4.0)
@@ -536,7 +531,7 @@ def evolve_trace(
         else:
             T = abs(problem.field.t) ** 2
             gamma_1 = problem.modes[0].pole.Gamma
-            tau_amp = 2.0 * problem.constants.hbar_ev_ps / gamma_1
+            tau_amp = 2.0 * HBAR_EV_PS / gamma_1
             d = density_resonant_exponential(T, tau_amp, t_pos)
         densities[method] = np.zeros_like(times)
         densities[method][positive] = d

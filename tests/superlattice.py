@@ -32,7 +32,7 @@ def layers(nb: int, barrier: tuple[float, float], well: float, trailing: bool = 
 def cell_matrix(profile, k, barrier: tuple[float, float], well: float) -> np.ndarray:
     """P_1 at an array of real k, shape (2, 2, *k.shape): each layer's
     [[cos qw, sin(qw)/q], [-q sin qw, cos qw]] in complex arithmetic."""
-    b, v = barrier[0], barrier[1] / profile.constants.hbar2_over_2m
+    b, v = barrier[0], barrier[1] / profile.hbar2_over_2m
 
     def layer(q, w):
         return np.array([[np.cos(q * w), np.sin(q * w) / q], [-q * np.sin(q * w), np.cos(q * w)]])

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from qshutter import acceptance
-from qshutter.model import PhysicalConstants
+from qshutter.model import build_profile
 from qshutter.presets import MASS_RATIO
 
 
@@ -102,13 +102,13 @@ def test_grid_oracle_matches_a_step_by_step_dirichlet_march(monkeypatch):
     # the sine basis; on a 20 nm half-width it meets 100 banded solves of
     # (I + lam T) psi' = (I - lam T) psi on the interior nodes
     monkeypatch.setattr(acceptance, "_CN_DOMAIN", 20.0)
-    constants = PhysicalConstants(mass_ratio=MASS_RATIO)
+    beta = build_profile([(1.0, 0.0)], MASS_RATIO).hbar_over_2m
     k, t_final = 0.142236183, 0.02
-    x, psi = acceptance._crank_nicolson_free(k, t_final, constants)
+    x, psi = acceptance._crank_nicolson_free(k, t_final, beta)
 
     ref = np.where(x <= 0.0, 2j * np.sin(k * x), 0.0)[1:-1]
     start = np.sum(np.abs(ref) ** 2)
-    lam = 1j * constants.hbar_over_2m * acceptance._CN_DT / (2.0 * acceptance._CN_DX**2)
+    lam = 1j * beta * acceptance._CN_DT / (2.0 * acceptance._CN_DX**2)
     bands = np.empty((3, ref.size), complex)
     bands[0], bands[1], bands[2] = -lam, 1.0 + 2.0 * lam, -lam
     for _ in range(100):

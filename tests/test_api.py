@@ -19,7 +19,6 @@ from qshutter import (
     LayerHeightError,
     LayerWidthError,
     MassRatioError,
-    PhysicalConstants,
     PotentialProfile,
     ProfileError,
     ScenarioConfig,
@@ -66,7 +65,6 @@ PUBLIC = [
     "PoleQualityError",
     "ConfigError",
     # pipeline steps and the records they return
-    "PhysicalConstants",
     "PotentialProfile",
     "build_profile",
     "transmission",
@@ -117,7 +115,7 @@ SUBMODULES = [
 
 
 def test_top_level_names():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
     assert sorted(qshutter.__all__) == sorted(PUBLIC)
     for name in PUBLIC:
         assert getattr(qshutter, name) is not None
@@ -209,6 +207,10 @@ def _scenario(**fields):
     return ScenarioConfig(**{**base, **fields})
 
 
+def _beta(p):
+    return p.profile.hbar_over_2m
+
+
 def _free_spectrum(n_poles):
     return make_spectrum(build_profile([(10.0, 0.0)], 0.067), n_poles)
 
@@ -247,8 +249,10 @@ CONTRACT = {
     "build_profile-numpy": (
         lambda p: build_profile([(np.float64(3.0), np.int64(0))], np.float32(0.5)), None
     ),
-    "PhysicalConstants-complex": (lambda p: PhysicalConstants(1j), MassRatioError),
-    "PhysicalConstants-bool": (lambda p: PhysicalConstants(True), MassRatioError),
+    "build_profile-str-layers": (lambda p: build_profile("ab", 0.067), ProfileError),
+    "build_profile-short-layer": (lambda p: build_profile([(1.0,)], 0.067), ProfileError),
+    "build_profile-long-layer": (lambda p: build_profile([(1.0, 0.1, 5)], 0.067), ProfileError),
+    "build_profile-Layer-layer": (lambda p: build_profile([Layer(3.0, 0.1)], 0.067), ProfileError),
     # profile records built directly read the same rules
     "Layer-bool-width": (lambda p: Layer(True, 0.12), LayerWidthError),
     "PotentialProfile-negative-width": (
@@ -264,6 +268,12 @@ CONTRACT = {
     "PotentialProfile-str-mass": (
         lambda p: PotentialProfile((Layer(3.0, 0.12),), "0.067"), MassRatioError
     ),
+    "PotentialProfile-complex-mass": (
+        lambda p: PotentialProfile((Layer(3.0, 0.12),), 1j), MassRatioError
+    ),
+    "PotentialProfile-bool-mass": (
+        lambda p: PotentialProfile((Layer(3.0, 0.12),), True), MassRatioError
+    ),
     # wave numbers, energies, counts and level indices
     "transfer_matrix-bool-k": (lambda p: transfer_matrix(p.profile, True), DomainError),
     "transfer_matrix-str-k": (lambda p: transfer_matrix(p.profile, "0.1"), DomainError),
@@ -273,9 +283,14 @@ CONTRACT = {
     "solve_stationary-bool-k": (lambda p: solve_stationary(p.profile, True), DomainError),
     "solve_stationary-str-k": (lambda p: solve_stationary(p.profile, "0.1"), DomainError),
     "solve_stationary-numpy-k": (lambda p: solve_stationary(p.profile, np.float64(0.1)), None),
-    "y_values-str-s": (lambda p: y_values("1", 0.1, p.constants), DomainError),
-    "y_values-bool-s": (lambda p: y_values(True, 0.1, p.constants), DomainError),
-    "y_values-complex-s": (lambda p: y_values(np.complex128(0.1 - 0.01j), 0.1, p.constants), None),
+    "y_values-str-s": (lambda p: y_values("1", 0.1, _beta(p)), DomainError),
+    "y_values-bool-s": (lambda p: y_values(True, 0.1, _beta(p)), DomainError),
+    "y_values-complex-s": (lambda p: y_values(np.complex128(0.1 - 0.01j), 0.1, _beta(p)), None),
+    "y_values-bool-beta": (lambda p: y_values(0.1, 0.1, True), DomainError),
+    "y_values-str-beta": (lambda p: y_values(0.1, 0.1, "863.9"), DomainError),
+    "y_values-nan-beta": (lambda p: y_values(0.1, 0.1, np.nan), DomainError),
+    "y_values-zero-beta": (lambda p: y_values(0.1, 0.1, 0.0), DomainError),
+    "y_values-numpy-beta": (lambda p: y_values(0.1, 0.1, np.float64(_beta(p))), None),
     "wavenumber-str-E": (lambda p: wavenumber("0.01", p.profile), DomainError),
     "wavenumber-bool-E": (lambda p: wavenumber(True, p.profile), DomainError),
     "wavenumber-complex-E": (lambda p: wavenumber(0.01 - 1e-4j, p.profile), None),
@@ -284,7 +299,13 @@ CONTRACT = {
     "refine_pole-str-seed": (lambda p: refine_pole(p.profile, "0.2-0.002j"), DomainError),
     "transmission-str-E": (lambda p: transmission(p.profile, "0.01"), DomainError),
     "make_problem-str-E": (lambda p: make_problem(p.profile, "0.0129"), DomainError),
-    "free_shutter_psi-str-k": (lambda p: free_shutter_psi("0.1", 1.0, 0.1, p.constants), DomainError),
+    "free_shutter_psi-str-k": (lambda p: free_shutter_psi("0.1", 1.0, 0.1, _beta(p)), DomainError),
+    "free_shutter_psi-bool-beta": (lambda p: free_shutter_psi(0.1, 1.0, 0.1, True), DomainError),
+    "free_shutter_psi-str-beta": (lambda p: free_shutter_psi(0.1, 1.0, 0.1, "863.9"), DomainError),
+    "free_shutter_psi-inf-beta": (lambda p: free_shutter_psi(0.1, 1.0, 0.1, np.inf), DomainError),
+    "free_shutter_psi-negative-beta": (
+        lambda p: free_shutter_psi(0.1, 1.0, 0.1, -_beta(p)), DomainError
+    ),
     "faddeeva-str-z": (lambda p: faddeeva("1"), DomainError),
     "m_function-str-y": (lambda p: m_function("1"), DomainError),
     "m_function-bool-y": (lambda p: m_function(True), DomainError),
@@ -332,6 +353,8 @@ CONTRACT = {
         lambda p: _scenario(incidence="doublet-center"), ConfigError
     ),
     "ScenarioConfig-numpy-points": (lambda p: _scenario(points=np.int64(50)), None),
+    "ScenarioConfig-str-layers": (lambda p: _scenario(layers="abc"), ConfigError),
+    "ScenarioConfig-negative-width": (lambda p: _scenario(layers=((-3.0, 0.1),)), ConfigError),
     "Incidence-unknown-kind": (lambda p: Incidence("bogus"), ConfigError),
     "Incidence-str-value": (lambda p: Incidence("offset", "2"), ConfigError),
     "Incidence-numpy-value": (lambda p: Incidence("offset", np.float64(2.0)), None),

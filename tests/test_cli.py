@@ -97,6 +97,15 @@ class TestTransmission:
         assert float(rows[-1][0]) == 90.0
         assert all(0.0 <= float(r[1]) <= 1.0 for r in rows[1:])
 
+    def test_one_point_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["transmission", "--config", "double_barrier", "--from", "70", "--to", "90",
+             "--points", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "--points must be >= 2, got 1" in err
+
     def test_inverted_window_rejected(self, capsys):
         code, out, err = run_cli(
             ["transmission", "--config", "double_barrier", "--from", "90", "--to", "70"],

@@ -130,6 +130,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"line \d, field '{field}': "):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_poles = abc", "line 4, field 'n_poles': not a number: 'abc'"),
+            ("layer = 5, 0.1", "line 4, field 'layer 2': expected '<width> nm, <height> eV'"),
+            ("n_poles 4", "line 4: expected 'key = value'"),
+        ],
+    )
+    def test_malformed_line_says_what_it_expected(self, line, message):
+        text = f"layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = 10 meV\n{line}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "incidence, text",
+        [
+            (Incidence("absolute", 0.01), "10 meV"),
+            (Incidence("offset", -1.5), "E1 + -1.5*Gamma1"),
+            (Incidence("doublet-center"), "doublet-center"),
+        ],
+    )
+    def test_incidence_describes_itself(self, incidence, text):
+        assert incidence.describe() == text
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError, match="method"):
             parse_config(

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qshutter import DomainError, PhysicalConstants, reference
+from qshutter import DomainError, build_profile, reference
 from qshutter.mfunc import Y_PHASE, faddeeva, m_function, m_function_scaled, y_values
+from qshutter.model import HBAR_EV_PS
 
-C = PhysicalConstants(mass_ratio=0.067)
+# hbar/2m (nm^2/ps) at mass ratio 0.067
+BETA = build_profile([(1.0, 0.0)], 0.067).hbar_over_2m
 
 
 class TestFaddeeva:
@@ -96,33 +98,33 @@ class TestMFunction:
 
 class TestYArgument:
     def test_zero_time(self):
-        assert y_values(0.3, 0.0, C) == 0.0
+        assert y_values(0.3, 0.0, BETA) == 0.0
 
     def test_negative_time_rejected(self):
         for t in (-1e-9, np.nan, np.inf):
             with pytest.raises(DomainError):
-                y_values(0.3, t, C)
+                y_values(0.3, t, BETA)
             with pytest.raises(DomainError):
-                y_values(0.3, np.array([0.1, t, 0.3]), C)
+                y_values(0.3, np.array([0.1, t, 0.3]), BETA)
 
     def test_nonfinite_wave_number_rejected(self):
         for s in (np.nan, np.inf, complex(0.3, -np.inf)):
             for t in (0.3, np.array([0.1, 0.3])):
                 with pytest.raises(DomainError, match="finite"):
-                    y_values(s, t, C)
+                    y_values(s, t, BETA)
 
     def test_complex_time_rejected(self):
         for t in (0.1 + 0j, np.array([0.1, 0.2 + 1e-3j])):
             with pytest.raises(DomainError, match="real"):
-                y_values(0.3, t, C)
+                y_values(0.3, t, BETA)
 
     def test_phase_factor(self):
         assert Y_PHASE == pytest.approx(np.exp(3j * np.pi / 4.0), abs=1e-15)
 
     def test_construction(self):
         s, t = 0.21, 1.7
-        assert y_values(s, t, C) == pytest.approx(
-            Y_PHASE * np.sqrt(C.hbar_over_2m) * s * np.sqrt(t), rel=1e-14
+        assert y_values(s, t, BETA) == pytest.approx(
+            Y_PHASE * np.sqrt(BETA) * s * np.sqrt(t), rel=1e-14
         )
 
     def test_y_squared_identity(self, rng):
@@ -130,8 +132,8 @@ class TestYArgument:
         for _ in range(20):
             s = rng.uniform(0.05, 0.5)
             t = rng.uniform(0.01, 10.0)
-            y = y_values(s, t, C)
-            expect = -1j * C.hbar_over_2m * s * s * t
+            y = y_values(s, t, BETA)
+            expect = -1j * BETA * s * s * t
             assert y * y == pytest.approx(expect, rel=1e-12)
             assert abs(np.exp(y * y)) == pytest.approx(1.0, rel=1e-12)
 
@@ -139,8 +141,8 @@ class TestYArgument:
         # for a fourth-quadrant pole, |e^{y^2}| = e^{-Gamma t / 2 hbar} < 1
         p = triple_poles[0]
         t = 2.0
-        y = y_values(p.k, t, C)
-        expect = np.exp(-p.Gamma * t / (2.0 * C.hbar_ev_ps))
+        y = y_values(p.k, t, BETA)
+        expect = np.exp(-p.Gamma * t / (2.0 * HBAR_EV_PS))
         assert abs(np.exp(y * y)) == pytest.approx(expect, rel=1e-10)
         assert abs(np.exp(y * y)) < 1.0
 
@@ -148,16 +150,16 @@ class TestYArgument:
         # M(y(k, t)) -> 1/2 as t -> 0, approaching like |y|/sqrt(pi)
         last = np.inf
         for t in (1e-6, 1e-9, 1e-12, 1e-15):
-            y = y_values(0.3, t, C)
+            y = y_values(0.3, t, BETA)
             gap = abs(m_function(y) - 0.5)
             assert gap <= 1.2 * abs(y) + 1e-15
             assert gap < last
             last = gap
-        assert m_function(y_values(0.3, 0.0, C)) == pytest.approx(0.5, abs=1e-15)
+        assert m_function(y_values(0.3, 0.0, BETA)) == pytest.approx(0.5, abs=1e-15)
 
     def test_y_values_vectorized(self):
         t = np.array([0.1, 0.2, 0.5])
-        ys = y_values(0.3, t, C)
+        ys = y_values(0.3, t, BETA)
         assert ys.shape == t.shape
         for yi, ti in zip(ys, t):
-            assert yi == pytest.approx(y_values(0.3, float(ti), C), rel=1e-14)
+            assert yi == pytest.approx(y_values(0.3, float(ti), BETA), rel=1e-14)

@@ -1,6 +1,7 @@
 """Units, layer stacks, and the energy <-> wave number bridge."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,35 +11,38 @@ from qshutter import (
     LayerHeightError,
     LayerWidthError,
     MassRatioError,
-    PhysicalConstants,
     PotentialProfile,
     build_profile,
 )
-from qshutter.model import Layer, energy_of, wavenumber
+from qshutter import model
+from qshutter.model import HBAR2_OVER_2ME, HBAR_EV_PS, HBAR_MEV_PS, Layer, energy_of, wavenumber
+from qshutter.scattering import solve_stationary, stationary_wave
 
 
 class TestPhysicalConstants:
+    # hbar and hbar^2/2m_e are module constants; a profile's mass ratio sets
+    # its hbar^2/2m and hbar/2m
     def test_mass_ratio_is_the_only_field(self):
-        # hbar and hbar^2/2m_e are fixed class constants, not settable values
-        assert [f.name for f in dataclasses.fields(PhysicalConstants)] == ["mass_ratio"]
+        # of the constants, only the mass ratio is a settable value
+        init = [f.name for f in dataclasses.fields(PotentialProfile) if f.init]
+        assert init == ["layers", "mass_ratio"]
 
     def test_hbar_is_the_published_meV_ps_value(self):
-        c = PhysicalConstants(mass_ratio=0.067)
-        assert c.hbar == 0.6582119569
+        assert HBAR_MEV_PS == 0.6582119569
+        assert HBAR_EV_PS == HBAR_MEV_PS * 1e-3
 
     def test_hbar2_over_2me_is_the_published_eV_nm2_value(self):
-        c = PhysicalConstants(mass_ratio=0.067)
-        assert c.hbar2_over_2me == 0.0380998
+        assert HBAR2_OVER_2ME == 0.0380998
 
     def test_effective_mass_scaling(self):
-        c = PhysicalConstants(mass_ratio=0.067)
-        assert c.hbar2_over_2m == pytest.approx(0.5686537, abs=5e-7)
+        p = build_profile([(3.0, 0.1)], 0.067)
+        assert p.hbar2_over_2m == pytest.approx(0.5686537, abs=5e-7)
 
     def test_hbar_over_2m_units_bridge(self):
         # (hbar^2/2m) / hbar must equal hbar/2m in nm^2/ps
-        c = PhysicalConstants(mass_ratio=0.067)
-        assert c.hbar_over_2m == pytest.approx(c.hbar2_over_2m / c.hbar_ev_ps)
-        assert c.hbar_over_2m == pytest.approx(863.937, rel=1e-5)
+        p = build_profile([(3.0, 0.1)], 0.067)
+        assert p.hbar_over_2m == pytest.approx(p.hbar2_over_2m / HBAR_EV_PS)
+        assert p.hbar_over_2m == pytest.approx(863.937, rel=1e-5)
 
 
 class TestBuildProfile:
@@ -46,6 +50,16 @@ class TestBuildProfile:
         p = build_profile([(3.0, 0.12), (16.0, 0.0), (3.0, 0.12)], 0.067)
         assert p.total_length == 22.0
         np.testing.assert_allclose(p.edges, [0.0, 3.0, 19.0, 22.0])
+
+    def test_total_length_is_the_last_edge(self, monkeypatch):
+        # Python >= 3.12 sums floats with compensation: these widths then sum
+        # to 103.5 where their cumsum ends at 103.49999999999999, and x = L
+        # must pass the check against the edges
+        monkeypatch.setattr(model, "sum", math.fsum, raising=False)
+        widths = (8.46, 1.71, 0.99, 24.49, 27.43, 18.4, 22.02)
+        p = build_profile([(w, 0.1 * (j % 2)) for j, w in enumerate(widths)], 0.067)
+        assert p.total_length == p.edges[-1]
+        assert np.isfinite(stationary_wave(solve_stationary(p, 0.1), p.total_length))
 
     def test_is_free(self):
         assert build_profile([(5.0, 0.0)], 0.067).is_free
@@ -68,13 +82,13 @@ class TestBuildProfile:
             with pytest.raises(MassRatioError):
                 build_profile([(3.0, 0.1)], bad)
             with pytest.raises(MassRatioError):
-                PhysicalConstants(bad)
+                PotentialProfile((Layer(3.0, 0.1),), bad)
 
     def test_records_store_floats(self):
         # the records read numpy numbers by the same rules, and keep Python floats
         p = PotentialProfile((Layer(np.float32(3.0), np.int64(0)),), np.float32(0.5))
         assert type(p.layers[0].width) is type(p.layers[0].height) is float
-        assert type(p.mass_ratio) is type(p.constants.mass_ratio) is float
+        assert type(p.mass_ratio) is type(p.hbar2_over_2m) is type(p.hbar_over_2m) is float
         assert p == build_profile([(3.0, 0.0)], 0.5)
 
 

@@ -406,11 +406,10 @@ class TestFindPoles:
             assert p.tau == pytest.approx(6.582119569e-4 / p.Gamma, rel=1e-12)
 
     def test_invariants(self, triple_profile, triple_poles):
-        c = triple_profile.constants
         for i, p in enumerate(triple_poles):
             assert p.index == i + 1
             assert p.k.real > 0 and p.k.imag < 0
-            assert abs(p.E - p.k**2 * c.hbar2_over_2m) < 1e-12 * abs(p.E)
+            assert abs(p.E - p.k**2 * triple_profile.hbar2_over_2m) < 1e-12 * abs(p.E)
             assert p.Gamma > 0
         energies = [p.E_position for p in triple_poles]
         assert energies == sorted(energies)

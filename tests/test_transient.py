@@ -1,5 +1,6 @@
 """Exact shutter solution, doublet form, remainder term, and traces."""
 
+import dataclasses
 import gc
 import os
 import subprocess
@@ -20,7 +21,6 @@ from qshutter import (
     METHOD_TWO_LEVEL_CLOSED,
     METHOD_TWO_LEVEL_M,
     DomainError,
-    PhysicalConstants,
     PoleError,
     build_profile,
     density_two_level,
@@ -36,6 +36,7 @@ from qshutter import (
 )
 from qshutter import mfunc, transient
 from qshutter.mfunc import m_function, y_values
+from qshutter.model import HBAR_EV_PS
 from qshutter.modes import rho
 from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS
 from qshutter.scattering import _locate, stationary_wave
@@ -49,6 +50,8 @@ from qshutter.transient import (
 
 
 EPS = np.finfo(float).eps
+# hbar/2m (nm^2/ps) at mass ratio 0.067
+BETA = build_profile([(1.0, 0.0)], 0.067).hbar_over_2m
 
 
 def gamma(n):
@@ -62,18 +65,18 @@ def reference_terms(problem, x, t, n_modes):
     Each partner row is -rho_{-n}* by its definition, rho_{-n} = rho_n(x, -k),
     so the reference does not share psi_exact's shortcut rho_{-n} = -rho_n*.
     """
-    c, k = problem.constants, problem.k
+    beta, k = problem.profile.hbar_over_2m, problem.k
     t = np.asarray(t, dtype=float)
     phi = stationary_wave(problem.field, x)
     terms = [
-        (phi, m_function(y_values(k, t, c))),
-        (-np.conj(phi), m_function(y_values(-k, t, c))),
+        (phi, m_function(y_values(k, t, beta))),
+        (-np.conj(phi), m_function(y_values(-k, t, beta))),
     ]
     for mode in problem.modes[:n_modes]:
         k_n = mode.pole.k
-        terms.append((-rho(mode, k, x), m_function(y_values(k_n, t, c))))
+        terms.append((-rho(mode, k, x), m_function(y_values(k_n, t, beta))))
         terms.append(
-            (-np.conj(rho(mode, -k, x)), m_function(y_values(-np.conj(k_n), t, c)))
+            (-np.conj(rho(mode, -k, x)), m_function(y_values(-np.conj(k_n), t, beta)))
         )
     return terms
 
@@ -113,7 +116,7 @@ def assert_at_bound(got, problem, x, t, n_modes, kept=None):
 def kept_exponentials(problem, x, t):
     """sum_{n=1,2} rho_n (e^{-iEt/hbar} - e^{-iE_n t/hbar}), which delta_term
     subtracts from psi_doublet_M."""
-    hbar = problem.constants.hbar_ev_ps
+    hbar = HBAR_EV_PS
     t = np.asarray(t, dtype=float)
     kept = 0.0
     for mode in problem.modes[:2]:
@@ -256,6 +259,12 @@ class TestPsiExact:
             with pytest.raises(DomainError):
                 evolve_trace(problem_ebar, bad, [0.0, 1.0], (METHOD_EXPONENTIAL,))
 
+    def test_barrier_problem_without_modes_rejected(self, problem_ebar):
+        # only a free profile's empty expansion is the free-shutter solution
+        bare = dataclasses.replace(problem_ebar, modes=())
+        with pytest.raises(DomainError, match="no modes for a non-free profile"):
+            psi_exact(bare, bare.L, [0.1])
+
     def test_complex_x_and_t_rejected(self, problem_ebar):
         # not read as their real parts: every evaluator at x or t raises
         p = problem_ebar
@@ -343,11 +352,11 @@ class TestPsiExact:
         assert d == pytest.approx(T, rel=0.03)
 
     def test_free_profile_dispatches_to_closed_form(self, free_profile):
-        c = free_profile.constants
-        E = float((0.142236183**2) * c.hbar2_over_2m)
+        E = float((0.142236183**2) * free_profile.hbar2_over_2m)
         problem = make_problem(free_profile, E, n_poles=0)
         got = psi_exact(problem, 0.5, 0.25)
-        assert abs(got - free_shutter_psi(problem.k, 0.5, 0.25, c)) == 0.0
+        beta = free_profile.hbar_over_2m
+        assert abs(got - free_shutter_psi(problem.k, 0.5, 0.25, beta)) == 0.0
         assert abs(got - FREE_PSI_PIN) < 1e-12
 
     def test_free_profile_broadcasts_over_x(self, free_profile):
@@ -779,7 +788,8 @@ class TestColumnMemo:
 
     def test_mass_ratio_is_part_of_the_key(self, triple_profile, ebar, times, wofz_calls):
         # a doubled mass ratio at half the energy has the same k, bit for bit,
-        # so only the mass ratio in the key tells the two M(y_k) columns apart
+        # so only hbar/2m in the key, which the mass ratio sets, tells the two
+        # M(y_k) columns apart
         light = make_spectrum(triple_profile, 2).at(ebar)
         assert triple_profile.mass_ratio == MASS_RATIO
         heavy_profile = build_profile(list(TRIPLE_LAYERS), 2 * MASS_RATIO)
@@ -830,7 +840,8 @@ class TestColumnMemo:
         monkeypatch.setattr(transient, "_GRID_COLUMNS", 12)
         p = problem_ebar
         assert len(p.modes) == 4
-        grid = transient._grid(times.shape, transient._GridKey(times.tobytes()), MASS_RATIO)
+        key = transient._GridKey(times.tobytes())
+        grid = transient._grid(times.shape, key, p.profile.hbar_over_2m)
         xs = np.linspace(0.0, p.L, 50)
         rows = [psi_exact(p, x, times) for x in xs]
         assert wofz_calls == [times.shape] * 10 and len(grid) == 10
@@ -959,25 +970,23 @@ class TestRowMemo:
 
 class TestFreeShutterPsi:
     def test_oracle_pin(self):
-        c = PhysicalConstants(mass_ratio=0.067)
-        psi = free_shutter_psi(0.142236183, 0.5, 0.25, c)
+        psi = free_shutter_psi(0.142236183, 0.5, 0.25, BETA)
         assert abs(psi - FREE_PSI_PIN) < 1e-13
 
     def test_nonpositive_time_rejected(self):
-        c = PhysicalConstants(mass_ratio=0.067)
         with pytest.raises(DomainError):
-            free_shutter_psi(0.1, 0.5, 0.0, c)
+            free_shutter_psi(0.1, 0.5, 0.0, BETA)
         with pytest.raises(DomainError):
-            free_shutter_psi(0.1, 0.5, np.nan, c)
+            free_shutter_psi(0.1, 0.5, np.nan, BETA)
         with pytest.raises(DomainError):
-            free_shutter_psi(0.1, 0.5, np.inf, c)
+            free_shutter_psi(0.1, 0.5, np.inf, BETA)
         # a non-finite x or k, or an x outside the documented x >= 0
         bad = (
             (0.1, np.nan), (np.nan, 0.5), (0.1, -1.0), (0.1, np.inf), (0.1, np.array([0.5, -1.0]))
         )
         for k, x in bad:
             with pytest.raises(DomainError):
-                free_shutter_psi(k, x, 0.25, c)
+                free_shutter_psi(k, x, 0.25, BETA)
 
 
 class TestEvolveTrace:
@@ -1038,6 +1047,15 @@ class TestEvolveTrace:
             evolve_trace(problem_ebar, problem_ebar.L, [1.0, 0.5])
         with pytest.raises(DomainError):
             evolve_trace(problem_ebar, problem_ebar.L, [0.0, 1.0, np.nan, 3.0])
+
+    def test_grid_not_1d_rejected(self, problem_ebar):
+        with pytest.raises(DomainError, match="time grid must be a 1-D array"):
+            evolve_trace(problem_ebar, problem_ebar.L, [[0.0, 1.0], [2.0, 3.0]])
+
+    def test_method_needs_its_modes(self, triple_spectrum, ebar):
+        one = make_problem(triple_spectrum.profile, ebar, n_poles=1)
+        with pytest.raises(DomainError, match="two-level-M needs 2 mode"):
+            evolve_trace(one, one.L, [0.0, 1.0], methods=(METHOD_TWO_LEVEL_M,))
 
     def test_trace_performance(self, problem_ebar):
         # 2000-point exact trace in under a second

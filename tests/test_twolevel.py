@@ -436,6 +436,11 @@ class TestDominantFrequency:
         with pytest.raises(DomainError):
             dominant_frequency_series(t, np.sin(t))
 
+    def test_too_few_samples_rejected(self):
+        t = np.linspace(0.0, 1.0, 7)
+        with pytest.raises(DomainError, match=">= 8 samples"):
+            dominant_frequency_series(t, np.sin(t))
+
     def test_nonfinite_sample_rejected(self):
         t = np.linspace(0.0, 40.0, 4000)
         v = np.sin(1.5 * t) ** 2
