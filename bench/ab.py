@@ -27,9 +27,14 @@ op to op.
 `perfbench` run does.
 
 For each workload it prints a block with the ratio B/A of the summed op
-times and the median and quartiles of the per-op ratios B/A; an op that
-fails on either side is counted and left out of both.  A ratio below 1
-means the working tree is faster.  Interleaving one op at a time puts
+times, the median and quartiles of the per-op ratios B/A, and the number
+of ops whose outputs are identical on both sides; an op that fails on
+either side is counted and left out of all three.  An op's output is
+compared by a sha256 fingerprint taken after its time: the bytes of each
+array, the hex of each float, the fields of each record, and the bytes of
+each file a string names (a `scenario_sweep` op's CSVs, read before its
+directory is removed), so "identical" means every output bit is the
+same.  A ratio below 1 means the working tree is faster.  Interleaving one op at a time puts
 both sides under the same machine state, which `perfbench`'s separate
 runs cannot.  On a shared
 2-core Xeon VM, four A/A runs of `structures` (REV = HEAD with a clean
@@ -60,6 +65,8 @@ for _var in (
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import subprocess  # noqa: E402
@@ -94,12 +101,50 @@ def on(workloads, qs, call, *args):
     return call(*args)
 
 
+def fingerprint(out) -> str:
+    """The sha256 of an op's output bits: array bytes, float hex, record
+    fields by name, and a string naming a file by that file's bytes."""
+    digest = hashlib.sha256()
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, float):
+            digest.update(float(value).hex().encode())
+        elif isinstance(value, complex):
+            digest.update(f"{value.real.hex()},{value.imag.hex()}".encode())
+        elif isinstance(value, str) and os.path.isfile(value):
+            # the file's path differs between the sides, its bytes must not
+            digest.update(Path(value).read_bytes())
+        elif dataclasses.is_dataclass(value):
+            digest.update(type(value).__name__.encode())
+            for f in dataclasses.fields(value):
+                digest.update(f.name.encode())
+                walk(getattr(value, f.name))
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(key)
+                walk(item)
+        elif isinstance(value, (list, tuple)):
+            digest.update(f"{len(value)}[".encode())
+            for item in value:
+                walk(item)
+        else:
+            digest.update(repr(value).encode())
+
+    walk(out)
+    return digest.hexdigest()
+
+
 def timed(workloads, qs, op):
-    """The wall time in seconds of the perfbench op on qs, or None where it raises."""
+    """(the wall time in seconds of the perfbench op on qs, the fingerprint of
+    its output), or None where it raises."""
     start = time.perf_counter()
     try:
-        on(workloads, qs, op.run)
-        return time.perf_counter() - start
+        out = on(workloads, qs, op.run)
+        seconds = time.perf_counter() - start
+        return seconds, fingerprint(out)
     except qs.QShutterError:
         return None
     finally:
@@ -110,8 +155,9 @@ def timed(workloads, qs, op):
 
 def compare(workloads, workload, sides, seeds, n_ops, probe=None):
     """([(A's time, B's time)] of the ops neither side fails, the number
-    that fail on a side): one op at a time, the side that runs first
-    alternating, with probe() before each op when it is given."""
+    of those whose outputs are identical, the number that fail on a side):
+    one op at a time, the side that runs first alternating, with probe()
+    before each op when it is given."""
     streams = []
     for qs in sides:
         states = [on(workloads, qs, workload.setup, seed) for seed in seeds]
@@ -123,7 +169,7 @@ def compare(workloads, workload, sides, seeds, n_ops, probe=None):
                 itertools.islice(workload.ops(state), n_ops) for state in states
             )
         )
-    times, failed = [], 0
+    times, identical, failed = [], 0, 0
     for i, ops in enumerate(zip(*streams)):
         if probe is not None:
             probe()
@@ -133,9 +179,11 @@ def compare(workloads, workload, sides, seeds, n_ops, probe=None):
         pair = {qs.__name__: timed(workloads, qs, op) for qs, op in order}
         if None in pair.values():
             failed += 1
-        else:
-            times.append((pair["qshutter_a"], pair["qshutter_b"]))
-    return times, failed
+            continue
+        (a, bits_a), (b, bits_b) = pair["qshutter_a"], pair["qshutter_b"]
+        times.append((a, b))
+        identical += bits_a == bits_b
+    return times, identical, failed
 
 
 def main(argv=None) -> int:
@@ -163,7 +211,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         sides = (load(Path(tree) / "src", "qshutter_a"), load(ROOT / "src", "qshutter_b"))
         for name in args.workload:
-            times, failed = compare(
+            times, identical, failed = compare(
                 workloads, made[name], sides, args.seeds, args.ops, probe if args.probe else None
             )
             a, b = np.array(times).T
@@ -173,7 +221,8 @@ def main(argv=None) -> int:
                 f"{len(times)} ops, {failed} failed on a side"
             )
             print(f"summed: A {a.sum():.4f} s, B {b.sum():.4f} s, B/A {b.sum() / a.sum():.4f}")
-            print(f"per-op B/A: median {median:.4f} (q1 {q1:.4f}, q3 {q3:.4f})", flush=True)
+            print(f"per-op B/A: median {median:.4f} (q1 {q1:.4f}, q3 {q3:.4f})")
+            print(f"outputs identical on {identical} of {len(times)} ops", flush=True)
     return 0
 
 

@@ -36,9 +36,12 @@ psi_exact.cache_clear() emptying the grid memo before it, so that the M
 columns and the x rows are evaluated every round, and both warm, with
 one call before the rounds keeping the grid whose columns every timed
 call then fetches and the problem's x rows, so that they time the
-product alone, the same per-x map on a kept problem over a new time
-window each round, so that its x rows are kept and its M columns
-evaluated (`perfbench`'s `density_maps` op), the same map as
+product and the call around it, the bare product of the warm evaluation
+(np.dot of the kept grid's block and the kept row, one gemv), so that
+the warm call's cost above it can be read, the same per-x map on a kept
+problem over a new time window each round, so that its x rows are kept
+and its M columns evaluated (`perfbench`'s `density_maps` op), the same
+map as
 one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
 evaluation at another energy of the kept spectrum on a kept grid (each
 round's set-up empties the memo, keeps the grid's pole columns through
@@ -126,7 +129,7 @@ from qshutter.scattering import (  # noqa: E402
     solve_stationary,
     transfer_matrix,
 )
-from qshutter.transient import METHOD_EXACT, METHODS  # noqa: E402
+from qshutter.transient import METHOD_EXACT, METHODS, _grid, _GridKey  # noqa: E402
 
 SCAN_ENERGIES = np.linspace(0.1 / 4000, 0.1, 4000)
 TIMES = np.linspace(0.005, 10.0, 2000)
@@ -310,6 +313,17 @@ def test_psi_exact_warm(benchmark, problem):
         psi_exact, args=(problem, problem.L, TIMES), rounds=1000, warmup_rounds=1
     )
     assert psi.shape == TIMES.shape and np.all(np.isfinite(psi))
+
+
+def test_gemv_warm(benchmark, problem):
+    # the product of test_psi_exact_warm's call alone: the kept grid's block
+    # and the kept row, so that the time above it is the call's own cost
+    psi = psi_exact(problem, problem.L, TIMES)
+    grid = _grid(TIMES.shape, _GridKey(TIMES.tobytes()), problem.profile.hbar_over_2m)
+    _, block = grid.block
+    rows, _ = problem._x_rows[(problem.L, len(problem.modes))]
+    product = benchmark.pedantic(np.dot, args=(block, rows), rounds=1000, warmup_rounds=1)
+    assert product.tobytes() == psi.tobytes()
 
 
 def test_psi_exact_new_energy(benchmark, problem):

@@ -73,7 +73,8 @@ class Layer:
 class PotentialProfile:
     """Ordered layer stack on [0, L] with effective-mass ratio.
 
-    layers is one or more Layers (EmptyProfileError, ProfileError), and
+    layers is an iterable of one or more Layers (EmptyProfileError,
+    ProfileError), stored as a tuple so that the profile hashes, and
     mass_ratio a real number > 0 (MassRatioError), stored as a float.
     edges[j] is the left boundary of layer j, and total_length = edges[-1] = L.
     hbar2_over_2m is hbar^2/2m for the effective mass (eV nm^2) and
@@ -93,14 +94,15 @@ class PotentialProfile:
     edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.layers) == 0:
+        layers = _entries(self.layers, "layers must be Layers")
+        if len(layers) == 0:
             raise EmptyProfileError("profile needs at least one layer")
-        if not all(isinstance(layer, Layer) for layer in self.layers):
+        if not all(isinstance(layer, Layer) for layer in layers):
             raise ProfileError(f"layers must be Layers, got {self.layers!r}")
         mass_ratio = _real_finite(self.mass_ratio, "mass_ratio", MassRatioError, positive=True)
-        widths = np.array([l.width for l in self.layers])
+        widths = np.array([l.width for l in layers])
         arrays = {
-            "heights": np.array([l.height for l in self.layers]),
+            "heights": np.array([l.height for l in layers]),
             "widths": widths,
             "edges": np.concatenate(([0.0], np.cumsum(widths))),
         }
@@ -111,6 +113,7 @@ class PotentialProfile:
         object.__setattr__(self, "total_length", float(arrays["edges"][-1]))
         object.__setattr__(self, "hbar2_over_2m", hbar2_over_2m)
         object.__setattr__(self, "hbar_over_2m", hbar2_over_2m / HBAR_EV_PS)
+        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "mass_ratio", mass_ratio)
 
     @property
@@ -123,9 +126,10 @@ def build_profile(
 ) -> PotentialProfile:
     """A profile from (width nm, height eV) pairs: Layer reads each pair,
     its error naming the layer's index, and PotentialProfile the rest.
-    An entry that is not a pair raises ProfileError naming its layer."""
+    A layer_spec that is not iterable raises ProfileError, and so does an
+    entry that is not a pair, naming its layer."""
     layers = []
-    for j, entry in enumerate(layer_spec):
+    for j, entry in enumerate(_entries(layer_spec, "layers must be (width, height) pairs")):
         try:
             width, height = entry
             layers.append(Layer(width, height))
@@ -225,6 +229,14 @@ def _count(value, name: str, least: int = 1, error=DomainError) -> int:
     if count is None or count < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return count
+
+
+def _entries(values, message: str) -> tuple:
+    """values, an iterable, as a tuple; anything else raises ProfileError."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ProfileError(f"{message}, got {values!r}") from None
 
 
 def _broadcast_xt(x, t) -> None:

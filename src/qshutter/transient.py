@@ -189,7 +189,7 @@ def make_problem(
 
 
 def _result(psi):
-    return complex(psi) if np.ndim(psi) == 0 else psi
+    return psi if isinstance(psi, np.ndarray) and psi.ndim else complex(psi)
 
 
 class _GridKey:
@@ -271,10 +271,14 @@ def _product(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
     rows is (*x.shape, K) and columns (*t.shape, K).  An outer product of x
     and t (a 0-d x, a 0-d t, or an x whose trailing t.ndim axes are 1) is
-    one matrix product: a gemv for a 0-d x, a gemm for a map.  Any other
-    broadcast, such as x and t of one length taken as pairs, goes through
-    einsum.
+    one matrix product: a gemv for a 0-d x, a gemm for a map.  A 0-d x on a
+    1-D grid, the per-x call, is np.dot(columns, rows), one zgemv with the
+    bits of the (1, K) @ (K, T) matmul and less dispatch around it.  Any
+    other broadcast, such as x and t of one length taken as pairs, goes
+    through einsum.
     """
+    if rows.ndim == 1 and columns.ndim == 2:
+        return np.dot(columns, rows)
     n, x_shape, t_shape = rows.shape[-1], rows.shape[:-1], columns.shape[:-1]
     lead = x_shape[: max(len(x_shape) - len(t_shape), 0)]
     if all(d == 1 for d in x_shape[len(lead) :]):
@@ -298,25 +302,35 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     The rows are evaluated at x located once, with rho_-n = -rho_n* (see
     rho_mirror); a scalar x's rows and rho_n are kept on the problem under
     (x, n_max), and a hit skips _locate and every _wave (see psi_exact).
-    One _grid lookup checks t when it builds the grid (a free profile only
-    checks t), after x and before the broadcast of x against t; the call's
-    columns come as one stacked block (see _block).
+    A Python or numpy float x is looked up before it is read as an array;
+    any other x, and a float that misses, is read by _real_array first, so
+    a lookup never admits an x the check refuses.  A float64 array t is
+    used as given, and any other t read by _real_array.  One _grid lookup
+    checks t when it builds the grid (a free profile only checks t), after
+    x and before the broadcast of x against t; the call's columns come as
+    one stacked block (see _block).  The sum over all n_max pairs takes the
+    rows and the block whole, so a warm per-x call is one row lookup, one
+    grid lookup and one gemv.
     """
     n_max = max(n_modes)
     if len(problem.modes) < n_max:
         raise DomainError(f"needs {n_max} mode(s), problem has {len(problem.modes)}")
-    x = _real_array(x, "x")
-    key = (x.item(), n_max) if x.ndim == 0 else None
+    # a float x at a kept position skips the array conversion as well
+    key = (float(x), n_max) if type(x) is float or type(x) is np.float64 else None
     kept = problem._x_rows.get(key)
     if kept is None:
-        located = _locate(problem.field.edges, x)
-    t_arr = _real_array(t, "t")
+        x = _real_array(x, "x")
+        key = (x.item(), n_max) if x.ndim == 0 else None
+        kept = problem._x_rows.get(key)
+        if kept is None:
+            located = _locate(problem.field.edges, x)
+    t_arr = t if type(t) is np.ndarray and t.dtype == float else _real_array(t, "t")
     keep = t_arr.size <= _COLUMN_MEMO_POINTS
     grid = (_grid if keep else _grid.__wrapped__)(
         t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.hbar_over_2m
     )
-    # a 0-d x broadcasts against any t
-    if x.ndim:
+    # a kept x is 0-d, and a 0-d x broadcasts against any t
+    if kept is None and x.ndim:
         _broadcast_xt(x, t_arr)
     if not problem.modes:
         if not problem.profile.is_free:
@@ -340,7 +354,9 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
             problem._x_rows[key] = kept
     rows, rhos = kept
     return rhos, [
-        _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n]) for n in n_modes
+        _product(rows, columns) if n == n_max
+        else _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n])
+        for n in n_modes
     ]
 
 
@@ -380,7 +396,10 @@ def psi_exact(problem: ShutterProblem, x, t):
     kept).  A per-x map on a kept problem thus locates x and evaluates Phi
     and the u_n once per position, whatever its time window.  A hit returns
     the rows its miss computed, so every bit is the uncached call's, and it
-    may skip the x check: only an x that passed it is ever stored.  An
+    may skip the x check: only an x that passed it is ever stored.  A
+    Python or numpy float x is looked up before any array conversion, so a
+    warm call at a kept x on a kept grid is one row lookup, one grid lookup
+    and one gemv (see _sums); any other type of x is checked first.  An
     array x is never kept, the rows die with their problem, and
     psi_exact.cache_clear() leaves them alone.
     """

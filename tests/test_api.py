@@ -250,6 +250,8 @@ CONTRACT = {
         lambda p: build_profile([(np.float64(3.0), np.int64(0))], np.float32(0.5)), None
     ),
     "build_profile-str-layers": (lambda p: build_profile("ab", 0.067), ProfileError),
+    "build_profile-int-layers": (lambda p: build_profile(5, 0.067), ProfileError),
+    "build_profile-none-layers": (lambda p: build_profile(None, 0.067), ProfileError),
     "build_profile-short-layer": (lambda p: build_profile([(1.0,)], 0.067), ProfileError),
     "build_profile-long-layer": (lambda p: build_profile([(1.0, 0.1, 5)], 0.067), ProfileError),
     "build_profile-Layer-layer": (lambda p: build_profile([Layer(3.0, 0.1)], 0.067), ProfileError),
@@ -262,6 +264,12 @@ CONTRACT = {
         lambda p: PotentialProfile((Layer(3.0, -0.5),), 0.067), LayerHeightError
     ),
     "PotentialProfile-empty": (lambda p: PotentialProfile((), 0.067), EmptyProfileError),
+    # a list of layers is kept as a tuple, so the profile hashes for the memo
+    "PotentialProfile-list-layers": (
+        lambda p: make_spectrum(PotentialProfile([Layer(*l) for l in _LAYERS], 0.067), 1),
+        None,
+    ),
+    "PotentialProfile-int-layers": (lambda p: PotentialProfile(5, 0.067), ProfileError),
     "PotentialProfile-tuple-layer": (
         lambda p: PotentialProfile(((3.0, 0.12),), 0.067), ProfileError
     ),
@@ -354,6 +362,7 @@ CONTRACT = {
     ),
     "ScenarioConfig-numpy-points": (lambda p: _scenario(points=np.int64(50)), None),
     "ScenarioConfig-str-layers": (lambda p: _scenario(layers="abc"), ConfigError),
+    "ScenarioConfig-int-layers": (lambda p: _scenario(layers=5), ConfigError),
     "ScenarioConfig-negative-width": (lambda p: _scenario(layers=((-3.0, 0.1),)), ConfigError),
     "Incidence-unknown-kind": (lambda p: Incidence("bogus"), ConfigError),
     "Incidence-str-value": (lambda p: Incidence("offset", "2"), ConfigError),

@@ -946,6 +946,24 @@ class TestRowMemo:
                         f(p, x, times)
         assert p._x_rows == {}
 
+    def test_a_kept_position_refuses_what_a_cold_call_refuses(self, fresh, times):
+        p, q = fresh(), fresh()
+        x = 0.37 * p.L
+        # x, and 1.0 = float(True), are kept, and so is the grid of times
+        for kept in (x, 1.0):
+            psi_exact(p, kept, times)
+        nan_t = times.copy()
+        nan_t[3] = np.nan
+        for t in (True, "0.5", times > 0, nan_t):
+            with pytest.raises(DomainError):
+                psi_exact(p, x, t)
+        for bad in (True, str(x), x + 0j):
+            with pytest.raises(DomainError):
+                psi_exact(p, bad, times)
+        # other real types, at kept and new positions, give the cold call's bits
+        for y in (1, 2, np.array(x), np.array(0.5 * p.L), np.float32(x)):
+            assert _hexes(psi_exact(p, y, times)) == _hexes(psi_exact(q, float(y), times))
+
     def test_signed_zeros_share_a_key_and_their_bits(self, fresh, times):
         p, q = fresh(), fresh()
         first = [psi_exact(p, x, times) for x in (-0.0, 0.0)]
