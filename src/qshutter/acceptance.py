@@ -30,7 +30,7 @@ import numpy as np
 from . import reference
 from .config import Incidence
 from .mfunc import faddeeva, m_function, m_function_scaled
-from .model import HBAR_MEV_PS, build_profile, energy_of, wavenumber
+from .model import HBAR_EV_PS, HBAR_MEV_PS, build_profile, energy_of, wavenumber
 from .modes import rho
 from .output import Check, Manifest, check_abs, check_bound
 from .poles import find_poles
@@ -321,19 +321,11 @@ def _check_faddeeva_oracle(rng: np.random.Generator) -> list[Check]:
         angles = rng.uniform(0.0, 2.0 * np.pi, n_pts)
         zs = radii * np.exp(1j * angles)
         worst = 0.0
-        skipped = 0
         for z in zs:
             ref = reference.faddeeva(complex(z))
-            if abs(ref) > 1e280:
-                # beyond double range in the deep lower half plane; no
-                # double-precision implementation can represent the value
-                skipped += 1
-                continue
             got = complex(faddeeva(complex(z)))
             worst = max(worst, abs(got - complex(ref)) / float(abs(ref)))
         name = f"Faddeeva vs 50-digit reference, {label}"
-        if skipped:
-            name += f" ({skipped} unrepresentable points skipped)"
         checks.append(check_bound(name, f"rel err < {tol:g}", worst, worst < tol))
     return checks
 
@@ -398,7 +390,7 @@ def _check_factorizations() -> Check:
     t = np.linspace(0.0, 10.0 * p[0].tau, 400)
     for E in (_doublet_center("triple"), Incidence("offset", 2.0).energy(p)):
         fr = frequencies(E, p[0], p[1])
-        h2 = 2.0 * fr.hbar
+        h2 = 2.0 * HBAR_EV_PS
         z = {
             n: np.exp((1j * getattr(fr, f"omega_hat_{n}") - getattr(fr, f"Gamma_{n}") / h2) * t)
             for n in (1, 2)

@@ -56,6 +56,8 @@ class ResonantMode:
     u_R = 1 and u_R' = i k_n, it is the exit-condition residual
     |u'(L) - i k_n u(L)| / (|u'(L)| + |k_n u(L)|).
     normalization_residual is |integral + surface term - 1| after scaling.
+    u0 is 1/sqrt(N), N the unscaled integral + surface term, on numpy's
+    principal branch, so Re u0 >= 0 (solve_mode).
     edges, q and coefficients are read-only: make_spectrum hands one mode
     to every caller that asks for its profile.
     """
@@ -123,8 +125,8 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
 
     The left piece starts as (1, -i k_n) at x = 0, the right piece as
     (1, +i k_n) at x = L; the right piece is scaled to meet the left one at
-    the join edge (see ResonantMode).  The global sign of the normalized
-    mode is fixed by arg u_n(0) in (-pi/2, pi/2].
+    the join edge (see ResonantMode).  That edge is never x = 0, so the
+    unscaled u(0) is the left start's 1, and the scale is u_n(0).
     """
     k_n = pole.k
     # a batch of one point: the pieces walk in Python numbers (_outgoing)
@@ -147,10 +149,6 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
     u0, uL = coeffs[0][0], alpha * right[-1, 0, 0]
     nsq = _norm_square(coeffs, q, profile, u0, uL, k_n)
     scale = 1.0 / np.sqrt(nsq)
-    # sign convention: arg u(0) in (-pi/2, pi/2]
-    u0_scaled = u0 * scale
-    if u0_scaled.real < 0 or (u0_scaled.real == 0 and u0_scaled.imag < 0):
-        scale = -scale
     coeffs = coeffs * scale
     u0, uL = u0 * scale, uL * scale
     norm_residual = abs(_norm_square(coeffs, q, profile, u0, uL, k_n) - 1.0)

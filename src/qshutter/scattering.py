@@ -56,8 +56,9 @@ reads q, and forms it for its one k); only the read-off of M is complex.
 A complex-typed k (Newton iterates, poles, modes) runs the same code in
 complex arithmetic.
 
-A scan ends in (s, d), from which transmission forms t = 1/m22 through
-_m22, with the bits of transfer_matrix's m22.
+T(E) has one read-off, _transmitted: t = 1/m22 from P's entries through
+_sd and _m22, with the bits of transfer_matrix's m22.  A scalar E hands it
+_fundamental's end, a scan each block's _layer_product end.
 
 The pole search and the resonant-mode solver share the outgoing pieces
 (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
@@ -424,12 +425,6 @@ def _fundamental(profile: PotentialProfile, k: np.ndarray):
     return layers, f1, f2, ((end[0:1], end[2:3]), (end[1:2], end[3:4]))
 
 
-def _scan_sd(profile: PotentialProfile, k: np.ndarray):
-    """(s, d) at a 1-D array of real k, through the walk and the
-    expressions transfer_matrix uses for them (_layer_product, _sd)."""
-    return _sd(k, _layer_product(*_layers(profile, k)[1:4]))
-
-
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
     """Exterior plane-wave transfer matrix at (possibly complex) k != 0.
 
@@ -470,13 +465,18 @@ def transmission(profile: PotentialProfile, E):
     bound the working memory.  The unitarity and overflow errors are raised
     for the point a loop over E in C order would meet first.
 
-    A Python or numpy float E in (0, inf) takes a one-point path
-    (_transmission_at) with the same arithmetic and checks; every other E
-    (0-d arrays, ints, other dtypes, complex, invalid values) takes the
+    A Python or numpy float E in (0, inf) takes a one-point path, bit for
+    bit the array path's entry: k (wavenumber's complex sqrt), the layers
+    and the complex read-off (_transmitted) are formed on one-element
+    arrays, and the real walk in Python floats (_fundamental).  Every other
+    E (0-d arrays, ints, other dtypes, complex, invalid values) takes the
     array path.
     """
     if isinstance(E, float) and 0.0 < E < np.inf:
-        return _transmission_at(profile, E)
+        k = wavenumber(np.array([E]), profile).real
+        t, T = _transmitted(profile, k, _fundamental(profile, k)[3])
+        _check_unitarity(T)
+        return complex(t[0]), float(T[0])
     E = _complex_array(E, "E")
     valid = np.isreal(E) & (E.real > 0) & (E.real < np.inf)
     if not valid.all():
@@ -487,52 +487,32 @@ def transmission(profile: PotentialProfile, E):
     return t.reshape(E.shape), T.reshape(E.shape)
 
 
-def _transmitted(profile: PotentialProfile, k: np.ndarray, s, d):
-    """(t, T = |t|^2) of transmission from a scan's (s, d): t = 1/m22."""
-    t = 1.0 / _m22(profile, k, s, d)[0]
+def _transmitted(profile: PotentialProfile, k: np.ndarray, end):
+    """(t, T = |t|^2) from P's entries end = ((P11, P12), (P21, P22)): t =
+    1/m22, with m22 formed through _sd and _m22 as _read_off forms it."""
+    t = 1.0 / _m22(profile, k, *_sd(k, end))[0]
     return t, np.abs(t) ** 2
 
 
 def _scan(profile: PotentialProfile, k: np.ndarray):
     """(t, T) of _transmitted at a 1-D array of real k > 0, without
-    transmission's input checks: _scan_sd in blocks of _BLOCK points, with
-    the guard and the unitarity check of T.
-
-    One block is returned as it is read; more are written into whole arrays
-    of the first block's dtypes, so that no block outlives its write.
-    """
-    # no points still read one (empty) block, for the arrays' dtypes
-    for start in range(0, k.size, _BLOCK) or [0]:
+    transmission's input checks: _layer_product's end in blocks of _BLOCK
+    points, each written into whole arrays as it is read, with the guard
+    and the unitarity check of T."""
+    t, T = np.empty(k.shape, complex), np.empty(k.shape)
+    for start in range(0, k.size, _BLOCK):
         block = k[start : start + _BLOCK]
         try:
-            part = _transmitted(profile, block, *_scan_sd(profile, block))
+            layers = _layers(profile, block)
         except OverflowGuardError as err:
             # a loop over E meets the points before the guarded one first
-            head = block[: err.point]
-            _check_unitarity(_transmitted(profile, head, *_scan_sd(profile, head))[1])
+            _scan(profile, block[: err.point])
             err.point += start
             raise
+        part = _transmitted(profile, block, _layer_product(*layers[1:4]))
         _check_unitarity(part[1])
-        if start == 0:
-            if block.size == k.size:
-                return part
-            whole = tuple(np.empty(k.shape, dtype=a.dtype) for a in part)
-        for out, a in zip(whole, part):
-            out[start : start + block.size] = a
-    return whole
-
-
-def _transmission_at(profile: PotentialProfile, E: float) -> tuple[complex, float]:
-    """transmission at one valid float E, bit for bit the array path's entry.
-
-    k (wavenumber's complex sqrt), the layers and the complex read-off of M
-    (_m22, 1/m22, |t|^2) are formed on one-element arrays, and the real
-    walk in Python floats (_fundamental).
-    """
-    k = wavenumber(np.array([E]), profile).real
-    t, T = _transmitted(profile, k, *_sd(k, _fundamental(profile, k)[3]))
-    _check_unitarity(T)
-    return complex(t[0]), float(T[0])
+        t[start : start + block.size], T[start : start + block.size] = part
+    return t, T
 
 
 def _check_unitarity(T: np.ndarray) -> None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import _broadcast_xt, _count, _real_array, _real_finite, _times
+from .model import HBAR_EV_PS, _broadcast_xt, _count, _real_array, _real_finite, _times
 from .modes import ResonantMode, _rho
 from .poles import ResonancePole
 from .scattering import _locate, _wave
@@ -72,8 +72,8 @@ class DoubletFrequencies:
     """Signed detunings and the Bohr frequency of a resonance doublet.
 
     omega_hat_n = (E - curlyE_n)/hbar and omega_hat_21 = (curlyE_2 -
-    curlyE_1)/hbar in rad/ps; omega_21 = |omega_hat_21|.  Gammas in eV,
-    E in eV.
+    curlyE_1)/hbar in rad/ps, hbar = model.HBAR_EV_PS; omega_21 =
+    |omega_hat_21|.  Gammas in eV, E in eV.
     """
 
     E: float
@@ -82,7 +82,6 @@ class DoubletFrequencies:
     omega_hat_21: float
     Gamma_1: float
     Gamma_2: float
-    hbar: float
 
     @property
     def omega_21(self) -> float:
@@ -104,15 +103,13 @@ def frequencies(E: float, pole_1: ResonancePole, pole_2: ResonancePole
         raise DomainError(
             f"doublet must be ordered curlyE_2 > curlyE_1, got {e2} <= {e1}"
         )
-    hbar = pole_1.hbar
     return DoubletFrequencies(
         E=E,
-        omega_hat_1=(E - e1) / hbar,
-        omega_hat_2=(E - e2) / hbar,
-        omega_hat_21=(e2 - e1) / hbar,
+        omega_hat_1=(E - e1) / HBAR_EV_PS,
+        omega_hat_2=(E - e2) / HBAR_EV_PS,
+        omega_hat_21=(e2 - e1) / HBAR_EV_PS,
         Gamma_1=pole_1.Gamma,
         Gamma_2=pole_2.Gamma,
-        hbar=hbar,
     )
 
 
@@ -120,7 +117,7 @@ def chi(freqs: DoubletFrequencies, n: int, t):
     """chi_n(E, t) in [0, 4]; vectorized over t >= 0."""
     omega, gamma = freqs._pick(n)
     t_arr = _times(t)
-    g = gamma * t_arr / (2.0 * freqs.hbar)
+    g = gamma * t_arr / (2.0 * HBAR_EV_PS)
     out = 1.0 - 2.0 * np.cos(omega * t_arr) * np.exp(-g) + np.exp(-2.0 * g)
     return float(out) if np.asarray(t).ndim == 0 else out
 
@@ -132,7 +129,7 @@ def xi(freqs: DoubletFrequencies, m: int, n: int, t):
     om, gm = freqs._pick(m)
     on, gn = freqs._pick(n)
     t_arr = _times(t)
-    h2 = 2.0 * freqs.hbar
+    h2 = 2.0 * HBAR_EV_PS
     out = (
         1.0
         - np.exp(1j * om * t_arr - gm * t_arr / h2)
@@ -164,7 +161,7 @@ def density_two_level(
     located = _locate(mode_1.edges, x)
     r1, r2 = (_rho(m, k, _wave(m.q, m.coefficients, *located)) for m in (mode_1, mode_2))
     t_arr = _times(t)
-    h2 = 2.0 * freqs.hbar
+    h2 = 2.0 * HBAR_EV_PS
     psi = sum(
         r * -np.expm1((1j * omega - gamma / h2) * t_arr)
         for r, (omega, gamma) in ((r1, freqs._pick(1)), (r2, freqs._pick(2)))

@@ -1,11 +1,16 @@
 """Resonant states: outgoing conditions, normalization, and rho factors."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qshutter import DomainError, build_profile, find_poles, reference, solve_mode
-from qshutter.model import wavenumber
+from golden import POLE_PROFILES
+from qshutter import DomainError, PoleQualityError, build_profile, find_poles, reference, solve_mode
+from qshutter.model import HBAR_EV_PS, energy_of, wavenumber
+from qshutter.poles import ResonancePole
 from qshutter.modes import rho, rho_mirror
 from qshutter.presets import MASS_RATIO
 from qshutter.scattering import solve_stationary, stationary_wave
@@ -80,10 +85,35 @@ class TestSolveMode:
         ref = complex(reference.layer_integral(a, b, q, w))
         assert abs(_layer_integral(a, b, q, w) - ref) <= 1e-13 * abs(ref)
 
-    def test_sign_convention(self, triple_modes, double_modes):
-        for m in triple_modes + double_modes:
-            arg = np.angle(m.u0)
-            assert -np.pi / 2 < arg <= np.pi / 2
+    def test_sign_convention(self):
+        # u_n(0) is 1/sqrt(N) on numpy's principal branch, N the unscaled
+        # norm square, on every mode of the golden record's profiles
+        for layers, n in POLE_PROFILES.values():
+            profile = build_profile(list(layers), MASS_RATIO)
+            for pole in find_poles(profile, n):
+                arg = np.angle(solve_mode(profile, pole).u0)
+                assert -np.pi / 2 < arg <= np.pi / 2
+
+    def test_unconverged_pole_is_refused(self, triple_profile, triple_poles):
+        # the first pole moved by a relative 1e-6: the pieces miss at the join
+        k = triple_poles[0].k * (1 + 1e-6)
+        moved = dataclasses.replace(triple_poles[0], k=k, E=energy_of(k, triple_profile))
+        message = ("pole n=1: outgoing residual 5.195e-06 at the join x = 3 nm; "
+                   "pole likely unconverged")
+        with pytest.raises(PoleQualityError, match=re.escape(message)):
+            solve_mode(triple_profile, moved)
+
+    def test_no_trusted_join_edge_is_refused(self):
+        # two free 10 nm layers at k = 0.1 - 1i: each outgoing piece, e^{-ikx}
+        # and e^{ik(x - L)}, falls by e^-10 to the one interior edge, where its
+        # march's rounding may have grown by e^10, so neither keeps its digits
+        profile = build_profile([(10.0, 0.0), (10.0, 0.0)], MASS_RATIO)
+        k = 0.1 - 1j
+        pole = ResonancePole(1, k, energy_of(k, profile), HBAR_EV_PS)
+        message = ("pole n=1: no join edge where both outgoing pieces keep their "
+                   "digits; pole likely unconverged")
+        with pytest.raises(PoleQualityError, match=re.escape(message)):
+            solve_mode(profile, pole)
 
     def test_x_outside_rejected(self, triple_modes, triple_profile):
         with pytest.raises(DomainError):

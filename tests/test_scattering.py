@@ -413,6 +413,21 @@ class TestRealAxis:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=QShutterError,
+        reason="at a sharp resonance the march's rounding (ROADMAP item 5) puts T "
+        "1.8e-9 above 1, past the 1e-9 unitarity tolerance, and transmission raises",
+    )
+    def test_transmission_at_a_sharp_pole_energy(self):
+        # T(E_1) = 1 - 6e-15 by the high-precision product, and the solved
+        # field at the same energy reads |t|^2 - 1 = 1.8e-9 with no error
+        profile = build_profile([(12.0, 0.3), (10.0, 0.0), (12.0, 0.3)], MASS_RATIO)
+        E_1 = find_poles(profile, 1)[0].E_position
+        _, T = transmission(profile, E_1)
+        T_ref = float(reference.transmission(profile, wavenumber(E_1, profile).real))
+        assert abs(T - T_ref) < 1e-10 * T_ref
+
+    @pytest.mark.xfail(
+        strict=True,
         reason="Phi is marched forward from x = 0, and the rounding of that "
         "start grows through each opaque barrier as the growing solution does "
         "(ROADMAP item 23): the relative miss reads 3.6e2, 7.6e13 and 7.7e32",
@@ -522,7 +537,7 @@ class TestSuperlattice:
         g = p[0, 0] + p[1, 1] - 1j * (k * p[0, 1] - p[1, 0] / k)
         m22 = 0.5 * np.exp(1j * k * profile.total_length) * g
         assert np.max(np.abs(transfer_matrix(profile, k).m22 - m22) / np.abs(m22)) < bound
-        s, d = scattering._scan_sd(profile, k)
+        s, d = scattering._sd(k, scattering._layer_product(*scattering._layers(profile, k)[1:4]))
         assert np.max(np.abs(s - 1j * d - g) / np.abs(g)) < bound
 
 

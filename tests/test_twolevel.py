@@ -20,13 +20,14 @@ from qshutter import (
     xi,
 )
 from qshutter import twolevel
+from qshutter.model import HBAR_EV_PS
 from qshutter.modes import rho
 from qshutter.twolevel import clamp_count, density_resonant_exponential
 
 
 def factored_sum(r1, r2, freqs, t):
     """sum_{n=1,2} rho_n (1 - e^{(i omega_hat_n - Gamma_n/2 hbar) t})."""
-    h2 = 2.0 * freqs.hbar
+    h2 = 2.0 * HBAR_EV_PS
     return r1 * -np.expm1((1j * freqs.omega_hat_1 - freqs.Gamma_1 / h2) * t) + r2 * -np.expm1(
         (1j * freqs.omega_hat_2 - freqs.Gamma_2 / h2) * t
     )
@@ -100,7 +101,7 @@ class TestChi:
                 if n == 1
                 else (freqs_ebar.omega_hat_2, freqs_ebar.Gamma_2)
             )
-            amp = 1.0 - np.exp(1j * om * t - gm * t / (2.0 * freqs_ebar.hbar))
+            amp = 1.0 - np.exp(1j * om * t - gm * t / (2.0 * HBAR_EV_PS))
             assert chi(freqs_ebar, n, t) == pytest.approx(abs(amp) ** 2, abs=1e-13)
 
     def test_range(self, freqs_ebar, rng):
@@ -141,7 +142,7 @@ class TestXi:
     def test_factorization_identity(self, freqs_ebar, rng):
         # xi_mn = (1 - e^{i omega_hat_m t - ...})(1 - e^{-i omega_hat_n t - ...});
         # this also pins the sign convention of the cross exponential
-        h2 = 2.0 * freqs_ebar.hbar
+        h2 = 2.0 * HBAR_EV_PS
         for _ in range(100):
             t = rng.uniform(0.0, 20.0)
             f1 = 1.0 - np.exp(
@@ -170,7 +171,7 @@ class TestDensityTwoLevel:
     ):
         # |rho_1 (1 - e^{...1}) + rho_2 (1 - e^{...2})|^2 pointwise
         k, L = problem_ebar.k, problem_ebar.L
-        h2 = 2.0 * freqs_ebar.hbar
+        h2 = 2.0 * HBAR_EV_PS
         for _ in range(100):
             x = rng.uniform(0.0, L)
             t = rng.uniform(0.0, 20.0)
@@ -279,7 +280,7 @@ class TestDensityTwoLevel:
         r1, r2 = rho(mode_1, problem.k, problem.L), rho(mode_2, problem.k, problem.L)
         got = density_two_level(mode_1, mode_2, freqs, problem.L, problem.k, t)
         with mp.workdps(50):
-            h2 = 2 * mp.mpf(freqs.hbar)
+            h2 = 2 * mp.mpf(HBAR_EV_PS)
             terms = [
                 (mp.mpc(r), mp.mpc(0, om) - mp.mpf(gamma) / h2)
                 for r, om, gamma in (
@@ -299,7 +300,7 @@ class TestDensityTwoLevel:
         mode_1, mode_2 = triple_modes[:2]
         k, L = problem_ebar.k, problem_ebar.L
         t = np.geomspace(1e-12, 1e-6, 200)
-        h2 = 2.0 * freqs_ebar.hbar
+        h2 = 2.0 * HBAR_EV_PS
         psi = 0.0
         for mode, n in ((mode_1, 1), (mode_2, 2)):
             omega, gamma = freqs_ebar._pick(n)
