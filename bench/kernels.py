@@ -321,7 +321,7 @@ def test_gemv_warm(benchmark, problem):
     psi = psi_exact(problem, problem.L, TIMES)
     grid = _grid(TIMES.shape, _GridKey(TIMES.tobytes()), problem.profile.hbar_over_2m)
     _, block = grid.block
-    rows, _ = problem._x_rows[(problem.L, len(problem.modes))]
+    rows = problem._x_rows[(problem.L, len(problem.modes))]
     product = benchmark.pedantic(np.dot, args=(block, rows), rounds=1000, warmup_rounds=1)
     assert product.tobytes() == psi.tobytes()
 

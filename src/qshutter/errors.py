@@ -46,7 +46,12 @@ class OverflowGuardError(QShutterError, ArithmeticError):
     """
 
     def __init__(
-        self, layer_index: int, exponent_magnitude: float, point: int = 0, summed: bool = False
+        self,
+        layer_index: int,
+        exponent_magnitude: float,
+        limit: float,
+        point: int = 0,
+        summed: bool = False,
     ):
         self.layer_index = layer_index
         self.exponent_magnitude = exponent_magnitude
@@ -54,10 +59,10 @@ class OverflowGuardError(QShutterError, ArithmeticError):
         self.summed = summed
         if summed:
             what = f"layers 0-{layer_index}: summed |Im(q)*width| = {exponent_magnitude:.3g}"
-            guard = "the march guard (600); the march's growth overflows"
+            guard = f"the march guard ({limit:g}); the march's growth overflows"
         else:
             what = f"layer {layer_index}: |Im(q)*width| = {exponent_magnitude:.3g}"
-            guard = "the overflow guard (300); evanescent decay underflows"
+            guard = f"the overflow guard ({limit:g}); evanescent decay underflows"
         super().__init__(f"{what} exceeds {guard} double precision")
 
 

@@ -250,10 +250,10 @@ def _guard(exponent: np.ndarray) -> None:
     point = int(tripped.argmax())
     if over[:, point].any():
         layer = int(over[:, point].argmax())
-        raise OverflowGuardError(layer, float(exponent[layer, point]), point)
+        raise OverflowGuardError(layer, float(exponent[layer, point]), OVERFLOW_GUARD, point)
     summed = np.cumsum(exponent[:, point])
     layer = int((summed > MARCH_GUARD).argmax())
-    raise OverflowGuardError(layer, float(summed[layer]), point, summed=True)
+    raise OverflowGuardError(layer, float(summed[layer]), MARCH_GUARD, point, summed=True)
 
 
 def _walk(c, ws, m, value, slope):

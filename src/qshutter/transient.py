@@ -112,7 +112,7 @@ class ShutterProblem:
 
     @cached_property
     def _x_rows(self) -> dict:
-        """(x, mode count) -> (read-only rows, rho_n tuple) of kept scalar x; see _sums."""
+        """(x, mode count) -> the read-only rows of a kept scalar x; see _sums."""
         return {}
 
 
@@ -287,7 +287,7 @@ def _product(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 def _sums(problem: ShutterProblem, x, t, *n_modes: int):
-    """(rho_n of the summed modes, one partial sum per count in n_modes).
+    """(the x rows, one partial sum per count in n_modes).
 
     Psi(x, t) is the separable sum R(x) . C(t): x enters only through the
     2 + 2N rows R = [Phi, -Phi*, -rho_1, rho_1*, -rho_2, ...] and t only
@@ -300,7 +300,7 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     sum is then the free-shutter solution.
 
     The rows are evaluated at x located once, with rho_-n = -rho_n* (see
-    rho_mirror); a scalar x's rows and rho_n are kept on the problem under
+    rho_mirror); a scalar x's rows are kept on the problem under
     (x, n_max), and a hit skips _locate and every _wave (see psi_exact).
     A Python or numpy float x is looked up before it is read as an array;
     any other x, and a float that misses, is read by _real_array first, so
@@ -317,12 +317,12 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
         raise DomainError(f"needs {n_max} mode(s), problem has {len(problem.modes)}")
     # a float x at a kept position skips the array conversion as well
     key = (float(x), n_max) if type(x) is float or type(x) is np.float64 else None
-    kept = problem._x_rows.get(key)
-    if kept is None:
+    rows = problem._x_rows.get(key)
+    if rows is None:
         x = _real_array(x, "x")
         key = (x.item(), n_max) if x.ndim == 0 else None
-        kept = problem._x_rows.get(key)
-        if kept is None:
+        rows = problem._x_rows.get(key)
+        if rows is None:
             located = _locate(problem.field.edges, x)
     t_arr = t if type(t) is np.ndarray and t.dtype == float else _real_array(t, "t")
     keep = t_arr.size <= _COLUMN_MEMO_POINTS
@@ -330,30 +330,26 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
         t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.hbar_over_2m
     )
     # a kept x is 0-d, and a 0-d x broadcasts against any t
-    if kept is None and x.ndim:
+    if rows is None and x.ndim:
         _broadcast_xt(x, t_arr)
     if not problem.modes:
         if not problem.profile.is_free:
             raise DomainError("problem carries no modes for a non-free profile")
         psi = free_shutter_psi(problem.k, x, t, problem.profile.hbar_over_2m)
-        return (), [psi] * len(n_modes)
+        return None, [psi] * len(n_modes)
     size = 2 + 2 * n_max
     columns = _block(grid, problem._wave_numbers[:size], keep)
-    if kept is None:
+    if rows is None:
         phi = _wave(problem.field.q, problem.field.coefficients, *located)
         rows = np.empty((*x.shape, size), dtype=complex)
         rows[..., 0], rows[..., 1] = phi, -np.conj(phi)
-        rhos = []
         for n, mode in enumerate(problem.modes[:n_max]):
             rho = _rho(mode, problem.k, _wave(mode.q, mode.coefficients, *located))
             rows[..., 2 * n + 2], rows[..., 2 * n + 3] = -rho, np.conj(rho)
-            rhos.append(rho)
-        kept = rows, tuple(rhos)
         if key is not None and len(problem._x_rows) < _COLUMN_MEMO_POINTS:
             rows.flags.writeable = False
-            problem._x_rows[key] = kept
-    rows, rhos = kept
-    return rhos, [
+            problem._x_rows[key] = rows
+    return rows, [
         _product(rows, columns) if n == n_max
         else _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n])
         for n in n_modes
@@ -391,7 +387,7 @@ def psi_exact(problem: ShutterProblem, x, t):
 
     The x half is kept as well, on the problem itself: a scalar x, keyed
     by its Python float and the call's mode count (so -0.0 and 0.0 share
-    a key), keeps its read-only rows and rho_n, for at most 4096 positions
+    a key), keeps its read-only rows, for at most 4096 positions
     per problem (_COLUMN_MEMO_POINTS; a later position is evaluated and not
     kept).  A per-x map on a kept problem thus locates x and evaluates Phi
     and the u_n once per position, whatever its time window.  A hit returns
@@ -430,7 +426,8 @@ def delta_term(problem: ShutterProblem, x, t):
     at small t it is O(1) and enforces the vanishing initial condition.
     x and t broadcast against each other, as in psi_exact.
     """
-    (rho_1, rho_2), (doublet,) = _sums(problem, x, t, 2)
+    rows, (doublet,) = _sums(problem, x, t, 2)
+    rho_1, rho_2 = -rows[..., 2], -rows[..., 4]
     t_arr = np.asarray(t, dtype=float)
     phase_k, phase_1, phase_2 = (
         np.exp(-1j * E * t_arr / HBAR_EV_PS)

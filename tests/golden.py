@@ -8,18 +8,38 @@ with the numpy, scipy and BLAS versions it was made with, since the last
 bits of a cell depend on them.  For each profile of POLE_PROFILES it holds,
 as float.hex, every pole's k, every mode's u0, uL and two residuals and
 T(E_n) at every pole, and for one failing Newton seed the error's type and
-text.  tests/test_golden.py regenerates the outputs and compares; a change
-that moves a cell or a bit rewrites the record with
+text.  It also holds the lines `qshutter selftest` prints, with criterion
+1's measured runtime masked.  tests/test_golden.py regenerates the
+outputs and compares; a change that moves a cell or a bit rewrites the
+record with
 
     PYTHONPATH=src python tests/golden.py
 
-and lists the moved cells and bits in CHANGES.md.
+and lists the moved cells and bits in CHANGES.md, which
+
+    PYTHONPATH=src python tests/golden.py --against REV
+
+counts: this file's generate, pole_record and selftest_lines run on the
+package of the committed tree of git revision REV and on the working
+tree's, each in a child process with its own PYTHONPATH; it then prints
+per file (the selftest's lines are one more file) the numeric
+cells moved, the worst relative and absolute move and the first moved
+lines, then the pole and mode entries moved as compare_poles names them,
+and writes nothing.  It exits 0 when nothing moved and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
+import math
+import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -73,6 +93,11 @@ POLE_PROFILES = {
 }
 # a seed on the triple barrier whose first Newton step trips the overflow guard
 GUARD_SEED = 0.150123534489 - 0.001646011879j
+# criterion 1's measured pole-search runtime, the one selftest number that
+# is not a function of the inputs
+RUNTIME = re.compile(r"(pole search runtime \(s\): .*, measured ).*")
+# the cells of a line: its comma- or blank-separated tokens
+CELL = re.compile(r"[,\s]+")
 
 
 def generate(out_dir: Path) -> dict:
@@ -112,6 +137,18 @@ def summarize(out_dir: Path) -> dict:
             "sampled": sampled,
         }
     return files
+
+
+def selftest_lines(stdout: str) -> list[str]:
+    """The lines `qshutter selftest` printed, with the runtime masked."""
+    return [RUNTIME.sub(r"\1*", line) for line in stdout.splitlines()]
+
+
+def selftest_stdout() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["selftest"])
+    return out.getvalue()
 
 
 def compare(record: dict, files: dict) -> list[str]:
@@ -187,7 +224,109 @@ def compare_poles(record: dict, current: dict) -> list[str]:
     return problems
 
 
-def main() -> int:
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def diff_trees(old: Path, new: Path) -> tuple[list[str], int]:
+    """(report, files that differ) between two trees of output files.
+
+    A numeric cell is one that float() reads.  Per file that differs the
+    report gives the numeric cells moved, the worst relative and absolute
+    move, the other cells moved and the first three moved lines; its last
+    line counts the numeric cells of the old tree and the cells moved.
+    """
+    names = sorted(
+        {p.relative_to(d).as_posix() for d in (old, new) for p in d.rglob("*") if p.is_file()}
+    )
+    report, cells, moved, differ = [], 0, 0, 0
+    for name in names:
+        if not ((old / name).is_file() and (new / name).is_file()):
+            report.append(f"{name}: only in the {'old' if (old / name).is_file() else 'new'} tree")
+            differ += 1
+            continue
+        a, b = ((d / name).read_text().splitlines() for d in (old, new))
+        n_moved, other, worst_rel, worst_abs, lines = 0, 0, 0.0, 0.0, []
+        for n, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=""), 1):
+            xs = CELL.split(x)
+            cells += sum(_number(c) is not None for c in xs)
+            if x == y:
+                continue
+            lines.append(f"  line {n}: {x!r} -> {y!r}")
+            for was, now in itertools.zip_longest(xs, CELL.split(y), fillvalue=""):
+                if was == now:
+                    continue
+                u, v = _number(was), _number(now)
+                if u is None or v is None:
+                    other += 1
+                    continue
+                n_moved += 1
+                worst_abs = max(worst_abs, abs(v - u))
+                worst_rel = max(worst_rel, abs(v - u) / abs(u) if u else math.inf)
+        if lines:
+            differ += 1
+            moved += n_moved
+            report.append(
+                f"{name}: {n_moved} numeric cells moved (worst rel {worst_rel:.3g}, "
+                f"abs {worst_abs:.3g}), {other} other cells moved"
+            )
+            report += lines[:3]
+    report.append(
+        f"outputs: {moved} of {cells} numeric cells moved, {differ} of {len(names)} files differ"
+    )
+    return report, differ
+
+
+def emit(out_dir: Path) -> None:
+    """This tree's outputs and selftest lines under out_dir/files, and its
+    pole record in out_dir/poles.json."""
+    generate(out_dir / "files")
+    lines = selftest_lines(selftest_stdout())
+    (out_dir / "files" / "selftest.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "poles.json").write_text(json.dumps(pole_record()))
+
+
+def against(rev: str) -> int:
+    """Print what moved from the committed tree of rev to the working tree."""
+    root = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(
+            ["git", "-C", str(root), "archive", rev, "src"], capture_output=True, check=True
+        ).stdout
+        (tmp / "rev").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
+        for side, src in (("old", tmp / "rev" / "src"), ("new", root / "src")):
+            run = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--emit", str(tmp / side)],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+            )
+            if run.returncode:
+                raise RuntimeError(f"generating the {side} tree failed:\n{run.stderr}")
+        report, differ = diff_trees(tmp / "old" / "files", tmp / "new" / "files")
+        old, new = (json.loads((tmp / side / "poles.json").read_text()) for side in ("old", "new"))
+    poles = compare_poles(old, new)
+    entries = sum(len(values) for fields in old.values() for values in fields.values())
+    print("\n".join(report))
+    print("\n".join([f"poles: {len(poles)} of {entries} entries moved", *poles[:10]]))
+    return int(bool(differ or poles))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write the golden record, or count moves.")
+    parser.add_argument("--against", metavar="REV", help="count what moved since REV")
+    parser.add_argument("--emit", metavar="DIR", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit)
+        return 0
+    if args.against:
+        return against(args.against)
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
         generate(out_dir)
@@ -195,6 +334,7 @@ def main() -> int:
             "versions": versions(),
             "files": summarize(out_dir),
             "poles": pole_record(),
+            "selftest": selftest_lines(selftest_stdout()),
         }
     RECORD.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {RECORD} ({len(record['files'])} files)", file=sys.stderr)

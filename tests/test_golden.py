@@ -56,3 +56,26 @@ def test_one_moved_pole_bit_is_named():
     assert len(problems) == 2
     assert problems[0].startswith("s09: k[2] moved: ")
     assert problems[1].startswith("guard_seed: error[1] moved: ")
+
+
+def test_selftest_prints_the_golden_lines(selftest_run):
+    want, got = _record()["selftest"], golden.selftest_lines(selftest_run[1])
+    moved = [f"line {n}: {a!r} -> {b!r}" for n, (a, b) in enumerate(zip(want, got), 1) if a != b]
+    assert len(got) == len(want) and not moved, (
+        f"{len(want)} lines in the record, {len(got)} printed:\n" + "\n".join(moved)
+    )
+
+
+def test_one_moved_cell_between_two_trees_is_counted(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for tree, cell in ((old, "0.25"), (new, "0.2500001")):
+        (tree / "fig").mkdir(parents=True)
+        csv = f"t_ps,density,method\n0.1,{cell},exact-N\n0.2,0.5,exact-N\n"
+        (tree / "fig" / "a.csv").write_text(csv)
+        (tree / "b.txt").write_text("info: T = 0.5\n")
+    report, differ = golden.diff_trees(old, new)
+    assert differ == 1 and report == [
+        "fig/a.csv: 1 numeric cells moved (worst rel 4e-07, abs 1e-07), 0 other cells moved",
+        "  line 2: '0.1,0.25,exact-N' -> '0.1,0.2500001,exact-N'",
+        "outputs: 1 of 5 numeric cells moved, 1 of 2 files differ",
+    ]

@@ -923,8 +923,8 @@ class TestRowMemo:
         assert _hexes(again[3]) == _hexes(again[4]) == _hexes(reference[0])
         # one entry per (x, mode count), read-only
         assert sorted(p._x_rows) == [(x, 2), (x, 4)]
-        for rows, rhos in p._x_rows.values():
-            assert not rows.flags.writeable and len(rows) == 2 + 2 * len(rhos)
+        for (_, n), rows in p._x_rows.items():
+            assert not rows.flags.writeable and len(rows) == 2 + 2 * n
 
     def test_array_x_is_never_kept(self, fresh, times):
         p = fresh()
