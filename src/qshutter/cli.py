@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, override, parse_config, run_scenario
+from .config import ScenarioConfig, _shipped, override, parse_config, run_scenario
 from .errors import ConfigError, QShutterError
 from .output import _write, poles_csv_text, transmission_csv_text
 from .poles import find_poles
@@ -33,26 +32,9 @@ from .scattering import transmission
 __all__ = ["main"]
 
 
-def _shipped_configs() -> list[str]:
-    root = resources.files("qshutter") / "configs"
-    return sorted(p.name[: -len(".cfg")] for p in root.iterdir() if p.name.endswith(".cfg"))
-
-
 def _load_config(spec: str) -> ScenarioConfig:
     p = Path(spec)
-    if p.is_file():
-        text = p.read_text()
-    else:
-        name = spec if spec.endswith(".cfg") else f"{spec}.cfg"
-        res = resources.files("qshutter") / "configs" / name
-        if not res.is_file():
-            raise ConfigError(
-                f"'{spec}' is neither a file nor a shipped config "
-                f"(shipped: {', '.join(_shipped_configs())})",
-                field="config",
-            )
-        text = res.read_text()
-    return parse_config(text)
+    return parse_config(p.read_text()) if p.is_file() else _shipped(spec)
 
 
 def _emit(text: str, out_dir: str | None, name: str) -> int:

@@ -240,6 +240,22 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(err.message, line=seen[err.field], field=err.field) from None
 
 
+# the shipped configs: the one spelling of the reference scenarios
+_SHIPPED = Path(__file__).with_name("configs")
+
+
+def _shipped(name: str) -> ScenarioConfig:
+    """The shipped config `name`, with or without its .cfg suffix."""
+    path = _SHIPPED / (name if name.endswith(".cfg") else f"{name}.cfg")
+    if not path.is_file():
+        shipped = ", ".join(sorted(p.stem for p in _SHIPPED.glob("*.cfg")))
+        raise ConfigError(
+            f"'{name}' is neither a file nor a shipped config (shipped: {shipped})",
+            field="config",
+        )
+    return parse_config(path.read_text())
+
+
 def override(cfg: ScenarioConfig, **values) -> ScenarioConfig:
     """cfg with the named config keys replaced (None leaves a key as it is);
     ScenarioConfig reads each value by its key's rule, as parse_config's."""

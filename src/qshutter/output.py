@@ -111,8 +111,10 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     MB per 2000-row grid), and every later write on a kept grid reuses them.
     A grid of more than 4096 points (_COLUMN_MEMO_POINTS) is formatted on
     every write and never kept, so a large trace pins no text.
-    A free profile's tau_1 is nan, which equals no other nan, so two free
-    traces never share cells.  _time_cells.cache_clear() empties the memo.
+    A free profile's tau_1 is nan, and every free trace carries the same
+    np.nan object, which the memo matches by identity: two free traces on
+    one grid share their cells, which are the same text ("nan" in the
+    t_over_tau1 column).  _time_cells.cache_clear() empties the memo.
     """
     if method not in trace.densities:
         raise DomainError(f"trace has no '{method}' curve; it has {trace.methods}")
@@ -144,12 +146,15 @@ def write_poles_csv(path, poles: list[ResonancePole]) -> str:
 
 
 def transmission_csv_text(energies_meV, T_values) -> str:
-    return _table(
-        "E_meV,T\n",
-        "%.12g,%.12g\n",
-        _real_array(energies_meV, "energies_meV").tolist(),
-        _real_array(T_values, "T_values").tolist(),
-    )
+    """One row per energy; columns that are not 1-D and of one length raise
+    DomainError, as _table would drop the rows past the shorter one."""
+    E = _real_array(energies_meV, "energies_meV")
+    T = _real_array(T_values, "T_values")
+    if not (E.ndim == T.ndim == 1 and E.size == T.size):
+        raise DomainError(
+            f"energies_meV and T_values must be 1-D of one length, got {E.shape} and {T.shape}"
+        )
+    return _table("E_meV,T\n", "%.12g,%.12g\n", E.tolist(), T.tolist())
 
 
 def write_transmission_csv(path, energies_meV, T_values) -> str:

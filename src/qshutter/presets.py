@@ -7,6 +7,16 @@ report function, which adds the infos and checks and names the plot curves.
 A preset whose internal checks fail still writes all files; the caller
 (CLI `figure` subcommand) turns a failed manifest into a non-zero exit.
 
+The shipped configs, configs/triple_barrier.cfg and double_barrier.cfg,
+are the one spelling of the reference structures and their scenarios:
+TRIPLE_LAYERS, DOUBLE_LAYERS and MASS_RATIO are read from them, and every
+preset config is one of them with some keys replaced.  fig1 is the triple
+config with its own out; fig2a replaces the energy (E1 + 0*Gamma1),
+n_poles (2) and methods (two-level-M, exponential); fig2b the energy
+(doublet-center); fig3a's triple run the energy (doublet-center) and
+methods (exact-N), its double run only out; fig3b's runs are fig3a's
+triple with the central barrier's width (layers) at b2.
+
 The checks a figure shares with an acceptance criterion (tau1, the closed
 two-level fidelity, the envelope and its beat, the b2 enhancement, the
 double-barrier T at 83.740 meV) are defined once here, under the
@@ -22,12 +32,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import Incidence, ScenarioConfig, run_scenario
+from .config import Incidence, ScenarioConfig, _shipped, run_scenario
 from .errors import DomainError
 from .output import Check, Manifest, check_abs, check_bound, gnuplot_script
 from .scattering import transmission
@@ -45,19 +55,17 @@ from .twolevel import (
 
 __all__ = ["FigurePreset", "FigureResult", "PRESETS", "run_figure"]
 
-TRIPLE_LAYERS = ((3.0, 0.12), (16.0, 0.0), (3.0, 0.12), (16.0, 0.0), (3.0, 0.12))
-DOUBLE_LAYERS = ((5.0, 0.23), (5.0, 0.0), (5.0, 0.23))
-MASS_RATIO = 0.067
+_TRIPLE = _shipped("triple_barrier")
+_DOUBLE = _shipped("double_barrier")
+TRIPLE_LAYERS = _TRIPLE.layers
+DOUBLE_LAYERS = _DOUBLE.layers
+MASS_RATIO = _TRIPLE.mass_ratio
 FIG3B_B2 = (3, 4, 5)  # central barrier widths of fig3b, nm
 
 
 def fig3b_layers(b2: float) -> tuple[tuple[float, float], ...]:
     """The triple barrier with its central barrier widened to b2 nm."""
-    return ((3.0, 0.12), (16.0, 0.0), (float(b2), 0.12), (16.0, 0.0), (3.0, 0.12))
-
-
-def _triple_cfg(**kw) -> ScenarioConfig:
-    return ScenarioConfig(layers=TRIPLE_LAYERS, mass_ratio=MASS_RATIO, **kw)
+    return (*TRIPLE_LAYERS[:2], (float(b2), TRIPLE_LAYERS[2][1]), *TRIPLE_LAYERS[3:])
 
 
 # --- checks shared with the acceptance criteria ---------------------------
@@ -245,21 +253,15 @@ PRESETS: dict[str, FigurePreset] = {
     "fig1": FigurePreset(
         "fig1",
         "triple barrier offresonance: exact N=4 vs closed two-level density",
-        (
-            _triple_cfg(
-                incidence=Incidence("offset", 2.0),
-                n_poles=4,
-                methods=(METHOD_EXACT, METHOD_TWO_LEVEL_CLOSED),
-                out="fig1",
-            ),
-        ),
+        (replace(_TRIPLE, out="fig1"),),
         _report_fig1,
     ),
     "fig2a": FigurePreset(
         "fig2a",
         "triple barrier on resonance: doublet M-form vs exponential envelope",
         (
-            _triple_cfg(
+            replace(
+                _TRIPLE,
                 incidence=Incidence("offset", 0.0),
                 n_poles=2,
                 methods=(METHOD_TWO_LEVEL_M, METHOD_EXPONENTIAL),
@@ -271,34 +273,20 @@ PRESETS: dict[str, FigurePreset] = {
     "fig2b": FigurePreset(
         "fig2b",
         "triple barrier at the doublet center: single-frequency regime",
-        (
-            _triple_cfg(
-                incidence=Incidence("doublet-center"),
-                n_poles=4,
-                methods=(METHOD_EXACT, METHOD_TWO_LEVEL_CLOSED),
-                out="fig2b",
-            ),
-        ),
+        (replace(_TRIPLE, incidence=Incidence("doublet-center"), out="fig2b"),),
         _report_fig2b,
     ),
     "fig3a": FigurePreset(
         "fig3a",
         "transient enhancement: triple at the doublet center vs double barrier",
         (
-            _triple_cfg(
+            replace(
+                _TRIPLE,
                 incidence=Incidence("doublet-center"),
-                n_poles=4,
                 methods=(METHOD_EXACT,),
                 out="fig3a_triple",
             ),
-            ScenarioConfig(
-                layers=DOUBLE_LAYERS,
-                mass_ratio=MASS_RATIO,
-                incidence=Incidence("offset", 3.515),
-                n_poles=2,
-                methods=(METHOD_EXACT,),
-                out="fig3a_double",
-            ),
+            replace(_DOUBLE, out="fig3a_double"),
         ),
         _report_fig3a,
     ),
@@ -306,11 +294,10 @@ PRESETS: dict[str, FigurePreset] = {
         "fig3b",
         "transmission enhancement vs central barrier width b2 = 3, 4, 5 nm",
         tuple(
-            ScenarioConfig(
+            replace(
+                _TRIPLE,
                 layers=fig3b_layers(b2),
-                mass_ratio=MASS_RATIO,
                 incidence=Incidence("doublet-center"),
-                n_poles=4,
                 methods=(METHOD_EXACT,),
                 out=f"fig3b_b2_{b2}nm",
             )

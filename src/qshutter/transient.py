@@ -451,6 +451,7 @@ def free_shutter_psi(k: float, x: float, t, hbar_over_2m: float):
     if not ((x >= 0.0) & (x < np.inf)).all():
         raise DomainError("needs every x finite and >= 0 nm")
     t_arr = _positive_times(t)
+    _broadcast_xt(x, t_arr)
     beta = _real_finite(hbar_over_2m, "hbar_over_2m (nm^2/ps)", positive=True)
     root = np.sqrt(4.0 * beta * t_arr)
     front = np.exp(1j * x * x / (4.0 * beta * t_arr))

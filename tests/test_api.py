@@ -314,6 +314,9 @@ CONTRACT = {
     "free_shutter_psi-negative-beta": (
         lambda p: free_shutter_psi(0.1, 1.0, 0.1, -_beta(p)), DomainError
     ),
+    "free_shutter_psi-unbroadcast-xt": (
+        lambda p: free_shutter_psi(0.1, np.ones(3), np.full(2, 0.1), _beta(p)), DomainError
+    ),
     "faddeeva-str-z": (lambda p: faddeeva("1"), DomainError),
     "m_function-str-y": (lambda p: m_function("1"), DomainError),
     "m_function-bool-y": (lambda p: m_function(True), DomainError),
@@ -370,6 +373,12 @@ CONTRACT = {
     "transmission_csv_text-str-E": (lambda p: transmission_csv_text(["10"], [0.5]), DomainError),
     "write_transmission_csv-str-T": (
         lambda p: write_transmission_csv(os.devnull, [10.0], ["0.5"]), DomainError
+    ),
+    "transmission_csv_text-unequal-columns": (
+        lambda p: transmission_csv_text([1.0, 2.0, 3.0], [0.5]), DomainError
+    ),
+    "write_transmission_csv-2d-E": (
+        lambda p: write_transmission_csv(os.devnull, [[1.0, 2.0]], [0.5, 0.6]), DomainError
     ),
     # the arbitrary-precision oracles, which also take mpmath numbers
     "reference.faddeeva-str-z": (lambda p: reference.faddeeva("1"), DomainError),

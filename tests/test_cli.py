@@ -62,6 +62,13 @@ class TestPoles:
         assert "error:" in err
         assert "field 'n_poles'" in err
 
+    def test_shipped_name_with_cfg_suffix(self, tmp_path, monkeypatch, capsys):
+        # no triple_barrier.cfg in the working directory: the shipped file is read
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["poles", "--config", "triple_barrier.cfg", "--n", "2"], capsys)
+        assert code == 0
+        assert out == run_cli(["poles", "--config", "triple_barrier", "--n", "2"], capsys)[1]
+
     def test_config_file_path(self, tmp_path, capsys):
         cfg = tmp_path / "custom.cfg"
         cfg.write_text(
@@ -220,7 +227,10 @@ class TestSelftest:
 def test_bad_config_name_lists_shipped(capsys):
     code, out, err = run_cli(["poles", "--config", "nope"], capsys)
     assert code == 2
-    assert "double_barrier" in err and "triple_barrier" in err
+    assert (
+        "error: field 'config': 'nope' is neither a file nor a shipped config "
+        "(shipped: double_barrier, triple_barrier)"
+    ) in err
 
 
 def test_no_arguments_usage_error():

@@ -14,7 +14,14 @@ from qshutter.acceptance import (
     criterion_7,
     criterion_9,
 )
-from qshutter.presets import PRESETS, run_figure
+from qshutter.presets import (
+    DOUBLE_LAYERS,
+    MASS_RATIO,
+    PRESETS,
+    TRIPLE_LAYERS,
+    fig3b_layers,
+    run_figure,
+)
 
 
 def test_preset_registry():
@@ -22,6 +29,21 @@ def test_preset_registry():
     for pid, preset in PRESETS.items():
         assert preset.preset_id == pid
         assert preset.description
+
+
+def test_reference_names_read_from_the_shipped_configs():
+    # perfbench, tests/golden.py and acceptance import these names; the
+    # layers stay tuples of float pairs, so the profiles built from them hash
+    assert TRIPLE_LAYERS == ((3.0, 0.12), (16.0, 0.0), (3.0, 0.12), (16.0, 0.0), (3.0, 0.12))
+    assert DOUBLE_LAYERS == ((5.0, 0.23), (5.0, 0.0), (5.0, 0.23))
+    assert type(MASS_RATIO) is float and MASS_RATIO == 0.067
+    assert fig3b_layers(3) == TRIPLE_LAYERS
+    assert fig3b_layers(5)[2] == (5.0, 0.12)
+    for layers in (TRIPLE_LAYERS, DOUBLE_LAYERS, fig3b_layers(4)):
+        assert type(layers) is tuple
+        assert all(type(layer) is tuple for layer in layers)
+        assert {type(v) for layer in layers for v in layer} == {float}
+        hash(layers)
 
 
 def test_unknown_preset_rejected(tmp_path):
