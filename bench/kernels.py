@@ -40,8 +40,12 @@ product and the call around it, the bare product of the warm evaluation
 (np.dot of the kept grid's block and the kept row, one gemv), so that
 the warm call's cost above it can be read, the same per-x map on a kept
 problem over a new time window each round, so that its x rows are kept
-and its M columns evaluated (`perfbench`'s `density_maps` op), the same
-map as
+and its M columns evaluated (`perfbench`'s `density_maps` op), the memory
+the grid memo keeps (test_memo_bytes: eight such maps of a new problem on
+fresh 2000-point windows, after psi_exact.cache_clear(), and the
+tracemalloc bytes that allocations made under the package still hold
+after them, in extra_info; unlike a wall time they hold to ~1% between
+rounds), the same map as
 one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
 evaluation at another energy of the kept spectrum on a kept grid (each
 round's set-up empties the memo, keeps the grid's pole columns through
@@ -93,6 +97,7 @@ import contextlib  # noqa: E402
 import io  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tracemalloc  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from importlib import resources  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -362,6 +367,32 @@ def test_density_map_new_window(benchmark, problem):
 
     dmap = benchmark.pedantic(_density_map, setup=setup, rounds=30, warmup_rounds=1)
     assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
+
+
+def _memo_bytes(problem, xs):
+    """Bytes that allocations under the package still hold after eight
+    per-x maps of a new problem on fresh windows, from an emptied memo."""
+    problem = make_spectrum(problem.profile, len(problem.modes)).at(problem.E)
+    psi_exact.cache_clear()
+    tracemalloc.start()
+    try:
+        for r in range(1, 9):
+            _density_map(problem, xs, np.linspace(0.005 + 1e-3 * r, 10.0, TIMES.size))
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    package = os.path.join(os.path.dirname(qshutter.__file__), "*")
+    held = snapshot.filter_traces([tracemalloc.Filter(True, package)])
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
+def test_memo_bytes(benchmark, problem):
+    xs = np.linspace(0.0, problem.L, 200)
+    held = benchmark.pedantic(_memo_bytes, args=(problem, xs), rounds=3, warmup_rounds=0)
+    benchmark.extra_info["qshutter_held_bytes"] = held
+    # eight kept grids of 2 + 2N columns, each column stored once
+    columns = 8 * (2 + 2 * len(problem.modes)) * TIMES.size * 16
+    assert columns <= held < 1.25 * columns
 
 
 def test_density_map_per_x_warm(benchmark, problem):

@@ -199,7 +199,9 @@ _FIELDS = {
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Strict parse; see module docstring for the grammar."""
+    """Strict parse of config text, a str; see module docstring for the grammar."""
+    if not isinstance(text, str):
+        raise ConfigError(f"config text must be a str, got {type(text).__name__}")
     layers: list[tuple[float, float]] = []
     seen: dict[str, int] = {}
     values: dict[str, object] = {}

@@ -2,7 +2,7 @@
 _DPS digits on the binary inputs the pipeline sees (layer widths, heights and
 hbar^2/2m, or float arguments).  `import qshutter` loads neither it nor mpmath.
 Each oracle takes Python, numpy and mpmath numbers, and refuses a string or a
-bool (_numbers), which mpmath would parse or read as 0 or 1.
+bool (_numbers), which mpmath would parse or read as 0 or 1, and an array.
 """
 
 import mpmath as mp
@@ -16,8 +16,8 @@ _DPS = 50
 
 
 def _numbers(*args) -> None:
-    """Raise DomainError if an argument is a str or a bool."""
-    if any(isinstance(arg, (str, bool, np.bool_)) for arg in args):
+    """Raise DomainError if an argument is a str, a bool or not 0-d."""
+    if any(isinstance(arg, (str, bool, np.bool_)) or np.ndim(arg) for arg in args):
         raise DomainError(f"the references take numbers, got {args!r}")
 
 

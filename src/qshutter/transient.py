@@ -217,7 +217,7 @@ class _Grid(OrderedDict):
     The shape is part of the key, since a (n, 1) grid has the bytes of an
     (n,) grid; so is hbar/2m, the one profile number a column reads.  A
     missing column is evaluated on first use and kept.  `block` is (s,
-    block) of the grid's most recent call (see _block).
+    block) of the grid's most recent call, and its columns for s view that block.
     """
 
     def __init__(self, shape: tuple, t_key: _GridKey, hbar_over_2m: float):
@@ -249,19 +249,36 @@ def _block(grid: _Grid, s: tuple[complex, ...], keep: bool) -> np.ndarray:
     copied column becomes the grid's most recently used, and the grid then
     drops its least recently used columns down to its cap: _GRID_COLUMNS
     for a kept grid, so a new energy evaluates only its own k columns, and
-    0 for one that is not kept, which drops each column once copied.
+    0 for one that is not kept, which drops each column once copied.  The
+    kept columns of s then become read-only views of the block, stored
+    once, after each column of the old block that s lacks is copied out,
+    so that no view pins it; the columns s keeps in their old places (a
+    new energy's pole columns) come over as one slab, which copies faster
+    than strided views.  Neither moves a column in the LRU order.
     """
-    kept_s, block = grid.block
+    kept_s, old = grid.block
     if kept_s == s:
-        return block
+        return old
+    for j, v in enumerate(kept_s):
+        if v not in s and v in grid:
+            grid[v] = column = old[..., j].copy()
+            column.flags.writeable = False
     cap = _GRID_COLUMNS if keep else 0
     block = np.empty((*grid.t.shape, len(s)), dtype=complex)
+    same = min(len(s), len(kept_s))
+    if same:
+        block[..., :same] = old[..., :same]
     for j, v in enumerate(s):
-        block[..., j] = grid[v]
+        column = grid[v]
+        if j >= same or kept_s[j] != v:
+            block[..., j] = column
         grid.move_to_end(v)
         while len(grid) > cap:
             grid.popitem(last=False)
     block.flags.writeable = False
+    for j, v in enumerate(s):
+        if v in grid:
+            grid[v] = block[..., j]
     grid.block = s, block
     return block
 
@@ -379,9 +396,9 @@ def psi_exact(problem: ShutterProblem, x, t):
     each column once, and one profile's pole columns serve every incidence
     energy on the grid.  A grid holds at most 32 columns between calls
     (_GRID_COLUMNS; it drops the least recently used), and one of more
-    than 4096 points (_COLUMN_MEMO_POINTS) is never kept; each kept grid
-    also keeps the stacked block of its most recent call (see _block).  A miss runs
-    the uncached arithmetic, so results do not depend on the memo.
+    than 4096 points (_COLUMN_MEMO_POINTS) is never kept; the latest call's
+    columns are views of the grid's block (see _block), 16 MiB at most in
+    all.  A miss runs the uncached arithmetic, so results do not depend on it.
     psi_exact.cache_info() counts grids (a miss checks one);
     psi_exact.cache_clear() empties it, blocks and all.
 

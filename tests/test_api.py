@@ -367,6 +367,8 @@ CONTRACT = {
     "ScenarioConfig-str-layers": (lambda p: _scenario(layers="abc"), ConfigError),
     "ScenarioConfig-int-layers": (lambda p: _scenario(layers=5), ConfigError),
     "ScenarioConfig-negative-width": (lambda p: _scenario(layers=((-3.0, 0.1),)), ConfigError),
+    "parse_config-bytes-text": (lambda p: parse_config(b"layer = 1 nm, 0.1 eV\n"), ConfigError),
+    "parse_config-none-text": (lambda p: parse_config(None), ConfigError),
     "Incidence-unknown-kind": (lambda p: Incidence("bogus"), ConfigError),
     "Incidence-str-value": (lambda p: Incidence("offset", "2"), ConfigError),
     "Incidence-numpy-value": (lambda p: Incidence("offset", np.float64(2.0)), None),
@@ -393,6 +395,17 @@ CONTRACT = {
     "reference.layer_integral-bool-w": (
         lambda p: reference.layer_integral(1.0, 0.0, 0.5, True), DomainError
     ),
+    "reference.faddeeva-array-z": (lambda p: reference.faddeeva(np.ones(2)), DomainError),
+    "reference.free_shutter_psi-array-x": (
+        lambda p: reference.free_shutter_psi(0.1, np.ones(3), 0.1, 1.0), DomainError
+    ),
+    "reference.transmission-array-k": (
+        lambda p: reference.transmission(p.profile, np.ones(2)), DomainError
+    ),
+    "reference.pole-array-k0": (lambda p: reference.pole(p.profile, np.ones(2)), DomainError),
+    "reference.layer_integral-array-a": (
+        lambda p: reference.layer_integral(np.ones(2), 1, 1, 1), DomainError
+    ),
 }
 
 # public functions with no CONTRACT row, and what each takes instead of a
@@ -400,7 +413,6 @@ CONTRACT = {
 NO_ROW = {
     "run_acceptance": "nothing",
     "main": "argv strings, typed by argparse",
-    "parse_config": "config text, read by its grammar",
     "resolve_scenario": "a ScenarioConfig",
     "run_scenario": "a ScenarioConfig and a directory",
     "solve_mode": "a profile and a ResonancePole",

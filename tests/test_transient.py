@@ -758,6 +758,37 @@ class TestColumnMemo:
         assert all(block is blocks[i % 2] for i, block in enumerate(blocks))
         assert [block.shape[0] for block in blocks[:2]] == [len(t) for t in grids]
 
+    def test_kept_columns_are_stored_once(self, triple_spectrum, times):
+        p = triple_spectrum.at(triple_spectrum.poles[0].E_position)
+        key = transient._GridKey(times.tobytes())
+        grid = transient._grid(times.shape, key, p.profile.hbar_over_2m)
+        xs = np.linspace(0.0, p.L, 20)
+        first = [psi_exact(p, x, times) for x in xs]
+        s, block = grid.block
+        assert s == p._wave_numbers
+        # dict.get, so that a missing column is never evaluated
+        for v in s:
+            assert np.shares_memory(dict.get(grid, v), block)
+        old = weakref.ref(block)
+        del block
+        # a second energy keeps the pole columns in its own block and copies
+        # out the first energy's k columns, so the old block is freed
+        r = triple_spectrum.at(triple_spectrum.poles[1].E_position)
+        psi = psi_exact(r, r.L, times)
+        s, block = grid.block
+        assert s == r._wave_numbers
+        for v in s:
+            assert np.shares_memory(dict.get(grid, v), block)
+        for v in p._wave_numbers[:2]:
+            column = dict.get(grid, v)
+            assert column.flags.owndata and not column.flags.writeable
+            assert not np.shares_memory(column, block)
+        gc.collect()
+        assert old() is None
+        assert_at_bound(psi, r, r.L, times, len(r.modes))
+        again = [psi_exact(p, x, times) for x in xs]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
     def test_grid_shape_is_part_of_the_key(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
         column_grid = times[:, None]
