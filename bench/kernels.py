@@ -45,7 +45,10 @@ the grid memo keeps (test_memo_bytes: eight such maps of a new problem on
 fresh 2000-point windows, after psi_exact.cache_clear(), and the
 tracemalloc bytes that allocations made under the package still hold
 after them, in extra_info; unlike a wall time they hold to ~1% between
-rounds), the same map as
+rounds), the M columns the first ops of two of `perfbench`'s streams
+evaluate (test_stream_columns: 63 `scenario_sweep` ops and 54
+`density_maps` ops of seed 11 after the stream's set-up and warm-up, one
+wofz call per column, in extra_info and pinned), the same map as
 one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
 evaluation at another energy of the kept spectrum on a kept grid (each
 round's set-up empties the memo, keeps the grid's pole columns through
@@ -94,7 +97,9 @@ for _var in (
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -120,7 +125,7 @@ from qshutter import (  # noqa: E402
     solve_mode,
     transmission,
 )
-from qshutter import PoleConvergenceError, acceptance, output, reference  # noqa: E402
+from qshutter import PoleConvergenceError, acceptance, mfunc, output, reference  # noqa: E402
 from qshutter.mfunc import m_function, y_values  # noqa: E402
 from qshutter.model import energy_of, wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
@@ -325,9 +330,8 @@ def test_gemv_warm(benchmark, problem):
     # and the kept row, so that the time above it is the call's own cost
     psi = psi_exact(problem, problem.L, TIMES)
     grid = _grid(TIMES.shape, _GridKey(TIMES.tobytes()), problem.profile.hbar_over_2m)
-    _, block = grid.block
-    rows = problem._x_rows[(problem.L, len(problem.modes))]
-    product = benchmark.pedantic(np.dot, args=(block, rows), rounds=1000, warmup_rounds=1)
+    rows = problem._x_rows[problem.L]
+    product = benchmark.pedantic(np.dot, args=(grid.block, rows), rounds=1000, warmup_rounds=1)
     assert product.tobytes() == psi.tobytes()
 
 
@@ -393,6 +397,49 @@ def test_memo_bytes(benchmark, problem):
     # eight kept grids of 2 + 2N columns, each column stored once
     columns = 8 * (2 + 2 * len(problem.modes)) * TIMES.size * 16
     assert columns <= held < 1.25 * columns
+
+
+def _stream_columns(name: str, seed: int, n_ops: int, work_dir: Path) -> int:
+    """The wofz calls, one per M column evaluated, of the first n_ops ops of
+    perfbench's stream `name` at seed, after its set-up and warm-up on an
+    emptied grid memo."""
+    # perfbench/workloads.py, imported read-only as bench/ab.py imports it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.make_workloads(work_dir)[name]
+    psi_exact.cache_clear()
+    state = workload.setup(seed)
+    workload.warm_up(state)
+    calls, wofz = [], mfunc._wofz()
+
+    def counting(z):
+        calls.append(z.shape)
+        return wofz(z)
+
+    mfunc._WOFZ = counting
+    try:
+        for op in itertools.islice(workload.ops(state), n_ops):
+            op.run()
+            if op.cleanup is not None:
+                op.cleanup()
+    finally:
+        mfunc._WOFZ = wofz
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, n_ops, columns", [("scenario_sweep", 63, 100), ("density_maps", 54, 468)]
+)
+def test_stream_columns(benchmark, tmp_path, name, n_ops, columns):
+    # the column traffic of one perfbench run per workload (seed 11): a
+    # memo change that evaluates more columns on these streams shows here
+    evaluated = benchmark.pedantic(
+        _stream_columns, args=(name, 11, n_ops, tmp_path), rounds=1, iterations=1
+    )
+    benchmark.extra_info["columns"] = evaluated
+    assert evaluated == columns
 
 
 def test_density_map_per_x_warm(benchmark, problem):

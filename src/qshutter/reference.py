@@ -16,9 +16,14 @@ _DPS = 50
 
 
 def _numbers(*args) -> None:
-    """Raise DomainError if an argument is a str, a bool or not 0-d."""
-    if any(isinstance(arg, (str, bool, np.bool_)) or np.ndim(arg) for arg in args):
-        raise DomainError(f"the references take numbers, got {args!r}")
+    """Raise DomainError if an argument is a str, a bool or not 0-d (a
+    ragged sequence, which numpy refuses to read as an array, included)."""
+    try:
+        if not any(isinstance(arg, (str, bool, np.bool_)) or np.ndim(arg) for arg in args):
+            return
+    except ValueError:
+        pass
+    raise DomainError(f"the references take numbers, got {args!r}")
 
 
 def faddeeva(z):

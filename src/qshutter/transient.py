@@ -30,7 +30,6 @@ that case.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -112,7 +111,7 @@ class ShutterProblem:
 
     @cached_property
     def _x_rows(self) -> dict:
-        """(x, mode count) -> the read-only rows of a kept scalar x; see _sums."""
+        """float x -> the read-only 2 + 2N rows of a kept scalar x; see _sums."""
         return {}
 
 
@@ -209,77 +208,66 @@ class _GridKey:
         return isinstance(other, _GridKey) and self.data == other.data
 
 
-class _Grid(OrderedDict):
-    """The read-only M(y_s) columns of one time grid, keyed by wave number s
-    and ordered from least to most recently used.
+class _Grid:
+    """One checked time grid and the read-only M(y_s) columns it keeps.
 
     The grid is checked when it is built, and one that fails is not kept.
     The shape is part of the key, since a (n, 1) grid has the bytes of an
-    (n,) grid; so is hbar/2m, the one profile number a column reads.  A
-    missing column is evaluated on first use and kept.  `block` is (s,
-    block) of the grid's most recent call, and its columns for s view that block.
+    (n,) grid; so is hbar/2m, the one profile number a column reads.
+    `block` holds the columns of the wave numbers `s` of the grid's latest
+    problem, and `pairs` the (M(y_k), M(y_-k)) columns of earlier energies,
+    keyed by k from least to most recently used (see _block).
     """
 
     def __init__(self, shape: tuple, t_key: _GridKey, hbar_over_2m: float):
-        super().__init__()
         self.t = _positive_times(np.frombuffer(t_key.data).reshape(shape))
         self.hbar_over_2m = hbar_over_2m
-        self.block = (), None
-
-    def __missing__(self, s: complex):
-        column = m_function(y_values(s, self.t, self.hbar_over_2m))
-        # a 0-d grid gives a numpy scalar, which is read-only already
-        if column.ndim:
-            column.flags.writeable = False
-        self[s] = column
-        return column
+        self.s, self.block, self.pairs = (), None, {}
 
 
 _grid = lru_cache(maxsize=_GRID_MEMO_SIZE)(_Grid)
 
 
-def _block(grid: _Grid, s: tuple[complex, ...], keep: bool) -> np.ndarray:
+def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     """The read-only (*t.shape, len(s)) block of grid's M(y_s) columns.
 
-    A time's entries are adjacent, so a per-x product is one short dot
-    product per time, whose bits depend on no BLAS thread count (OpenBLAS's
-    gemv over a (len(s), n) block rounds some columns differently at 1 and
-    2 threads).  Each grid keeps the block of its most recent call, so a
-    per-x loop stacks it once, and the block goes with its grid.  Each
-    copied column becomes the grid's most recently used, and the grid then
-    drops its least recently used columns down to its cap: _GRID_COLUMNS
-    for a kept grid, so a new energy evaluates only its own k columns, and
-    0 for one that is not kept, which drops each column once copied.  The
-    kept columns of s then become read-only views of the block, stored
-    once, after each column of the old block that s lacks is copied out,
-    so that no view pins it; the columns s keeps in their old places (a
-    new energy's pole columns) come over as one slab, which copies faster
-    than strided views.  Neither moves a column in the LRU order.
+    s is a problem's whole (k, -k, k_1, k_-1, ...).  A time's entries are
+    adjacent, so a per-x product is one short dot product per time, whose
+    bits depend on no BLAS thread count (OpenBLAS's gemv over a (len(s), n)
+    block rounds some columns differently at 1 and 2 threads).  A grid
+    keeps the block of its latest s, so a per-x loop stacks it once.  A new
+    s copies the old block's k pair out into `pairs`, takes the pole columns
+    the two share (a prefix: one profile at a new energy, or an N = 2
+    problem before an N = 4 one) as one slab and a returning energy's pair
+    from `pairs`, and evaluates the rest.  The oldest pairs then go while
+    block and pairs exceed _GRID_COLUMNS columns; a grid that is not kept
+    goes with its call.
     """
-    kept_s, old = grid.block
-    if kept_s == s:
-        return old
-    for j, v in enumerate(kept_s):
-        if v not in s and v in grid:
-            grid[v] = column = old[..., j].copy()
-            column.flags.writeable = False
-    cap = _GRID_COLUMNS if keep else 0
+    if grid.s == s:
+        return grid.block
+    old_s, old = grid.s, grid.block
+    if old_s:
+        # Fortran order: numpy copies the strided pair a column at a time, 3x faster
+        pair = grid.pairs[old_s[0]] = old[..., :2].copy(order="F")
+        pair.flags.writeable = False
+    shared = 2
+    while shared < min(len(s), len(old_s)) and s[shared] == old_s[shared]:
+        shared += 1
     block = np.empty((*grid.t.shape, len(s)), dtype=complex)
-    same = min(len(s), len(kept_s))
-    if same:
-        block[..., :same] = old[..., :same]
-    for j, v in enumerate(s):
-        column = grid[v]
-        if j >= same or kept_s[j] != v:
-            block[..., j] = column
-        grid.move_to_end(v)
-        while len(grid) > cap:
-            grid.popitem(last=False)
+    if shared > 2:
+        # the old k pair too, overwritten below, so a whole old block is one run
+        block[..., :shared] = old[..., :shared]
+    fresh = list(range(shared, len(s)))
+    if s[0] in grid.pairs:
+        block[..., :2] = grid.pairs.pop(s[0])
+    else:
+        fresh[:0] = (0, 1)
+    for j in fresh:
+        block[..., j] = m_function(y_values(s[j], grid.t, grid.hbar_over_2m))
     block.flags.writeable = False
-    for j, v in enumerate(s):
-        if v in grid:
-            grid[v] = block[..., j]
-    grid.block = s, block
+    grid.s, grid.block = s, block
+    while grid.pairs and len(s) + 2 * len(grid.pairs) > _GRID_COLUMNS:
+        del grid.pairs[next(iter(grid.pairs))]
     return block
 
 
@@ -290,12 +278,13 @@ def _product(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     and t (a 0-d x, a 0-d t, or an x whose trailing t.ndim axes are 1) is
     one matrix product: a gemv for a 0-d x, a gemm for a map.  A 0-d x on a
     1-D grid, the per-x call, is np.dot(columns, rows), one zgemv with the
-    bits of the (1, K) @ (K, T) matmul and less dispatch around it.  Any
-    other broadcast, such as x and t of one length taken as pairs, goes
-    through einsum.
+    bits of the (1, K) @ (K, T) matmul and less dispatch around it; on a
+    prefix of the block, which np.dot reads a time at a time at twice the
+    cost, it is the matmul, with the same bits.  Any other broadcast, such
+    as x and t of one length taken as pairs, goes through einsum.
     """
     if rows.ndim == 1 and columns.ndim == 2:
-        return np.dot(columns, rows)
+        return np.dot(columns, rows) if columns.flags.c_contiguous else columns @ rows
     n, x_shape, t_shape = rows.shape[-1], rows.shape[:-1], columns.shape[:-1]
     lead = x_shape[: max(len(x_shape) - len(t_shape), 0)]
     if all(d == 1 for d in x_shape[len(lead) :]):
@@ -316,34 +305,33 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     broadcast call to the same bound.  A free profile has no poles; every
     sum is then the free-shutter solution.
 
-    The rows are evaluated at x located once, with rho_-n = -rho_n* (see
-    rho_mirror); a scalar x's rows are kept on the problem under
-    (x, n_max), and a hit skips _locate and every _wave (see psi_exact).
-    A Python or numpy float x is looked up before it is read as an array;
-    any other x, and a float that misses, is read by _real_array first, so
-    a lookup never admits an x the check refuses.  A float64 array t is
+    The rows of every retained mode are evaluated at x located once, with
+    rho_-n = -rho_n* (see rho_mirror); a scalar x's rows are kept on the
+    problem under its float, and a hit skips _locate and every _wave (see
+    psi_exact).  A Python or numpy float x is looked up before it is read
+    as an array; any other x, and a float that misses, is read by
+    _real_array first, so a lookup never admits an x the check refuses.  A float64 array t is
     used as given, and any other t read by _real_array.  One _grid lookup
     checks t when it builds the grid (a free profile only checks t), after
-    x and before the broadcast of x against t; the call's columns come as
-    one stacked block (see _block).  The sum over all n_max pairs takes the
-    rows and the block whole, so a warm per-x call is one row lookup, one
-    grid lookup and one gemv.
+    x and before the broadcast of x against t; the columns come as one
+    block (see _block).  A count below N reads prefixes of the rows and
+    the block, and N takes them whole, so a warm per-x call is one row
+    lookup, one grid lookup and one gemv.
     """
-    n_max = max(n_modes)
-    if len(problem.modes) < n_max:
-        raise DomainError(f"needs {n_max} mode(s), problem has {len(problem.modes)}")
+    n_max, n_all = max(n_modes), len(problem.modes)
+    if n_all < n_max:
+        raise DomainError(f"needs {n_max} mode(s), problem has {n_all}")
     # a float x at a kept position skips the array conversion as well
-    key = (float(x), n_max) if type(x) is float or type(x) is np.float64 else None
+    key = float(x) if type(x) is float or type(x) is np.float64 else None
     rows = problem._x_rows.get(key)
     if rows is None:
         x = _real_array(x, "x")
-        key = (x.item(), n_max) if x.ndim == 0 else None
+        key = x.item() if x.ndim == 0 else None
         rows = problem._x_rows.get(key)
         if rows is None:
             located = _locate(problem.field.edges, x)
     t_arr = t if type(t) is np.ndarray and t.dtype == float else _real_array(t, "t")
-    keep = t_arr.size <= _COLUMN_MEMO_POINTS
-    grid = (_grid if keep else _grid.__wrapped__)(
+    grid = (_grid if t_arr.size <= _COLUMN_MEMO_POINTS else _grid.__wrapped__)(
         t_arr.shape, _GridKey(t_arr.tobytes()), problem.profile.hbar_over_2m
     )
     # a kept x is 0-d, and a 0-d x broadcasts against any t
@@ -354,20 +342,19 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
             raise DomainError("problem carries no modes for a non-free profile")
         psi = free_shutter_psi(problem.k, x, t, problem.profile.hbar_over_2m)
         return None, [psi] * len(n_modes)
-    size = 2 + 2 * n_max
-    columns = _block(grid, problem._wave_numbers[:size], keep)
+    columns = _block(grid, problem._wave_numbers)
     if rows is None:
         phi = _wave(problem.field.q, problem.field.coefficients, *located)
-        rows = np.empty((*x.shape, size), dtype=complex)
+        rows = np.empty((*x.shape, columns.shape[-1]), dtype=complex)
         rows[..., 0], rows[..., 1] = phi, -np.conj(phi)
-        for n, mode in enumerate(problem.modes[:n_max]):
+        for n, mode in enumerate(problem.modes):
             rho = _rho(mode, problem.k, _wave(mode.q, mode.coefficients, *located))
             rows[..., 2 * n + 2], rows[..., 2 * n + 3] = -rho, np.conj(rho)
         if key is not None and len(problem._x_rows) < _COLUMN_MEMO_POINTS:
             rows.flags.writeable = False
             problem._x_rows[key] = rows
     return rows, [
-        _product(rows, columns) if n == n_max
+        _product(rows, columns) if n == n_all
         else _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n])
         for n in n_modes
     ]
@@ -392,29 +379,30 @@ def psi_exact(problem: ShutterProblem, x, t):
     (_GRID_MEMO_SIZE, which also sizes output's memo of time cells), keyed
     on (grid shape, grid bytes, hbar/2m), for psi_exact, psi_doublet_M,
     delta_term and evolve_trace.  A grid is checked once, when it is built,
-    and keeps its read-only columns by wave number: a per-x loop evaluates
-    each column once, and one profile's pole columns serve every incidence
-    energy on the grid.  A grid holds at most 32 columns between calls
-    (_GRID_COLUMNS; it drops the least recently used), and one of more
-    than 4096 points (_COLUMN_MEMO_POINTS) is never kept; the latest call's
-    columns are views of the grid's block (see _block), 16 MiB at most in
-    all.  A miss runs the uncached arithmetic, so results do not depend on it.
+    and keeps the block of its latest problem's columns and the M(y_k),
+    M(y_-k) pair of each earlier energy, all read-only (see _block): a
+    per-x loop evaluates each column once, and a new energy on the grid
+    only its own pair.  A grid holds at most 32 columns between calls
+    (_GRID_COLUMNS; it drops the least recently used pairs), and one of
+    more than 4096 points (_COLUMN_MEMO_POINTS) is never kept: 16 MiB at
+    most in all.  A miss runs the uncached arithmetic, so results do not
+    depend on it.
     psi_exact.cache_info() counts grids (a miss checks one);
     psi_exact.cache_clear() empties it, blocks and all.
 
     The x half is kept as well, on the problem itself: a scalar x, keyed
-    by its Python float and the call's mode count (so -0.0 and 0.0 share
-    a key), keeps its read-only rows, for at most 4096 positions
-    per problem (_COLUMN_MEMO_POINTS; a later position is evaluated and not
-    kept).  A per-x map on a kept problem thus locates x and evaluates Phi
-    and the u_n once per position, whatever its time window.  A hit returns
-    the rows its miss computed, so every bit is the uncached call's, and it
-    may skip the x check: only an x that passed it is ever stored.  A
-    Python or numpy float x is looked up before any array conversion, so a
-    warm call at a kept x on a kept grid is one row lookup, one grid lookup
-    and one gemv (see _sums); any other type of x is checked first.  An
-    array x is never kept, the rows die with their problem, and
-    psi_exact.cache_clear() leaves them alone.
+    by its Python float (so -0.0 and 0.0 share a key), keeps the read-only
+    rows of every retained mode, whatever the call's mode count, for at
+    most 4096 positions per problem (_COLUMN_MEMO_POINTS; a later position
+    is evaluated and not kept).  A per-x map on a kept problem thus locates
+    x and evaluates Phi and the u_n once per position, whatever its time
+    window.  A hit returns the rows its miss computed, so every bit is the
+    uncached call's, and it may skip the x check: only an x that passed it
+    is ever stored.  A Python or numpy float x is looked up before any
+    array conversion, so a warm call at a kept x on a kept grid is one row
+    lookup, one grid lookup and one gemv (see _sums); any other type of x
+    is checked first.  An array x is never kept, the rows die with their
+    problem, and psi_exact.cache_clear() leaves them alone.
     """
     _, (psi,) = _sums(problem, x, t, len(problem.modes))
     return _result(psi)

@@ -42,10 +42,10 @@ from qshutter.config import Incidence, override
 from qshutter.mfunc import faddeeva, m_function, m_function_scaled, y_values
 from qshutter.model import Layer, energy_of, wavenumber
 from qshutter.modes import rho, rho_mirror
-from qshutter.output import transmission_csv_text, write_transmission_csv
+from qshutter.output import transmission_csv_text, write_trace_csv, write_transmission_csv
 from qshutter.poles import refine_pole, seed_poles
 from qshutter.scattering import layered_wave, solve_stationary, stationary_wave, transfer_matrix
-from qshutter.transient import delta_term, free_shutter_psi, psi_doublet_M
+from qshutter.transient import TransientTrace, delta_term, free_shutter_psi, psi_doublet_M
 from qshutter.twolevel import density_resonant_exponential
 
 PUBLIC = [
@@ -215,6 +215,13 @@ def _free_spectrum(n_poles):
     return make_spectrum(build_profile([(10.0, 0.0)], 0.067), n_poles)
 
 
+def _trace_csv(curve):
+    """write_trace_csv of a hand-built 5-time trace whose exact-N curve is curve."""
+    times = np.linspace(0.1, 0.5, 5)
+    trace = TransientTrace(1.0, 0.01, 1.0, times, {"exact-N": np.asarray(curve)})
+    return write_trace_csv(os.devnull, trace, "exact-N")
+
+
 _ARRAY = np.array([0.1, 0.2])
 CONTRACT = {
     # scalars that are arrays
@@ -382,6 +389,10 @@ CONTRACT = {
     "write_transmission_csv-2d-E": (
         lambda p: write_transmission_csv(os.devnull, [[1.0, 2.0]], [0.5, 0.6]), DomainError
     ),
+    "write_trace_csv-matching-curve": (lambda p: _trace_csv(np.ones(5)), None),
+    "write_trace_csv-short-curve": (lambda p: _trace_csv(np.ones(3)), DomainError),
+    "write_trace_csv-long-curve": (lambda p: _trace_csv(np.ones(7)), DomainError),
+    "write_trace_csv-2d-curve": (lambda p: _trace_csv(np.ones((5, 2))), DomainError),
     # the arbitrary-precision oracles, which also take mpmath numbers
     "reference.faddeeva-str-z": (lambda p: reference.faddeeva("1"), DomainError),
     "reference.faddeeva-mpc-z": (lambda p: reference.faddeeva(mp.mpc(1, 0.5)), None),
@@ -406,6 +417,10 @@ CONTRACT = {
     "reference.layer_integral-array-a": (
         lambda p: reference.layer_integral(np.ones(2), 1, 1, 1), DomainError
     ),
+    "reference.faddeeva-ragged-z": (lambda p: reference.faddeeva([1, [2, 3]]), DomainError),
+    "reference.layer_integral-ragged-a": (
+        lambda p: reference.layer_integral([1, [2, 3]], 1, 1, 1), DomainError
+    ),
 }
 
 # public functions with no CONTRACT row, and what each takes instead of a
@@ -417,7 +432,6 @@ NO_ROW = {
     "run_scenario": "a ScenarioConfig and a directory",
     "solve_mode": "a profile and a ResonancePole",
     "fmt": "any value, formatted as given",
-    "write_trace_csv": "a path, a trace and a method tag",
     "poles_csv_text": "ResonancePoles",
     "write_poles_csv": "a path and ResonancePoles",
     "check_abs": "a check's measured value, recorded as given (nan included)",

@@ -764,30 +764,25 @@ class TestColumnMemo:
         grid = transient._grid(times.shape, key, p.profile.hbar_over_2m)
         xs = np.linspace(0.0, p.L, 20)
         first = [psi_exact(p, x, times) for x in xs]
-        s, block = grid.block
-        assert s == p._wave_numbers
-        # dict.get, so that a missing column is never evaluated
-        for v in s:
-            assert np.shares_memory(dict.get(grid, v), block)
-        old = weakref.ref(block)
-        del block
+        assert grid.s == p._wave_numbers and grid.pairs == {}
+        old = weakref.ref(grid.block)
         # a second energy keeps the pole columns in its own block and copies
-        # out the first energy's k columns, so the old block is freed
+        # out the first energy's k pair, so the old block is freed
         r = triple_spectrum.at(triple_spectrum.poles[1].E_position)
         psi = psi_exact(r, r.L, times)
-        s, block = grid.block
-        assert s == r._wave_numbers
-        for v in s:
-            assert np.shares_memory(dict.get(grid, v), block)
-        for v in p._wave_numbers[:2]:
-            column = dict.get(grid, v)
-            assert column.flags.owndata and not column.flags.writeable
-            assert not np.shares_memory(column, block)
+        assert grid.s == r._wave_numbers and list(grid.pairs) == [p._wave_numbers[0]]
+        pair = grid.pairs[p._wave_numbers[0]]
+        assert pair.flags.owndata and not np.shares_memory(pair, grid.block)
         gc.collect()
         assert old() is None
         assert_at_bound(psi, r, r.L, times, len(r.modes))
+        # the first energy takes its pair back, and the second's goes out
         again = [psi_exact(p, x, times) for x in xs]
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert np.array_equal(grid.block[..., :2], pair)
+        assert list(grid.pairs) == [r._wave_numbers[0]]
+        pair = grid.pairs[r._wave_numbers[0]]
+        assert pair.flags.owndata and not np.shares_memory(pair, grid.block)
 
     def test_grid_shape_is_part_of_the_key(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
@@ -801,21 +796,20 @@ class TestColumnMemo:
         assert np.array_equal(column[:, 0], flat)
         assert_at_bound(flat, p, p.L, times, len(p.modes))
 
-    def test_columns_are_read_only(self, problem_ebar, times, monkeypatch):
+    def test_columns_are_read_only(self, triple_spectrum, problem_ebar, times):
         p = problem_ebar
-        columns = []
-
-        def keeping(y):
-            columns.append(m_function(y))
-            return columns[-1]
-
-        monkeypatch.setattr(transient, "m_function", keeping)
+        key = transient._GridKey(times.tobytes())
+        grid = transient._grid(times.shape, key, p.profile.hbar_over_2m)
+        # two more energies, so that the grid keeps two pairs beside its block
+        for pole in triple_spectrum.poles[:2]:
+            r = triple_spectrum.at(pole.E_position)
+            psi_exact(r, r.L, times)
         psi_exact(p, p.L, times)
-        assert len(columns) == 2 + 2 * len(p.modes)
-        for column in columns:
-            assert not column.flags.writeable
+        assert len(grid.pairs) == 2
+        for columns in (grid.block, *grid.pairs.values()):
+            assert not columns.flags.writeable
             with pytest.raises(ValueError):
-                column[0] = 0.0
+                columns[0] = 0.0
 
     def test_mass_ratio_is_part_of_the_key(self, triple_profile, ebar, times, wofz_calls):
         # a doubled mass ratio at half the energy has the same k, bit for bit,
@@ -875,20 +869,24 @@ class TestColumnMemo:
         grid = transient._grid(times.shape, key, p.profile.hbar_over_2m)
         xs = np.linspace(0.0, p.L, 50)
         rows = [psi_exact(p, x, times) for x in xs]
-        assert wofz_calls == [times.shape] * 10 and len(grid) == 10
-        # each new energy evaluates its two k columns; past the bound the
-        # grid drops its least recently used columns, here p's k columns
+        assert wofz_calls == [times.shape] * 10 and grid.pairs == {}
+
+        def held():
+            return grid.block.shape[-1] + sum(pair.shape[-1] for pair in grid.pairs.values())
+
+        # each new energy evaluates its M(y_k) and M(y_-k); past the bound
+        # the grid drops its least recently used pairs, here p's
         energies = [pole.E_position for pole in triple_spectrum.poles[:2]]
         others = [triple_spectrum.at(E) for E in energies]
         for r in others:
             psi_exact(r, r.L, times)
-            assert len(grid) == 12
+            assert held() == 12
         assert wofz_calls == [times.shape] * 14
-        assert p._wave_numbers[0] not in grid and others[0]._wave_numbers[0] in grid
+        assert list(grid.pairs) == [others[0]._wave_numbers[0]]
         # so p evaluates them again, and drops the first other energy's
         again = psi_exact(p, p.L, times)
-        assert wofz_calls == [times.shape] * 16 and len(grid) == 12
-        assert others[0]._wave_numbers[0] not in grid
+        assert wofz_calls == [times.shape] * 16 and held() == 12
+        assert list(grid.pairs) == [others[1]._wave_numbers[0]]
         assert np.array_equal(again, rows[-1])
         for x, row in list(zip(xs, rows))[::10]:
             assert_at_bound(row, p, x, times, 4)
@@ -909,6 +907,37 @@ class TestColumnMemo:
         psi = psi_exact(r, r.L, times)
         assert wofz_calls == [times.shape] * 2
         assert_at_bound(psi, r, r.L, times, len(r.modes))
+
+    def test_energies_on_one_grid_evaluate_only_what_is_not_kept(
+        self, triple_spectrum, times, wofz_calls
+    ):
+        poles = triple_spectrum.poles
+        assert len(poles) == 4
+        energies = np.linspace(poles[0].E_position, poles[1].E_position, 13)
+        p, q, r, *others = [triple_spectrum.at(E) for E in energies]
+
+        def evaluated(*calls):
+            del wofz_calls[:]
+            for f, problem, x in calls:
+                f(problem, x, times)
+            assert set(wofz_calls) <= {times.shape}
+            return len(wofz_calls)
+
+        def trace(problem, x, t):
+            return evolve_trace(problem, x, t, (METHOD_EXACT,))
+
+        # a per-x loop evaluates each of the 2 + 2N columns once
+        assert evaluated(*[(psi_exact, p, x) for x in np.linspace(0.0, p.L, 50)]) == 10
+        # a new energy on the same poles evaluates its M(y_k) and M(y_-k)
+        assert evaluated((psi_exact, q, q.L)) == 2
+        # and a returning energy, within the budget, none
+        assert evaluated((psi_exact, p, 0.5 * p.L)) == 0
+        # the doublet form and a whole trace at one new energy: its pair, once
+        assert evaluated((psi_doublet_M, r, r.L), (trace, r, r.L)) == 2
+        # q, p, r and ten more energies: 13 pairs and 8 pole columns exceed
+        # the 32 columns a grid keeps, so the oldest, q's pair, has gone
+        assert evaluated(*[(psi_exact, s, s.L) for s in others]) == 2 * len(others) == 20
+        assert evaluated((psi_exact, q, q.L)) == 2
 
     def test_grids_whose_hashes_collide_stay_apart(self, problem_ebar, wofz_calls):
         p = problem_ebar
@@ -952,10 +981,11 @@ class TestRowMemo:
         for got in (first, again[:3]):
             assert [_hexes(v) for v in got] == [_hexes(v) for v in reference]
         assert _hexes(again[3]) == _hexes(again[4]) == _hexes(reference[0])
-        # one entry per (x, mode count), read-only
-        assert sorted(p._x_rows) == [(x, 2), (x, 4)]
-        for (_, n), rows in p._x_rows.items():
-            assert not rows.flags.writeable and len(rows) == 2 + 2 * n
+        # one entry per position, keyed by its float, whatever the mode
+        # count of the call: the read-only 2 + 2N rows of the whole expansion
+        assert list(p._x_rows) == [x] and type(x) is float
+        rows = p._x_rows[x]
+        assert not rows.flags.writeable and rows.shape == (2 + 2 * len(p.modes),)
 
     def test_array_x_is_never_kept(self, fresh, times):
         p = fresh()
@@ -964,9 +994,10 @@ class TestRowMemo:
         for x in (xs, xs[:, None], xs[:1]):
             psi_exact(p, x, times)
             psi_doublet_M(p, x, times)
-        # a trace's scalar x is kept, under its largest mode count
+        # a trace's scalar x is kept, with the rows of every mode
         evolve_trace(p, p.L, times, METHODS)
-        assert list(p._x_rows) == [(p.L, 4)]
+        assert list(p._x_rows) == [p.L]
+        assert p._x_rows[p.L].shape == (2 + 2 * len(p.modes),)
 
     def test_rejected_x_raises_on_every_call_and_keeps_nothing(self, fresh, times):
         p = fresh()
@@ -1008,8 +1039,12 @@ class TestRowMemo:
         monkeypatch.setattr(transient, "_COLUMN_MEMO_POINTS", 3)
         p = fresh()
         xs = np.linspace(0.0, p.L, 5)
-        first = [psi_exact(p, x, times) for x in xs]
-        assert sorted(p._x_rows) == [(x, 4) for x in xs[:3]]
+        # the cap counts positions: the doublet form shares its position's entry
+        first = []
+        for x in xs:
+            psi_doublet_M(p, x, times)
+            first.append(psi_exact(p, x, times))
+        assert list(p._x_rows) == list(xs[:3])
         calls = _count_x_work(monkeypatch)
         again = [psi_exact(p, x, times) for x in xs]
         # the kept three are hits, the other two are evaluated again
