@@ -44,11 +44,14 @@ and its M columns evaluated (`perfbench`'s `density_maps` op), the memory
 the grid memo keeps (test_memo_bytes: eight such maps of a new problem on
 fresh 2000-point windows, after psi_exact.cache_clear(), and the
 tracemalloc bytes that allocations made under the package still hold
-after them, in extra_info; unlike a wall time they hold to ~1% between
-rounds), the M columns the first ops of two of `perfbench`'s streams
-evaluate (test_stream_columns: 63 `scenario_sweep` ops and 54
-`density_maps` ops of seed 11 after the stream's set-up and warm-up, one
-wofz call per column, in extra_info and pinned), the same map as
+after them, in extra_info and bounded by the arrays of two blocks and
+eight grids; unlike a wall time they hold to ~1% between rounds), the M
+columns the first ops of two of `perfbench`'s streams evaluate
+(test_stream_columns: 63 `scenario_sweep` ops and 54 `density_maps` ops
+of seed 11 after the stream's set-up and warm-up, one wofz call per
+column, in extra_info and pinned), the M columns of the five figure
+presets and both shipped `evolve` runs in the golden record's order
+(test_preset_columns, pinned), the same map as
 one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
 evaluation at another energy of the kept spectrum on a kept grid (each
 round's set-up empties the memo, keeps the grid's pole columns through
@@ -125,12 +128,18 @@ from qshutter import (  # noqa: E402
     solve_mode,
     transmission,
 )
-from qshutter import PoleConvergenceError, acceptance, mfunc, output, reference  # noqa: E402
+from qshutter import PoleConvergenceError, acceptance, cli, mfunc, output, reference  # noqa: E402
 from qshutter.mfunc import m_function, y_values  # noqa: E402
 from qshutter.model import energy_of, wavenumber  # noqa: E402
 from qshutter.output import transmission_csv_text, write_trace_csv  # noqa: E402
 from qshutter.poles import _newton, refine_pole, seed_poles  # noqa: E402
-from qshutter.presets import DOUBLE_LAYERS, MASS_RATIO, TRIPLE_LAYERS  # noqa: E402
+from qshutter.presets import (  # noqa: E402
+    DOUBLE_LAYERS,
+    MASS_RATIO,
+    PRESETS,
+    TRIPLE_LAYERS,
+    run_figure,
+)
 from qshutter.scattering import (  # noqa: E402
     _growth,
     _join,
@@ -394,15 +403,31 @@ def test_memo_bytes(benchmark, problem):
     xs = np.linspace(0.0, problem.L, 200)
     held = benchmark.pedantic(_memo_bytes, args=(problem, xs), rounds=3, warmup_rounds=0)
     benchmark.extra_info["qshutter_held_bytes"] = held
-    # eight kept grids of 2 + 2N columns, each column stored once
-    columns = 8 * (2 + 2 * len(problem.modes)) * TIMES.size * 16
-    assert columns <= held < 1.25 * columns
+    # eight kept grids of times, and the problem's pole set keeps blocks of
+    # 2 + 2N columns on its two latest grids only
+    arrays = 8 * TIMES.size * 8 + 2 * (2 + 2 * len(problem.modes)) * TIMES.size * 16
+    assert arrays <= held < 1.25 * arrays
+
+
+def _columns(run) -> int:
+    """The wofz calls, one per M column evaluated, that run() makes."""
+    calls, wofz = [], mfunc._wofz()
+
+    def counting(z):
+        calls.append(z.shape)
+        return wofz(z)
+
+    mfunc._WOFZ = counting
+    try:
+        run()
+    finally:
+        mfunc._WOFZ = wofz
+    return len(calls)
 
 
 def _stream_columns(name: str, seed: int, n_ops: int, work_dir: Path) -> int:
-    """The wofz calls, one per M column evaluated, of the first n_ops ops of
-    perfbench's stream `name` at seed, after its set-up and warm-up on an
-    emptied grid memo."""
+    """The M columns the first n_ops ops of perfbench's stream `name` at
+    seed evaluate, after its set-up and warm-up on an emptied grid memo."""
     # perfbench/workloads.py, imported read-only as bench/ab.py imports it
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
@@ -412,21 +437,30 @@ def _stream_columns(name: str, seed: int, n_ops: int, work_dir: Path) -> int:
     psi_exact.cache_clear()
     state = workload.setup(seed)
     workload.warm_up(state)
-    calls, wofz = [], mfunc._wofz()
 
-    def counting(z):
-        calls.append(z.shape)
-        return wofz(z)
-
-    mfunc._WOFZ = counting
-    try:
+    def run():
         for op in itertools.islice(workload.ops(state), n_ops):
             op.run()
             if op.cleanup is not None:
                 op.cleanup()
-    finally:
-        mfunc._WOFZ = wofz
-    return len(calls)
+
+    return _columns(run)
+
+
+def _preset_columns(work_dir: Path) -> int:
+    """The M columns of the five presets and both shipped `evolve` runs, in
+    the order of tests/golden.py's generate, from emptied memos."""
+    make_spectrum.cache_clear()
+    psi_exact.cache_clear()
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name in sorted(PRESETS):
+                run_figure(name, work_dir / name)
+            for name in ("double_barrier", "triple_barrier"):
+                assert cli.main(["evolve", "--config", name, "--out", str(work_dir)]) == 0
+
+    return _columns(run)
 
 
 @pytest.mark.parametrize(
@@ -440,6 +474,15 @@ def test_stream_columns(benchmark, tmp_path, name, n_ops, columns):
     )
     benchmark.extra_info["columns"] = evaluated
     assert evaluated == columns
+
+
+def test_preset_columns(benchmark, tmp_path):
+    # the column traffic of the golden record's run: fig2a's N = 2 run between
+    # N = 4 runs on one grid drops poles 3-4, which the next N = 4 run
+    # evaluates again (40 columns would need no such drop)
+    evaluated = benchmark.pedantic(_preset_columns, args=(tmp_path,), rounds=1, iterations=1)
+    benchmark.extra_info["columns"] = evaluated
+    assert evaluated == 44
 
 
 def test_density_map_per_x_warm(benchmark, problem):

@@ -30,6 +30,7 @@ that case.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -216,16 +217,20 @@ class _Grid:
     (n,) grid; so is hbar/2m, the one profile number a column reads.
     `block` holds the columns of the wave numbers `s` of the grid's latest
     problem, and `pairs` the (M(y_k), M(y_-k)) columns of earlier energies,
-    keyed by k from least to most recently used (see _block).
+    keyed by k from least to most recently used (see _block).  `before` is
+    a weak link to the kept grid that the pole set of `s` stacked a block
+    on before this one, if any: a pole set keeps blocks on two grids at most.
     """
 
     def __init__(self, shape: tuple, t_key: _GridKey, hbar_over_2m: float):
         self.t = _positive_times(np.frombuffer(t_key.data).reshape(shape))
         self.hbar_over_2m = hbar_over_2m
-        self.s, self.block, self.pairs = (), None, {}
+        self.s, self.block, self.pairs, self.before = (), None, {}, None
 
 
 _grid = lru_cache(maxsize=_GRID_MEMO_SIZE)(_Grid)
+# pole wave numbers s[2:] -> the kept grid their latest block was stacked on
+_latest_grid = weakref.WeakValueDictionary()
 
 
 def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
@@ -242,6 +247,12 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     from `pairs`, and evaluates the rest.  The oldest pairs then go while
     block and pairs exceed _GRID_COLUMNS columns; a grid that is not kept
     goes with its call.
+
+    A pole set, s[2:], keeps its block on the two kept grids it stacked on
+    last: stacking it on a third drops its block from the oldest of the
+    three, which keeps its times and its pairs.  One window per pole set,
+    or two in turn, keeps every block; a pole set stepping through fresh
+    windows holds two blocks, not one per kept grid.
     """
     if grid.s == s:
         return grid.block
@@ -266,6 +277,13 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
         block[..., j] = m_function(y_values(s[j], grid.t, grid.hbar_over_2m))
     block.flags.writeable = False
     grid.s, grid.block = s, block
+    latest = _latest_grid.get(s[2:])
+    if latest is not grid and grid.t.size <= _COLUMN_MEMO_POINTS:
+        oldest = latest.before() if latest is not None and latest.before else None
+        if oldest is not None and oldest is not grid and oldest.s[2:] == s[2:]:
+            oldest.s, oldest.block = (), None
+        grid.before = None if latest is None else weakref.ref(latest)
+        _latest_grid[s[2:]] = grid
     while grid.pairs and len(s) + 2 * len(grid.pairs) > _GRID_COLUMNS:
         del grid.pairs[next(iter(grid.pairs))]
     return block
@@ -382,11 +400,13 @@ def psi_exact(problem: ShutterProblem, x, t):
     and keeps the block of its latest problem's columns and the M(y_k),
     M(y_-k) pair of each earlier energy, all read-only (see _block): a
     per-x loop evaluates each column once, and a new energy on the grid
-    only its own pair.  A grid holds at most 32 columns between calls
-    (_GRID_COLUMNS; it drops the least recently used pairs), and one of
-    more than 4096 points (_COLUMN_MEMO_POINTS) is never kept: 16 MiB at
-    most in all.  A miss runs the uncached arithmetic, so results do not
-    depend on it.
+    only its own pair.  A pole set keeps its block on the two kept grids
+    it stacked on last, so a problem stepping through fresh windows holds
+    two blocks, not one per kept grid.  A grid holds at most 32 columns
+    between calls (_GRID_COLUMNS; it drops the least recently used pairs),
+    and one of more than 4096 points (_COLUMN_MEMO_POINTS) is never kept:
+    16 MiB at most in all.  A miss runs the uncached arithmetic, so results
+    do not depend on it.
     psi_exact.cache_info() counts grids (a miss checks one);
     psi_exact.cache_clear() empties it, blocks and all.
 
@@ -470,8 +490,10 @@ def free_shutter_psi(k: float, x: float, t, hbar_over_2m: float):
 class TransientTrace:
     """|Psi|^2 on a time grid at fixed position and incidence energy.
 
-    `times` is the trace's own read-only copy of the grid, so a later edit
-    of the caller's array reaches neither it nor text derived from it.
+    `times` is the trace's own read-only copy of the grid, and each curve in
+    `densities` its own read-only float copy, so a later edit of the
+    caller's arrays reaches neither them nor text derived from them.  A
+    curve that is not real (_real_array) raises DomainError.
     """
 
     x: float
@@ -482,8 +504,14 @@ class TransientTrace:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
-        times.flags.writeable = False
+        curves = {
+            method: np.array(_real_array(curve, f"the {method!r} curve"))
+            for method, curve in self.densities.items()
+        }
+        for array in (times, *curves.values()):
+            array.flags.writeable = False
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "densities", curves)
 
     @property
     def methods(self) -> tuple[str, ...]:

@@ -218,7 +218,7 @@ def _free_spectrum(n_poles):
 def _trace_csv(curve):
     """write_trace_csv of a hand-built 5-time trace whose exact-N curve is curve."""
     times = np.linspace(0.1, 0.5, 5)
-    trace = TransientTrace(1.0, 0.01, 1.0, times, {"exact-N": np.asarray(curve)})
+    trace = TransientTrace(1.0, 0.01, 1.0, times, {"exact-N": curve})
     return write_trace_csv(os.devnull, trace, "exact-N")
 
 
@@ -393,6 +393,8 @@ CONTRACT = {
     "write_trace_csv-short-curve": (lambda p: _trace_csv(np.ones(3)), DomainError),
     "write_trace_csv-long-curve": (lambda p: _trace_csv(np.ones(7)), DomainError),
     "write_trace_csv-2d-curve": (lambda p: _trace_csv(np.ones((5, 2))), DomainError),
+    "write_trace_csv-list-curve": (lambda p: _trace_csv([1.0] * 5), None),
+    "write_trace_csv-str-curve": (lambda p: _trace_csv(["1.0"] * 5), DomainError),
     # the arbitrary-precision oracles, which also take mpmath numbers
     "reference.faddeeva-str-z": (lambda p: reference.faddeeva("1"), DomainError),
     "reference.faddeeva-mpc-z": (lambda p: reference.faddeeva(mp.mpc(1, 0.5)), None),

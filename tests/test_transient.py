@@ -758,6 +758,39 @@ class TestColumnMemo:
         assert all(block is blocks[i % 2] for i, block in enumerate(blocks))
         assert [block.shape[0] for block in blocks[:2]] == [len(t) for t in grids]
 
+    def test_a_pole_set_keeps_blocks_on_its_two_latest_grids(
+        self, triple_spectrum, problem_ebar, times, blocks
+    ):
+        p = problem_ebar
+        windows = [times + 1e-3 * r for r in range(5)]
+        grids = [
+            transient._grid(w.shape, transient._GridKey(w.tobytes()), p.profile.hbar_over_2m)
+            for w in windows
+        ]
+        xs = np.linspace(0.0, p.L, 5)
+        # one problem stepped through four fresh windows, a per-x loop on each
+        for w in windows[:4]:
+            for x in xs:
+                psi_exact(p, x, w)
+        stacked = [weakref.ref(block) for block in blocks[:: len(xs)]]
+        assert len({id(block) for block in blocks}) == len(stacked) == 4
+        blocks.clear()
+        gc.collect()
+        # the first two blocks are freed; their grids stay kept, times and all
+        assert [ref() is None for ref in stacked] == [True, True, False, False]
+        assert [grid.s for grid in grids[:4]] == [(), (), p._wave_numbers, p._wave_numbers]
+        assert psi_exact.cache_info().currsize == 5
+        assert all(np.array_equal(grid.t, w) for grid, w in zip(grids, windows))
+        # a second energy of the same spectrum on a fifth window drops the
+        # third grid's block and keeps the fourth
+        r = triple_spectrum.at(triple_spectrum.poles[1].E_position)
+        assert r._wave_numbers[2:] == p._wave_numbers[2:]
+        psi = psi_exact(r, r.L, windows[4])
+        gc.collect()
+        assert [ref() is None for ref in stacked] == [True, True, True, False]
+        assert [grid.s for grid in grids[2:]] == [(), p._wave_numbers, r._wave_numbers]
+        assert_at_bound(psi, r, r.L, windows[4], len(r.modes))
+
     def test_kept_columns_are_stored_once(self, triple_spectrum, times):
         p = triple_spectrum.at(triple_spectrum.poles[0].E_position)
         key = transient._GridKey(times.tobytes())
