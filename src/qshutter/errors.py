@@ -83,12 +83,17 @@ class QuadrantEscapeError(PoleConvergenceError):
 
 
 class PoleCountError(PoleError):
-    """Fewer poles found than requested; message names how many were found."""
+    """Fewer poles found than requested; message names how many were found,
+    and the last window energy and the cap it reached (eV), if it did."""
 
-    def __init__(self, found: int, requested: int):
-        self.found = found
-        self.requested = requested
-        super().__init__(f"{found} poles found, {requested} requested")
+    def __init__(
+        self, found: int, requested: int, cap: float | None = None, window: float | None = None
+    ):
+        self.found, self.requested, self.cap, self.window = found, requested, cap, window
+        message = f"{found} poles found, {requested} requested"
+        if cap is not None:
+            message += f"; the search window reached {window:.4g} eV, past its {cap:.4g} eV cap"
+        super().__init__(message)
 
 
 class PoleQualityError(PoleError):

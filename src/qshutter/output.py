@@ -102,8 +102,7 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     The bytes are those of a csv.writer (line terminator "\\n") fed
     fmt(float(...)) fields; a method tag holding a carriage return is
     quoted as well, so every row reads back as four fields.  A method the
-    trace does not hold, or a curve that is not one value per time (which
-    _table would cut), raises DomainError before any file is opened.
+    trace does not hold raises DomainError before any file is opened.
 
     The time cells are keyed on (grid, tau_1), not on the trace, the grid as
     transient._GridKey keys it.  transient's caps on the grids it keeps
@@ -120,11 +119,6 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     if method not in trace.densities:
         raise DomainError(f"trace has no '{method}' curve; it has {trace.methods}")
     times, curve = trace.times, trace.densities[method]
-    if np.ndim(curve) != 1 or np.shape(curve) != times.shape:
-        raise DomainError(
-            f"the '{method}' curve must be 1-D with one value per time, "
-            f"got shape {np.shape(curve)} for times of shape {times.shape}"
-        )
     format_cells = _time_cells if times.size <= _COLUMN_MEMO_POINTS else _time_cells.__wrapped__
     cells = format_cells(_GridKey(times.tobytes()), trace.tau_1)
     row = "%s%.12g," + _last_cell(method).replace("%", "%%") + "\n"

@@ -456,7 +456,8 @@ def find_poles(profile: PotentialProfile, N: int) -> list[ResonancePole]:
                 seeds += half_seeds
     poles = sorted((p for p in poles if _obeys(p.k)), key=lambda p: p.E_position)
     if len(poles) < N:
-        raise PoleCountError(found=len(poles), requested=N)
+        capped = {"cap": cap, "window": E_max} if E_max >= cap else {}
+        raise PoleCountError(found=len(poles), requested=N, **capped)
     for i, p in enumerate(poles[:N]):
         if p.k.imag >= 0:
             raise PoleQualityError(

@@ -19,8 +19,9 @@ monotone and so no measure of convergence in N (ROADMAP item 8).  Every
 M-function method is a partial sum of this one expansion (see _sums).  x
 enters only through the 2 + 2N coefficients [Phi, -Phi*, -rho_n, rho_n*]
 and t only through the M(y_s) columns, so the sum is one matrix product of
-the x rows and a block of columns.  The columns are kept per time grid, and
-a problem keeps the rows of each scalar x it evaluates (see psi_exact).
+the x rows and a block of columns.  The columns are kept per time grid
+(see _block), and a problem keeps the rows of each scalar x it evaluates
+(see ShutterProblem._x_rows).
 
 On a free profile the expansion degenerates (no poles) and does not reduce
 to the free propagation of the cutoff wave; psi_exact dispatches to the
@@ -60,7 +61,6 @@ __all__ = [
     "TransientTrace",
     "psi_exact",
     "psi_doublet_M",
-    "delta_term",
     "free_shutter_psi",
     "evolve_trace",
 ]
@@ -112,7 +112,12 @@ class ShutterProblem:
 
     @cached_property
     def _x_rows(self) -> dict:
-        """float x -> the read-only 2 + 2N rows of a kept scalar x; see _sums."""
+        """float x -> the read-only 2 + 2N rows of a scalar x; see _sums.
+
+        Keyed by x's Python float (-0.0 and 0.0 share a key), for at most
+        4096 positions (_COLUMN_MEMO_POINTS; a later one is not kept).  An
+        array x is never kept; psi_exact.cache_clear() leaves the rows alone.
+        """
         return {}
 
 
@@ -311,7 +316,7 @@ def _product(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 def _sums(problem: ShutterProblem, x, t, *n_modes: int):
-    """(the x rows, one partial sum per count in n_modes).
+    """One partial sum of Psi(x, t) per count in n_modes.
 
     Psi(x, t) is the separable sum R(x) . C(t): x enters only through the
     2 + 2N rows R = [Phi, -Phi*, -rho_1, rho_1*, -rho_2, ...] and t only
@@ -324,17 +329,19 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     sum is then the free-shutter solution.
 
     The rows of every retained mode are evaluated at x located once, with
-    rho_-n = -rho_n* (see rho_mirror); a scalar x's rows are kept on the
-    problem under its float, and a hit skips _locate and every _wave (see
-    psi_exact).  A Python or numpy float x is looked up before it is read
-    as an array; any other x, and a float that misses, is read by
-    _real_array first, so a lookup never admits an x the check refuses.  A float64 array t is
-    used as given, and any other t read by _real_array.  One _grid lookup
-    checks t when it builds the grid (a free profile only checks t), after
-    x and before the broadcast of x against t; the columns come as one
-    block (see _block).  A count below N reads prefixes of the rows and
-    the block, and N takes them whole, so a warm per-x call is one row
-    lookup, one grid lookup and one gemv.
+    rho_-n = -rho_n* (see rho_mirror).  A scalar x's rows are kept on the
+    problem (_x_rows), and a hit returns the rows its miss computed and
+    skips _locate and every _wave, so a per-x map on a kept problem
+    evaluates each position once, whatever its time window.  A Python or
+    numpy float x is looked up before it is read as an array; any other x,
+    and a float that misses, is read by _real_array first, so a lookup
+    never admits an x the check refuses.  A float64 array t is used as
+    given, and any other t read by _real_array.  One _grid lookup checks t
+    when it builds the grid (a free profile only checks t), after x and
+    before the broadcast of x against t; the columns come as one block (see
+    _block).  A count below N reads prefixes of the rows and the block, and
+    N takes them whole, so a warm per-x call is one row lookup, one grid
+    lookup and one gemv.
     """
     n_max, n_all = max(n_modes), len(problem.modes)
     if n_all < n_max:
@@ -359,7 +366,7 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
         if not problem.profile.is_free:
             raise DomainError("problem carries no modes for a non-free profile")
         psi = free_shutter_psi(problem.k, x, t, problem.profile.hbar_over_2m)
-        return None, [psi] * len(n_modes)
+        return [psi] * len(n_modes)
     columns = _block(grid, problem._wave_numbers)
     if rows is None:
         phi = _wave(problem.field.q, problem.field.coefficients, *located)
@@ -371,7 +378,7 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
         if key is not None and len(problem._x_rows) < _COLUMN_MEMO_POINTS:
             rows.flags.writeable = False
             problem._x_rows[key] = rows
-    return rows, [
+    return [
         _product(rows, columns) if n == n_all
         else _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n])
         for n in n_modes
@@ -381,50 +388,25 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
 def psi_exact(problem: ShutterProblem, x, t):
     """Psi(x, t) from the full retained pole set.
 
-    A call locates x once, evaluates 1 + N layered waves (Phi and each u_n;
-    rho_-n = -rho_n*) into the rows [Phi, -Phi*, -rho_1, rho_1*, ...], and
-    returns their product with the call's block of M(y_s) columns: one gemv
-    for a scalar x.  x and t broadcast against each other:
-    psi_exact(p, xs[:, None], t) gives the (len(xs), len(t)) map as one
-    gemm, which agrees with a loop of per-x calls to the dot-product
-    rounding bound (see _sums), not bit for bit.
+    x and t broadcast against each other: psi_exact(p, xs[:, None], t)
+    gives the (len(xs), len(t)) map as one matrix product, which agrees
+    with a loop of per-x calls to the dot-product rounding bound (see
+    _sums), not bit for bit.  Free profiles dispatch to the closed-form
+    free-shutter solution (the pole expansion is empty there and does not
+    represent free propagation).
 
-    Free profiles dispatch to the closed-form free-shutter solution (the
-    pole expansion is empty there and does not represent free propagation).
-
-    M(y_s) depends on the wave number s and on t but not on x, so one memo
-    keeps the columns of the 8 most recently used time grids
-    (_GRID_MEMO_SIZE, which also sizes output's memo of time cells), keyed
-    on (grid shape, grid bytes, hbar/2m), for psi_exact, psi_doublet_M,
-    delta_term and evolve_trace.  A grid is checked once, when it is built,
-    and keeps the block of its latest problem's columns and the M(y_k),
-    M(y_-k) pair of each earlier energy, all read-only (see _block): a
-    per-x loop evaluates each column once, and a new energy on the grid
-    only its own pair.  A pole set keeps its block on the two kept grids
-    it stacked on last, so a problem stepping through fresh windows holds
-    two blocks, not one per kept grid.  A grid holds at most 32 columns
-    between calls (_GRID_COLUMNS; it drops the least recently used pairs),
-    and one of more than 4096 points (_COLUMN_MEMO_POINTS) is never kept:
-    16 MiB at most in all.  A miss runs the uncached arithmetic, so results
-    do not depend on it.
-    psi_exact.cache_info() counts grids (a miss checks one);
-    psi_exact.cache_clear() empties it, blocks and all.
-
-    The x half is kept as well, on the problem itself: a scalar x, keyed
-    by its Python float (so -0.0 and 0.0 share a key), keeps the read-only
-    rows of every retained mode, whatever the call's mode count, for at
-    most 4096 positions per problem (_COLUMN_MEMO_POINTS; a later position
-    is evaluated and not kept).  A per-x map on a kept problem thus locates
-    x and evaluates Phi and the u_n once per position, whatever its time
-    window.  A hit returns the rows its miss computed, so every bit is the
-    uncached call's, and it may skip the x check: only an x that passed it
-    is ever stored.  A Python or numpy float x is looked up before any
-    array conversion, so a warm call at a kept x on a kept grid is one row
-    lookup, one grid lookup and one gemv (see _sums); any other type of x
-    is checked first.  An array x is never kept, the rows die with their
-    problem, and psi_exact.cache_clear() leaves them alone.
+    The evaluators share one memo of the M(y_s) columns, which depend on t
+    and not on x: it keeps the 8 most recently used time grids
+    (_GRID_MEMO_SIZE), a kept grid holds at most 32 columns between calls
+    (_GRID_COLUMNS), and a grid of more than 4096 points
+    (_COLUMN_MEMO_POINTS) is never kept: 16 MiB at most in all (which
+    columns a grid keeps: _block).  A problem keeps the x rows of each
+    scalar x it evaluates (ShutterProblem._x_rows).  A miss runs the
+    uncached arithmetic, so results are bit-identical with or without
+    either memo.  psi_exact.cache_info() counts grids (a miss checks one);
+    psi_exact.cache_clear() empties the grid memo, blocks and all.
     """
-    _, (psi,) = _sums(problem, x, t, len(problem.modes))
+    (psi,) = _sums(problem, x, t, len(problem.modes))
     return _result(psi)
 
 
@@ -437,29 +419,8 @@ def psi_doublet_M(problem: ShutterProblem, x, t):
 
     x and t broadcast against each other, as in psi_exact.
     """
-    _, (psi,) = _sums(problem, x, t, 2)
+    (psi,) = _sums(problem, x, t, 2)
     return _result(psi)
-
-
-def delta_term(problem: ShutterProblem, x, t):
-    """Remainder Delta(x, t) of the two-level reduction.
-
-    Delta = psi_doublet_M - sum_{n=1,2} rho_n [e^{y_k^2} - e^{y_{k_n}^2}];
-    the bracket exponentials are the evolution phases e^{-iEt/hbar} and
-    e^{-iE_n t/hbar}.  Delta is algebraically the collection of all
-    M(y_{-k}) and M(y_{k_{-n}}) pieces, decaying as an inverse power of t;
-    at small t it is O(1) and enforces the vanishing initial condition.
-    x and t broadcast against each other, as in psi_exact.
-    """
-    rows, (doublet,) = _sums(problem, x, t, 2)
-    rho_1, rho_2 = -rows[..., 2], -rows[..., 4]
-    t_arr = np.asarray(t, dtype=float)
-    phase_k, phase_1, phase_2 = (
-        np.exp(-1j * E * t_arr / HBAR_EV_PS)
-        for E in (problem.E, problem.modes[0].pole.E, problem.modes[1].pole.E)
-    )
-    kept = rho_1 * (phase_k - phase_1) + rho_2 * (phase_k - phase_2)
-    return _result(doublet - kept)
 
 
 def free_shutter_psi(k: float, x: float, t, hbar_over_2m: float):
@@ -490,10 +451,12 @@ def free_shutter_psi(k: float, x: float, t, hbar_over_2m: float):
 class TransientTrace:
     """|Psi|^2 on a time grid at fixed position and incidence energy.
 
-    `times` is the trace's own read-only copy of the grid, and each curve in
-    `densities` its own read-only float copy, so a later edit of the
-    caller's arrays reaches neither them nor text derived from them.  A
-    curve that is not real (_real_array) raises DomainError.
+    `times` is the trace's own read-only 1-D float copy of the grid, and
+    each curve in `densities` its own read-only float copy with one value
+    per time, so a later edit of the caller's arrays reaches neither them
+    nor text derived from them.  Times or a curve that are not real
+    (_real_array), times that are not 1-D, or a curve of another shape
+    raise DomainError.
     """
 
     x: float
@@ -503,11 +466,16 @@ class TransientTrace:
     densities: dict[str, np.ndarray]
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
+        times = np.array(_real_array(self.times, "times"))
+        if times.ndim != 1:
+            raise DomainError(f"times must be 1-D, got shape {times.shape}")
         curves = {
             method: np.array(_real_array(curve, f"the {method!r} curve"))
             for method, curve in self.densities.items()
         }
+        for tag, curve in curves.items():
+            if curve.shape != times.shape:
+                raise DomainError(f"the {tag!r} curve has shape {curve.shape}, not {times.shape}")
         for array in (times, *curves.values()):
             array.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -567,7 +535,7 @@ def evolve_trace(
     counts = {method: n for method, n in counts.items() if method in methods}
     amplitudes = {}
     if counts:
-        _, sums = _sums(problem, x, t_pos, *counts.values())
+        sums = _sums(problem, x, t_pos, *counts.values())
         amplitudes = dict(zip(counts, sums))
 
     densities: dict[str, np.ndarray] = {}

@@ -45,7 +45,7 @@ from qshutter.modes import rho, rho_mirror
 from qshutter.output import transmission_csv_text, write_trace_csv, write_transmission_csv
 from qshutter.poles import refine_pole, seed_poles
 from qshutter.scattering import layered_wave, solve_stationary, stationary_wave, transfer_matrix
-from qshutter.transient import TransientTrace, delta_term, free_shutter_psi, psi_doublet_M
+from qshutter.transient import TransientTrace, free_shutter_psi, psi_doublet_M
 from qshutter.twolevel import density_resonant_exponential
 
 PUBLIC = [
@@ -243,7 +243,13 @@ CONTRACT = {
         lambda p: layered_wave(p.field.edges, p.field.q, p.field.coefficients, "1"), DomainError
     ),
     "psi_doublet_M-str-x": (lambda p: psi_doublet_M(p, "1", [0.1]), DomainError),
-    "delta_term-str-x": (lambda p: delta_term(p, "1", [0.1]), DomainError),
+    "TransientTrace-str-times": (
+        lambda p: TransientTrace(1.0, 0.01, 1.0, ["0.1", "0.2"], {}), DomainError
+    ),
+    "TransientTrace-text-times": (lambda p: TransientTrace(1.0, 0.01, 1.0, "ab", {}), DomainError),
+    "TransientTrace-2d-times": (
+        lambda p: TransientTrace(1.0, 0.01, 1.0, np.ones((2, 1)), {}), DomainError
+    ),
     "dominant_frequency_series-str-times": (
         lambda p: dominant_frequency_series(["0"] * 8, [1.0] * 8), DomainError
     ),
@@ -447,7 +453,7 @@ NO_ROW = {
 # own results, not from a caller's numbers
 RESULT_RECORDS = {
     "TransferMatrix", "StationaryField", "ResonancePole", "ResonantMode", "ShutterProblem",
-    "Spectrum", "TransientTrace", "DoubletFrequencies", "Check", "Manifest", "FigurePreset",
+    "Spectrum", "DoubletFrequencies", "Check", "Manifest", "FigurePreset",
     "FigureResult", "CheckResult",
 }
 

@@ -502,6 +502,14 @@ class TestFindPoles:
             find_poles(build_profile([(9.8, 0.269)], MASS_RATIO), 5)
         assert sum(points) <= 600
 
+    def test_count_error_names_the_window_cap(self):
+        # one barrier with five poles below 0.3801 eV, the cap energy that the
+        # fourth window (0.4 eV) passed; the sixth lies at 0.490 eV
+        with pytest.raises(PoleCountError, match=r"^5 poles found, 6 requested; ") as err:
+            find_poles(build_profile([(21.6, 0.083)], 0.067), 6)
+        assert "reached 0.4 eV, past its 0.3801 eV cap" in str(err.value)
+        assert err.value.window == 0.4 and abs(err.value.cap - 0.38012) < 1e-5
+
     def test_upper_half_plane_pole_raises_quality_error(self):
         # a random profile whose first pole is too sharp for its Im k: Newton
         # certifies it at Im k = +2.86e-20 nm^-1 (Gamma = -1.96e-20 eV)

@@ -43,7 +43,6 @@ from qshutter.scattering import _locate, stationary_wave
 from qshutter.transient import (
     METHODS,
     Spectrum,
-    delta_term,
     free_shutter_psi,
     psi_doublet_M,
 )
@@ -98,24 +97,17 @@ def dot_bound(terms):
     return 2 * gamma(len(terms) + 2) * size
 
 
-def assert_at_bound(got, problem, x, t, n_modes, kept=None):
-    """got lies within dot_bound of the term-by-term sum, elementwise.
-
-    With kept, both sides subtract it from their doublet sum, which rounds
-    once more on each side: eps |ref| is added to the bound.
-    """
+def assert_at_bound(got, problem, x, t, n_modes):
+    """got lies within dot_bound of the term-by-term sum, elementwise."""
     terms = reference_terms(problem, x, t, n_modes)
     ref, bound = term_sum(terms), dot_bound(terms)
-    if kept is not None:
-        ref = ref - kept
-        bound = bound + EPS * np.abs(ref)
     assert np.shape(got) == np.shape(ref)
     assert np.all(np.abs(got - ref) <= bound)
 
 
 def kept_exponentials(problem, x, t):
-    """sum_{n=1,2} rho_n (e^{-iEt/hbar} - e^{-iE_n t/hbar}), which delta_term
-    subtracts from psi_doublet_M."""
+    """sum_{n=1,2} rho_n (e^{-iEt/hbar} - e^{-iE_n t/hbar}): the part of
+    psi_doublet_M that the two-level reduction keeps."""
     hbar = HBAR_EV_PS
     t = np.asarray(t, dtype=float)
     kept = 0.0
@@ -124,6 +116,13 @@ def kept_exponentials(problem, x, t):
             np.exp(-1j * problem.E * t / hbar) - np.exp(-1j * mode.pole.E * t / hbar)
         )
     return kept
+
+
+def delta_term(problem, x, t):
+    """The remainder Delta(x, t) that the two-level reduction drops: all the
+    M(y_{-k}) and M(y_{k_{-n}}) pieces of psi_doublet_M, decaying as an
+    inverse power of t, and O(1) at small t, where it enforces Psi(0) = 0."""
+    return psi_doublet_M(problem, x, t) - kept_exponentials(problem, x, t)
 
 
 class TestMakeProblem:
@@ -273,7 +272,6 @@ class TestPsiExact:
         calls = [
             lambda x, t: psi_exact(p, x, t),
             lambda x, t: psi_doublet_M(p, x, t),
-            lambda x, t: delta_term(p, x, t),
             lambda x, t: density_two_level(mode_1, mode_2, freqs, x, p.k, t),
         ]
         for call in calls:
@@ -484,7 +482,7 @@ def _hexes(values) -> list:
 
 
 class TestEvaluator:
-    """psi_exact, psi_doublet_M and delta_term are partial sums of one expansion."""
+    """psi_exact and psi_doublet_M are partial sums of one expansion."""
 
     @pytest.fixture(scope="class")
     def problems(self, triple_spectrum, ebar, double_profile, double_modes):
@@ -503,12 +501,11 @@ class TestEvaluator:
             t = np.linspace(0.01 * tau_1, 20.0 * tau_1, 101)
             shapes = ((p.L, 0.3 * tau_1), (xs[:, None], t), (xs, tau_1), (0.4 * p.L, t))
             for x, tt in shapes:
-                for got, n_modes, kept in (
-                    (psi_exact(p, x, tt), len(p.modes), None),
-                    (psi_doublet_M(p, x, tt), 2, None),
-                    (delta_term(p, x, tt), 2, kept_exponentials(p, x, tt)),
+                for got, n_modes in (
+                    (psi_exact(p, x, tt), len(p.modes)),
+                    (psi_doublet_M(p, x, tt), 2),
                 ):
-                    assert_at_bound(got, p, x, tt, n_modes, kept)
+                    assert_at_bound(got, p, x, tt, n_modes)
                     if np.ndim(got) == 0:
                         assert type(got) is complex
 
@@ -1003,17 +1000,17 @@ class TestRowMemo:
     def test_second_call_at_one_x_reuses_its_rows(self, fresh, times, monkeypatch):
         p, q = fresh(), fresh()
         x = 0.37 * p.L
-        first = [f(p, x, times) for f in (psi_exact, psi_doublet_M, delta_term)]
+        first = [f(p, x, times) for f in (psi_exact, psi_doublet_M)]
         calls = _count_x_work(monkeypatch)
-        again = [f(p, x, times) for f in (psi_exact, psi_doublet_M, delta_term)]
+        again = [f(p, x, times) for f in (psi_exact, psi_doublet_M)]
         # a 0-d array and a numpy float at the same x share the key
         again += [psi_exact(p, f(x), times) for f in (np.array, np.float64)]
         assert calls == []
         monkeypatch.undo()
-        reference = [f(q, x, times) for f in (psi_exact, psi_doublet_M, delta_term)]
-        for got in (first, again[:3]):
+        reference = [f(q, x, times) for f in (psi_exact, psi_doublet_M)]
+        for got in (first, again[:2]):
             assert [_hexes(v) for v in got] == [_hexes(v) for v in reference]
-        assert _hexes(again[3]) == _hexes(again[4]) == _hexes(reference[0])
+        assert _hexes(again[2]) == _hexes(again[3]) == _hexes(reference[0])
         # one entry per position, keyed by its float, whatever the mode
         # count of the call: the read-only 2 + 2N rows of the whole expansion
         assert list(p._x_rows) == [x] and type(x) is float
