@@ -73,6 +73,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from collections.abc import Mapping  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -103,7 +104,8 @@ def on(workloads, qs, call, *args):
 
 def fingerprint(out) -> str:
     """The sha256 of an op's output bits: array bytes, float hex, record
-    fields by name, and a string naming a file by that file's bytes."""
+    fields by name, a mapping's keys and values (a dict or a read-only view
+    alike), and a string naming a file by that file's bytes."""
     digest = hashlib.sha256()
 
     def walk(value):
@@ -122,7 +124,7 @@ def fingerprint(out) -> str:
             for f in dataclasses.fields(value):
                 digest.update(f.name.encode())
                 walk(getattr(value, f.name))
-        elif isinstance(value, dict):
+        elif isinstance(value, Mapping):
             for key, item in value.items():
                 walk(key)
                 walk(item)

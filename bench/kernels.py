@@ -49,7 +49,11 @@ eight grids; unlike a wall time they hold to ~1% between rounds), the M
 columns the first ops of two of `perfbench`'s streams evaluate
 (test_stream_columns: 63 `scenario_sweep` ops and 54 `density_maps` ops
 of seed 11 after the stream's set-up and warm-up, one wofz call per
-column, in extra_info and pinned), the M columns of the five figure
+column, in extra_info and pinned), the memory the scenario path keeps
+(test_stream_bytes: the tracemalloc bytes under the package still held
+after the set-up, warm-up and first 63 `scenario_sweep` ops of seed 11,
+from emptied memos, and those of one 2000-point grid's kept time cells,
+in extra_info and bounded), the M columns of the five figure
 presets and both shipped `evolve` runs in the golden record's order
 (test_preset_columns, pinned), the same map as
 one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
@@ -382,21 +386,31 @@ def test_density_map_new_window(benchmark, problem):
     assert dmap.shape == (xs.size, TIMES.size) and np.all(np.isfinite(dmap))
 
 
-def _memo_bytes(problem, xs):
-    """Bytes that allocations under the package still hold after eight
-    per-x maps of a new problem on fresh windows, from an emptied memo."""
-    problem = make_spectrum(problem.profile, len(problem.modes)).at(problem.E)
-    psi_exact.cache_clear()
+def _held_bytes(run) -> int:
+    """Bytes that allocations made under the package during run() still hold
+    after it."""
     tracemalloc.start()
     try:
-        for r in range(1, 9):
-            _density_map(problem, xs, np.linspace(0.005 + 1e-3 * r, 10.0, TIMES.size))
+        run()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     package = os.path.join(os.path.dirname(qshutter.__file__), "*")
     held = snapshot.filter_traces([tracemalloc.Filter(True, package)])
     return sum(stat.size for stat in held.statistics("filename"))
+
+
+def _memo_bytes(problem, xs):
+    """Bytes that allocations under the package still hold after eight
+    per-x maps of a new problem on fresh windows, from an emptied memo."""
+    problem = make_spectrum(problem.profile, len(problem.modes)).at(problem.E)
+    psi_exact.cache_clear()
+
+    def run():
+        for r in range(1, 9):
+            _density_map(problem, xs, np.linspace(0.005 + 1e-3 * r, 10.0, TIMES.size))
+
+    return _held_bytes(run)
 
 
 def test_memo_bytes(benchmark, problem):
@@ -425,9 +439,9 @@ def _columns(run) -> int:
     return len(calls)
 
 
-def _stream_columns(name: str, seed: int, n_ops: int, work_dir: Path) -> int:
-    """The M columns the first n_ops ops of perfbench's stream `name` at
-    seed evaluate, after its set-up and warm-up on an emptied grid memo."""
+def _stream(name: str, seed: int, n_ops: int, work_dir: Path):
+    """run() for the first n_ops ops of perfbench's stream `name` at seed,
+    after the stream's set-up and warm-up on an emptied grid memo."""
     # perfbench/workloads.py, imported read-only as bench/ab.py imports it
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
@@ -444,7 +458,13 @@ def _stream_columns(name: str, seed: int, n_ops: int, work_dir: Path) -> int:
             if op.cleanup is not None:
                 op.cleanup()
 
-    return _columns(run)
+    return run
+
+
+def _stream_columns(name: str, seed: int, n_ops: int, work_dir: Path) -> int:
+    """The M columns the first n_ops ops of perfbench's stream `name` at
+    seed evaluate, after its set-up and warm-up on an emptied grid memo."""
+    return _columns(_stream(name, seed, n_ops, work_dir))
 
 
 def _preset_columns(work_dir: Path) -> int:
@@ -474,6 +494,29 @@ def test_stream_columns(benchmark, tmp_path, name, n_ops, columns):
     )
     benchmark.extra_info["columns"] = evaluated
     assert evaluated == columns
+
+
+def _stream_bytes(seed: int, n_ops: int, work_dir: Path) -> int:
+    """Bytes that allocations under the package still hold after the set-up,
+    warm-up and first n_ops ops of perfbench's `scenario_sweep` stream at
+    seed, from emptied spectrum, grid and time-cell memos."""
+    make_spectrum.cache_clear()
+    output._time_cells.cache_clear()
+    return _held_bytes(lambda: _stream("scenario_sweep", seed, n_ops, work_dir)())
+
+
+def test_stream_bytes(benchmark, tmp_path, trace):
+    # what the scenario path keeps (seed 11): the stream holds 4.29 MB when a
+    # kept grid's time cells are 2000 strings and each new energy stacks a
+    # new block, and 3.81 MB with one string per grid and the k pair written
+    # in place; the time cells of one 2000-row grid (TIMES, the trace of
+    # test_write_trace_csv) take 155,452 B as 2000 strings, 59,461 B as one
+    held = benchmark.pedantic(_stream_bytes, args=(11, 63, tmp_path), rounds=1, iterations=1)
+    output._time_cells.cache_clear()
+    key = _GridKey(trace.times.tobytes())
+    rows = _held_bytes(lambda: output._time_cells(key, trace.tau_1))
+    benchmark.extra_info.update(qshutter_held_bytes=held, rows_bytes=rows)
+    assert held < 4.0e6 and rows < 100_000
 
 
 def test_preset_columns(benchmark, tmp_path):

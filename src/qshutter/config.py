@@ -260,7 +260,11 @@ def _shipped(name: str) -> ScenarioConfig:
 
 def override(cfg: ScenarioConfig, **values) -> ScenarioConfig:
     """cfg with the named config keys replaced (None leaves a key as it is);
-    ScenarioConfig reads each value by its key's rule, as parse_config's."""
+    ScenarioConfig reads each value by its key's rule, as parse_config's.  A
+    key that is not a scalar config key raises ConfigError naming it."""
+    for key in values:
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key '{key}'", field=key)
     return replace(cfg, **{_FIELDS[key][0]: v for key, v in values.items() if v is not None})
 
 

@@ -74,18 +74,17 @@ def _table(header: str, row: str, *columns: list) -> str:
     return header + row * n % tuple(cells)
 
 
-# a trace row's time cells
-_TIME_CELLS = "%.12g,%.12g,\n"
+# a trace row: its time cells, then a density slot and a method slot
+_TRACE_ROW = "%.12g,%.12g,%%.12g,%%s\n"
 
 
 # as many (grid, tau_1) keys as transient keeps time grids
 @lru_cache(maxsize=_GRID_MEMO_SIZE)
-def _time_cells(t_key: _GridKey, tau_1: float) -> tuple[str, ...]:
-    """Every row's `t_ps,t_over_tau1,` cells on the time grid t_key."""
+def _time_cells(t_key: _GridKey, tau_1: float) -> str:
+    """Every row on the time grid t_key as one template: its `t_ps,t_over_tau1,`
+    cells, then a %.12g slot for the density and a %s slot for the method."""
     times = np.frombuffer(t_key.data)
-    return tuple(
-        _table("", _TIME_CELLS, times.tolist(), (times / tau_1).tolist()).split("\n")[:-1]
-    )
+    return _table("", _TRACE_ROW, times.tolist(), (times / tau_1).tolist())
 
 
 def _last_cell(text: str) -> str:
@@ -107,8 +106,9 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
     The time cells are keyed on (grid, tau_1), not on the trace, the grid as
     transient._GridKey keys it.  transient's caps on the grids it keeps
     serve here too: the cells of the 8 most recently written keys
-    (_GRID_MEMO_SIZE) are kept, as a read-only tuple of strings (0.15-0.17
-    MB per 2000-row grid), and every later write on a kept grid reuses them.
+    (_GRID_MEMO_SIZE) are kept, as one string of rows with a density and a
+    method slot each (~0.07 MB per 2000-row grid), and every later write on
+    a kept grid fills that string.
     A grid of more than 4096 points (_COLUMN_MEMO_POINTS) is formatted on
     every write and never kept, so a large trace pins no text.
     A free profile's tau_1 is nan, and every free trace carries the same
@@ -120,10 +120,10 @@ def write_trace_csv(path, trace: TransientTrace, method: str) -> str:
         raise DomainError(f"trace has no '{method}' curve; it has {trace.methods}")
     times, curve = trace.times, trace.densities[method]
     format_cells = _time_cells if times.size <= _COLUMN_MEMO_POINTS else _time_cells.__wrapped__
-    cells = format_cells(_GridKey(times.tobytes()), trace.tau_1)
-    row = "%s%.12g," + _last_cell(method).replace("%", "%%") + "\n"
-    text = _table("t_ps,t_over_tau1,density,method\n", row, cells, curve.tolist())
-    return _write(path, text)
+    rows = format_cells(_GridKey(times.tobytes()), trace.tau_1)
+    cells = [_last_cell(method)] * (2 * curve.size)
+    cells[::2] = curve.tolist()
+    return _write(path, "t_ps,t_over_tau1,density,method\n" + rows % tuple(cells))
 
 
 def poles_csv_text(poles: list[ResonancePole]) -> str:

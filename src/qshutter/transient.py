@@ -32,8 +32,10 @@ that case.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -246,12 +248,15 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     bits depend on no BLAS thread count (OpenBLAS's gemv over a (len(s), n)
     block rounds some columns differently at 1 and 2 threads).  A grid
     keeps the block of its latest s, so a per-x loop stacks it once.  A new
-    s copies the old block's k pair out into `pairs`, takes the pole columns
-    the two share (a prefix: one profile at a new energy, or an N = 2
-    problem before an N = 4 one) as one slab and a returning energy's pair
-    from `pairs`, and evaluates the rest.  The oldest pairs then go while
-    block and pairs exceed _GRID_COLUMNS columns; a grid that is not kept
-    goes with its call.
+    s copies the old block's k pair out into `pairs`.  A new energy of the
+    old pole set (s[2:] unchanged) then writes its own k pair, a returning
+    energy's from `pairs` or else evaluated, into the old block in place.
+    Any other s stacks a new block: it takes the pole columns the two share
+    (a prefix: an N = 2 problem before an N = 4 one) as one slab and a
+    returning energy's pair from `pairs`, and evaluates the rest.  The block
+    is read-only between calls.  The oldest pairs then go while block and
+    pairs exceed _GRID_COLUMNS columns; a grid that is not kept goes with
+    its call.
 
     A pole set, s[2:], keeps its block on the two kept grids it stacked on
     last: stacking it on a third drops its block from the oldest of the
@@ -269,9 +274,11 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     shared = 2
     while shared < min(len(s), len(old_s)) and s[shared] == old_s[shared]:
         shared += 1
-    block = np.empty((*grid.t.shape, len(s)), dtype=complex)
-    if shared > 2:
-        # the old k pair too, overwritten below, so a whole old block is one run
+    in_place = shared == len(s) == len(old_s)
+    block = old if in_place else np.empty((*grid.t.shape, len(s)), dtype=complex)
+    block.flags.writeable = True
+    if shared > 2 and not in_place:
+        # the old k pair too, overwritten below, so the shared prefix is one run
         block[..., :shared] = old[..., :shared]
     fresh = list(range(shared, len(s)))
     if s[0] in grid.pairs:
@@ -452,18 +459,18 @@ class TransientTrace:
     """|Psi|^2 on a time grid at fixed position and incidence energy.
 
     `times` is the trace's own read-only 1-D float copy of the grid, and
-    each curve in `densities` its own read-only float copy with one value
-    per time, so a later edit of the caller's arrays reaches neither them
-    nor text derived from them.  Times or a curve that are not real
-    (_real_array), times that are not 1-D, or a curve of another shape
-    raise DomainError.
+    `densities` a read-only mapping of each method to its own read-only
+    float copy of a curve with one value per time, so a later edit of the
+    caller's arrays or dict reaches neither them nor text derived from
+    them.  Times or a curve that are not real (_real_array), times that
+    are not 1-D, or a curve of another shape raise DomainError.
     """
 
     x: float
     E: float
     tau_1: float
     times: np.ndarray
-    densities: dict[str, np.ndarray]
+    densities: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         times = np.array(_real_array(self.times, "times"))
@@ -479,7 +486,7 @@ class TransientTrace:
         for array in (times, *curves.values()):
             array.flags.writeable = False
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "densities", curves)
+        object.__setattr__(self, "densities", MappingProxyType(curves))
 
     @property
     def methods(self) -> tuple[str, ...]:

@@ -369,6 +369,7 @@ CONTRACT = {
     "override-bool-t_max": (lambda p: override(_config(), t_max=True), ConfigError),
     "override-str-t_max": (lambda p: override(_config(), t_max="5"), ConfigError),
     "override-str-mass_ratio": (lambda p: override(_config(), mass_ratio="0.067"), ConfigError),
+    "override-unknown-key": (lambda p: override(_config(), bogus=1), ConfigError),
     "ScenarioConfig-bool-points": (lambda p: _scenario(points=True), ConfigError),
     "ScenarioConfig-bool-x": (lambda p: _scenario(x_nm=True), ConfigError),
     "ScenarioConfig-str-t_max": (lambda p: _scenario(t_max_tau1="5"), ConfigError),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qshutter import ConfigError, parse_config, resolve_scenario
-from qshutter.config import Incidence, ScenarioConfig
+from qshutter.config import Incidence, ScenarioConfig, override
 
 TRIPLE_CFG = """\
 # reference triple barrier
@@ -72,6 +72,12 @@ class TestParseConfig:
         text = "layer = 5 nm, 0.1 eV\nmass_ratio = 0.067\nenergy = 10 meV\nwat = 3\n"
         with pytest.raises(ConfigError, match="line 4"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key", ["bogus", "layer"])
+    def test_override_of_an_unknown_key_names_it(self, key):
+        cfg = parse_config(TRIPLE_CFG)
+        with pytest.raises(ConfigError, match=f"field '{key}': unknown key '{key}'"):
+            override(cfg, **{key: 1})
 
     def test_duplicate_scalar_key_rejected(self):
         text = (

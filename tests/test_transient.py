@@ -43,6 +43,7 @@ from qshutter.scattering import _locate, stationary_wave
 from qshutter.transient import (
     METHODS,
     Spectrum,
+    TransientTrace,
     free_shutter_psi,
     psi_doublet_M,
 )
@@ -796,15 +797,15 @@ class TestColumnMemo:
         first = [psi_exact(p, x, times) for x in xs]
         assert grid.s == p._wave_numbers and grid.pairs == {}
         old = weakref.ref(grid.block)
-        # a second energy keeps the pole columns in its own block and copies
-        # out the first energy's k pair, so the old block is freed
+        # a second energy copies out the first energy's k pair and writes its
+        # own into the same block, whose pole columns stay where they are
         r = triple_spectrum.at(triple_spectrum.poles[1].E_position)
         psi = psi_exact(r, r.L, times)
         assert grid.s == r._wave_numbers and list(grid.pairs) == [p._wave_numbers[0]]
         pair = grid.pairs[p._wave_numbers[0]]
         assert pair.flags.owndata and not np.shares_memory(pair, grid.block)
         gc.collect()
-        assert old() is None
+        assert grid.block is old() and not grid.block.flags.writeable
         assert_at_bound(psi, r, r.L, times, len(r.modes))
         # the first energy takes its pair back, and the second's goes out
         again = [psi_exact(p, x, times) for x in xs]
@@ -813,6 +814,35 @@ class TestColumnMemo:
         assert list(grid.pairs) == [r._wave_numbers[0]]
         pair = grid.pairs[r._wave_numbers[0]]
         assert pair.flags.owndata and not np.shares_memory(pair, grid.block)
+
+    @pytest.mark.parametrize("change", ["more poles", "another profile"])
+    def test_new_pole_set_stacks_a_new_block(
+        self, triple_spectrum, double_profile, times, wofz_calls, change
+    ):
+        # an N = 2 problem then an N = 4 one of the same profile, or two
+        # profiles, on one grid: the second call stacks a block of its own,
+        # evaluates only the columns the first did not, and has the bits of
+        # its call on an emptied memo
+        p = make_spectrum(triple_spectrum.profile, 2).at(triple_spectrum.poles[0].E_position)
+        if change == "more poles":
+            q = triple_spectrum.at(triple_spectrum.poles[1].E_position)
+        else:
+            double = make_spectrum(double_profile, 2)
+            q = double.at(double.poles[0].E_position)
+        fresh = psi_exact(q, q.L, times)
+        psi_exact.cache_clear()
+        del wofz_calls[:]
+        key = transient._GridKey(times.tobytes())
+        grid = transient._grid(times.shape, key, p.profile.hbar_over_2m)
+        psi_exact(p, p.L, times)
+        old = grid.block
+        del wofz_calls[:]
+        psi = psi_exact(q, q.L, times)
+        # its own k pair and four pole columns: poles 3-4, or the double's 1-2
+        assert wofz_calls == [times.shape] * 6
+        assert np.array_equal(psi, fresh)
+        assert grid.block is not old and grid.block.shape == (*times.shape, len(q._wave_numbers))
+        assert not grid.block.flags.writeable and not old.flags.writeable
 
     def test_grid_shape_is_part_of_the_key(self, problem_ebar, times, wofz_calls):
         p = problem_ebar
@@ -1135,6 +1165,15 @@ class TestEvolveTrace:
         np.testing.assert_array_equal(trace.times, np.linspace(0.0, 5.0, 11))
         with pytest.raises(ValueError):
             trace.times[0] = 1.0
+
+    def test_densities_are_read_only(self):
+        # a curve swapped in after the trace is built would skip its shape rule
+        curves = {"exact-N": np.ones(5)}
+        trace = TransientTrace(1.0, 0.01, 1.0, np.linspace(0.1, 0.5, 5), curves)
+        with pytest.raises(TypeError):
+            trace.densities["exact-N"] = np.ones(3)
+        curves["exact-N"] = np.ones(3)
+        assert trace.densities["exact-N"].shape == (5,)
 
     def test_unknown_method_rejected(self, problem_ebar):
         with pytest.raises(DomainError):
