@@ -34,7 +34,10 @@ compared by a sha256 fingerprint taken after its time: the bytes of each
 array, the hex of each float, the fields of each record, and the bytes of
 each file a string names (a `scenario_sweep` op's CSVs, read before its
 directory is removed), so "identical" means every output bit is the
-same.  A ratio below 1 means the working tree is faster.  Interleaving one op at a time puts
+same.  Where some ops differ, it also prints the largest relative
+difference |B - A|/|A| over the entries of their arrays
+(largest_relative_difference), so a change that moves bits shows how far
+they moved.  A ratio below 1 means the working tree is faster.  Interleaving one op at a time puts
 both sides under the same machine state, which `perfbench`'s separate
 runs cannot.  On a shared
 2-core Xeon VM, four A/A runs of `structures` (REV = HEAD with a clean
@@ -53,16 +56,18 @@ in perfbench/run.py.
 
 import os
 
-# pin native thread pools before numpy is imported
-for _var in (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-):
-    os.environ[_var] = "1"
+# pin native thread pools before numpy is imported; a test that imports this
+# file for its functions leaves its own process alone
+if __name__ == "__main__":
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+    ):
+        os.environ[_var] = "1"
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
@@ -139,14 +144,41 @@ def fingerprint(out) -> str:
     return digest.hexdigest()
 
 
+def arrays(out) -> list:
+    """The numpy arrays of an op's output, in the order fingerprint walks them."""
+    if isinstance(out, np.ndarray):
+        return [out]
+    if dataclasses.is_dataclass(out):
+        out = [getattr(out, f.name) for f in dataclasses.fields(out)]
+    elif isinstance(out, Mapping):
+        out = list(out.values())
+    return [a for item in out for a in arrays(item)] if isinstance(out, (list, tuple)) else []
+
+
+def largest_relative_difference(a, b) -> float:
+    """max |y - x| / |x| over the entries x of the arrays of output a and
+    the entries y of the matching arrays of output b: 0 where x == y, inf
+    where x is 0 and y is not or where the arrays do not pair up by count
+    and shape, and 0.0 for outputs that hold no arrays."""
+    xs, ys = arrays(a), arrays(b)
+    if len(xs) != len(ys) or any(x.shape != y.shape for x, y in zip(xs, ys)):
+        return float("inf")
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            moved = np.where(x == y, 0.0, np.abs(y - x) / np.abs(x))
+        worst = max(worst, float(np.max(moved, initial=0.0)))
+    return worst
+
+
 def timed(workloads, qs, op):
     """(the wall time in seconds of the perfbench op on qs, the fingerprint of
-    its output), or None where it raises."""
+    its output, the output), or None where it raises."""
     start = time.perf_counter()
     try:
         out = on(workloads, qs, op.run)
         seconds = time.perf_counter() - start
-        return seconds, fingerprint(out)
+        return seconds, fingerprint(out), out
     except qs.QShutterError:
         return None
     finally:
@@ -157,9 +189,10 @@ def timed(workloads, qs, op):
 
 def compare(workloads, workload, sides, seeds, n_ops, probe=None):
     """([(A's time, B's time)] of the ops neither side fails, the number
-    of those whose outputs are identical, the number that fail on a side):
-    one op at a time, the side that runs first alternating, with probe()
-    before each op when it is given."""
+    of those whose outputs are identical, the largest relative difference
+    between the array outputs of the others (largest_relative_difference),
+    the number that fail on a side): one op at a time, the side that runs
+    first alternating, with probe() before each op when it is given."""
     streams = []
     for qs in sides:
         states = [on(workloads, qs, workload.setup, seed) for seed in seeds]
@@ -171,7 +204,7 @@ def compare(workloads, workload, sides, seeds, n_ops, probe=None):
                 itertools.islice(workload.ops(state), n_ops) for state in states
             )
         )
-    times, identical, failed = [], 0, 0
+    times, identical, worst, failed = [], 0, 0.0, 0
     for i, ops in enumerate(zip(*streams)):
         if probe is not None:
             probe()
@@ -182,10 +215,13 @@ def compare(workloads, workload, sides, seeds, n_ops, probe=None):
         if None in pair.values():
             failed += 1
             continue
-        (a, bits_a), (b, bits_b) = pair["qshutter_a"], pair["qshutter_b"]
+        (a, bits_a, out_a), (b, bits_b, out_b) = pair["qshutter_a"], pair["qshutter_b"]
         times.append((a, b))
-        identical += bits_a == bits_b
-    return times, identical, failed
+        if bits_a == bits_b:
+            identical += 1
+        else:
+            worst = max(worst, largest_relative_difference(out_a, out_b))
+    return times, identical, worst, failed
 
 
 def main(argv=None) -> int:
@@ -213,7 +249,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         sides = (load(Path(tree) / "src", "qshutter_a"), load(ROOT / "src", "qshutter_b"))
         for name in args.workload:
-            times, identical, failed = compare(
+            times, identical, worst, failed = compare(
                 workloads, made[name], sides, args.seeds, args.ops, probe if args.probe else None
             )
             a, b = np.array(times).T
@@ -225,6 +261,8 @@ def main(argv=None) -> int:
             print(f"summed: A {a.sum():.4f} s, B {b.sum():.4f} s, B/A {b.sum() / a.sum():.4f}")
             print(f"per-op B/A: median {median:.4f} (q1 {q1:.4f}, q3 {q3:.4f})")
             print(f"outputs identical on {identical} of {len(times)} ops", flush=True)
+            if identical < len(times):
+                print(f"largest relative difference over the others' arrays: {worst:.3g}")
     return 0
 
 

@@ -37,8 +37,8 @@ columns and the x rows are evaluated every round, and both warm, with
 one call before the rounds keeping the grid whose columns every timed
 call then fetches and the problem's x rows, so that they time the
 product and the call around it, the bare product of the warm evaluation
-(np.dot of the kept grid's block and the kept row, one gemv), so that
-the warm call's cost above it can be read, the same per-x map on a kept
+(the kept real row times the float view of the kept grid's block, one
+real dgemv), so that the warm call's cost above it can be read, the same per-x map on a kept
 problem over a new time window each round, so that its x rows are kept
 and its M columns evaluated (`perfbench`'s `density_maps` op), the memory
 the grid memo keeps (test_memo_bytes: eight such maps of a new problem on
@@ -339,13 +339,14 @@ def test_psi_exact_warm(benchmark, problem):
 
 
 def test_gemv_warm(benchmark, problem):
-    # the product of test_psi_exact_warm's call alone: the kept grid's block
-    # and the kept row, so that the time above it is the call's own cost
+    # the product of test_psi_exact_warm's call alone: the kept real row
+    # against the float view of the kept grid's block, so that the time
+    # above it is the call's own cost
     psi = psi_exact(problem, problem.L, TIMES)
     grid = _grid(TIMES.shape, _GridKey(TIMES.tobytes()), problem.profile.hbar_over_2m)
-    rows = problem._x_rows[problem.L]
-    product = benchmark.pedantic(np.dot, args=(grid.block, rows), rounds=1000, warmup_rounds=1)
-    assert product.tobytes() == psi.tobytes()
+    row, floats = problem._x_rows[problem.L], grid.block.view(float)
+    product = benchmark.pedantic(np.matmul, args=(row, floats), rounds=1000, warmup_rounds=1)
+    assert product.view(complex).tobytes() == psi.tobytes()
 
 
 def test_psi_exact_new_energy(benchmark, problem):

@@ -18,10 +18,10 @@ there: at the triple barrier's doublet center |Psi(L, 1e-6 ps)|^2/T reads
 monotone and so no measure of convergence in N (ROADMAP item 8).  Every
 M-function method is a partial sum of this one expansion (see _sums).  x
 enters only through the 2 + 2N coefficients [Phi, -Phi*, -rho_n, rho_n*]
-and t only through the M(y_s) columns, so the sum is one matrix product of
-the x rows and a block of columns.  The columns are kept per time grid
-(see _block), and a problem keeps the rows of each scalar x it evaluates
-(see ShutterProblem._x_rows).
+and t only through the M(y_s) columns, both in conjugate pairs, so the sum
+is one real matrix product of the x rows and a block of pair columns.  The
+columns are kept per time grid (see _block), and a problem keeps the rows
+of each scalar x it evaluates (see ShutterProblem._x_rows).
 
 On a free profile the expansion degenerates (no poles) and does not reduce
 to the free propagation of the cutoff wave; psi_exact dispatches to the
@@ -88,6 +88,7 @@ _SPECTRUM_MEMO_SIZE = 32
 _GRID_MEMO_SIZE = 8
 _GRID_COLUMNS = 32
 _COLUMN_MEMO_POINTS = 4096
+_GEMV_FLOATS = 2**18  # the most floats one dgemv of _product reads
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class ShutterProblem:
 
     @cached_property
     def _x_rows(self) -> dict:
-        """float x -> the read-only 2 + 2N rows of a scalar x; see _sums.
+        """float x -> the read-only 2 + 2N real rows of a scalar x; see _sums.
 
         Keyed by x's Python float (-0.0 and 0.0 share a key), for at most
         4096 positions (_COLUMN_MEMO_POINTS; a later one is not kept).  An
@@ -223,7 +224,7 @@ class _Grid:
     The shape is part of the key, since a (n, 1) grid has the bytes of an
     (n,) grid; so is hbar/2m, the one profile number a column reads.
     `block` holds the columns of the wave numbers `s` of the grid's latest
-    problem, and `pairs` the (M(y_k), M(y_-k)) columns of earlier energies,
+    problem, and `pairs` the (M(y_k), M(y_-k)) pair rows of earlier energies,
     keyed by k from least to most recently used (see _block).  `before` is
     a weak link to the kept grid that the pole set of `s` stacked a block
     on before this one, if any: a pole set keeps blocks on two grids at most.
@@ -241,20 +242,20 @@ _latest_grid = weakref.WeakValueDictionary()
 
 
 def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
-    """The read-only (*t.shape, len(s)) block of grid's M(y_s) columns.
+    """The read-only (len(s), *t.shape) block of grid's M(y_s) columns.
 
-    s is a problem's whole (k, -k, k_1, k_-1, ...).  A time's entries are
-    adjacent, so a per-x product is one short dot product per time, whose
-    bits depend on no BLAS thread count (OpenBLAS's gemv over a (len(s), n)
-    block rounds some columns differently at 1 and 2 threads).  A grid
-    keeps the block of its latest s, so a per-x loop stacks it once.  A new
-    s copies the old block's k pair out into `pairs`.  A new energy of the
-    old pole set (s[2:] unchanged) then writes its own k pair, a returning
-    energy's from `pairs` or else evaluated, into the old block in place.
-    Any other s stacks a new block: it takes the pole columns the two share
-    (a prefix: an N = 2 problem before an N = 4 one) as one slab and a
-    returning energy's pair from `pairs`, and evaluates the rest.  The block
-    is read-only between calls.  The oldest pairs then go while block and
+    s is a problem's whole (k, -k, k_1, k_-1, ...), whose columns come in
+    pairs (C_2j, C_2j+1) = (M(y_s), M(y_-s*)), kept as the rows [D_0, S_0,
+    D_1, S_1, ...], D_j = C_2j - C_2j+1 and S_j = i (C_2j + C_2j+1) (see
+    _sums), so the times run along a row.  A grid keeps the block of its
+    latest s, so a per-x loop stacks it once.  A new s copies the old
+    block's k pair out into `pairs`.  A new energy of the old pole set
+    (s[2:] unchanged) then writes its own k pair, a returning energy's from
+    `pairs` or else evaluated, into the old block in place.  Any other s
+    stacks a new block: it takes the pole pairs the two share (a prefix:
+    an N = 2 problem before an N = 4 one) as one slab and a returning
+    energy's pair from `pairs`, and evaluates the rest.  The block is
+    read-only between calls.  The oldest pairs then go while block and
     pairs exceed _GRID_COLUMNS columns; a grid that is not kept goes with
     its call.
 
@@ -268,25 +269,23 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
         return grid.block
     old_s, old = grid.s, grid.block
     if old_s:
-        # Fortran order: numpy copies the strided pair a column at a time, 3x faster
-        pair = grid.pairs[old_s[0]] = old[..., :2].copy(order="F")
+        pair = grid.pairs[old_s[0]] = old[:2].copy()
         pair.flags.writeable = False
     shared = 2
     while shared < min(len(s), len(old_s)) and s[shared] == old_s[shared]:
-        shared += 1
+        shared += 2
     in_place = shared == len(s) == len(old_s)
-    block = old if in_place else np.empty((*grid.t.shape, len(s)), dtype=complex)
+    block = old if in_place else np.empty((len(s), *grid.t.shape), dtype=complex)
     block.flags.writeable = True
     if shared > 2 and not in_place:
         # the old k pair too, overwritten below, so the shared prefix is one run
-        block[..., :shared] = old[..., :shared]
-    fresh = list(range(shared, len(s)))
-    if s[0] in grid.pairs:
-        block[..., :2] = grid.pairs.pop(s[0])
-    else:
-        fresh[:0] = (0, 1)
-    for j in fresh:
-        block[..., j] = m_function(y_values(s[j], grid.t, grid.hbar_over_2m))
+        block[:shared] = old[:shared]
+    kept = grid.pairs.pop(s[0], None)
+    if kept is not None:
+        block[:2] = kept
+    for j in ([0] if kept is None else []) + list(range(shared, len(s), 2)):
+        plus, minus = (m_function(y_values(w, grid.t, grid.hbar_over_2m)) for w in s[j : j + 2])
+        block[j], block[j + 1] = plus - minus, 1j * (plus + minus)
     block.flags.writeable = False
     grid.s, grid.block = s, block
     latest = _latest_grid.get(s[2:])
@@ -301,58 +300,64 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     return block
 
 
-def _product(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """sum_j rows[..., j] columns[..., j] over the broadcast of x and t.
+def _product(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """sum_j rows[..., j] block[j] over the broadcast of x and t.
 
-    rows is (*x.shape, K) and columns (*t.shape, K).  An outer product of x
-    and t (a 0-d x, a 0-d t, or an x whose trailing t.ndim axes are 1) is
-    one matrix product: a gemv for a 0-d x, a gemm for a map.  A 0-d x on a
-    1-D grid, the per-x call, is np.dot(columns, rows), one zgemv with the
-    bits of the (1, K) @ (K, T) matmul and less dispatch around it; on a
-    prefix of the block, which np.dot reads a time at a time at twice the
-    cost, it is the matmul, with the same bits.  Any other broadcast, such
-    as x and t of one length taken as pairs, goes through einsum.
+    rows is real, (*x.shape, K), and block complex, (K, *t.shape).  An outer
+    product of x and t (a 0-d x, a 0-d t, or an x whose trailing t.ndim axes
+    are 1) is one matrix product with the same bits at 1 and 2 BLAS threads:
+    one row, the per-x call, is a real dgemv of the block's float view per
+    run of times of at most 2^18 floats (OpenBLAS 0.3 ran a dgemv on one
+    thread up to m n ~ 460,800 and split it past that, which moves bits),
+    and a map one zgemm of the rows, made complex, and the block, with the
+    bits of (block.view(float).T @ rows.T).T (rows @ block.view(float)
+    moves bits at odd grid lengths).  Any other broadcast, such as x and t
+    of one length taken as pairs, goes through einsum.
     """
-    if rows.ndim == 1 and columns.ndim == 2:
-        return np.dot(columns, rows) if columns.flags.c_contiguous else columns @ rows
-    n, x_shape, t_shape = rows.shape[-1], rows.shape[:-1], columns.shape[:-1]
+    if rows.ndim == 1 and block.ndim == 2 and 2 * block.size <= _GEMV_FLOATS:
+        return (rows @ block.view(float)).view(complex)
+    k, x_shape, t_shape = len(block), rows.shape[:-1], block.shape[1:]
     lead = x_shape[: max(len(x_shape) - len(t_shape), 0)]
-    if all(d == 1 for d in x_shape[len(lead) :]):
-        return (rows.reshape(-1, n) @ columns.reshape(-1, n).T).reshape(lead + t_shape)
-    return np.einsum("...k,...k->...", rows, columns)
+    if any(d != 1 for d in x_shape[len(lead) :]):
+        return np.einsum("...k,k...->...", rows, block)
+    rows, columns = rows.reshape(-1, k), block.reshape(k, -1)
+    if len(rows) > 1:
+        return (rows.astype(complex) @ columns).reshape(lead + t_shape)
+    floats, run = columns.view(float), _GEMV_FLOATS // (2 * k) * 2
+    psi = np.concatenate([rows[0] @ floats[:, a : a + run] for a in range(0, floats.shape[1], run)])
+    return psi.view(complex).reshape(lead + t_shape)
 
 
 def _sums(problem: ShutterProblem, x, t, *n_modes: int):
     """One partial sum of Psi(x, t) per count in n_modes.
 
     Psi(x, t) is the separable sum R(x) . C(t): x enters only through the
-    2 + 2N rows R = [Phi, -Phi*, -rho_1, rho_1*, -rho_2, ...] and t only
-    through the M(y_s) columns C.  The partial sum through pole pair n is
-    R[:2 + 2n] . C[:2 + 2n], one matrix product (see _product), computed
-    only for the counts asked for.  It meets the term-by-term sum to the
-    dot-product rounding bound, 2 gamma_{K+2} sum_j |R_j||C_j| for K terms
-    (Higham 2002, section 3.1), not bit for bit, and a per-x loop meets a
-    broadcast call to the same bound.  A free profile has no poles; every
-    sum is then the free-shutter solution.
+    2 + 2N coefficients R = [Phi, -Phi*, -rho_1, rho_1*, ...] and t only
+    through the M(y_s) columns C.  As R_2j+1 = -R_2j*, it is the real rows
+    [Re R_0, Im R_0, Re R_2, Im R_2, ...] times _block's pair columns, and
+    the sum through pole pair n, one matrix product (see _product) for
+    each count asked for, takes the leading 2 + 2n of both.  With one more
+    rounding per block entry, each component lies within
+    sqrt(2) gamma_{K+1} sum_j |R_j||C_j| of the exact sum for K terms, so
+    it meets the term-by-term sum to the dot-product bound
+    2 gamma_{K+2} sum_j |R_j||C_j| (Higham 2002, section 3.1), not bit for
+    bit, and a per-x loop meets a broadcast call to the same bound.  A
+    free profile has no poles; every sum is then the free-shutter solution.
 
-    The rows of every retained mode are evaluated at x located once, with
-    rho_-n = -rho_n* (see rho_mirror).  A scalar x's rows are kept on the
-    problem (_x_rows), and a hit returns the rows its miss computed and
+    The rows are evaluated at x located once.  A scalar x's rows are kept on
+    the problem (_x_rows), and a hit returns the rows its miss computed and
     skips _locate and every _wave, so a per-x map on a kept problem
     evaluates each position once, whatever its time window.  A Python or
     numpy float x is looked up before it is read as an array; any other x,
-    and a float that misses, is read by _real_array first, so a lookup
-    never admits an x the check refuses.  A float64 array t is used as
-    given, and any other t read by _real_array.  One _grid lookup checks t
-    when it builds the grid (a free profile only checks t), after x and
-    before the broadcast of x against t; the columns come as one block (see
-    _block).  A count below N reads prefixes of the rows and the block, and
-    N takes them whole, so a warm per-x call is one row lookup, one grid
-    lookup and one gemv.
+    and a float that misses, is read by _real_array first, so a lookup never
+    admits an x the check refuses.  A float64 array t is used as given, and
+    any other t read by _real_array.  One _grid lookup checks t when it
+    builds the grid (a free profile only checks t), after x and before the
+    broadcast of x against t; the columns come as one block (see _block), so
+    a warm per-x call is one row lookup, one grid lookup and one real dgemv.
     """
-    n_max, n_all = max(n_modes), len(problem.modes)
-    if n_all < n_max:
-        raise DomainError(f"needs {n_max} mode(s), problem has {n_all}")
+    if len(problem.modes) < max(n_modes):
+        raise DomainError(f"needs {max(n_modes)} mode(s), problem has {len(problem.modes)}")
     # a float x at a kept position skips the array conversion as well
     key = float(x) if type(x) is float or type(x) is np.float64 else None
     rows = problem._x_rows.get(key)
@@ -374,22 +379,16 @@ def _sums(problem: ShutterProblem, x, t, *n_modes: int):
             raise DomainError("problem carries no modes for a non-free profile")
         psi = free_shutter_psi(problem.k, x, t, problem.profile.hbar_over_2m)
         return [psi] * len(n_modes)
-    columns = _block(grid, problem._wave_numbers)
+    block = _block(grid, problem._wave_numbers)
     if rows is None:
         phi = _wave(problem.field.q, problem.field.coefficients, *located)
-        rows = np.empty((*x.shape, columns.shape[-1]), dtype=complex)
-        rows[..., 0], rows[..., 1] = phi, -np.conj(phi)
-        for n, mode in enumerate(problem.modes):
-            rho = _rho(mode, problem.k, _wave(mode.q, mode.coefficients, *located))
-            rows[..., 2 * n + 2], rows[..., 2 * n + 3] = -rho, np.conj(rho)
+        rhos = [_rho(m, problem.k, _wave(m.q, m.coefficients, *located)) for m in problem.modes]
+        # [Phi, -rho_1, ...] as floats: [Re Phi, Im Phi, -Re rho_1, -Im rho_1, ...]
+        rows = np.stack([phi] + [-rho for rho in rhos], axis=-1).view(float)
         if key is not None and len(problem._x_rows) < _COLUMN_MEMO_POINTS:
             rows.flags.writeable = False
             problem._x_rows[key] = rows
-    return [
-        _product(rows, columns) if n == n_all
-        else _product(rows[..., : 2 + 2 * n], columns[..., : 2 + 2 * n])
-        for n in n_modes
-    ]
+    return [_product(rows[..., : 2 + 2 * n], block[: 2 + 2 * n]) for n in n_modes]
 
 
 def psi_exact(problem: ShutterProblem, x, t):
@@ -398,7 +397,8 @@ def psi_exact(problem: ShutterProblem, x, t):
     x and t broadcast against each other: psi_exact(p, xs[:, None], t)
     gives the (len(xs), len(t)) map as one matrix product, which agrees
     with a loop of per-x calls to the dot-product rounding bound (see
-    _sums), not bit for bit.  Free profiles dispatch to the closed-form
+    _sums), not bit for bit, and with the same bits at any BLAS thread
+    count (see _product).  Free profiles dispatch to the closed-form
     free-shutter solution (the pole expansion is empty there and does not
     represent free propagation).
 

@@ -441,12 +441,14 @@ class TestDeltaTerm:
 
 
 # a map, per-x rows and a trace on the triple barrier at incidence energy E,
-# on grids of even and odd length, as bytes
+# on grids of even and odd length, then a map and a per-x row at N = 6 on a
+# grid of 20001 times and one product of 100 rows, as bytes
 THREADED_OUTPUTS = """
 import sys
 import numpy as np
 from qshutter import build_profile, evolve_trace, make_spectrum, psi_exact
 from qshutter.presets import MASS_RATIO, TRIPLE_LAYERS
+from qshutter.transient import _product
 
 
 def outputs(E):
@@ -459,6 +461,16 @@ def outputs(E):
         chunks.extend(psi_exact(p, x, t).tobytes() for x in xs[::40])
         trace = evolve_trace(p, p.L, t, ("exact-N", "two-level-M"))
         chunks.extend(d.tobytes() for d in trace.densities.values())
+    # N = 6 on a grid past the 4096 times of one BLAS call
+    q = make_spectrum(p.profile, 6).at(E)
+    t = np.linspace(0.01, 30.0 * p.modes[0].pole.tau, 20001)
+    chunks.append(psi_exact(q, xs[::20, None], t).tobytes())
+    chunks.append(psi_exact(q, q.L, t).tobytes())
+    # and one row of 100 entries (N = 49) on 4095 times: 819,000 floats, past
+    # what OpenBLAS runs as one dgemv on one thread
+    rng = np.random.default_rng(0)
+    block = rng.standard_normal((100, 4095)) + 1j * rng.standard_normal((100, 4095))
+    chunks.append(_product(rng.standard_normal(100), block).tobytes())
     return b"".join(chunks)
 
 
@@ -730,6 +742,25 @@ class TestColumnMemo:
         psi_exact(p, p.L, times)
         assert wofz_calls == [times.shape] * (2 * (2 + 2 * len(p.modes)))
 
+    def test_block_holds_each_pair_as_difference_and_sum(self, problem_ebar, times):
+        # the rows D_j = C_2j - C_2j+1 and S_j = i (C_2j + C_2j+1) of the
+        # m_function columns, bit for bit, against the real rows of an x:
+        # [Re Phi, Im Phi, -Re rho_1, -Im rho_1, ...]
+        p = problem_ebar
+        psi_exact(p, p.L, times)
+        key = transient._GridKey(times.tobytes())
+        block = transient._grid(times.shape, key, p.profile.hbar_over_2m).block
+        s, beta = p._wave_numbers, p.profile.hbar_over_2m
+        assert block.shape == (len(s), *times.shape) and block.dtype == complex
+        for j in range(0, len(s), 2):
+            plus, minus = (m_function(y_values(w, times, beta)) for w in s[j : j + 2])
+            assert block[j].tobytes() == (plus - minus).tobytes()
+            assert block[j + 1].tobytes() == (1j * (plus + minus)).tobytes()
+        row = p._x_rows[p.L]
+        assert row.dtype == float and row.shape == (len(s),)
+        coefficients = [stationary_wave(p.field, p.L)] + [-rho(m, p.k, p.L) for m in p.modes]
+        assert np.allclose(row[::2] + 1j * row[1::2], coefficients, rtol=1e-12, atol=0.0)
+
     def test_cache_clear_drops_the_kept_block(self, problem_ebar, times, blocks):
         p = problem_ebar
         psi_exact(p, p.L, times)
@@ -742,7 +773,7 @@ class TestColumnMemo:
         # so the next call stacks a fresh block, which the call after it reuses
         psi_exact(p, p.L, times)
         psi_exact(p, 0.5 * p.L, times)
-        assert blocks[0].shape == (*times.shape, 2 + 2 * len(p.modes))
+        assert blocks[0].shape == (2 + 2 * len(p.modes), *times.shape)
         assert blocks[1] is blocks[0]
 
     def test_alternating_grids_stack_each_block_once(self, problem_ebar, times, blocks):
@@ -754,7 +785,7 @@ class TestColumnMemo:
         # each grid keeps its own block: two stacked, each returned on every call
         assert len({id(block) for block in blocks}) == 2
         assert all(block is blocks[i % 2] for i, block in enumerate(blocks))
-        assert [block.shape[0] for block in blocks[:2]] == [len(t) for t in grids]
+        assert [block.shape[-1] for block in blocks[:2]] == [len(t) for t in grids]
 
     def test_a_pole_set_keeps_blocks_on_its_two_latest_grids(
         self, triple_spectrum, problem_ebar, times, blocks
@@ -810,7 +841,7 @@ class TestColumnMemo:
         # the first energy takes its pair back, and the second's goes out
         again = [psi_exact(p, x, times) for x in xs]
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        assert np.array_equal(grid.block[..., :2], pair)
+        assert np.array_equal(grid.block[:2], pair)
         assert list(grid.pairs) == [r._wave_numbers[0]]
         pair = grid.pairs[r._wave_numbers[0]]
         assert pair.flags.owndata and not np.shares_memory(pair, grid.block)
@@ -841,7 +872,7 @@ class TestColumnMemo:
         # its own k pair and four pole columns: poles 3-4, or the double's 1-2
         assert wofz_calls == [times.shape] * 6
         assert np.array_equal(psi, fresh)
-        assert grid.block is not old and grid.block.shape == (*times.shape, len(q._wave_numbers))
+        assert grid.block is not old and grid.block.shape == (len(q._wave_numbers), *times.shape)
         assert not grid.block.flags.writeable and not old.flags.writeable
 
     def test_grid_shape_is_part_of_the_key(self, problem_ebar, times, wofz_calls):
@@ -932,7 +963,7 @@ class TestColumnMemo:
         assert wofz_calls == [times.shape] * 10 and grid.pairs == {}
 
         def held():
-            return grid.block.shape[-1] + sum(pair.shape[-1] for pair in grid.pairs.values())
+            return grid.block.shape[0] + sum(pair.shape[0] for pair in grid.pairs.values())
 
         # each new energy evaluates its M(y_k) and M(y_-k); past the bound
         # the grid drops its least recently used pairs, here p's
