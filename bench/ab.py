@@ -36,11 +36,13 @@ each file a string names (a `scenario_sweep` op's CSVs, read before its
 directory is removed), so "identical" means every output bit is the
 same.  Where some ops differ, it also prints the largest relative
 difference |B - A|/|A| over the entries of their arrays
-(largest_relative_difference), so a change that moves bits shows how far
-they moved.  A ratio below 1 means the working tree is faster.  Interleaving one op at a time puts
-both sides under the same machine state, which `perfbench`'s separate
-runs cannot.  On a shared
-2-core Xeon VM, four A/A runs of `structures` (REV = HEAD with a clean
+(largest_relative_difference) and, beside it, the largest |B - A| over an
+array divided by that array's largest |A| (largest_scaled_difference), so
+a change that moves bits shows how far they moved; the second figure is
+not inflated by entries near zero, such as a map's early-time densities.
+A ratio below 1 means the working tree is faster.  Interleaving one op
+at a time puts both sides under the same machine state, which
+`perfbench`'s separate runs cannot.  On a shared 2-core Xeon VM, four A/A runs of `structures` (REV = HEAD with a clean
 working tree, the default 830 ops, one of them with --probe) read summed
 ratios of 0.987-1.006 and median per-op ratios of 0.996-1.002, and one
 of `density_maps` 1.000 and 1.000 (q1-q3 0.93-1.07), where ten
@@ -155,19 +157,45 @@ def arrays(out) -> list:
     return [a for item in out for a in arrays(item)] if isinstance(out, (list, tuple)) else []
 
 
+def _paired(a, b):
+    """[(x, y)] of the arrays of outputs a and b, or None where they do not
+    pair up by count and shape."""
+    xs, ys = arrays(a), arrays(b)
+    if len(xs) != len(ys) or any(x.shape != y.shape for x, y in zip(xs, ys)):
+        return None
+    return list(zip(xs, ys))
+
+
 def largest_relative_difference(a, b) -> float:
     """max |y - x| / |x| over the entries x of the arrays of output a and
     the entries y of the matching arrays of output b: 0 where x == y, inf
     where x is 0 and y is not or where the arrays do not pair up by count
     and shape, and 0.0 for outputs that hold no arrays."""
-    xs, ys = arrays(a), arrays(b)
-    if len(xs) != len(ys) or any(x.shape != y.shape for x, y in zip(xs, ys)):
+    pairs = _paired(a, b)
+    if pairs is None:
         return float("inf")
     worst = 0.0
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         with np.errstate(divide="ignore", invalid="ignore"):
             moved = np.where(x == y, 0.0, np.abs(y - x) / np.abs(x))
         worst = max(worst, float(np.max(moved, initial=0.0)))
+    return worst
+
+
+def largest_scaled_difference(a, b) -> float:
+    """max |y - x| / max |x| over the paired arrays of outputs a and b, each
+    array scaled by its own largest |x|: 0 where the arrays are equal, inf
+    where all of x is 0 and y is not or where the arrays do not pair up
+    (as in largest_relative_difference), and 0.0 for outputs that hold no
+    arrays."""
+    pairs = _paired(a, b)
+    if pairs is None:
+        return float("inf")
+    worst = 0.0
+    for x, y in pairs:
+        moved, scale = (float(np.max(np.abs(v), initial=0.0)) for v in (y - x, x))
+        if moved:
+            worst = max(worst, moved / scale if scale else float("inf"))
     return worst
 
 
@@ -189,10 +217,11 @@ def timed(workloads, qs, op):
 
 def compare(workloads, workload, sides, seeds, n_ops, probe=None):
     """([(A's time, B's time)] of the ops neither side fails, the number
-    of those whose outputs are identical, the largest relative difference
-    between the array outputs of the others (largest_relative_difference),
-    the number that fail on a side): one op at a time, the side that runs
-    first alternating, with probe() before each op when it is given."""
+    of those whose outputs are identical, the largest relative and scaled
+    differences between the array outputs of the others
+    (largest_relative_difference, largest_scaled_difference), the number
+    that fail on a side): one op at a time, the side that runs first
+    alternating, with probe() before each op when it is given."""
     streams = []
     for qs in sides:
         states = [on(workloads, qs, workload.setup, seed) for seed in seeds]
@@ -204,7 +233,7 @@ def compare(workloads, workload, sides, seeds, n_ops, probe=None):
                 itertools.islice(workload.ops(state), n_ops) for state in states
             )
         )
-    times, identical, worst, failed = [], 0, 0.0, 0
+    times, identical, worst, scaled, failed = [], 0, 0.0, 0.0, 0
     for i, ops in enumerate(zip(*streams)):
         if probe is not None:
             probe()
@@ -221,7 +250,8 @@ def compare(workloads, workload, sides, seeds, n_ops, probe=None):
             identical += 1
         else:
             worst = max(worst, largest_relative_difference(out_a, out_b))
-    return times, identical, worst, failed
+            scaled = max(scaled, largest_scaled_difference(out_a, out_b))
+    return times, identical, worst, scaled, failed
 
 
 def main(argv=None) -> int:
@@ -249,7 +279,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         sides = (load(Path(tree) / "src", "qshutter_a"), load(ROOT / "src", "qshutter_b"))
         for name in args.workload:
-            times, identical, worst, failed = compare(
+            times, identical, worst, scaled, failed = compare(
                 workloads, made[name], sides, args.seeds, args.ops, probe if args.probe else None
             )
             a, b = np.array(times).T
@@ -262,7 +292,10 @@ def main(argv=None) -> int:
             print(f"per-op B/A: median {median:.4f} (q1 {q1:.4f}, q3 {q3:.4f})")
             print(f"outputs identical on {identical} of {len(times)} ops", flush=True)
             if identical < len(times):
-                print(f"largest relative difference over the others' arrays: {worst:.3g}")
+                print(
+                    f"largest difference over the others' arrays: {worst:.3g} of the entry, "
+                    f"{scaled:.3g} of the array's largest entry"
+                )
     return 0
 
 

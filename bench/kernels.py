@@ -60,8 +60,8 @@ one broadcast call psi_exact(problem, xs[:, None], times), warm, one exact-N
 evaluation at another energy of the kept spectrum on a kept grid (each
 round's set-up empties the memo, keeps the grid's pole columns through
 a call at the doublet center and makes a new problem at that energy, so
-the timed call evaluates its x rows and only its own M(y_k) and
-M(y_-k), which is `scenario_sweep`'s case),
+the timed call evaluates its x rows and only its own M(y_-k), the one
+column of its k pair, which is `scenario_sweep`'s case),
 one closed two-level density (density_two_level) at the doublet center,
 x = L, on 2000 times over [0, 10 tau1], the dominant line
 (dominant_frequency_series) of fig2b's trace, exact N = 4 at the same
@@ -485,11 +485,15 @@ def _preset_columns(work_dir: Path) -> int:
 
 
 @pytest.mark.parametrize(
-    "name, n_ops, columns", [("scenario_sweep", 63, 100), ("density_maps", 54, 468)]
+    "name, n_ops, columns", [("scenario_sweep", 63, 72), ("density_maps", 54, 414)]
 )
 def test_stream_columns(benchmark, tmp_path, name, n_ops, columns):
     # the column traffic of one perfbench run per workload (seed 11): a
-    # memo change that evaluates more columns on these streams shows here
+    # memo change that evaluates more columns on these streams shows here.
+    # The k pair takes one column, M(y_-k): 100 -> 72 on scenario_sweep (44
+    # new energies at one column, where 36 took two and the 8 whose pair a
+    # grid kept took none, and the same 28 pole columns) and 468 -> 414 on
+    # density_maps (54 fresh windows of 1 + 2N columns, not 2 + 2N)
     evaluated = benchmark.pedantic(
         _stream_columns, args=(name, 11, n_ops, tmp_path), rounds=1, iterations=1
     )
@@ -509,24 +513,26 @@ def _stream_bytes(seed: int, n_ops: int, work_dir: Path) -> int:
 def test_stream_bytes(benchmark, tmp_path, trace):
     # what the scenario path keeps (seed 11): the stream holds 4.29 MB when a
     # kept grid's time cells are 2000 strings and each new energy stacks a
-    # new block, and 3.81 MB with one string per grid and the k pair written
-    # in place; the time cells of one 2000-row grid (TIMES, the trace of
+    # new block, 3.81 MB with one string per grid and the k pair written in
+    # place, and 1.93 MB once a grid keeps no k pairs of earlier energies;
+    # the time cells of one 2000-row grid (TIMES, the trace of
     # test_write_trace_csv) take 155,452 B as 2000 strings, 59,461 B as one
     held = benchmark.pedantic(_stream_bytes, args=(11, 63, tmp_path), rounds=1, iterations=1)
     output._time_cells.cache_clear()
     key = _GridKey(trace.times.tobytes())
     rows = _held_bytes(lambda: output._time_cells(key, trace.tau_1))
     benchmark.extra_info.update(qshutter_held_bytes=held, rows_bytes=rows)
-    assert held < 4.0e6 and rows < 100_000
+    assert held < 2.5e6 and rows < 100_000
 
 
 def test_preset_columns(benchmark, tmp_path):
     # the column traffic of the golden record's run: fig2a's N = 2 run between
     # N = 4 runs on one grid drops poles 3-4, which the next N = 4 run
-    # evaluates again (40 columns would need no such drop)
+    # evaluates again (35 columns would need no such drop); 44 before the k
+    # pair took one column, as each of five new energies evaluated two
     evaluated = benchmark.pedantic(_preset_columns, args=(tmp_path,), rounds=1, iterations=1)
     benchmark.extra_info["columns"] = evaluated
-    assert evaluated == 44
+    assert evaluated == 39
 
 
 def test_density_map_per_x_warm(benchmark, problem):

@@ -11,17 +11,20 @@ For 0 <= x <= L the solution is the resonance expansion
 
 with x-independent arguments y_s = e^{i 3pi/4} sqrt(hbar/2m) s sqrt(t) and
 the sum over the retained fourth-quadrant poles and their third-quadrant
-partners.  The partner terms are not optional: they carry the cancellation
-that makes Psi vanish as t -> 0+.  The truncated sum leaves a residual
-there: at the triple barrier's doublet center |Psi(L, 1e-6 ps)|^2/T reads
-1.2e-1, 6.1e-5, 7.7e-5, 9.3e-6, 6.3e-4, 3.3e-4 for N = 1..6, which is not
-monotone and so no measure of convergence in N (ROADMAP item 8).  Every
-M-function method is a partial sum of this one expansion (see _sums).  x
-enters only through the 2 + 2N coefficients [Phi, -Phi*, -rho_n, rho_n*]
-and t only through the M(y_s) columns, both in conjugate pairs, so the sum
-is one real matrix product of the x rows and a block of pair columns.  The
-columns are kept per time grid (see _block), and a problem keeps the rows
-of each scalar x it evaluates (see ShutterProblem._x_rows).
+partners.  As M(y) + M(-y) = e^{y^2} and y_k^2 = -iEt/hbar, the incidence
+pair is Phi_k e^{-iEt/hbar} - 2 Re(Phi_k) M(y_{-k}): the stationary wave
+appears explicitly, and it takes one Faddeeva column.  The partner terms
+are not optional: they carry the cancellation that makes Psi vanish as
+t -> 0+.  The truncated sum leaves a residual there: at the triple barrier's
+doublet center |Psi(L, 1e-6 ps)|^2/T reads 1.2e-1, 6.1e-5, 7.7e-5, 9.3e-6,
+6.3e-4, 3.3e-4 for N = 1..6, which is not monotone and so no measure of
+convergence in N (ROADMAP item 8).  Every M-function method is a partial
+sum of this one expansion (see _sums).  x enters only through the 2 + 2N
+coefficients [Phi, -Phi*, -rho_n, rho_n*] and t only through the M(y_s)
+columns, both in conjugate pairs, so the sum is one real matrix product of
+the x rows and a block of pair columns.  The columns are kept per time grid
+(see _block), and a problem keeps the rows of each scalar x it evaluates
+(see ShutterProblem._x_rows).
 
 On a free profile the expansion degenerates (no poles) and does not reduce
 to the free propagation of the cutoff wave; psi_exact dispatches to the
@@ -81,12 +84,10 @@ METHODS = (
 _MODES_NEEDED = dict(zip(METHODS, (0, 2, 2, 1)))
 # (profile, n_poles) pairs whose spectra make_spectrum keeps
 _SPECTRUM_MEMO_SIZE = 32
-# time grids _grid keeps, the M(y_s) columns a kept grid holds between calls,
-# and the most points a kept grid has (output keeps the time cells of as
-# many grids, under the same cap on points, and a problem the x rows of as
-# many positions)
+# time grids _grid keeps, and the most points a kept grid has (output keeps
+# the time cells of as many grids, under the same cap on points, and a
+# problem the x rows of as many positions)
 _GRID_MEMO_SIZE = 8
-_GRID_COLUMNS = 32
 _COLUMN_MEMO_POINTS = 4096
 _GEMV_FLOATS = 2**18  # the most floats one dgemv of _product reads
 
@@ -224,16 +225,15 @@ class _Grid:
     The shape is part of the key, since a (n, 1) grid has the bytes of an
     (n,) grid; so is hbar/2m, the one profile number a column reads.
     `block` holds the columns of the wave numbers `s` of the grid's latest
-    problem, and `pairs` the (M(y_k), M(y_-k)) pair rows of earlier energies,
-    keyed by k from least to most recently used (see _block).  `before` is
-    a weak link to the kept grid that the pole set of `s` stacked a block
-    on before this one, if any: a pole set keeps blocks on two grids at most.
+    problem (see _block).  `before` is a weak link to the kept grid that the
+    pole set of `s` stacked a block on before this one, if any: a pole set
+    keeps blocks on two grids at most.
     """
 
     def __init__(self, shape: tuple, t_key: _GridKey, hbar_over_2m: float):
         self.t = _positive_times(np.frombuffer(t_key.data).reshape(shape))
         self.hbar_over_2m = hbar_over_2m
-        self.s, self.block, self.pairs, self.before = (), None, {}, None
+        self.s, self.block, self.before = (), None, None
 
 
 _grid = lru_cache(maxsize=_GRID_MEMO_SIZE)(_Grid)
@@ -247,30 +247,26 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     s is a problem's whole (k, -k, k_1, k_-1, ...), whose columns come in
     pairs (C_2j, C_2j+1) = (M(y_s), M(y_-s*)), kept as the rows [D_0, S_0,
     D_1, S_1, ...], D_j = C_2j - C_2j+1 and S_j = i (C_2j + C_2j+1) (see
-    _sums), so the times run along a row.  A grid keeps the block of its
-    latest s, so a per-x loop stacks it once.  A new s copies the old
-    block's k pair out into `pairs`.  A new energy of the old pole set
-    (s[2:] unchanged) then writes its own k pair, a returning energy's from
-    `pairs` or else evaluated, into the old block in place.  Any other s
-    stacks a new block: it takes the pole pairs the two share (a prefix:
-    an N = 2 problem before an N = 4 one) as one slab and a returning
-    energy's pair from `pairs`, and evaluates the rest.  The block is
-    read-only between calls.  The oldest pairs then go while block and
-    pairs exceed _GRID_COLUMNS columns; a grid that is not kept goes with
-    its call.
+    _sums), so the times run along a row.  The k pair takes one column:
+    M(y) + M(-y) = e^{y^2} and y_k^2 = -i (hbar/2m) k^2 t = -iEt/hbar, so
+    its rows are D_0 = e^{-iEt/hbar} - 2 M(y_-k) and S_0 = i e^{-iEt/hbar}.
+    A grid keeps the block of its latest s, so a per-x loop stacks it
+    once.  A new energy of the old pole set (s[2:] unchanged) writes its k
+    pair into the old block in place.  Any other s stacks a new block: it
+    takes the pole pairs the two share (a prefix: an N = 2 problem before
+    an N = 4 one) as one slab, and evaluates the rest.  The block is
+    read-only between calls, and a grid that is not kept goes with its
+    call.
 
     A pole set, s[2:], keeps its block on the two kept grids it stacked on
     last: stacking it on a third drops its block from the oldest of the
-    three, which keeps its times and its pairs.  One window per pole set,
-    or two in turn, keeps every block; a pole set stepping through fresh
-    windows holds two blocks, not one per kept grid.
+    three, which keeps its times.  One window per pole set, or two in
+    turn, keeps every block; a pole set stepping through fresh windows
+    holds two blocks, not one per kept grid.
     """
     if grid.s == s:
         return grid.block
     old_s, old = grid.s, grid.block
-    if old_s:
-        pair = grid.pairs[old_s[0]] = old[:2].copy()
-        pair.flags.writeable = False
     shared = 2
     while shared < min(len(s), len(old_s)) and s[shared] == old_s[shared]:
         shared += 2
@@ -280,11 +276,12 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     if shared > 2 and not in_place:
         # the old k pair too, overwritten below, so the shared prefix is one run
         block[:shared] = old[:shared]
-    kept = grid.pairs.pop(s[0], None)
-    if kept is not None:
-        block[:2] = kept
-    for j in ([0] if kept is None else []) + list(range(shared, len(s), 2)):
-        plus, minus = (m_function(y_values(w, grid.t, grid.hbar_over_2m)) for w in s[j : j + 2])
+    beta = grid.hbar_over_2m
+    wave = np.exp(-1j * (beta * s[0].real ** 2 * grid.t))
+    minus = m_function(y_values(s[1], grid.t, beta))
+    block[0], block[1] = wave - 2.0 * minus, 1j * wave
+    for j in range(shared, len(s), 2):
+        plus, minus = (m_function(y_values(w, grid.t, beta)) for w in s[j : j + 2])
         block[j], block[j + 1] = plus - minus, 1j * (plus + minus)
     block.flags.writeable = False
     grid.s, grid.block = s, block
@@ -295,8 +292,6 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
             oldest.s, oldest.block = (), None
         grid.before = None if latest is None else weakref.ref(latest)
         _latest_grid[s[2:]] = grid
-    while grid.pairs and len(s) + 2 * len(grid.pairs) > _GRID_COLUMNS:
-        del grid.pairs[next(iter(grid.pairs))]
     return block
 
 
@@ -404,13 +399,13 @@ def psi_exact(problem: ShutterProblem, x, t):
 
     The evaluators share one memo of the M(y_s) columns, which depend on t
     and not on x: it keeps the 8 most recently used time grids
-    (_GRID_MEMO_SIZE), a kept grid holds at most 32 columns between calls
-    (_GRID_COLUMNS), and a grid of more than 4096 points
-    (_COLUMN_MEMO_POINTS) is never kept: 16 MiB at most in all (which
-    columns a grid keeps: _block).  A problem keeps the x rows of each
-    scalar x it evaluates (ShutterProblem._x_rows).  A miss runs the
-    uncached arithmetic, so results are bit-identical with or without
-    either memo.  psi_exact.cache_info() counts grids (a miss checks one);
+    (_GRID_MEMO_SIZE), a kept grid holds at most one block between calls,
+    the 2 + 2N columns of its latest problem with N modes (16 (2 + 2N) B a
+    time), and a grid of more than 4096 points (_COLUMN_MEMO_POINTS) is
+    never kept (which columns a grid keeps: _block).  A problem keeps the
+    x rows of each scalar x it evaluates (ShutterProblem._x_rows).  A miss
+    runs the uncached arithmetic, so results are bit-identical with or
+    without either memo.  psi_exact.cache_info() counts grids (a miss checks one);
     psi_exact.cache_clear() empties the grid memo, blocks and all.
     """
     (psi,) = _sums(problem, x, t, len(problem.modes))
