@@ -34,6 +34,7 @@ that case.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -225,20 +226,19 @@ class _Grid:
     The shape is part of the key, since a (n, 1) grid has the bytes of an
     (n,) grid; so is hbar/2m, the one profile number a column reads.
     `block` holds the columns of the wave numbers `s` of the grid's latest
-    problem (see _block).  `before` is a weak link to the kept grid that the
-    pole set of `s` stacked a block on before this one, if any: a pole set
-    keeps blocks on two grids at most.
+    problem, and `stamp` orders the kept grids by when a block was last
+    stacked on them (see _block).
     """
 
     def __init__(self, shape: tuple, t_key: _GridKey, hbar_over_2m: float):
         self.t = _positive_times(np.frombuffer(t_key.data).reshape(shape))
         self.hbar_over_2m = hbar_over_2m
-        self.s, self.block, self.before = (), None, None
+        self.s, self.block = (), None
 
 
 _grid = lru_cache(maxsize=_GRID_MEMO_SIZE)(_Grid)
-# pole wave numbers s[2:] -> the kept grid their latest block was stacked on
-_latest_grid = weakref.WeakValueDictionary()
+# the kept grids a block was stacked on, and the stamp of each stack
+_kept, _stamps = weakref.WeakSet(), itertools.count()
 
 
 def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
@@ -250,48 +250,40 @@ def _block(grid: _Grid, s: tuple[complex, ...]) -> np.ndarray:
     _sums), so the times run along a row.  The k pair takes one column:
     M(y) + M(-y) = e^{y^2} and y_k^2 = -i (hbar/2m) k^2 t = -iEt/hbar, so
     its rows are D_0 = e^{-iEt/hbar} - 2 M(y_-k) and S_0 = i e^{-iEt/hbar}.
-    A grid keeps the block of its latest s, so a per-x loop stacks it
-    once.  A new energy of the old pole set (s[2:] unchanged) writes its k
-    pair into the old block in place.  Any other s stacks a new block: it
-    takes the pole pairs the two share (a prefix: an N = 2 problem before
-    an N = 4 one) as one slab, and evaluates the rest.  The block is
-    read-only between calls, and a grid that is not kept goes with its
-    call.
+    The block is read-only between calls, and a grid that is not kept
+    goes with its call.  The memo keeps two rules:
 
-    A pole set, s[2:], keeps its block on the two kept grids it stacked on
-    last: stacking it on a third drops its block from the oldest of the
-    three, which keeps its times.  One window per pole set, or two in
-    turn, keeps every block; a pole set stepping through fresh windows
-    holds two blocks, not one per kept grid.
+    1. A kept grid holds at most one block: the pole rows of one pole
+       set, s[2:], and the k rows of that pole set's latest energy, so a
+       per-x loop stacks it once.  A new energy of that pole set writes
+       its k pair into the block in place; any other pole set stacks a
+       whole block of its own.
+    2. A pole set keeps blocks on the two kept grids it stacked on last:
+       each stack stamps its grid, and the pole set's older holders lose
+       their block and keep their times.  One window per pole set, or two
+       in turn, keeps every block; a pole set stepping through fresh
+       windows holds two blocks, whatever other pole sets stack between.
     """
     if grid.s == s:
         return grid.block
-    old_s, old = grid.s, grid.block
-    shared = 2
-    while shared < min(len(s), len(old_s)) and s[shared] == old_s[shared]:
-        shared += 2
-    in_place = shared == len(s) == len(old_s)
-    block = old if in_place else np.empty((len(s), *grid.t.shape), dtype=complex)
+    in_place = grid.s[2:] == s[2:]
+    block = grid.block if in_place else np.empty((len(s), *grid.t.shape), dtype=complex)
     block.flags.writeable = True
-    if shared > 2 and not in_place:
-        # the old k pair too, overwritten below, so the shared prefix is one run
-        block[:shared] = old[:shared]
     beta = grid.hbar_over_2m
     wave = np.exp(-1j * (beta * s[0].real ** 2 * grid.t))
     minus = m_function(y_values(s[1], grid.t, beta))
     block[0], block[1] = wave - 2.0 * minus, 1j * wave
-    for j in range(shared, len(s), 2):
+    for j in range(len(s) if in_place else 2, len(s), 2):
         plus, minus = (m_function(y_values(w, grid.t, beta)) for w in s[j : j + 2])
         block[j], block[j + 1] = plus - minus, 1j * (plus + minus)
     block.flags.writeable = False
     grid.s, grid.block = s, block
-    latest = _latest_grid.get(s[2:])
-    if latest is not grid and grid.t.size <= _COLUMN_MEMO_POINTS:
-        oldest = latest.before() if latest is not None and latest.before else None
-        if oldest is not None and oldest is not grid and oldest.s[2:] == s[2:]:
-            oldest.s, oldest.block = (), None
-        grid.before = None if latest is None else weakref.ref(latest)
-        _latest_grid[s[2:]] = grid
+    if grid.t.size <= _COLUMN_MEMO_POINTS:
+        grid.stamp = next(_stamps)
+        _kept.add(grid)
+        holders = sorted((g for g in _kept if g.s[2:] == s[2:]), key=lambda g: g.stamp)
+        for old in holders[:-2]:
+            old.s, old.block = (), None
     return block
 
 
@@ -399,10 +391,10 @@ def psi_exact(problem: ShutterProblem, x, t):
 
     The evaluators share one memo of the M(y_s) columns, which depend on t
     and not on x: it keeps the 8 most recently used time grids
-    (_GRID_MEMO_SIZE), a kept grid holds at most one block between calls,
-    the 2 + 2N columns of its latest problem with N modes (16 (2 + 2N) B a
-    time), and a grid of more than 4096 points (_COLUMN_MEMO_POINTS) is
-    never kept (which columns a grid keeps: _block).  A problem keeps the
+    (_GRID_MEMO_SIZE) of at most 4096 points (_COLUMN_MEMO_POINTS); a kept
+    grid holds at most one block, the 2 + 2N columns of one pole set's
+    latest problem with N modes (16 (2 + 2N) B a time), and a pole set
+    keeps blocks on two kept grids (the two rules: _block).  A problem keeps the
     x rows of each scalar x it evaluates (ShutterProblem._x_rows).  A miss
     runs the uncached arithmetic, so results are bit-identical with or
     without either memo.  psi_exact.cache_info() counts grids (a miss checks one);

@@ -867,6 +867,31 @@ class TestColumnMemo:
         assert [grid.s for grid in grids[2:]] == [(), p._wave_numbers, r._wave_numbers]
         assert_at_bound(psi, r, r.L, windows[4], len(r.modes))
 
+    def test_another_pole_set_on_a_grid_leaves_the_two_block_bound(
+        self, problem_ebar, double_profile, times
+    ):
+        # P (triple, N = 4) on W0 and W1, Q (double, N = 2) on W1, then P on
+        # W2 and W3: Q's block replaces P's on W1, and P's stack on W3 drops
+        # its block on W0, whose grid stays kept with its times
+        p = problem_ebar
+        double = make_spectrum(double_profile, 2)
+        q = double.at(double.poles[0].E_position)
+        beta = p.profile.hbar_over_2m
+        assert q.profile.hbar_over_2m == beta
+        windows = [times + 1e-3 * r for r in range(4)]
+        grids = [transient._grid(w.shape, transient._GridKey(w.tobytes()), beta) for w in windows]
+        calls = [(p, 0), (p, 1), (q, 1), (p, 2), (p, 3)]
+        got = [psi_exact(r, r.L, windows[i]) for r, i in calls]
+        assert [grid.s for grid in grids] == [(), q._wave_numbers, p._wave_numbers, p._wave_numbers]
+        assert psi_exact.cache_info().currsize == 4
+        again = [transient._grid(w.shape, transient._GridKey(w.tobytes()), beta) for w in windows]
+        assert all(a is b for a, b in zip(again, grids))
+        assert all(np.array_equal(grid.t, w) for grid, w in zip(grids, windows))
+        # each result has the bits of the same call on an emptied memo
+        for (r, i), psi in zip(calls, got):
+            psi_exact.cache_clear()
+            assert np.array_equal(psi, psi_exact(r, r.L, windows[i]))
+
     def test_kept_columns_are_stored_once(self, triple_spectrum, times, wofz_calls):
         p = triple_spectrum.at(triple_spectrum.poles[0].E_position)
         key = transient._GridKey(times.tobytes())
@@ -895,9 +920,9 @@ class TestColumnMemo:
         self, triple_spectrum, double_profile, times, wofz_calls, change
     ):
         # an N = 2 problem then an N = 4 one of the same profile, or two
-        # profiles, on one grid: the second call stacks a block of its own,
-        # evaluates only the columns the first did not, and has the bits of
-        # its call on an emptied memo
+        # profiles, on one grid: the second call stacks a whole block of its
+        # own, as the pole sets differ, and has the bits of its call on an
+        # emptied memo
         p = make_spectrum(triple_spectrum.profile, 2).at(triple_spectrum.poles[0].E_position)
         if change == "more poles":
             q = triple_spectrum.at(triple_spectrum.poles[1].E_position)
@@ -913,8 +938,8 @@ class TestColumnMemo:
         old = grid.block
         del wofz_calls[:]
         psi = psi_exact(q, q.L, times)
-        # its own M(y_-k) and four pole columns: poles 3-4, or the double's 1-2
-        assert wofz_calls == [times.shape] * 5
+        # its own M(y_-k) and its pole columns: the triple's 1-4, or the double's 1-2
+        assert wofz_calls == [times.shape] * (1 + 2 * len(q.modes))
         assert np.array_equal(psi, fresh)
         assert grid.block is not old and grid.block.shape == (len(q._wave_numbers), *times.shape)
         assert not grid.block.flags.writeable and not old.flags.writeable
