@@ -74,7 +74,12 @@ class Incidence:
         return "doublet-center"
 
     def energy(self, poles) -> float:
-        """The incidence energy (eV) against a structure's poles, in order."""
+        """The incidence energy (eV) against a structure's poles, in order;
+        fewer poles than the kind reads raise ConfigError naming the energy key."""
+        needed = _POLES_NEEDED[self.kind]
+        if len(poles) < needed:
+            message = f"{self.kind} incidence reads {needed} pole(s), got {len(poles)}"
+            raise ConfigError(message, field="energy")
         if self.kind == "absolute":
             return self.value
         p1 = poles[0]

@@ -38,7 +38,6 @@ __all__ = [
     "fmt",
     "write_trace_csv",
     "poles_csv_text",
-    "write_poles_csv",
     "transmission_csv_text",
     "write_transmission_csv",
     "Check",
@@ -137,10 +136,6 @@ def poles_csv_text(poles: list[ResonancePole]) -> str:
         [p.k.imag for p in poles],
         [p.tau for p in poles],
     )
-
-
-def write_poles_csv(path, poles: list[ResonancePole]) -> str:
-    return _write(path, poles_csv_text(poles))
 
 
 def transmission_csv_text(energies_meV, T_values) -> str:

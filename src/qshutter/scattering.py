@@ -16,7 +16,7 @@ One kernel, _layers, builds every layer's matrix entries elementwise over
 a scalar or an array of k, and each layer maps (psi, psi') to (c psi + ws
 psi', m psi + c psi').  One walk, _walk, carries pairs across the layers
 and yields the pair at every edge.  It takes Python numbers at one point of
-k (a scalar T(E), solve_stationary and a mode's outgoing pieces) and arrays
+k (a scalar T(E), and a mode's or the field's outgoing pieces) and arrays
 at more (the Newton batch's outgoing pieces, and _layer_product:
 transfer_matrix, the pole search's contour, and the T(E) scan, which _scan
 runs in blocks with transmission's checks).
@@ -30,10 +30,10 @@ quotients are not), but numpy's array product (0-d and one-element arrays
 included) rounds differently in about 45% of random products, and is not
 even commutative bit for bit.  So a complex walk in Python numbers has the
 bits of numpy-scalar arithmetic, and a one-point result that must be the
-array path's entry (a scalar T(E), solve_stationary's r and t) reads M off
-one-element arrays: only its walk runs in Python numbers.  A scalar T(E)
-(one per pole in a structure's workload) is mostly fixed numpy call
-overhead, which the walk in Python numbers avoids.
+array path's entry (a scalar T(E)) reads M off one-element arrays: only its
+walk runs in Python numbers.  A scalar T(E) (one per pole in a structure's
+workload) is mostly fixed numpy call overhead, which the walk in Python
+numbers avoids.
 
 The kernel reuses its buffers where the bits allow it: every output is bit
 for bit what the allocating expressions give.  numpy rounds a complex
@@ -51,19 +51,19 @@ On the real axis, where every scan and every stationary field lives, q^2
 = k^2 - V/(hbar^2/2m) is real, so each layer matrix is real (cos and sin,
 or cosh and sinh where the layer is evanescent) and so are P, s and d, and
 T = 4 / (s^2 + d^2).  A real-typed k therefore runs the kernel and the
-walk in real arithmetic, and builds no complex q (only solve_stationary
+walk of P in real arithmetic, and builds no complex q (only solve_stationary
 reads q, and forms it for its one k); only the read-off of M is complex.
 A complex-typed k (Newton iterates, poles, modes) runs the same code in
 complex arithmetic.
 
 T(E) has one read-off, _transmitted: t = 1/m22 from P's entries through
 _sd and _m22, with the bits of transfer_matrix's m22.  A scalar E hands it
-_fundamental's end, a scan each block's _layer_product end.
+P walked in Python floats, a scan each block's _layer_product end.
 
-The pole search and the resonant-mode solver share the outgoing pieces
-(_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik) at x = L
-marched backward, as one stacked array walk for the Newton batch and in
-Python numbers for a mode's one k.  A wave marched through a thick
+The pole search, the mode solver and the stationary field share the
+outgoing pieces (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik)
+at x = L marched backward, as one stacked array walk for the Newton batch
+and in Python numbers for one k.  A wave marched through a thick
 barrier carries rounding amplified by up to e^{|Im q| w}, so the pieces
 are joined at an interior edge and neither march crosses the whole
 profile (the matching-point method of GAMOW: Vertse, Pal & Balogh,
@@ -76,11 +76,14 @@ pole.  The one join test, _join, reads the relative mismatch
 that of (u, u') once the right piece is scaled to the left one on its
 larger component of (u, u'/k), at the join edges where both keep digits,
 at every point of a 1-D array of k in one pass: a batch of Newton
-iterates, or a mode's one k as a batch of one.
+iterates, or a mode's one k as a batch of one.  The stationary field
+takes no join: it is the right piece alone (solve_stationary), which at a
+real k grows into each barrier from x = L as Phi does.
 """
 
 from __future__ import annotations
 
+import cmath
 from collections import deque
 from dataclasses import dataclass
 
@@ -415,16 +418,6 @@ def _read_off(profile: PotentialProfile, k, end) -> TransferMatrix:
     )
 
 
-def _fundamental(profile: PotentialProfile, k: np.ndarray):
-    """(layers, F1's pairs, F2's pairs, P's entries on one-element arrays)
-    at a one-element array k: F1 and F2 walk from (1, 0) and (0, 1)."""
-    layers = _layers(profile, k)
-    c, ws, m = (a.ravel().tolist() for a in layers[1:4])
-    f1, f2 = list(_walk(c, ws, m, 1.0, 0.0)), list(_walk(c, ws, m, 0.0, 1.0))
-    end = np.array([*f1[-1], *f2[-1]])  # P11, P21, P12, P22
-    return layers, f1, f2, ((end[0:1], end[2:3]), (end[1:2], end[3:4]))
-
-
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
     """Exterior plane-wave transfer matrix at (possibly complex) k != 0.
 
@@ -440,20 +433,20 @@ def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
 def solve_stationary(profile: PotentialProfile, k: float | complex) -> StationaryField:
     """Full interior solution Phi(x, k) for exterior incidence from the left.
 
-    A real k walks in real arithmetic, a complex one in complex.  M is read
-    off on one-element arrays, so at a real k, r and t are
-    transfer_matrix's entries at np.array([k]) bit for bit.
+    Phi = a u_R, with u_R the right-outgoing piece of _outgoing walked back
+    from (1, ik) at x = L in Python numbers, as a mode's piece is; Phi =
+    e^{ikx} + r e^{-ikx} at x = 0 fixes a = 2ik/W, W = u_R'(0) + ik u_R(0),
+    t = a e^{-ikL} and r = a u_R(0) - 1.
     """
     k = _nonzero_k(np.reshape(k, 1))
-    layers, f1, f2, end = _fundamental(profile, k)
-    tm = _read_off(profile, k, end)
-    r, t = tm.r[0], tm.t[0]
+    layers = _layers(profile, k)
     q = _real_q(profile, k) if layers[0] is None else layers[0][:, 0]
+    right = _outgoing(layers, k)[1][:, :, 0]
     k = k.item()
-    # Phi = e^{ikx} + r e^{-ikx} starts as (1 + r, ik (1 - r)) at x = 0
-    coefficients = (1.0 + r) * np.array(f1[:-1]) + 1j * k * (1.0 - r) * np.array(f2[:-1])
+    a = 2j * k / (right[0, 1] + 1j * k * right[0, 0])
+    r, t = a * right[0, 0] - 1.0, a * cmath.exp(-1j * k * profile.total_length)
     return StationaryField(
-        k=complex(k), r=r, t=t, edges=profile.edges, q=q, coefficients=coefficients
+        k=complex(k), r=r, t=t, edges=profile.edges, q=q, coefficients=a * right[:-1]
     )
 
 
@@ -468,13 +461,16 @@ def transmission(profile: PotentialProfile, E):
     A Python or numpy float E in (0, inf) takes a one-point path, bit for
     bit the array path's entry: k (wavenumber's complex sqrt), the layers
     and the complex read-off (_transmitted) are formed on one-element
-    arrays, and the real walk in Python floats (_fundamental).  Every other
-    E (0-d arrays, ints, other dtypes, complex, invalid values) takes the
-    array path.
+    arrays, and F1 and F2 walk from (1, 0) and (0, 1) in Python floats.
+    Every other E (0-d arrays, ints, other dtypes, complex, invalid values)
+    takes the array path.
     """
     if isinstance(E, float) and 0.0 < E < np.inf:
         k = wavenumber(np.array([E]), profile).real
-        t, T = _transmitted(profile, k, _fundamental(profile, k)[3])
+        c, ws, m = (a.ravel().tolist() for a in _layers(profile, k)[1:4])
+        f1, f2 = (list(_walk(c, ws, m, *start))[-1] for start in ((1.0, 0.0), (0.0, 1.0)))
+        end = np.array([*f1, *f2])  # P11, P21, P12, P22
+        t, T = _transmitted(profile, k, ((end[0:1], end[2:3]), (end[1:2], end[3:4])))
         _check_unitarity(T)
         return complex(t[0]), float(T[0])
     E = _complex_array(E, "E")

@@ -442,7 +442,6 @@ NO_ROW = {
     "solve_mode": "a profile and a ResonancePole",
     "fmt": "any value, formatted as given",
     "poles_csv_text": "ResonancePoles",
-    "write_poles_csv": "a path and ResonancePoles",
     "check_abs": "a check's measured value, recorded as given (nan included)",
     "check_bound": "a check's measured value and verdict, recorded as given",
     "gnuplot_script": "a path, a title and file names",

@@ -161,6 +161,13 @@ class TestParseConfig:
     def test_incidence_describes_itself(self, incidence, text):
         assert incidence.describe() == text
 
+    @pytest.mark.parametrize("kind, kept", [("offset", 0), ("doublet-center", 1)])
+    def test_incidence_short_of_poles_is_a_config_error(self, triple_poles, kind, kept):
+        with pytest.raises(ConfigError) as err:
+            Incidence(kind).energy(triple_poles[:kept])
+        assert err.value.field == "energy"
+        assert f"{kind} incidence reads {kept + 1} pole(s), got {kept}" in str(err.value)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError, match="method"):
             parse_config(

@@ -25,7 +25,6 @@ from qshutter.output import (
     gnuplot_script,
     poles_csv_text,
     transmission_csv_text,
-    write_poles_csv,
     write_trace_csv,
     write_transmission_csv,
 )
@@ -39,10 +38,8 @@ def test_fmt_precision():
 
 
 class TestPolesCsv:
-    def test_schema_and_values(self, triple_poles, tmp_path):
-        path = tmp_path / "poles.csv"
-        write_poles_csv(path, triple_poles)
-        rows = list(csv.reader(path.open()))
+    def test_schema_and_values(self, triple_poles):
+        rows = list(csv.reader(io.StringIO(poles_csv_text(triple_poles))))
         assert rows[0] == ["n", "E_meV", "Gamma_meV", "Re_k_per_nm", "Im_k_per_nm", "tau_ps"]
         assert len(rows) == 5
         first = rows[1]
@@ -52,11 +49,6 @@ class TestPolesCsv:
         assert float(first[3]) == pytest.approx(triple_poles[0].k.real)
         assert float(first[4]) == pytest.approx(triple_poles[0].k.imag)
         assert float(first[5]) == pytest.approx(triple_poles[0].tau)
-
-    def test_text_matches_file(self, triple_poles, tmp_path):
-        path = tmp_path / "poles.csv"
-        write_poles_csv(path, triple_poles)
-        assert path.read_text() == poles_csv_text(triple_poles)
 
 
 class TestTransmissionCsv:

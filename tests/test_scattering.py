@@ -4,6 +4,7 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,15 +369,16 @@ class TestRealAxis:
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(profile=_barrier_profiles())
-    def test_stationary_field_is_the_array_entry(self, profile):
-        # solve_stationary walks F1 and F2 in Python floats and transfer_matrix
-        # marches them on arrays; real arithmetic rounds alike in both, and
-        # both read M off arrays, so r and t are the same bits
+    def test_stationary_field_agrees_with_the_array_entry(self, profile):
+        # solve_stationary reads r and t off the right-outgoing piece, and
+        # transfer_matrix off the product of F1 and F2: the two agree to
+        # rounding (7.9e-14 in t and in r at worst, over 4,583 points on 60
+        # random profiles in these ranges)
         k = wavenumber(_reference_energies(profile)[::4], profile).real
         for i, k_i in enumerate(k.tolist()):
             f = solve_stationary(profile, k_i)
             tm = transfer_matrix(profile, k[i : i + 1])
-            assert _bits(f.t) == _bits(tm.t[0]) and _bits(f.r) == _bits(tm.r[0])
+            assert abs(f.t - tm.t[0]) <= 1e-12 * abs(tm.t[0]) and abs(f.r - tm.r[0]) <= 1e-12
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(profile=_barrier_profiles(), E=st.floats(1e-5, 0.5))
@@ -428,9 +430,9 @@ class TestRealAxis:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="Phi is marched forward from x = 0, and the rounding of that "
-        "start grows through each opaque barrier as the growing solution does "
-        "(ROADMAP item 23): the relative miss reads 3.6e2, 7.6e13 and 7.7e32",
+        reason="x = L is evaluated across the last barrier from its left edge, "
+        "where the form's two terms grow as e^(|Im q| xi) and cancel (ROADMAP "
+        "items 26 and 31): the relative miss reads 9.0e-9, 0.17 and 1.9e8",
     )
     @pytest.mark.parametrize("w", [15.0, 25.0, 40.0])
     def test_stationary_wave_at_L_is_the_transmitted_wave(self, w):
@@ -656,6 +658,38 @@ class TestStationaryWave:
         assert abs(stationary_wave(f, L)) ** 2 == pytest.approx(
             transmission(triple_profile, ebar)[1], abs=1e-12
         )
+
+    @pytest.mark.parametrize("w", [10.0, 15.0, 25.0, 40.0])
+    def test_edge_values_meet_a_60_digit_march(self, w):
+        # F1, F2 and r formed at 60 digits as reference.transmission forms its
+        # product, and Phi marched forward from (1 + r, ik (1 - r)); the
+        # digits outlast the growth through both barriers (~e^56 at 40 nm).
+        # A forward march in doubles misses by 8.7e-10 to 1.6e9 here
+        profile = build_profile([(w, 0.3), (10.0, 0.0), (w, 0.3)], MASS_RATIO)
+        k = wavenumber(20e-3, profile).real
+        with mp.workdps(60):
+            kk, h22m = mp.mpf(k), mp.mpf(profile.hbar2_over_2m)
+            entries = []
+            for layer in profile.layers:
+                q = mp.sqrt(kk * kk - mp.mpf(layer.height) / h22m)
+                c, s = mp.cos(q * layer.width), mp.sin(q * layer.width)
+                entries.append((c, s / q, -q * s))
+
+            def march(u, du):
+                pairs = [(u, du)]
+                for c, ws, m in entries:
+                    u, du = c * u + ws * du, m * u + c * du
+                    pairs.append((u, du))
+                return pairs
+
+            (p11, p21), (p12, p22) = march(1, 0)[-1], march(0, 1)[-1]
+            # r = -m21/m22 through the sums and differences of _read_off
+            split, cross = p11 - p22, kk * p12 + p21 / kk
+            r = -(split + 1j * cross) / (p11 + p22 - 1j * (kk * p12 - p21 / kk))
+            pairs = march(1 + r, 1j * kk * (1 - r))[:-1]
+            expected = np.array([[complex(u), complex(du)] for u, du in pairs])
+        got = solve_stationary(profile, k).coefficients
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-13
 
     def test_interface_continuity(self, triple_profile, ebar):
         # evaluate (Phi, Phi') at each interface from the layer on its left
