@@ -1,6 +1,6 @@
 """How the pipeline fares on random layered profiles: typed refusals and silent misses.
 
-    python bench/census.py
+    python bench/census.py [--against REV]
 
 Draws 300 profiles from each of `numpy.random.default_rng` seeds 0 and 1,
 under `warnings.simplefilter("error")`, so that a warning counts as an
@@ -17,18 +17,31 @@ spectrum `make_spectrum(profile, N)`, and the problem at E = curlyE1 x the
 factor.  It prints the outcomes per exception type ("completed" for none),
 and on the completed profiles the counts past each bound of:
 
-- the stationary field's end miss | |Phi(L)|^2/T - 1 |, with Phi(L) read
-  by `stationary_wave(field, L)` and T by `transmission`;
-- the worst mode end miss | |u(L)|/|uL| - 1 | of each profile, with u(L)
-  read by `mode.u(L)`;
+- the stationary field's end miss | |Phi(x)|^2/T - 1 |, with Phi(x) read
+  by `stationary_wave(field, x)` and T by `transmission`;
+- the worst mode end miss | |u(x)|/|uL| - 1 | of each profile, with u(x)
+  read by `mode.u(x)`;
 
-and the number of `psi_exact` maps on 7 x in [0, L] by 50 t in [1e-3 ps,
-25 tau1] that hold a value that is not finite.  It writes nothing.
+each at x = L, which reads the pair the walk from L starts from, and at
+x = L- = `np.nextafter(L, 0.0)`, which is evaluated across the last layer
+from its left edge; then the number of `psi_exact` maps on 7 x in [0, L]
+by 50 t in [1e-3 ps, 25 tau1] that hold a value that is not finite.  It
+writes nothing.
+
+--against REV runs the census twice, each in a child process that imports
+its own package: that of the committed tree of git revision REV (a `git
+archive` of its src/) and the working tree's.  It prints the two
+reports as one, a line that differs once per side (`-` REV, `+` working
+tree), and exits 0 when they agree and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
+import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -58,7 +71,8 @@ def draw(rng: np.random.Generator):
 
 
 def measure(layers, n_poles: int, factor: float):
-    """(Phi end miss, worst mode end miss, map finite) of one profile."""
+    """(misses, map finite) of one profile: misses holds the Phi end miss
+    and the worst mode end miss at x = L, then both at x = L-."""
     from qshutter import build_profile, make_spectrum, psi_exact, transmission
     from qshutter.scattering import stationary_wave
 
@@ -67,19 +81,23 @@ def measure(layers, n_poles: int, factor: float):
     problem = spectrum.at(pole.E_position * factor)
     L = problem.L
     T = transmission(problem.profile, problem.E)[1]
-    phi = abs(abs(stationary_wave(problem.field, L)) ** 2 / T - 1.0)
-    mode = max(abs(abs(m.u(L)) / abs(m.uL) - 1.0) for m in problem.modes)
+    misses = []
+    for x in (L, np.nextafter(L, 0.0)):
+        misses.append(abs(abs(stationary_wave(problem.field, x)) ** 2 / T - 1.0))
+        misses.append(max(abs(abs(m.u(x)) / abs(m.uL) - 1.0) for m in problem.modes))
     times = np.linspace(1e-3, 25.0 * pole.tau, 50)
     finite = all(np.isfinite(psi_exact(problem, x, times)).all() for x in np.linspace(0.0, L, 7))
-    return phi, mode, finite
+    return misses, finite
 
 
-def census():
-    """(outcome counts, Phi end misses, mode end misses, maps not finite)."""
-    outcomes, phi, mode, not_finite = Counter(), [], [], 0
-    for seed in SEEDS:
+def census(seeds=SEEDS, profiles_per_seed: int = PROFILES_PER_SEED):
+    """(outcome counts, misses, maps not finite) over the first
+    profiles_per_seed profiles of each seed; misses has one row of
+    measure's four misses per completed profile."""
+    outcomes, misses, not_finite = Counter(), [], 0
+    for seed in seeds:
         rng = np.random.default_rng(seed)
-        for _ in range(PROFILES_PER_SEED):
+        for _ in range(profiles_per_seed):
             profile = draw(rng)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -89,10 +107,9 @@ def census():
                     outcomes[type(err).__name__] += 1
                     continue
             outcomes["completed"] += 1
-            phi.append(result[0])
-            mode.append(result[1])
-            not_finite += not result[2]
-    return outcomes, np.array(phi), np.array(mode), not_finite
+            misses.append(result[0])
+            not_finite += not result[1]
+    return outcomes, np.array(misses).reshape(-1, 4), not_finite
 
 
 def _past(name: str, misses: np.ndarray, bounds) -> str:
@@ -100,15 +117,51 @@ def _past(name: str, misses: np.ndarray, bounds) -> str:
     return f"{name} past {counts}"
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    outcomes, phi, mode, not_finite = census()
-    print(f"{len(SEEDS) * PROFILES_PER_SEED} profiles, seeds {', '.join(map(str, SEEDS))}")
+def report() -> list[str]:
+    """The census's printed lines."""
+    outcomes, misses, not_finite = census()
+    lines = [f"{len(SEEDS) * PROFILES_PER_SEED} profiles, seeds {', '.join(map(str, SEEDS))}"]
     for name, count in sorted(outcomes.items(), key=lambda item: (-item[1], item[0])):
-        print(f"  {name}: {count}")
-    print(_past("| |Phi(L)|^2/T - 1 |", phi, PHI_BOUNDS))
-    print(_past("worst | |u(L)|/|uL| - 1 |", mode, MODE_BOUNDS))
-    print(f"psi_exact maps not finite: {not_finite}")
+        lines.append(f"  {name}: {count}")
+    for column, x in ((0, "L"), (2, "L-")):
+        lines.append(_past(f"| |Phi({x})|^2/T - 1 |", misses[:, column], PHI_BOUNDS))
+        lines.append(_past(f"worst | |u({x})|/|uL| - 1 |", misses[:, column + 1], MODE_BOUNDS))
+    lines.append(f"psi_exact maps not finite: {not_finite}")
+    return lines
+
+
+def against(rev: str) -> int:
+    """Print the census of rev's package and of the working tree's as one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = []
+        for src in (Path(tmp) / "src", ROOT / "src"):
+            run = subprocess.run(
+                [sys.executable, str(Path(__file__).resolve()), "--src", str(src)],
+                capture_output=True,
+                text=True,
+            )
+            if run.returncode:
+                raise RuntimeError(f"the census of {src} failed:\n{run.stderr}")
+            sides.append(run.stdout.splitlines())
+    print(f"census: - {rev}, + working tree")
+    diff = [line for line in difflib.ndiff(*sides) if not line.startswith("?")]
+    print("\n".join(diff))
+    return int(sides[0] != sides[1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV", help="compare with the census of REV")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against)
+    sys.path.insert(0, str(args.src))
+    print("\n".join(report()))
     return 0
 
 

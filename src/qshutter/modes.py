@@ -44,10 +44,10 @@ __all__ = ["ResonantMode", "solve_mode", "rho", "rho_mirror"]
 
 @dataclass(frozen=True)
 class ResonantMode:
-    """Normalized u_n represented by per-layer (value, derivative) pairs.
+    """Normalized u_n represented by per-edge (value, derivative) pairs.
 
-    Row j of the complex (n_layers, 2) coefficients array is (u, u') at the
-    left edge of layer j, so inside layer j
+    Row j of the complex (n_layers + 1, 2) coefficients array is (u, u') at
+    edges[j], so inside layer j
 
         u(edges[j] + xi) = A_j cos(q_j xi) + B_j sin(q_j xi)/q_j .
 
@@ -57,7 +57,9 @@ class ResonantMode:
     |u'(L) - i k_n u(L)| / (|u'(L)| + |k_n u(L)|).
     normalization_residual is |integral + surface term - 1| after scaling.
     u0 is 1/sqrt(N), N the unscaled integral + surface term, on numpy's
-    principal branch, so Re u0 >= 0 (solve_mode).
+    principal branch, so Re u0 >= 0 (solve_mode).  Row n = n_layers is
+    (u(L), i k_n u(L)) at x = L, with q[n] = k_n; uL is u(L) formed in
+    numpy-scalar products, which row n's array products may round otherwise.
     edges, q and coefficients are read-only: make_spectrum hands one mode
     to every caller that asks for its profile.
     """
@@ -106,14 +108,8 @@ def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
     return (A * A + B * B) * (h * h - 1.0) / (2j * q) + 2.0 * A * B * w * h
 
 
-def _norm_square(
-    coeffs: np.ndarray,
-    q: np.ndarray,
-    profile: PotentialProfile,
-    u0: complex,
-    uL: complex,
-    k_n: complex,
-) -> complex:
+def _norm_square(coeffs: np.ndarray, q: np.ndarray, profile: PotentialProfile, u0, uL, k_n):
+    """integral_0^L u^2 dx over the layers (rows 0 to n - 1) + surface term."""
     total = 0.0 + 0.0j
     for (a, b), q_j, w in zip(coeffs.tolist(), q.tolist(), profile.widths.tolist()):
         total += _layer_integral(a, b, q_j, w)
@@ -132,7 +128,7 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
     # a batch of one point: the pieces walk in Python numbers (_outgoing)
     k = np.array([k_n])
     layers = _layers(profile, k)
-    q = layers[0][:, 0]
+    q = np.append(layers[0][:, 0], k_n)
     left, right = _outgoing(layers, k)
     (edge,), (residual,), (alpha,) = _join(_growth(layers), left, right, k)
     if residual == np.inf:
@@ -145,25 +141,15 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
             f"pole n={pole.index}: outgoing residual {residual:.3e} at the join "
             f"x = {profile.edges[edge]:g} nm; pole likely unconverged"
         )
-    coeffs = np.concatenate((left[:edge, :, 0], alpha * right[edge:-1, :, 0]))
+    coeffs = np.concatenate((left[:edge, :, 0], alpha * right[edge:, :, 0]))
     u0, uL = coeffs[0][0], alpha * right[-1, 0, 0]
-    nsq = _norm_square(coeffs, q, profile, u0, uL, k_n)
-    scale = 1.0 / np.sqrt(nsq)
-    coeffs = coeffs * scale
-    u0, uL = u0 * scale, uL * scale
+    scale = 1.0 / np.sqrt(_norm_square(coeffs, q, profile, u0, uL, k_n))
+    coeffs, u0, uL = coeffs * scale, u0 * scale, uL * scale
     norm_residual = abs(_norm_square(coeffs, q, profile, u0, uL, k_n) - 1.0)
-    edges = profile.edges
-    for array in (edges, q, coeffs):
+    for array in (profile.edges, q, coeffs):
         array.flags.writeable = False
     return ResonantMode(
-        pole=pole,
-        edges=edges,
-        q=q,
-        coefficients=coeffs,
-        u0=u0,
-        uL=uL,
-        outgoing_residual=float(residual),
-        normalization_residual=float(norm_residual),
+        pole, profile.edges, q, coeffs, u0, uL, float(residual), float(norm_residual)
     )
 
 

@@ -79,6 +79,11 @@ at every point of a 1-D array of k in one pass: a batch of Newton
 iterates, or a mode's one k as a batch of one.  The stationary field
 takes no join: it is the right piece alone (solve_stationary), which at a
 real k grows into each barrier from x = L as Phi does.
+
+A layered wave (StationaryField, modes.ResonantMode) keeps the pair at
+every edge, x = L included: layered_wave reads Phi(L) and u(L) off the
+last row, and an x just inside L from the last layer's left edge, where an
+opaque barrier's two terms grow as e^{|Im q| xi} and cancel (ROADMAP 26).
 """
 
 from __future__ import annotations
@@ -141,13 +146,15 @@ class TransferMatrix:
 
 @dataclass(frozen=True)
 class StationaryField:
-    """Phi(x, k) inside [0, L]: exterior amplitudes plus per-layer data.
+    """Phi(x, k) inside [0, L]: exterior amplitudes plus per-edge data.
 
     Layer j covers [edges[j], edges[j+1]] with local wave number q[j]; row j
-    of the complex (n_layers, 2) coefficients array is (A_j, B_j) = (Phi,
-    Phi') at the layer's left edge, so
+    of the complex (n_layers + 1, 2) coefficients array is (A_j, B_j) =
+    (Phi, Phi') at edges[j], so that
 
-        Phi(edges[j] + xi) = A_j cos(q_j xi) + B_j sin(q_j xi)/q_j .
+        Phi(edges[j] + xi) = A_j cos(q_j xi) + B_j sin(q_j xi)/q_j ;
+
+    row n = n_layers, at x = L, is (t e^{ikL}, ik t e^{ikL}), with q[n] = k.
     """
 
     k: complex
@@ -301,18 +308,23 @@ def _outgoing(layers, k):
     """
     if k.size == 1:
         c, ws, m = (a.ravel().tolist() for a in layers[1:4])
-        slope = -1j * k.item()
         shape = (len(c) + 1, 2, *k.shape)
-        left = np.array(list(_walk(c, ws, m, 1.0, slope))).reshape(shape)
-        right = np.array(list(_walk(c[::-1], ws[::-1], m[::-1], 1.0, slope))[::-1]).reshape(shape)
-    else:
-        c, ws, m = (np.stack((a, a[::-1]), axis=1) for a in layers[1:4])
-        one = np.ones(c.shape[1:], complex)
-        # (edge, row, wave, *k.shape)
-        pairs = np.array(list(_walk(c, ws, m, one, -1j * k * one)))
-        left, right = pairs[:, :, 0], pairs[::-1, :, 1]
+        left = np.array(list(_walk(c, ws, m, 1.0, -1j * k.item()))).reshape(shape)
+        return left, _right(c, ws, m, k.item()).reshape(shape)
+    c, ws, m = (np.stack((a, a[::-1]), axis=1) for a in layers[1:4])
+    one = np.ones(c.shape[1:], complex)
+    # (edge, row, wave, *k.shape)
+    pairs = np.array(list(_walk(c, ws, m, one, -1j * k * one)))
+    left, right = pairs[:, :, 0], pairs[::-1, :, 1]
     right[:, 1] *= -1.0
     return left, right
+
+
+def _right(c, ws, m, k):
+    """_outgoing's right wave at one k from lists c, ws, m: (n_layers + 1, 2)."""
+    right = np.array(list(_walk(c[::-1], ws[::-1], m[::-1], 1.0, -1j * k))[::-1])
+    right[:, 1] *= -1.0
+    return right
 
 
 def _joins(n_layers: int) -> slice:
@@ -433,21 +445,19 @@ def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
 def solve_stationary(profile: PotentialProfile, k: float | complex) -> StationaryField:
     """Full interior solution Phi(x, k) for exterior incidence from the left.
 
-    Phi = a u_R, with u_R the right-outgoing piece of _outgoing walked back
-    from (1, ik) at x = L in Python numbers, as a mode's piece is; Phi =
+    Phi = a u_R, with u_R the right-outgoing piece (_right) walked back from
+    (1, ik) at x = L in Python numbers, as a mode's piece is; Phi =
     e^{ikx} + r e^{-ikx} at x = 0 fixes a = 2ik/W, W = u_R'(0) + ik u_R(0),
     t = a e^{-ikL} and r = a u_R(0) - 1.
     """
     k = _nonzero_k(np.reshape(k, 1))
     layers = _layers(profile, k)
-    q = _real_q(profile, k) if layers[0] is None else layers[0][:, 0]
-    right = _outgoing(layers, k)[1][:, :, 0]
+    q = np.append(_real_q(profile, k) if layers[0] is None else layers[0][:, 0], k)
     k = k.item()
+    right = _right(*(a.ravel().tolist() for a in layers[1:4]), k)
     a = 2j * k / (right[0, 1] + 1j * k * right[0, 0])
     r, t = a * right[0, 0] - 1.0, a * cmath.exp(-1j * k * profile.total_length)
-    return StationaryField(
-        k=complex(k), r=r, t=t, edges=profile.edges, q=q, coefficients=a * right[:-1]
-    )
+    return StationaryField(complex(k), r, t, profile.edges, q, a * right)
 
 
 def transmission(profile: PotentialProfile, E):
@@ -522,17 +532,20 @@ def layered_wave(edges: np.ndarray, q: np.ndarray, coefficients: np.ndarray, x):
 
     xi = x - edges[j]; x must lie in [0, L] and may be a scalar (gives a
     complex) or an array (gives an array of its shape).  A point on an
-    interface belongs to the layer on its right, x = L to the last layer.
+    interface belongs to the layer on its right, x = L to row n = n_layers
+    at xi = 0; edges, q and coefficients need n + 1 entries (DomainError).
     """
+    if not len(edges) == len(q) == len(coefficients):
+        raise DomainError("a layered wave needs one wave number and one row per edge")
     return _wave(q, coefficients, *_locate(edges, x))
 
 
 def _locate(edges: np.ndarray, x):
-    """(j, xi) of layered_wave for x in [0, L]: x's layer and its offset."""
+    """(j, xi) of layered_wave for x in [0, L]: x's layer, or n at x = L, and its offset."""
     x = _real_array(x, "x")
     if not ((x >= 0.0) & (x <= edges[-1])).all():
         raise DomainError(f"x must lie in [0, {float(edges[-1])}] nm")
-    j = np.minimum(edges.searchsorted(x, side="right") - 1, len(edges) - 2)
+    j = edges.searchsorted(x, side="right") - 1
     return j, x - edges[j]
 
 

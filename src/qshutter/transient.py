@@ -387,7 +387,8 @@ def psi_exact(problem: ShutterProblem, x, t):
     _sums), not bit for bit, and with the same bits at any BLAS thread
     count (see _product).  Free profiles dispatch to the closed-form
     free-shutter solution (the pole expansion is empty there and does not
-    represent free propagation).
+    represent free propagation).  x = L reads Phi and each u_n off their
+    rows at L exactly, an x just inside L from the last layer's left edge.
 
     The evaluators share one memo of the M(y_s) columns, which depend on t
     and not on x: it keeps the 8 most recently used time grids

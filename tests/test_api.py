@@ -242,6 +242,14 @@ CONTRACT = {
     "layered_wave-str-x": (
         lambda p: layered_wave(p.field.edges, p.field.q, p.field.coefficients, "1"), DomainError
     ),
+    "layered_wave-short-rows": (
+        lambda p: layered_wave(p.field.edges, p.field.q, p.field.coefficients[:-1], 1.0),
+        DomainError,
+    ),
+    "layered_wave-short-q": (
+        lambda p: layered_wave(p.field.edges, p.field.q[:-1], p.field.coefficients, 1.0),
+        DomainError,
+    ),
     "psi_doublet_M-str-x": (lambda p: psi_doublet_M(p, "1", [0.1]), DomainError),
     "TransientTrace-str-times": (
         lambda p: TransientTrace(1.0, 0.01, 1.0, ["0.1", "0.2"], {}), DomainError

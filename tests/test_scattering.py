@@ -428,21 +428,32 @@ class TestRealAxis:
         T_ref = float(reference.transmission(profile, wavenumber(E_1, profile).real))
         assert abs(T - T_ref) < 1e-10 * T_ref
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="x = L is evaluated across the last barrier from its left edge, "
-        "where the form's two terms grow as e^(|Im q| xi) and cancel (ROADMAP "
-        "items 26 and 31): the relative miss reads 9.0e-9, 0.17 and 1.9e8",
-    )
     @pytest.mark.parametrize("w", [15.0, 25.0, 40.0])
     def test_stationary_wave_at_L_is_the_transmitted_wave(self, w):
-        # Phi(L) = t e^{ikL} holds exactly, so it needs no reference; on the
-        # triple barrier at curlyE1 the miss reads 5e-15
+        # Phi(L) = t e^{ikL} holds exactly, so it needs no reference: x = L
+        # reads the field's row n, the pair its walk starts from
         profile = build_profile([(w, 0.3), (10.0, 0.0), (w, 0.3)], MASS_RATIO)
         k = wavenumber(20e-3, profile).real
         field = solve_stationary(profile, k)
         L = profile.total_length
         miss = abs(stationary_wave(field, L) - field.t * cmath.exp(1j * k * L))
+        assert miss <= 1e-12 * abs(field.t)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="an x just inside L is evaluated across the last barrier from its "
+        "left edge, where the left-anchored form's two terms grow as "
+        "e^(|Im q| xi) and cancel (ROADMAP items 23 and 26): the relative miss "
+        "reads 5.0e-8, 0.16 and 9.3e7",
+    )
+    @pytest.mark.parametrize("w", [15.0, 25.0, 40.0])
+    def test_stationary_wave_just_inside_L_is_the_transmitted_wave(self, w):
+        # one ulp inside L, Phi(x) = t e^{ikx} to far below the bound
+        profile = build_profile([(w, 0.3), (10.0, 0.0), (w, 0.3)], MASS_RATIO)
+        k = wavenumber(20e-3, profile).real
+        field = solve_stationary(profile, k)
+        x = np.nextafter(profile.total_length, 0.0)
+        miss = abs(stationary_wave(field, x) - field.t * cmath.exp(1j * k * x))
         assert miss <= 1e-12 * abs(field.t)
 
 
@@ -638,10 +649,12 @@ class TestStationaryWave:
             assert evaluate(grid).shape == (3, 4)
 
     def test_zero_wave_number_layer_is_linear(self):
-        # q = 0 (incidence exactly at a layer's height): A + B xi
+        # q = 0 (incidence exactly at a layer's height): A + B xi, with the
+        # pair at x = L as the second row
         a, b = 0.3 - 0.1j, 2.0 + 0.5j
         x = np.linspace(0.0, 2.0, 5)
-        got = layered_wave(np.array([0.0, 2.0]), np.array([0j]), np.array([[a, b]]), x)
+        rows = np.array([[a, b], [a + 2.0 * b, b]])
+        got = layered_wave(np.array([0.0, 2.0]), np.array([0j, 0j]), rows, x)
         assert np.max(np.abs(got - (a + b * x))) < 1e-15
 
     def test_free_profile_plane_wave(self, free_profile):
@@ -663,8 +676,11 @@ class TestStationaryWave:
     def test_edge_values_meet_a_60_digit_march(self, w):
         # F1, F2 and r formed at 60 digits as reference.transmission forms its
         # product, and Phi marched forward from (1 + r, ik (1 - r)); the
-        # digits outlast the growth through both barriers (~e^56 at 40 nm).
-        # A forward march in doubles misses by 8.7e-10 to 1.6e9 here
+        # digits outlast the growth through the first barrier (~e^56 at 40
+        # nm).  At x = L the march's relative error grows by ~e^112 across
+        # both barriers, so the row at L is the transmitted pair t e^{ikL}
+        # (1, ik) with t e^{ikL} = 2/(s - i d).  A forward march in doubles
+        # misses by 8.7e-10 to 1.6e9 here
         profile = build_profile([(w, 0.3), (10.0, 0.0), (w, 0.3)], MASS_RATIO)
         k = wavenumber(20e-3, profile).real
         with mp.workdps(60):
@@ -685,8 +701,9 @@ class TestStationaryWave:
             (p11, p21), (p12, p22) = march(1, 0)[-1], march(0, 1)[-1]
             # r = -m21/m22 through the sums and differences of _read_off
             split, cross = p11 - p22, kk * p12 + p21 / kk
-            r = -(split + 1j * cross) / (p11 + p22 - 1j * (kk * p12 - p21 / kk))
-            pairs = march(1 + r, 1j * kk * (1 - r))[:-1]
+            den = p11 + p22 - 1j * (kk * p12 - p21 / kk)
+            r = -(split + 1j * cross) / den
+            pairs = march(1 + r, 1j * kk * (1 - r))[:-1] + [(2 / den, 2j * kk / den)]
             expected = np.array([[complex(u), complex(du)] for u, du in pairs])
         got = solve_stationary(profile, k).coefficients
         assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-13

@@ -525,12 +525,12 @@ class TestEvaluator:
                         assert type(got) is complex
 
     def test_per_x_at_every_interface(self, problems):
-        # an interface belongs to the layer on its right, x = L to the last
+        # an interface belongs to the layer on its right, x = L to row n
         for p in problems:
             edges = p.profile.edges
             n_layers = len(p.profile.layers)
             layers, _ = _locate(edges, edges)
-            assert layers.tolist() == [*range(n_layers), n_layers - 1]
+            assert layers.tolist() == [*range(n_layers + 1)]
             t = np.linspace(0.01, 20.0, 101) * p.modes[0].pole.tau
             for x in edges:
                 for n_modes, got in (
