@@ -35,9 +35,10 @@ array, the hex of each float, the fields of each record, and the bytes of
 each file a string names (a `scenario_sweep` op's CSVs, read before its
 directory is removed), so "identical" means every output bit is the
 same.  Where some ops differ, it also prints the largest relative
-difference |B - A|/|A| over the entries of their arrays
-(largest_relative_difference) and, beside it, the largest |B - A| over an
-array divided by that array's largest |A| (largest_scaled_difference), so
+difference |B - A|/|A| over the entries of their arrays, floats and
+complexes (largest_relative_difference) and, beside it, the largest
+|B - A| over an array divided by that array's largest |A|, a float or
+complex counting as an array of one entry (largest_scaled_difference), so
 a change that moves bits shows how far they moved; the second figure is
 not inflated by entries near zero, such as a map's early-time densities.
 A ratio below 1 means the working tree is faster.  Interleaving one op
@@ -147,9 +148,12 @@ def fingerprint(out) -> str:
 
 
 def arrays(out) -> list:
-    """The numpy arrays of an op's output, in the order fingerprint walks them."""
+    """The numpy arrays of an op's output, and its floats and complexes as
+    0-d arrays, in the order fingerprint walks them."""
     if isinstance(out, np.ndarray):
         return [out]
+    if isinstance(out, (float, complex)):
+        return [np.asarray(out)]
     if dataclasses.is_dataclass(out):
         out = [getattr(out, f.name) for f in dataclasses.fields(out)]
     elif isinstance(out, Mapping):
@@ -170,7 +174,8 @@ def largest_relative_difference(a, b) -> float:
     """max |y - x| / |x| over the entries x of the arrays of output a and
     the entries y of the matching arrays of output b: 0 where x == y, inf
     where x is 0 and y is not or where the arrays do not pair up by count
-    and shape, and 0.0 for outputs that hold no arrays."""
+    and shape, and 0.0 for outputs that hold no arrays (arrays() counts a
+    float or complex as one)."""
     pairs = _paired(a, b)
     if pairs is None:
         return float("inf")
@@ -187,7 +192,7 @@ def largest_scaled_difference(a, b) -> float:
     array scaled by its own largest |x|: 0 where the arrays are equal, inf
     where all of x is 0 and y is not or where the arrays do not pair up
     (as in largest_relative_difference), and 0.0 for outputs that hold no
-    arrays."""
+    arrays (arrays() counts a float or complex as one)."""
     pairs = _paired(a, b)
     if pairs is None:
         return float("inf")
@@ -218,7 +223,7 @@ def timed(workloads, qs, op):
 def compare(workloads, workload, sides, seeds, n_ops, probe=None):
     """([(A's time, B's time)] of the ops neither side fails, the number
     of those whose outputs are identical, the largest relative and scaled
-    differences between the array outputs of the others
+    differences between the array and scalar outputs of the others
     (largest_relative_difference, largest_scaled_difference), the number
     that fail on a side): one op at a time, the side that runs first
     alternating, with probe() before each op when it is given."""
@@ -293,8 +298,8 @@ def main(argv=None) -> int:
             print(f"outputs identical on {identical} of {len(times)} ops", flush=True)
             if identical < len(times):
                 print(
-                    f"largest difference over the others' arrays: {worst:.3g} of the entry, "
-                    f"{scaled:.3g} of the array's largest entry"
+                    f"largest difference over the others' arrays and scalars: "
+                    f"{worst:.3g} of the entry, {scaled:.3g} of the array's largest entry"
                 )
     return 0
 

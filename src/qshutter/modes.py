@@ -58,8 +58,8 @@ class ResonantMode:
     normalization_residual is |integral + surface term - 1| after scaling.
     u0 is 1/sqrt(N), N the unscaled integral + surface term, on numpy's
     principal branch, so Re u0 >= 0 (solve_mode).  Row n = n_layers is
-    (u(L), i k_n u(L)) at x = L, with q[n] = k_n; uL is u(L) formed in
-    numpy-scalar products, which row n's array products may round otherwise.
+    (u(L), i k_n u(L)) at x = L, with q[n] = k_n; u0 and uL are rows 0 and
+    n's values, so u(0) == u0 and u(L) == uL bit for bit.
     edges, q and coefficients are read-only: make_spectrum hands one mode
     to every caller that asks for its profile.
     """
@@ -108,11 +108,13 @@ def _layer_integral(a: complex, b: complex, q: complex, w: float) -> complex:
     return (A * A + B * B) * (h * h - 1.0) / (2j * q) + 2.0 * A * B * w * h
 
 
-def _norm_square(coeffs: np.ndarray, q: np.ndarray, profile: PotentialProfile, u0, uL, k_n):
-    """integral_0^L u^2 dx over the layers (rows 0 to n - 1) + surface term."""
+def _norm_square(coeffs: np.ndarray, q: np.ndarray, profile: PotentialProfile, k_n):
+    """integral_0^L u^2 dx over the layers (rows 0 to n - 1) + surface term,
+    with u(0) and u(L) read from rows 0 and n."""
     total = 0.0 + 0.0j
     for (a, b), q_j, w in zip(coeffs.tolist(), q.tolist(), profile.widths.tolist()):
         total += _layer_integral(a, b, q_j, w)
+    u0, uL = coeffs[0, 0], coeffs[-1, 0]
     return total + 1j * (u0 * u0 + uL * uL) / (2.0 * k_n)
 
 
@@ -142,12 +144,11 @@ def solve_mode(profile: PotentialProfile, pole: ResonancePole) -> ResonantMode:
             f"x = {profile.edges[edge]:g} nm; pole likely unconverged"
         )
     coeffs = np.concatenate((left[:edge, :, 0], alpha * right[edge:, :, 0]))
-    u0, uL = coeffs[0][0], alpha * right[-1, 0, 0]
-    scale = 1.0 / np.sqrt(_norm_square(coeffs, q, profile, u0, uL, k_n))
-    coeffs, u0, uL = coeffs * scale, u0 * scale, uL * scale
-    norm_residual = abs(_norm_square(coeffs, q, profile, u0, uL, k_n) - 1.0)
+    coeffs = coeffs * (1.0 / np.sqrt(_norm_square(coeffs, q, profile, k_n)))
+    norm_residual = abs(_norm_square(coeffs, q, profile, k_n) - 1.0)
     for array in (profile.edges, q, coeffs):
         array.flags.writeable = False
+    u0, uL = coeffs[0, 0], coeffs[-1, 0]
     return ResonantMode(
         pole, profile.edges, q, coeffs, u0, uL, float(residual), float(norm_residual)
     )

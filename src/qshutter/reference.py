@@ -55,7 +55,8 @@ def _march(profile, k, u, du):
 
 
 def transmission(profile, k: float):
-    """T = 4/(s^2 + d^2) at a real k as an mpf, s and d as scattering._sd forms them."""
+    """T = 4/(s^2 + d^2) at a real k as an mpf, s = P11 + P22 and d = k P12 - P21/k
+    as scattering._m22 forms them."""
     _numbers(k)
     with mp.workdps(_DPS):
         k = mp.mpmathify(k)

@@ -9,8 +9,9 @@ degeneracy need no separate code path.  Exterior phase convention:
 
 The transfer matrix M relates exterior plane-wave coefficient pairs,
 (A_right, B_right) = M (A_left, B_left), with det M = 1 for equal exterior
-potentials; then t = 1/m22 and r = -m21/m22.  m22 is analytic in k away
-from k = 0, and its zeros are exactly the transmission-amplitude poles.
+potentials; then t = 1/m22 and r = -m21/m22, so M's second row is all the
+package forms.  m22 is analytic in k away from k = 0, and its zeros are
+exactly the transmission-amplitude poles.
 
 One kernel, _layers, builds every layer's matrix entries elementwise over
 a scalar or an array of k, and each layer maps (psi, psi') to (c psi + ws
@@ -42,10 +43,11 @@ a single entry, so the kernel's complex products go to a buffer of their
 own; the walk writes nothing over a factor, and each of its products takes
 the layer entry as its first factor.
 
-M is read off the fundamental matrix (_read_off): the solutions F1 and F2,
+M's row is read off the fundamental matrix: the solutions F1 and F2,
 starting as (1, 0) and (0, 1) at x = 0, are marched to x = L, where their
 pairs are the columns of the layer product P; with s = P11 + P22 and d =
-k P12 - P21/k, m22 = (1/2) e^{ikL} (s - i d).
+k P12 - P21/k, m22 = (1/2) e^{ikL} (s - i d), formed in one place, _m22,
+and _read_off adds m21 for transfer_matrix.
 
 On the real axis, where every scan and every stationary field lives, q^2
 = k^2 - V/(hbar^2/2m) is real, so each layer matrix is real (cos and sin,
@@ -56,9 +58,9 @@ reads q, and forms it for its one k); only the read-off of M is complex.
 A complex-typed k (Newton iterates, poles, modes) runs the same code in
 complex arithmetic.
 
-T(E) has one read-off, _transmitted: t = 1/m22 from P's entries through
-_sd and _m22, with the bits of transfer_matrix's m22.  A scalar E hands it
-P walked in Python floats, a scan each block's _layer_product end.
+T(E) takes t = 1/m22 from _m22, with the bits of transfer_matrix's m22.
+A scalar E hands it P walked in Python floats, a scan each block's
+_layer_product end.
 
 The pole search, the mode solver and the stationary field share the
 outgoing pieces (_outgoing): (1, -ik) at x = 0 marched forward and (1, +ik)
@@ -127,10 +129,9 @@ _BLOCK = 2048
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Entries of M: complex for a scalar k, arrays of k's shape for an array."""
+    """M's second row, the one t and r read: complex for a scalar k, arrays
+    of k's shape for an array."""
 
-    m11: complex
-    m12: complex
     m21: complex
     m22: complex
 
@@ -183,7 +184,7 @@ def _layers(profile: PotentialProfile, k):
     q^2 is then real, so |z| = sqrt(|q^2|) w, and c and sin(z)/z are cos and
     sin of |z| where q^2 >= 0 and cosh and sinh of it where q^2 < 0.  No
     real-k march reads q, so it is not built; solve_stationary forms it for
-    its one k (_real_q).  g = |Im z| is the layer's growth exponent
+    its one k.  g = |Im z| is the layer's growth exponent
     (_growth).  |z|, ws and m are formed in place.
 
     Raises OverflowGuardError for the first point of k (in C order) where a
@@ -232,14 +233,6 @@ def _layers(profile: PotentialProfile, k):
     # own factors can round differently when it has a single entry
     m = np.multiply(np.negative(q2, out=q2), ws, out=z)
     return q, c, ws, m, g
-
-
-def _real_q(profile: PotentialProfile, k) -> np.ndarray:
-    """q of _layers at one real k: sqrt(|q^2|), times i where q^2 < 0."""
-    q2 = k * k - profile.heights / profile.hbar2_over_2m
-    q = np.sqrt(np.abs(q2)).astype(complex)
-    np.multiply(q, 1j, out=q, where=q2 < 0.0)
-    return q
 
 
 def _guard(exponent: np.ndarray) -> None:
@@ -396,38 +389,25 @@ def _nonzero_k(k):
     return k
 
 
-def _sd(k, end):
-    """(s, d) = (P11 + P22, k P12 - P21/k) from P's entries end = ((P11, P12),
-    (P21, P22)): the sum and difference of the module docstring."""
+def _m22(profile: PotentialProfile, k, end):
+    """(m22, e^{ikL}/2) from P's entries end = ((P11, P12), (P21, P22)),
+    elementwise over k: m22 = (1/2) e^{ikL} (P11 + P22 - i (k P12 - P21/k))."""
     (p11, p12), (p21, p22) = end
-    return p11 + p22, k * p12 - p21 / k
-
-
-def _m22(profile: PotentialProfile, k, s, d):
-    """(m22, e^{ikL}/2) from the sum s and difference d (_sd); the other
-    entries of M are read off the same factor."""
     half = 0.5 * np.exp(1j * k * profile.total_length)
-    return (s - 1j * d) * half, half
+    return (p11 + p22 - 1j * (k * p12 - p21 / k)) * half, half
 
 
 def _read_off(profile: PotentialProfile, k, end) -> TransferMatrix:
-    """M from P's entries end = ((P11, P12), (P21, P22)), elementwise over k.
+    """M's second row from P's entries end = ((P11, P12), (P21, P22)),
+    elementwise over k.
 
     With the exterior basis C(x) = [[e^{ikx}, e^{-ikx}], [ik e^{ikx}, -ik
-    e^{-ikx}]], M is C(L)^{-1} P C(0), whose entries need only the sums and
-    differences below.
+    e^{-ikx}]], M is C(L)^{-1} P C(0): m22 as _m22 forms it, and m21 =
+    (1/2) e^{ikL} (P11 - P22 + i (k P12 + P21/k)).
     """
     (p11, p12), (p21, p22) = end
-    s, d = _sd(k, end)
-    m22, half = _m22(profile, k, s, d)
-    split, cross = p11 - p22, k * p12 + p21 / k
-    half_inv = 0.25 / half
-    return TransferMatrix(
-        m11=(s + 1j * d) * half_inv,
-        m12=(split - 1j * cross) * half_inv,
-        m21=(split + 1j * cross) * half,
-        m22=m22,
-    )
+    m22, half = _m22(profile, k, end)
+    return TransferMatrix(m21=(p11 - p22 + 1j * (k * p12 + p21 / k)) * half, m22=m22)
 
 
 def transfer_matrix(profile: PotentialProfile, k) -> TransferMatrix:
@@ -452,7 +432,8 @@ def solve_stationary(profile: PotentialProfile, k: float | complex) -> Stationar
     """
     k = _nonzero_k(np.reshape(k, 1))
     layers = _layers(profile, k)
-    q = np.append(_real_q(profile, k) if layers[0] is None else layers[0][:, 0], k)
+    q2 = k * k - profile.heights / profile.hbar2_over_2m
+    q = np.append(np.sqrt(q2.astype(complex)), k)
     k = k.item()
     right = _right(*(a.ravel().tolist() for a in layers[1:4]), k)
     a = 2j * k / (right[0, 1] + 1j * k * right[0, 0])
@@ -470,17 +451,18 @@ def transmission(profile: PotentialProfile, E):
 
     A Python or numpy float E in (0, inf) takes a one-point path, bit for
     bit the array path's entry: k (wavenumber's complex sqrt), the layers
-    and the complex read-off (_transmitted) are formed on one-element
-    arrays, and F1 and F2 walk from (1, 0) and (0, 1) in Python floats.
-    Every other E (0-d arrays, ints, other dtypes, complex, invalid values)
-    takes the array path.
+    and t = 1/m22 (_m22, without _read_off's m21) are formed on
+    one-element arrays, and F1 and F2 walk from (1, 0) and (0, 1) in
+    Python floats.  Every other E (0-d arrays, ints, other dtypes, complex,
+    invalid values) takes the array path.
     """
     if isinstance(E, float) and 0.0 < E < np.inf:
         k = wavenumber(np.array([E]), profile).real
         c, ws, m = (a.ravel().tolist() for a in _layers(profile, k)[1:4])
         f1, f2 = (list(_walk(c, ws, m, *start))[-1] for start in ((1.0, 0.0), (0.0, 1.0)))
         end = np.array([*f1, *f2])  # P11, P21, P12, P22
-        t, T = _transmitted(profile, k, ((end[0:1], end[2:3]), (end[1:2], end[3:4])))
+        t = 1.0 / _m22(profile, k, ((end[0:1], end[2:3]), (end[1:2], end[3:4])))[0]
+        T = np.abs(t) ** 2
         _check_unitarity(T)
         return complex(t[0]), float(T[0])
     E = _complex_array(E, "E")
@@ -493,15 +475,8 @@ def transmission(profile: PotentialProfile, E):
     return t.reshape(E.shape), T.reshape(E.shape)
 
 
-def _transmitted(profile: PotentialProfile, k: np.ndarray, end):
-    """(t, T = |t|^2) from P's entries end = ((P11, P12), (P21, P22)): t =
-    1/m22, with m22 formed through _sd and _m22 as _read_off forms it."""
-    t = 1.0 / _m22(profile, k, *_sd(k, end))[0]
-    return t, np.abs(t) ** 2
-
-
 def _scan(profile: PotentialProfile, k: np.ndarray):
-    """(t, T) of _transmitted at a 1-D array of real k > 0, without
+    """(t = 1/m22, T = |t|^2) at a 1-D array of real k > 0, without
     transmission's input checks: _layer_product's end in blocks of _BLOCK
     points, each written into whole arrays as it is read, with the guard
     and the unitarity check of T."""
@@ -515,9 +490,10 @@ def _scan(profile: PotentialProfile, k: np.ndarray):
             _scan(profile, block[: err.point])
             err.point += start
             raise
-        part = _transmitted(profile, block, _layer_product(*layers[1:4]))
-        _check_unitarity(part[1])
-        t[start : start + block.size], T[start : start + block.size] = part
+        rows = slice(start, start + block.size)
+        t[rows] = 1.0 / _m22(profile, block, _layer_product(*layers[1:4]))[0]
+        T[rows] = np.abs(t[rows]) ** 2
+        _check_unitarity(T[rows])
     return t, T
 
 

@@ -23,7 +23,7 @@ class Record:
 def test_largest_relative_difference_walks_every_array():
     a = (np.array([1.0, 2.0, 4.0]), Record("x", {"m": np.array([[1.0 + 1.0j, 8.0]])}), 3.0)
     b = (np.array([1.0, 2.0, 4.0]), Record("x", {"m": np.array([[1.0 + 1.0j, 8.0]])}), 3.0)
-    assert [x.shape for x in ab.arrays(a)] == [(3,), (1, 2)]
+    assert [x.shape for x in ab.arrays(a)] == [(3,), (1, 2), ()]
     assert ab.largest_relative_difference(a, b) == 0.0
     # 1e-12 relative in the record's curve beats 5e-13 in the first array
     b[0][2] = 4.0 * (1 + 5e-13)
@@ -52,6 +52,20 @@ def test_largest_scaled_difference_divides_by_each_arrays_largest_entry():
     assert ab.largest_scaled_difference(np.zeros(2), np.array([0.0, 1e-300])) == math.inf
     assert ab.largest_scaled_difference(np.zeros(2), np.zeros(3)) == math.inf
     assert ab.largest_scaled_difference("no arrays", "here") == 0.0
+
+
+def test_differences_cover_float_and_complex_fields():
+    # outputs that differ only in a record's complex and float fields, as a
+    # mode's uL moved by one ulp: both figures read the move, not 0
+    a = Record("x", {"uL": np.complex128(0.25 + 0.5j), "residual": 1e-13})
+    b = Record("x", {"uL": np.complex128(0.25 + 0.5j * (1 + 2**-52)), "residual": 1e-13})
+    assert ab.fingerprint(a) != ab.fingerprint(b)
+    moved = 0.5 * 2**-52 / abs(0.25 + 0.5j)
+    assert math.isclose(ab.largest_relative_difference(a, b), moved, rel_tol=1e-9)
+    assert math.isclose(ab.largest_scaled_difference(a, b), moved, rel_tol=1e-9)
+    b.curves["residual"] = 3e-13
+    assert math.isclose(ab.largest_relative_difference(a, b), 2.0, rel_tol=1e-9)
+    assert ab.largest_scaled_difference(a, a) == 0.0
 
 
 def test_importing_ab_leaves_the_environment_alone():

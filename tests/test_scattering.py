@@ -91,13 +91,17 @@ def _stacked_rows_march(by_value, by_slope, pairs):
 
 class TestTransferMatrix:
     def test_unit_determinant_real_k(self, triple_profile, double_profile, rng):
-        # |det - 1| of the formed matrix floats at ~eps/T, so the 1e-10 bound
-        # only binds where the structure is not opaque (|m22|^2 < 1e5)
+        # det M = det P = 1, read on the layer product M is read off; |det - 1|
+        # floats at ~eps/T, so the 1e-10 bound only binds where the structure
+        # is not opaque (|m22|^2 < 1e5)
         for profile in (triple_profile, double_profile):
             for E in rng.uniform(5e-3, 0.2, size=50):
-                m = transfer_matrix(profile, wavenumber(E, profile))
-                det = m.m11 * m.m22 - m.m12 * m.m21
-                big = abs(m.m22) ** 2
+                k = wavenumber(E, profile)
+                (p11, p12), (p21, p22) = scattering._layer_product(
+                    *scattering._layers(profile, k)[1:4]
+                )
+                det = p11 * p22 - p12 * p21
+                big = abs(transfer_matrix(profile, k).m22) ** 2
                 assert abs(det - 1.0) < (1e-10 if big < 1e5 else 1e-12 * big)
 
     def test_free_profile_is_pure_phase(self, free_profile):
@@ -127,17 +131,17 @@ class TestTransferMatrix:
             E = _reference_energies(profile)
             k = np.concatenate([wavenumber(E, profile), [p.k for p in triple_poles]])
             m = transfer_matrix(profile, k)
-            got = np.array([[m.m11, m.m12], [m.m21, m.m22]])
+            got = np.array([m.m21, m.m22])
             for i, kk in enumerate(k):
                 # relative to the matrix scale: m22 vanishes at the poles
                 ref = _transfer_matrix_per_point(profile, kk)
-                assert np.max(np.abs(got[..., i] - ref)) < 1e-12 * np.max(np.abs(ref))
+                assert np.max(np.abs(got[:, i] - ref[1])) < 1e-12 * np.max(np.abs(ref))
 
     def test_shape_contract(self, triple_profile):
         m = transfer_matrix(triple_profile, 0.15)
-        assert all(type(v) is np.complex128 for v in (m.m11, m.m12, m.m21, m.m22))
+        assert all(type(v) is np.complex128 for v in (m.m21, m.m22))
         m = transfer_matrix(triple_profile, np.array([0.15, 0.2 - 0.01j, 0.3]))
-        assert all(v.shape == (3,) for v in (m.m11, m.m12, m.m21, m.m22))
+        assert all(v.shape == (3,) for v in (m.m21, m.m22))
 
     def test_any_k_zero_rejected(self, triple_profile):
         with pytest.raises(DomainError):
@@ -198,7 +202,7 @@ class TestTransferMatrix:
                 by_value, by_slope = (np.stack(a, axis=1).reshape(rows) for a in ((c, m), (ws, c)))
                 end = _stacked_rows_march(by_value, by_slope, pairs)[-1]
                 ref, got = scattering._read_off(p, k, end), transfer_matrix(p, k)
-                for name in ("m11", "m12", "m21", "m22"):
+                for name in ("m21", "m22"):
                     assert np.array_equal(getattr(got, name), getattr(ref, name)), (shape, name)
                 if k.size == 1:
                     continue  # one point walks its outgoing pieces in Python numbers
@@ -550,8 +554,8 @@ class TestSuperlattice:
         g = p[0, 0] + p[1, 1] - 1j * (k * p[0, 1] - p[1, 0] / k)
         m22 = 0.5 * np.exp(1j * k * profile.total_length) * g
         assert np.max(np.abs(transfer_matrix(profile, k).m22 - m22) / np.abs(m22)) < bound
-        s, d = scattering._sd(k, scattering._layer_product(*scattering._layers(profile, k)[1:4]))
-        assert np.max(np.abs(s - 1j * d - g) / np.abs(g)) < bound
+        (p11, p12), (p21, p22) = scattering._layer_product(*scattering._layers(profile, k)[1:4])
+        assert np.max(np.abs(p11 + p22 - 1j * (k * p12 - p21 / k) - g) / np.abs(g)) < bound
 
 
 # a 4-barrier (7-layer) profile of perfbench's `structures` stream
